@@ -159,9 +159,14 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
         description=(
             "Blocking I/O pseudo-level: page reads/writes, fsync, "
             "simulated latency sleeps.  Always last — never under an "
-            "exclusive lock (rule R6) outside the documented allowlist."
+            "exclusive lock (rule R6) outside the documented allowlist.  "
+            "Its one real lock is the file store's handle mutex, which "
+            "makes each seek + read/write pair atomic and is held for "
+            "nothing else."
         ),
-        where="storage/disk.py, storage/filedisk.py, os.fsync, time.sleep",
+        where="storage/disk.py, storage/filedisk.py (`FileDisk._io_lock`), "
+        "os.fsync, time.sleep",
+        attrs=("_io_lock",),
         exclusive=False,
     ),
 )

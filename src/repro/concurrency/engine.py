@@ -59,9 +59,9 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Sequence, TypeVar
 
-from ..core.batch import batch_search
 from ..core.geometry import Rect
 from ..core.node import Node
+from ..core.query import QuerySurface
 from ..core.rtree import RTree
 from ..exceptions import StorageError
 from ..obs.tracer import Tracer
@@ -350,8 +350,12 @@ class ConcurrentEngine:
         return doc
 
 
-class ConcurrentIndex(ConcurrentEngine):
+class ConcurrentIndex(ConcurrentEngine, QuerySurface):
     """Thread-safe facade over one index instance.
+
+    The read methods are :class:`~repro.core.query.QuerySurface`'s; each
+    query (or batch) runs once through the read funnel, against the tree
+    under the latch protocol or against a fresh snapshot in MVCC mode.
 
     >>> from repro import SRTree, Rect
     >>> from repro.concurrency import ConcurrentIndex
@@ -362,34 +366,19 @@ class ConcurrentIndex(ConcurrentEngine):
     """
 
     # -- reads ----------------------------------------------------------
-    def search(self, rect: Rect) -> list[tuple[int, Any]]:
-        if self.mvcc:
-            return self._read_mvcc(lambda snap: snap.search(rect))
-        return self._read(lambda: self._tree.search(rect))
+    @property
+    def dims(self) -> int:
+        return self._tree.config.dims
 
-    def search_ids(self, rect: Rect) -> set[int]:
-        return {rid for rid, _ in self.search(rect)}
-
-    def stab(self, *coords: float) -> list[tuple[int, Any]]:
+    def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
         if self.mvcc:
-            return self._read_mvcc(lambda snap: snap.stab(*coords))
-        return self._read(lambda: self._tree.stab(*coords))
+            return self._read_mvcc(lambda snap: snap._query(kind, rect))
+        return self._read(lambda: self._tree._query(kind, rect))
 
-    def search_within(self, rect: Rect) -> list[tuple[int, Any]]:
+    def _query_batch(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
         if self.mvcc:
-            return self._read_mvcc(lambda snap: snap.search_within(rect))
-        return self._read(lambda: self._tree.search_within(rect))
-
-    def search_containing(self, rect: Rect) -> list[tuple[int, Any]]:
-        if self.mvcc:
-            return self._read_mvcc(lambda snap: snap.search_containing(rect))
-        return self._read(lambda: self._tree.search_containing(rect))
-
-    def batch_search(self, queries: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
-        """One shared traversal answering the whole batch (see PR 4)."""
-        if self.mvcc:
-            return self._read_mvcc(lambda snap: snap.batch_search(queries))
-        return self._read(lambda: batch_search(self._tree, queries))
+            return self._read_mvcc(lambda snap: snap._query_batch(rects))
+        return self._read(lambda: self._tree._query_batch(rects))
 
     # -- writes ---------------------------------------------------------
     def insert(self, rect: Rect, payload: Any = None) -> int:

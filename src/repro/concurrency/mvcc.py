@@ -2,9 +2,10 @@
 
 A :class:`Snapshot` pins one committed epoch in a
 :class:`~repro.storage.buffer.PageVersionCache` and answers the full
-query API (``search`` / ``stab`` / ``search_within`` /
-``search_containing`` / ``batch_search`` / ``items``) against exactly
-that commit's page images — entirely latch-free.  The read path acquires
+query surface (:class:`repro.core.query.QuerySurface`, plus ``items``)
+against exactly that commit's page images — entirely latch-free.  It runs
+the same read kernel as a live tree; all it supplies is the fetch
+callback (:meth:`Snapshot._image`).  The read path acquires
 no latch, runs no optimistic retry, and can therefore never emit a
 ``latch_wait`` event, no matter how hard writers churn (ROADMAP item 2's
 acceptance bar).
@@ -32,9 +33,10 @@ safe to consult for any record the snapshot can see).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
-from ..core.geometry import Rect, pieces_cover
+from ..core import query
+from ..core.geometry import Rect
 from ..exceptions import StorageError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..storage.buffer import PageVersionCache, PinnedEpoch
@@ -42,7 +44,7 @@ from ..storage.buffer import PageVersionCache, PinnedEpoch
 __all__ = ["Snapshot"]
 
 
-class Snapshot:
+class Snapshot(query.QuerySurface):
     """A latch-free, epoch-pinned read view of one committed tree state.
 
     Use as a context manager (or call :meth:`close`) so the pinned
@@ -66,6 +68,7 @@ class Snapshot:
         #: Lazily-computed fragment counts for :meth:`search_within`
         #: (needs to know when *all* of a record's fragments were seen).
         self._fragment_counts: dict[int, int] | None = None
+        self._dims: int | None = None
         if self.tracer.enabled:
             self.tracer.event(
                 "snapshot_open", epoch=self._pin.epoch, root_page=self._pin.root_page
@@ -113,126 +116,37 @@ class Snapshot:
         return image
 
     # -- queries ---------------------------------------------------------
-    def search(self, rect: Rect) -> list[tuple[int, Any]]:
-        """All (record_id, payload) intersecting ``rect`` at this epoch.
+    @property
+    def dims(self) -> int:
+        """Dimensionality of the pinned tree, read off its root page."""
+        if self._dims is None:
+            self._dims = self._image(self._pin.root_page).dims
+        return self._dims
 
-        Mirrors ``RTree.search``: fragments (including remnants) of one
-        record are reported once; spanning records are tested at branch
-        level without descending.
-        """
-        results: list[tuple[int, Any]] = []
-        if not self._pin.root_page:
-            return results
+    def _check_rect(self, rect: Rect) -> None:
+        # An empty snapshot has no page to learn the dimensionality from
+        # (and no record that any query could match).
+        if self._pin.root_page:
+            super()._check_rect(rect)
+
+    def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
+        """The read kernel over this epoch's page images: ``_image`` is
+        the fetch callback, the root page id the root handle."""
+        hits, _ = query.answer(
+            kind, self._image, self._pin.root_page, rect, self._ensure_fragment_counts
+        )
         payload = self.cache.payload
-        seen: set[int] = set()
-        rlo, rhi = rect.lows, rect.highs
-        dims = range(len(rlo))
-        stack = [self._pin.root_page]
-        while stack:
-            image = self._image(stack.pop())
-            for r in image.records:
-                lo, hi = r.lows, r.highs
-                for d in dims:
-                    if lo[d] > rhi[d] or hi[d] < rlo[d]:
-                        break
-                else:
-                    if r.record_id not in seen:
-                        seen.add(r.record_id)
-                        results.append((r.record_id, payload(r.record_id)))
-            for b in image.branches:
-                for r in b.spanning:
-                    lo, hi = r.lows, r.highs
-                    for d in dims:
-                        if lo[d] > rhi[d] or hi[d] < rlo[d]:
-                            break
-                    else:
-                        if r.record_id not in seen:
-                            seen.add(r.record_id)
-                            results.append((r.record_id, payload(r.record_id)))
-                lo, hi = b.lows, b.highs
-                for d in dims:
-                    if lo[d] > rhi[d] or hi[d] < rlo[d]:
-                        break
-                else:
-                    stack.append(b.child_page)
-        return results
-
-    def search_ids(self, rect: Rect) -> set[int]:
-        return {rid for rid, _ in self.search(rect)}
-
-    def stab(self, *coords: float) -> list[tuple[int, Any]]:
-        """All records whose rectangle contains the given point."""
-        return self.search(Rect(coords, coords))
-
-    def count(self, rect: Rect) -> int:
-        return len(self.search(rect))
-
-    def batch_search(self, queries: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
-        """Per-query results for a batch (one snapshot, many queries)."""
-        return [self.search(q) for q in queries]
-
-    def search_within(self, rect: Rect) -> list[tuple[int, Any]]:
-        """All records lying entirely inside ``rect`` (cf. ``RTree``)."""
-        counts = self._ensure_fragment_counts()
-        results = []
-        for record_id, (payload, rects) in self._collect_fragments(rect).items():
-            if len(rects) != counts.get(record_id):
-                continue
-            if all(rect.contains(r) for r in rects):
-                results.append((record_id, payload))
-        return results
-
-    def search_containing(self, rect: Rect) -> list[tuple[int, Any]]:
-        """All records that fully contain ``rect`` (fragments tile the
-        original rectangle, so covering the query proves containment)."""
-        return [
-            (record_id, payload)
-            for record_id, (payload, rects) in self._collect_fragments(rect).items()
-            if pieces_cover(rect, rects)
-        ]
+        return [(e.record_id, payload(e.record_id)) for e in hits]
 
     def items(self) -> Iterator[tuple[int, Rect, Any]]:
         """Yield (record_id, fragment_rect, payload) for every fragment."""
-        if not self._pin.root_page:
-            return
         payload = self.cache.payload
-        stack = [self._pin.root_page]
-        while stack:
-            image = self._image(stack.pop())
-            for r in image.records:
-                yield r.record_id, Rect(r.lows, r.highs), payload(r.record_id)
-            for b in image.branches:
-                for r in b.spanning:
-                    yield r.record_id, Rect(r.lows, r.highs), payload(r.record_id)
-                stack.append(b.child_page)
+        for e in query.walk(self._image, self._pin.root_page):
+            yield e.record_id, e.rect, payload(e.record_id)
 
     def __len__(self) -> int:
         """Distinct records visible at the pinned epoch."""
         return len(self._ensure_fragment_counts())
-
-    # -- internals -------------------------------------------------------
-    def _collect_fragments(self, rect: Rect) -> dict[int, tuple[Any, list[Rect]]]:
-        found: dict[int, tuple[Any, list[Rect]]] = {}
-        if not self._pin.root_page:
-            return found
-        payload = self.cache.payload
-        stack = [self._pin.root_page]
-        while stack:
-            image = self._image(stack.pop())
-            candidates = list(image.records)
-            for b in image.branches:
-                candidates.extend(b.spanning)
-                if Rect(b.lows, b.highs).intersects(rect):
-                    stack.append(b.child_page)
-            for r in candidates:
-                fragment = Rect(r.lows, r.highs)
-                if fragment.intersects(rect):
-                    entry = found.get(r.record_id)
-                    if entry is None:
-                        found[r.record_id] = (payload(r.record_id), [fragment])
-                    else:
-                        entry[1].append(fragment)
-        return found
 
     def _ensure_fragment_counts(self) -> dict[int, int]:
         counts = self._fragment_counts

@@ -38,6 +38,7 @@ from .entry import BranchEntry, DataEntry
 from .geometry import Rect, union_all
 from .node import Node
 from .packed import str_partition
+from .query import Fetch, SpanningHit
 from .rtree import RTree
 
 __all__ = [
@@ -195,89 +196,76 @@ def batch_search_with_stats(
     """Like :func:`batch_search` but also reports traversal statistics."""
     for rect in rects:
         tree._check_rect(rect)
-    results: list[list[tuple[int, Any]]] = [[] for _ in rects]
+    hits: list[list[Any]] = [[] for _ in rects]
     seen: list[set[int]] = [set() for _ in rects]
     clusters = cluster_batch(rects, max_cluster)
+    tracer = tree.tracer
+    on_spanning_hit = tree._trace_spanning_hit if tracer.enabled else None
     accessed = 0
-    with tree.tracer.span("batch_search", queries=len(rects)) as sp:
+    with tracer.span("batch_search", queries=len(rects)) as sp:
         for cluster in clusters:
-            accessed += _shared_search(tree, rects, cluster, results, seen)
-        found = sum(len(r) for r in results)
+            accessed += _shared_search(
+                tree._access, tree.root, rects, cluster, hits, seen, on_spanning_hit
+            )
+        found = sum(len(h) for h in hits)
         sp.set(nodes_accessed=accessed, records_found=found, clusters=len(clusters))
-    _merge_predictor_matches(tree, rects, results, seen)
+    for e in tree._loose_entries():
+        for qi, rect in enumerate(rects):
+            if e.rect.intersects(rect):
+                hits[qi].append(e)
     tree.stats.searches += len(rects)
     tree.stats.search_node_accesses += accessed
-    return results, BatchSearchStats(
+    return [[(e.record_id, e.payload) for e in h] for h in hits], BatchSearchStats(
         queries=len(rects),
         clusters=len(clusters),
         nodes_accessed=accessed,
-        records_found=sum(len(r) for r in results),
+        records_found=sum(len(h) for h in hits),
     )
 
 
 def _shared_search(
-    tree: RTree,
+    fetch: Fetch,
+    root: Any,
     rects: Sequence[Rect],
     cluster: list[int],
-    results: list[list[tuple[int, Any]]],
+    hits: list[list[Any]],
     seen: list[set[int]],
+    on_spanning_hit: SpanningHit | None,
 ) -> int:
-    """One shared depth-first traversal for the queries in ``cluster``.
+    """One shared depth-first traversal for the queries in ``cluster``,
+    over the same node view and ``fetch`` callback as the single-query
+    kernel (:mod:`repro.core.query`).
 
-    Each stack frame carries the node plus the indices of queries still
-    *active* there (those whose rectangle intersects the node's region);
-    a node is visited — and its page faulted — at most once per cluster.
+    It is a second function, not a mode of that kernel, because it is a
+    different algorithm: each stack frame carries the node plus the
+    indices of queries still *active* there (those whose rectangle
+    intersects the node's region), so a node is visited — and its page
+    faulted — at most once per cluster.  The bookkeeping costs about 3x
+    per query on resident nodes and pays only when pages fault.
     """
     accessed = 0
-    tracer = tree.tracer
-    traced = tracer.enabled
-    stack: list[tuple[Node, list[int]]] = [(tree.root, list(cluster))]
+    stack: list[tuple[Any, list[int]]] = [(root, list(cluster))]
     while stack:
-        node, active = stack.pop()
-        tree._access(node)
+        handle, active = stack.pop()
+        node = fetch(handle)
         accessed += 1
-        if node.is_leaf:
-            for e in node.data_entries:
+        for e in node.data_entries:
+            for qi in active:
+                if e.rect.intersects(rects[qi]) and e.record_id not in seen[qi]:
+                    seen[qi].add(e.record_id)
+                    hits[qi].append(e)
+        for b in node.branches:
+            for e in b.spanning:
                 for qi in active:
                     if e.rect.intersects(rects[qi]) and e.record_id not in seen[qi]:
                         seen[qi].add(e.record_id)
-                        results[qi].append((e.record_id, e.payload))
-            continue
-        for b in node.branches:
-            for r in b.spanning:
-                for qi in active:
-                    if r.rect.intersects(rects[qi]) and r.record_id not in seen[qi]:
-                        seen[qi].add(r.record_id)
-                        results[qi].append((r.record_id, r.payload))
-                        if traced:
-                            tracer.event(
-                                "spanning_hit",
-                                node_id=node.node_id,
-                                level=node.level,
-                                record_id=r.record_id,
-                            )
+                        hits[qi].append(e)
+                        if on_spanning_hit is not None:
+                            on_spanning_hit(node, e)
             sub = [qi for qi in active if b.rect.intersects(rects[qi])]
             if sub:
                 stack.append((b.child, sub))
     return accessed
-
-
-def _merge_predictor_matches(
-    tree: RTree,
-    rects: Sequence[Rect],
-    results: list[list[tuple[int, Any]]],
-    seen: list[set[int]],
-) -> None:
-    """Skeleton indexes in the prediction phase keep early records in a
-    buffer outside the tree; fold the matching ones into each result."""
-    predictor = getattr(tree, "_predictor", None)
-    if predictor is None:
-        return
-    for buffered_rect, record_id, payload in predictor.buffered:
-        for qi, rect in enumerate(rects):
-            if record_id not in seen[qi] and buffered_rect.intersects(rect):
-                seen[qi].add(record_id)
-                results[qi].append((record_id, payload))
 
 
 # ----------------------------------------------------------------------

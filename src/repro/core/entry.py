@@ -13,6 +13,10 @@ A node in the R-Tree family holds two kinds of entries:
 A logical record that has been *cut* (Section 3.1.1) is represented by
 several :class:`DataEntry` fragments sharing one ``record_id``; searches
 deduplicate on that id.
+
+Both carry their bounds twice, as ``rect`` and as the flat ``lows`` /
+``highs`` the read kernel (:mod:`repro.core.query`) compares, under the
+names decoded page images use too.
 """
 
 from __future__ import annotations
@@ -30,10 +34,14 @@ __all__ = ["DataEntry", "BranchEntry"]
 class DataEntry:
     """An external index record: ``rect`` plus the indexed payload."""
 
-    __slots__ = ("rect", "record_id", "payload", "is_remnant")
+    __slots__ = ("rect", "lows", "highs", "record_id", "payload", "is_remnant")
 
     def __init__(self, rect: Rect, record_id: int, payload: Any, is_remnant: bool = False) -> None:
+        #: Never reassigned (other bounds = a new entry, :meth:`with_rect`),
+        #: so the mirrored ``lows``/``highs`` cannot go stale.
         self.rect = rect
+        self.lows = rect.lows  # lint: ignore[R4] — this entry's own mirror
+        self.highs = rect.highs  # lint: ignore[R4] — this entry's own mirror
         self.record_id = record_id
         self.payload = payload
         self.is_remnant = is_remnant
@@ -52,12 +60,24 @@ class BranchEntry:
     """An internal branch: child node pointer, its covering rectangle, and
     (SR-Tree only) the spanning index records linked to it."""
 
-    __slots__ = ("rect", "child", "spanning")
+    __slots__ = ("_rect", "lows", "highs", "child", "spanning")
 
     def __init__(self, rect: Rect, child: "Node") -> None:
         self.rect = rect
         self.child = child
         self.spanning: list[DataEntry] = []
+
+    @property
+    def rect(self) -> Rect:
+        return self._rect
+
+    @rect.setter
+    def rect(self, rect: Rect) -> None:
+        # Covering rectangles are reassigned as nodes grow and shrink;
+        # each assignment refreshes the flat bounds the kernel compares.
+        self._rect = rect
+        self.lows = rect.lows  # lint: ignore[R4] — this branch's own mirror
+        self.highs = rect.highs  # lint: ignore[R4] — this branch's own mirror
 
     def __repr__(self) -> str:
         return (

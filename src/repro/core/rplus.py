@@ -29,6 +29,7 @@ from typing import Any, Iterator, Sequence
 
 from ..exceptions import ConfigError, IndexStructureError, WorkloadError
 from ..obs.tracer import NULL_TRACER, Tracer
+from . import query
 from .config import IndexConfig
 from .entry import BranchEntry, DataEntry
 from .floatcmp import exact_zero
@@ -106,30 +107,16 @@ class RPlusTree:
         return record_id
 
     def search(self, rect: Rect) -> list[tuple[int, Any]]:
-        results: list[tuple[int, Any]] = []
-        seen: set[int] = set()
-        accessed = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self.stats.record_access(node.level)
-            accessed += 1
-            if node.is_leaf:
-                for e in node.data_entries:
-                    if e.record_id not in seen and e.rect.intersects(rect):
-                        seen.add(e.record_id)
-                        results.append((e.record_id, e.payload))
-                continue
-            for branch in node.branches:
-                for r in branch.spanning:
-                    if r.record_id not in seen and r.rect.intersects(rect):
-                        seen.add(r.record_id)
-                        results.append((r.record_id, r.payload))
-                if branch.rect.intersects(rect):
-                    stack.append(branch.child)
+        """All records intersecting ``rect``, replicas reported once (the
+        shared read kernel de-duplicates on record id)."""
+        hits, accessed = query.intersecting(self._access, self.root, rect)
         self.stats.searches += 1
         self.stats.search_node_accesses += accessed
-        return results
+        return [(e.record_id, e.payload) for e in hits]
+
+    def _access(self, node: Node) -> Node:
+        self.stats.record_access(node.level)
+        return node
 
     def search_ids(self, rect: Rect) -> set[int]:
         return {rid for rid, _ in self.search(rect)}

@@ -12,20 +12,23 @@ promotions be applied at any point during an operation instead of only on
 recursion unwind; the resulting trees are structurally identical to
 Guttman's.
 
-Every node visit is funnelled through :meth:`RTree._access`, which feeds
-both the paper's node-access metric and (when attached) the simulated
-storage layer's buffer pool.
+Reads go through :mod:`repro.core.query`: the public query methods are
+inherited from its ``QuerySurface`` and every traversal reaches nodes
+through :meth:`RTree._access`, which feeds both the paper's node-access
+metric and (when attached) the simulated storage layer's buffer pool.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+import itertools
+from typing import Any, Callable, Iterator, Optional, Sequence
 
-from ..exceptions import ConfigError, IndexStructureError, NotFoundError
+from ..exceptions import IndexStructureError, NotFoundError
 from ..obs.tracer import NULL_TRACER, Tracer
+from . import query
 from .config import IndexConfig
 from .entry import BranchEntry, DataEntry
-from .geometry import Rect, pieces_cover, union_all
+from .geometry import Rect, union_all
 from .node import Node
 from .split import split_rects
 from .stats import AccessStats, SearchStats
@@ -33,7 +36,7 @@ from .stats import AccessStats, SearchStats
 __all__ = ["RTree"]
 
 
-class RTree:
+class RTree(query.QuerySurface):
     """A dynamic R-Tree over K-dimensional rectangle/interval data.
 
     >>> from repro.core.geometry import Rect
@@ -108,20 +111,35 @@ class RTree:
             sp.set(fragments=self._fragment_counts[record_id])
         return record_id
 
-    def search(self, rect: Rect) -> list[tuple[int, Any]]:
-        """All (record_id, payload) whose rectangle intersects ``rect``.
-
-        Records cut into several fragments are reported once.
-        """
-        self._check_rect(rect)
-        results: list[tuple[int, Any]] = []
-        seen: set[int] = set()
-        with self.tracer.span("search") as sp:
-            accessed = self._search_into(rect, results, seen)
-            sp.set(nodes_accessed=accessed, records_found=len(results))
+    def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
+        """Answer one query through the read kernel; ``_access`` is the
+        fetch callback, so statistics, latching, page faults and the
+        ``node_access`` trace all happen there, once per node."""
+        tracer = self.tracer
+        if kind in (query.WITHIN, query.CONTAINING):
+            span = tracer.span("search", mode="fragments")
+        else:
+            span = tracer.span("search")
+        with span as sp:
+            hits, accessed = query.answer(
+                kind,
+                self._access,
+                self.root,
+                rect,
+                lambda: self._fragment_counts,
+                self._loose_entries(),
+                self._trace_spanning_hit if tracer.enabled else None,
+            )
+            sp.set(nodes_accessed=accessed, records_found=len(hits))
         self.stats.searches += 1
         self.stats.search_node_accesses += accessed
-        return results
+        return [(e.record_id, e.payload) for e in hits]
+
+    def _query_batch(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
+        """One shared traversal for the whole batch (``core/batch.py``)."""
+        from .batch import batch_search
+
+        return batch_search(self, rects)
 
     def search_with_stats(self, rect: Rect) -> tuple[list[tuple[int, Any]], SearchStats]:
         """Like :meth:`search` but also reports per-query node accesses."""
@@ -130,86 +148,12 @@ class RTree:
         accessed = self.stats.search_node_accesses - before
         return results, SearchStats(nodes_accessed=accessed, records_found=len(results))
 
-    def search_ids(self, rect: Rect) -> set[int]:
-        return {rid for rid, _ in self.search(rect)}
-
-    def stab(self, *coords: float) -> list[tuple[int, Any]]:
-        """All records whose rectangle contains the given point."""
-        return self.search(Rect(coords, coords))
-
-    def count(self, rect: Rect) -> int:
-        return len(self.search(rect))
-
-    def search_within(self, rect: Rect) -> list[tuple[int, Any]]:
-        """All records lying *entirely inside* ``rect``.
-
-        A record qualifies when every one of its fragments is inside the
-        query; the per-record fragment counts make one intersection pass
-        sufficient (a fragment outside the query never intersects it, so a
-        shortfall in the seen-count disqualifies the record).
-        """
-        self._check_rect(rect)
-        fragments = self._collect_fragments(rect)
-        results = []
-        for record_id, (payload, rects) in fragments.items():
-            if len(rects) != self._fragment_counts.get(record_id):
-                continue
-            if all(rect.contains(r) for r in rects):
-                results.append((record_id, payload))
-        return results
-
-    def search_containing(self, rect: Rect) -> list[tuple[int, Any]]:
-        """All records that *fully contain* ``rect``.
-
-        A record's fragments tile its original rectangle, so the fragments
-        intersecting the query cover it exactly when the original did.
-        """
-        self._check_rect(rect)
-        fragments = self._collect_fragments(rect)
-        return [
-            (record_id, payload)
-            for record_id, (payload, rects) in fragments.items()
-            if pieces_cover(rect, rects)
-        ]
-
     def fragment_count(self, record_id: int) -> int:
         """Number of fragments record ``record_id`` is stored as (>= 1)."""
         try:
             return self._fragment_counts[record_id]
         except KeyError:
             raise NotFoundError(f"unknown record id {record_id}") from None
-
-    def _collect_fragments(self, rect: Rect) -> dict[int, tuple[Any, list[Rect]]]:
-        """Fragments intersecting ``rect``, grouped by record (counted as
-        one search in the statistics)."""
-        found: dict[int, tuple[Any, list[Rect]]] = {}
-        accessed = 0
-        span = self.tracer.span("search", mode="fragments")
-        span.__enter__()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self._access(node)
-            accessed += 1
-            if node.is_leaf:
-                candidates = node.data_entries
-            else:
-                candidates = [r for _, r in node.iter_spanning()]
-                stack.extend(
-                    b.child for b in node.branches if b.rect.intersects(rect)
-                )
-            for e in candidates:
-                if e.rect.intersects(rect):
-                    entry = found.get(e.record_id)
-                    if entry is None:
-                        found[e.record_id] = (e.payload, [e.rect])
-                    else:
-                        entry[1].append(e.rect)
-        span.set(nodes_accessed=accessed, records_found=len(found))
-        span.__exit__(None, None, None)
-        self.stats.searches += 1
-        self.stats.search_node_accesses += accessed
-        return found
 
     def delete(self, record_id: int, hint: Rect | None = None) -> int:
         """Remove every fragment of ``record_id``; returns fragments removed.
@@ -235,31 +179,19 @@ class RTree:
         return removed
 
     def items(self) -> Iterator[tuple[int, Rect, Any]]:
-        """Yield (record_id, fragment_rect, payload) for every fragment."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                for e in node.data_entries:
-                    yield e.record_id, e.rect, e.payload
-            else:
-                for b in node.branches:
-                    for r in b.spanning:
-                        yield r.record_id, r.rect, r.payload
-                    stack.append(b.child)
+        """Yield (record_id, fragment_rect, payload) for every fragment
+        (an uncounted walk: no statistics, latches or page faults)."""
+        for e in itertools.chain(
+            query.walk(lambda node: node, self.root), self._loose_entries()
+        ):
+            yield e.record_id, e.rect, e.payload
 
     def bounding_rect(self) -> Rect | None:
         """MBR of the whole index (None when empty)."""
         return self.root.mbr()
 
     def node_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(b.child for b in node.branches)
-        return count
+        return sum(1 for _ in self.iter_nodes())
 
     def iter_nodes(self) -> Iterator[Node]:
         stack = [self.root]
@@ -275,7 +207,9 @@ class RTree:
     # ------------------------------------------------------------------
     # Search internals
     # ------------------------------------------------------------------
-    def _access(self, node: Node) -> None:
+    def _access(self, node: Node) -> Node:
+        """Visit ``node``: the read kernel's fetch callback, and the one
+        place a node visit is counted, latched, faulted in and traced."""
         self.stats.record_access(node.level)
         latch = self._latch_hook
         if latch is not None:
@@ -286,55 +220,20 @@ class RTree:
         tracer = self.tracer
         if tracer.enabled:
             tracer.event("node_access", node_id=node.node_id, level=node.level)
+        return node
 
-    def _search_into(
-        self, rect: Rect, results: list[tuple[int, Any]], seen: set[int]
-    ) -> int:
-        accessed = 0
-        stack = [self.root]
-        rlo, rhi = rect.lows, rect.highs
-        dims = range(len(rlo))
-        tracer = self.tracer
-        traced = tracer.enabled
-        while stack:
-            node = stack.pop()
-            self._access(node)
-            accessed += 1
-            if node.is_leaf:
-                for e in node.data_entries:
-                    elo, ehi = e.rect.lows, e.rect.highs
-                    for d in dims:
-                        if elo[d] > rhi[d] or ehi[d] < rlo[d]:
-                            break
-                    else:
-                        if e.record_id not in seen:
-                            seen.add(e.record_id)
-                            results.append((e.record_id, e.payload))
-                continue
-            for b in node.branches:
-                for r in b.spanning:
-                    slo, shi = r.rect.lows, r.rect.highs
-                    for d in dims:
-                        if slo[d] > rhi[d] or shi[d] < rlo[d]:
-                            break
-                    else:
-                        if r.record_id not in seen:
-                            seen.add(r.record_id)
-                            results.append((r.record_id, r.payload))
-                            if traced:
-                                tracer.event(
-                                    "spanning_hit",
-                                    node_id=node.node_id,
-                                    level=node.level,
-                                    record_id=r.record_id,
-                                )
-                blo, bhi = b.rect.lows, b.rect.highs
-                for d in dims:
-                    if blo[d] > rhi[d] or bhi[d] < rlo[d]:
-                        break
-                else:
-                    stack.append(b.child)
-        return accessed
+    def _trace_spanning_hit(self, node: Node, record: DataEntry) -> None:
+        self.tracer.event(
+            "spanning_hit",
+            node_id=node.node_id,
+            level=node.level,
+            record_id=record.record_id,
+        )
+
+    def _loose_entries(self) -> Sequence[DataEntry]:
+        """Records held outside the nodes (a skeleton index's prediction
+        buffer); every query kind and :meth:`items` sees them."""
+        return ()
 
     # ------------------------------------------------------------------
     # Insertion internals
@@ -403,7 +302,7 @@ class RTree:
         best_enl = float("inf")
         best_area = float("inf")
         for b in node.branches:
-            blo, bhi = b.rect.lows, b.rect.highs
+            blo, bhi = b.lows, b.highs
             area = 1.0
             grown = 1.0
             for d in dims:
@@ -597,12 +496,6 @@ class RTree:
         """Reinsert fragments that lost their home (demotion, coalescing)."""
         if entries:
             self._run_insertion(list(entries))
-
-    def _check_rect(self, rect: Rect) -> None:
-        if rect.dims != self.config.dims:
-            raise ConfigError(
-                f"rect has {rect.dims} dimensions, index expects {self.config.dims}"
-            )
 
     def __repr__(self) -> str:
         return (

@@ -216,7 +216,7 @@ class SkeletonMixin:
         return self._predictor is not None
 
     # ------------------------------------------------------------------
-    # Insert / search overrides for the prediction-buffering phase
+    # Insert / delete overrides for the prediction-buffering phase
     # ------------------------------------------------------------------
     def insert(self, rect: Rect, payload: Any = None) -> int:
         predictor = self._predictor
@@ -241,14 +241,12 @@ class SkeletonMixin:
             self._run_insertion([DataEntry(rect, record_id, payload)])
             self._after_insert()
 
-    def search(self, rect: Rect) -> list[tuple[int, Any]]:
-        results = super().search(rect)
-        if self._predictor is not None:
-            seen = {rid for rid, _ in results}
-            for buffered_rect, record_id, payload in self._predictor.buffered:
-                if record_id not in seen and buffered_rect.intersects(rect):
-                    results.append((record_id, payload))
-        return results
+    def _loose_entries(self) -> Sequence[DataEntry]:
+        """The prediction buffer, in the shape the read kernel tests."""
+        predictor = self._predictor
+        if predictor is None:
+            return ()
+        return [DataEntry(*buffered) for buffered in predictor.buffered]
 
     def delete(self, record_id: int, hint: Rect | None = None) -> int:
         predictor = self._predictor

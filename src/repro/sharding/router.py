@@ -1,9 +1,8 @@
 """Scatter-gather shard router: one logical index over N shard workers.
 
 The router presents the :class:`~repro.concurrency.engine.ConcurrentIndex`
-serving surface (``search`` / ``stab`` / ``search_within`` /
-``search_containing`` / ``batch_search`` / ``insert`` / ``delete``) over
-a set of shard clients, each owning a contiguous curve-key range
+serving surface (the :class:`~repro.core.query.QuerySurface` reads plus
+``insert`` / ``delete``) over a set of shard clients, each owning a contiguous curve-key range
 (:class:`~repro.sharding.partition.CurveRangePartitioner`):
 
 * **writes** route to exactly one shard by the record's curve key; the
@@ -41,6 +40,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..concurrency.latch import RWLatch
 from ..core.geometry import Rect
+from ..core.query import QuerySurface
 from ..exceptions import ConfigError, ShardError, ShardTimeoutError
 from ..obs.latency import LatencySeries
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -69,7 +69,20 @@ def _coords(rect: Rect) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return (rect.lows, rect.highs)
 
 
-class ShardRouter:
+#: Which shards a query kind must visit, as a test of the shard's
+#: conservative bounds against the query.  A record within the query also
+#: intersects it; a record containing the query (or the point of a stab,
+#: a degenerate rectangle) forces the shard's bounds to contain it too —
+#: a strictly sharper prune.
+_PRUNE: Mapping[str, Callable[[Rect, Rect], bool]] = {
+    wire.OP_SEARCH: Rect.intersects,
+    wire.OP_WITHIN: Rect.intersects,
+    wire.OP_CONTAINING: Rect.contains,
+    wire.OP_STAB: Rect.contains,
+}
+
+
+class ShardRouter(QuerySurface):
     """Routes one logical index's traffic across shard workers."""
 
     def __init__(
@@ -148,64 +161,55 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Read path (scatter-gather with bounds pruning)
     # ------------------------------------------------------------------
-    def search(self, rect: Rect) -> list[tuple[int, Any]]:
-        return self._gather(
-            wire.OP_SEARCH, _coords(rect), lambda b: b.intersects(rect)
-        )
+    @property
+    def dims(self) -> int:
+        return self._partitioner.bounds.dims
 
-    def stab(self, *coords: float) -> list[tuple[int, Any]]:
-        return self._gather(
-            wire.OP_STAB, (tuple(coords),), lambda b: b.contains_point(coords)
-        )
+    def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
+        """Scatter one query to every non-prunable shard; merge rid-sorted."""
+        prune = _PRUNE.get(kind)
+        if prune is None:
+            raise ConfigError(f"unknown query kind {kind!r}")
+        args = (rect.lows,) if kind == wire.OP_STAB else _coords(rect)
+        with self._topology_latch.read():
+            bounds = self._bounds_snapshot()
+            plan = {
+                sid: args
+                for sid, box in bounds.items()
+                if box is not None and prune(box, rect)
+            }
+            self._trace_dispatch(kind, len(plan), len(bounds) - len(plan))
+            if not plan:
+                return []
+            merged = [hit for hits in self._scatter(kind, plan).values() for hit in hits]
+            merged.sort(key=lambda item: item[0])
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "shard_gather", op=kind, shards=len(plan), results=len(merged)
+                )
+            return merged
 
-    def search_within(self, rect: Rect) -> list[tuple[int, Any]]:
-        # A record within the query also intersects it, so intersection
-        # with the shard bounds is the (conservative) prune.
-        return self._gather(
-            wire.OP_WITHIN, _coords(rect), lambda b: b.intersects(rect)
-        )
-
-    def search_containing(self, rect: Rect) -> list[tuple[int, Any]]:
-        # A record containing the query is a superset of it, so the
-        # shard's bounds (a superset of every resident record) must
-        # contain the query too — a strictly sharper prune.
-        return self._gather(
-            wire.OP_CONTAINING, _coords(rect), lambda b: b.contains(rect)
-        )
-
-    def search_ids(self, rect: Rect) -> set[int]:
-        return {rid for rid, _ in self.search(rect)}
-
-    def batch_search(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
+    def _query_batch(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
         """Answer a whole batch, scattering each shard only the queries
         its bounds can intersect."""
         results: list[list[tuple[int, Any]]] = [[] for _ in rects]
-        if not rects:
-            return results
         with self._topology_latch.read():
             bounds = self._bounds_snapshot()
-            plan: dict[int, list[int]] = {}
-            for sid, box in bounds.items():
-                if box is None:
-                    continue
-                wanted = [i for i, r in enumerate(rects) if box.intersects(r)]
-                if wanted:
-                    plan[sid] = wanted
+            wanted = {
+                sid: [i for i, r in enumerate(rects) if box.intersects(r)]
+                for sid, box in bounds.items()
+                if box is not None
+            }
+            plan = {
+                sid: ([_coords(rects[i]) for i in indices],)
+                for sid, indices in wanted.items()
+                if indices
+            }
             self._trace_dispatch(
                 wire.OP_BATCH_SEARCH, len(plan), len(bounds) - len(plan)
             )
-            futures = {
-                sid: self._pool.submit(
-                    self._shard_call,
-                    sid,
-                    wire.OP_BATCH_SEARCH,
-                    ([_coords(rects[i]) for i in indices],),
-                )
-                for sid, indices in plan.items()
-            }
-            per_shard = self._collect(wire.OP_BATCH_SEARCH, futures)
-            for sid, shard_lists in per_shard.items():
-                for i, hits in zip(plan[sid], shard_lists):
+            for sid, shard_lists in self._scatter(wire.OP_BATCH_SEARCH, plan).items():
+                for i, hits in zip(wanted[sid], shard_lists):
                     results[i].extend(hits)
         for hits in results:
             hits.sort(key=lambda item: item[0])
@@ -352,37 +356,19 @@ class ShardRouter:
         finally:
             self.admission.release(sid)
 
-    def _gather(
-        self,
-        op: str,
-        args: tuple[Any, ...],
-        prune: Callable[[Rect], bool],
-    ) -> list[tuple[int, Any]]:
-        """Scatter ``op`` to every non-prunable shard; merge rid-sorted."""
-        with self._topology_latch.read():
-            bounds = self._bounds_snapshot()
-            targets = [
-                sid for sid, box in bounds.items() if box is not None and prune(box)
-            ]
-            self._trace_dispatch(op, len(targets), len(bounds) - len(targets))
-            if not targets:
-                return []
-            if len(targets) == 1:
-                merged = list(self._shard_call(targets[0], op, args))
-            else:
-                futures = {
-                    sid: self._pool.submit(self._shard_call, sid, op, args)
-                    for sid in targets
-                }
-                merged = []
-                for hits in self._collect(op, futures).values():
-                    merged.extend(hits)
-            merged.sort(key=lambda item: item[0])
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "shard_gather", op=op, shards=len(targets), results=len(merged)
-                )
-            return merged
+    def _scatter(self, op: str, plan: Mapping[int, tuple[Any, ...]]) -> dict[int, Any]:
+        """Call ``op`` on every planned shard with its arguments — inline
+        when there is only one, in parallel otherwise — all or nothing."""
+        if len(plan) == 1:
+            ((sid, args),) = plan.items()
+            return {sid: self._shard_call(sid, op, args)}
+        return self._collect(
+            op,
+            {
+                sid: self._pool.submit(self._shard_call, sid, op, args)
+                for sid, args in plan.items()
+            },
+        )
 
     def _collect(self, op: str, futures: Mapping[int, "Future[Any]"]) -> dict[int, Any]:
         """Wait for every scattered call; any timeout poisons the gather.

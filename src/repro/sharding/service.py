@@ -1,9 +1,9 @@
 """Asyncio front-end for the shard router: in-process and over TCP.
 
-:class:`ShardedService` wraps a :class:`~repro.sharding.router.ShardRouter`
-in ``async`` methods (the blocking scatter-gather runs on the event
-loop's default executor, so one slow shard never stalls the loop), and
-:func:`serve` exposes it as a line-delimited JSON TCP protocol::
+:class:`ShardedService` serves decoded frames from a
+:class:`~repro.sharding.router.ShardRouter` (the blocking scatter-gather
+runs on the event loop's default executor, so one slow shard never stalls
+the loop), and :func:`serve` exposes it as a line-delimited JSON TCP protocol::
 
     -> {"op": "insert", "lows": [0, 0], "highs": [1, 1], "payload": "a"}
     <- {"ok": true, "value": 0}
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any
+from typing import Any, Callable
 
 from ..core.geometry import Rect
 from ..exceptions import ConfigError, ReproError
@@ -31,71 +31,44 @@ from .router import ShardRouter
 __all__ = ["ShardedService", "serve"]
 
 
+def _rect(frame: dict) -> Rect:
+    return Rect(frame["lows"], frame["highs"])
+
+
+#: Frame op -> the blocking router call that serves it.
+_FRAME_OPS: dict[str, Callable[[ShardRouter, dict], Any]] = {
+    "insert": lambda router, frame: router.insert(_rect(frame), frame.get("payload")),
+    "delete": lambda router, frame: router.delete(frame["record_id"]),
+    "search": lambda router, frame: router.search(_rect(frame)),
+    "search_within": lambda router, frame: router.search_within(_rect(frame)),
+    "search_containing": lambda router, frame: router.search_containing(_rect(frame)),
+    "stab": lambda router, frame: router.stab(*frame["coords"]),
+    "split": lambda router, frame: router.split_shard(frame["shard_id"]),
+    "stats": lambda router, frame: router.stats(),
+    "ping": lambda router, frame: "pong",
+}
+
+
 class ShardedService:
     """Async facade over a router; one instance per server."""
 
     def __init__(self, router: ShardRouter) -> None:
         self.router = router
 
-    async def _offload(self, fn: Any, /, *args: Any) -> Any:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, fn, *args)
-
-    async def insert(
-        self, lows: list[float], highs: list[float], payload: Any = None
-    ) -> int:
-        return await self._offload(
-            self.router.insert, Rect(tuple(lows), tuple(highs)), payload
-        )
-
-    async def delete(self, record_id: int) -> int:
-        return await self._offload(self.router.delete, record_id)
-
-    async def search(self, lows: list[float], highs: list[float]) -> list:
-        return await self._offload(self.router.search, Rect(tuple(lows), tuple(highs)))
-
-    async def stab(self, coords: list[float]) -> list:
-        return await self._offload(lambda: self.router.stab(*coords))
-
-    async def search_within(self, lows: list[float], highs: list[float]) -> list:
-        return await self._offload(
-            self.router.search_within, Rect(tuple(lows), tuple(highs))
-        )
-
-    async def search_containing(self, lows: list[float], highs: list[float]) -> list:
-        return await self._offload(
-            self.router.search_containing, Rect(tuple(lows), tuple(highs))
-        )
-
-    async def split_shard(self, shard_id: int) -> int | None:
-        return await self._offload(self.router.split_shard, shard_id)
-
-    async def stats(self) -> dict:
-        return await self._offload(self.router.stats)
-
     async def handle_frame(self, frame: dict) -> dict:
-        """Execute one decoded JSON request; never raises for repro errors."""
+        """Execute one decoded JSON request; never raises for repro errors.
+
+        The blocking router call runs on the event loop's default
+        executor, so one slow shard never stalls the loop.
+        """
         try:
             op = frame.get("op")
-            if op == "insert":
-                value: Any = await self.insert(
-                    frame["lows"], frame["highs"], frame.get("payload")
-                )
-            elif op == "delete":
-                value = await self.delete(frame["record_id"])
-            elif op in ("search", "search_within", "search_containing"):
-                method = getattr(self, op)
-                value = await method(frame["lows"], frame["highs"])
-            elif op == "stab":
-                value = await self.stab(frame["coords"])
-            elif op == "split":
-                value = await self.split_shard(frame["shard_id"])
-            elif op == "stats":
-                value = await self.stats()
-            elif op == "ping":
-                value = "pong"
-            else:
+            call = _FRAME_OPS.get(op)
+            if call is None:
                 raise ConfigError(f"unknown op {op!r}")
+            value = await asyncio.get_running_loop().run_in_executor(
+                None, call, self.router, frame
+            )
         except (ReproError, KeyError, TypeError, ValueError) as exc:
             # The RPC boundary: protocol and engine errors become error
             # frames on the wire instead of dropping the connection.

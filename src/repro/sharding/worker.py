@@ -22,9 +22,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Sequence
 
 from ..concurrency.engine import ConcurrentIndex
+from ..core import query
 from ..core.batch import CURVE_ORDER, curve_key
 from ..core.geometry import Rect, union_all
 from ..core.rtree import RTree
@@ -99,10 +101,8 @@ class ShardWorker:
         self._ops = {
             wire.OP_INSERT: self._op_insert,
             wire.OP_DELETE: self._op_delete,
-            wire.OP_SEARCH: self._op_search,
-            wire.OP_STAB: self._op_stab,
-            wire.OP_WITHIN: self._op_within,
-            wire.OP_CONTAINING: self._op_containing,
+            # The query ops are the surface's kinds: one handler each way.
+            **{kind: partial(self._op_query, kind) for kind in query.KINDS},
             wire.OP_BATCH_SEARCH: self._op_batch_search,
             wire.OP_EXTRACT: self._op_extract,
             wire.OP_INGEST: self._op_ingest,
@@ -178,32 +178,16 @@ class ShardWorker:
                 out.append((rid, payload))
         return out
 
-    def _op_search(
-        self, lows: Sequence[float], highs: Sequence[float]
-    ) -> list[tuple[int, Any]]:
-        return self._globalize(self.engine.search(Rect(tuple(lows), tuple(highs))))
-
-    def _op_stab(self, coords: Sequence[float]) -> list[tuple[int, Any]]:
-        return self._globalize(self.engine.stab(*coords))
-
-    def _op_within(
-        self, lows: Sequence[float], highs: Sequence[float]
-    ) -> list[tuple[int, Any]]:
-        return self._globalize(
-            self.engine.search_within(Rect(tuple(lows), tuple(highs)))
-        )
-
-    def _op_containing(
-        self, lows: Sequence[float], highs: Sequence[float]
-    ) -> list[tuple[int, Any]]:
-        return self._globalize(
-            self.engine.search_containing(Rect(tuple(lows), tuple(highs)))
-        )
+    def _op_query(self, kind: str, *bounds: Sequence[float]) -> list[tuple[int, Any]]:
+        """Any single-rectangle query: ``bounds`` is ``(lows, highs)``, or
+        the one point of a stab."""
+        rect = Rect(bounds[0], bounds[-1])
+        return self._globalize(self.engine.query(kind, rect))
 
     def _op_batch_search(
         self, rects: Sequence[tuple[Sequence[float], Sequence[float]]]
     ) -> list[list[tuple[int, Any]]]:
-        queries = [Rect(tuple(lo), tuple(hi)) for lo, hi in rects]
+        queries = [Rect(lo, hi) for lo, hi in rects]
         return [self._globalize(hits) for hits in self.engine.batch_search(queries)]
 
     # ------------------------------------------------------------------

@@ -508,7 +508,7 @@ class PageVersionCache:
         tracer: Tracer | None = None,
     ) -> None:
         #: Decodes a page image into a node image exposing ``branches``
-        #: (with ``child_page`` / ``spanning``) and ``records`` — used by
+        #: (with ``child`` / ``spanning``) and ``data_entries`` — used by
         #: :meth:`mark_sweep` to walk reachability and collect live
         #: record ids.  ``None`` disables mark-sweep (trim still works).
         self.decode = decode
@@ -745,12 +745,12 @@ class PageVersionCache:
                 if image is None:
                     image = self.decode(version.data)
                     version.image = image
-                for record in image.records:
+                for record in image.data_entries:
                     live_records.add(record.record_id)
                 for branch in image.branches:
                     for record in branch.spanning:
                         live_records.add(record.record_id)
-                    stack.append(branch.child_page)
+                    stack.append(branch.child)
         reclaimed = 0
         freed = 0
         for page_id in list(self._heads):

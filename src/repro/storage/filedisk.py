@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import zlib
 from pathlib import Path
 from typing import Any
@@ -85,6 +86,10 @@ class FileDisk:
         self._end = 0
         self._closed = False
         self._write_failed = False
+        #: The one buffered handle has one file position: each seek and
+        #: the read or write it positions must not interleave with another
+        #: thread's (the buffer pool reads pages outside its own mutex).
+        self._io_lock = threading.Lock()
         #: Last durably committed sidecar generation (0 = never synced).
         self.generation = 0
         #: Which sidecar recovery used on open: "meta", "prev" or "fresh".
@@ -173,8 +178,9 @@ class FileDisk:
             raise StorageError(f"invalid page size {size}")
         offset = self._claim_space(size)
         try:
-            self._file.seek(offset)
-            self._file.write(bytes(size))
+            with self._io_lock:
+                self._file.seek(offset)
+                self._file.write(bytes(size))
         except Exception:
             self._write_failed = True
             raise
@@ -204,8 +210,9 @@ class FileDisk:
     def read_page(self, page_id: PageId) -> bytes:
         self._check_open()
         size = self.page_size(page_id)
-        self._file.seek(self._offsets[page_id])
-        data = self._file.read(size)
+        with self._io_lock:
+            self._file.seek(self._offsets[page_id])
+            data = self._file.read(size)
         if len(data) != size:
             raise StorageError(f"short read on page {page_id}")
         self.stats.reads += 1
@@ -227,8 +234,9 @@ class FileDisk:
             self._offsets[page_id] = self._claim_space(size)
             self._protected.discard(page_id)
         try:
-            self._file.seek(self._offsets[page_id])
-            self._file.write(data)
+            with self._io_lock:
+                self._file.seek(self._offsets[page_id])
+                self._file.write(data)
         except Exception:
             self._write_failed = True
             raise

@@ -29,11 +29,15 @@ from typing import Any, Callable, Iterable, Iterator, Type
 
 from ..core.config import IndexConfig
 from ..core.entry import BranchEntry, DataEntry
-from ..core.geometry import Rect
 from ..core.node import Node
 from ..core.rtree import RTree
 from ..core.srtree import SRTree
-from ..exceptions import PageCorruptionError, StorageError, TransientDiskError
+from ..exceptions import (
+    ConfigError,
+    PageCorruptionError,
+    StorageError,
+    TransientDiskError,
+)
 from ..obs.tracer import Tracer
 from .buffer import BufferPool, PageVersionCache
 from .disk import SimulatedDisk
@@ -135,31 +139,17 @@ def _build_node(
     payloads: dict[int, Any],
 ) -> Node:
     """Recursively rebuild a node (and its subtree) from page images."""
+
+    def entry(r: Any) -> DataEntry:
+        return DataEntry(r.rect, r.record_id, payloads.get(r.record_id), r.is_remnant)
+
     node = Node(level=image.level)
-    if image.level == 0:
-        for r in image.records:
-            node.data_entries.append(
-                DataEntry(
-                    Rect(r.lows, r.highs),
-                    r.record_id,
-                    payloads.get(r.record_id),
-                    r.is_remnant,
-                )
-            )
-        return node
+    node.data_entries = [entry(r) for r in image.data_entries]
     for b in image.branches:
-        child = _build_node(read_image(b.child_page), read_image, payloads)
+        child = _build_node(read_image(b.child), read_image, payloads)
         child.parent = node
-        branch = BranchEntry(Rect(b.lows, b.highs), child)
-        for r in b.spanning:
-            branch.spanning.append(
-                DataEntry(
-                    Rect(r.lows, r.highs),
-                    r.record_id,
-                    payloads.get(r.record_id),
-                    r.is_remnant,
-                )
-            )
+        branch = BranchEntry(b.rect, child)
+        branch.spanning = [entry(r) for r in b.spanning]
         node.branches.append(branch)
     return node
 
@@ -311,6 +301,8 @@ class StorageManager:
         wal: WriteAheadLog | None = None,
     ) -> None:
         self.tree = tree
+        if wal is not None:
+            self._refuse_predicting("be attached with a write-ahead log")
         #: Any page store with the SimulatedDisk interface works; pass a
         #: repro.storage.FileDisk for real on-disk persistence, or wrap
         #: either in a repro.storage.faults.FaultInjectingDisk for
@@ -367,6 +359,17 @@ class StorageManager:
         tree._storage_hook = self._on_access
         if wal is not None:
             self._bootstrap_wal_base()
+
+    def _refuse_predicting(self, what: str) -> None:
+        """A skeleton index's prediction buffer lives outside its pages:
+        no WAL commit would carry those records and no snapshot see them,
+        so acknowledged inserts would vanish on recovery."""
+        if getattr(self.tree, "predicting", False):
+            raise ConfigError(
+                f"{type(self.tree).__name__} is still buffering inserts for "
+                f"distribution prediction and cannot {what}; call "
+                "tree.flush() first"
+            )
 
     # ------------------------------------------------------------------
     # Retry plumbing
@@ -458,6 +461,7 @@ class StorageManager:
         """
         if self.versions is not None:
             return self.versions
+        self._refuse_predicting("serve MVCC snapshots")
         if base_epoch is None:
             base_epoch = self.wal.last_lsn if self.wal is not None else 0
         self.gc_interval = gc_interval
@@ -493,15 +497,11 @@ class StorageManager:
     def _harvest_payloads(nodes: Iterable[Node]) -> dict[int, Any]:
         """Record payloads carried by ``nodes`` (payloads live outside
         index pages, so the version cache keeps its own sidecar map)."""
-        payloads: dict[int, Any] = {}
-        for node in nodes:
-            if node.is_leaf:
-                for e in node.data_entries:
-                    payloads[e.record_id] = e.payload
-            else:
-                for _, r in node.iter_spanning():
-                    payloads[r.record_id] = r.payload
-        return payloads
+        return {
+            e.record_id: e.payload
+            for node in nodes
+            for e in (*node.data_entries, *(r for _, r in node.iter_spanning()))
+        }
 
     def begin_logged_write(self) -> "_LoggedWrite | None":
         """Start capturing the nodes one mutation touches.
@@ -677,7 +677,7 @@ class StorageManager:
         # before serializing: the caller must be quiesced (no concurrent
         # logged writes), which checkpointing already requires.
         wal_lsn = self.wal.last_lsn if self.wal is not None else None
-        self._payloads = {}
+        self._payloads = self._harvest_payloads(self.tree.iter_nodes())
         page_of: dict[int, int] = {}
         for node in self.tree.iter_nodes():
             page_of[node.node_id] = self._ensure_page(node)
@@ -691,12 +691,6 @@ class StorageManager:
             )
             frame.write(image)
             self.pool.release(page_id, dirty=True)
-            if node.is_leaf:
-                for e in node.data_entries:
-                    self._payloads.setdefault(e.record_id, e.payload)
-            else:
-                for _, r in node.iter_spanning():
-                    self._payloads.setdefault(r.record_id, r.payload)
         self._retrying("flush buffer pool", self.pool.flush)
         root_page = page_of[self.tree.root.node_id]
         self.root_page = root_page

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from ..core.config import PAGE_HEADER_BYTES
 from ..core.entry import DataEntry
+from ..core.geometry import Rect
 from ..core.node import Node
 from ..exceptions import PageCorruptionError, StorageError
 
@@ -63,20 +64,34 @@ class RecordImage:
     lows: tuple[float, ...]
     highs: tuple[float, ...]
 
+    @property
+    def rect(self) -> Rect:
+        return Rect(self.lows, self.highs)
+
 
 @dataclass
 class BranchImage:
-    child_page: int
+    #: Page id of the child node.
+    child: int
     lows: tuple[float, ...]
     highs: tuple[float, ...]
     spanning: list[RecordImage] = field(default_factory=list)
 
+    @property
+    def rect(self) -> Rect:
+        return Rect(self.lows, self.highs)
+
 
 @dataclass
 class NodeImage:
+    """A decoded page.  Field names match the live :class:`Node` /
+    ``BranchEntry`` / ``DataEntry`` wherever :mod:`repro.core.query`
+    reads them, so one traversal serves both; payloads are not on the
+    page (callers resolve them by record id)."""
+
     level: int
     dims: int
-    records: list[RecordImage] = field(default_factory=list)
+    data_entries: list[RecordImage] = field(default_factory=list)
     branches: list[BranchImage] = field(default_factory=list)
     #: Checkpoint generation stamped into the page header that held this
     #: image (0 for images that never went through a checkpoint).
@@ -170,14 +185,14 @@ def deserialize_node(data: bytes, page_id: int | None = None) -> NodeImage:
     if level == 0:
         for _ in range(count):
             record, offset = _unpack_record(data, offset, dims)
-            image.records.append(record)
+            image.data_entries.append(record)
     else:
         for _ in range(count):
             (word,) = _WORD.unpack_from(data, offset)
             offset += _WORD.size
             lows, highs, offset = _unpack_rect(data, offset, dims)
             branch = BranchImage(
-                child_page=word & _CHILD_MASK, lows=lows, highs=highs
+                child=word & _CHILD_MASK, lows=lows, highs=highs
             )
             for _ in range((word >> _SPAN_COUNT_SHIFT) & _SPAN_COUNT_MASK):
                 record, offset = _unpack_record(data, offset, dims)

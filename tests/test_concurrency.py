@@ -147,13 +147,6 @@ class TestConcurrentIndex:
             got = list(pool.map(index.search_ids, rects[:50]))
         assert got == reference
 
-    def test_batch_search_matches_single(self):
-        tree, rects = _populated()
-        index = ConcurrentIndex(tree)
-        batched = index.batch_search(rects[:10])
-        for query, hits in zip(rects[:10], batched):
-            assert {rid for rid, _ in hits} == index.search_ids(query)
-
     def test_concurrent_inserts_all_land(self):
         index = ConcurrentIndex(SRTree(_TINY))
 

@@ -30,18 +30,6 @@ class TestSearchWithin:
         rid = tree.insert(Rect((0, 0), (10, 10)))
         assert tree.search_within(Rect((0, 0), (10, 10))) == [(rid, None)]
 
-    def test_matches_brute_force(self, small_config):
-        tree = SRTree(small_config)
-        data = {}
-        for rect in random_segments(500, seed=70, long_fraction=0.3):
-            data[tree.insert(rect)] = rect
-        rng = random.Random(71)
-        for _ in range(60):
-            cx, cy = rng.uniform(0, 90_000), rng.uniform(0, 90_000)
-            q = Rect((cx, cy), (cx + rng.uniform(100, 30_000), cy + rng.uniform(100, 30_000)))
-            got = {rid for rid, _ in tree.search_within(q)}
-            assert got == _brute_within(data, q)
-
     def test_cut_record_not_within_when_partially_outside(self, small_config):
         """A record cut into fragments only counts when *all* fragments are
         inside (the fragment-count bookkeeping at work)."""
@@ -83,20 +71,6 @@ class TestSearchContaining:
         q = point(25, 5)
         got = {rid for rid, _ in tree.search_containing(q)}
         assert got == {rid for rid, _ in tree.stab(25, 5)}
-
-    def test_matches_brute_force_boxes(self, small_config):
-        from .conftest import random_boxes
-
-        tree = SRTree(small_config)
-        data = {}
-        for rect in random_boxes(500, seed=73):
-            data[tree.insert(rect)] = rect
-        rng = random.Random(74)
-        for _ in range(60):
-            cx, cy = rng.uniform(0, 99_000), rng.uniform(0, 99_000)
-            q = Rect((cx, cy), (cx + rng.uniform(0, 500), cy + rng.uniform(0, 500)))
-            got = {rid for rid, _ in tree.search_containing(q)}
-            assert got == _brute_containing(data, q)
 
     def test_cut_record_containing_across_fragments(self, small_config):
         """A query spanning a cut boundary is covered by two fragments

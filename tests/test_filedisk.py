@@ -1,6 +1,7 @@
 """Tests for the file-backed page store and end-to-end persistence."""
 
 import random
+import threading
 
 import pytest
 
@@ -92,6 +93,58 @@ class TestFileDisk:
         assert reopened.generation == 1
         assert reopened.page_size(1) == 16
         reopened.close(sync=False)
+
+    def test_two_readers_never_share_a_file_position(self, tmp_path):
+        """Each seek + read pair is atomic: a second reader cannot move
+        the shared handle's position between them.  The handle proxy parks
+        the first seek until the second reader has seeked too (or, when
+        the pair is locked and it cannot, until a timeout)."""
+        from repro.storage import serialize_node, verify_page
+
+        pages = {}
+        disk = FileDisk(tmp_path / "pages.db")
+        for page_id, y in ((1, 10.0), (2, 20.0)):
+            tree = SRTree()
+            tree.insert(Rect((0.0, y), (5.0, y)))
+            pages[page_id] = serialize_node(tree.root, 1024, {})
+            disk.allocate(page_id, 1024)
+            disk.write_page(page_id, pages[page_id])
+
+        class ParkingHandle:
+            def __init__(self, handle):
+                self._handle = handle
+                self._seeks = 0
+                self._gate = threading.Lock()
+                self._second_seeked = threading.Event()
+
+            def seek(self, offset):
+                with self._gate:
+                    self._seeks += 1
+                    first = self._seeks == 1
+                self._handle.seek(offset)
+                if first:
+                    self._second_seeked.wait(timeout=0.3)
+                else:
+                    self._second_seeked.set()
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+        disk._file = ParkingHandle(disk._file)
+        got = {}
+        readers = [
+            threading.Thread(target=lambda p=p: got.update({p: disk.read_page(p)}))
+            for p in pages
+        ]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=10)
+        assert not any(reader.is_alive() for reader in readers)
+        for page_id, image in pages.items():
+            verify_page(got[page_id], page_id)
+            assert got[page_id] == image
+        disk.close()
 
     def test_works_under_buffer_pool(self, tmp_path):
         disk = FileDisk(tmp_path / "p.db")

@@ -112,8 +112,8 @@ def test_property_serializer_round_trip(data):
         )
     image = deserialize_node(serialize_node(node, 2048, {}))
     assert image.level == 0
-    assert len(image.records) == len(boxes)
-    for entry, record in zip(node.data_entries, image.records):
+    assert len(image.data_entries) == len(boxes)
+    for entry, record in zip(node.data_entries, image.data_entries):
         assert record.record_id == entry.record_id
         assert record.is_remnant == entry.is_remnant
         assert record.lows == entry.rect.lows

@@ -34,17 +34,17 @@ SMALL = IndexConfig(leaf_node_bytes=256, coalesce_interval=0)
 
 
 class _FakeBranch:
-    def __init__(self, child_page, spanning=()):
-        self.child_page = child_page
+    def __init__(self, child, spanning=()):
+        self.child = child
         self.spanning = list(spanning)
 
 
 class _FakeImage:
     """Just enough of a node image for mark-sweep reachability walks."""
 
-    def __init__(self, branches=(), records=()):
+    def __init__(self, branches=(), data_entries=()):
         self.branches = list(branches)
-        self.records = list(records)
+        self.data_entries = list(data_entries)
 
 
 def _decode_table(table):
@@ -187,37 +187,6 @@ class TestPageVersionCache:
 # Snapshot queries vs. the live tree
 # ---------------------------------------------------------------------------
 class TestSnapshotQueries:
-    def test_snapshot_matches_tree_on_every_query_kind(self):
-        tree, manager, engine, rects, rids = _mvcc_stack(n=60)
-        try:
-            queries = [
-                Rect((0.0, 0.0), (100_000.0, 100_000.0)),
-                Rect((10_000.0, 10_000.0), (60_000.0, 90_000.0)),
-                Rect((0.0, 0.0), (0.0, 0.0)),
-                rects[3],
-            ]
-            with engine.open_snapshot() as snap:
-                assert len(snap) == len(tree)
-                for q in queries:
-                    assert snap.search_ids(q) == {r for r, _ in tree.search(q)}
-                    assert {r for r, _ in snap.search_within(q)} == {
-                        r for r, _ in tree.search_within(q)
-                    }
-                    assert {r for r, _ in snap.search_containing(q)} == {
-                        r for r, _ in tree.search_containing(q)
-                    }
-                x, y = rects[5].lows
-                assert {r for r, _ in snap.stab(x, y)} == {
-                    r for r, _ in tree.stab(x, y)
-                }
-                batched = snap.batch_search(queries)
-                assert [len(b) for b in batched] == [
-                    len(tree.search(q)) for q in queries
-                ]
-        finally:
-            engine.detach()
-            manager.detach()
-
     def test_snapshot_preserves_payloads(self):
         tree, manager, engine, rects, rids = _mvcc_stack(n=30)
         try:

@@ -41,9 +41,9 @@ class TestNodeRoundTrip:
         node = tree.root
         image = deserialize_node(serialize_node(node, cfg.node_bytes(0), {}))
         assert image.level == 0
-        assert len(image.records) == 2
-        assert image.records[0].lows == (1.0, 3.0)
-        assert image.records[0].highs == (5.0, 3.0)
+        assert len(image.data_entries) == 2
+        assert image.data_entries[0].lows == (1.0, 3.0)
+        assert image.data_entries[0].highs == (5.0, 3.0)
 
     def test_remnant_flag_round_trip(self):
         from repro.core.entry import DataEntry
@@ -53,9 +53,9 @@ class TestNodeRoundTrip:
         node.data_entries.append(DataEntry(segment(0, 1, 2), 7, None, True))
         node.data_entries.append(DataEntry(segment(3, 4, 5), 8, None, False))
         image = deserialize_node(serialize_node(node, 1024, {}))
-        assert image.records[0].is_remnant is True
-        assert image.records[0].record_id == 7
-        assert image.records[1].is_remnant is False
+        assert image.data_entries[0].is_remnant is True
+        assert image.data_entries[0].record_id == 7
+        assert image.data_entries[1].is_remnant is False
 
     def test_nonleaf_with_spanning_round_trip(self, small_config):
         tree = SRTree(small_config)
@@ -73,7 +73,7 @@ class TestNodeRoundTrip:
         image = deserialize_node(serialize_node(target, size, page_of))
         assert len(image.branches) == len(target.branches)
         for branch, b_image in zip(target.branches, image.branches):
-            assert b_image.child_page == page_of[branch.child.node_id]
+            assert b_image.child == page_of[branch.child.node_id]
             assert len(b_image.spanning) == len(branch.spanning)
             assert b_image.lows == branch.rect.lows
 

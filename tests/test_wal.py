@@ -15,8 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ConcurrentIndex, IndexConfig, SRTree, check_index
-from repro.exceptions import SimulatedCrashError, StorageError, TornWalAppend
+from repro import ConcurrentIndex, IndexConfig, SkeletonSRTree, SRTree, check_index
+from repro.exceptions import (
+    ConfigError,
+    SimulatedCrashError,
+    StorageError,
+    TornWalAppend,
+)
 from repro.obs import Tracer
 from repro.storage import (
     Fault,
@@ -333,6 +338,38 @@ class TestEngineDurability:
 
         recovered, _ = verify_prefix_consistent(path, acked + more)
         assert len(recovered) == 20
+
+
+    def test_predicting_skeleton_is_refused_until_flushed(self, tmp_path):
+        """A prediction-phase skeleton keeps its first records in a buffer
+        no page (so no WAL commit, no snapshot) ever holds: ten acked
+        inserts used to recover as zero records."""
+        path = tmp_path / "index.db"
+        tree = SkeletonSRTree(
+            SMALL,
+            expected_tuples=100,
+            domain=[(0.0, 100_000.0)] * 2,
+            prediction_fraction=0.1,
+        )
+        disk = FileDisk(path)
+        wal = WriteAheadLog(wal_directory_for(path))
+        with pytest.raises(ConfigError, match=r"flush\(\)"):
+            StorageManager(tree, disk=disk, wal=wal)
+        pool_only = StorageManager(tree)  # fault counting needs no log
+        with pytest.raises(ConfigError, match=r"flush\(\)"):
+            ConcurrentIndex(tree, storage=pool_only, mvcc=True)
+        pool_only.detach()
+
+        tree.flush()
+        manager = StorageManager(tree, buffer_bytes=64 * 1024, disk=disk, wal=wal)
+        engine = ConcurrentIndex(tree, storage=manager)
+        acked = [(engine.insert(r), r) for r in wal_rects(10)]
+        engine.detach()
+        manager.detach()
+        wal.abort()
+        disk.abort()
+        recovered, _ = verify_prefix_consistent(path, acked)
+        assert len(recovered) == len(acked)
 
 
 # ---------------------------------------------------------------------------
