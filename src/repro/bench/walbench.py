@@ -291,10 +291,8 @@ def _bench_recovery(
             path, fsync_delay=0.0, segment_bytes=segment_bytes
         )
         for rect in dataset[:length]:
-            handle = manager.begin_logged_write()
             tree.insert(rect)
-            lsn = manager.end_logged_write(handle)
-            manager.wait_durable(lsn)
+            manager.wait_durable(manager.commit_write())
         # Crash without a checkpoint: recovery must replay the whole tail.
         manager.detach()
         wal.abort()

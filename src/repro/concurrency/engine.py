@@ -289,29 +289,21 @@ class ConcurrentEngine:
         self, fn: Callable[[], T], note_fn: "Callable[[T], Any] | None" = None
     ) -> T:
         storage = self.storage
-        logged = storage is not None and (
-            getattr(storage, "wal", None) is not None
-            or getattr(storage, "versions", None) is not None
-        )
         lsn: int | None = None
         self._index_latch.acquire_write()
         try:
             self._version += 1  # odd: mutation in progress
-            capture = storage.begin_logged_write() if logged else None
             try:
                 result = fn()
-            except BaseException:
-                if logged:
-                    storage.abort_logged_write()
-                raise
-            else:
-                if logged:
+                if storage is not None:
                     # Still under the exclusive latch: the serialized
                     # images see exactly this mutation's tree state, and
                     # (in MVCC mode) the commit's page versions become
                     # visible to snapshots before any later write runs.
+                    # Had ``fn`` raised, the nodes it changed stay in the
+                    # tree's dirty set and the next commit carries them.
                     note = note_fn(result) if note_fn is not None else None
-                    lsn = storage.end_logged_write(capture, note)
+                    lsn = storage.commit_write(note)
                     versions = getattr(storage, "versions", None)
                     if versions is not None and versions.latest is not None:
                         self._local.last_epoch = versions.latest.epoch
@@ -322,7 +314,7 @@ class ConcurrentEngine:
             self._prune_node_latches()
         finally:
             self._index_latch.release_write()
-        if logged:
+        if storage is not None:
             # Acknowledge only once durable — but wait *outside* the latch,
             # so commits appended while the flusher syncs share its next
             # fsync instead of paying one each (group commit).

@@ -403,7 +403,7 @@ def _route(
     """
     if node.is_leaf:
         node.data_entries.extend(group)
-        node.touch()
+        tree._touch(node)
         touched.append(node)
         return union_all([e.rect for e in group])
 
@@ -436,7 +436,7 @@ def _route(
             continue
         if not branch.rect.contains(child_rect):
             branch.rect = branch.rect.union(child_rect)
-            node.touch()
+            tree._touch(node)
             grown[id(branch.child)] = branch.child
         contribution = (
             child_rect if contribution is None else contribution.union(child_rect)
@@ -458,7 +458,7 @@ def _tighten_upward(tree: RTree, node: Node) -> None:
         rect = tree._node_rect(child)
         if not branch.rect.contains(rect):
             branch.rect = branch.rect.union(rect)
-            parent.touch()
+            tree._touch(parent)
         child = parent
 
 
@@ -491,7 +491,7 @@ def _bulk_split(tree: RTree, node: Node, pending: list[DataEntry]) -> None:
         for group in groups[1:]:
             sibling = Node(level=0)
             sibling.data_entries = [entries[i] for i in group]
-            sibling.touch()
+            tree._touch(sibling)
             siblings.append(sibling)
     else:
         branches = node.branches
@@ -506,7 +506,7 @@ def _bulk_split(tree: RTree, node: Node, pending: list[DataEntry]) -> None:
             sibling.branches = [branches[i] for i in group]
             for b in sibling.branches:
                 b.child.parent = sibling
-            sibling.touch()
+            tree._touch(sibling)
             siblings.append(sibling)
     if not siblings:
         # str_partition kept everything in one group (cannot happen while
@@ -515,7 +515,7 @@ def _bulk_split(tree: RTree, node: Node, pending: list[DataEntry]) -> None:
 
     # A split node stops being a skeleton cell (same rule as _split_node).
     node.assigned_region = None
-    node.touch()
+    tree._touch(node)
     tree.stats.splits += len(siblings)
     if tree.tracer.enabled:
         for sibling in siblings:
@@ -534,9 +534,10 @@ def _bulk_split(tree: RTree, node: Node, pending: list[DataEntry]) -> None:
         node.parent = parent
         tree.root = parent
         tree._height += 1
+        tree._mark(parent)
     else:
         parent.branch_for_child(node).rect = tree._node_rect(node)
-        parent.touch()
+        tree._touch(parent)
     for sibling in siblings:
         sibling.parent = parent
         parent.branches.append(BranchEntry(tree._node_rect(sibling), sibling))

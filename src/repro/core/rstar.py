@@ -130,11 +130,12 @@ class RStarTree(_RStarChooseMixin, RTree):
         node.data_entries.sort(key=distance)
         victims = node.data_entries[-count:]
         node.data_entries = node.data_entries[:-count]
-        node.touch()
+        self._touch(node)
         # Tighten the branch rectangle around what remains (shrinking is
         # always containment-safe for ancestors).
         branch = node.parent.branch_for_child(node)
         branch.rect = self._node_rect(node)
+        self._mark(node.parent)
         pending.extend(victims)
 
 

@@ -16,6 +16,11 @@ Reads go through :mod:`repro.core.query`: the public query methods are
 inherited from its ``QuerySurface`` and every traversal reaches nodes
 through :meth:`RTree._access`, which feeds both the paper's node-access
 metric and (when attached) the simulated storage layer's buffer pool.
+
+Writes report what they change: every content modification goes through
+:meth:`RTree._touch` and every other change to a node's page image through
+:meth:`RTree._mark`, which is all the storage layer needs to log a write
+(DESIGN §3.2).
 """
 
 from __future__ import annotations
@@ -71,6 +76,11 @@ class RTree(query.QuerySurface):
         #: concurrency layer installs a crab-coupling callback here; the
         #: hook itself decides per-thread whether latching is active.
         self._latch_hook: Optional[Callable[[Node], None]] = None
+        #: The write path's report to storage (DESIGN §3.2): every node whose
+        #: page image a mutation changed, created or unlinked since the last
+        #: commit.  ``None`` — nothing is recorded — until a storage manager
+        #: with a log or a version cache arms it.
+        self._dirty: Optional[set[Node]] = None
         #: Observability: spans and typed events flow through here.  The
         #: shared NULL_TRACER is disabled; replace it with a live
         #: :class:`repro.obs.Tracer` to capture traces.
@@ -164,17 +174,18 @@ class RTree(query.QuerySurface):
         do when no hint is given.
         """
         with self.tracer.span("delete", record_id=record_id) as sp:
-            removed = self._remove_fragments(self.root, record_id, hint)
+            changed: list[Node] = []
+            removed = self._remove_fragments(self.root, record_id, hint, changed)
             if not removed and hint is not None and record_id in self._fragment_counts:
                 # A bad hint (one that misses the record's actual fragments)
                 # must degrade to the full-index scan the paper describes,
                 # not silently delete nothing.
-                removed = self._remove_fragments(self.root, record_id, None)
+                removed = self._remove_fragments(self.root, record_id, None, changed)
             if removed:
                 self._size -= 1
                 self.stats.deletes += 1
                 self._fragment_counts.pop(record_id, None)
-                self._condense()
+                self._condense(changed)
             sp.set(fragments_removed=removed)
         return removed
 
@@ -277,7 +288,7 @@ class RTree(query.QuerySurface):
             node = branch.child
 
         node.data_entries.append(entry)
-        node.touch()
+        self._touch(node)
 
         # Adjust covering rectangles bottom-up; remember nodes whose branch
         # rectangles grew so the SR-Tree can re-check spanning relationships.
@@ -286,6 +297,7 @@ class RTree(query.QuerySurface):
             if branch.rect.contains(entry.rect):
                 break
             branch.rect = branch.rect.union(entry.rect)
+            self._mark(parent)
             expanded_parents.append(parent)
 
         if node.slots_used > self.config.capacity(node.level):
@@ -367,8 +379,8 @@ class RTree(query.QuerySurface):
             sibling.branches = [branches[i] for i in group_b]
             for b in sibling.branches:
                 b.child.parent = sibling
-        node.touch()
-        sibling.touch()
+        self._touch(node)
+        self._touch(sibling)
         if self.tracer.enabled:
             self.tracer.event(
                 "split",
@@ -393,13 +405,16 @@ class RTree(query.QuerySurface):
             sibling.parent = new_root
             self.root = new_root
             self._height += 1
+            # Marked once, here: what the rest of this operation hangs on the
+            # new root (siblings, promoted records) is part of the same report.
+            self._mark(new_root)
             parent = new_root
         else:
             parent = node.parent
             branch = parent.branch_for_child(node)
             branch.rect = node_rect
             parent.branches.append(BranchEntry(sibling_rect, sibling))
-            parent.touch()
+            self._touch(parent)
 
         self._promote_after_split(node, sibling, parent, pending)
         # The split node's covering rectangle may have shrunk, which can
@@ -423,68 +438,99 @@ class RTree(query.QuerySurface):
     # ------------------------------------------------------------------
     # Deletion internals
     # ------------------------------------------------------------------
-    def _remove_fragments(self, node: Node, record_id: int, hint: Rect | None) -> int:
+    def _remove_fragments(
+        self, node: Node, record_id: int, hint: Rect | None, changed: list[Node]
+    ) -> int:
+        """Remove ``record_id``'s fragments below ``node``; every node that
+        lost one (or has a descendant that did) is touched and appended to
+        ``changed``, child-first."""
         removed = 0
         self._access(node)
         if node.is_leaf:
             before = len(node.data_entries)
             node.data_entries = [e for e in node.data_entries if e.record_id != record_id]
             removed = before - len(node.data_entries)
+        else:
+            for b in node.branches:
+                before = len(b.spanning)
+                b.spanning = [r for r in b.spanning if r.record_id != record_id]
+                removed += before - len(b.spanning)
             if removed:
-                node.touch()
-            return removed
-        for b in node.branches:
-            before = len(b.spanning)
-            b.spanning = [r for r in b.spanning if r.record_id != record_id]
-            removed += before - len(b.spanning)
-            if hint is None or b.rect.intersects(hint):
-                removed += self._remove_fragments(b.child, record_id, hint)
+                # Reported before descending: a child's page fault may raise,
+                # and the records dropped here must still reach the log.
+                self._mark(node)
+            for b in node.branches:
+                if hint is None or b.rect.intersects(hint):
+                    removed += self._remove_fragments(b.child, record_id, hint, changed)
         if removed:
-            node.touch()
+            self._touch(node)
+            changed.append(node)
         return removed
 
-    def _condense(self) -> None:
-        """Remove empty subtrees and shrink a trivial root.
+    def _condense(self, changed: Sequence[Node]) -> None:
+        """Unlink the children a delete emptied and shrink a trivial root.
 
         This is a pragmatic variant of Guttman's CondenseTree: empty nodes
         are unlinked; underfull-but-nonempty nodes are left in place (legal
         for R-Trees, which never require rebalancing for correctness).
+
+        ``changed`` is what :meth:`_remove_fragments` touched, child-first.
+        A child becomes removable only under one of those nodes — it lost
+        its last entry or last child, or its branch lost its last spanning
+        record — so only their branches are examined, and a parent is
+        reached after the children that may have emptied it.  An unlinked
+        node's ``parent`` is cleared: that is how storage tells a freed
+        page from a live one.
         """
-        changed = True
-        while changed:
-            changed = False
-            for node in list(self.iter_nodes()):
-                if node.is_leaf:
-                    continue
-                keep = []
-                for b in node.branches:
-                    child_empty = (
-                        b.child.is_leaf
-                        and not b.child.data_entries
-                        and b.child.assigned_region is None
-                    ) or (not b.child.is_leaf and not b.child.branches)
-                    if child_empty and not b.spanning:
-                        changed = True
-                    else:
-                        keep.append(b)
+        for node in changed:
+            keep = []
+            for b in node.branches:
+                child = b.child
+                if (
+                    b.spanning
+                    or child.branches
+                    or child.data_entries
+                    or (child.is_leaf and child.assigned_region is not None)
+                ):
+                    keep.append(b)
+                else:
+                    child.parent = None
+                    self._mark(child)
+            if len(keep) != len(node.branches):
                 node.branches = keep
+                self._mark(node)
         while (
             not self.root.is_leaf
             and len(self.root.branches) == 1
             and not self.root.branches[0].spanning
         ):
+            self._mark(self.root)  # replaced: no parent and no longer the root
             self.root = self.root.branches[0].child
             self.root.parent = None
             self._height -= 1
         if not self.root.is_leaf and not self.root.branches:
             # Every subtree emptied out (the last records were spanning
             # records on the root): collapse to a fresh empty leaf root.
+            self._mark(self.root)
             self.root = Node(level=0)
             self._height = 1
 
     # ------------------------------------------------------------------
     # Hooks and helpers
     # ------------------------------------------------------------------
+    def _mark(self, node: Node) -> None:
+        """Report ``node`` to storage: its page image changed, or it was
+        just created or unlinked."""
+        if self._dirty is not None:
+            self._dirty.add(node)
+
+    def _touch(self, node: Node) -> None:
+        """A content modification: bump the paper's least-frequently-modified
+        counter (coalescing reads it) and report the node.  Marking alone
+        leaves the counter — and with it which leaves coalesce — untouched."""
+        node.touch()
+        self._mark(node)
+
     def _after_insert(self) -> None:
         """Post-insert hook (skeleton indexes run coalescing here)."""
 

@@ -328,10 +328,11 @@ class SkeletonMixin:
         keep.rect = keep.rect.union(absorb.rect)
         survivor.assigned_region = keep.rect
         survivor.modifications += absorbed.modifications
-        survivor.touch()
+        self._touch(survivor)
         absorbed.parent = None
+        self._mark(absorbed)  # unlinked: storage frees its page
         parent.branches.remove(absorb)
-        parent.touch()
+        self._touch(parent)
         self.stats.coalesces += 1
         if self.tracer.enabled:
             self.tracer.event(

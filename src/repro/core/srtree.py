@@ -126,7 +126,7 @@ class SRTree(RTree):
         else:
             record = entry
         target.spanning.append(record)
-        node.touch()
+        self._touch(node)
         self.stats.spanning_placements += 1
         if self.tracer.enabled:
             self.tracer.event(
@@ -194,7 +194,7 @@ class SRTree(RTree):
                         )
             if len(keep) != len(branch.spanning):
                 branch.spanning = keep
-                node.touch()
+                self._touch(node)
 
     # ------------------------------------------------------------------
     # Promotion (after a non-leaf split)
@@ -243,4 +243,4 @@ class SRTree(RTree):
                         )
                 if len(keep) != len(branch.spanning):
                     branch.spanning = keep
-                    half.touch()
+                    self._touch(half)

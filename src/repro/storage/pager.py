@@ -70,20 +70,6 @@ class RetryPolicy:
         return self.backoff_base * self.backoff_factor ** (attempt - 1)
 
 
-@dataclass
-class _LoggedWrite:
-    """Capture handle for one WAL-logged mutation.
-
-    ``accessed`` collects nodes the writer thread visits through the
-    storage hook; ``baseline`` snapshots every node's ``modifications``
-    counter so :meth:`StorageManager.end_logged_write` can also find
-    dirty nodes whose mutation path bypasses the hook.
-    """
-
-    accessed: dict[int, Node]
-    baseline: dict[int, int]
-
-
 class _PageReader:
     """Shared read path: fetch via a pool, verify, decode.
 
@@ -314,9 +300,9 @@ class StorageManager:
         self.pool = BufferPool(
             self.disk, buffer_bytes, tracer=tracer if tracer is not None else tree.tracer
         )
-        #: Optional write-ahead log: when attached, commits logged via
-        #: begin_logged_write / end_logged_write become durable between
-        #: checkpoints, and checkpoints truncate the log.
+        #: Optional write-ahead log: when attached, writes committed via
+        #: commit_write become durable between checkpoints, and checkpoints
+        #: truncate the log.
         self.wal = wal
         if wal is not None and wal.fault_gate is None:
             # Route WAL boundaries through the disk's fault table when the
@@ -339,8 +325,6 @@ class StorageManager:
         #: drained into the next WAL transaction so replay can re-create
         #: pages the un-synced page table never recorded.
         self._wal_unlogged_allocs: dict[int, int] = {}
-        #: Per-thread capture of nodes accessed inside a logged write.
-        self._capture_local = threading.local()
         self._payloads: dict[int, Any] = {}
         #: Copy-on-write page versions for MVCC snapshot reads; ``None``
         #: until :meth:`enable_mvcc`.
@@ -359,6 +343,7 @@ class StorageManager:
         tree._storage_hook = self._on_access
         if wal is not None:
             self._bootstrap_wal_base()
+            tree._dirty = set()  # from this base on, the tree reports its writes
 
     def _refuse_predicting(self, what: str) -> None:
         """A skeleton index's prediction buffer lives outside its pages:
@@ -391,9 +376,6 @@ class StorageManager:
     # Access path
     # ------------------------------------------------------------------
     def _on_access(self, node: Node) -> None:
-        capture = getattr(self._capture_local, "nodes", None)
-        if capture is not None:
-            capture[node.node_id] = node
         page_id = self._ensure_page(node)
         self._retrying(f"touch page {page_id}", lambda: self.pool.touch(page_id))
 
@@ -413,7 +395,7 @@ class StorageManager:
         return page_id
 
     # ------------------------------------------------------------------
-    # Logged writes (write-ahead logging)
+    # Write-ahead logging
     # ------------------------------------------------------------------
     def _bootstrap_wal_base(self) -> None:
         """Establish the durable base image the redo log applies onto.
@@ -491,6 +473,8 @@ class StorageManager:
         else:
             cache.publish(base_epoch, {}, 0)
         self.versions = cache
+        if self.tree._dirty is None:
+            self.tree._dirty = set()
         return cache
 
     @staticmethod
@@ -503,40 +487,17 @@ class StorageManager:
             for e in (*node.data_entries, *(r for _, r in node.iter_spanning()))
         }
 
-    def begin_logged_write(self) -> "_LoggedWrite | None":
-        """Start capturing the nodes one mutation touches.
+    def commit_write(self, note: Any = None) -> "int | None":
+        """Commit what the tree reports changed; returns the commit LSN.
 
-        Called by :meth:`ConcurrentEngine._write` (or any single-writer
-        caller) *before* running the mutation; the returned handle is
-        handed back to :meth:`end_logged_write`.  ``None`` (and a no-op)
-        when neither a WAL nor MVCC page versioning is attached.
+        The one call of the write path (DESIGN §3.2): run it after the
+        mutation, while its exclusive latch is still held, so the
+        serialized images are consistent.  The nodes come from the tree's
+        own dirty set; a mutation that raised leaves its nodes there and
+        they ride along with the next commit.  ``None`` (and a no-op) when
+        neither a WAL nor MVCC page versioning is attached.
 
-        Dirty-node detection combines two signals: nodes the mutation
-        *accesses* (per-thread via the storage hook, so concurrent
-        optimistic readers never pollute a writer's transaction) and
-        nodes whose ``modifications`` counter moved against the baseline
-        snapshotted here (every content mutation calls ``Node.touch``,
-        including paths like ``_insert_one`` that bypass the access hook).
-        """
-        if self.wal is None and self.versions is None:
-            return None
-        capture: dict[int, Node] = {}
-        self._capture_local.nodes = capture
-        baseline = {n.node_id: n.modifications for n in self.tree.iter_nodes()}
-        return _LoggedWrite(capture, baseline)
-
-    def abort_logged_write(self) -> None:
-        """Drop the current thread's capture (the mutation raised)."""
-        self._capture_local.nodes = None
-
-    def end_logged_write(
-        self, handle: "_LoggedWrite | None", note: Any = None
-    ) -> "int | None":
-        """Append the captured mutation to the WAL; returns its commit LSN.
-
-        Must run while the mutation's exclusive latch is still held, so
-        the serialized images are consistent.  The LSN is *not* yet
-        durable: acknowledge the commit only after
+        The LSN is *not* yet durable: acknowledge the commit only after
         :meth:`wait_durable` returns for it.
 
         With MVCC enabled the same page images are also published as
@@ -546,60 +507,23 @@ class StorageManager:
         recorded in the version cache's commit log alongside the epoch
         (oracle tests use it to replay exactly the committed operations).
         """
-        if handle is None or (self.wal is None and self.versions is None):
+        dirty = self.tree._dirty
+        if dirty is None:
             return None
-        self._capture_local.nodes = None
         root = self.tree.root
-        nodes: dict[int, Node] = dict(handle.accessed)
-        nodes[root.node_id] = root
-        # Touched nodes: content modifications bump Node.modifications,
-        # catching everything the access hook never sees (insert leaves,
-        # split siblings, spanning-record moves).  New nodes (absent from
-        # the baseline) count as touched.
-        for node in self.tree.iter_nodes():
-            prior = handle.baseline.get(node.node_id)
-            if prior is None or prior != node.modifications:
-                nodes[node.node_id] = node
-        # Close over ancestors: enclosing-rect adjustments propagate up
-        # from every touched node without bumping the parents' counters.
-        for node in list(nodes.values()):
-            parent = node.parent
-            while parent is not None and parent.node_id not in nodes:
-                nodes[parent.node_id] = parent
-                parent = parent.parent
-        # Close over children that have no page yet (subtrees attached
-        # wholesale): their pages must exist before replay dereferences
-        # the parent's child pointers.
-        stack = list(nodes.values())
-        while stack:
-            node = stack.pop()
-            for branch in node.branches:
-                child = branch.child
-                if child.node_id not in nodes and child.node_id not in self._page_of:
-                    nodes[child.node_id] = child
-                    stack.append(child)
-        # Emptied nodes: detached ones were condemned by a merge (their
-        # pages are garbage) and the root of an emptied tree is the
-        # ``root_page = 0`` sentinel — but an *attached* empty leaf is
-        # live structure (skeleton trees keep their pre-partitioned
-        # leaves) and must republish, or the page's stale records would
-        # survive into WAL replay and MVCC snapshots.  Such leaves carry
-        # an ``assigned_region``, which is what makes them serializable.
-        def attached(node: Node) -> bool:
-            while node.parent is not None:
-                node = node.parent
-            return node is root
-
-        live = [
-            node
-            for node in nodes.values()
-            if (node.data_entries or node.branches)
-            or (
-                node is not root
-                and node.assigned_region is not None
-                and attached(node)
-            )
-        ]
+        # Node-id order: page ids and log contents repeat from run to run.
+        live: list[Node] = []
+        unlinked: list[Node] = []
+        for node in sorted(dirty, key=lambda n: n.node_id):
+            if node.parent is None and node is not root:
+                unlinked.append(node)
+            elif node is not root or node.data_entries or node.branches:
+                # A linked node republishes even when emptied (a skeleton
+                # cell, or a child kept for its branch's spanning records):
+                # otherwise its page's stale records would survive into WAL
+                # replay and MVCC snapshots.  Only an emptied root does
+                # not: that is the ``root_page = 0`` sentinel.
+                live.append(node)
         for node in live:
             self._ensure_page(node)
         images = {}
@@ -611,12 +535,19 @@ class StorageManager:
         with self._page_lock:
             allocs = dict(self._wal_unlogged_allocs)
             self._wal_unlogged_allocs.clear()
+            freed = [
+                self._page_of.pop(node.node_id)
+                for node in unlinked
+                if node.node_id in self._page_of
+            ]
         root_page = self._page_of[root.node_id] if (
             root.data_entries or root.branches
         ) else 0
         lsn: "int | None" = None
         if self.wal is not None:
-            lsn = self.wal.log_commit(images, allocs, root_page=root_page)
+            lsn = self.wal.log_commit(images, allocs, freed, root_page=root_page)
+        for page_id in freed:
+            self._free_page(page_id)
         if self.versions is not None:
             if lsn is not None:
                 epoch = lsn
@@ -636,7 +567,23 @@ class StorageManager:
                 self.versions.mark_sweep()
             else:
                 self.versions.trim()
+        dirty.clear()
         return lsn
+
+    def _free_page(self, page_id: int) -> None:
+        """Release the page of an unlinked node (its DEALLOC is logged).
+        Page ids are never reused, so versions a snapshot still pins and
+        a stale optimistic reader's view of the id stay unambiguous."""
+        try:
+            self.pool.drop(page_id)
+        except StorageError:
+            # An optimistic reader on a stale path holds the frame for the
+            # length of one touch.  The frame is clean (only checkpoints
+            # dirty frames) and its id is dead: LRU eviction discards it.
+            pass
+        self._retrying(
+            f"deallocate page {page_id}", lambda: self.disk.deallocate(page_id)
+        )
 
     def wait_durable(self, lsn: "int | None") -> None:
         """Block until the logged commit ``lsn`` is on stable storage.
@@ -742,6 +689,7 @@ class StorageManager:
     def detach(self) -> None:
         """Stop instrumenting the index (keeps disk contents)."""
         self.tree._storage_hook = None
+        self.tree._dirty = None
 
     def set_tracer(self, tracer: Tracer) -> None:
         """Point the index and the buffer pool at one tracer."""

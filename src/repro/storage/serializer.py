@@ -207,6 +207,9 @@ def _node_dims(node: Node) -> int:
         return rects[0].dims
     if node.assigned_region is not None:
         return node.assigned_region.dims
+    if node.parent is not None:
+        # Emptied but still linked (its branch holds spanning records).
+        return node.parent.branches[0].rect.dims
     raise StorageError(f"cannot infer dimensionality of empty node {node.node_id}")
 
 

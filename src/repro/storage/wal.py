@@ -449,6 +449,7 @@ class WriteAheadLog:
                 lsn += 1
                 frames += _frame(lsn, REC_DEALLOC, page_id, b"")
                 records += 1
+                self._last_images.pop(page_id, None)
             for page_id, image in sorted(images.items()):
                 lsn += 1
                 rtype, payload = self._encode_page_locked(page_id, image)

@@ -36,10 +36,12 @@ from repro.storage import (
 )
 from repro.storage.wal import (
     REC_COMMIT,
+    REC_DEALLOC,
     REC_PAGE_IMAGE,
     WAL_FRAME_BYTES,
     _frame,
     _parse_frame,
+    _scan_directory,
 )
 
 from .conftest import random_segments
@@ -239,6 +241,22 @@ def build_wal_stack(path, faults=None, seed=None, segment_bytes=SWEEP_SEGMENT_BY
     return tree, disk, wal, manager, engine
 
 
+def run_until_crash(path, faults, seed, body):
+    """Run ``body(manager, engine)`` on a fresh stack until it finishes or an
+    injected crash kills it; returns (crashed, op_counts)."""
+    disk = None
+    try:
+        _, disk, wal, manager, engine = build_wal_stack(path, faults, seed)
+        body(manager, engine)
+    except StorageError:
+        return True, dict(disk.op_counts if disk is not None else {})
+    engine.detach()
+    manager.detach()
+    wal.close()
+    disk.close()
+    return False, dict(disk.op_counts)
+
+
 def run_workload(path, faults=None, seed=None, inserts=SWEEP_INSERTS):
     """Insert + periodically checkpoint until done or crashed.
 
@@ -246,20 +264,15 @@ def run_workload(path, faults=None, seed=None, inserts=SWEEP_INSERTS):
     ``(record_id, rect)`` per acknowledged commit.
     """
     acked = []
-    disk = None
-    try:
-        tree, disk, wal, manager, engine = build_wal_stack(path, faults, seed)
+
+    def body(manager, engine):
         for i, rect in enumerate(wal_rects(inserts)):
             acked.append((engine.insert(rect), rect))
             if (i + 1) % SWEEP_CHECKPOINT_EVERY == 0:
                 manager.checkpoint()
-    except StorageError:
-        return acked, True, dict(disk.op_counts if disk is not None else {})
-    engine.detach()
-    manager.detach()
-    wal.close()
-    disk.close()
-    return acked, False, dict(disk.op_counts)
+
+    crashed, op_counts = run_until_crash(path, faults, seed, body)
+    return acked, crashed, op_counts
 
 
 def verify_prefix_consistent(path, acked):
@@ -435,6 +448,68 @@ class TestWalBoundaryCrashSweep:
         assert crashed
         _, replay = verify_prefix_consistent(path, acked)
         assert replay.skipped > 0  # stale records were scanned, not applied
+
+
+def run_unlinking_workload(path, faults=None):
+    """Insert, delete everything (leaves empty out, the root shrinks and
+    every page but one is freed), insert again — until done or crashed.
+
+    Returns (live, deleted, crashed, op_counts): acknowledged state only;
+    a delete the crash interrupted is in neither set.
+    """
+    live, deleted = {}, set()
+
+    def body(manager, engine):
+        rects = wal_rects(SWEEP_INSERTS)
+        for rect in rects:
+            live[engine.insert(rect)] = rect
+        for rid in sorted(live):
+            rect = live.pop(rid)
+            engine.delete(rid, hint=rect)
+            deleted.add(rid)
+        for rect in rects[:4]:
+            live[engine.insert(rect)] = rect
+
+    crashed, op_counts = run_until_crash(path, faults, None, body)
+    return live, deleted, crashed, op_counts
+
+
+class TestUnlinkingWorkloadCrashSweep:
+    """The same sweep over a workload whose commits carry DEALLOC records."""
+
+    @pytest.fixture(scope="class")
+    def boundary_counts(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("dry-unlink") / "index.db"
+        live, deleted, crashed, op_counts = run_unlinking_workload(path)
+        assert not crashed
+        assert len(live) == 4 and len(deleted) == SWEEP_INSERTS
+        assert op_counts["deallocate"] > 0  # unlinked nodes' pages were freed
+        deallocs = [
+            r for r in _scan_directory(wal_directory_for(path))[0] if r.rtype == REC_DEALLOC
+        ]
+        assert len(deallocs) == op_counts["deallocate"]
+        return op_counts
+
+    @pytest.mark.parametrize(
+        "op,kind",
+        [
+            ("wal_append", "crash"),
+            ("wal_append", "torn_write"),
+            ("wal_fsync", "crash"),
+            ("deallocate", "crash"),
+        ],
+    )
+    def test_crash_at_every_boundary(self, tmp_path, boundary_counts, op, kind):
+        for at in range(1, boundary_counts[op] + 1):
+            store = tmp_path / f"{op}-{kind}-{at}"
+            store.mkdir()
+            path = store / "index.db"
+            live, deleted, crashed, _ = run_unlinking_workload(
+                path, faults=[Fault(kind, op=op, at=at)]
+            )
+            assert crashed, f"{kind}@{op}#{at} did not crash the run"
+            tree, _ = verify_prefix_consistent(path, list(live.items()))
+            assert not deleted & {rid for rid, _, _ in tree.items()}
 
 
 # ---------------------------------------------------------------------------
