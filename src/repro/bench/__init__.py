@@ -1,13 +1,10 @@
-"""Experiment harness: Section 5's protocol, figures, and reports."""
+"""Experiment harness: Section 5's protocol, figures, and reports.
 
-from .batchbench import (
-    BATCH_INDEX_TYPES,
-    format_batch_report,
-    run_batch_bench,
-    uniform_queries,
-)
-from .concurrentbench import format_concurrent_report, run_concurrent_bench
-from .slobench import format_slo_report, run_slo_bench
+The serving-tier benchmarks (``repro bench <scenario>``) are
+:mod:`repro.bench.harness` and :mod:`repro.bench.scenarios`; they are
+imported on use, not here, so that ``import repro.cli`` stays light.
+"""
+
 from .cost_model import expected_node_accesses, predict_qar_series
 from .experiment import (
     INDEX_TYPES,
@@ -15,6 +12,7 @@ from .experiment import (
     ExperimentResult,
     build_index,
     default_scale,
+    fresh_index,
     run_experiment,
 )
 from .figures import FIGURES, FigureSpec, hqar_mean, vqar_mean
@@ -28,18 +26,11 @@ from .report import (
 )
 
 __all__ = [
-    "BATCH_INDEX_TYPES",
-    "format_batch_report",
-    "format_concurrent_report",
-    "run_batch_bench",
-    "run_concurrent_bench",
-    "format_slo_report",
-    "run_slo_bench",
-    "uniform_queries",
     "INDEX_TYPES",
     "PREDICTION_FRACTION",
     "ExperimentResult",
     "build_index",
+    "fresh_index",
     "default_scale",
     "run_experiment",
     "FIGURES",

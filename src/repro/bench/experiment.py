@@ -18,12 +18,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..core.config import IndexConfig
 from ..core.geometry import Rect
 from ..core.rtree import RTree
-from ..core.skeleton import SkeletonRTree, SkeletonSRTree
+from ..core.skeleton import SkeletonMixin, SkeletonRTree, SkeletonSRTree
 from ..core.srtree import SRTree
 from ..exceptions import WorkloadError
 from ..obs.registry import NODES_PER_SEARCH_BUCKETS, Histogram
@@ -34,17 +34,21 @@ __all__ = [
     "INDEX_TYPES",
     "ExperimentResult",
     "build_index",
+    "fresh_index",
     "run_experiment",
     "default_scale",
 ]
 
-#: Display names of the paper's four index types, in its plotting order.
-INDEX_TYPES: tuple[str, ...] = (
-    "R-Tree",
-    "SR-Tree",
-    "Skeleton R-Tree",
-    "Skeleton SR-Tree",
-)
+#: The paper's four index types by display name, in its plotting order
+#: (``Any``: the skeleton classes take sizing arguments the others lack).
+_CONSTRUCTORS: dict[str, Any] = {
+    "R-Tree": RTree,
+    "SR-Tree": SRTree,
+    "Skeleton R-Tree": SkeletonRTree,
+    "Skeleton SR-Tree": SkeletonSRTree,
+}
+
+INDEX_TYPES: tuple[str, ...] = tuple(_CONSTRUCTORS)
 
 #: Fraction of the expected input buffered for distribution prediction;
 #: the paper buffered the first 10 000 of 100K-200K tuples (5-10 %).
@@ -83,6 +87,29 @@ class ExperimentResult:
         return sum(values) / len(values)
 
 
+def fresh_index(
+    kind: str,
+    expected_tuples: int,
+    config: IndexConfig | None = None,
+    prediction_fraction: float = PREDICTION_FRACTION,
+    domain: Sequence[tuple[float, float]] | None = None,
+) -> RTree:
+    """An empty index of ``kind`` (one of :data:`INDEX_TYPES`); the
+    skeleton types are pre-sized for ``expected_tuples`` over ``domain``."""
+    cls = _CONSTRUCTORS.get(kind)
+    if cls is None:
+        raise WorkloadError(f"unknown index type {kind!r}; pick from {INDEX_TYPES}")
+    config = config or IndexConfig()
+    if not issubclass(cls, SkeletonMixin):
+        return cls(config)
+    return cls(
+        config,
+        expected_tuples=expected_tuples,
+        domain=list(domain) if domain is not None else DOMAIN,
+        prediction_fraction=prediction_fraction,
+    )
+
+
 def build_index(
     kind: str,
     dataset: Sequence[Rect],
@@ -98,29 +125,7 @@ def build_index(
     produce randomly ordered data).  Pass a :class:`repro.obs.Tracer` as
     ``tracer`` to trace the build itself (splits, cuts, demotions, ...).
     """
-    config = config or IndexConfig()
-    domain = list(domain) if domain is not None else DOMAIN
-    if kind == "R-Tree":
-        index: RTree = RTree(config)
-    elif kind == "SR-Tree":
-        index = SRTree(config)
-    elif kind == "Skeleton R-Tree":
-        index = SkeletonRTree(
-            config,
-            expected_tuples=len(dataset),
-            domain=domain,
-            prediction_fraction=prediction_fraction,
-        )
-    elif kind == "Skeleton SR-Tree":
-        index = SkeletonSRTree(
-            config,
-            expected_tuples=len(dataset),
-            domain=domain,
-            prediction_fraction=prediction_fraction,
-        )
-    else:
-        raise WorkloadError(f"unknown index type {kind!r}; pick from {INDEX_TYPES}")
-
+    index = fresh_index(kind, len(dataset), config, prediction_fraction, domain)
     if tracer is not None:
         index.tracer = tracer
     for i, rect in enumerate(dataset):

@@ -9,23 +9,12 @@ Commands:
 * ``graphs``    — reproduce one or more of the paper's Graphs 1-6;
 * ``trace``     — run a search workload with tracing on and dump the
   JSONL event stream;
-* ``bench-batch`` — compare batched (shared-traversal) execution against
-  one-at-a-time queries and inserts, emitting ``BENCH_batch.json``;
-* ``bench-concurrent`` — measure concurrent read throughput through the
-  latched serving engine at 1/2/4 reader threads over a latency-modelled
-  buffer pool, emitting ``BENCH_concurrent.json``;
-* ``bench-mvcc`` — compare MVCC snapshot reads against the latched read
-  protocol under sustained write churn (throughput, p999, commit-log
-  oracle divergences), emitting ``BENCH_mvcc.json``;
-* ``bench-slo`` — drive the multi-tenant open-loop traffic schedule
-  against every index variant and record per-(class, tenant) latency
-  histograms with p50/p90/p99/p999 tails, emitting ``BENCH_slo.json``;
-* ``bench-wal`` — measure write-ahead-log group-commit batching under
-  concurrent writers, acknowledged-commit durability under a crash
-  sweep, and recovery time vs. WAL length, emitting ``BENCH_wal.json``;
-* ``bench-shard`` — measure scatter-gather read throughput of the
-  sharded serving tier at 1/2/4 process shards against a single-process
-  baseline (result sets oracle-checked), emitting ``BENCH_shard.json``;
+* ``bench``     — run one serving-tier benchmark scenario (``batch``,
+  ``concurrent``, ``mvcc``, ``slo``, ``wal``, ``shard``; see
+  :mod:`repro.bench.scenarios`), print its table and one ``ok``/``FAIL``
+  line per acceptance bar, and emit ``BENCH_<scenario>.json``; exit 1
+  when a correctness bar fails.  ``repro bench <scenario> --help`` lists
+  the scenario's parameters;
 * ``serve``     — run the sharded serving tier behind a line-delimited
   JSON TCP front-end until interrupted;
 * ``slo``       — evaluate tail-latency objectives (a JSON spec of
@@ -440,152 +429,45 @@ def _cmd_lint(args) -> int:
     return 0
 
 
-def _cmd_bench_batch(args) -> int:
-    """Run the batched-vs-sequential execution benchmark."""
-    from .bench.batchbench import format_batch_report, run_batch_bench
-    from .obs.report import write_report
+def _cmd_bench(args) -> int:
+    """Run one bench scenario; exit 1 when a correctness bar fails."""
+    import inspect
 
-    doc = run_batch_bench(
-        records=args.records,
-        batch_size=args.batch_size,
-        buffer_bytes=args.buffer_bytes,
-        seed=args.seed,
-        area_fraction=args.area_fraction,
+    from .bench.harness import failed_bars, format_bench, get_scenario, run_bench
+    from .obs.report import report_filename
+
+    spec = get_scenario(args.scenario)
+    # One flag per keyword default of the scenario function: the default's
+    # type parses the value, and a sequence default takes one or more.
+    flags = argparse.ArgumentParser(
+        prog=f"repro bench {spec.name}",
+        description=inspect.getdoc(spec.run),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    print(format_batch_report(doc))
-    report_dir = _report_dir(args)
-    if report_dir:
-        path = write_report(doc, report_dir)
-        print(f"report written to {path}")
-    return 0
-
-
-def _cmd_bench_concurrent(args) -> int:
-    """Run the concurrent-serving read-throughput benchmark."""
-    from .bench.batchbench import BATCH_INDEX_TYPES
-    from .bench.concurrentbench import format_concurrent_report, run_concurrent_bench
-    from .obs.report import write_report
-
-    kinds = BATCH_INDEX_TYPES if args.index == "all" else (args.index,)
-    doc = run_concurrent_bench(
-        records=args.records,
-        queries=args.queries,
-        buffer_bytes=args.buffer_bytes,
-        seed=args.seed,
-        read_delay=args.read_delay,
-        area_fraction=args.area_fraction,
-        index_types=kinds,
-        thread_counts=tuple(args.threads),
+    for name, default in spec.defaults.items():
+        many = isinstance(default, tuple)
+        sample = default[0] if many else default
+        flags.add_argument(
+            "--" + name.replace("_", "-"),
+            type=str if sample is None else type(sample),
+            nargs="+" if many else None,
+            default=default,
+            help="(default: %(default)s)",
+        )
+    flags.add_argument("--report-dir", default=None)
+    flags.add_argument("--no-report", action="store_true")
+    given = flags.parse_args(args.flags)
+    report_dir = _report_dir(given)
+    doc = run_bench(
+        spec.name, report_dir=report_dir, **{k: getattr(given, k) for k in spec.defaults}
     )
-    print(format_concurrent_report(doc))
-    report_dir = _report_dir(args)
+    print(format_bench(doc))
     if report_dir:
-        path = write_report(doc, report_dir)
-        print(f"report written to {path}")
-    return 0
-
-
-def _cmd_bench_mvcc(args) -> int:
-    """Run the MVCC-vs-latched read benchmark under write churn."""
-    from .bench.batchbench import BATCH_INDEX_TYPES
-    from .bench.mvccbench import format_mvcc_report, run_mvcc_bench
-    from .obs.report import write_report
-
-    kinds = BATCH_INDEX_TYPES if args.index == "all" else (args.index,)
-    doc = run_mvcc_bench(
-        records=args.records,
-        queries=args.queries,
-        buffer_bytes=args.buffer_bytes,
-        seed=args.seed,
-        read_delay=args.read_delay,
-        area_fraction=args.area_fraction,
-        index_types=kinds,
-        threads=args.threads,
-        rounds=args.rounds,
-        sample_every=args.sample_every,
-        churn_think=args.churn_think,
-    )
-    print(format_mvcc_report(doc))
-    report_dir = _report_dir(args)
-    if report_dir:
-        path = write_report(doc, report_dir)
-        print(f"report written to {path}")
-    return 0
-
-
-def _cmd_bench_slo(args) -> int:
-    """Run the tail-latency / SLO benchmark."""
-    from .bench.batchbench import BATCH_INDEX_TYPES
-    from .bench.slobench import format_slo_report, run_slo_bench
-    from .obs.report import write_report
-
-    kinds = BATCH_INDEX_TYPES if args.index == "all" else (args.index,)
-    doc = run_slo_bench(
-        records=args.records,
-        ops=args.ops,
-        rate=args.rate,
-        threads=args.threads,
-        buffer_bytes=args.buffer_bytes,
-        seed=args.seed,
-        read_delay=args.read_delay,
-        breakdown_ops=args.breakdown_ops,
-        index_types=kinds,
-    )
-    print(format_slo_report(doc))
-    report_dir = _report_dir(args)
-    if report_dir:
-        path = write_report(doc, report_dir)
-        print(f"report written to {path}")
-    return 0
-
-
-def _cmd_bench_wal(args) -> int:
-    """Run the write-ahead-log group-commit / durability benchmark."""
-    from .bench.walbench import format_wal_report, run_wal_bench
-    from .obs.report import write_report
-
-    doc = run_wal_bench(
-        commits=args.commits,
-        records=args.records,
-        writer_counts=tuple(args.writers),
-        fsync_delay=args.fsync_delay,
-        segment_bytes=args.segment_bytes,
-        sweep_points=args.sweep_points,
-        checkpoint_every=args.checkpoint_every,
-        replay_lengths=tuple(args.replay_lengths),
-        seed=args.seed,
-        store_dir=args.store_dir,
-    )
-    print(format_wal_report(doc))
-    report_dir = _report_dir(args)
-    if report_dir:
-        path = write_report(doc, report_dir)
-        print(f"report written to {path}")
-    return 0
-
-
-def _cmd_bench_shard(args) -> int:
-    """Run the sharded scatter-gather scale-out benchmark."""
-    from .bench.shardbench import format_shard_report, run_shard_bench
-    from .obs.report import write_report
-
-    doc = run_shard_bench(
-        records=args.records,
-        queries=args.queries,
-        shard_counts=tuple(args.shards),
-        threads=args.threads,
-        buffer_bytes=args.buffer_bytes,
-        read_delay=args.read_delay,
-        area_fraction=args.area_fraction,
-        seed=args.seed,
-        timeout_s=args.timeout,
-    )
-    print(format_shard_report(doc))
-    report_dir = _report_dir(args)
-    if report_dir:
-        path = write_report(doc, report_dir)
-        print(f"report written to {path}")
-    return 0
+        print(f"report written to {Path(report_dir) / report_filename(spec.name)}")
+    failed = failed_bars(doc)
+    if failed:
+        print(f"bench {spec.name}: FAILED correctness bar(s): {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 def _cmd_serve(args) -> int:
@@ -719,224 +601,17 @@ def _parser() -> argparse.ArgumentParser:
     tra.add_argument("-o", "--output", required=True, help="JSONL output file")
     tra.set_defaults(func=_cmd_trace)
 
-    bb = sub.add_parser(
-        "bench-batch",
-        help="compare batched vs one-at-a-time execution (buffer faults, wall)",
+    # The scenario's own flags are generated from its keyword defaults in
+    # _cmd_bench (so the scenarios load only when one runs), --help included.
+    ben = sub.add_parser(
+        "bench",
+        add_help=False,
+        help="run a serving-tier benchmark scenario: batch, concurrent, mvcc, "
+        "slo, wal or shard (`repro bench <scenario> --help` lists its parameters)",
     )
-    bb.add_argument("--records", type=int, default=20_000)
-    bb.add_argument("--batch-size", type=int, default=64)
-    bb.add_argument("--buffer-bytes", type=int, default=32 * 1024)
-    bb.add_argument("--seed", type=int, default=1991)
-    bb.add_argument(
-        "--area-fraction",
-        type=float,
-        default=0.05,
-        help="query area as a fraction of the domain area",
-    )
-    bb.add_argument("--report-dir", default=None)
-    bb.add_argument("--no-report", action="store_true")
-    bb.set_defaults(func=_cmd_bench_batch)
-
-    bc = sub.add_parser(
-        "bench-concurrent",
-        help="measure latched concurrent read throughput (1/2/4 threads)",
-    )
-    bc.add_argument("--records", type=int, default=20_000)
-    bc.add_argument("--queries", type=int, default=96)
-    bc.add_argument("--buffer-bytes", type=int, default=32 * 1024)
-    bc.add_argument("--seed", type=int, default=1991)
-    bc.add_argument(
-        "--read-delay",
-        type=float,
-        default=0.0002,
-        help="simulated seconds of I/O stall per page fault",
-    )
-    bc.add_argument(
-        "--area-fraction",
-        type=float,
-        default=0.02,
-        help="query area as a fraction of the domain area",
-    )
-    bc.add_argument(
-        "--index", default="all", choices=("all",) + INDEX_TYPES + ("Packed SR-Tree",)
-    )
-    bc.add_argument(
-        "--threads",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="reader thread counts to sweep (first is the baseline)",
-    )
-    bc.add_argument("--report-dir", default=None)
-    bc.add_argument("--no-report", action="store_true")
-    bc.set_defaults(func=_cmd_bench_concurrent)
-
-    bm = sub.add_parser(
-        "bench-mvcc",
-        help="compare MVCC snapshot reads vs latched reads under write churn",
-    )
-    bm.add_argument("--records", type=int, default=20_000)
-    bm.add_argument("--queries", type=int, default=96)
-    bm.add_argument("--buffer-bytes", type=int, default=32 * 1024)
-    bm.add_argument("--seed", type=int, default=1991)
-    bm.add_argument(
-        "--read-delay",
-        type=float,
-        default=0.0002,
-        help="simulated seconds of I/O stall per page fault",
-    )
-    bm.add_argument(
-        "--area-fraction",
-        type=float,
-        default=0.02,
-        help="query area as a fraction of the domain area",
-    )
-    bm.add_argument(
-        "--index", default="all", choices=("all",) + INDEX_TYPES + ("Packed SR-Tree",)
-    )
-    bm.add_argument("--threads", type=int, default=4, help="reader threads")
-    bm.add_argument(
-        "--rounds", type=int, default=2, help="passes over the query set per reader"
-    )
-    bm.add_argument(
-        "--sample-every",
-        type=int,
-        default=8,
-        help="record every Nth snapshot read for oracle replay",
-    )
-    bm.add_argument(
-        "--churn-think",
-        type=float,
-        default=0.002,
-        help="writer pause between churn operations (seconds)",
-    )
-    bm.add_argument("--report-dir", default=None)
-    bm.add_argument("--no-report", action="store_true")
-    bm.set_defaults(func=_cmd_bench_mvcc)
-
-    bs = sub.add_parser(
-        "bench-slo",
-        help="drive multi-tenant open-loop traffic and record latency tails",
-    )
-    bs.add_argument("--records", type=int, default=20_000)
-    bs.add_argument("--ops", type=int, default=2_000, help="operations per index type")
-    bs.add_argument(
-        "--rate", type=float, default=2_000.0, help="mean scheduled arrivals per second"
-    )
-    bs.add_argument("--threads", type=int, default=4, help="driver worker threads")
-    bs.add_argument("--buffer-bytes", type=int, default=32 * 1024)
-    bs.add_argument("--seed", type=int, default=1991)
-    bs.add_argument(
-        "--read-delay",
-        type=float,
-        default=0.0002,
-        help="simulated seconds of I/O stall per page fault",
-    )
-    bs.add_argument(
-        "--breakdown-ops",
-        type=int,
-        default=200,
-        help="operations in the traced latency-decomposition sub-run",
-    )
-    bs.add_argument(
-        "--index", default="all", choices=("all",) + INDEX_TYPES + ("Packed SR-Tree",)
-    )
-    bs.add_argument("--report-dir", default=None)
-    bs.add_argument("--no-report", action="store_true")
-    bs.set_defaults(func=_cmd_bench_slo)
-
-    bw = sub.add_parser(
-        "bench-wal",
-        help="measure WAL group-commit batching, crash durability, recovery time",
-    )
-    bw.add_argument(
-        "--commits", type=int, default=160, help="commits per writer-count run"
-    )
-    bw.add_argument(
-        "--records", type=int, default=120, help="inserts in the crash-sweep workload"
-    )
-    bw.add_argument(
-        "--writers",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="concurrent writer thread counts to sweep",
-    )
-    bw.add_argument(
-        "--fsync-delay",
-        type=float,
-        default=0.002,
-        help="simulated seconds of device-sync latency per fsync",
-    )
-    bw.add_argument("--segment-bytes", type=int, default=64 * 1024)
-    bw.add_argument(
-        "--sweep-points",
-        type=int,
-        default=4,
-        help="crash positions sampled per WAL boundary",
-    )
-    bw.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=40,
-        help="checkpoint cadence in the crash-sweep workload",
-    )
-    bw.add_argument(
-        "--replay-lengths",
-        type=int,
-        nargs="+",
-        default=[50, 100, 200, 400],
-        help="WAL lengths (commits) for the recovery-time series",
-    )
-    bw.add_argument("--seed", type=int, default=1991)
-    bw.add_argument(
-        "--store-dir",
-        default=None,
-        help="keep store files here (default: a temp dir, removed afterwards)",
-    )
-    bw.add_argument("--report-dir", default=None)
-    bw.add_argument("--no-report", action="store_true")
-    bw.set_defaults(func=_cmd_bench_wal)
-
-    bsh = sub.add_parser(
-        "bench-shard",
-        help="measure sharded scatter-gather read scaling vs a single process",
-    )
-    bsh.add_argument("--records", type=int, default=8_000)
-    bsh.add_argument("--queries", type=int, default=300)
-    bsh.add_argument(
-        "--shards",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="shard counts to sweep",
-    )
-    bsh.add_argument("--threads", type=int, default=8, help="client threads")
-    bsh.add_argument(
-        "--buffer-bytes",
-        type=int,
-        default=128 * 1024,
-        help="buffer-pool bytes per process (baseline and each shard)",
-    )
-    bsh.add_argument(
-        "--read-delay",
-        type=float,
-        default=0.005,
-        help="simulated seconds of I/O stall per page fault",
-    )
-    bsh.add_argument(
-        "--area-fraction",
-        type=float,
-        default=0.0005,
-        help="query area as a fraction of the domain area",
-    )
-    bsh.add_argument("--seed", type=int, default=1991)
-    bsh.add_argument(
-        "--timeout", type=float, default=60.0, help="per-shard gather deadline"
-    )
-    bsh.add_argument("--report-dir", default=None)
-    bsh.add_argument("--no-report", action="store_true")
-    bsh.set_defaults(func=_cmd_bench_shard)
+    ben.add_argument("scenario")
+    ben.add_argument("flags", nargs=argparse.REMAINDER)
+    ben.set_defaults(func=_cmd_bench)
 
     srv = sub.add_parser(
         "serve", help="run the sharded serving tier over JSON TCP until ^C"

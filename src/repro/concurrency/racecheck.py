@@ -15,7 +15,7 @@ Three parts, all in one report:
 * **overhead probe** — a latch acquire/release microbenchmark with the
   recorder off vs. installed, so the JSON documents what the detector
   costs (the *uninstalled* hot path is one global load + ``None`` check,
-  which is what `repro bench-concurrent` runs under).
+  which is what `repro bench concurrent` runs under).
 
 The final report is JSON-ready; ``ok`` is True only when the selftest
 detected its inversion **and** the workloads recorded a clean graph.

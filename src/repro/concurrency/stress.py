@@ -467,7 +467,7 @@ def run_wal_commit_stress(
     domain: float = 1000.0,
 ) -> dict:
     """Concurrent group-commit workload: N writers inserting through a
-    WAL-attached engine (the `repro bench-wal` phase-1 shape, sized for a
+    WAL-attached engine (the `repro bench wal` phase-1 shape, sized for a
     smoke run).  Exercises the full lock stack — index write latch,
     buffer/pager mutexes, and the WAL commit CV — which is exactly the
     path ``repro racecheck`` wants under its lock-order recorder.

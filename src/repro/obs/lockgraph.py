@@ -26,7 +26,7 @@ deadlock), and node-latch read/read pairs are skipped — shared holders
 never conflict, which is why crab coupling is deadlock-free by design.
 
 Overhead when **no** recorder is installed is one module-global load and
-a ``None`` check per lock operation, keeping `repro bench-concurrent`
+a ``None`` check per lock operation, keeping `repro bench concurrent`
 numbers honest; ``repro racecheck`` measures the installed-path overhead
 explicitly.
 """

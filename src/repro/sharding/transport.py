@@ -12,7 +12,7 @@ Three interchangeable transports, all speaking the same
 * :class:`ProcessShardClient` — the worker is a separate OS process on
   a :class:`multiprocessing` pipe: its own GIL, tree, buffer pool and
   simulated disk.  This is the serving configuration
-  (``repro bench-shard`` / ``repro serve``).
+  (``repro bench shard`` / ``repro serve``).
 
 The local and thread transports serialize their requests; the process
 transport **pipelines** — any number of calls in flight at once, served
@@ -143,6 +143,21 @@ class ThreadShardClient:
         self._thread.join(timeout=5.0)
 
 
+#: The router-side end of every live process shard's pipe.  A forked
+#: worker is born holding a copy of each of them — its own shard's and
+#: every earlier shard's — and while any copy stays open no worker sees
+#: EOF when the router dies.
+_ROUTER_ENDS: set[Any] = set()
+
+
+def _process_worker(conn: Any, spec: ShardSpec) -> None:
+    """Subprocess target: drop the inherited router-side pipe ends, then
+    serve.  (Nothing is inherited under ``spawn``: the set is empty.)"""
+    for end in _ROUTER_ENDS:
+        end.close()
+    worker_main(conn, spec)
+
+
 class ProcessShardClient:
     """Worker in a subprocess on a :class:`multiprocessing` pipe.
 
@@ -163,8 +178,9 @@ class ProcessShardClient:
             else multiprocessing.get_context()
         )
         self._conn, child = ctx.Pipe()
+        _ROUTER_ENDS.add(self._conn)
         self._proc = ctx.Process(
-            target=worker_main,
+            target=_process_worker,
             args=(child, spec),
             name=f"shard-{spec.shard_id}",
             daemon=True,
@@ -236,6 +252,7 @@ class ProcessShardClient:
             self.call(wire.OP_SHUTDOWN, (), timeout=5.0)
         except ShardError:
             pass  # already dead/stuck is an acceptable way to be shut down
+        _ROUTER_ENDS.discard(self._conn)
         try:
             self._conn.close()
         except OSError:

@@ -8,7 +8,7 @@ DESIGN.md) can study locality without real hardware.
 :class:`LatencyDisk` wraps any page store and charges a fixed wall-clock
 delay per read/write, turning node accesses into realistic page-fault
 stalls; because the buffer pool performs reads outside its mutex, those
-stalls overlap across threads — which is what ``repro bench-concurrent``
+stalls overlap across threads — which is what ``repro bench concurrent``
 measures.
 """
 

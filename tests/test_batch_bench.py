@@ -1,5 +1,5 @@
-"""The bench-batch harness: tier-1 smoke at small scale, benchmark scale
-behind the ``slow`` marker (excluded from tier-1 via addopts)."""
+"""The ``batch`` bench scenario: tier-1 smoke at small scale, benchmark
+scale behind the ``slow`` marker (excluded from tier-1 via addopts)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import BATCH_INDEX_TYPES, format_batch_report, run_batch_bench
+from repro.bench.harness import BATCH_INDEX_TYPES, format_bench, run_bench
 from repro.obs.report import SCHEMA, validate_report
 
 
@@ -28,7 +28,8 @@ def _check_doc(doc, expected_records):
 
 class TestBatchBenchSmoke:
     def test_small_run_report_and_table(self, tmp_path):
-        doc = run_batch_bench(
+        doc = run_bench(
+            "batch",
             records=1200,
             batch_size=32,
             buffer_bytes=16 * 1024,
@@ -39,7 +40,7 @@ class TestBatchBenchSmoke:
         assert doc["metrics"]["min_fault_reduction"] > 1.0
         written = json.loads(Path(tmp_path, "BENCH_batch.json").read_text())
         assert written["metrics"]["result_divergences"] == 0
-        table = format_batch_report(doc)
+        table = format_bench(doc)
         for kind in BATCH_INDEX_TYPES:
             assert kind in table
 
@@ -49,14 +50,15 @@ class TestBatchBenchAtScale:
     def test_acceptance_20k(self, tmp_path):
         """The issue's acceptance bar: >= 2x fewer buffer faults for a
         64-query batch vs. 64 sequential searches on the 20k workload."""
-        doc = run_batch_bench(records=20_000, batch_size=64, report_dir=str(tmp_path))
+        doc = run_bench("batch", records=20_000, batch_size=64, report_dir=str(tmp_path))
         _check_doc(doc, 20_000)
         assert doc["metrics"]["min_fault_reduction"] >= 2.0
 
     def test_200k_scale(self):
         """Benchmark-scale run (200k records, R-Tree + SR-Tree only to keep
         the slow lane's wall-clock in minutes, not tens of minutes)."""
-        doc = run_batch_bench(
+        doc = run_bench(
+            "batch",
             records=200_000,
             batch_size=64,
             index_types=("R-Tree", "SR-Tree"),

@@ -287,8 +287,8 @@ class TestStats:
 class TestSloCommands:
     def _bench(self, tmp_path):
         return main([
-            "bench-slo", "--records", "400", "--ops", "60", "--rate", "6000",
-            "--threads", "2", "--breakdown-ops", "20", "--index", "R-Tree",
+            "bench", "slo", "--records", "400", "--ops", "60", "--rate", "6000",
+            "--threads", "2", "--breakdown-ops", "20", "--index-types", "R-Tree",
             "--report-dir", str(tmp_path),
         ])
 

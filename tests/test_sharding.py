@@ -11,6 +11,12 @@ rebalance edge cases, and the asyncio/JSON service facade.
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -389,6 +395,87 @@ class TestRouter:
             assert all(s["count"] >= 1 for s in snap.values())
         finally:
             router.close()
+
+
+def _proc_stat(pid: int) -> list[str]:
+    """``/proc/<pid>/stat`` after the command name: state, ppid, ..."""
+    return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+
+
+def _children(pid: int) -> list[int]:
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                if int(_proc_stat(int(entry.name))[1]) == pid:
+                    found.append(int(entry.name))
+            except OSError:
+                continue  # exited while we were looking
+    return found
+
+
+def _running(pid: int) -> bool:
+    """False once ``pid`` has exited (a zombie awaiting its reaper has)."""
+    try:
+        return _proc_stat(pid)[0] != "Z"
+    except OSError:
+        return False
+
+
+_ROUTER_SCRIPT = """
+import time
+from repro.core.geometry import Rect
+from repro.sharding import build_router
+router = build_router(2, bounds=Rect((0.0, 0.0), (100.0, 100.0)), transport="process")
+print("ready", flush=True)
+time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestWorkersDieWithTheirRouter:
+    """A forked worker inherits the router's end of its own pipe (and of
+    every earlier shard's); unless it closes them it never sees EOF, and
+    outlives a router that was killed rather than closed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-c", _ROUTER_SCRIPT],
+            ["-m", "repro", "serve", "--shards", "2", "--transport", "process"],
+        ],
+        ids=["build_router", "repro-serve"],
+    )
+    def test_sigkilled_router_leaves_no_workers(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        router = subprocess.Popen(
+            [sys.executable, "-u", *argv],
+            stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+            text=True,
+        )
+        workers: list[int] = []
+        try:
+            assert router.stdout.readline()  # printed once the workers are forked
+            workers = _children(router.pid)
+            assert len(workers) == 2
+            router.send_signal(signal.SIGKILL)
+            router.wait()
+            deadline = time.monotonic() + 5.0
+            alive = workers
+            while alive and time.monotonic() < deadline:
+                time.sleep(0.05)
+                alive = [pid for pid in alive if _running(pid)]
+            assert not alive, f"workers {alive} outlived their router"
+        finally:
+            router.kill()
+            router.wait()
+            router.stdout.close()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 # ---------------------------------------------------------------------------

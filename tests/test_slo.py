@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.slobench import format_slo_report, run_slo_bench
+from repro.bench.harness import format_bench, run_bench
 from repro.exceptions import InputFormatError
 from repro.obs.latency import LatencyRecorder
 from repro.obs.report import SCHEMA, build_report, load_report, validate_report
@@ -146,7 +146,8 @@ class TestEvaluate:
 @pytest.mark.slow
 class TestSloBench:
     def test_tiny_bench_emits_valid_v2_report(self, tmp_path):
-        doc = run_slo_bench(
+        doc = run_bench(
+            "slo",
             records=800,
             ops=120,
             rate=6_000.0,
@@ -172,5 +173,5 @@ class TestSloBench:
             assert m["breakdown"]["spans"] == 40
         assert doc["metrics"]["min_accounted_fraction"] > 0.0
 
-        text = format_slo_report(doc)
+        text = format_bench(doc)
         assert "R-Tree" in text and "recorder overhead" in text

@@ -632,10 +632,11 @@ class TestWalCli:
         assert "fsck: clean" in out
 
     def test_bench_wal_smoke(self, tmp_path):
-        from repro.bench.walbench import format_wal_report, run_wal_bench
+        from repro.bench.harness import format_bench, run_bench
         from repro.obs.report import validate_report
 
-        doc = run_wal_bench(
+        doc = run_bench(
+            "wal",
             commits=12,
             records=16,
             writer_counts=(1, 2),
@@ -650,6 +651,6 @@ class TestWalCli:
         assert doc["metrics"]["durability"]["acked_missing"] == 0
         assert doc["metrics"]["durability"]["crashes"] > 0
         assert (tmp_path / "BENCH_wal.json").exists()
-        text = format_wal_report(doc)
+        text = format_bench(doc)
         assert "commits/fsync" in text
         assert "missing after recovery" in text
