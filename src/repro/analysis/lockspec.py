@@ -14,7 +14,7 @@ truth for that discipline.  Three consumers read it:
 
 The canonical hierarchy, outermost (acquired first) to innermost::
 
-    router topology latch -> index latch -> node latch
+    router topology latch -> index latch
         -> buffer-pool mutex -> WAL mutex -> disk
 
 Acquiring a level while holding a level *below* it (a larger rank)
@@ -52,11 +52,9 @@ __all__ = [
     "rank_of",
     "level_for_attr",
     "IMPLEMENTATION_FILES",
-    "SELF_NEST_SAFE",
     "IO_CALL_NAMES",
     "IO_MODULE_CALLS",
     "IO_UNDER_LOCK_ALLOWLIST",
-    "LATCH_RELEASE_ALLOWLIST",
     "HELD_BY_CONVENTION",
     "render_markdown",
 ]
@@ -67,10 +65,9 @@ class LockLevel:
     """One level of the canonical hierarchy.
 
     ``rank`` orders acquisition: a thread may only acquire levels whose
-    rank is **greater or equal** to everything it already holds (equal
-    only when ``self_nest_safe``).  ``attrs`` are the attribute names
-    whose acquisition (``with self.<attr>:`` or ``self.<attr>.acquire*``)
-    the static rules resolve to this level.
+    rank is **greater** than everything it already holds.  ``attrs`` are
+    the attribute names whose acquisition (``with self.<attr>:`` or
+    ``self.<attr>.acquire*``) the static rules resolve to this level.
     """
 
     name: str
@@ -79,8 +76,6 @@ class LockLevel:
     where: str
     #: Lock-object attribute names resolving to this level (static rules).
     attrs: tuple[str, ...] = ()
-    #: Nested same-level acquisition cannot deadlock (shared-mode only).
-    self_nest_safe: bool = False
     #: An exclusive lock: blocking I/O while holding it violates R6.
     exclusive: bool = True
 
@@ -117,21 +112,8 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
         exclusive=False,  # shared in read mode; R6 keys off the acquire mode
     ),
     LockLevel(
-        name="node",
-        rank=2,
-        description=(
-            "Per-node read latches, crab-coupled down the tree by "
-            "pessimistic readers.  Read-mode only, so nested node-node "
-            "acquisition can never deadlock."
-        ),
-        where="concurrency/engine.py (`ConcurrentEngine._node_latches`)",
-        attrs=(),
-        self_nest_safe=True,
-        exclusive=False,
-    ),
-    LockLevel(
         name="buffer",
-        rank=3,
+        rank=2,
         description=(
             "Buffer-pool mutex (one lock + condition variable guarding "
             "frames, LRU order, pin accounting).  Disk reads happen "
@@ -140,11 +122,11 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
         ),
         where="storage/buffer.py (`BufferPool._cond`) and "
         "storage/pager.py (`StorageManager._page_lock`)",
-        attrs=("_lock", "_cond", "_page_lock", "_table_lock", "_op_lock"),
+        attrs=("_lock", "_cond", "_page_lock", "_op_lock"),
     ),
     LockLevel(
         name="wal",
-        rank=4,
+        rank=3,
         description=(
             "Write-ahead-log commit mutex (group-commit condition "
             "variable).  Appends serialize under it; the group-commit "
@@ -155,7 +137,7 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
     ),
     LockLevel(
         name="disk",
-        rank=5,
+        rank=4,
         description=(
             "Blocking I/O pseudo-level: page reads/writes, fsync, "
             "simulated latency sleeps.  Always last — never under an "
@@ -172,12 +154,6 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
 )
 
 LEVELS_BY_NAME: Mapping[str, LockLevel] = {lv.name: lv for lv in LOCK_HIERARCHY}
-
-#: Levels where nested same-level acquisition is deadlock-free by
-#: construction (read-mode-only latches).
-SELF_NEST_SAFE: frozenset[str] = frozenset(
-    lv.name for lv in LOCK_HIERARCHY if lv.self_nest_safe
-)
 
 _ATTR_TO_LEVEL: Mapping[str, str] = {
     attr: lv.name for lv in LOCK_HIERARCHY for attr in lv.attrs
@@ -235,15 +211,6 @@ IO_UNDER_LOCK_ALLOWLIST: Mapping[tuple[str, str], str] = {
     ("storage/wal.py", "close"): (
         "final fsync at shutdown; close() runs quiesced by contract "
         "(no concurrent appenders or committers)"
-    ),
-}
-
-#: Documented exceptions to R7 (*latch release on all paths*), keyed the
-#: same way: acquisitions whose release provably happens elsewhere.
-LATCH_RELEASE_ALLOWLIST: Mapping[tuple[str, str], str] = {
-    ("concurrency/engine.py", "_crab_hook"): (
-        "crab-coupled node latches are registered in the per-thread held "
-        "table and released by _read's try/finally, not lexically here"
     ),
 }
 

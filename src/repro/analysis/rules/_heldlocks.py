@@ -72,62 +72,48 @@ def _terminal_name(expr: ast.expr) -> "str | None":
     return None
 
 
-def _classify_with_item(
-    expr: ast.expr, node_latch_vars: set[str]
-) -> "tuple[str, str] | None":
+def _classify_with_item(expr: ast.expr) -> "tuple[str, str] | None":
     """Map a ``with`` context expression to (level, mode), if it is a lock."""
     if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
         method = expr.func.attr
         if method in ("read", "write"):
-            level = _receiver_level(expr.func.value, node_latch_vars)
+            level = _receiver_level(expr.func.value)
             if level is not None:
                 return level, method
         return None
     name = _terminal_name(expr)
     if name is None:
         return None
-    if name in node_latch_vars:
-        return "node", "read"
     level = lockspec.level_for_attr(name)
     if level is not None:
         return level, "exclusive"
     return None
 
 
-def _receiver_level(
-    recv: ast.expr, node_latch_vars: set[str]
-) -> "str | None":
+def _receiver_level(recv: ast.expr) -> "str | None":
     name = _terminal_name(recv)
-    if name is None:
-        return None
-    if name in node_latch_vars:
-        return "node"
-    return lockspec.level_for_attr(name)
+    return None if name is None else lockspec.level_for_attr(name)
 
 
-def _classify_acquire(
-    call: ast.Call, node_latch_vars: set[str]
-) -> "tuple[str, str] | None":
+def _classify_acquire(call: ast.Call) -> "tuple[str, str] | None":
     if not isinstance(call.func, ast.Attribute):
         return None
     method = call.func.attr
     if method not in ("acquire_read", "acquire_write", "acquire"):
         return None
-    level = _receiver_level(call.func.value, node_latch_vars)
+    level = _receiver_level(call.func.value)
     if level is None:
         return None
     mode = {"acquire_read": "read", "acquire_write": "write"}.get(method, "exclusive")
     return level, mode
 
 
-def _classify_release(
-    call: ast.Call, node_latch_vars: set[str]
-) -> "str | None":
+def _classify_release(call: ast.Call) -> "str | None":
     if not isinstance(call.func, ast.Attribute):
         return None
     if call.func.attr not in ("release_read", "release_write", "release"):
         return None
-    return _receiver_level(call.func.value, node_latch_vars)
+    return _receiver_level(call.func.value)
 
 
 def _classify_io(call: ast.Call) -> "str | None":
@@ -141,23 +127,6 @@ def _classify_io(call: ast.Call) -> "str | None":
             return f"{pair[0]}.{pair[1]}"
     if func.attr in lockspec.IO_CALL_NAMES:
         return func.attr
-    return None
-
-
-def _is_node_latch_assign(stmt: ast.stmt) -> "str | None":
-    """``latch = self._node_latch(...)`` marks ``latch`` as a node latch."""
-    if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-        return None
-    target = stmt.targets[0]
-    if not isinstance(target, ast.Name):
-        return None
-    value = stmt.value
-    if (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Attribute)
-        and value.func.attr == "_node_latch"
-    ):
-        return target.id
     return None
 
 
@@ -181,7 +150,6 @@ class _Walker:
     def __init__(self, function: str, seeded: tuple[str, ...]) -> None:
         self.function = function
         self.held: list[Held] = [Held(level, "exclusive") for level in seeded]
-        self.node_latch_vars: set[str] = set()
         self.locks: list[LockEvent] = []
         self.io: list[IoEvent] = []
 
@@ -206,9 +174,7 @@ class _Walker:
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             pushed = 0
             for item in stmt.items:
-                classified = _classify_with_item(
-                    item.context_expr, self.node_latch_vars
-                )
+                classified = _classify_with_item(item.context_expr)
                 if classified is not None:
                     level, mode = classified
                     self.locks.append(
@@ -223,11 +189,8 @@ class _Walker:
             if pushed:
                 del self.held[len(self.held) - pushed :]
             return
-        latch_var = _is_node_latch_assign(stmt)
-        if latch_var is not None:
-            self.node_latch_vars.add(latch_var)
         for call in _scan_expressions(stmt):
-            acquired = _classify_acquire(call, self.node_latch_vars)
+            acquired = _classify_acquire(call)
             if acquired is not None:
                 level, mode = acquired
                 self.locks.append(
@@ -235,7 +198,7 @@ class _Walker:
                 )
                 self.held.append(Held(level, mode))
                 continue
-            released = _classify_release(call, self.node_latch_vars)
+            released = _classify_release(call)
             if released is not None:
                 self._pop(released)
                 continue

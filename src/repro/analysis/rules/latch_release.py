@@ -12,11 +12,8 @@ structurally guaranteed.  The rule accepts three shapes:
 * the enclosing function is ``__enter__`` (guard classes release in
   ``__exit__`` — the ``_LatchGuard`` pattern).
 
-Everything else is a finding unless the ``(file, function)`` appears in
-:data:`repro.analysis.lockspec.LATCH_RELEASE_ALLOWLIST` with a
-justification (crab-coupled node latches are released via the
-per-thread held table, not lexically).  ``with``-based acquisition
-needs no pairing and is the preferred form.
+Everything else is a finding.  ``with``-based acquisition needs no
+pairing and is the preferred form.
 """
 
 from __future__ import annotations
@@ -96,8 +93,8 @@ class LatchReleaseRule(Rule):
     name = "latch-release"
     description = (
         "bare acquire_read/acquire_write/.acquire calls must release on "
-        "all paths: try/finally with the matching release, a guard "
-        "class's __enter__, or a justified allowlist entry"
+        "all paths: try/finally with the matching release, or a guard "
+        "class's __enter__"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
@@ -130,10 +127,6 @@ class LatchReleaseRule(Rule):
                 receiver = ast.dump(call.func.value)
                 if function == "__enter__":
                     continue
-                if (ctx.package_path, function) in (
-                    lockspec.LATCH_RELEASE_ALLOWLIST
-                ):
-                    continue
                 if any(
                     _releases_in(fin, release, receiver) for fin in finallys
                 ):
@@ -148,8 +141,7 @@ class LatchReleaseRule(Rule):
                     ctx,
                     call,
                     f"`{call.func.attr}` without a structural `{release}` "
-                    "on all paths; use a with-block or try/finally (or a "
-                    "justified LATCH_RELEASE_ALLOWLIST entry)",
+                    "on all paths; use a with-block or try/finally",
                 )
             # Recurse with the finally-context each child block runs under.
             if isinstance(stmt, ast.Try):

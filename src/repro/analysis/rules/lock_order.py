@@ -2,15 +2,13 @@
 
 The canonical order (:mod:`repro.analysis.lockspec`) is::
 
-    index latch -> node latch -> buffer-pool mutex -> WAL mutex -> disk
+    router latch -> index latch -> buffer-pool mutex -> WAL mutex -> disk
 
 A thread holding a lock may only acquire locks at a *greater* rank
 (deeper in the hierarchy).  Acquiring a smaller-ranked lock while a
 larger-ranked one is held is the classic inversion: a second thread
 taking the same pair in canonical order deadlocks against it.  Nested
-same-level acquisition is also flagged, except on levels declared
-``self_nest_safe`` (node latches: read-mode only, so shared-shared
-nesting cannot block).
+same-level acquisition is flagged too.
 
 The check is lexical per function (see
 :mod:`repro.analysis.rules._heldlocks`), seeded with the documented
@@ -41,7 +39,7 @@ class LockOrderRule(Rule):
     name = "lock-order"
     description = (
         "acquisitions must descend the canonical hierarchy "
-        "(index -> node -> buffer -> wal -> disk); ascending while a "
+        "(router -> index -> buffer -> wal -> disk); ascending while a "
         "deeper lock is held can deadlock"
     )
 
@@ -65,16 +63,12 @@ class LockOrderRule(Rule):
                         "lock first or restructure to canonical order",
                     )
                     break
-                if (
-                    new_rank == held_rank
-                    and event.level == held.level
-                    and event.level not in lockspec.SELF_NEST_SAFE
-                ):
+                if event.level == held.level:
                     yield self.diagnostic(
                         ctx,
                         event.node,
                         f"nested acquisition of `{event.level}` while "
-                        "already held; same-level nesting is only "
-                        "deadlock-free for read-mode latches",
+                        "already held; two threads nesting the same level "
+                        "in opposite instance order deadlock",
                     )
                     break

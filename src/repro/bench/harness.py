@@ -197,7 +197,6 @@ def serving(
     try:
         yield engine, manager
     finally:
-        engine.detach()
         manager.detach()
 
 

@@ -370,6 +370,8 @@ def _cmd_racecheck(args) -> int:
             )
         for cycle in graph["cycles"]:
             print(f"    CYCLE {' -> '.join(cycle)}")
+        for level in graph["undeclared_levels"]:
+            print(f"    UNDECLARED lock level {level!r} (not in lockspec)")
         probe = report["overhead_probe"]
         print(
             f"  overhead probe: x{probe['overhead_ratio']:.2f} per latch "

@@ -1,8 +1,8 @@
 """Concurrent serving engine: latches, thread-safe wrappers, stress harness.
 
 See DESIGN.md ("Concurrent serving") for the protocol: optimistic
-version-validated reads, crab-coupled per-node read latches under a
-shared index latch, and exclusive writer latching with writer preference.
+version-validated reads, then reads under the shared index latch, and
+writes under the same latch held exclusively (writer-preferring).
 MVCC mode (``ConcurrentIndex(..., mvcc=True)``) replaces the read tiers
 with latch-free epoch-pinned snapshots over copy-on-write page versions
 (see ``concurrency/mvcc.py`` and DESIGN.md "Snapshot reads").

@@ -7,31 +7,35 @@ the same for the POSTGRES-style :class:`~repro.rules.locks.RuleLockIndex`
 (the paper's Section 2.2 use case presumes many concurrent transactions
 probing the lock index).
 
-Protocol (three tiers, cheapest first):
+Protocol (two read tiers, cheapest first, and one write path):
 
 1. **Optimistic reads** — a seqlock-style version counter is incremented
    to *odd* before a writer mutates and back to *even* after.  A reader
    snapshots the counter; if it is even, the reader traverses with *no*
-   latches at all and accepts the result only when the counter is
+   latch at all and accepts the result only when the counter is
    unchanged afterwards.  A concurrent write (version moved, or the torn
    traversal raised) discards the result and retries.
 2. **Pessimistic reads** — after the optimistic budget is spent (or when
-   ``optimistic=False``), the reader takes the index latch in *shared*
-   mode and crab-couples per-node read latches down the tree via the
-   tree's ``_latch_hook``: each visited node's latch is acquired before
-   latches on nodes off its root path are released, so the reader always
-   holds the latch chain covering its current position.
+   ``optimistic=False``), the reader holds the index latch in *shared*
+   mode for the whole traversal: one acquisition, whatever the tree
+   height.
 3. **Writes** — ``insert``/``delete`` take the index latch in *exclusive*
-   mode (writer-preferring, so readers cannot starve writers), bump the
-   version counter around the mutation, and never touch node latches:
-   the exclusive index latch already excludes every pessimistic reader.
+   mode (writer-preferring, so readers cannot starve writers) and bump
+   the version counter around the mutation.
+
+Nothing finer than the index latch exists: a writer holds it exclusively
+for the whole mutation, so no pessimistic reader overlaps any part of a
+cut, demotion, promotion, split or condense; an optimistic result is
+accepted only if the version is even and unchanged; and reader/reader
+concurrency on the buffer pool is the pool's own mutex, in-flight table
+and per-thread pin ledger.
 
 **MVCC mode** (``mvcc=True``, requires a :class:`StorageManager`)
 replaces tiers 1–2 entirely: writers publish copy-on-write page versions
 at commit (epoch = WAL commit LSN when a log is attached), and every
 read opens a :class:`~repro.concurrency.mvcc.Snapshot` that pins the
 latest committed epoch and traverses the version chains with *no*
-latches, no optimistic retry, and no crab fallback — zero ``latch_wait``
+latch, no optimistic retry and no latched fallback — zero ``latch_wait``
 events on the read path under arbitrary write churn.  Writers keep the
 exclusive index latch (single-writer), which is also what serializes
 version publication and GC.
@@ -42,9 +46,9 @@ makes each read/write of it atomic and sequentially consistent across
 threads, so the classic seqlock argument holds without explicit fences:
 the reader's *first* load happening-before the traversal and the
 *second* load happening-after it means an unchanged even value proves no
-writer ran in between.  The retry budget is bounded by
-``optimistic_retries``; exhausting it emits a ``read_retry_exhausted``
-trace event and falls back to tier 2.
+writer ran in between.  The retry budget is
+:attr:`ConcurrentEngine.OPTIMISTIC_RETRIES`; exhausting it emits a
+``read_retry_exhausted`` trace event and falls back to tier 2.
 
 Thread-safety contract per class: ``ConcurrentIndex`` /
 ``ConcurrentRuleLockIndex`` — every public method, any thread; the
@@ -60,7 +64,6 @@ import threading
 from typing import Any, Callable, Sequence, TypeVar
 
 from ..core.geometry import Rect
-from ..core.node import Node
 from ..core.query import QuerySurface
 from ..core.rtree import RTree
 from ..exceptions import StorageError
@@ -81,8 +84,8 @@ class ConcurrentEngine:
     :meth:`_read` / :meth:`_write`.
     """
 
-    #: Smallest node-latch table worth sweeping for dead entries.
-    _LATCH_PRUNE_FLOOR = 256
+    #: Optimistic attempts before a read falls back to the shared latch.
+    OPTIMISTIC_RETRIES = 2
 
     def __init__(
         self,
@@ -90,14 +93,12 @@ class ConcurrentEngine:
         tracer: Tracer | None = None,
         *,
         optimistic: bool = True,
-        optimistic_retries: int = 2,
         storage: Any | None = None,
         mvcc: bool = False,
     ) -> None:
         self._tree = tree
         self.tracer: Tracer = tracer if tracer is not None else tree.tracer
         self.optimistic = optimistic
-        self.optimistic_retries = optimistic_retries
         #: Optional StorageManager with an attached write-ahead log: every
         #: write is then logged under the exclusive latch and acknowledged
         #: only once its LSN is durable (after the latch is released, so
@@ -114,11 +115,6 @@ class ConcurrentEngine:
             storage.enable_mvcc()
         self.latch_stats = LatchStats()
         self._index_latch = RWLatch("index", stats=self.latch_stats, tracer=self.tracer)
-        self._node_latches: dict[int, RWLatch] = {}
-        self._table_lock = threading.Lock()
-        #: Prune dead node-latch entries once the table outgrows this;
-        #: re-derived after each prune so the sweep stays amortized O(1).
-        self._latch_prune_threshold = self._LATCH_PRUNE_FLOOR
         #: Seqlock version: even = quiescent, odd = writer mutating.
         self._version = 0
         self._op_lock = threading.Lock()
@@ -128,7 +124,6 @@ class ConcurrentEngine:
         self.snapshot_reads = 0
         self.writes = 0
         self._local = threading.local()
-        tree._latch_hook = self._crab_hook
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -139,66 +134,14 @@ class ConcurrentEngine:
         return self._tree
 
     def detach(self) -> None:
-        """Uninstall the latch hook (stops instrumenting the tree)."""
-        self._tree._latch_hook = None
+        """Nothing to uninstall: the engine installs nothing on the tree.
+
+        Kept, empty, only for ``perf/stacks.py`` and ``perf/layers.py``,
+        which call it and are frozen; goes with them (ROADMAP item 2).
+        """
 
     def __len__(self) -> int:
         return len(self._tree)
-
-    # ------------------------------------------------------------------
-    # Crab-coupled node latching (pessimistic readers only)
-    # ------------------------------------------------------------------
-    def _node_latch(self, node_id: int) -> RWLatch:
-        with self._table_lock:
-            latch = self._node_latches.get(node_id)
-            if latch is None:
-                latch = RWLatch(
-                    "node", stats=self.latch_stats, tracer=self.tracer, node_id=node_id
-                )
-                self._node_latches[node_id] = latch
-            return latch
-
-    def _crab_hook(self, node: Node) -> None:
-        """Called by ``RTree._access`` for every node visit.
-
-        Crab coupling: latch the visited node first, then release held
-        latches on nodes that are not on its root path — the reader never
-        lets go of the chain covering its current position.  All node
-        latches are read-mode, so hook ordering can never deadlock.
-        """
-        held: dict[int, RWLatch] | None = getattr(self._local, "held", None)
-        if held is None:
-            return  # not inside a pessimistic read on this thread
-        if node.node_id not in held:
-            latch = self._node_latch(node.node_id)
-            latch.acquire_read()
-            held[node.node_id] = latch
-        path: set[int] = set()
-        cur: Node | None = node
-        while cur is not None:
-            path.add(cur.node_id)
-            cur = cur.parent
-        for node_id in [nid for nid in held if nid not in path]:
-            held.pop(node_id).release_read()
-
-    def _prune_node_latches(self) -> None:
-        """Drop latch entries for node ids no longer in the tree.
-
-        Runs on the write path while the exclusive index latch is still
-        held, so no thread can hold (or be acquiring) any node latch and
-        entries can be discarded safely.  Without this the table grows
-        monotonically: splits/merges retire node ids forever, leaking
-        latches in a long-running engine with write churn.
-        """
-        with self._table_lock:
-            if len(self._node_latches) < self._latch_prune_threshold:
-                return
-            live = {node.node_id for node in self._tree.iter_nodes()}
-            for node_id in [nid for nid in self._node_latches if nid not in live]:
-                del self._node_latches[node_id]
-            self._latch_prune_threshold = max(
-                self._LATCH_PRUNE_FLOOR, 2 * len(self._node_latches)
-            )
 
     # ------------------------------------------------------------------
     # MVCC snapshots
@@ -247,7 +190,7 @@ class ConcurrentEngine:
     def _read(self, fn: Callable[[], T]) -> T:
         if self.optimistic:
             attempts = 0
-            for attempt in range(self.optimistic_retries):
+            for attempt in range(self.OPTIMISTIC_RETRIES):
                 v1 = self._version
                 if v1 & 1:
                     break  # writer mid-mutation; go straight to latching
@@ -268,19 +211,11 @@ class ConcurrentEngine:
                 with self._op_lock:
                     self.optimistic_retries_used += 1
             # Bounded-retry fallback: the optimistic budget is spent (or
-            # a writer was mid-mutation); record it and take latches.
+            # a writer was mid-mutation); record it and take the latch.
             if self.tracer.enabled:
                 self.tracer.event("read_retry_exhausted", attempts=attempts)
-        self._index_latch.acquire_read()
-        self._local.held = {}
-        try:
+        with self._index_latch.read():
             result = fn()
-        finally:
-            held: dict[int, RWLatch] = self._local.held
-            self._local.held = None
-            for latch in held.values():
-                latch.release_read()
-            self._index_latch.release_read()
         with self._op_lock:
             self.pessimistic_reads += 1
         return result
@@ -311,7 +246,6 @@ class ConcurrentEngine:
                 self._version += 1  # even: quiescent again
                 with self._op_lock:
                     self.writes += 1
-            self._prune_node_latches()
         finally:
             self._index_latch.release_write()
         if storage is not None:
@@ -335,7 +269,6 @@ class ConcurrentEngine:
                 snapshot_reads=self.snapshot_reads,
                 writes=self.writes,
             )
-        doc["node_latches"] = len(self._node_latches)
         storage = self.storage
         if storage is not None and getattr(storage, "versions", None) is not None:
             doc["versions"] = storage.versions.stats.snapshot()
@@ -399,15 +332,9 @@ class ConcurrentRuleLockIndex(ConcurrentEngine):
         tracer: Tracer | None = None,
         *,
         optimistic: bool = True,
-        optimistic_retries: int = 2,
     ) -> None:
         self._locks = locks if locks is not None else RuleLockIndex()
-        super().__init__(
-            self._locks.index,
-            tracer,
-            optimistic=optimistic,
-            optimistic_retries=optimistic_retries,
-        )
+        super().__init__(self._locks.index, tracer, optimistic=optimistic)
 
     def __len__(self) -> int:
         return len(self._locks)

@@ -3,16 +3,12 @@
 The serving engine's latching protocol (see DESIGN.md):
 
 * one **index-level** :class:`RWLatch` serializes writers against each
-  other and against pessimistic readers;
-* **per-node** read latches are crab-coupled down the tree by pessimistic
-  readers (child latched before ancestors off the path are released);
-* writers never take node latches — the exclusive index latch already
-  excludes every pessimistic reader, and optimistic readers validate
-  against the index version counter instead of latching.
-
-Because node latches are only ever taken in *read* mode, node-latch
-acquisition can never deadlock: shared holders never conflict, and the
-only writer-side blocking happens on the single index latch.
+  other and against pessimistic readers, which hold it shared for their
+  whole traversal;
+* optimistic readers validate against the index version counter instead
+  of latching;
+* the shard router's topology latch is a second instance of the same
+  class, one level above.
 
 Every latch funnels its acquisition/wait counts into a shared
 :class:`LatchStats` (one per engine), which the metrics registry exposes
@@ -92,23 +88,21 @@ class RWLatch:
     """A writer-preferring reader-writer latch.
 
     Readers share; a writer excludes everyone.  Waiting writers block new
-    readers so a steady read stream cannot starve writes.  ``name`` tags
-    trace events (``"index"`` for the engine latch, ``"node"`` for
-    per-node latches, with ``node_id`` attached for the latter).
+    readers so a steady read stream cannot starve writes.  ``name`` is the
+    latch's lock level and tags its trace events (``"index"`` for the
+    engine latch).
     """
 
-    __slots__ = ("name", "node_id", "stats", "tracer", "_cond", "_readers",
-                 "_writer", "_waiting_writers")
+    __slots__ = ("name", "stats", "tracer", "_cond", "_readers", "_writer",
+                 "_waiting_writers")
 
     def __init__(
         self,
         name: str = "latch",
         stats: LatchStats | None = None,
         tracer: Tracer | None = None,
-        node_id: Optional[int] = None,
     ) -> None:
         self.name = name
-        self.node_id = node_id
         self.stats = stats if stats is not None else LatchStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._cond = threading.Condition(threading.Lock())
@@ -121,12 +115,7 @@ class RWLatch:
     # ------------------------------------------------------------------
     def _trace_wait(self, mode: str) -> None:
         if self.tracer.enabled:
-            if self.node_id is None:
-                self.tracer.event("latch_wait", latch=self.name, mode=mode)
-            else:
-                self.tracer.event(
-                    "latch_wait", latch=self.name, mode=mode, node_id=self.node_id
-                )
+            self.tracer.event("latch_wait", latch=self.name, mode=mode)
 
     def _trace_acquire(self, mode: str, waited: float | None) -> None:
         # Contended grants carry the measured wait so span joins can
@@ -134,26 +123,9 @@ class RWLatch:
         # R1 requires explicit keywords at call sites, hence the branches.
         if not self.tracer.enabled:
             return
-        if self.node_id is None:
-            if waited is None:
-                self.tracer.event(
-                    "latch_acquire", latch=self.name, mode=mode, waited=False
-                )
-            else:
-                self.tracer.event(
-                    "latch_acquire",
-                    latch=self.name,
-                    mode=mode,
-                    waited=True,
-                    wait_seconds=waited,
-                )
-        elif waited is None:
+        if waited is None:
             self.tracer.event(
-                "latch_acquire",
-                latch=self.name,
-                mode=mode,
-                waited=False,
-                node_id=self.node_id,
+                "latch_acquire", latch=self.name, mode=mode, waited=False
             )
         else:
             self.tracer.event(
@@ -162,7 +134,6 @@ class RWLatch:
                 mode=mode,
                 waited=True,
                 wait_seconds=waited,
-                node_id=self.node_id,
             )
 
     # ------------------------------------------------------------------
@@ -241,6 +212,9 @@ class RWLatch:
                     else:
                         remaining = deadline - time.perf_counter()
                         if remaining <= 0:
+                            # Readers that queued behind this waiter are
+                            # excluded by nothing once it gives up.
+                            self._cond.notify_all()
                             raise ConcurrencyError(
                                 f"timed out acquiring write latch {self.name!r}"
                             )

@@ -6,12 +6,12 @@ Three parts, all in one report:
   thread, BA in another).  The recorder *must* flag it — a detector that
   cannot see a planted inversion proves nothing about a clean run.
 * **workloads** — the PR 5 stress harness (readers + writers + buffer
-  pool), the MVCC snapshot variant, the WAL group-commit stress, and
-  the sharded serving tier (local-transport scatter-gather with a
-  mid-run rebalance), all executed with a
-  :class:`~repro.obs.lockgraph.LockOrderRecorder` installed.  The run
-  passes when the recorded acquisition graph has no hierarchy ascents
-  and no cycles.
+  pool) on the optimistic and on the latched read path, the MVCC
+  snapshot variant, the WAL group-commit stress, and the sharded serving
+  tier (local-transport scatter-gather with a mid-run rebalance), all
+  executed with a :class:`~repro.obs.lockgraph.LockOrderRecorder`
+  installed.  The run passes when the recorded acquisition graph has no
+  hierarchy ascents, no cycles and no lock of an undeclared level.
 * **overhead probe** — a latch acquire/release microbenchmark with the
   recorder off vs. installed, so the JSON documents what the detector
   costs (the *uninstalled* hot path is one global load + ``None`` check,
@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from typing import Any, Mapping, Sequence
 
 from ..obs.lockgraph import LockOrderRecorder, TrackedCondition, recording
 from .latch import RWLatch
-from .stress import run_stress, run_wal_commit_stress
+from .stress import _run_threads, run_stress, run_wal_commit_stress
 
 __all__ = [
     "run_inversion_selftest",
@@ -111,11 +112,11 @@ def run_shard_stress(
 
     Uses the *local* transport so every shard operation runs on the
     calling thread: the router's topology latch (rank 0) is held across
-    the descent into the worker's index/node/buffer latches, which is
+    the descent into the worker's index latch and buffer mutex, which is
     exactly the edge chain the hierarchy check must see.  Reader threads
     fan out searches and stabs while writer threads insert/delete by
-    curve key, and a mid-run ``split_shard`` takes the topology latch
-    exclusively against the live traffic.
+    curve key, and one more thread's ``split_shard`` takes the topology
+    latch exclusively against the live traffic.
     """
     import random
 
@@ -130,7 +131,6 @@ def run_shard_stress(
     )
     counts = {"searches": 0, "inserts": 0, "deletes": 0}
     gate = threading.Lock()
-    failures: list[BaseException] = []
 
     def rand_rect(rng: random.Random) -> Rect:
         lows = tuple(lo + rng.random() * sp * 0.95 for (lo, _), sp in zip(DOMAIN, span))
@@ -138,33 +138,25 @@ def run_shard_stress(
 
     def reader(tid: int) -> None:
         rng = random.Random(f"{seed}/shard-reader/{tid}")
-        done = 0
-        try:
-            for _ in range(ops_per_thread):
-                if rng.random() < 0.5:
-                    router.search(rand_rect(rng))
-                else:
-                    router.stab(*rand_rect(rng).lows)
-                done += 1
-        except BaseException as exc:  # reported via ``failures`` below
-            failures.append(exc)
+        for _ in range(ops_per_thread):
+            if rng.random() < 0.5:
+                router.search(rand_rect(rng))
+            else:
+                router.stab(*rand_rect(rng).lows)
         with gate:
-            counts["searches"] += done
+            counts["searches"] += ops_per_thread
 
     def writer(tid: int) -> None:
         rng = random.Random(f"{seed}/shard-writer/{tid}")
         mine: list[int] = []
         inserted = deleted = 0
-        try:
-            for _ in range(ops_per_thread):
-                if mine and rng.random() < 0.3:
-                    router.delete(mine.pop(rng.randrange(len(mine))))
-                    deleted += 1
-                else:
-                    mine.append(router.insert(rand_rect(rng), tid))
-                    inserted += 1
-        except BaseException as exc:
-            failures.append(exc)
+        for _ in range(ops_per_thread):
+            if mine and rng.random() < 0.3:
+                router.delete(mine.pop(rng.randrange(len(mine))))
+                deleted += 1
+            else:
+                mine.append(router.insert(rand_rect(rng), tid))
+                inserted += 1
         with gate:
             counts["inserts"] += inserted
             counts["deletes"] += deleted
@@ -173,25 +165,21 @@ def run_shard_stress(
         rng = random.Random(f"{seed}/shard-load")
         for _ in range(64):
             router.insert(rand_rect(rng), "seed")
-        threads = [
-            threading.Thread(target=reader, args=(t,), name=f"shard-reader-{t}")
-            for t in range(readers)
-        ] + [
-            threading.Thread(target=writer, args=(t,), name=f"shard-writer-{t}")
-            for t in range(writers)
-        ]
-        for t in threads:
-            t.start()
-        hot = max(router.stats()["records_per_shard"].items(), key=lambda kv: kv[1])[0]
-        router.split_shard(hot)
-        for t in threads:
-            t.join()
+
+        def rebalancer() -> None:
+            per_shard = router.stats()["records_per_shard"]
+            router.split_shard(max(per_shard, key=per_shard.get))
+
+        _run_threads(
+            [partial(reader, t) for t in range(readers)]
+            + [partial(writer, t) for t in range(writers)]
+            + [rebalancer],
+            what="shard stress",
+        )
         counts["rebalances"] = router.rebalances
         counts["shards"] = len(router.shard_ids)
     finally:
         router.close()
-    if failures:
-        raise failures[0]
     return counts
 
 
@@ -219,23 +207,29 @@ def run_racecheck(
     recorder = LockOrderRecorder()
     workloads: list[Mapping[str, Any]] = []
     with recording(recorder):
-        for kind in kinds:
-            stress = run_stress(
-                kind,
-                seed,
-                readers=readers,
-                writers=writers,
-                ops_per_thread=ops_per_thread,
-                buffer_bytes=buffer_bytes,
-            )
-            workloads.append(
-                {
-                    "workload": f"stress/{kind}",
-                    "searches": stress.searches,
-                    "inserts": stress.inserts,
-                    "deletes": stress.deletes,
-                }
-            )
+        # ``optimistic=False`` puts every read behind the shared index
+        # latch, so the latched path is in the graph on every run rather
+        # than when an optimistic fallback happens to occur.
+        for label, optimistic in (("stress", True), ("stress-latched", False)):
+            for kind in kinds:
+                stress = run_stress(
+                    kind,
+                    seed,
+                    readers=readers,
+                    writers=writers,
+                    ops_per_thread=ops_per_thread,
+                    buffer_bytes=buffer_bytes,
+                    optimistic=optimistic,
+                )
+                workloads.append(
+                    {
+                        "workload": f"{label}/{kind}",
+                        "searches": stress.searches,
+                        "inserts": stress.inserts,
+                        "deletes": stress.deletes,
+                        "pessimistic_reads": stress.contention["pessimistic_reads"],
+                    }
+                )
         # MVCC snapshots: latch-free readers over COW page versions while
         # writers publish/GC under the exclusive latch — the recorder must
         # see a clean (and notably reader-free) acquisition graph.
@@ -268,7 +262,7 @@ def run_racecheck(
         )
         # Sharded serving: the router's topology latch is the new rank-0
         # level; local-transport traffic descends router -> index ->
-        # node -> buffer on one thread, and a mid-run split holds it
+        # buffer on one thread, and a mid-run split holds it
         # exclusively — all of which must leave the graph clean.
         shard = run_shard_stress(
             seed, readers=readers, writers=writers, ops_per_thread=ops_per_thread

@@ -22,17 +22,18 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Callable, Sequence
 
+from ..bench.experiment import INDEX_TYPES, build_index
 from ..core.config import IndexConfig
 from ..core.geometry import Rect
 from ..core.packed import pack_tree
 from ..core.rtree import RTree
-from ..core.skeleton import SkeletonRTree, SkeletonSRTree
 from ..core.srtree import SRTree
 from ..core.validation import check_index
-from ..exceptions import ConcurrencyError, WorkloadError
+from ..exceptions import ConcurrencyError
 from ..storage.pager import StorageManager
 from .engine import ConcurrentIndex, ConcurrentRuleLockIndex
 
@@ -45,13 +46,7 @@ __all__ = [
 ]
 
 #: Every variant the engine must serve uniformly.
-STRESS_INDEX_TYPES: tuple[str, ...] = (
-    "R-Tree",
-    "SR-Tree",
-    "Skeleton R-Tree",
-    "Skeleton SR-Tree",
-    "Packed SR-Tree",
-)
+STRESS_INDEX_TYPES: tuple[str, ...] = INDEX_TYPES + ("Packed SR-Tree",)
 
 #: Skeletons finish their prediction phase during the initial build so the
 #: concurrent phase exercises the adapted tree, not the buffering phase.
@@ -86,37 +81,56 @@ def _random_box(rng: random.Random, domain: float) -> Rect:
 def _make_index(
     kind: str, config: IndexConfig, initial: list[Rect], domain: float
 ) -> RTree:
-    domain2d = ((0.0, domain), (0.0, domain))
-    if kind == "R-Tree":
-        tree: RTree = RTree(config)
-    elif kind == "SR-Tree":
-        tree = SRTree(config)
-    elif kind == "Skeleton R-Tree":
-        tree = SkeletonRTree(
-            config,
-            expected_tuples=len(initial),
-            domain=domain2d,
-            prediction_fraction=_PREDICTION_FRACTION,
-        )
-    elif kind == "Skeleton SR-Tree":
-        tree = SkeletonSRTree(
-            config,
-            expected_tuples=len(initial),
-            domain=domain2d,
-            prediction_fraction=_PREDICTION_FRACTION,
-        )
-    elif kind == "Packed SR-Tree":
+    if kind == "Packed SR-Tree":
         return pack_tree([(r, None) for r in initial], config, SRTree)
-    else:
-        raise WorkloadError(
-            f"unknown index type {kind!r}; pick from {STRESS_INDEX_TYPES}"
-        )
-    for rect in initial:
-        tree.insert(rect)
-    flush = getattr(tree, "flush", None)
-    if flush is not None:
-        flush()
-    return tree
+    return build_index(
+        kind,
+        initial,
+        config,
+        _PREDICTION_FRACTION,
+        ((0.0, domain), (0.0, domain)),
+    )
+
+
+def _run_threads(
+    bodies: Sequence[Callable[[], None]], *, what: str, join_timeout: float = 120.0
+) -> float:
+    """Run ``bodies`` on one thread each, released together by a barrier;
+    returns the elapsed seconds.
+
+    Re-raises the first exception a worker raised; raises
+    :class:`ConcurrencyError` when a worker is still running
+    ``join_timeout`` seconds after the start (a deadlock fails the run
+    instead of hanging it — the threads are daemons).
+    """
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(len(bodies))
+
+    def guarded(body: Callable[[], None]) -> Callable[[], None]:
+        def runner() -> None:
+            try:
+                barrier.wait(timeout=30.0)
+                body()
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        return runner
+
+    threads = [
+        threading.Thread(target=guarded(body), name=f"{what}-{i}", daemon=True)
+        for i, body in enumerate(bodies)
+    ]
+    start = time.perf_counter()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=max(0.0, start + join_timeout - time.perf_counter()))
+    elapsed = time.perf_counter() - start
+    if any(t.is_alive() for t in threads):
+        raise ConcurrencyError(f"{what} worker failed to finish (deadlock?)")
+    if errors:
+        raise errors[0]
+    return elapsed
 
 
 def run_stress(
@@ -171,22 +185,8 @@ def run_stress(
     registry: dict[int, Rect] = {rid: rect for rid, rect, _ in tree.items()}
     registry_lock = threading.Lock()
 
-    errors: list[BaseException] = []
-    errors_lock = threading.Lock()
-    barrier = threading.Barrier(readers + writers)
     result = StressResult(kind=kind, seed=seed, elapsed_seconds=0.0)
     tally_lock = threading.Lock()
-
-    def guarded(fn: Any) -> Any:
-        def runner() -> None:
-            try:
-                barrier.wait(timeout=30.0)
-                fn()
-            except BaseException as exc:  # noqa: BLE001 - collected, re-raised below
-                with errors_lock:
-                    errors.append(exc)
-
-        return runner
 
     def reader_body(thread_seed: int) -> None:
         trng = random.Random(thread_seed)
@@ -251,32 +251,13 @@ def run_stress(
             result.inserts += inserts
             result.deletes += deletes
 
-    threads = [
-        threading.Thread(
-            target=guarded(lambda s=seed * 1000 + i: reader_body(s)),
-            name=f"stress-reader-{i}",
-        )
-        for i in range(readers)
-    ] + [
-        threading.Thread(
-            target=guarded(lambda s=seed * 1000 + 500 + i: writer_body(s)),
-            name=f"stress-writer-{i}",
-        )
-        for i in range(writers)
-    ]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120.0)
-    result.elapsed_seconds = time.perf_counter() - start
-    if any(t.is_alive() for t in threads):
-        raise ConcurrencyError("stress worker failed to finish (deadlock?)")
-    if errors:
-        raise errors[0]
+    result.elapsed_seconds = _run_threads(
+        [partial(reader_body, seed * 1000 + i) for i in range(readers)]
+        + [partial(writer_body, seed * 1000 + 500 + i) for i in range(writers)],
+        what="stress",
+    )
 
     # -- post-run invariant battery ------------------------------------
-    engine.detach()
     check_index(tree)
     if len(tree) != len(registry):
         raise ConcurrencyError(
@@ -345,22 +326,8 @@ def run_rule_lock_stress(
         handle = engine.lock_range(f"rule{i}", lo, hi)
         registry[handle] = (lo, hi)
 
-    errors: list[BaseException] = []
-    errors_lock = threading.Lock()
-    barrier = threading.Barrier(readers + writers)
     result = StressResult(kind="RuleLockIndex", seed=seed, elapsed_seconds=0.0)
     tally_lock = threading.Lock()
-
-    def guarded(fn: Any) -> Any:
-        def runner() -> None:
-            try:
-                barrier.wait(timeout=30.0)
-                fn()
-            except BaseException as exc:  # noqa: BLE001
-                with errors_lock:
-                    errors.append(exc)
-
-        return runner
 
     def reader_body(thread_seed: int) -> None:
         trng = random.Random(thread_seed)
@@ -412,31 +379,12 @@ def run_rule_lock_stress(
             result.inserts += installed
             result.deletes += removed
 
-    threads = [
-        threading.Thread(
-            target=guarded(lambda s=seed * 1000 + i: reader_body(s)),
-            name=f"lock-reader-{i}",
-        )
-        for i in range(readers)
-    ] + [
-        threading.Thread(
-            target=guarded(lambda s=seed * 1000 + 500 + i: writer_body(s)),
-            name=f"lock-writer-{i}",
-        )
-        for i in range(writers)
-    ]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120.0)
-    result.elapsed_seconds = time.perf_counter() - start
-    if any(t.is_alive() for t in threads):
-        raise ConcurrencyError("rule-lock stress worker failed to finish")
-    if errors:
-        raise errors[0]
+    result.elapsed_seconds = _run_threads(
+        [partial(reader_body, seed * 1000 + i) for i in range(readers)]
+        + [partial(writer_body, seed * 1000 + 500 + i) for i in range(writers)],
+        what="rule-lock stress",
+    )
 
-    engine.detach()
     check_index(engine.locks.index)
     if len(engine) != len(registry):
         raise ConcurrencyError(
@@ -479,7 +427,6 @@ def run_wal_commit_stress(
 
     from ..storage.filedisk import FileDisk
     from ..storage.wal import WriteAheadLog, wal_directory_for
-    from ..core.srtree import SRTree
 
     rng = random.Random(seed)
     rects = [_random_box(rng, domain) for _ in range(records)]
@@ -497,41 +444,21 @@ def run_wal_commit_stress(
     manager = StorageManager(tree, disk=disk, wal=wal)
     engine = ConcurrentIndex(tree, storage=manager)
 
-    errors: list[BaseException] = []
-    errors_lock = threading.Lock()
-    barrier = threading.Barrier(writers)
-
     def worker(slice_rects: list[Rect]) -> None:
-        try:
-            barrier.wait(timeout=30.0)
-            for rect in slice_rects:
-                engine.insert(rect)
-        except BaseException as exc:  # noqa: BLE001 - reraised below
-            with errors_lock:
-                errors.append(exc)
+        for rect in slice_rects:
+            engine.insert(rect)
 
-    threads = [
-        threading.Thread(target=worker, args=(rects[t::writers],), daemon=True)
-        for t in range(writers)
-    ]
-    start = time.perf_counter()
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120.0)
-        if any(t.is_alive() for t in threads):
-            raise ConcurrencyError("WAL commit stress worker failed to finish")
-        if errors:
-            raise errors[0]
+        elapsed = _run_threads(
+            [partial(worker, rects[t::writers]) for t in range(writers)],
+            what="WAL commit stress",
+        )
     finally:
-        engine.detach()
         manager.detach()
         wal.close()
         disk.close()
         if cleanup:
             shutil.rmtree(base, ignore_errors=True)
-    elapsed = time.perf_counter() - start
     stats = wal.stats
     return {
         "seed": seed,

@@ -21,9 +21,9 @@ loop body serves both with no per-entry adapter:
 **Kernel.**  :func:`intersecting` (the only hot loop), :func:`fragments`
 with the :func:`within` / :func:`containing` post-filters, and
 :func:`walk` reach nodes only through a ``fetch(handle) -> node``
-callback, where each layer hangs its per-node work: statistics, latch
-crab, page fault and ``node_access`` trace on a live tree; version lookup
-and decode on a snapshot.
+callback, where each layer hangs its per-node work: statistics, page
+fault and ``node_access`` trace on a live tree; version lookup and decode
+on a snapshot.
 
 **Surface.**  :class:`QuerySurface` declares the public read methods once
 over two hooks, ``_query(kind, rect)`` and ``_query_batch(rects)``.

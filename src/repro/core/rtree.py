@@ -71,11 +71,6 @@ class RTree(query.QuerySurface):
         self._fragment_counts: dict[int, int] = {}
         #: Optional storage hook: called with each accessed node.
         self._storage_hook: Optional[Callable[[Node], None]] = None
-        #: Optional latch hook: called with each accessed node *before*
-        #: the storage hook (latch first, then fault the page).  The
-        #: concurrency layer installs a crab-coupling callback here; the
-        #: hook itself decides per-thread whether latching is active.
-        self._latch_hook: Optional[Callable[[Node], None]] = None
         #: The write path's report to storage (DESIGN §3.2): every node whose
         #: page image a mutation changed, created or unlinked since the last
         #: commit.  ``None`` — nothing is recorded — until a storage manager
@@ -123,7 +118,7 @@ class RTree(query.QuerySurface):
 
     def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
         """Answer one query through the read kernel; ``_access`` is the
-        fetch callback, so statistics, latching, page faults and the
+        fetch callback, so statistics, page faults and the
         ``node_access`` trace all happen there, once per node."""
         tracer = self.tracer
         if kind in (query.WITHIN, query.CONTAINING):
@@ -191,7 +186,7 @@ class RTree(query.QuerySurface):
 
     def items(self) -> Iterator[tuple[int, Rect, Any]]:
         """Yield (record_id, fragment_rect, payload) for every fragment
-        (an uncounted walk: no statistics, latches or page faults)."""
+        (an uncounted walk: no statistics or page faults)."""
         for e in itertools.chain(
             query.walk(lambda node: node, self.root), self._loose_entries()
         ):
@@ -220,11 +215,8 @@ class RTree(query.QuerySurface):
     # ------------------------------------------------------------------
     def _access(self, node: Node) -> Node:
         """Visit ``node``: the read kernel's fetch callback, and the one
-        place a node visit is counted, latched, faulted in and traced."""
+        place a node visit is counted, faulted in and traced."""
         self.stats.record_access(node.level)
-        latch = self._latch_hook
-        if latch is not None:
-            latch(node)
         hook = self._storage_hook
         if hook is not None:
             hook(node)

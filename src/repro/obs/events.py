@@ -234,14 +234,14 @@ _EVENT_SPECS: tuple[EventSpec, ...] = (
     _e(
         "latch_acquire",
         required=("latch", "mode"),
-        optional=("node_id", "waited", "wait_seconds"),
+        optional=("waited", "wait_seconds"),
         doc="A reader-writer latch was granted (mode 'read' or 'write'); "
             "contended grants carry the measured wait as wait_seconds.",
     ),
     _e(
         "latch_wait",
         required=("latch", "mode"),
-        optional=("node_id", "wait_seconds"),
+        optional=("wait_seconds",),
         doc="A latch acquisition blocked on a conflicting holder.",
     ),
     _e(

@@ -19,11 +19,12 @@ After a workload runs, :meth:`LockOrderRecorder.report` classifies:
   (two threads taking the same pair of locks in opposite orders);
 * **held-while-blocking** — CV waits entered while other exclusive
   locks are held; *risky* when a held lock ranks at or below the CV's
-  level (the wakeup it needs may itself need that lock).
+  level (the wakeup it needs may itself need that lock);
+* **undeclared levels** — a recorded lock whose level the hierarchy does
+  not declare fails the report: it ranks last, so it could never ascend.
 
 Same-instance re-entry records nothing (re-entrant acquisition cannot
-deadlock), and node-latch read/read pairs are skipped — shared holders
-never conflict, which is why crab coupling is deadlock-free by design.
+deadlock); every other attempt under a held lock is an edge.
 
 Overhead when **no** recorder is installed is one module-global load and
 a ``None`` check per lock operation, keeping `repro bench concurrent`
@@ -146,13 +147,6 @@ class LockOrderRecorder:
             self.attempts_with_held += 1
             dst = self._key_for(level, obj_id)
             for held in stack:
-                if (
-                    held.level == "node"
-                    and level == "node"
-                    and held.mode == "read"
-                    and mode == "read"
-                ):
-                    continue  # shared/shared node crabbing never conflicts
                 edge = self._edges.get((held.key, dst))
                 if edge is None:
                     self._edges[(held.key, dst)] = {
@@ -293,9 +287,13 @@ class LockOrderRecorder:
             locks = dict(sorted(self._key_levels.items()))
         ascending = [e for e in edges if e["ascending"]]
         risky_waits = [w for w in waits if w["risky"]]
+        # An undeclared level ranks last and can never ascend, so it would
+        # pass the hierarchy check by being invisible to it.
+        undeclared = sorted(set(locks.values()) - set(lockspec.LEVELS_BY_NAME))
         return {
-            "ok": not ascending and not cycles,
+            "ok": not ascending and not cycles and not undeclared,
             "locks": locks,
+            "undeclared_levels": undeclared,
             "acquisitions": acquisitions,
             "attempts_with_held": attempts,
             "edges": edges,

@@ -136,7 +136,6 @@ class ShardWorker:
             return Reply(request.seq, False, None, type(exc).__name__, str(exc))
 
     def close(self) -> None:
-        self.engine.detach()
         if self.storage is not None:
             self.storage.detach()
             self.storage = None
@@ -159,12 +158,16 @@ class ShardWorker:
         return 1
 
     def _op_delete(self, rid: int) -> int:
-        local = self._to_local.pop(rid, None)
-        if local is None:
+        local, record = self._to_local.get(rid), self._records.get(rid)
+        if local is None or record is None:
             return 0
-        del self._to_global[local]
-        rect, _ = self._records.pop(rid)
-        return self.engine.delete(local, hint=rect)
+        # Forget the record only once the tree has let go of it: a delete
+        # that raises leaves it searchable, counted and deletable on retry.
+        removed = self.engine.delete(local, hint=record[0])
+        self._to_local.pop(rid, None)
+        self._to_global.pop(local, None)
+        self._records.pop(rid, None)
+        return removed
 
     def _globalize(self, hits: list[tuple[int, Any]]) -> list[tuple[int, Any]]:
         to_global = self._to_global

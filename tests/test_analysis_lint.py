@@ -471,21 +471,6 @@ def test_r7_silent_on_non_lock_receiver():
     assert rules_fired(src, path=STORAGE, select=["R7"]) == []
 
 
-def test_r7_allowlist_covers_crab_hook():
-    src = (
-        "class E:\n"
-        "    def _crab_hook(self, node):\n"
-        "        latch = self._node_latch(node)\n"
-        "        latch.acquire_read()\n"
-    )
-    assert (
-        rules_fired(src, path="src/repro/concurrency/engine.py", select=["R7"])
-        == []
-    )
-    # The same shape anywhere else fires.
-    assert rules_fired(src, path=STORAGE, select=["R7"]) == ["R7"]
-
-
 # ----------------------------------------------------------------------
 # R8: monotonic-clock discipline
 # ----------------------------------------------------------------------
@@ -602,7 +587,9 @@ def test_lockspec_ranks_are_dense_and_ordered():
     from repro.analysis.lockspec import LOCK_HIERARCHY, level_for_attr, rank_of
 
     assert [lv.rank for lv in LOCK_HIERARCHY] == list(range(len(LOCK_HIERARCHY)))
-    assert rank_of("index") < rank_of("node") < rank_of("buffer") < rank_of("wal")
+    assert [lv.name for lv in LOCK_HIERARCHY] == [
+        "router", "index", "buffer", "wal", "disk"
+    ]
     assert rank_of("nonsense") == len(LOCK_HIERARCHY)  # unknown ranks last
     assert level_for_attr("_cv") == "wal"
     assert level_for_attr("_index_latch") == "index"

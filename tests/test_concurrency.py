@@ -173,11 +173,27 @@ class TestConcurrentIndex:
         assert snap["optimistic_reads"] == 0
 
     def test_detach_restores_plain_tree(self):
+        # The engine installs nothing on the tree, so there is nothing to
+        # restore: the tree is the same plain tree throughout.
         tree, _ = _populated(n=20)
+        before = dict(vars(tree))
         index = ConcurrentIndex(tree)
-        assert tree._latch_hook is not None
+        assert vars(tree) == before
         index.detach()
-        assert tree._latch_hook is None
+        assert vars(tree) == before
+        assert not hasattr(tree, "_latch_hook")
+
+    @pytest.mark.parametrize("n", [5, 200])  # height 1 and a taller tree
+    def test_pessimistic_read_takes_one_latch(self, n):
+        from repro.obs import RingBufferSink, Tracer
+
+        ring = RingBufferSink()
+        tree, _ = _populated(n=n)
+        index = ConcurrentIndex(tree, tracer=Tracer(ring), optimistic=False)
+        index.search(Rect((0.0, 0.0), (110.0, 110.0)))  # visits every node
+        assert index.contention_snapshot()["read_acquires"] == 1
+        grants = [e.fields for e in ring if e.etype == "latch_acquire"]
+        assert [(g["latch"], g["mode"]) for g in grants] == [("index", "read")]
 
     def test_contention_snapshot_keys(self):
         index = ConcurrentIndex(SRTree(_TINY))
@@ -186,7 +202,7 @@ class TestConcurrentIndex:
         snap = index.contention_snapshot()
         for key in (
             "read_acquires", "write_acquires", "contended_acquires",
-            "optimistic_reads", "pessimistic_reads", "writes", "node_latches",
+            "optimistic_reads", "pessimistic_reads", "writes",
         ):
             assert key in snap
         assert snap["writes"] == 1
@@ -200,7 +216,7 @@ class TestLatchTraceEvents:
         tracer = Tracer(ring)
         tree, rects = _populated(n=60)
         index = ConcurrentIndex(tree, tracer=tracer, optimistic=False)
-        index.search(rects[0])  # pessimistic: node latches fire events
+        index.search(rects[0])  # pessimistic: the shared index latch
         index.insert(Rect((0.0, 0.0), (1.0, 1.0)))
         etypes = {e.etype for e in ring}
         assert "latch_acquire" in etypes  # schema-validated by the Tracer
@@ -267,13 +283,47 @@ class TestStressHarness:
             initial_records=60, config=_TINY, optimistic=False,
         )
         assert result.contention["pessimistic_reads"] > 0
-        assert result.contention["node_latches"] > 0
+        assert (
+            result.contention["read_acquires"]
+            == result.contention["pessimistic_reads"]
+        )
 
     def test_rule_lock_stress(self):
         result = run_rule_lock_stress(
             seed=9, readers=2, writers=2, ops_per_thread=30, initial_locks=40
         )
         assert result.inserts > 0 and result.searches > 0
+
+
+class TestThreadHarness:
+    """``_run_threads``: the one start/join/re-raise scaffold under all
+    four stress workloads."""
+
+    def test_first_worker_exception_is_reraised(self):
+        from repro.concurrency.stress import _run_threads
+
+        def boom():
+            raise StorageError("worker failed")
+
+        with pytest.raises(StorageError, match="worker failed"):
+            _run_threads([lambda: None, boom], what="fixture")
+
+    def test_stuck_worker_fails_instead_of_hanging(self):
+        from repro.concurrency.stress import _run_threads
+
+        release = threading.Event()
+        try:
+            with pytest.raises(ConcurrencyError, match="fixture worker failed to finish"):
+                _run_threads(
+                    [lambda: None, release.wait], what="fixture", join_timeout=0.2
+                )
+        finally:
+            release.set()
+
+    def test_returns_elapsed_seconds(self):
+        from repro.concurrency.stress import _run_threads
+
+        assert _run_threads([lambda: time.sleep(0.02)], what="fixture") >= 0.02
 
 
 def _wait_until(pred, timeout=5.0, interval=0.005):
@@ -379,6 +429,41 @@ class TestLatchDeadlines:
         latch.release_read()
         latch.release_read()
 
+    def test_writer_timeout_wakes_readers_queued_behind_it(self):
+        # R1 holds read; W queues with a timeout; R2 arrives while W waits
+        # and blocks behind it (writer preference).  When W gives up,
+        # nothing excludes R2 any more: it must be admitted then, not when
+        # R1 eventually leaves.
+        latch = RWLatch()
+        latch.acquire_read()  # R1
+        writer_gave_up = threading.Event()
+        reader_admitted = threading.Event()
+
+        def writer():
+            with pytest.raises(ConcurrencyError):
+                latch.acquire_write(timeout=0.2)
+            writer_gave_up.set()
+
+        def late_reader():
+            latch.acquire_read()
+            reader_admitted.set()
+            latch.release_read()
+
+        w = threading.Thread(target=writer)
+        w.start()
+        _wait_until(lambda: latch._waiting_writers == 1)
+        r2 = threading.Thread(target=late_reader)
+        r2.start()
+        try:
+            assert writer_gave_up.wait(timeout=5.0)
+            assert reader_admitted.wait(timeout=1.0), (
+                "reader still asleep after the writer it queued behind gave up"
+            )
+        finally:
+            latch.release_read()  # R1 leaves; unblocks R2 on a buggy latch
+            w.join()
+            r2.join()
+
     def test_timed_out_acquisition_counts_as_wait_not_acquire(self):
         stats = LatchStats()
         latch = RWLatch(stats=stats)
@@ -457,38 +542,6 @@ class TestLatchStatsConsistency:
                         "write_waits", "contended_acquires"):
                 assert cur[key] >= prev[key]
             assert cur["wait_seconds"] >= prev["wait_seconds"]
-
-
-class TestNodeLatchPruning:
-    def test_dead_node_ids_pruned_on_write(self):
-        tree = SRTree(_TINY)
-        engine = ConcurrentIndex(tree, optimistic=False)
-        rng_boxes = [
-            Rect((float(i), float(i)), (float(i) + 0.5, float(i) + 0.5))
-            for i in range(150)
-        ]
-        rids = [engine.insert(r, payload=i) for i, r in enumerate(rng_boxes)]
-        # Pessimistic searches populate the per-node latch table.
-        engine.search(Rect((0.0, 0.0), (150.0, 150.0)))
-        populated = len(engine._node_latches)
-        assert populated > 1
-        # Deleting most records merges nodes away, retiring their ids.
-        for rid in rids[:-10]:
-            engine.delete(rid)
-        engine._latch_prune_threshold = 1  # force the amortized sweep
-        engine.insert(Rect((500.0, 500.0), (501.0, 501.0)))
-        live = {node.node_id for node in tree.iter_nodes()}
-        assert set(engine._node_latches) <= live
-        assert engine._latch_prune_threshold >= engine._LATCH_PRUNE_FLOOR
-
-    def test_prune_skipped_below_threshold(self):
-        engine = ConcurrentIndex(SRTree(_TINY), optimistic=False)
-        engine.insert(Rect((0.0, 0.0), (1.0, 1.0)))
-        engine.search(Rect((0.0, 0.0), (1.0, 1.0)))
-        before = dict(engine._node_latches)
-        engine.insert(Rect((2.0, 2.0), (3.0, 3.0)))  # table well under floor
-        for node_id, latch in before.items():
-            assert engine._node_latches.get(node_id) is latch
 
 
 class TestBufferPoolRaces:

@@ -123,27 +123,28 @@ def test_reentrant_acquisition_records_nothing():
     assert report["attempts_with_held"] == 0
 
 
-def test_node_read_read_crabbing_not_recorded():
-    rec = LockOrderRecorder()
-    parent = RWLatch("node")
-    child = RWLatch("node")
-    with recording(rec):
-        with parent.read():
-            with child.read():
-                pass
-    assert rec.report()["edges"] == []
-
-
 def test_node_write_under_read_is_recorded():
     rec = LockOrderRecorder()
-    parent = RWLatch("node")
-    child = RWLatch("node")
+    parent = RWLatch("index")
+    child = RWLatch("index")
     with recording(rec):
         with parent.read():
             with child.write():
                 pass
     (edge,) = rec.report()["edges"]
     assert (edge["src_mode"], edge["dst_mode"]) == ("read", "write")
+
+
+def test_undeclared_level_fails_the_report():
+    # A level lockspec does not declare ranks last and can never ascend;
+    # it has to fail the report by name instead.
+    rec = LockOrderRecorder()
+    with recording(rec):
+        with RWLatch("node").read():
+            pass
+    report = rec.report()
+    assert report["undeclared_levels"] == ["node"]
+    assert report["ok"] is False
 
 
 def test_release_pops_latest_matching_hold():
@@ -290,16 +291,24 @@ def test_racecheck_clean_on_real_workloads():
     names = [w["workload"] for w in report["workloads"]]
     assert names == [
         "stress/SR-Tree",
+        "stress-latched/SR-Tree",
         "stress-mvcc/SR-Tree",
         "wal-group-commit",
         "stress-shard",
     ]
+    by_name = {w["workload"]: w for w in report["workloads"]}
+    # The latched read path is in the graph by construction, and every
+    # recorded lock belongs to a level the hierarchy declares.
+    latched = by_name["stress-latched/SR-Tree"]
+    assert latched["pessimistic_reads"] >= latched["searches"] > 0
+    assert graph["undeclared_levels"] == []
+    assert set(graph["locks"].values()) <= {"router", "index", "buffer", "wal"}
     # MVCC snapshot reads recorded no read-side latch acquisitions.
-    assert report["workloads"][1]["snapshot_reads"] > 0
-    assert report["workloads"][1]["read_latch_acquires"] == 0
-    assert report["workloads"][2]["commits_acked"] == 24  # records total
+    assert by_name["stress-mvcc/SR-Tree"]["snapshot_reads"] > 0
+    assert by_name["stress-mvcc/SR-Tree"]["read_latch_acquires"] == 0
+    assert by_name["wal-group-commit"]["commits_acked"] == 24  # records total
     # The sharded tier's traffic and its mid-run rebalance were recorded.
-    shard = report["workloads"][3]
+    shard = by_name["stress-shard"]
     assert shard["searches"] > 0 and shard["inserts"] > 0
     assert shard["rebalances"] == 1 and shard["shards"] == 3
 

@@ -373,21 +373,19 @@ class TestReadRetryExhausted:
     def test_exhausted_budget_emits_event_and_falls_back_once(self):
         """Deterministic two-thread interleaving: a writer commits inside
         every optimistic attempt, so the version check fails exactly
-        ``optimistic_retries`` times, the engine emits one
+        ``OPTIMISTIC_RETRIES`` times, the engine emits one
         ``read_retry_exhausted`` event, and the read completes correctly
         under latches on the single pessimistic pass."""
         ring = RingBufferSink()
         tree = SRTree(SMALL)
         target = tree.insert(Rect((5.0, 5.0), (6.0, 6.0)), payload="hit")
-        engine = ConcurrentIndex(
-            tree, tracer=Tracer(ring), optimistic=True, optimistic_retries=2
-        )
+        engine = ConcurrentIndex(tree, tracer=Tracer(ring), optimistic=True)
         try:
             calls = []
 
             def interfered_read():
                 calls.append(len(calls))
-                if len(calls) <= engine.optimistic_retries:
+                if len(calls) <= engine.OPTIMISTIC_RETRIES:
                     # Run a full write between the version check and the
                     # validation — joined, so the interleaving is exact.
                     writer = threading.Thread(

@@ -28,6 +28,7 @@ from repro.exceptions import (
     ShardError,
     ShardOverloadError,
     ShardTimeoutError,
+    StorageError,
 )
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
@@ -217,6 +218,32 @@ class TestWorkerRebalance:
             Request(wire.OP_SEARCH, ((0.0, 0.0), (100.0, 100.0)), 3)
         ).value
         assert rid in {got_rid for got_rid, _ in hits}
+
+
+    def test_failed_delete_keeps_the_record(self, monkeypatch):
+        """The worker forgets a record only once the tree has let go of it:
+        an engine delete that raises leaves the record searchable, counted
+        and deletable on retry."""
+        worker = self._loaded(3)
+        everything = Request(wire.OP_SEARCH, ((0.0, 0.0), (100.0, 100.0)), 0)
+        delete = worker.engine.delete
+        calls = []
+
+        def flaky(record_id, hint=None):
+            calls.append(record_id)
+            if len(calls) == 1:
+                raise StorageError("pin wait timed out")
+            return delete(record_id, hint)
+
+        monkeypatch.setattr(worker.engine, "delete", flaky)
+        reply = worker.handle(Request(wire.OP_DELETE, (1,), 1))
+        assert (reply.ok, reply.error_type) == (False, "StorageError")
+        assert {rid for rid, _ in worker.handle(everything).value} == {0, 1, 2}
+        assert worker.handle(Request(wire.OP_COUNT, (), 2)).value == 3
+        assert worker.handle(Request(wire.OP_DELETE, (1,), 3)).value == 1
+        assert {rid for rid, _ in worker.handle(everything).value} == {0, 2}
+        assert worker.handle(Request(wire.OP_COUNT, (), 4)).value == 2
+        assert worker.handle(Request(wire.OP_DELETE, (1,), 5)).value == 0
 
 
 # ---------------------------------------------------------------------------

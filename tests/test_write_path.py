@@ -262,13 +262,17 @@ def test_local_condense_matches_the_sweep(variant: str) -> None:
 class Stack:
     """SR-Tree behind FileDisk + WAL + pool + ``ConcurrentIndex``."""
 
-    def __init__(self, path, tree: RTree, *, mvcc: bool = False) -> None:
+    def __init__(
+        self, path, tree: RTree, *, mvcc: bool = False, optimistic: bool = True
+    ) -> None:
         self.path = path
         self.tree = tree
         self.disk = FileDisk(path)
         self.wal = WriteAheadLog(wal_directory_for(path))
         self.manager = StorageManager(tree, buffer_bytes=1 << 20, disk=self.disk, wal=self.wal)
-        self.engine = ConcurrentIndex(tree, storage=self.manager, mvcc=mvcc)
+        self.engine = ConcurrentIndex(
+            tree, storage=self.manager, mvcc=mvcc, optimistic=optimistic
+        )
 
     def crash(self) -> None:
         """Stop without a checkpoint: only the log's commits survive."""
@@ -289,14 +293,27 @@ def fragments(tree: RTree) -> list:
     return sorted((rid, rect.lows, rect.highs) for rid, rect, _ in tree.items())
 
 
-@pytest.mark.parametrize("mvcc", [False, True], ids=["latched", "mvcc"])
-def test_engine_write_walks_no_whole_tree(tmp_path, monkeypatch, mvcc: bool) -> None:
+@pytest.mark.parametrize(
+    "mvcc, latched_scan",
+    [(False, False), (True, False), (False, True)],
+    ids=["latched", "mvcc", "after-latched-scan"],
+)
+def test_engine_write_walks_no_whole_tree(
+    tmp_path, monkeypatch, mvcc: bool, latched_scan: bool
+) -> None:
     rng = random.Random(f"{SEED}/walk")
     tree = SRTree(SMALL)
-    for _ in range(300):
+    for _ in range(1200 if latched_scan else 300):
         tree.insert(shaped_rect(rng))
     assert tree.height >= 3
-    stack = Stack(tmp_path / "index.db", tree, mvcc=mvcc)
+    stack = Stack(tmp_path / "index.db", tree, mvcc=mvcc, optimistic=not latched_scan)
+    if latched_scan:
+        # A read on the latched path that visits every node of a tree too
+        # big for any fixed-size side table must leave the next write
+        # nothing to sweep.
+        assert tree.node_count() > 256
+        assert len(stack.engine.search(Rect((0.0, 0.0), (1000.0, 1000.0)))) == 1200
+        assert stack.engine.pessimistic_reads == 1
     walks = []
     walk = RTree.iter_nodes
     monkeypatch.setattr(RTree, "iter_nodes", lambda self: walks.append(1) or walk(self))
