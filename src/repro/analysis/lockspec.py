@@ -27,11 +27,10 @@ documented exceptions listed in :data:`IO_UNDER_LOCK_ALLOWLIST`.
 The MVCC structures (PR 9) sit deliberately *outside* the hierarchy:
 snapshot readers over :class:`~repro.storage.buffer.PageVersionCache`
 acquire no level at all (immutable version chains + GIL-atomic dict
-reads), and the cache's single-mutator methods (``publish`` / ``trim`` /
-``mark_sweep``) take no locks of their own — they run under the
-engine's exclusive ``index`` latch, which :data:`HELD_BY_CONVENTION`
-records so the static walker checks anything they might acquire against
-the ``index`` rank.
+reads), and the cache's single-mutator methods (``publish`` / ``trim``)
+take no locks of their own — they run under the engine's exclusive
+``index`` latch, which :data:`HELD_BY_CONVENTION` records so the static
+walker checks anything they might acquire against the ``index`` rank.
 
 The shard router (PR 10) adds one level *above* everything: its
 topology latch is held (shared) for the duration of every routed
@@ -225,16 +224,14 @@ HELD_BY_CONVENTION: Mapping[tuple[str, str], tuple[str, ...]] = {
     ("storage/buffer.py", "_only_own_pins"): ("buffer",),
     ("storage/wal.py", "_maybe_roll_locked"): ("wal",),
     ("storage/wal.py", "_encode_page_locked"): ("wal",),
-    # PageVersionCache single-mutator contract: publish and both GC
-    # passes run under the engine's exclusive index latch, so
-    # any lock they ever grow must descend from the top of the
-    # hierarchy.  The latch-free read side (pin/unpin/read) is
-    # deliberately absent: it holds nothing.
+    # PageVersionCache single-mutator contract: publish and the GC
+    # run under the engine's exclusive index latch, so any lock they
+    # ever grow must descend from the top of the hierarchy.  The
+    # latch-free read side (pin/unpin/read) is deliberately absent:
+    # it holds nothing.
     ("storage/buffer.py", "publish"): ("index",),
     ("storage/buffer.py", "trim"): ("index",),
-    ("storage/buffer.py", "mark_sweep"): ("index",),
     ("storage/buffer.py", "_begin_gc"): ("index",),
-    ("storage/buffer.py", "_finish_gc"): ("index",),
 }
 
 

@@ -435,6 +435,8 @@ def mvcc(
 
             base: dict[int, list[Rect]] = {}
             if snapshots:
+                assert manager.versions is not None
+                manager.versions.commit_log = []  # armed for _oracle_check
                 for rid, rect, _ in tree.items():
                     base.setdefault(rid, []).append(rect)
             stop = threading.Event()

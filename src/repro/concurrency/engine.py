@@ -173,14 +173,15 @@ class ConcurrentEngine:
         return getattr(self._local, "last_epoch", None)
 
     def run_version_gc(self) -> tuple[int, int]:
-        """Force a full mark-sweep version GC; returns (versions, bytes)
+        """One version-cache ``trim()`` outside a commit: reclaims what a
+        snapshot pinned past the last write; returns (versions, bytes)
         reclaimed.  Takes the exclusive latch (GC is a mutator)."""
         storage = self.storage
         if storage is None or storage.versions is None:
             return (0, 0)
         self._index_latch.acquire_write()
         try:
-            return storage.versions.mark_sweep()
+            return storage.versions.trim()
         finally:
             self._index_latch.release_write()
 
@@ -237,9 +238,13 @@ class ConcurrentEngine:
                     # visible to snapshots before any later write runs.
                     # Had ``fn`` raised, the nodes it changed stay in the
                     # tree's dirty set and the next commit carries them.
-                    note = note_fn(result) if note_fn is not None else None
-                    lsn = storage.commit_write(note)
                     versions = getattr(storage, "versions", None)
+                    note = None
+                    if note_fn is not None and getattr(versions, "commit_log", None) is not None:
+                        # Only an armed commit log (one that has a reader)
+                        # is fed: an unread one would grow forever.
+                        note = note_fn(result)
+                    lsn = storage.commit_write(note)
                     if versions is not None and versions.latest is not None:
                         self._local.last_epoch = versions.latest.epoch
             finally:

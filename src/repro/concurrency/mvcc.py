@@ -26,9 +26,8 @@ once here and relied on everywhere):
   never frees a version the pin can reach.
 
 Results are computed from serialized page images, so a snapshot sees the
-tree exactly as the pinned commit serialized it; payloads come from the
-cache's sidecar payload map (record ids are never reused, so the map is
-safe to consult for any record the snapshot can see).
+tree exactly as the pinned commit serialized it; payloads ride the page
+version that shows their record and are filled in when it is decoded.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from ..core.geometry import Rect
 from ..exceptions import StorageError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..storage.buffer import PageVersionCache, PinnedEpoch
+from ..storage.serializer import deserialize_node
 
 __all__ = ["Snapshot"]
 
@@ -59,15 +59,10 @@ class Snapshot(query.QuerySurface):
     """
 
     def __init__(self, cache: PageVersionCache, tracer: Tracer | None = None) -> None:
-        if cache.decode is None:
-            raise StorageError("snapshot reads need a decode hook on the cache")
         self.cache = cache
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self._pin: PinnedEpoch = cache.pin()
         self.closed = False
-        #: Lazily-computed fragment counts for :meth:`search_within`
-        #: (needs to know when *all* of a record's fragments were seen).
-        self._fragment_counts: dict[int, int] | None = None
         self._dims: int | None = None
         if self.tracer.enabled:
             self.tracer.event(
@@ -110,8 +105,12 @@ class Snapshot(query.QuerySurface):
         if image is None:
             # Benign race: concurrent decoders produce equivalent
             # immutable images; last store wins.
-            assert self.cache.decode is not None
-            image = self.cache.decode(version.data)
+            image = deserialize_node(version.data)
+            payloads = version.payloads
+            if payloads:
+                spanning = (r for b in image.branches for r in b.spanning)
+                for e in (*image.data_entries, *spanning):
+                    e.payload = payloads.get(e.record_id)
             version.image = image
         return image
 
@@ -132,27 +131,14 @@ class Snapshot(query.QuerySurface):
     def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
         """The read kernel over this epoch's page images: ``_image`` is
         the fetch callback, the root page id the root handle."""
-        hits, _ = query.answer(
-            kind, self._image, self._pin.root_page, rect, self._ensure_fragment_counts
-        )
-        payload = self.cache.payload
-        return [(e.record_id, payload(e.record_id)) for e in hits]
+        hits, _ = query.answer(kind, self._image, self._pin.root_page, rect)
+        return [(e.record_id, e.payload) for e in hits]
 
     def items(self) -> Iterator[tuple[int, Rect, Any]]:
         """Yield (record_id, fragment_rect, payload) for every fragment."""
-        payload = self.cache.payload
         for e in query.walk(self._image, self._pin.root_page):
-            yield e.record_id, e.rect, payload(e.record_id)
+            yield e.record_id, e.rect, e.payload
 
     def __len__(self) -> int:
         """Distinct records visible at the pinned epoch."""
-        return len(self._ensure_fragment_counts())
-
-    def _ensure_fragment_counts(self) -> dict[int, int]:
-        counts = self._fragment_counts
-        if counts is None:
-            counts = {}
-            for record_id, _, _ in self.items():
-                counts[record_id] = counts.get(record_id, 0) + 1
-            self._fragment_counts = counts
-        return counts
+        return len({record_id for record_id, _, _ in self.items()})

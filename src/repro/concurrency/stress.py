@@ -286,9 +286,10 @@ def run_stress(
         cache.verify_accounting()
         if cache.pinned_epochs:
             raise ConcurrencyError(f"leaked snapshot pins: {cache.pinned_epochs}")
-        # GC liveness: with every snapshot closed, one full sweep must
-        # leave exactly one version per reachable page — anything more
-        # would be monotonic version-memory growth.
+        # GC liveness: with every snapshot closed, one GC run must leave
+        # exactly one version per reachable page — anything more (a
+        # superseded version, or the chain of a page whose death no
+        # commit reported) would be monotonic version-memory growth.
         engine.run_version_gc()
         cache.verify_accounting()
         if cache.version_count != cache.chains:

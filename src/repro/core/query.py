@@ -15,8 +15,7 @@ loop body serves both with no per-entry adapter:
 * branch — ``lows`` / ``highs`` / ``rect`` (covering rectangle),
   ``spanning`` (its spanning records) and ``child``, a handle: whatever
   ``fetch`` accepts (a live node, a page id);
-* record — ``record_id``, ``lows`` / ``highs`` / ``rect``.  Payloads are
-  not part of the view; callers resolve them over the returned entries.
+* record — ``record_id``, ``lows`` / ``highs`` / ``rect``, ``payload``.
 
 **Kernel.**  :func:`intersecting` (the only hot loop), :func:`fragments`
 with the :func:`within` / :func:`containing` post-filters, and
@@ -126,18 +125,19 @@ def fragments(
     return found, accessed
 
 
-def within(
-    rect: Rect, found: Mapping[int, list[Any]], counts: Mapping[int, int]
-) -> list[Any]:
-    """Records lying entirely inside ``rect``: every fragment is inside.
-    ``counts`` (fragments stored per record) makes the one intersection
-    pass sufficient — a fragment outside the query never intersects it,
-    so a shortfall in the found-count disqualifies the record."""
+def within(rect: Rect, found: Mapping[int, list[Any]]) -> list[Any]:
+    """Records lying entirely inside ``rect``: every *found* fragment is
+    inside.  A record's fragments are closed boxes that tile its
+    rectangle exactly (a cut copies coordinates, Section 3.1.1), so a
+    record reaching outside the query has a fragment that crosses or
+    touches the query's boundary from outside: one that intersects
+    ``rect`` (closed test) and is not contained in it.  The one
+    intersection pass therefore suffices, with no count of the
+    fragments it did not meet."""
     return [
         pieces[0]
-        for record_id, pieces in found.items()
-        if len(pieces) == counts.get(record_id)
-        and all(rect.contains(e.rect) for e in pieces)
+        for pieces in found.values()
+        if all(rect.contains(e.rect) for e in pieces)
     ]
 
 
@@ -168,12 +168,11 @@ def answer(
     fetch: Fetch,
     root: Any,
     rect: Rect,
-    counts: Callable[[], Mapping[int, int]],
     extra: Sequence[Any] = (),
     on_spanning_hit: SpanningHit | None = None,
 ) -> tuple[list[Any], int]:
     """One query of ``kind``: (one entry per matching record, nodes
-    fetched).  ``counts`` is only called for ``search_within``."""
+    fetched)."""
     if kind == SEARCH or kind == STAB:
         hits, accessed = intersecting(fetch, root, rect, on_spanning_hit)
         if extra:
@@ -183,7 +182,7 @@ def answer(
         raise ConfigError(f"unknown query kind {kind!r}; known: {KINDS}")
     found, accessed = fragments(fetch, root, rect, extra)
     if kind == WITHIN:
-        return within(rect, found, counts()), accessed
+        return within(rect, found), accessed
     return containing(rect, found), accessed
 
 

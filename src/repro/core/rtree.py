@@ -131,7 +131,6 @@ class RTree(query.QuerySurface):
                 self._access,
                 self.root,
                 rect,
-                lambda: self._fragment_counts,
                 self._loose_entries(),
                 self._trace_spanning_hit if tracer.enabled else None,
             )

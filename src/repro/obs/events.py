@@ -219,10 +219,10 @@ _EVENT_SPECS: tuple[EventSpec, ...] = (
     _e(
         "version_gc",
         required=("reclaimed_versions", "reclaimed_bytes"),
-        optional=("mode", "horizon"),
-        doc="Version GC reclaimed superseded copy-on-write page versions "
-            "below the snapshot horizon (mode 'trim' = per-chain cut, "
-            "'mark_sweep' = full reachability pass).",
+        optional=("horizon",),
+        doc="Version GC reclaimed copy-on-write page versions no snapshot "
+            "at or above the horizon can reach: superseded versions and "
+            "the whole chains of pages whose node a commit unlinked.",
     ),
     _e(
         "read_retry_exhausted",

@@ -138,13 +138,23 @@ class ShardRouter(QuerySurface):
                 # same sequence a single RTree fed these ops would assign.
                 self._next_rid += 1
                 rid = self._next_rid
-            self._shard_call(sid, wire.OP_INSERT, (rid, *_coords(rect), payload))
+            # Ownership and bounds go in before the call: both are
+            # conservative should the worker never get the record, and a
+            # call that timed out may be applied all the same.
             self._rid_to_shard[rid] = sid
             with self._bounds_gate:
                 bounds = self._shard_bounds.get(sid)
                 self._shard_bounds[sid] = (
                     rect if bounds is None else bounds.union(rect)
                 )
+            try:
+                self._shard_call(sid, wire.OP_INSERT, (rid, *_coords(rect), payload))
+            except ShardTimeoutError:
+                raise
+            except ShardError:
+                # Shed by admission or refused by the worker: not applied.
+                del self._rid_to_shard[rid]
+                raise
             return rid
 
     def delete(self, record_id: int) -> int:

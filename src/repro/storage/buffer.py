@@ -36,7 +36,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..exceptions import StorageError
 from ..obs.lockgraph import TrackedCondition
@@ -407,17 +407,27 @@ class PageVersion:
     ``epoch`` is the commit epoch (the WAL commit LSN when a log is
     attached) that published this version; ``prev`` links to the version
     it superseded.  ``data`` never changes after publication, so readers
-    may hold a version across arbitrary writer activity.  ``image`` is a
-    lazily-attached decode cache (the deserialized node); setting it is a
-    benign race — every decoder produces an equivalent immutable value.
+    may hold a version across arbitrary writer activity.  ``payloads``
+    holds the non-``None`` payloads of the records on the page (payloads
+    are not in the image), so a payload lives exactly as long as the
+    version that shows it.  ``image`` is a lazily-attached decode cache
+    (the deserialized node); setting it is a benign race — every decoder
+    produces an equivalent immutable value.
     """
 
-    __slots__ = ("epoch", "data", "prev", "image")
+    __slots__ = ("epoch", "data", "prev", "payloads", "image")
 
-    def __init__(self, epoch: int, data: bytes, prev: "PageVersion | None") -> None:
+    def __init__(
+        self,
+        epoch: int,
+        data: bytes,
+        prev: "PageVersion | None",
+        payloads: "Mapping[int, Any] | None",
+    ) -> None:
         self.epoch = epoch
         self.data = data
         self.prev = prev
+        self.payloads = payloads
         self.image: Any = None
 
 
@@ -482,9 +492,9 @@ class PageVersionCache:
 
     Thread-safety contract
     ----------------------
-    * :meth:`publish`, :meth:`trim`, :meth:`mark_sweep` — **single
-      mutator**: callers must hold the engine's exclusive write latch (or
-      otherwise serialize).  They take no locks of their own.
+    * :meth:`publish`, :meth:`trim` — **single mutator**: callers must
+      hold the engine's exclusive write latch (or otherwise serialize).
+      They take no locks of their own.
     * :meth:`pin`, :meth:`unpin`, :meth:`read`, :attr:`latest` — any
       thread, latch-free.  The read path acquires nothing and can never
       emit a ``latch_wait`` event.
@@ -502,41 +512,30 @@ class PageVersionCache:
     bounds its horizon by it — pinned versions are never reclaimed.
     """
 
-    def __init__(
-        self,
-        decode: "Callable[[bytes], Any] | None" = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        #: Decodes a page image into a node image exposing ``branches``
-        #: (with ``child`` / ``spanning``) and ``data_entries`` — used by
-        #: :meth:`mark_sweep` to walk reachability and collect live
-        #: record ids.  ``None`` disables mark-sweep (trim still works).
-        self.decode = decode
+    def __init__(self, tracer: Tracer | None = None) -> None:
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = VersionStats()
         #: Chain heads: page id -> newest published version.
         self._heads: dict[PageId, PageVersion] = {}
         #: Chains that currently hold more than one version (trim targets).
         self._multi: set[PageId] = set()
+        #: Pages whose node a commit unlinked -> the epoch of that commit,
+        #: in epoch order.  No snapshot at or above it can reach the page.
+        self._dead: dict[PageId, int] = {}
         #: The newest published commit; readers pin this.
         self._latest: "CommitPoint | None" = None
-        #: Root page per published epoch, for mark-sweep anchors.
-        self._roots: dict[int, PageId] = {}
         #: Live reader pins: token -> pinned epoch (GIL-atomic dict ops).
         self._pins: dict[int, int] = {}
         #: Highest floor any reclaimer has announced (see class docstring).
         self._announced_floor = 0
         #: ``itertools.count`` hands out tokens without a lock (C-level).
         self._tokens = itertools.count(1)
-        #: Record payloads (payloads live outside index pages).  A record
-        #: id is never reused and its payload never changes, so readers
-        #: may consult this map for any record their snapshot can see.
-        self._payloads: dict[int, Any] = {}
         #: Committed (epoch, note) pairs, appended *before* the commit
         #: point is swung: a reader that sees ``latest.epoch == E`` also
-        #: sees every note with epoch <= E.  Notes are opt-in (oracle
-        #: tests and benches); ``None`` notes are not recorded.
-        self.commit_log: list[tuple[int, Any]] = []
+        #: sees every note with epoch <= E.  ``None`` until a reader
+        #: (oracle tests and benches) arms it with ``commit_log = []``;
+        #: ``None`` notes are not recorded.
+        self.commit_log: "list[tuple[int, Any]] | None" = None
 
     # -- introspection --------------------------------------------------
     @property
@@ -573,7 +572,8 @@ class PageVersionCache:
         epoch: int,
         images: Mapping[PageId, bytes],
         root_page: PageId,
-        payloads: "Mapping[int, Any] | None" = None,
+        payloads: "Mapping[PageId, Mapping[int, Any]] | None" = None,
+        freed: Iterable[PageId] = (),
         note: Any = None,
     ) -> None:
         """Publish one commit's copy-on-write page versions.
@@ -583,6 +583,14 @@ class PageVersionCache:
         attached) and before the latch is released — the new commit
         becomes visible to snapshots the moment ``latest`` is swung,
         which is the last step here.
+
+        ``payloads`` gives, per page, the non-``None`` payloads of its
+        records.  ``freed`` names the pages whose nodes this commit
+        unlinked: their parents are republished without the branch in
+        this same commit, so the pages die at ``epoch`` and :meth:`trim`
+        drops their whole chains once the horizon reaches it.  A freed
+        page that was never published is a no-op; ``root_page`` 0 (the
+        emptied tree) kills every chain.
         """
         latest = self._latest
         if latest is not None and epoch <= latest.epoch:
@@ -592,18 +600,23 @@ class PageVersionCache:
             )
         for page_id, data in images.items():
             prev = self._heads.get(page_id)
-            version = PageVersion(epoch, bytes(data), prev)
+            version = PageVersion(
+                epoch, bytes(data), prev, payloads.get(page_id) if payloads else None
+            )
             self._heads[page_id] = version
             if prev is not None:
                 self._multi.add(page_id)
+                # Page ids are never reused, so only the root of a tree
+                # that emptied and refilled comes back from the dead.
+                self._dead.pop(page_id, None)
             self.stats.versions_published += 1
             self.stats.version_bytes += len(version.data)
         if self.stats.version_bytes > self.stats.peak_version_bytes:
             self.stats.peak_version_bytes = self.stats.version_bytes
-        if payloads:
-            self._payloads.update(payloads)
-        self._roots[epoch] = root_page
-        if note is not None:
+        for page_id in freed if root_page else list(self._heads):
+            if page_id in self._heads:
+                self._dead.setdefault(page_id, epoch)
+        if note is not None and self.commit_log is not None:
             self.commit_log.append((epoch, note))
         # The publication point: after this assignment the commit is
         # visible to every subsequently-opened snapshot.
@@ -664,143 +677,43 @@ class PageVersionCache:
             return min(pinned, latest.epoch)
 
     def trim(self) -> tuple[int, int]:
-        """Cut superseded versions below the horizon from multi-version
-        chains; returns ``(versions_reclaimed, bytes_reclaimed)``.
+        """Reclaim every version no live or future snapshot can reach;
+        returns ``(versions_reclaimed, bytes_reclaimed)``.
 
-        Cheap incremental GC: visits only chains that actually hold more
-        than one version.  A version is reclaimable when a newer version
-        of the same page exists at or below the horizon — no live or
-        future snapshot can ever reach it.  Unreferenced chains (pages
-        whose node was condemned) are :meth:`mark_sweep`'s job.
+        Runs on every commit and visits only what can shrink: the whole
+        chain of a dead page goes once the horizon has reached the epoch
+        it died at (see :meth:`publish`), and a multi-version chain
+        keeps its newest version at or below the horizon and loses every
+        older one — a newer version of the same page shadows them for
+        every possible snapshot.
         """
         horizon = self._begin_gc()
-        reclaimed = 0
-        freed = 0
+        doomed = []
+        for page_id, died in self._dead.items():  # epoch order
+            if died > horizon:
+                break
+            doomed.append(page_id)
+        cut: list[PageVersion | None] = []
+        for page_id in doomed:
+            del self._dead[page_id]
+            self._multi.discard(page_id)
+            cut.append(self._heads.pop(page_id))
         for page_id in list(self._multi):
-            head = self._heads.get(page_id)
-            if head is None:
-                self._multi.discard(page_id)
-                continue
-            # Find the newest version at or below the horizon; everything
-            # older is invisible to every possible snapshot.
+            head = self._heads[page_id]
             keeper: PageVersion = head
             while keeper.epoch > horizon and keeper.prev is not None:
                 keeper = keeper.prev
-            dropped = keeper.prev
+            cut.append(keeper.prev)
             keeper.prev = None  # atomic; readers never walk past keeper
+            if head.prev is None:
+                self._multi.discard(page_id)
+        reclaimed = 0
+        freed = 0
+        for dropped in cut:
             while dropped is not None:
                 reclaimed += 1
                 freed += len(dropped.data)
                 dropped = dropped.prev
-            if head.prev is None:
-                self._multi.discard(page_id)
-        self._finish_gc("trim", horizon, reclaimed, freed)
-        return reclaimed, freed
-
-    def mark_sweep(self) -> tuple[int, int]:
-        """Full reachability GC: keep exactly the versions some live or
-        future snapshot can reach; returns ``(versions, bytes)`` freed.
-
-        Anchors are the latest commit plus every pinned commit.  For each
-        anchor the reachable (page, version) pairs are marked by walking
-        child-page references out of the decoded images; everything
-        unmarked — superseded versions *and* whole chains of condemned
-        pages — is swept.  Payloads of records no longer reachable from
-        any anchor are dropped with them.  Requires a ``decode`` hook.
-        """
-        if self.decode is None:
-            raise StorageError("mark_sweep needs a decode hook")
-        latest = self._latest
-        if latest is None:
-            return 0, 0
-        horizon = self._begin_gc()
-        anchors: dict[int, PageId] = {latest.epoch: latest.root_page}
-        for epoch in self.pinned_epochs:
-            root = self._roots.get(epoch)
-            if root is None:
-                raise StorageError(f"pinned epoch {epoch} has no recorded root")
-            anchors[epoch] = root
-        marked: set[int] = set()
-        live_records: set[int] = set()
-        for epoch, root in anchors.items():
-            if not root:
-                continue  # root page 0: the empty-tree sentinel
-            # Page ids are stable across republishes, so the same parent
-            # version can resolve to *different* child versions at
-            # different epochs — each anchor walks its tree in full.
-            visited: set[PageId] = set()
-            stack = [root]
-            while stack:
-                page_id = stack.pop()
-                if page_id in visited:
-                    continue
-                visited.add(page_id)
-                version = self.read(page_id, epoch)
-                if version is None:
-                    raise StorageError(
-                        f"page {page_id} unreachable at anchored epoch {epoch}"
-                    )
-                marked.add(id(version))
-                image = version.image
-                if image is None:
-                    image = self.decode(version.data)
-                    version.image = image
-                for record in image.data_entries:
-                    live_records.add(record.record_id)
-                for branch in image.branches:
-                    for record in branch.spanning:
-                        live_records.add(record.record_id)
-                    stack.append(branch.child)
-        reclaimed = 0
-        freed = 0
-        for page_id in list(self._heads):
-            head = self._heads[page_id]
-            kept: list[PageVersion] = []
-            version: "PageVersion | None" = head
-            while version is not None:
-                if id(version) in marked:
-                    kept.append(version)
-                else:
-                    reclaimed += 1
-                    freed += len(version.data)
-                version = version.prev
-            if not kept:
-                del self._heads[page_id]
-                self._multi.discard(page_id)
-                continue
-            if len(kept) < self._chain_length(head) or kept[0] is not head:
-                # Relink the surviving versions newest-first.  The new
-                # head is swung atomically; readers mid-walk on the old
-                # chain stay safe because old links are never redirected
-                # to different versions, only dropped.
-                for newer, older in zip(kept, kept[1:]):
-                    newer.prev = older
-                kept[-1].prev = None
-                self._heads[page_id] = kept[0]
-            if len(kept) > 1:
-                self._multi.add(page_id)
-            else:
-                self._multi.discard(page_id)
-        # Roots of epochs below the horizon can never anchor a snapshot
-        # again (pins are >= horizon, future pins are >= latest).
-        for epoch in [e for e in self._roots if e < horizon]:
-            del self._roots[epoch]
-        dead_payloads = [rid for rid in self._payloads if rid not in live_records]
-        for rid in dead_payloads:
-            del self._payloads[rid]
-        self._finish_gc("mark_sweep", horizon, reclaimed, freed)
-        return reclaimed, freed
-
-    @staticmethod
-    def _chain_length(head: PageVersion) -> int:
-        length = 0
-        version: "PageVersion | None" = head
-        while version is not None:
-            length += 1
-            version = version.prev
-        return length
-
-    def _finish_gc(self, mode: str, horizon: int, reclaimed: int, freed: int) -> None:
         self.stats.gc_runs += 1
         self.stats.versions_reclaimed += reclaimed
         self.stats.version_bytes -= freed
@@ -809,14 +722,9 @@ class PageVersionCache:
                 "version_gc",
                 reclaimed_versions=reclaimed,
                 reclaimed_bytes=freed,
-                mode=mode,
                 horizon=horizon,
             )
-
-    # -- payloads --------------------------------------------------------
-    def payload(self, record_id: int) -> Any:
-        """The payload stored for ``record_id`` (``None`` when absent)."""
-        return self._payloads.get(record_id)
+        return reclaimed, freed
 
     # -- invariants ------------------------------------------------------
     def verify_accounting(self) -> None:

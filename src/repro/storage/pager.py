@@ -25,7 +25,7 @@ import itertools
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Type
+from typing import Any, Callable, Iterator, Type
 
 from ..core.config import IndexConfig
 from ..core.entry import BranchEntry, DataEntry
@@ -332,10 +332,6 @@ class StorageManager:
         #: Commit-epoch source when no WAL is attached (with a WAL, the
         #: commit LSN *is* the epoch).
         self._epoch_counter: Iterator[int] | None = None
-        #: Commits between full mark-sweep GC passes (cheap per-commit
-        #: chain trims run on every other commit).
-        self.gc_interval = 64
-        self._commits_since_sweep = 0
         #: Number of checkpoints completed; stamped into page headers.
         self.generation = 0
         for node in tree.iter_nodes():
@@ -429,9 +425,7 @@ class StorageManager:
     # ------------------------------------------------------------------
     # MVCC page versioning
     # ------------------------------------------------------------------
-    def enable_mvcc(
-        self, base_epoch: "int | None" = None, *, gc_interval: int = 64
-    ) -> PageVersionCache:
+    def enable_mvcc(self, base_epoch: "int | None" = None) -> PageVersionCache:
         """Turn on copy-on-write page versioning for snapshot reads.
 
         Publishes the current tree as the *base commit* so snapshots can
@@ -446,10 +440,8 @@ class StorageManager:
         self._refuse_predicting("serve MVCC snapshots")
         if base_epoch is None:
             base_epoch = self.wal.last_lsn if self.wal is not None else 0
-        self.gc_interval = gc_interval
-        self._commits_since_sweep = 0
         self._epoch_counter = itertools.count(base_epoch + 1)
-        cache = PageVersionCache(decode=deserialize_node, tracer=self.pool.tracer)
+        cache = PageVersionCache(tracer=self.pool.tracer)
         root = self.tree.root
         if root.data_entries or root.branches:
             nodes = list(self.tree.iter_nodes())
@@ -468,7 +460,10 @@ class StorageManager:
                 base_epoch,
                 images,
                 self._page_of[root.node_id],
-                payloads=self._harvest_payloads(nodes),
+                payloads={
+                    self._page_of[node.node_id]: self._node_payloads(node)
+                    for node in nodes
+                },
             )
         else:
             cache.publish(base_epoch, {}, 0)
@@ -478,13 +473,14 @@ class StorageManager:
         return cache
 
     @staticmethod
-    def _harvest_payloads(nodes: Iterable[Node]) -> dict[int, Any]:
-        """Record payloads carried by ``nodes`` (payloads live outside
-        index pages, so the version cache keeps its own sidecar map)."""
+    def _node_payloads(node: Node) -> dict[int, Any]:
+        """The non-``None`` payloads of the records on ``node`` (payloads
+        live outside index pages: a page version carries its own, the
+        checkpoint sidecar all of them)."""
         return {
             e.record_id: e.payload
-            for node in nodes
             for e in (*node.data_entries, *(r for _, r in node.iter_spanning()))
+            if e.payload is not None
         }
 
     def commit_write(self, note: Any = None) -> "int | None":
@@ -503,8 +499,10 @@ class StorageManager:
         With MVCC enabled the same page images are also published as
         copy-on-write versions (epoch = commit LSN, or an internal
         counter without a WAL), making the commit visible to snapshots
-        before the latch is released.  ``note`` is an optional value
-        recorded in the version cache's commit log alongside the epoch
+        before the latch is released; the pages of the unlinked nodes go
+        to the log, the pool and the version cache, which retires their
+        chains (DESIGN §3.2).  ``note`` is an optional value recorded in
+        the version cache's commit log, when armed, alongside the epoch
         (oracle tests use it to replay exactly the committed operations).
         """
         dirty = self.tree._dirty
@@ -558,15 +556,14 @@ class StorageManager:
                 epoch,
                 images,
                 root_page,
-                payloads=self._harvest_payloads(live),
+                payloads={
+                    self._page_of[node.node_id]: self._node_payloads(node)
+                    for node in live
+                },
+                freed=freed,
                 note=note,
             )
-            self._commits_since_sweep += 1
-            if self._commits_since_sweep >= self.gc_interval:
-                self._commits_since_sweep = 0
-                self.versions.mark_sweep()
-            else:
-                self.versions.trim()
+            self.versions.trim()
         dirty.clear()
         return lsn
 
@@ -624,10 +621,11 @@ class StorageManager:
         # before serializing: the caller must be quiesced (no concurrent
         # logged writes), which checkpointing already requires.
         wal_lsn = self.wal.last_lsn if self.wal is not None else None
-        self._payloads = self._harvest_payloads(self.tree.iter_nodes())
+        self._payloads = {}
         page_of: dict[int, int] = {}
         for node in self.tree.iter_nodes():
             page_of[node.node_id] = self._ensure_page(node)
+            self._payloads.update(self._node_payloads(node))
         for node in self.tree.iter_nodes():
             page_id = page_of[node.node_id]
             image = serialize_node(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..core.config import PAGE_HEADER_BYTES
 from ..core.entry import DataEntry
@@ -63,6 +64,8 @@ class RecordImage:
     is_remnant: bool
     lows: tuple[float, ...]
     highs: tuple[float, ...]
+    #: Not on the page: whoever holds the payloads fills it after decoding.
+    payload: Any = None
 
     @property
     def rect(self) -> Rect:
@@ -86,8 +89,7 @@ class BranchImage:
 class NodeImage:
     """A decoded page.  Field names match the live :class:`Node` /
     ``BranchEntry`` / ``DataEntry`` wherever :mod:`repro.core.query`
-    reads them, so one traversal serves both; payloads are not on the
-    page (callers resolve them by record id)."""
+    reads them, so one traversal serves both."""
 
     level: int
     dims: int

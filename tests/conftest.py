@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro import IndexConfig, Rect
+from repro.core.geometry import union_all
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,51 @@ def random_boxes(n: int, seed: int, domain: float = 100_000.0):
                 (min(cx + w / 2, domain), min(cy + h / 2, domain)),
             )
         )
+    return out
+
+
+#: Two records to a leaf, five entries to the node above: deep trees whose
+#: non-root nodes have narrow regions, so spanning records get cut.
+CUT_CONFIG = IndexConfig(leaf_node_bytes=120, entry_bytes=40, coalesce_interval=0)
+
+
+def cut_heavy_rects(n: int, seed: int, domain: float = 100_000.0):
+    """Half wide flat boxes, half small ones.  Under ``CUT_CONFIG`` an
+    SR-Tree stores about a tenth of 1,500 of them cut into fragments."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        x, y = rng.uniform(0, domain), rng.uniform(0, domain)
+        if rng.random() < 0.5:
+            w, h = rng.uniform(0.03, 0.3) * domain, rng.uniform(0, 0.02) * domain
+        else:
+            w, h = rng.uniform(0, 0.03) * domain, rng.uniform(0, 0.03) * domain
+        out.append(Rect((x, y), (min(x + w, domain), min(y + h, domain))))
+    return out
+
+
+def fragment_aligned_queries(pieces: dict[int, list[Rect]], seed: int, count: int = 200):
+    """Queries whose edges are stored fragment bounds -- where a fragment
+    lying outside the query still touches it: each fragment of each cut
+    record as a query, the box around each cut record's fragments, and
+    ``count`` boxes between fragment coordinates a few edges apart."""
+    cut = [rects for _, rects in sorted(pieces.items()) if len(rects) > 1]
+    rng = random.Random(seed)
+    out = []
+    for rects in cut:
+        out.extend(rects)
+        out.append(union_all(rects))
+    edges = [
+        sorted({v for rects in cut for r in rects for v in (r.lows[d], r.highs[d])})
+        for d in range(2)
+    ]
+    for _ in range(count):
+        lows, highs = [], []
+        for axis in edges:
+            i = rng.randrange(len(axis) - 1)
+            lows.append(axis[i])
+            highs.append(axis[min(len(axis) - 1, i + rng.randint(1, 60))])
+        out.append(Rect(tuple(lows), tuple(highs)))
     return out
 
 

@@ -1,12 +1,20 @@
 """Tests for the within/containing query extensions."""
 
+import os
 import random
 
 import pytest
 
-from repro import Rect, RTree, SRTree, check_index, point, segment
+from repro import Rect, RTree, SRStarTree, SRTree, check_index, point, segment
 
-from .conftest import random_segments
+from .conftest import (
+    CUT_CONFIG,
+    cut_heavy_rects,
+    fragment_aligned_queries,
+    random_segments,
+)
+
+SEED = int(os.environ.get("REPRO_DIFF_SEED", "0"))
 
 
 def _brute_within(data, q):
@@ -30,28 +38,37 @@ class TestSearchWithin:
         rid = tree.insert(Rect((0, 0), (10, 10)))
         assert tree.search_within(Rect((0, 0), (10, 10))) == [(rid, None)]
 
-    def test_cut_record_not_within_when_partially_outside(self, small_config):
-        """A record cut into fragments only counts when *all* fragments are
-        inside (the fragment-count bookkeeping at work)."""
-        tree = SRTree(small_config)
-        data = {}
-        for rect in random_segments(400, seed=72, long_fraction=0.4):
-            data[tree.insert(rect)] = rect
-        multi = [rid for rid in data if tree.fragment_count(rid) > 1]
-        if not multi:
-            pytest.skip("no cut records at this seed")
-        rid = multi[0]
-        original = data[rid]
-        # Query covering only the left half of the record.
-        mid = (original.lows[0] + original.highs[0]) / 2
-        q = Rect((original.lows[0] - 1, original.lows[1] - 1), (mid, original.highs[1] + 1))
-        assert rid not in {r for r, _ in tree.search_within(q)}
-        # Covering the whole record (plus slack) finds it.
-        q_full = Rect(
-            (original.lows[0] - 1, original.lows[1] - 1),
-            (original.highs[0] + 1, original.highs[1] + 1),
-        )
-        assert rid in {r for r, _ in tree.search_within(q_full)}
+    def test_cut_record_not_within_when_partially_outside(self):
+        """A record cut into fragments only counts when it lies inside as
+        a whole.  ``search_within`` counts no fragments: that every
+        fragment it *meets* lies inside the query must already mean the
+        record does, also when the query ends exactly where a record was
+        cut.  Re-seed with ``REPRO_DIFF_SEED``."""
+        for cls in (SRTree, SRStarTree):
+            tree = cls(CUT_CONFIG)
+            data = {tree.insert(r): r for r in cut_heavy_rects(1500, seed=SEED + 72)}
+            pieces = {}
+            for rid, rect, _ in tree.items():
+                pieces.setdefault(rid, []).append(rect)
+            cut = [rid for rid, rects in pieces.items() if len(rects) > 1]
+            assert len(cut) >= 100
+            for rid in cut:
+                original = data[rid]
+                # Query covering only the left half of the record.
+                mid = (original.lows[0] + original.highs[0]) / 2
+                q = Rect(
+                    (original.lows[0] - 1, original.lows[1] - 1), (mid, original.highs[1] + 1)
+                )
+                assert rid not in {r for r, _ in tree.search_within(q)}
+                # Covering the whole record (plus slack) finds it.
+                q_full = Rect(
+                    (original.lows[0] - 1, original.lows[1] - 1),
+                    (original.highs[0] + 1, original.highs[1] + 1),
+                )
+                assert rid in {r for r, _ in tree.search_within(q_full)}
+            for q in fragment_aligned_queries(pieces, seed=SEED + 73):
+                got = {rid for rid, _ in tree.search_within(q)}
+                assert got == _brute_within(data, q), f"REPRO_DIFF_SEED={SEED}: {q}"
 
 
 class TestSearchContaining:

@@ -4,7 +4,7 @@ Covers the copy-on-write machinery bottom-up:
 
 * :class:`~repro.storage.buffer.PageVersionCache` unit behaviour —
   publish monotonicity, pin/unpin, the announced-floor protocol, trim
-  vs. pinned snapshots, mark/sweep reclamation, byte accounting.
+  vs. pinned snapshots, dead-chain reclamation, byte accounting.
 * :class:`~repro.concurrency.mvcc.Snapshot` query equivalence against
   the live tree for every query kind.
 * The engine-level acceptance bar: snapshot reads under write churn
@@ -31,24 +31,6 @@ from repro.storage.buffer import PageVersionCache
 from .conftest import random_segments
 
 SMALL = IndexConfig(leaf_node_bytes=256, coalesce_interval=0)
-
-
-class _FakeBranch:
-    def __init__(self, child, spanning=()):
-        self.child = child
-        self.spanning = list(spanning)
-
-
-class _FakeImage:
-    """Just enough of a node image for mark-sweep reachability walks."""
-
-    def __init__(self, branches=(), data_entries=()):
-        self.branches = list(branches)
-        self.data_entries = list(data_entries)
-
-
-def _decode_table(table):
-    return lambda data: table[bytes(data)]
 
 
 def _mvcc_stack(n=40, seed=7, tracer=None, config=SMALL):
@@ -122,33 +104,38 @@ class TestPageVersionCache:
 
     def test_mark_sweep_reclaims_condemned_chains(self):
         """A page dropped by a later commit vanishes once unpinned."""
-        cache = PageVersionCache(
-            decode=_decode_table(
-                {
-                    b"r1": _FakeImage(branches=[_FakeBranch(2)]),
-                    b"c1": _FakeImage(),
-                    b"r2": _FakeImage(),
-                }
-            )
-        )
+        cache = PageVersionCache()
         cache.publish(1, {1: b"r1", 2: b"c1"}, 1)
         pin = cache.pin()
-        # Commit 2 rewrites the root without page 2: the whole chain of
-        # page 2 is unreachable from latest, but the pin still sees it.
-        cache.publish(2, {1: b"r2"}, 1)
-        cache.mark_sweep()
+        # Commit 2 rewrites the root without page 2 and says so: the whole
+        # chain of page 2 is dead from epoch 2, but the pin still sees it.
+        cache.publish(2, {1: b"r2"}, 1, freed=[2])
+        cache.trim()
         assert cache.read(2, pin.epoch).data == b"c1"
         cache.unpin(pin)
-        cache.mark_sweep()
+        cache.trim()
         assert cache.read(2, 2) is None
         assert cache.version_count == 1  # only the live root head
         cache.verify_accounting()
 
-    def test_mark_sweep_requires_decode_hook(self):
+    def test_dead_pages_the_cache_never_saw_or_sees_again(self):
         cache = PageVersionCache()
-        cache.publish(1, {1: b"x"}, 1)
-        with pytest.raises(StorageError):
-            cache.mark_sweep()
+        cache.publish(1, {1: b"r1", 2: b"c1"}, 1)
+        cache.publish(2, {1: b"r2"}, 1, freed=[2, 9])  # 9: allocated and freed unpublished
+        cache.trim()
+        assert cache.chains == 1 and not cache._dead
+        # The tree empties (root page 0 kills every chain) while a pin
+        # holds the old root, then refills: the root's page comes back.
+        pin = cache.pin()
+        cache.publish(3, {}, 0)
+        cache.trim()
+        assert cache.read(1, pin.epoch).data == b"r2"
+        cache.publish(4, {1: b"r4"}, 1)
+        cache.unpin(pin)
+        cache.trim()
+        assert cache.read(1, 4).data == b"r4"
+        assert cache.version_count == 1 and not cache._dead
+        cache.verify_accounting()
 
     def test_announced_floor_blocks_stale_pin(self):
         """A pin racing a reclaimer retries instead of pinning freed state."""
@@ -175,8 +162,27 @@ class TestPageVersionCache:
         assert cache.stats.version_bytes == 6
         cache.verify_accounting()
 
+    def test_commit_log_is_off_until_a_reader_arms_it(self):
+        tree, manager, engine, rects, rids = _mvcc_stack(n=20)
+        try:
+            for i in range(100):
+                rid = engine.insert(Rect((i, i), (i + 1.0, i + 1.0)), payload=i)
+                engine.delete(rid)
+            assert manager.versions.commit_log is None
+            manager.versions.commit_log = []
+            rid = engine.insert(rects[0], payload="noted")
+            engine.delete(rid)
+            assert [note for _, note in manager.versions.commit_log] == [
+                ("insert", rid, rects[0], "noted"),
+                ("delete", rid),
+            ]
+        finally:
+            engine.detach()
+            manager.detach()
+
     def test_commit_log_records_notes_in_epoch_order(self):
         cache = PageVersionCache()
+        cache.commit_log = []
         cache.publish(1, {1: b"v1"}, 1, note=("insert", 1))
         cache.publish(2, {1: b"v2"}, 1)  # no note: not logged
         cache.publish(3, {1: b"v3"}, 1, note=("delete", 1))
@@ -235,11 +241,26 @@ class TestSnapshotQueries:
             engine.detach()
             manager.detach()
 
-    def test_snapshot_needs_decode_hook(self):
-        cache = PageVersionCache()  # no decode hook
-        cache.publish(1, {1: b"x"}, 1)
-        with pytest.raises(StorageError):
-            Snapshot(cache)
+    def test_search_within_fetches_the_pages_search_does(self, monkeypatch):
+        """No census: a containment query reads the pages its rectangle
+        meets, not the whole tree."""
+        tree, manager, engine, rects, rids = _mvcc_stack(n=300)
+        fetched = []
+        image = Snapshot._image
+        monkeypatch.setattr(
+            Snapshot, "_image", lambda self, page: fetched.append(page) or image(self, page)
+        )
+        try:
+            assert tree.node_count() > 50
+            for q in (Rect((10_000.0, 10_000.0), (30_000.0, 30_000.0)), rects[0]):
+                engine.search(q)
+                for_search = len(fetched)
+                engine.search_within(q)
+                assert len(fetched) == 2 * for_search < tree.node_count()
+                fetched.clear()
+        finally:
+            engine.detach()
+            manager.detach()
 
     def test_open_snapshot_requires_mvcc_mode(self):
         tree = SRTree(SMALL)

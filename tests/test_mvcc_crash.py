@@ -94,7 +94,7 @@ def run_mvcc_workload(path, faults=None, seed=None, inserts=SWEEP_INSERTS):
 
     ``acked_ops`` counts acknowledged commits in op order (matching
     :func:`expected_prefix_states` indices); snapshots are pinned across
-    commits and explicit mark-sweep GC runs mid-stream so a crash can
+    commits and explicit version-GC runs mid-stream so a crash can
     land while version chains are deep.
     """
     acked = 0

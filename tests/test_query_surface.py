@@ -44,7 +44,13 @@ from repro.exceptions import ConfigError
 from repro.sharding import ShardedService, ShardRouter, ShardWorker, build_router, wire
 from repro.storage import StorageManager
 
-from .conftest import random_boxes, random_segments
+from .conftest import (
+    CUT_CONFIG,
+    cut_heavy_rects,
+    fragment_aligned_queries,
+    random_boxes,
+    random_segments,
+)
 
 SIDE = 100_000.0
 DOMAIN = [(0.0, SIDE), (0.0, SIDE)]
@@ -82,27 +88,28 @@ def _queries(data):
     return out
 
 
-def _build(variant, data):
+def _build(variant, data, config=CONFIG):
     if variant == "packedSR":
-        return pack_tree([(r, None) for r in data], CONFIG, SRTree)
+        return pack_tree([(r, None) for r in data], config, SRTree)
     if variant.startswith("Sk"):
         cls = {"SkR": SkeletonRTree, "SkSR": SkeletonSRTree}[variant]
         tree = cls(
-            CONFIG, expected_tuples=len(data), domain=DOMAIN, prediction_fraction=0.1
+            config, expected_tuples=len(data), domain=DOMAIN, prediction_fraction=0.1
         )
     else:
-        tree = {"R": RTree, "SR": SRTree}[variant](CONFIG)
+        tree = {"R": RTree, "SR": SRTree}[variant](config)
     for rect in data:
         tree.insert(rect)
     return tree
 
 
 @functools.lru_cache(maxsize=None)
-def _target(variant, layer):
+def _target(variant, layer, cut_heavy=False):
     """(surface object, rid -> rect) for one cell; built once per cell row
-    and never mutated afterwards."""
-    data = _rects()
-    tree = _build(variant, data)
+    and never mutated afterwards.  ``cut_heavy``: the data and node sizes
+    that make an SR-Tree cut a hundred records and more."""
+    data = cut_heavy_rects(1500, seed=9, domain=SIDE) if cut_heavy else _rects()
+    tree = _build(variant, data, CUT_CONFIG if cut_heavy else CONFIG)
     model = dict(enumerate(data, start=1))
     if layer == "bare":
         return tree, model
@@ -173,6 +180,20 @@ def test_surface_matches_brute_force(variant, layer, kind):
     _check(target, model, kind)
     if layer == "snapshot":
         assert len(target) == len(model)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+@pytest.mark.parametrize("variant", ("SR", "SkSR"))
+def test_within_matches_brute_force_on_fragment_bounds(variant, layer):
+    """The ``search_within`` rows again, where the kernel's tiling argument
+    (``query.within``) is tightest: queries that end where records were cut."""
+    target, model = _target(variant, layer, cut_heavy=True)
+    pieces = {}
+    for rid, rect, _ in _target(variant, "bare", cut_heavy=True)[0].items():
+        pieces.setdefault(rid, []).append(rect)
+    assert sum(len(rects) > 1 for rects in pieces.values()) >= 100
+    for q in fragment_aligned_queries(pieces, seed=10):
+        assert _ids(target.search_within(q)) == _expected("search_within", model, q)
 
 
 @pytest.mark.parametrize("kind", SURFACE)

@@ -310,6 +310,46 @@ class TestRouter:
             router._clients[slow].call(wire.OP_CONFIGURE, (0.0,))
             router.close()
 
+    def test_timed_out_insert_stays_owned_and_findable(self):
+        """The worker applies an insert whose reply came too late: every
+        search, ``len`` and ``delete`` must agree that the record exists."""
+        router = build_router(
+            2, bounds=BOUNDS, transport="thread", buffer_bytes=0, timeout_s=10.0
+        )
+        try:
+            rect = Rect((10.0, 10.0), (11.0, 11.0))
+            router.insert(Rect((60.0, 60.0), (61.0, 61.0)))
+            router.configure_workers(delay_s=0.2)
+            router.timeout_s = 0.05
+            with pytest.raises(ShardTimeoutError):
+                router.insert(rect)
+            router.timeout_s = 10.0
+            router.configure_workers(delay_s=0.0)
+            rid = 2  # ids follow insertion order
+            assert router.search_ids(BOUNDS) == {1, rid}
+            assert router.search_ids(rect) == {rid}  # not pruned by stale bounds
+            workers = sum(stats["records"] for stats in router.shard_stats().values())
+            assert len(router) == workers == 2
+            assert router.delete(rid) == 1
+            assert len(router) == 1
+        finally:
+            router.close()
+
+    def test_shed_insert_is_withdrawn(self):
+        router = self._router(
+            admission=AdmissionController(max_in_flight=1, max_retries=0, backoff_s=0.0)
+        )
+        try:
+            rect = Rect((10.0, 10.0), (11.0, 11.0))
+            sid = router._partitioner.shard_for_rect(rect)
+            router.admission.acquire(sid)  # wedge the only slot
+            with pytest.raises(ShardOverloadError):
+                router.insert(rect)
+            router.admission.release(sid)
+            assert len(router) == 0 and router.delete(1) == 0
+        finally:
+            router.close()
+
     def test_scatter_prunes_by_bounds(self):
         sink = RingBufferSink(capacity=256)
         router = self._router(tracer=Tracer(sink))

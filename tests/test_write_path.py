@@ -4,7 +4,9 @@
   disappeared during a mutation is in the tree's dirty set;
 * local condense builds the tree the old whole-tree sweep built (an in-test
   copy of that sweep is the reference);
-* an engine write walks no whole tree;
+* an engine write walks no whole tree, of nodes or of page versions;
+* after every commit the version cache's live chains are exactly the pages
+  of the linked nodes, under held snapshots, through empty and back;
 * arming the set changes nothing the paper measures;
 * a mutation that raises cannot leave memory and log diverged, and the
   pages of unlinked nodes are freed, logged and recovered as DEALLOCs.
@@ -41,8 +43,10 @@ from repro.storage import (
     StorageManager,
     WriteAheadLog,
     recover_tree,
+    serializer,
     wal_directory_for,
 )
+from repro.storage.buffer import PageVersionCache
 from repro.storage.serializer import serialize_node
 from repro.storage.wal import REC_DEALLOC, _scan_directory
 from repro.workloads import DOMAIN as PAPER_DOMAIN
@@ -289,8 +293,9 @@ class Stack:
             disk.close(sync=False)
 
 
-def fragments(tree: RTree) -> list:
-    return sorted((rid, rect.lows, rect.highs) for rid, rect, _ in tree.items())
+def fragments(view) -> list:
+    """Of a tree or a snapshot."""
+    return sorted((rid, rect.lows, rect.highs) for rid, rect, _ in view.items())
 
 
 @pytest.mark.parametrize(
@@ -314,15 +319,28 @@ def test_engine_write_walks_no_whole_tree(
         assert tree.node_count() > 256
         assert len(stack.engine.search(Rect((0.0, 0.0), (1000.0, 1000.0)))) == 1200
         assert stack.engine.pessimistic_reads == 1
+    # 130 commits: two intervals of the sweep MVCC once ran every 64th, with
+    # a snapshot held so that there is something a sweep would have to spare.
+    held = stack.engine.open_snapshot() if mvcc else None
+    pinned = fragments(held) if mvcc else None
     walks = []
-    walk = RTree.iter_nodes
-    monkeypatch.setattr(RTree, "iter_nodes", lambda self: walks.append(1) or walk(self))
-    rect = Rect((400.0, 500.0), (420.0, 500.0))
-    rid = stack.engine.insert(rect)
-    assert stack.engine.delete(rid, hint=rect) == 1
+
+    def counted(fn):
+        return lambda *args: walks.append(fn.__qualname__) or fn(*args)
+
+    monkeypatch.setattr(RTree, "iter_nodes", counted(RTree.iter_nodes))
+    monkeypatch.setattr(PageVersionCache, "read", counted(PageVersionCache.read))
+    monkeypatch.setattr(serializer, "verify_page", counted(serializer.verify_page))  # = a decode
+    for i in range(65):
+        rect = Rect((400.0 + i, 500.0), (420.0 + i, 500.0))
+        rid = stack.engine.insert(rect)
+        assert stack.engine.delete(rid, hint=rect) == 1
     monkeypatch.undo()
     assert walks == []
-    assert stack.wal.stats.appends == 2
+    assert stack.wal.stats.appends == 130
+    if held is not None:
+        assert fragments(held) == pinned
+        held.close()
     stack.crash()
     assert stack.recovered_items() == fragments(tree)
 
@@ -440,6 +458,119 @@ def test_pages_of_unlinked_nodes_are_freed(tmp_path, capsys, mvcc: bool) -> None
     assert stack.recovered_items() == fragments(tree)
     assert cli_main(["fsck", str(path)]) == 0
     assert "fsck: clean" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# The version cache retires exactly the chains whose pages a commit freed
+# ---------------------------------------------------------------------------
+def versions_of(cache: PageVersionCache):
+    for version in list(cache._heads.values()):
+        while version is not None:
+            yield version
+            version = version.prev
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_live_version_chains_are_the_linked_nodes(variant: str) -> None:
+    """After every commit: chains not marked dead == pages of linked nodes,
+    so no death goes unreported (a leak) and none is invented (a lost page);
+    a held snapshot never changes; a payload dies with its last version."""
+    rng = random.Random(f"{SEED}/chains/{variant}")
+    tree = build(variant)
+    live: dict[int, Rect] = {}
+    for i in range(200):  # the base commit
+        rect = shaped_rect(rng)
+        live[tree.insert(rect, f"base{i}" if i % 2 else None)] = rect
+    assert tree.height >= 3
+    manager = StorageManager(tree, buffer_bytes=1 << 20)
+    engine = ConcurrentIndex(tree, storage=manager, mvcc=True)
+    cache = manager.versions
+    held: list = []
+
+    def view(snap) -> list:
+        return sorted((rid, rect.lows, rect.highs, p) for rid, rect, p in snap.items())
+
+    def linked_pages() -> set[int]:
+        if not (tree.root.data_entries or tree.root.branches):
+            return set()  # root page 0: the emptied tree
+        return {manager._page_of[node.node_id] for node in tree.iter_nodes()}
+
+    def check(step) -> None:
+        assert cache._heads.keys() - cache._dead.keys() == linked_pages(), step
+        cache.verify_accounting()
+
+    def insert(step) -> None:
+        rect = shaped_rect(rng)
+        live[engine.insert(rect, f"p{step}" if rng.random() < 0.5 else None)] = rect
+
+    def delete() -> None:
+        rid = rng.choice(sorted(live))
+        rect = live.pop(rid)
+        assert engine.delete(rid, hint=rect if rng.random() < 0.5 else None) >= 1
+
+    def close(at: int) -> None:
+        snap, seen = held.pop(at)
+        assert view(snap) == seen
+        snap.close()
+
+    def quiesce() -> None:
+        while held:
+            close(0)
+        engine.run_version_gc()
+        check("quiescent")
+        assert cache.version_count == cache.chains == len(linked_pages())
+
+    check("base")
+    for step in range(400):
+        roll = rng.random()
+        if roll < 0.4 or not live:
+            insert(step)
+        elif roll < 0.5 and variant != "R*":
+            # (R*: a batch can leave a leaf over capacity, which no page
+            # holds -- forced reinsertion sheds 30 % however full the leaf.)
+            rects = [shaped_rect(rng) for _ in range(rng.randint(2, 30))]
+            ids = batch_insert(tree, [(r, f"b{step}") for r in rects])
+            manager.commit_write()
+            live.update(zip(ids, rects))
+        elif roll < 0.85:
+            delete()
+        elif roll < 0.95 and len(held) < 4:
+            snap = engine.open_snapshot()
+            held.append((snap, view(snap)))
+        elif held:
+            close(rng.randrange(len(held)))
+        check(step)
+
+    # A payload is visible to the snapshot opened before its record's delete
+    # and held by no version once that snapshot has closed.
+    marker = f"marker/{variant}"
+    rect = shaped_rect(rng)
+    rid = engine.insert(rect, marker)
+    snap = engine.open_snapshot()
+    engine.delete(rid, hint=rect)
+    insert("after the delete")
+    assert (rid, marker) in snap.search(rect)
+    assert (rid, marker) not in engine.search(rect)
+    held.append((snap, view(snap)))
+    quiesce()
+    assert not any(marker in (v.payloads or {}).values() for v in versions_of(cache))
+
+    # Delete everything under a held snapshot, then refill: an organic
+    # tree passes through root page 0, and its root's page comes back.
+    snap = engine.open_snapshot()
+    held.append((snap, view(snap)))
+    while live:
+        delete()
+        check("emptying")
+    quiesce()
+    if not variant.startswith("Sk"):  # a skeleton keeps its empty cells
+        assert cache.latest.root_page == 0 and cache.chains == 0
+    for step in range(60):
+        insert(step)
+        check("refill")
+    with engine.open_snapshot() as snap:
+        assert [row[:3] for row in view(snap)] == fragments(tree)
+    quiesce()
 
 
 def test_emptied_child_under_a_spanning_branch_republishes(tmp_path) -> None:
