@@ -7,8 +7,8 @@ against exactly that commit's page images — entirely latch-free.  It runs
 the same read kernel as a live tree; all it supplies is the fetch
 callback (:meth:`Snapshot._image`).  The read path acquires
 no latch, runs no optimistic retry, and can therefore never emit a
-``latch_wait`` event, no matter how hard writers churn (ROADMAP item 2's
-acceptance bar).
+``latch_wait`` event, no matter how hard writers churn (``repro
+racecheck``'s MVCC workload asserts zero read-latch acquisitions).
 
 Why this is safe without latches (the memory-model argument, spelled out
 once here and relied on everywhere):

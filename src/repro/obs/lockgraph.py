@@ -27,8 +27,10 @@ Same-instance re-entry records nothing (re-entrant acquisition cannot
 deadlock); every other attempt under a held lock is an edge.
 
 Overhead when **no** recorder is installed is one module-global load and
-a ``None`` check per lock operation, keeping `repro bench concurrent`
-numbers honest; ``repro racecheck`` measures the installed-path overhead
+a ``None`` check per lock operation — a ``with`` on a
+:class:`TrackedCondition` then costs what it does on a plain
+``threading.Condition`` — keeping `repro bench concurrent` numbers
+honest; ``repro racecheck`` measures the installed-path overhead
 explicitly.
 """
 
@@ -336,20 +338,22 @@ class TrackedCondition(threading.Condition):
         super().__init__(lock)
         self._lockgraph_level = level
 
+    # One frame each way, straight onto the underlying lock: no
+    # ``super()`` hop through ``Condition.__enter__`` / ``__exit__``.
     def __enter__(self) -> bool:
         rec = _ACTIVE
-        if rec is not None:
-            rec.record_attempt(self._lockgraph_level, "exclusive", self)
-        result = super().__enter__()
-        if rec is not None:
-            rec.record_acquired(self._lockgraph_level, "exclusive", self)
+        if rec is None:
+            return self._lock.__enter__()
+        rec.record_attempt(self._lockgraph_level, "exclusive", self)
+        result = self._lock.__enter__()
+        rec.record_acquired(self._lockgraph_level, "exclusive", self)
         return result
 
     def __exit__(self, *exc: Any) -> Any:
         rec = _ACTIVE
         if rec is not None:
             rec.record_release(self._lockgraph_level, self)
-        return super().__exit__(*exc)
+        return self._lock.__exit__(*exc)
 
     def wait(self, timeout: "float | None" = None) -> bool:
         rec = _ACTIVE

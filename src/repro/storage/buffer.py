@@ -21,6 +21,10 @@ a condition variable on the same mutex coordinates two kinds of waiting:
   in-flight table; a second fetcher of the same page waits for the first
   read to land rather than issuing a duplicate read.
 
+:meth:`touch` — the storage hook's one call per node visit — is an access
+that hands out no frame: it goes through the same two waits but takes no
+pin, so a hit is a single critical section (see its docstring).
+
 Disk reads happen *outside* the mutex (real buffer managers never hold a
 latch across I/O); that is what lets concurrent readers overlap their
 page-fault latency.  Dirty-victim writebacks during eviction do run under
@@ -170,32 +174,49 @@ class BufferPool:
     def fetch(self, page_id: PageId) -> Page:
         """Pin the page in memory, reading from disk on a miss."""
         with self._cond:
-            while True:
-                frame = self._frames.get(page_id)
-                if frame is not None:
-                    self.stats.hits += 1
-                    if self.tracer.enabled:
-                        self.tracer.event(
-                            "page_fetch", page_id=page_id, hit=True, page_bytes=frame.size
-                        )
-                    self._frames.move_to_end(page_id)
-                    self._pin(frame)
-                    return frame
-                if page_id in self._loading:
-                    # Another thread is reading this page right now; wait
-                    # for its frame to land instead of re-reading.
-                    self.stats.load_waits += 1
-                    self._cond.wait()
-                    continue
+            frame = self._probe(page_id)
+            if frame is not None:
+                self._pin(frame)
+                return frame
+        return self._read_in(page_id, pin=True)
+
+    # ------------------------------------------------------------------
+    # The two halves of an access
+    # ------------------------------------------------------------------
+    def _probe(self, page_id: PageId) -> "Page | None":
+        """Under the mutex: the resident frame, counted as a hit and moved
+        to the MRU end — or ``None`` once the access is counted as a miss
+        and the page marked in flight, which obliges the caller to
+        :meth:`_read_in` it."""
+        while True:
+            frame = self._frames.get(page_id)
+            if frame is not None:
+                self.stats.hits += 1
+                if self.tracer.enabled:
+                    self.tracer.event(
+                        "page_fetch", page_id=page_id, hit=True, page_bytes=frame.size
+                    )
+                self._frames.move_to_end(page_id)
+                return frame
+            if page_id not in self._loading:
                 self.stats.misses += 1
                 self._loading.add(page_id)
-                break
+                return None
+            # Another thread is reading this page right now; wait for its
+            # frame to land instead of re-reading.
+            self.stats.load_waits += 1
+            self._cond.wait()
+
+    def _read_in(self, page_id: PageId, *, pin: bool, dirty: bool = False) -> Page:
+        """Read an in-flight page outside the mutex, then make room for it
+        and install it in one critical section."""
         # read_ns = time *blocked* on the unlatched I/O: wall time minus
         # the thread CPU charged inside the window (syscall / timer
         # accounting), so a latency decomposition can add read_ns to a
         # thread-CPU measurement without double counting.
-        read_start = time.monotonic_ns() if self.tracer.enabled else 0
-        cpu_start = time.thread_time_ns() if self.tracer.enabled else 0
+        tracing = self.tracer.enabled
+        read_start = time.monotonic_ns() if tracing else 0
+        cpu_start = time.thread_time_ns() if tracing else 0
         try:
             data = self.disk.read_page(page_id)  # unlatched I/O
         except BaseException:
@@ -205,13 +226,13 @@ class BufferPool:
                 self._cond.notify_all()
             raise
         read_ns = 0
-        if self.tracer.enabled:
+        if tracing:
             read_ns = max(
                 0,
                 (time.monotonic_ns() - read_start)
                 - (time.thread_time_ns() - cpu_start),
             )
-        frame = Page(page_id, len(data), bytearray(data))
+        frame = Page(page_id, len(data), bytearray(data), dirty)
         with self._cond:
             # page_id stays in the in-flight table until the frame is
             # actually inserted: _make_room can release the mutex while
@@ -234,7 +255,8 @@ class BufferPool:
                     )
                 self._frames[page_id] = frame
                 self._resident_bytes += frame.size
-                self._pin(frame)
+                if pin:
+                    self._pin(frame)
             finally:
                 self._loading.discard(page_id)
                 self._dropped_while_loading.discard(page_id)
@@ -253,9 +275,23 @@ class BufferPool:
             self._cond.notify_all()
 
     def touch(self, page_id: PageId, dirty: bool = False) -> None:
-        """Convenience: fetch + immediate release (one logical access)."""
-        self.fetch(page_id)
-        self.release(page_id, dirty)
+        """One logical access that hands out no frame, so it takes no pin.
+
+        A hit is one critical section: count it, trace it, move the page
+        to the MRU end.  A pin taken and dropped inside that section
+        could be seen by no other thread — eviction, ``drop`` and the pin
+        ledger all run under the same mutex — so none is taken, and with
+        no pin released there is no waiter to notify.  A miss is two
+        sections around the unlatched disk read, as in :meth:`fetch`; its
+        frame goes in unpinned.
+        """
+        with self._cond:
+            frame = self._probe(page_id)
+            if frame is not None:
+                if dirty:
+                    frame.dirty = True
+                return
+        self._read_in(page_id, pin=False, dirty=dirty)
 
     def flush(self) -> None:
         """Write back every dirty resident page."""

@@ -85,26 +85,39 @@ class _PageReader:
         self.tracer = tracer
         self.corrupt_pages = 0
 
-    def _retrying(self, what: str, fn: Callable[[], Any]) -> Any:
-        stats = getattr(self.pool.disk, "stats", None)
-        attempt = 0
+    def _retrying(self, what: str, fn: Callable[[], Any], attempt: int = 0) -> Any:
+        """Call ``fn``, retrying transient disk errors with backoff.
+
+        ``attempt`` counts failures of ``fn`` the caller saw — and put
+        through :meth:`_backoff` — itself: the access hook tries a touch
+        bare and comes here only once that has raised.
+        """
         while True:
             try:
                 return fn()
             except TransientDiskError:
                 attempt += 1
-                if attempt >= self.retry.max_attempts:
-                    if stats is not None:
-                        stats.failed_ops += 1
+                if not self._backoff(what, attempt):
                     raise
-                if stats is not None:
-                    stats.retries += 1
-                if self.tracer is not None and self.tracer.enabled:
-                    self.tracer.event(
-                        "disk_retry", op=what, attempt=attempt,
-                        delay=self.retry.delay(attempt),
-                    )
-                self.retry.sleep(self.retry.delay(attempt))
+
+    def _backoff(self, what: str, attempt: int) -> bool:
+        """Count an operation's ``attempt``-th transient failure and sleep
+        before the retry; ``False``, having counted a failed operation
+        instead, when it was the last allowed (the caller re-raises)."""
+        stats = getattr(self.pool.disk, "stats", None)
+        if attempt >= self.retry.max_attempts:
+            if stats is not None:
+                stats.failed_ops += 1
+            return False
+        if stats is not None:
+            stats.retries += 1
+        if self.tracer is not None and self.tracer.enabled:
+            self.tracer.event(
+                "disk_retry", op=what, attempt=attempt,
+                delay=self.retry.delay(attempt),
+            )
+        self.retry.sleep(self.retry.delay(attempt))
+        return True
 
     def read_image(self, page_id: int) -> NodeImage:
         frame = self._retrying(f"fetch page {page_id}", lambda: self.pool.fetch(page_id))
@@ -372,8 +385,21 @@ class StorageManager:
     # Access path
     # ------------------------------------------------------------------
     def _on_access(self, node: Node) -> None:
-        page_id = self._ensure_page(node)
-        self._retrying(f"touch page {page_id}", lambda: self.pool.touch(page_id))
+        # One unlocked probe: a dict read is atomic, and _ensure_page
+        # publishes an id only once its page exists on the disk.
+        page_id = self._page_of.get(node.node_id)
+        if page_id is None:
+            page_id = self._ensure_page(node)
+        try:
+            self.pool.touch(page_id)
+            return
+        except TransientDiskError:
+            # Only a miss does I/O, so a hit never pays for the retry
+            # plumbing; the failed touch was attempt 1.
+            what = f"touch page {page_id}"
+            if not self._reader._backoff(what, 1):
+                raise
+        self._reader._retrying(what, lambda: self.pool.touch(page_id), attempt=1)
 
     def _ensure_page(self, node: Node) -> int:
         with self._page_lock:
@@ -381,11 +407,13 @@ class StorageManager:
             if page_id is None:
                 page_id = self._next_page
                 self._next_page += 1
-                self._page_of[node.node_id] = page_id
                 size = self.tree.config.node_bytes(node.level)
                 self._retrying(
                     f"allocate page {page_id}", lambda: self.disk.allocate(page_id, size)
                 )
+                # Published last: _on_access probes the table without
+                # the lock and reads whatever id it finds.
+                self._page_of[node.node_id] = page_id
                 if self.wal is not None:
                     self._wal_unlogged_allocs[page_id] = size
         return page_id
@@ -574,9 +602,10 @@ class StorageManager:
         try:
             self.pool.drop(page_id)
         except StorageError:
-            # An optimistic reader on a stale path holds the frame for the
-            # length of one touch.  The frame is clean (only checkpoints
-            # dirty frames) and its id is dead: LRU eviction discards it.
+            # A frame reader (``load_tree``) holds a pin for the length of
+            # one ``read_image``; node accesses take none.  The frame is
+            # clean (only checkpoints dirty frames) and its id is dead:
+            # LRU eviction discards it.
             pass
         self._retrying(
             f"deallocate page {page_id}", lambda: self.disk.deallocate(page_id)

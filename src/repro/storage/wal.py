@@ -111,6 +111,38 @@ _SEGMENT_SUFFIX = ".seg"
 FaultGate = Callable[[str, "bytes | None"], "bytes | None"]
 
 
+#: Step of the delta scan's slice compares (bytes).
+_SCAN_CHUNK = 64
+
+
+def _changed_range(previous: bytes, image: bytes) -> tuple[int, int]:
+    """The smallest ``[lo, hi)`` outside which two equal-length images
+    agree; ``(len, len)`` when they are identical (a delete re-logs
+    ancestors whose images did not change).
+
+    Whole chunks are compared as slices (one ``memcmp`` each) and only
+    the chunk holding each boundary is walked byte by byte.
+    """
+    n = len(image)
+    if previous == image:
+        return n, n
+    # Some byte differs, so both forward loops stop at or before it.
+    lo = 0
+    while previous[lo : lo + _SCAN_CHUNK] == image[lo : lo + _SCAN_CHUNK]:
+        lo += _SCAN_CHUNK
+    while previous[lo] == image[lo]:
+        lo += 1
+    hi = n
+    while hi - _SCAN_CHUNK >= lo and (
+        previous[hi - _SCAN_CHUNK : hi] == image[hi - _SCAN_CHUNK : hi]
+    ):
+        hi -= _SCAN_CHUNK
+    # Byte ``lo`` differs, so this stops with hi > lo.
+    while previous[hi - 1] == image[hi - 1]:
+        hi -= 1
+    return lo, hi
+
+
 def wal_directory_for(path: "str | os.PathLike[str]") -> Path:
     """The conventional WAL directory for a :class:`FileDisk` data file."""
     return Path(str(path) + ".wal")
@@ -403,12 +435,7 @@ class WriteAheadLog:
         previous = self._last_images.get(page_id)
         delta_payload: "bytes | None" = None
         if previous is not None and len(previous) == len(image):
-            lo = 0
-            hi = len(image)
-            while lo < hi and previous[lo] == image[lo]:
-                lo += 1
-            while hi > lo and previous[hi - 1] == image[hi - 1]:
-                hi -= 1
+            lo, hi = _changed_range(previous, image)
             candidate = _DELTA_PREFIX.pack(lo) + image[lo:hi]
             if len(candidate) < len(image):
                 delta_payload = candidate

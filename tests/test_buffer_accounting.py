@@ -5,15 +5,23 @@ sequences against a small pool with a single-threaded oracle tracking the
 expected pin state, and asserts :meth:`BufferPool.verify_accounting`
 (the same invariant battery the multi-threaded stress harness runs) plus
 stats consistency after every step.
+
+``touch`` is differential throughout: a twin pool takes the same steps
+with every ``touch`` spelled as the ``fetch`` + ``release`` it replaced,
+and the two must never differ in anything a caller or the disk can see.
 """
 
+import random
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import Tracer
 from repro.exceptions import StorageError
+from repro.obs import RingBufferSink
 from repro.storage import BufferPool, SimulatedDisk
 
 #: Six allocatable pages of two sizes; the pool fits ~3 small pages, so
@@ -38,15 +46,52 @@ def _fresh_pool() -> BufferPool:
     return BufferPool(disk, capacity_bytes=CAPACITY)
 
 
+def _fetch_release(pool: BufferPool, page_id: int, dirty: bool = False) -> None:
+    """What ``touch`` was composed from: the reference it must equal."""
+    pool.fetch(page_id)
+    pool.release(page_id, dirty)
+
+
+def _step_reference(twin: BufferPool, op: str, page_id: int, dirty: bool) -> None:
+    try:
+        if op == "fetch":
+            twin.fetch(page_id)
+        elif op == "release":
+            twin.release(page_id, dirty=dirty)
+        elif op == "touch":
+            _fetch_release(twin, page_id, dirty)
+        elif op == "drop":
+            twin.drop(page_id)
+        else:
+            twin.flush()
+    except StorageError:
+        pass  # a refusal leaves its own trace in what _observable compares
+
+
+def _observable(pool: BufferPool) -> dict:
+    """Everything about a pool that a later access, an eviction or the
+    disk could tell apart: counters, LRU order with each frame's dirty
+    bit and pins, the pin ledger, and the disk's own counters."""
+    return {
+        "stats": asdict(pool.stats),
+        "lru": [(pid, f.dirty, f.pin_count) for pid, f in pool._frames.items()],
+        "resident_bytes": pool.resident_bytes,
+        "ledger": dict(pool._pins_by_thread),
+        "disk": pool.disk.stats.snapshot(),
+    }
+
+
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(ops=_ops)
 def test_accounting_invariants_hold(ops):
     pool = _fresh_pool()
+    twin = _fresh_pool()  # same steps, touch spelled fetch + release
     pins: Counter = Counter()  # oracle: page -> pins we hold
 
     for op, page_id, dirty in ops:
+        _step_reference(twin, op, page_id, dirty)
         if op == "fetch":
             try:
                 pool.fetch(page_id)
@@ -80,6 +125,7 @@ def test_accounting_invariants_hold(ops):
             pool.flush()
 
         pool.verify_accounting()
+        assert _observable(pool) == _observable(twin)
         stats = pool.stats
         assert stats.accesses == stats.hits + stats.misses
         assert pool.resident_bytes <= CAPACITY
@@ -110,3 +156,59 @@ def test_touch_sequences_never_leak_pins(ops):
         pool.touch(page_id, dirty=(page_id % 2 == 0))
         pool.verify_accounting(expect_unpinned=True)
     assert pool.stats.accesses == len(ops)
+
+
+def _events(tracer: Tracer) -> list:
+    """The pool's event stream without the one wall-clock field."""
+    return [
+        (e.etype, {k: v for k, v in e.fields.items() if k != "read_ns"})
+        for e in tracer.events
+    ]
+
+
+def test_touch_is_fetch_release_on_a_seeded_trace():
+    """5,000 mixed accesses over a pool a sixth of the page set: same
+    accesses, fewer instructions.  Hits, misses, evictions, write-backs,
+    LRU order, disk traffic and the traced event sequence are those of
+    the ``fetch`` + ``release`` composition, access by access."""
+    page_bytes = 512
+    pages = list(range(1, 49))
+
+    def build() -> tuple[BufferPool, Tracer]:
+        disk = SimulatedDisk()
+        for page_id in pages:
+            disk.allocate(page_id, page_bytes)
+        tracer = Tracer(RingBufferSink(capacity=50_000))
+        return BufferPool(disk, len(pages) // 6 * page_bytes, tracer=tracer), tracer
+
+    (pool, tracer), (twin, twin_tracer) = build(), build()
+    rng = random.Random(1991)
+    held: list[int] = []
+    for step in range(5_000):
+        # Skewed like a tree descent: a few hot pages, a long cold tail.
+        page_id = pages[min(int(rng.expovariate(0.12)), len(pages) - 1)]
+        roll = rng.random()
+        if roll < 0.90:
+            dirty = rng.random() < 0.1
+            pool.touch(page_id, dirty)
+            _fetch_release(twin, page_id, dirty)
+        elif roll < 0.95 and len(held) < 4:
+            pool.fetch(page_id)
+            twin.fetch(page_id)
+            held.append(page_id)
+        elif held:
+            page_id = held.pop(rng.randrange(len(held)))
+            pool.release(page_id)
+            twin.release(page_id)
+        elif page_id in pool._frames:
+            pool.drop(page_id)
+            twin.drop(page_id)
+        if step % 250 == 0:
+            assert _observable(pool) == _observable(twin)
+    assert _observable(pool) == _observable(twin)
+    assert _events(tracer) == _events(twin_tracer)
+    # The trace exercised what it claims to: both paths, under pressure.
+    stats = pool.stats
+    assert stats.hits > 1_000 and stats.misses > 1_000 and stats.dirty_writebacks > 50
+    assert stats.evictions > 1_000
+    pool.verify_accounting()

@@ -1,6 +1,7 @@
 """Concurrent serving engine: latches, thread-safe wrappers, stress runs."""
 
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +19,8 @@ from repro.concurrency import (
 )
 from repro.concurrency.stress import STRESS_INDEX_TYPES
 from repro.exceptions import ConcurrencyError, StorageError
-from repro.storage import BufferPool, SimulatedDisk
+from repro.storage import BufferPool, FileDisk, SimulatedDisk, StorageManager
+from repro.workloads import dataset_I3, query_rectangles
 
 _TINY = IndexConfig(leaf_node_bytes=200, entry_bytes=40, coalesce_interval=25)
 
@@ -545,8 +547,8 @@ class TestLatchStatsConsistency:
 
 
 class TestBufferPoolRaces:
-    """Deterministic regressions for the fetch/drop races and the
-    pin-wait timeout accounting."""
+    """Deterministic regressions for the fetch/drop races, the pin-wait
+    timeout accounting and the access hook's unlocked page-table probe."""
 
     @staticmethod
     def _disk(pages=2, size=64):
@@ -607,9 +609,11 @@ class TestBufferPoolRaces:
         stop = threading.Event()
 
         def notifier():
-            # Public-API notifications: every release() notifies waiters.
+            # Public-API notifications: every release() notifies waiters
+            # (a touch takes no pin, so it would wake nobody).
             while not stop.is_set():
-                pool.touch(1)
+                pool.fetch(1)
+                pool.release(1)
                 time.sleep(0.005)
 
         n = threading.Thread(target=notifier)
@@ -678,6 +682,54 @@ class TestBufferPoolRaces:
         pool.release(2)
         pool.verify_accounting(expect_unpinned=True)
 
+    def test_page_id_is_published_only_once_allocated(self):
+        # The access hook probes the node->page table without the lock.
+        # Without a WAL a node born in a split gets its page on its first
+        # read: a second reader arriving while the first is still inside
+        # disk.allocate must not find the id and read a page that is not
+        # there yet.
+        tree = SRTree(_TINY)
+        disk = SimulatedDisk()
+        mgr = StorageManager(tree, disk=disk)
+        for i in range(40):
+            tree.insert(Rect((float(i), float(i)), (i + 1.0, i + 1.0)), i)
+        node = next(n for n in tree.iter_nodes() if n.node_id not in mgr._page_of)
+        started = threading.Event()
+        unblock = threading.Event()
+        allocated: list[int] = []
+        orig_allocate = disk.allocate
+
+        def gated_allocate(page_id, size):
+            allocated.append(page_id)
+            started.set()
+            assert unblock.wait(timeout=10.0)
+            orig_allocate(page_id, size)
+
+        disk.allocate = gated_allocate
+        errors: list[BaseException] = []
+
+        def reader():
+            try:
+                mgr._on_access(node)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        a = threading.Thread(target=reader)
+        a.start()
+        assert started.wait(timeout=10.0)
+        b = threading.Thread(target=reader)
+        b.start()
+        b.join(timeout=0.2)  # an early id sends b straight to a failed read
+        assert b.is_alive() and errors == []
+        unblock.set()
+        a.join(timeout=15.0)
+        b.join(timeout=15.0)
+        assert not a.is_alive() and not b.is_alive()
+        assert errors == []
+        assert allocated == [mgr._page_of[node.node_id]]  # one page, not two
+        assert (mgr.pool.stats.accesses, mgr.pool.stats.misses) == (2, 1)
+        mgr.pool.verify_accounting(expect_unpinned=True)
+
 
 @pytest.mark.stress
 class TestHeavyStress:
@@ -709,3 +761,57 @@ class TestHeavyStress:
             seed=self.SEED, readers=4, writers=2, ops_per_thread=150,
             initial_locks=200,
         )
+
+    def test_concurrent_misses_on_a_spilling_file_pool(self, tmp_path):
+        """perf/README.md finding 2: readers of one ``FileDisk`` behind a
+        pool far smaller than the tree.  Every miss reads the shared
+        handle outside the pool's mutex; an interleaved seek and read
+        used to surface as a short read or a CRC failure."""
+        from repro.concurrency.stress import _run_threads
+
+        tree = SRTree()
+        for i, rect in enumerate(dataset_I3(8000, 1 + self.SEED)):
+            tree.insert(rect, i)
+        disk = FileDisk(tmp_path / "pages.dat")
+        manager = StorageManager(tree, buffer_bytes=64 * 1024, disk=disk)
+        manager.checkpoint()
+        engine = ConcurrentIndex(tree, storage=manager)
+        queries = query_rectangles(1.0, 8000, 1e5, seed=2 + self.SEED)
+        pool = manager.pool
+        # Nothing on the access path looks at the bytes it loads, so a
+        # torn read of a same-sized page would pass unseen: compare each
+        # against what a lone reader sees.
+        on_disk = {pid: disk.read_page(pid) for pid in disk.page_ids()}
+        read_page = disk.read_page
+
+        def checked_read(page_id):
+            data = read_page(page_id)
+            assert data == on_disk[page_id], f"torn read of page {page_id}"
+            return data
+
+        disk.read_page = checked_read
+        before = (pool.stats.accesses, pool.stats.misses, disk.stats.reads)
+        readers = 4  # more than the runner's cores
+
+        def reader(mine):
+            return lambda: [engine.search(q) for q in mine]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(
+                [reader(queries[i::readers]) for i in range(readers)],
+                what="spill-reader", join_timeout=120.0,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            engine.detach()
+            manager.detach()
+            disk.close()
+        # Balanced: nothing pinned, nothing in flight, and one disk read
+        # per counted miss (a waiter on another thread's load reads none).
+        pool.verify_accounting(expect_unpinned=True)
+        assert not pool._loading and not pool._dropped_while_loading
+        misses = pool.stats.misses - before[1]
+        assert misses == disk.stats.reads - before[2]
+        assert misses > 0.2 * (pool.stats.accesses - before[0]), "the pool must spill"

@@ -293,6 +293,55 @@ class TestRetries:
         finally:
             recovered.close(sync=False)
 
+    @pytest.mark.parametrize("faults, recovers", [(2, True), (4, False)])
+    def test_access_hook_retries_a_miss_and_nothing_else(self, faults, recovers):
+        """The storage hook enters the retry loop only once a touch has
+        failed, and what it then does — attempts, ``retries``,
+        ``failed_ops``, the ``disk_retry`` fields, the backoff — is what
+        wrapping every access in the loop did."""
+        tree = build_tree(60)
+        tracer = Tracer()
+        delays = []
+        faulty = FaultInjectingDisk(
+            SimulatedDisk(),
+            [Fault("transient", op="read", at=n + 1) for n in range(faults)],
+            seed=BASE_SEED,
+        )
+        policy = no_sleep_policy(delays)  # four attempts
+        mgr = StorageManager(
+            tree, buffer_bytes=64 * 1024, disk=faulty, retry_policy=policy,
+            tracer=tracer,
+        )
+        page_id = mgr._page_of[tree.root.node_id]
+        if recovers:
+            mgr._on_access(tree.root)
+            attempts, retries = faults + 1, faults
+            assert page_id in mgr.pool._frames
+        else:
+            with pytest.raises(TransientDiskError) as raised:
+                mgr._on_access(tree.root)
+            # The last attempt's error, not one chained onto the first's.
+            assert raised.value.__context__ is None
+            attempts, retries = policy.max_attempts, policy.max_attempts - 1
+            assert page_id not in mgr.pool._frames
+        # Every attempt is a fresh touch, so each counts its own miss.
+        assert (mgr.pool.stats.misses, mgr.pool.stats.hits) == (attempts, 0)
+        assert faulty.stats.transient_errors == faults
+        assert faulty.stats.retries == retries
+        assert faulty.stats.failed_ops == (0 if recovers else 1)
+        assert delays == [policy.delay(n + 1) for n in range(retries)]
+        assert [e.fields for e in tracer.events if e.etype == "disk_retry"] == [
+            {"op": f"touch page {page_id}", "attempt": n + 1, "delay": policy.delay(n + 1)}
+            for n in range(retries)
+        ]
+        # No load left in flight, no pin leaked, by either way out.
+        assert not mgr.pool._loading
+        mgr.pool.verify_accounting(expect_unpinned=True)
+        if recovers:
+            mgr._on_access(tree.root)  # a hit: the retry plumbing stays cold
+            assert (mgr.pool.stats.hits, faulty.stats.retries) == (1, retries)
+            assert len(delays) == retries
+
     def test_retry_events_traced(self):
         tracer = Tracer()
         tree = build_tree(60)

@@ -230,6 +230,26 @@ def test_uninstalled_recorder_ignores_traffic():
     assert report["acquisitions"] == 0 and report["edges"] == []
 
 
+def test_pool_hit_reports_to_an_installed_recorder():
+    """The one-section hit path is cheap when nothing records, not
+    invisible when something does."""
+    from repro.storage import BufferPool, SimulatedDisk
+
+    disk = SimulatedDisk()
+    disk.allocate(1, 64)
+    pool = BufferPool(disk, capacity_bytes=1024)
+    pool.touch(1)  # the miss, before recording starts
+    index = TrackedCondition("index")
+    with recording() as rec:
+        with index:
+            pool.touch(1)
+    assert pool.stats.hits == 1
+    report = rec.report()
+    assert report["ok"] and report["acquisitions"] == 2
+    (edge,) = report["edges"]
+    assert (edge["src_level"], edge["dst_level"], edge["count"]) == ("index", "buffer", 1)
+
+
 def test_emit_events_produces_schema_valid_trace():
     rec = LockOrderRecorder()
     wal = TrackedCondition("wal")

@@ -8,11 +8,12 @@ The module carries the ``faults`` marker so CI runs it across the
 """
 
 import os
+import random
 import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import ConcurrentIndex, IndexConfig, SkeletonSRTree, SRTree, check_index
@@ -39,6 +40,8 @@ from repro.storage.wal import (
     REC_DEALLOC,
     REC_PAGE_IMAGE,
     WAL_FRAME_BYTES,
+    _SCAN_CHUNK,
+    _changed_range,
     _frame,
     _parse_frame,
     _scan_directory,
@@ -224,6 +227,85 @@ class TestGroupCommit:
         wal.close()
         assert wal.stats.fsyncs == 5
         assert wal.stats.commits_per_fsync == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Delta scan: the chunked compare is the byte loop, faster
+# ---------------------------------------------------------------------------
+def byte_loop_range(previous, image):
+    """The scan as first written: the reference for ``_changed_range``."""
+    lo, hi = 0, len(image)
+    while lo < hi and previous[lo] == image[lo]:
+        lo += 1
+    while hi > lo and previous[hi - 1] == image[hi - 1]:
+        hi -= 1
+    return lo, hi
+
+
+class TestDeltaScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.binary(min_size=1, max_size=5 * _SCAN_CHUNK + 7),
+        edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), max_size=4),
+    )
+    @example(base=b"\x07" * 200, edits=[])  # identical pages
+    @example(base=b"\x07" * 200, edits=[(0, 1)])  # first byte only
+    @example(base=b"\x07" * 200, edits=[(199, 1)])  # last byte only
+    @example(base=b"\x07" * _SCAN_CHUNK, edits=[(_SCAN_CHUNK - 1, 1)])
+    @example(base=b"\x07" * (2 * _SCAN_CHUNK + 1), edits=[(_SCAN_CHUNK, 1)])
+    def test_matches_the_byte_loop(self, base, edits):
+        image = bytearray(base)
+        for index, flip in edits:
+            image[index % len(base)] ^= flip
+        image = bytes(image)
+        assert _changed_range(base, image) == byte_loop_range(base, image)
+
+    @pytest.mark.parametrize(
+        "size", [1, 2, _SCAN_CHUNK - 1, _SCAN_CHUNK, _SCAN_CHUNK + 1, 3 * _SCAN_CHUNK + 5]
+    )
+    def test_every_single_byte_difference(self, size):
+        base = bytes(size)
+        for index in range(size):
+            image = base[:index] + b"\x01" + base[index + 1 :]
+            assert _changed_range(base, image) == (index, index + 1)
+        assert _changed_range(base, base) == (size, size)
+
+    def test_log_bytes_and_replay_identical(self, tmp_path, monkeypatch):
+        """A seeded insert/delete run logs the same bytes — so replays to
+        the same pages — whichever scan found the deltas."""
+
+        def run(path):
+            tree, disk, wal, manager, engine = build_wal_stack(path)
+            rng = random.Random(BASE_SEED)
+            live = []
+            for rect in wal_rects(120):
+                live.append((engine.insert(rect), rect))
+                if len(live) > 8 and rng.random() < 0.4:
+                    rid, hint = live.pop(rng.randrange(len(live)))
+                    engine.delete(rid, hint=hint)
+            deltas = wal.stats.deltas
+            engine.detach()
+            manager.detach()
+            wal.abort()
+            disk.abort()
+            log = b"".join(
+                seg.read_bytes() for seg in sorted(wal_directory_for(path).iterdir())
+            )
+            recovered = FileDisk(path)
+            try:
+                replay_wal(wal_directory_for(path), recovered)
+                pages = {pid: recovered.read_page(pid) for pid in recovered.page_ids()}
+            finally:
+                recovered.close(sync=False)
+            return log, pages, deltas
+
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        chunked = run(tmp_path / "a" / "index.db")
+        monkeypatch.setattr("repro.storage.wal._changed_range", byte_loop_range)
+        by_byte = run(tmp_path / "b" / "index.db")
+        assert chunked[2] > 100, "the run must actually log deltas"
+        assert chunked == by_byte
 
 
 # ---------------------------------------------------------------------------
