@@ -3,8 +3,11 @@
 
 Walks through the public API: building an index, inserting segments,
 rectangles and points, intersection/stabbing searches, statistics, the
-skeleton variant, and persistence through the simulated storage layer.
+skeleton variant, and persistence through the paged storage layer.
 """
+
+import tempfile
+from pathlib import Path
 
 from repro import (
     IndexConfig,
@@ -12,10 +15,11 @@ from repro import (
     SkeletonSRTree,
     SRTree,
     check_index,
+    open_store,
     point,
     segment,
 )
-from repro.storage import StorageManager
+from repro.storage import FileDisk
 
 
 def main() -> None:
@@ -83,14 +87,21 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 5. Simulated paged storage: buffer-pool behaviour + persistence.
+    # 5. Paged storage: buffer-pool behaviour + persistence.  open_store
+    #    composes disk, buffer pool and serving engine (pass a
+    #    WriteAheadLog too for durable commits between checkpoints).
     # ------------------------------------------------------------------
-    manager = StorageManager(skeleton, buffer_bytes=64 * 1024)
-    skeleton.search(Rect((0.0, 0.0), (5_000.0, 100_000.0)))
-    print(f"io after one search: {manager.io_summary()}")
-    manager.checkpoint()
-    clone = manager.load_tree()
-    print(f"reloaded from simulated disk: {len(clone)} records")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.db"
+        with open_store(FileDisk(path), tree=skeleton, buffer_bytes=64 * 1024) as store:
+            store.engine.search(Rect((0.0, 0.0), (5_000.0, 100_000.0)))
+            print(f"io after one search: {store.manager.io_summary()}")
+            store.manager.checkpoint()
+        with open_store(FileDisk(path)) as store:  # the same pages, none rewritten
+            print(
+                f"reopened from disk: {len(store.engine)} records, "
+                f"{store.manager.disk.stats.writes} pages written by the open"
+            )
 
 
 if __name__ == "__main__":

@@ -65,6 +65,7 @@ from .obs import (
     index_registry,
     trace_search,
 )
+from .store import Store, open_store
 
 __version__ = "1.1.0"
 
@@ -115,5 +116,7 @@ __all__ = [
     "Tracer",
     "index_registry",
     "trace_search",
+    "Store",
+    "open_store",
     "__version__",
 ]

@@ -20,14 +20,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..core.config import IndexConfig
+from ..core import INDEX_CLASSES
+from ..core.config import DOMAIN, IndexConfig
 from ..core.geometry import Rect
 from ..core.rtree import RTree
-from ..core.skeleton import SkeletonMixin, SkeletonRTree, SkeletonSRTree
-from ..core.srtree import SRTree
+from ..core.skeleton import SkeletonMixin
 from ..exceptions import WorkloadError
 from ..obs.registry import NODES_PER_SEARCH_BUCKETS, Histogram
-from ..workloads.generators import DOMAIN
 from ..workloads.queries import PAPER_QARS, QUERY_AREA, qar_sweep
 
 __all__ = [
@@ -39,16 +38,8 @@ __all__ = [
     "default_scale",
 ]
 
-#: The paper's four index types by display name, in its plotting order
-#: (``Any``: the skeleton classes take sizing arguments the others lack).
-_CONSTRUCTORS: dict[str, Any] = {
-    "R-Tree": RTree,
-    "SR-Tree": SRTree,
-    "Skeleton R-Tree": SkeletonRTree,
-    "Skeleton SR-Tree": SkeletonSRTree,
-}
-
-INDEX_TYPES: tuple[str, ...] = tuple(_CONSTRUCTORS)
+#: The paper's four index types by display name, in its plotting order.
+INDEX_TYPES: tuple[str, ...] = tuple(INDEX_CLASSES)
 
 #: Fraction of the expected input buffered for distribution prediction;
 #: the paper buffered the first 10 000 of 100K-200K tuples (5-10 %).
@@ -96,7 +87,7 @@ def fresh_index(
 ) -> RTree:
     """An empty index of ``kind`` (one of :data:`INDEX_TYPES`); the
     skeleton types are pre-sized for ``expected_tuples`` over ``domain``."""
-    cls = _CONSTRUCTORS.get(kind)
+    cls: Any = INDEX_CLASSES.get(kind)  # Any: skeletons take sizing arguments
     if cls is None:
         raise WorkloadError(f"unknown index type {kind!r}; pick from {INDEX_TYPES}")
     config = config or IndexConfig()

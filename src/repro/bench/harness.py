@@ -2,8 +2,8 @@
 
 Everything the scenarios in :mod:`repro.bench.scenarios` share lives here
 once: the R1 dataset and uniform query set, index construction over the
-five served variants, the pool-over-latency-disk serving stack, the
-client-thread driver, the reference comparison, and the report tail —
+five served variants, the client-thread driver, the reference comparison,
+and the report tail (the serving stack is :func:`repro.store.open_store`) —
 :func:`run_bench` looks a scenario up, echoes its merged parameters as
 the report's ``config``, times it, evaluates its acceptance bars and
 writes the v2 report; :func:`format_bench` renders any scenario from its
@@ -24,11 +24,9 @@ import json
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
-from ..concurrency.engine import ConcurrentIndex
 from ..core.batch import batch_insert
 from ..core.geometry import Rect
 from ..core.packed import pack_tree
@@ -37,10 +35,6 @@ from ..core.srtree import SRTree
 from ..exceptions import ConfigError
 from ..obs.latency import LatencyRecorder
 from ..obs.report import build_report, write_report
-from ..obs.tracer import Tracer
-from ..storage.disk import LatencyDisk
-from ..storage.pager import StorageManager
-from ..storage.wal import WriteAheadLog
 from ..workloads.generators import DOMAIN, dataset_R1
 from ..workloads.queries import uniform_queries
 from .experiment import INDEX_TYPES, fresh_index
@@ -55,7 +49,6 @@ __all__ = [
     "scenario",
     "workload",
     "build_tree",
-    "serving",
     "drive",
     "divergences",
     "get_scenario",
@@ -160,44 +153,6 @@ def build_tree(kind: str, dataset: Sequence[Rect]) -> RTree:
     if hasattr(tree, "flush"):
         tree.flush()
     return tree
-
-
-@contextmanager
-def serving(
-    tree: RTree,
-    buffer_bytes: int = 64 * 1024,
-    read_delay: float = 0.0,
-    *,
-    disk: Any = None,
-    wal: WriteAheadLog | None = None,
-    mvcc: bool = False,
-    tracer: Tracer | None = None,
-) -> Iterator[tuple[ConcurrentIndex, StorageManager]]:
-    """``tree`` behind a cold buffer pool and a :class:`ConcurrentIndex`.
-
-    The pool sits over a fresh :class:`LatencyDisk` (every page fault
-    stalls ``read_delay`` seconds with the interpreter lock released)
-    unless a ``disk`` is given.  Writes go through the manager — logged,
-    versioned — only when there is a ``wal`` or ``mvcc``.  Both layers
-    are detached on the way out, also when the body raises.
-    """
-    manager = StorageManager(
-        tree,
-        buffer_bytes=buffer_bytes,
-        disk=disk if disk is not None else LatencyDisk(read_delay=read_delay),
-        tracer=tracer,
-        wal=wal,
-    )
-    engine = ConcurrentIndex(
-        tree,
-        tracer,
-        storage=manager if mvcc or wal is not None else None,
-        mvcc=mvcc,
-    )
-    try:
-        yield engine, manager
-    finally:
-        manager.detach()
 
 
 def drive(

@@ -30,7 +30,6 @@ import shutil
 import tempfile
 import threading
 import time
-from contextlib import closing
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -45,10 +44,11 @@ from ..obs.latency import LatencyRecorder, format_ns, span_breakdown
 from ..obs.sinks import RingBufferSink
 from ..obs.tracer import Tracer
 from ..sharding import build_router
+from ..storage.disk import LatencyDisk
 from ..storage.faults import Fault, FaultInjectingDisk
 from ..storage.filedisk import FileDisk
-from ..storage.pager import recover_tree
 from ..storage.wal import WriteAheadLog, scan_wal, wal_directory_for
+from ..store import open_store
 from ..workloads.generators import DOMAIN, dataset_R1
 from ..workloads.queries import uniform_queries
 from ..workloads.traffic import TrafficConfig, generate_schedule, run_traffic
@@ -64,7 +64,6 @@ from .harness import (
     divergences,
     drive,
     scenario,
-    serving,
     workload,
 )
 
@@ -97,12 +96,12 @@ def _cold_pool_search(
 ) -> tuple[list[set[int]], dict[str, Any]]:
     """``answer(engine)`` from a cold pool: the id sets and what they cost."""
     before = tree.stats.search_node_accesses
-    with serving(tree, buffer_bytes) as (engine, manager):
+    with open_store(LatencyDisk(read_delay=0.0), tree=tree, buffer_bytes=buffer_bytes) as store:
         start = time.perf_counter()
-        results = answer(engine)
+        results = answer(store.engine)
         wall = time.perf_counter() - start
     return [{rid for rid, _ in hits} for hits in results], {
-        "faults": manager.pool.stats.misses,
+        "faults": store.manager.pool.stats.misses,
         "wall_seconds": wall,
         "node_accesses": tree.stats.search_node_accesses - before,
     }
@@ -271,9 +270,10 @@ def concurrent(
         reference = [tree.search_ids(q) for q in query_set]
         runs: dict[str, dict[str, Any]] = {}
         for threads in thread_counts:
-            with serving(tree, buffer_bytes, read_delay) as (engine, manager):
-                got, _, wall = drive(engine.search_ids, query_set, threads)
-            pool = manager.pool.stats
+            disk = LatencyDisk(read_delay=read_delay)
+            with open_store(disk, tree=tree, buffer_bytes=buffer_bytes) as store:
+                got, _, wall = drive(store.engine.search_ids, query_set, threads)
+            pool = store.manager.pool.stats
             runs[str(threads)] = {
                 "wall_seconds": wall,
                 "throughput_qps": _ratio(len(query_set), wall),
@@ -289,7 +289,7 @@ def concurrent(
                 runs[str(thread_counts[0])]["throughput_qps"],
             ),
             "result_divergences": sum(r["result_divergences"] for r in runs.values()),
-            "contention": engine.contention_snapshot(),
+            "contention": store.engine.contention_snapshot(),
         }
     metrics = {
         "per_index": per_index,
@@ -425,7 +425,9 @@ def mvcc(
         tree = build_tree(kind, dataset)
         samples: list[tuple[int, int, set[int]]] = []
         reads = itertools.count()
-        with serving(tree, buffer_bytes, read_delay, mvcc=snapshots) as (engine, manager):
+        disk = LatencyDisk(read_delay=read_delay)
+        with open_store(disk, tree=tree, buffer_bytes=buffer_bytes, mvcc=snapshots) as store:
+            engine, manager = store.engine, store.manager
 
             def snapshot_read(item: tuple[int, Rect]) -> None:
                 with engine.open_snapshot() as snap:
@@ -605,8 +607,12 @@ def slo(
     per_index: dict[str, dict] = {}
     errors: dict[str, dict] = {}
     for kind in index_types:
-        with serving(build_tree(kind, dataset), buffer_bytes, read_delay) as (engine, manager):
-            result = run_traffic(engine, schedule, threads=threads)
+        with open_store(
+            LatencyDisk(read_delay=read_delay),
+            tree=build_tree(kind, dataset),
+            buffer_bytes=buffer_bytes,
+        ) as store:
+            result = run_traffic(store.engine, schedule, threads=threads)
         served = result.latencies.snapshot(prefix=f"{kind}/")
         # Failed ops live in their own series, never mixed into the
         # success histograms.
@@ -630,18 +636,21 @@ def slo(
         # inserts do not shift the traced workload between index types.
         sink = RingBufferSink(capacity=len(traced_schedule) * 64)
         tracer = Tracer(sink)
-        with serving(
-            build_tree(kind, dataset), buffer_bytes, read_delay, tracer=tracer
-        ) as (traced_engine, _):
-            run_traffic(traced_engine, traced_schedule, threads=1, tracer=tracer)
+        with open_store(
+            LatencyDisk(read_delay=read_delay),
+            tree=build_tree(kind, dataset),
+            buffer_bytes=buffer_bytes,
+            tracer=tracer,
+        ) as traced:
+            run_traffic(traced.engine, traced_schedule, threads=1, tracer=tracer)
         per_index[kind] = {
             "ops_done": result.ops_done,
             "errors": result.errors,
             "behind_schedule": result.behind_schedule,
             "wall_seconds": result.wall_seconds,
             "throughput_ops": _ratio(result.ops_done, result.wall_seconds),
-            "buffer_misses": manager.pool.stats.misses,
-            "buffer_hits": manager.pool.stats.hits,
+            "buffer_misses": store.manager.pool.stats.misses,
+            "buffer_hits": store.manager.pool.stats.hits,
             "per_tenant_ops": result.per_tenant_ops,
             "per_class_ops": result.per_class_ops,
             "worst_p99_ns": max(
@@ -719,8 +728,8 @@ def _group_commit(
         _, disk, wal = _store(
             base, f"group-commit-{writers}", segment_bytes, fsync_delay=fsync_delay
         )
-        with closing(disk), closing(wal), serving(SRTree(), disk=disk, wal=wal) as (engine, _):
-            _, _, wall = drive(engine.insert, dataset, writers)
+        with open_store(disk, wal) as store:
+            _, _, wall = drive(store.engine.insert, dataset, writers)
         stats = wal.stats
         per_writers[str(writers)] = {
             "wall_seconds": wall,
@@ -738,12 +747,9 @@ def _group_commit(
 
 def _acked_missing(path: Path, acked: list[tuple[int, Rect]]) -> int:
     """Recover the store and count acked commits missing from the tree."""
-    disk = FileDisk(path)
-    try:
-        tree, _ = recover_tree(disk)
-    finally:
-        disk.close(sync=False)
-    return sum(1 for record_id, rect in acked if record_id not in tree.search_ids(rect))
+    with open_store(FileDisk(path), WriteAheadLog(wal_directory_for(path))) as store:
+        search_ids = store.engine.search_ids
+        return sum(1 for record_id, rect in acked if record_id not in search_ids(rect))
 
 
 def _crash_sweep(
@@ -766,18 +772,16 @@ def _crash_sweep(
         path, disk, wal = _store(base, name, segment_bytes, fault=fault, seed=fault_seed)
         acked: list[tuple[int, Rect]] = []
         try:
-            with serving(SRTree(), disk=disk, wal=wal) as (engine, manager):
+            with open_store(disk, wal) as store:
                 for i, rect in enumerate(dataset):
-                    acked.append((engine.insert(rect), rect))
+                    acked.append((store.engine.insert(rect), rect))
                     if (i + 1) % checkpoint_every == 0:
-                        manager.checkpoint()
-            wal.close()
-            disk.close()
+                        store.manager.checkpoint()
             crashed = False
         except StorageError:
             # SimulatedCrashError / TornWalAppend / broken-log follow-ups
-            # all derive from StorageError: the simulated process is dead,
-            # and a dead process closes nothing.
+            # all derive from StorageError: the simulated process is dead
+            # (leaving the block dropped the store as a crash does).
             crashed = True
         return len(acked), _acked_missing(path, acked), crashed, dict(disk.op_counts)
 
@@ -821,27 +825,24 @@ def _recovery_curve(
     rows: dict[str, dict[str, Any]] = {}
     for length in replay_lengths:
         path, disk, wal = _store(base, f"recovery-{length}", segment_bytes)
-        with serving(SRTree(), disk=disk, wal=wal) as (engine, _):
-            for rect in dataset[:length]:
-                engine.insert(rect)
+        store = open_store(disk, wal)
+        for rect in dataset[:length]:
+            store.engine.insert(rect)
         # No checkpoint: recovery must replay the whole tail.
-        wal.abort()
-        disk.abort()
+        store.crash()
         wal_bytes = scan_wal(wal_directory_for(path)).bytes_scanned
-        reopened = FileDisk(path)
-        try:
-            start = time.perf_counter()
-            recovered, replay = recover_tree(reopened)
-            recovery_seconds = time.perf_counter() - start
-        finally:
-            reopened.close(sync=False)
+        start = time.perf_counter()
+        reopened = open_store(FileDisk(path), WriteAheadLog(wal_directory_for(path)))
+        recovery_seconds = time.perf_counter() - start
+        assert reopened.replay is not None
         rows[str(length)] = {
             "commits": length,
             "wal_bytes": wal_bytes,
-            "records_replayed": replay.records_applied,
+            "records_replayed": reopened.replay.records_applied,
             "recovery_seconds": recovery_seconds,
-            "recovered_size": len(recovered),
+            "recovered_size": len(reopened.engine),
         }
+        reopened.close()
     return rows
 
 
@@ -908,7 +909,7 @@ def wal(
     every commit acknowledged before the crash must be present.
     *Recovery curve*: commit K transactions for each K in
     ``replay_lengths``, die without a checkpoint, time
-    :func:`~repro.storage.pager.recover_tree`.  The stores live in a
+    :func:`~repro.store.open_store`.  The stores live in a
     temporary directory unless ``store_dir`` names one, which is then
     kept (``repro fsck`` can re-check every store in it).
     """
@@ -998,7 +999,8 @@ def shard(
             "buffer_misses": misses,
         }
 
-    with serving(RTree(), buffer_bytes) as (engine, manager):
+    with open_store(LatencyDisk(read_delay=0.0), tree=RTree(), buffer_bytes=buffer_bytes) as store:
+        engine, manager = store.engine, store.manager
         for i, rect in enumerate(dataset):
             engine.insert(rect, i)
         drive(engine.search, query_set, threads)  # warm-up

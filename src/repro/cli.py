@@ -40,26 +40,23 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import (
-    FIGURES,
-    INDEX_TYPES,
-    ascii_plot,
-    build_index,
-    format_table,
-    run_experiment,
-    to_csv,
-    write_experiment_report,
-)
-from .core import Rect, measure_index
+from .core import INDEX_CLASSES, Rect, measure_index
 from .exceptions import InputFormatError
 from .obs import JsonlSink, NULL_TRACER, RingBufferSink, TeeSink, Tracer
 from .obs.report import format_report, load_report
-from .workloads import DATASETS, qar_sweep
 
 __all__ = ["main"]
 
 #: Default directory for machine-readable run reports.
 DEFAULT_REPORT_DIR = "results/reports"
+
+# The laboratory (`repro.bench`, `repro.workloads`, and numpy with them) is
+# imported by the subcommands that use it, never here: `repro serve` starts
+# without it.  So the parser spells the names of `workloads.DATASETS` and
+# `bench.FIGURES` itself (tests/test_cli.py holds both pairs equal).
+INDEX_TYPES = tuple(INDEX_CLASSES)
+DATASET_NAMES = ("I1", "I2", "I3", "I4", "R1", "R2")
+GRAPH_NAMES = ("graph1", "graph2", "graph3", "graph4", "graph5", "graph6")
 
 
 def _report_dir(args) -> str:
@@ -110,10 +107,14 @@ def _load_csv(path: Path) -> list[Rect]:
 def _dataset(args) -> list[Rect]:
     if args.input:
         return _load_csv(Path(args.input))
+    from .workloads import DATASETS
+
     return DATASETS[args.dist](args.n, args.seed)
 
 
 def _cmd_generate(args) -> int:
+    from .workloads import DATASETS
+
     rects = DATASETS[args.dist](args.n, args.seed)
     out = Path(args.output)
     with out.open("w") as fh:
@@ -124,11 +125,13 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    rects = _dataset(args)
-    kinds = INDEX_TYPES if args.index == "all" else (args.index,)
+def _run_experiment(name: str, rects: list[Rect], args, kinds=INDEX_TYPES, csv=None) -> None:
+    """Run the Section 5 protocol; print the table (and plot), write the
+    series and the report the flags ask for."""
+    from .bench import ascii_plot, format_table, run_experiment, to_csv, write_experiment_report
+
     result = run_experiment(
-        args.dist or "custom",
+        name,
         rects,
         index_types=kinds,
         queries_per_qar=args.queries,
@@ -138,17 +141,24 @@ def _cmd_experiment(args) -> int:
     if args.plot:
         print()
         print(ascii_plot(result))
-    if args.csv:
-        Path(args.csv).write_text(to_csv(result) + "\n")
-        print(f"series written to {args.csv}")
+    if csv:
+        Path(csv).write_text(to_csv(result) + "\n")
+        print(f"series written to {csv}")
     report_dir = _report_dir(args)
     if report_dir:
         path = write_experiment_report(result, report_dir)
         print(f"report written to {path}")
+
+
+def _cmd_experiment(args) -> int:
+    kinds = INDEX_TYPES if args.index == "all" else (args.index,)
+    _run_experiment(args.dist or "custom", _dataset(args), args, kinds, args.csv)
     return 0
 
 
 def _cmd_inspect(args) -> int:
+    from .bench import build_index
+
     rects = _dataset(args)
     index = build_index(args.index, rects)
     metrics = measure_index(index)
@@ -164,26 +174,20 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_graphs(args) -> int:
+    from .bench import FIGURES
+
     for graph_id in args.graph:
         spec = FIGURES[graph_id]
         print(f"\n## {graph_id}: {spec.title}")
-        rects = spec.dataset(args.n, args.seed)
-        result = run_experiment(
-            graph_id, rects, queries_per_qar=args.queries, report_dir=""
-        )
-        print(format_table(result))
-        if args.plot:
-            print()
-            print(ascii_plot(result))
-        report_dir = _report_dir(args)
-        if report_dir:
-            path = write_experiment_report(result, report_dir)
-            print(f"report written to {path}")
+        _run_experiment(graph_id, spec.dataset(args.n, args.seed), args)
     return 0
 
 
 def _cmd_trace(args) -> int:
     """Run a traced search workload and dump the JSONL event stream."""
+    from .bench import build_index
+    from .workloads import qar_sweep
+
     rects = _dataset(args)
     out = Path(args.output)
     ring = RingBufferSink()
@@ -193,9 +197,12 @@ def _cmd_trace(args) -> int:
         index = build_index(args.index, rects, tracer=build_tracer)
         index.tracer = NULL_TRACER
         if args.buffer_bytes:
-            from .storage import StorageManager
+            from .storage import SimulatedDisk
+            from .store import open_store
 
-            StorageManager(index, buffer_bytes=args.buffer_bytes, tracer=tracer)
+            open_store(
+                SimulatedDisk(), tree=index, buffer_bytes=args.buffer_bytes, tracer=tracer
+            )
         if args.phase in ("search", "both"):
             index.tracer = tracer
             queries = qar_sweep((args.qar,), args.queries, seed=args.seed)[args.qar]
@@ -218,10 +225,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_fsck(args) -> int:
-    """Verify a checkpointed FileDisk store end to end."""
+    """Verify a FileDisk store end to end: pages, recovered tree, log."""
     from .core.validation import check_index
     from .exceptions import IndexStructureError, PageCorruptionError, StorageError
-    from .storage import FileDisk, load_tree_from_disk, verify_page
+    from .storage import FileDisk, SimulatedDisk, recover_tree, verify_page, wal_directory_for
 
     if not os.path.exists(args.path):
         # FileDisk would create an empty store at a missing path; a
@@ -234,6 +241,10 @@ def _cmd_fsck(args) -> int:
         print(f"fsck {args.path}: unrecoverable: {exc}")
         return 1
     status = 0
+    # fsck is read-only, and recovery replays the log onto the disk it is
+    # given: that is a copy of the pages in memory, under the same sidecar.
+    image = SimulatedDisk()
+    image.checkpoint_info = disk.checkpoint_info  # type: ignore[attr-defined]
     try:
         print(
             f"fsck {args.path}: recovered generation {disk.generation} "
@@ -244,6 +255,8 @@ def _cmd_fsck(args) -> int:
         page_ids = disk.page_ids()
         for page_id in page_ids:
             data = disk.read_page(page_id)
+            image.allocate(page_id, len(data))
+            image.write_page(page_id, data)
             if data.count(0) == len(data):
                 blank += 1  # allocated but never checkpointed
                 continue
@@ -251,38 +264,41 @@ def _cmd_fsck(args) -> int:
                 verify_page(data, page_id)
             except (PageCorruptionError, StorageError) as exc:
                 violations.append(str(exc))
-        print(
-            f"  pages: {len(page_ids)} scanned, {blank} blank, "
-            f"{len(violations)} checksum violation(s)"
-        )
-        for message in violations:
-            print(f"    {message}")
-        if violations:
-            status = 1
         info = disk.checkpoint_info or {}
-        root_page = info.get("root_page")
-        if root_page is None:
-            print("  tree: no checkpoint metadata recorded; skipping structural check")
-        elif not root_page:
-            # Root page 0 is the WAL bootstrap's empty-tree sentinel: the
-            # checkpoint holds no tree; any live records are in the WAL tail.
-            print("  tree: checkpointed as empty (root page 0)")
-        elif not violations:
-            try:
-                tree = load_tree_from_disk(disk)
-                check_index(tree)
+    finally:
+        disk.close(sync=False)  # never commit a generation
+    print(
+        f"  pages: {len(page_ids)} scanned, {blank} blank, "
+        f"{len(violations)} checksum violation(s)"
+    )
+    for message in violations:
+        print(f"    {message}")
+    if violations:
+        status = 1
+        print("  tree: skipped structural check (corrupt pages present)")
+    else:
+        # The store's state is checkpoint + log tail: check what an open
+        # would load, and count what its sweep would free.
+        try:
+            tree, _ = recover_tree(image, wal_directory_for(args.path))
+            check_index(tree)
+        except (StorageError, IndexStructureError) as exc:
+            print(f"  tree: FAILED: {exc}")
+            status = 1
+        else:
+            if tree._loaded_pages is None:
+                print("  tree: no checkpoint metadata recorded; skipping structural check")
+            else:
                 print(
                     f"  tree: loaded {len(tree)} records "
                     f"(height {tree.height}); structural invariants OK"
                 )
-            except (StorageError, IndexStructureError) as exc:
-                print(f"  tree: FAILED: {exc}")
-                status = 1
-        else:
-            print("  tree: skipped structural check (corrupt pages present)")
-        status = max(status, _fsck_wal(args.path, info))
-    finally:
-        disk.close(sync=False)  # fsck is read-only: never commit a generation
+                garbage = set(image.page_ids()) - set(tree._loaded_pages[1].values())
+                print(
+                    f"  pages: {len(garbage)} page(s) unreachable from the root "
+                    f"({sum(map(image.page_size, garbage))} bytes)"
+                )
+    status = max(status, _fsck_wal(args.path, info))
     print("fsck: " + ("clean" if status == 0 else "PROBLEMS FOUND"))
     return status
 
@@ -476,8 +492,8 @@ def _cmd_serve(args) -> int:
     """Serve the sharded tier over line-delimited JSON TCP until ^C."""
     import asyncio
 
+    from .core.config import DOMAIN
     from .sharding import build_router, serve
-    from .workloads.generators import DOMAIN
 
     bounds = Rect(
         tuple(lo for lo, _ in DOMAIN), tuple(hi for _, hi in DOMAIN)
@@ -532,14 +548,14 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a paper dataset to CSV")
-    gen.add_argument("--dist", choices=sorted(DATASETS), required=True)
+    gen.add_argument("--dist", choices=DATASET_NAMES, required=True)
     gen.add_argument("-n", type=int, default=20_000)
     gen.add_argument("--seed", type=int, default=42)
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=_cmd_generate)
 
     exp = sub.add_parser("experiment", help="run the Section 5 protocol")
-    exp.add_argument("--dist", choices=sorted(DATASETS))
+    exp.add_argument("--dist", choices=DATASET_NAMES)
     exp.add_argument("--input", help="CSV from `repro generate` instead of --dist")
     exp.add_argument("-n", type=int, default=20_000)
     exp.add_argument("--seed", type=int, default=42)
@@ -561,7 +577,7 @@ def _parser() -> argparse.ArgumentParser:
     exp.set_defaults(func=_cmd_experiment)
 
     ins = sub.add_parser("inspect", help="structural metrics of one index")
-    ins.add_argument("--dist", choices=sorted(DATASETS))
+    ins.add_argument("--dist", choices=DATASET_NAMES)
     ins.add_argument("--input")
     ins.add_argument("-n", type=int, default=10_000)
     ins.add_argument("--seed", type=int, default=42)
@@ -569,7 +585,7 @@ def _parser() -> argparse.ArgumentParser:
     ins.set_defaults(func=_cmd_inspect)
 
     gra = sub.add_parser("graphs", help="reproduce the paper's graphs")
-    gra.add_argument("graph", nargs="+", choices=sorted(FIGURES))
+    gra.add_argument("graph", nargs="+", choices=GRAPH_NAMES)
     gra.add_argument("-n", type=int, default=20_000)
     gra.add_argument("--seed", type=int, default=42)
     gra.add_argument("--queries", type=int, default=50)
@@ -581,7 +597,7 @@ def _parser() -> argparse.ArgumentParser:
     tra = sub.add_parser(
         "trace", help="run a workload with tracing on and dump JSONL"
     )
-    tra.add_argument("--dist", choices=sorted(DATASETS))
+    tra.add_argument("--dist", choices=DATASET_NAMES)
     tra.add_argument("--input", help="CSV from `repro generate` instead of --dist")
     tra.add_argument("-n", type=int, default=10_000)
     tra.add_argument("--seed", type=int, default=42)

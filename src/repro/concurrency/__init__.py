@@ -1,4 +1,4 @@
-"""Concurrent serving engine: latches, thread-safe wrappers, stress harness.
+"""Concurrent serving engine: latches and thread-safe wrappers.
 
 See DESIGN.md ("Concurrent serving") for the protocol: optimistic
 version-validated reads, then reads under the shared index latch, and
@@ -6,12 +6,16 @@ writes under the same latch held exclusively (writer-preferring).
 MVCC mode (``ConcurrentIndex(..., mvcc=True)``) replaces the read tiers
 with latch-free epoch-pinned snapshots over copy-on-write page versions
 (see ``concurrency/mvcc.py`` and DESIGN.md "Snapshot reads").
+
+The seeded stress harness (:mod:`repro.concurrency.stress`) and
+``repro racecheck`` (:mod:`repro.concurrency.racecheck`) are imported on
+use, not here: they pull in the experiment laboratory, which a serving
+process has no use for.
 """
 
 from .engine import ConcurrentEngine, ConcurrentIndex, ConcurrentRuleLockIndex
 from .latch import LatchStats, RWLatch
 from .mvcc import Snapshot
-from .stress import StressResult, run_rule_lock_stress, run_stress
 
 __all__ = [
     "ConcurrentEngine",
@@ -20,7 +24,4 @@ __all__ = [
     "LatchStats",
     "RWLatch",
     "Snapshot",
-    "StressResult",
-    "run_rule_lock_stress",
-    "run_stress",
 ]

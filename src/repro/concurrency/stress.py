@@ -26,7 +26,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..bench.experiment import INDEX_TYPES, build_index
+from ..core import INDEX_CLASSES
 from ..core.config import IndexConfig
 from ..core.geometry import Rect
 from ..core.packed import pack_tree
@@ -34,7 +34,9 @@ from ..core.rtree import RTree
 from ..core.srtree import SRTree
 from ..core.validation import check_index
 from ..exceptions import ConcurrencyError
+from ..storage.disk import SimulatedDisk
 from ..storage.pager import StorageManager
+from ..store import open_store
 from .engine import ConcurrentIndex, ConcurrentRuleLockIndex
 
 __all__ = [
@@ -46,7 +48,7 @@ __all__ = [
 ]
 
 #: Every variant the engine must serve uniformly.
-STRESS_INDEX_TYPES: tuple[str, ...] = INDEX_TYPES + ("Packed SR-Tree",)
+STRESS_INDEX_TYPES: tuple[str, ...] = tuple(INDEX_CLASSES) + ("Packed SR-Tree",)
 
 #: Skeletons finish their prediction phase during the initial build so the
 #: concurrent phase exercises the adapted tree, not the buffering phase.
@@ -83,6 +85,9 @@ def _make_index(
 ) -> RTree:
     if kind == "Packed SR-Tree":
         return pack_tree([(r, None) for r in initial], config, SRTree)
+    # The experiment harness loads on use: it is laboratory code.
+    from ..bench.experiment import build_index
+
     return build_index(
         kind,
         initial,
@@ -167,16 +172,16 @@ def run_stress(
 
     manager: StorageManager | None = None
     if buffer_bytes is not None or mvcc:
-        manager = StorageManager(
-            tree, buffer_bytes=buffer_bytes if buffer_bytes is not None else 1 << 16
+        store = open_store(
+            SimulatedDisk(),
+            tree=tree,
+            buffer_bytes=buffer_bytes if buffer_bytes is not None else 1 << 16,
+            mvcc=mvcc,
         )
-
-    engine = ConcurrentIndex(
-        tree,
-        optimistic=optimistic,
-        storage=manager if mvcc else None,
-        mvcc=mvcc,
-    )
+        engine, manager = store.engine, store.manager
+        engine.optimistic = optimistic
+    else:
+        engine = ConcurrentIndex(tree, optimistic=optimistic)
 
     # Registry of records the writers believe are alive: id -> rect.
     # items() yields fragments; collapsing to one rect per id is fine — any
@@ -439,25 +444,19 @@ def run_wal_commit_stress(
     base.mkdir(parents=True, exist_ok=True)
     cleanup = directory is None
     path = base / "pages.dat"
-    disk = FileDisk(path)
     wal = WriteAheadLog(wal_directory_for(path), fsync_delay=fsync_delay)
-    tree = SRTree(IndexConfig())
-    manager = StorageManager(tree, disk=disk, wal=wal)
-    engine = ConcurrentIndex(tree, storage=manager)
 
-    def worker(slice_rects: list[Rect]) -> None:
+    def worker(engine: ConcurrentIndex, slice_rects: list[Rect]) -> None:
         for rect in slice_rects:
             engine.insert(rect)
 
     try:
-        elapsed = _run_threads(
-            [partial(worker, rects[t::writers]) for t in range(writers)],
-            what="WAL commit stress",
-        )
+        with open_store(FileDisk(path), wal) as store:
+            elapsed = _run_threads(
+                [partial(worker, store.engine, rects[t::writers]) for t in range(writers)],
+                what="WAL commit stress",
+            )
     finally:
-        manager.detach()
-        wal.close()
-        disk.close()
         if cleanup:
             shutil.rmtree(base, ignore_errors=True)
     stats = wal.stats

@@ -26,7 +26,16 @@ from .srtree import SRTree
 from .stats import AccessStats, SearchStats
 from .validation import check_index, collect_fragments
 
+#: The paper's four index types by display name, in its plotting order.
+INDEX_CLASSES: dict[str, type[RTree]] = {
+    "R-Tree": RTree,
+    "SR-Tree": SRTree,
+    "Skeleton R-Tree": SkeletonRTree,
+    "Skeleton SR-Tree": SkeletonSRTree,
+}
+
 __all__ = [
+    "INDEX_CLASSES",
     "BatchInsertStats",
     "BatchSearchStats",
     "batch_insert",

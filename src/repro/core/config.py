@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 from ..exceptions import ConfigError
 
-__all__ = ["IndexConfig", "NODE_HEADER_BYTES", "PAGE_HEADER_BYTES"]
+__all__ = ["DOMAIN", "DOMAIN_HIGH", "IndexConfig", "NODE_HEADER_BYTES", "PAGE_HEADER_BYTES"]
+
+#: The paper's domain upper bound in every dimension (Section 5).
+DOMAIN_HIGH = 100_000.0
+
+#: The experiment domain: [0, 100K] in both dimensions (here, not with the
+#: generators that fill it: the serving tier bounds its shards by it).
+DOMAIN: list[tuple[float, float]] = [(0.0, DOMAIN_HIGH), (0.0, DOMAIN_HIGH)]
 
 #: Bytes of per-node header (level, dims, entry count) — see
 #: repro.storage.serializer for the physical layout.

@@ -76,6 +76,10 @@ class RTree(query.QuerySurface):
         #: commit.  ``None`` — nothing is recorded — until a storage manager
         #: with a log or a version cache arms it.
         self._dirty: Optional[set[Node]] = None
+        #: ``(disk, {node id: page id})`` on a tree a storage loader read
+        #: from ``disk``; a manager attached over that disk keeps the pages
+        #: (DESIGN §3.2 "Opening a store").  ``None`` on a tree that was built.
+        self._loaded_pages: Optional[tuple[Any, dict[int, int]]] = None
         #: Observability: spans and typed events flow through here.  The
         #: shared NULL_TRACER is disabled; replace it with a live
         #: :class:`repro.obs.Tracer` to capture traces.

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..exceptions import ConfigError, WorkloadError
 
 __all__ = ["EquiDepthHistogram", "uniform_histogram"]
+
+# numpy is imported where it is used: `import repro` reaches this module, and
+# a serving process that builds no skeleton should not pay for numpy.
 
 
 class EquiDepthHistogram:
@@ -37,6 +38,8 @@ class EquiDepthHistogram:
         if low >= high:
             raise WorkloadError(f"empty domain [{low}, {high}]")
         self.domain = (low, high)
+        import numpy as np
+
         sample = np.asarray(list(values), dtype=float)
         if sample.size == 0:
             raise WorkloadError("histogram needs at least one sample value")
@@ -50,6 +53,8 @@ class EquiDepthHistogram:
         """Value at cumulative fraction ``q`` in [0, 1]."""
         if not 0.0 <= q <= 1.0:
             raise ConfigError(f"quantile fraction {q} outside [0, 1]")
+        import numpy as np
+
         return float(np.quantile(self._sorted, q))
 
     def boundaries(self, partitions: int) -> list[float]:
@@ -63,6 +68,8 @@ class EquiDepthHistogram:
         """
         if partitions < 1:
             raise ConfigError("need at least one partition")
+        import numpy as np
+
         low, high = self.domain
         qs = np.linspace(0.0, 1.0, partitions + 1)
         cuts = np.quantile(self._sorted, qs).astype(float)
@@ -72,7 +79,7 @@ class EquiDepthHistogram:
 
     def cumulative_fraction(self, value: float) -> float:
         """Fraction of the sample at or below ``value``."""
-        return float(np.searchsorted(self._sorted, value, side="right")) / self.sample_size
+        return float(self._sorted.searchsorted(value, side="right")) / self.sample_size
 
 
 def uniform_histogram(domain: tuple[float, float], sample_size: int = 1024) -> EquiDepthHistogram:
@@ -82,6 +89,8 @@ def uniform_histogram(domain: tuple[float, float], sample_size: int = 1024) -> E
     (Section 4: "one approach is to assume uniformly distributed data and
     build the corresponding uniform Skeleton Index").
     """
+    import numpy as np
+
     low, high = domain
     values = np.linspace(low, high, sample_size)
     return EquiDepthHistogram(values, domain)
@@ -109,5 +118,7 @@ def _strictly_increasing(cuts: list[float], low: float, high: float) -> list[flo
     if any(b >= c for b, c in zip(repaired, repaired[1:])):
         # Degenerate domain (min_width below float resolution): the only
         # strictly increasing choice left is even spacing.
+        import numpy as np
+
         repaired = list(np.linspace(low, high, k + 1))
     return repaired

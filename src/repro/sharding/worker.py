@@ -33,6 +33,7 @@ from ..core.rtree import RTree
 from ..exceptions import ConfigError
 from ..storage.disk import LatencyDisk
 from ..storage.pager import StorageManager
+from ..store import open_store
 from . import wire
 from .wire import Reply, Request
 
@@ -76,19 +77,21 @@ class ShardWorker:
         self.spec = spec
         self._bounds = spec.bounds()
         self.tree = RTree()
-        self.storage: StorageManager | None = None
-        if spec.buffer_bytes:
-            self.storage = StorageManager(
-                self.tree,
-                buffer_bytes=spec.buffer_bytes,
-                disk=LatencyDisk(
-                    read_delay=spec.read_delay, write_delay=spec.write_delay
-                ),
-            )
         #: The worker serves requests through the concurrency engine, so
         #: a multi-threaded transport loop gets real reader-reader
         #: overlap (shared index latch, concurrent buffer-miss stalls).
-        self.engine = ConcurrentIndex(self.tree)
+        self.engine: ConcurrentIndex
+        self.storage: StorageManager | None = None
+        if spec.buffer_bytes:
+            # In memory, no log: a durable shard is ROADMAP item 4(b)-(d).
+            store = open_store(
+                LatencyDisk(read_delay=spec.read_delay, write_delay=spec.write_delay),
+                tree=self.tree,
+                buffer_bytes=spec.buffer_bytes,
+            )
+            self.engine, self.storage = store.engine, store.manager
+        else:
+            self.engine = ConcurrentIndex(self.tree)
         #: global rid -> local tree record id, and the reverse.
         self._to_local: dict[int, int] = {}
         self._to_global: dict[int, int] = {}

@@ -15,7 +15,7 @@ from .disk import DiskStats, LatencyDisk, SimulatedDisk
 from .faults import Fault, FaultInjectingDisk, FaultStats
 from .filedisk import FileDisk
 from .page import Page, PageId
-from .pager import RetryPolicy, StorageManager, load_tree_from_disk, recover_tree
+from .pager import RetryPolicy, StorageManager, recover_tree
 from .wal import (
     TornWalAppend,
     WalReplayResult,
@@ -57,7 +57,6 @@ __all__ = [
     "WalScanInfo",
     "WalStats",
     "WriteAheadLog",
-    "load_tree_from_disk",
     "recover_tree",
     "replay_wal",
     "scan_wal",

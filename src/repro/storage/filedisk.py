@@ -284,7 +284,7 @@ class FileDisk:
     def set_checkpoint_info(self, **info: Any) -> None:
         """Attach checkpoint metadata (root page, index config...) to be
         committed with the next :meth:`sync`; ``repro fsck`` and
-        :func:`~repro.storage.pager.load_tree_from_disk` consume it."""
+        :func:`~repro.storage.pager.recover_tree` consume it."""
         self._checkpoint_info = dict(info)
 
     @property

@@ -47,7 +47,6 @@ from .wal import WalReplayResult, WriteAheadLog, replay_wal, wal_directory_for
 __all__ = [
     "RetryPolicy",
     "StorageManager",
-    "load_tree_from_disk",
     "recover_tree",
 ]
 
@@ -74,7 +73,7 @@ class _PageReader:
     """Shared read path: fetch via a pool, verify, decode.
 
     Used by :class:`StorageManager` and by manager-less loads
-    (:func:`load_tree_from_disk`, ``repro fsck``).
+    (:func:`recover_tree`).
     """
 
     def __init__(
@@ -133,19 +132,23 @@ class _PageReader:
 
 
 def _build_node(
-    image: NodeImage,
+    page_id: int,
     read_image: Callable[[int], NodeImage],
     payloads: dict[int, Any],
+    pages: dict[int, int],
 ) -> Node:
-    """Recursively rebuild a node (and its subtree) from page images."""
+    """Recursively rebuild the node on ``page_id`` (and its subtree) from
+    page images, recording ``node id -> page id`` in ``pages``."""
 
     def entry(r: Any) -> DataEntry:
         return DataEntry(r.rect, r.record_id, payloads.get(r.record_id), r.is_remnant)
 
+    image = read_image(page_id)
     node = Node(level=image.level)
+    pages[node.node_id] = page_id
     node.data_entries = [entry(r) for r in image.data_entries]
     for b in image.branches:
-        child = _build_node(read_image(b.child), read_image, payloads)
+        child = _build_node(b.child, read_image, payloads, pages)
         child.parent = node
         branch = BranchEntry(b.rect, child)
         branch.spanning = [entry(r) for r in b.spanning]
@@ -153,71 +156,45 @@ def _build_node(
     return node
 
 
-def _finish_tree(tree: RTree, root: Node) -> RTree:
-    """Install ``root`` and recompute the derived bookkeeping."""
-    tree.root = root
-    tree._height = root.level + 1
-    counts: dict[int, int] = {}
-    for rid, _, _ in tree.items():
-        counts[rid] = counts.get(rid, 0) + 1
-    tree._fragment_counts = counts
-    tree._size = len(counts)
-    tree._next_record_id = max(counts, default=0) + 1
-    return tree
-
-
-def load_tree_from_disk(
-    disk: Any,
-    root_page: int | None = None,
-    config: IndexConfig | None = None,
-    *,
-    index_cls: Type[RTree] | None = None,
-    payloads: dict[int, Any] | None = None,
-    buffer_bytes: int = 256 * 1024,
-    retry_policy: RetryPolicy | None = None,
-    tracer: Tracer | None = None,
+def _load(
+    reader: _PageReader,
+    root_page: int | None,
+    config: IndexConfig,
+    index_cls: Type[RTree],
+    payloads: dict[int, Any] | None,
 ) -> RTree:
-    """Rebuild an index straight from a disk, without a live manager.
+    """The one loader: an ``index_cls`` built from the pages reachable from
+    ``root_page`` — an empty one for 0 (the emptied-tree sentinel) and for
+    ``None`` (a store that never committed).
 
-    ``root_page`` and ``config`` default to the disk's recovered
-    ``checkpoint_info`` (written by :meth:`StorageManager.checkpoint` on
-    stores that support it, e.g. :class:`~repro.storage.FileDisk`), which
-    makes a checkpointed file self-describing::
-
-        disk = FileDisk(path)          # recovery happens here
-        tree = load_tree_from_disk(disk)
-
-    Payloads live outside the index pages; without a payload mapping the
-    reloaded entries carry ``None`` payloads (record ids are preserved).
+    The loader keeps what it read: the tree remembers ``(disk, {node id:
+    page id})``, and a manager attached over the same disk adopts those
+    pages instead of allocating a second set (DESIGN §3.2 "Opening a
+    store").
     """
-    info = getattr(disk, "checkpoint_info", None) or {}
-    if root_page is None:
-        root_page = info.get("root_page")
-        if root_page is None:
-            raise StorageError("no checkpoint to load (root page unknown)")
-    if config is None:
-        cfg_doc = info.get("index_config")
-        config = IndexConfig(**cfg_doc) if cfg_doc else IndexConfig()
-    if index_cls is None:
-        index_cls = SRTree if info.get("segment_index", True) else RTree
-    reader = _PageReader(
-        BufferPool(disk, buffer_bytes), retry_policy or RetryPolicy(), tracer
-    )
     tree = index_cls.__new__(index_cls)
     RTree.__init__(tree, config)
-    root = _build_node(reader.read_image(root_page), reader.read_image, payloads or {})
-    return _finish_tree(tree, root)
+    if root_page is None:
+        return tree  # no durable base yet: whoever attaches must write one
+    pages: dict[int, int] = {}
+    if root_page:
+        tree.root = _build_node(root_page, reader.read_image, payloads or {}, pages)
+        tree._height = tree.root.level + 1
+        counts: dict[int, int] = {}
+        for rid, _, _ in tree.items():
+            counts[rid] = counts.get(rid, 0) + 1
+        tree._fragment_counts = counts
+        tree._size = len(counts)
+        tree._next_record_id = max(counts, default=0) + 1
+    tree._loaded_pages = (reader.pool.disk, pages)
+    return tree
 
 
 def recover_tree(
     disk: Any,
     wal_directory: Any = None,
     *,
-    config: IndexConfig | None = None,
-    index_cls: Type[RTree] | None = None,
     payloads: dict[int, Any] | None = None,
-    buffer_bytes: int = 256 * 1024,
-    retry_policy: RetryPolicy | None = None,
     tracer: Tracer | None = None,
 ) -> tuple[RTree, WalReplayResult]:
     """Crash recovery: load the last checkpoint, then redo the WAL tail.
@@ -229,7 +206,13 @@ def recover_tree(
     (``checkpoint_info['wal_lsn']``), stops at the first torn record, and
     applies only complete transactions — then the tree is rebuilt from
     the root page named by the last replayed COMMIT (falling back to the
-    checkpoint's root page when the WAL held no commits).
+    checkpoint's root page when the WAL held no commits; an empty index
+    when there is neither, or the last commit emptied the tree).  Index
+    class and configuration are the ones the checkpoint recorded, which
+    makes a checkpointed file self-describing.
+
+    Payloads live outside the index pages; without a ``payloads`` mapping
+    the reloaded entries carry ``None`` payloads (record ids are kept).
 
     Recovery never writes the WAL or advances the checkpoint, so crashing
     *during* recovery and recovering again reaches the same state
@@ -249,28 +232,17 @@ def recover_tree(
     root_page = result.root_page
     if root_page is None:
         root_page = info.get("root_page")
-    if config is None:
-        cfg_doc = info.get("index_config")
-        config = IndexConfig(**cfg_doc) if cfg_doc else IndexConfig()
-    if index_cls is None:
-        index_cls = SRTree if info.get("segment_index", True) else RTree
-    if not root_page:
-        # No committed state (fresh store), or the last commit emptied the
-        # tree (root page 0 sentinel): recover an empty index.
-        tree = index_cls.__new__(index_cls)
-        RTree.__init__(tree, config)
-        return tree, result
-    tree = load_tree_from_disk(
-        disk,
-        root_page,
-        config,
-        index_cls=index_cls,
-        payloads=payloads,
-        buffer_bytes=buffer_bytes,
-        retry_policy=retry_policy,
-        tracer=tracer,
+    cfg_doc = info.get("index_config")
+    return (
+        _load(
+            _PageReader(BufferPool(disk, 256 * 1024), RetryPolicy(), tracer),
+            root_page,
+            IndexConfig(**cfg_doc) if cfg_doc else IndexConfig(),
+            SRTree if info.get("segment_index", True) else RTree,
+            payloads,
+        ),
+        result,
     )
-    return tree, result
 
 
 class StorageManager:
@@ -285,10 +257,6 @@ class StorageManager:
     >>> len(clone) == len(tree)
     True
     """
-
-    # Class-level defaults keep manually-assembled managers
-    # (``StorageManager.__new__`` + attribute injection in tests) working.
-    generation = 0
 
     def __init__(
         self,
@@ -313,6 +281,7 @@ class StorageManager:
         self.pool = BufferPool(
             self.disk, buffer_bytes, tracer=tracer if tracer is not None else tree.tracer
         )
+        self._reader = _PageReader(self.pool, self.retry, self.pool.tracer)
         #: Optional write-ahead log: when attached, writes committed via
         #: commit_write become durable between checkpoints, and checkpoints
         #: truncate the log.
@@ -325,10 +294,15 @@ class StorageManager:
             if gate is not None:
                 wal.fault_gate = gate
         self.root_page: int | None = None
-        self._page_of: dict[int, int] = {}
-        # Skip past pages that already exist on the store (recovery
-        # re-attaches a manager to a disk holding checkpoint + replayed
-        # pages; fresh ids must not collide with them).
+        #: node id -> page id.  A tree the loader read from this very disk,
+        #: and not written since, keeps its pages; any other tree gets
+        #: fresh ones below.
+        source, adopted = tree._loaded_pages or (None, None)
+        if source is not self.disk or tree.stats.inserts or tree.stats.deletes:
+            adopted = None
+        self._page_of: dict[int, int] = dict(adopted or ())
+        # Skip past pages that already exist on the store: fresh ids must
+        # not collide with them.
         self._next_page = max(self.disk.page_ids(), default=0) + 1
         #: Guards the node->page table and page-id allocation: concurrent
         #: readers racing an optimistic traversal against a writer that is
@@ -351,7 +325,10 @@ class StorageManager:
             self._ensure_page(node)
         tree._storage_hook = self._on_access
         if wal is not None:
-            self._bootstrap_wal_base()
+            if adopted is None:
+                self._bootstrap_wal_base()
+            # Adopted pages already are the durable base: checkpoint +
+            # replayed log hold them, and the log continues from last_lsn.
             tree._dirty = set()  # from this base on, the tree reports its writes
 
     def _refuse_predicting(self, what: str) -> None:
@@ -364,19 +341,6 @@ class StorageManager:
                 f"distribution prediction and cannot {what}; call "
                 "tree.flush() first"
             )
-
-    # ------------------------------------------------------------------
-    # Retry plumbing
-    # ------------------------------------------------------------------
-    @property
-    def _reader(self) -> _PageReader:
-        reader = self.__dict__.get("_reader_cache")
-        if reader is None or reader.pool is not self.pool:
-            reader = _PageReader(
-                self.pool, getattr(self, "retry", RetryPolicy()), self.pool.tracer
-            )
-            self.__dict__["_reader_cache"] = reader
-        return reader
 
     def _retrying(self, what: str, fn: Callable[[], Any]) -> Any:
         return self._reader._retrying(what, fn)
@@ -422,33 +386,14 @@ class StorageManager:
     # Write-ahead logging
     # ------------------------------------------------------------------
     def _bootstrap_wal_base(self) -> None:
-        """Establish the durable base image the redo log applies onto.
-
-        Recovery is *checkpoint + replay*, so the moment a WAL is
-        attached the current tree (and this manager's freshly-invented
-        node->page mapping) must be checkpointed — otherwise the first
-        logged commits would reference base pages that were never
-        written.  An empty tree just commits a root-page-0 sentinel
-        sidecar; either way the WAL is truncated to start from this base.
-        """
-        if self.wal is None or not hasattr(self.disk, "set_checkpoint_info"):
-            return
-        if getattr(self.disk, "sync", None) is None:
-            return
-        root = self.tree.root
-        if root.data_entries or root.branches:
+        """Establish the durable base image the redo log applies onto:
+        recovery is *checkpoint + replay*, so a tree attached with a WAL on
+        freshly-invented pages is checkpointed at once (and the log
+        truncated to start there) — or its first logged commits would
+        reference base pages never written.  Not run for a tree that keeps
+        the pages it was loaded from."""
+        if hasattr(self.disk, "set_checkpoint_info") and getattr(self.disk, "sync", None):
             self.checkpoint()
-            return
-        wal_lsn = self.wal.last_lsn
-        self.disk.set_checkpoint_info(
-            root_page=0,
-            index_config=asdict(self.tree.config),
-            segment_index=bool(getattr(self.tree, "segment_index", False)),
-            generation=self.generation,
-            wal_lsn=wal_lsn,
-        )
-        self.disk.sync()
-        self.wal.truncate(wal_lsn)
 
     # ------------------------------------------------------------------
     # MVCC page versioning
@@ -652,10 +597,14 @@ class StorageManager:
         wal_lsn = self.wal.last_lsn if self.wal is not None else None
         self._payloads = {}
         page_of: dict[int, int] = {}
-        for node in self.tree.iter_nodes():
+        root = self.tree.root
+        # An empty tree has no page image: it is root page 0, in a
+        # checkpoint as in a COMMIT.
+        nodes = list(self.tree.iter_nodes()) if root.data_entries or root.branches else []
+        for node in nodes:
             page_of[node.node_id] = self._ensure_page(node)
             self._payloads.update(self._node_payloads(node))
-        for node in self.tree.iter_nodes():
+        for node in nodes:
             page_id = page_of[node.node_id]
             image = serialize_node(
                 node, self.disk.page_size(page_id), page_of, generation
@@ -666,7 +615,7 @@ class StorageManager:
             frame.write(image)
             self.pool.release(page_id, dirty=True)
         self._retrying("flush buffer pool", self.pool.flush)
-        root_page = page_of[self.tree.root.node_id]
+        root_page = page_of.get(root.node_id, 0)
         self.root_page = root_page
         if hasattr(self.disk, "set_checkpoint_info"):
             self.disk.set_checkpoint_info(
@@ -703,26 +652,38 @@ class StorageManager:
             raise StorageError("no checkpoint to load")
         if index_cls is None:
             index_cls = SRTree if self.tree.segment_index else RTree
-        tree = index_cls.__new__(index_cls)
-        RTree.__init__(tree, self.tree.config)
-        root = _build_node(
-            self._read_image(self.root_page), self._read_image, self._payloads
+        return _load(
+            self._reader, self.root_page, self.tree.config, index_cls, self._payloads
         )
-        return _finish_tree(tree, root)
 
-    def _read_image(self, page_id: int) -> NodeImage:
-        return self._reader.read_image(page_id)
+    def free_unreachable(self) -> tuple[int, int]:
+        """Free every page on the disk that no node of the tree maps to;
+        returns ``(pages, bytes)`` freed.  For a disk that holds this one
+        index, right after attaching and before serving: the map then
+        covers every reachable page, so the rest is garbage — copies leaked
+        by opens that gave every node a second page, pages a crash
+        allocated and no commit ever named."""
+        garbage = sorted(set(self.disk.page_ids()) - set(self._page_of.values()))
+        freed_bytes = sum(self.disk.page_size(page_id) for page_id in garbage)
+        for page_id in garbage:
+            self._free_page(page_id)
+        return len(garbage), freed_bytes
 
     def detach(self) -> None:
-        """Stop instrumenting the index (keeps disk contents)."""
-        self.tree._storage_hook = None
-        self.tree._dirty = None
+        """Stop instrumenting the index (keeps disk contents).
+
+        Unhooks only itself: when the tree has since been attached to
+        another manager, that one's hook and dirty set stay.
+        """
+        if self.tree._storage_hook == self._on_access:
+            self.tree._storage_hook = None
+            self.tree._dirty = None
 
     def set_tracer(self, tracer: Tracer) -> None:
         """Point the index and the buffer pool at one tracer."""
         self.tree.tracer = tracer
         self.pool.tracer = tracer
-        self.__dict__.pop("_reader_cache", None)
+        self._reader.tracer = tracer
 
     # ------------------------------------------------------------------
     # Reporting

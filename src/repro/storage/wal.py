@@ -289,8 +289,9 @@ class WriteAheadLog:
 
     Args:
         directory: Segment directory (created if missing).  Reopening a
-            directory with existing segments resumes at the last valid
-            LSN and trims any torn tail so new appends stay reachable.
+            directory with existing segments resumes after the last
+            COMMIT and trims what follows it — a torn record, an
+            uncommitted transaction — so new appends stay reachable.
         segment_bytes: Soft bound on a segment file; appends roll to a
             new segment once the current one exceeds it.
         fsync_delay: Simulated device-sync latency in seconds, charged
@@ -356,6 +357,8 @@ class WriteAheadLog:
         first = _segment_first_lsn(tail) or 1
         data = tail.read_bytes()
         offset, last_lsn = 0, first - 1
+        # Where the last whole transaction ends (segments start on one).
+        end, end_lsn = offset, last_lsn
         while True:
             parsed = _parse_frame(data, offset)
             if parsed is None:
@@ -364,15 +367,18 @@ class WriteAheadLog:
             if record.lsn <= last_lsn:
                 break  # out-of-order frame: treat like a torn tail
             last_lsn = record.lsn
-        if offset < len(data):
-            # Trim the torn tail so records appended from here on are not
-            # hidden behind an unparseable frame.
+            if record.rtype == REC_COMMIT:
+                end, end_lsn = offset, last_lsn
+        if end < len(data):
+            # Trim the torn tail and the records of a transaction whose
+            # COMMIT never made it: new appends must not hide behind an
+            # unparseable frame, nor the next COMMIT adopt those records.
             with tail.open("r+b") as fh:
-                fh.truncate(offset)
-        self._appended_lsn = last_lsn
-        self._durable_lsn = last_lsn
+                fh.truncate(end)
+        self._appended_lsn = end_lsn
+        self._durable_lsn = end_lsn
         self._file = tail.open("ab")
-        self._seg_bytes = offset
+        self._seg_bytes = end
 
     def _start_segment(self, first_lsn: int) -> None:
         path = self.directory / _segment_name(first_lsn)

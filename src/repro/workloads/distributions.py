@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.config import DOMAIN_HIGH
 from ..exceptions import WorkloadError
 
 __all__ = ["Sampler", "UniformSampler", "ExponentialSampler", "make_sampler", "DOMAIN_HIGH"]
-
-#: The paper's domain upper bound in every dimension.
-DOMAIN_HIGH = 100_000.0
 
 
 class Sampler:

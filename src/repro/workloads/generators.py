@@ -27,9 +27,10 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.config import DOMAIN, DOMAIN_HIGH
 from ..core.geometry import Rect
 from ..exceptions import WorkloadError
-from .distributions import DOMAIN_HIGH, ExponentialSampler, Sampler, UniformSampler
+from .distributions import ExponentialSampler, Sampler, UniformSampler
 
 __all__ = [
     "interval_dataset",
@@ -43,9 +44,6 @@ __all__ = [
     "DATASETS",
     "DOMAIN",
 ]
-
-#: The experiment domain: [0, 100K] in both dimensions.
-DOMAIN: list[tuple[float, float]] = [(0.0, DOMAIN_HIGH), (0.0, DOMAIN_HIGH)]
 
 _Y_SAMPLERS = {
     "uniform": UniformSampler(),

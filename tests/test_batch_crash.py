@@ -24,7 +24,7 @@ from repro.storage import (
     FaultInjectingDisk,
     FileDisk,
     StorageManager,
-    load_tree_from_disk,
+    recover_tree,
     verify_page,
 )
 
@@ -71,7 +71,7 @@ class TestBatchInsertCrashSweep:
             data = recovered.read_page(page_id)
             if data.count(0) != len(data):
                 verify_page(data, page_id)  # no torn/corrupt pages
-        clone = load_tree_from_disk(recovered)
+        clone, _ = recover_tree(recovered)
         check_index(clone)
         answers = [clone.search_ids(q) for q in queries]
         assert answers in (pre, post), (

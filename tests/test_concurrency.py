@@ -14,10 +14,8 @@ from repro.concurrency import (
     ConcurrentRuleLockIndex,
     LatchStats,
     RWLatch,
-    run_rule_lock_stress,
-    run_stress,
 )
-from repro.concurrency.stress import STRESS_INDEX_TYPES
+from repro.concurrency.stress import STRESS_INDEX_TYPES, run_rule_lock_stress, run_stress
 from repro.exceptions import ConcurrencyError, StorageError
 from repro.storage import BufferPool, FileDisk, SimulatedDisk, StorageManager
 from repro.workloads import dataset_I3, query_rectangles

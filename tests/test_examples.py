@@ -26,7 +26,7 @@ def test_quickstart_runs():
     proc = _run("quickstart.py")
     assert proc.returncode == 0, proc.stderr
     assert "skeleton index: 10000 records" in proc.stdout
-    assert "reloaded from simulated disk" in proc.stdout
+    assert "reopened from disk: 10000 records, 0 pages written by the open" in proc.stdout
 
 
 def test_salary_history_runs():

@@ -29,7 +29,7 @@ from repro.storage import (
     RetryPolicy,
     SimulatedDisk,
     StorageManager,
-    load_tree_from_disk,
+    recover_tree,
     verify_page,
 )
 
@@ -285,7 +285,7 @@ class TestRetries:
                 data = recovered.read_page(page_id)
                 if data.count(0) != len(data):
                     verify_page(data, page_id)  # no stale/blank committed pages
-            clone = load_tree_from_disk(recovered)
+            clone, _ = recover_tree(recovered)
             check_index(clone)
             assert len(clone) == len(tree)
             for i, q in enumerate(sample_queries()):
@@ -361,8 +361,6 @@ class TestRetries:
 
 class TestPageIntegrity:
     def test_bit_flip_detected_as_corruption(self):
-        from repro.storage import BufferPool
-
         tree = build_tree(100)
         faulty = FaultInjectingDisk(
             SimulatedDisk(), [Fault("bit_flip", op="write", at=4)], seed=BASE_SEED
@@ -370,7 +368,8 @@ class TestPageIntegrity:
         mgr = StorageManager(tree, buffer_bytes=64 * 1024, disk=faulty)
         mgr.checkpoint()
         # Cold pool: force every read back through the (corrupted) disk.
-        mgr.pool = BufferPool(faulty, 64 * 1024)
+        for page_id in faulty.page_ids():
+            mgr.pool.drop(page_id)
         with pytest.raises(PageCorruptionError):
             mgr.load_tree()
         assert mgr.io_summary()["corrupt_pages"] == 1
@@ -405,7 +404,7 @@ class TestPageIntegrity:
         mgr = StorageManager(tree, buffer_bytes=64 * 1024)
         mgr.checkpoint()
         mgr.checkpoint()
-        image = mgr._read_image(mgr.root_page)
+        image = mgr._reader.read_image(mgr.root_page)
         assert image.generation == 2
         assert mgr.io_summary()["checkpoint_generation"] == 2
 
@@ -546,7 +545,7 @@ class TestAtomicCheckpointCrashSweep:
             data = recovered.read_page(page_id)
             if data.count(0) != len(data):
                 verify_page(data, page_id)  # zero checksum violations
-        clone = load_tree_from_disk(recovered)
+        clone, _ = recover_tree(recovered)
         check_index(clone)
         for i, q in enumerate(sample_queries()):
             assert clone.search_ids(q) == expected[i]
@@ -596,7 +595,7 @@ class TestAtomicCheckpointCrashSweep:
             expected = {i: tree.search_ids(q) for i, q in enumerate(sample_queries())}
             mgr.disk.close()
             recovered = FileDisk(path)
-            clone = load_tree_from_disk(recovered)
+            clone, _ = recover_tree(recovered)
             check_index(clone)
             for i, q in enumerate(sample_queries()):
                 assert clone.search_ids(q) == expected[i]
@@ -651,7 +650,7 @@ def test_property_crash_recovery(data_seed, extra, crash_frac):
             data = recovered.read_page(page_id)
             if data.count(0) != len(data):
                 verify_page(data, page_id)
-        clone = load_tree_from_disk(recovered)
+        clone, _ = recover_tree(recovered)
         check_index(clone)
         for q, want in zip(queries, expected):
             assert clone.search_ids(q) == want

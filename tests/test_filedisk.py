@@ -7,7 +7,7 @@ import pytest
 
 from repro import Rect, SRTree, check_index
 from repro.exceptions import StorageError
-from repro.storage import BufferPool, FileDisk, StorageManager
+from repro.storage import BufferPool, FileDisk, StorageManager, recover_tree
 
 from .conftest import random_segments
 
@@ -171,15 +171,11 @@ class TestEndToEndPersistence:
         root_page = manager.checkpoint()
         manager.disk.sync()
 
-        # Reload through a fresh manager on the reopened file.
+        # Reload from the reopened file: the checkpoint describes itself.
         reopened_disk = FileDisk(path)
-        reloaded_manager = StorageManager.__new__(StorageManager)
-        reloaded_manager.tree = tree  # config/template source
-        reloaded_manager.disk = reopened_disk
-        reloaded_manager.pool = BufferPool(reopened_disk, 64 * 1024)
-        reloaded_manager.root_page = root_page
-        reloaded_manager._payloads = manager._payloads
-        clone = reloaded_manager.load_tree()
+        assert reopened_disk.checkpoint_info["root_page"] == root_page
+        clone, _ = recover_tree(reopened_disk, payloads=manager._payloads)
+        assert type(clone) is SRTree and clone.config == small_config
         check_index(clone)
         rng = random.Random(81)
         for _ in range(30):

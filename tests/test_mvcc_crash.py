@@ -10,10 +10,9 @@ checkpoints) at *every* such boundary and checks, after recovery:
   record set equals the state after the first ``k`` operations for some
   ``k`` covering at least every acknowledged commit;
 * ``WalReplayResult.last_commit_lsn`` names the committed epoch recovery
-  landed on, and re-enabling MVCC with it
-  (``enable_mvcc(base_epoch=replay.last_commit_lsn)``) yields snapshots
-  whose contents equal the recovered tree — epochs then continue
-  strictly above the recovered one.
+  landed on, and reopening the store in MVCC mode (``open_store`` makes it
+  the base epoch) yields snapshots whose contents equal the recovered
+  tree — epochs then continue strictly above the recovered one.
 
 Carries the ``faults`` marker so CI runs it across the
 ``REPRO_FAULT_SEED`` matrix.
@@ -23,15 +22,13 @@ import os
 
 import pytest
 
-from repro import ConcurrentIndex, IndexConfig, SRTree, check_index
+from repro import IndexConfig, SRTree, check_index, open_store
 from repro.exceptions import StorageError
 from repro.storage import (
     Fault,
     FaultInjectingDisk,
     FileDisk,
-    StorageManager,
     WriteAheadLog,
-    recover_tree,
     wal_directory_for,
 )
 
@@ -77,16 +74,10 @@ def expected_prefix_states(inserts=SWEEP_INSERTS):
     return states
 
 
-def build_mvcc_stack(path, faults=None, seed=None):
-    """Tree + fault-wrapped FileDisk + WAL + manager + MVCC engine."""
-    disk = FaultInjectingDisk(
-        FileDisk(path), faults or [], seed=BASE_SEED if seed is None else seed
-    )
+def open_mvcc(disk, path, tree=None):
+    """The store on ``disk`` + the WAL beside ``path``, in MVCC mode."""
     wal = WriteAheadLog(wal_directory_for(path), segment_bytes=SWEEP_SEGMENT_BYTES)
-    tree = SRTree(SMALL)
-    manager = StorageManager(tree, buffer_bytes=64 * 1024, disk=disk, wal=wal)
-    engine = ConcurrentIndex(tree, storage=manager, mvcc=True)
-    return tree, disk, wal, manager, engine
+    return open_store(disk, wal, tree=tree, buffer_bytes=64 * 1024, mvcc=True)
 
 
 def run_mvcc_workload(path, faults=None, seed=None, inserts=SWEEP_INSERTS):
@@ -98,10 +89,13 @@ def run_mvcc_workload(path, faults=None, seed=None, inserts=SWEEP_INSERTS):
     land while version chains are deep.
     """
     acked = 0
-    disk = None
+    disk = FaultInjectingDisk(
+        FileDisk(path), faults or [], seed=BASE_SEED if seed is None else seed
+    )
     snapshots = []
     try:
-        tree, disk, wal, manager, engine = build_mvcc_stack(path, faults, seed)
+        store = open_mvcc(disk, path, tree=SRTree(SMALL))
+        engine, manager = store.engine, store.manager
         live = []
         ops = 0
         for i, rect in enumerate(mvcc_rects(inserts)):
@@ -118,13 +112,10 @@ def run_mvcc_workload(path, faults=None, seed=None, inserts=SWEEP_INSERTS):
             if (i + 1) % SWEEP_CHECKPOINT_EVERY == 0:
                 manager.checkpoint()
     except StorageError:
-        return acked, True, dict(disk.op_counts if disk is not None else {})
+        return acked, True, dict(disk.op_counts)
     for snap in snapshots:
         snap.close()
-    engine.detach()
-    manager.detach()
-    wal.close()
-    disk.close()
+    store.close()
     return acked, False, dict(disk.op_counts)
 
 
@@ -132,13 +123,14 @@ def verify_committed_epoch(path, acked):
     """Recover; assert prefix consistency and a committed landing epoch.
 
     Returns ``(recovered_ids, replay)`` with the MVCC re-attachment
-    already validated: a snapshot over ``enable_mvcc(base_epoch=
-    replay.last_commit_lsn)`` sees exactly the recovered records.
+    already validated: a snapshot of the reopened store sits on
+    ``replay.last_commit_lsn`` and sees exactly the recovered records.
     """
     states = expected_prefix_states()
-    disk = FileDisk(path)
+    store = open_mvcc(FileDisk(path), path)
     try:
-        tree, replay = recover_tree(disk, config=SMALL, index_cls=SRTree)
+        tree, replay = store.engine.tree, store.replay
+        assert isinstance(tree, SRTree) and tree.config == SMALL
         check_index(tree)
         recovered = {rid for rid, _, _ in tree.items()}
         matches = [k for k, state in enumerate(states) if state == recovered]
@@ -152,31 +144,24 @@ def verify_committed_epoch(path, acked):
             f"{max(matches)}, {acked} were acked"
         )
 
-        # Re-attach MVCC at the recovered epoch: the WAL resumes its LSN
+        # MVCC re-attached at the recovered epoch: the WAL resumes its LSN
         # sequence, so the base epoch must be the last applied COMMIT's
         # LSN for new commit epochs to stay strictly increasing.
-        wal = WriteAheadLog(wal_directory_for(path), segment_bytes=SWEEP_SEGMENT_BYTES)
-        manager = StorageManager(tree, buffer_bytes=64 * 1024, disk=disk, wal=wal)
-        cache = manager.enable_mvcc(base_epoch=replay.last_commit_lsn)
+        engine, manager = store.engine, store.manager
+        cache = manager.versions
         assert manager.enable_mvcc() is cache  # idempotent
-        engine = ConcurrentIndex(tree, storage=manager, mvcc=True)
-        try:
-            with engine.open_snapshot() as snap:
-                assert snap.epoch == replay.last_commit_lsn
-                assert {rid for rid, _, _ in snap.items()} == recovered
-            # Epochs continue above the recovered commit.
-            rid = engine.insert(mvcc_rects(1, seed=99)[0])
-            assert engine.last_commit_epoch > replay.last_commit_lsn
-            with engine.open_snapshot() as snap:
-                assert snap.epoch == engine.last_commit_epoch
-                assert rid in {r for r, _, _ in snap.items()}
-            cache.verify_accounting()
-        finally:
-            engine.detach()
-            manager.detach()
-            wal.close()
+        with engine.open_snapshot() as snap:
+            assert snap.epoch == replay.last_commit_lsn
+            assert {rid for rid, _, _ in snap.items()} == recovered
+        # Epochs continue above the recovered commit.
+        rid = engine.insert(mvcc_rects(1, seed=99)[0])
+        assert engine.last_commit_epoch > replay.last_commit_lsn
+        with engine.open_snapshot() as snap:
+            assert snap.epoch == engine.last_commit_epoch
+            assert rid in {r for r, _, _ in snap.items()}
+        cache.verify_accounting()
     finally:
-        disk.close(sync=False)
+        store.crash()
     return recovered, replay
 
 
@@ -249,22 +234,14 @@ class TestMvccRecoveryLanding:
             path, faults=[Fault("crash", op="wal_append", at=10)]
         )
         assert crashed
-        disk = FileDisk(path)
+        wal = WriteAheadLog(wal_directory_for(path), segment_bytes=SWEEP_SEGMENT_BYTES)
+        store = open_store(FileDisk(path), wal, buffer_bytes=64 * 1024)
         try:
-            tree, replay = recover_tree(disk, config=SMALL, index_cls=SRTree)
-            wal = WriteAheadLog(
-                wal_directory_for(path), segment_bytes=SWEEP_SEGMENT_BYTES
-            )
-            manager = StorageManager(tree, buffer_bytes=64 * 1024, disk=disk, wal=wal)
-            engine = ConcurrentIndex(tree, storage=manager, mvcc=True)
-            try:
-                base = manager.versions.latest.epoch
-                assert base >= replay.last_commit_lsn
-                engine.insert(mvcc_rects(1, seed=7)[0])
-                assert engine.last_commit_epoch > base
-            finally:
-                engine.detach()
-                manager.detach()
-                wal.close()
+            # MVCC turned on after the open, by hand, with no base epoch.
+            base = store.manager.enable_mvcc().latest.epoch
+            assert base >= store.replay.last_commit_lsn
+            store.engine.mvcc = True
+            store.engine.insert(mvcc_rects(1, seed=7)[0])
+            assert store.engine.last_commit_epoch > base
         finally:
-            disk.close(sync=False)
+            store.crash()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import ConcurrentIndex, IndexConfig, SkeletonSRTree, SRTree, check_index
+from repro import ConcurrentIndex, IndexConfig, SkeletonSRTree, SRTree, check_index, open_store
 from repro.exceptions import (
     ConfigError,
     SimulatedCrashError,
@@ -138,7 +138,9 @@ class TestWriteAheadLog:
 
         assert scan_wal(tmp_path / "w").torn_tail
         reopened = WriteAheadLog(tmp_path / "w")
-        assert reopened.last_lsn == lsn + 1  # torn COMMIT dropped, page kept
+        # The torn COMMIT is dropped and its transaction's page record with
+        # it: the next COMMIT must not adopt a record replay would discard.
+        assert reopened.last_lsn == lsn
         lsn3 = reopened.log_commit({1: b"c" * 32}, root_page=1)
         reopened.commit(lsn3)
         reopened.close()
@@ -275,7 +277,8 @@ class TestDeltaScan:
         the same pages — whichever scan found the deltas."""
 
         def run(path):
-            tree, disk, wal, manager, engine = build_wal_stack(path)
+            store = build_wal_stack(path)
+            engine = store.engine
             rng = random.Random(BASE_SEED)
             live = []
             for rect in wal_rects(120):
@@ -283,11 +286,8 @@ class TestDeltaScan:
                 if len(live) > 8 and rng.random() < 0.4:
                     rid, hint = live.pop(rng.randrange(len(live)))
                     engine.delete(rid, hint=hint)
-            deltas = wal.stats.deltas
-            engine.detach()
-            manager.detach()
-            wal.abort()
-            disk.abort()
+            deltas = store.manager.wal.stats.deltas
+            store.crash()
             log = b"".join(
                 seg.read_bytes() for seg in sorted(wal_directory_for(path).iterdir())
             )
@@ -312,30 +312,27 @@ class TestDeltaScan:
 # Engine integration: durable acknowledged commits
 # ---------------------------------------------------------------------------
 def build_wal_stack(path, faults=None, seed=None, segment_bytes=SWEEP_SEGMENT_BYTES):
-    """Tree + fault-wrapped FileDisk + WAL + manager + engine."""
+    """A fresh store over a fault-wrapped FileDisk + WAL, serving an
+    empty small-page SR-Tree."""
     disk = FaultInjectingDisk(
         FileDisk(path), faults or [], seed=BASE_SEED if seed is None else seed
     )
     wal = WriteAheadLog(wal_directory_for(path), segment_bytes=segment_bytes)
-    tree = SRTree(SMALL)
-    manager = StorageManager(tree, buffer_bytes=64 * 1024, disk=disk, wal=wal)
-    engine = ConcurrentIndex(tree, storage=manager)
-    return tree, disk, wal, manager, engine
+    return open_store(disk, wal, tree=SRTree(SMALL), buffer_bytes=64 * 1024)
 
 
 def run_until_crash(path, faults, seed, body):
     """Run ``body(manager, engine)`` on a fresh stack until it finishes or an
     injected crash kills it; returns (crashed, op_counts)."""
-    disk = None
+    disk = FaultInjectingDisk(
+        FileDisk(path), faults or [], seed=BASE_SEED if seed is None else seed
+    )
+    wal = WriteAheadLog(wal_directory_for(path), segment_bytes=SWEEP_SEGMENT_BYTES)
     try:
-        _, disk, wal, manager, engine = build_wal_stack(path, faults, seed)
-        body(manager, engine)
+        with open_store(disk, wal, tree=SRTree(SMALL), buffer_bytes=64 * 1024) as store:
+            body(store.manager, store.engine)
     except StorageError:
-        return True, dict(disk.op_counts if disk is not None else {})
-    engine.detach()
-    manager.detach()
-    wal.close()
-    disk.close()
+        return True, dict(disk.op_counts)
     return False, dict(disk.op_counts)
 
 
@@ -357,13 +354,18 @@ def run_workload(path, faults=None, seed=None, inserts=SWEEP_INSERTS):
     return acked, crashed, op_counts
 
 
+def reopen(path):
+    """The store at ``path``, recovered through the one open path."""
+    return open_store(FileDisk(path), WriteAheadLog(wal_directory_for(path)))
+
+
 def verify_prefix_consistent(path, acked):
-    """Recover and check: valid tree, every acked commit present."""
-    disk = FileDisk(path)
-    try:
-        tree, replay = recover_tree(disk)
-    finally:
-        disk.close(sync=False)
+    """Reopen and check: valid tree, every acked commit present, no page
+    the tree does not reach."""
+    store = reopen(path)
+    tree, replay = store.engine.tree, store.replay
+    assert store.manager.disk.allocated_pages == tree.node_count()
+    store.crash()  # leave the store as the crash left it
     check_index(tree)
     for record_id, rect in acked:
         assert record_id in search_ids(tree, rect), (
@@ -377,14 +379,12 @@ def verify_prefix_consistent(path, acked):
 class TestEngineDurability:
     def test_acked_commits_survive_crash_without_checkpoint(self, tmp_path):
         path = tmp_path / "index.db"
-        tree, disk, wal, manager, engine = build_wal_stack(path)
+        store = build_wal_stack(path)
+        tree, engine = store.engine.tree, store.engine
         acked = [(engine.insert(r), r) for r in wal_rects(30)]
         expected = {rid: search_ids(tree, rect) for rid, rect in acked}
         # Crash: no checkpoint ever ran, so the pages live only in the WAL.
-        engine.detach()
-        manager.detach()
-        wal.abort()
-        disk.abort()
+        store.crash()
 
         recovered, replay = verify_prefix_consistent(path, acked)
         assert len(recovered) == len(acked)
@@ -394,14 +394,12 @@ class TestEngineDurability:
 
     def test_deletes_and_empty_tree_recover(self, tmp_path):
         path = tmp_path / "index.db"
-        tree, disk, wal, manager, engine = build_wal_stack(path)
+        store = build_wal_stack(path)
+        tree, engine = store.engine.tree, store.engine
         acked = [(engine.insert(r), r) for r in wal_rects(12)]
         for rid, rect in acked:
             engine.delete(rid, hint=rect)
-        engine.detach()
-        manager.detach()
-        wal.abort()
-        disk.abort()
+        store.crash()
 
         disk2 = FileDisk(path)
         try:
@@ -413,23 +411,14 @@ class TestEngineDurability:
 
     def test_recovered_store_reattaches_and_continues(self, tmp_path):
         path = tmp_path / "index.db"
-        _, disk, wal, manager, engine = build_wal_stack(path)
+        store = build_wal_stack(path)
+        engine = store.engine
         acked = [(engine.insert(r), r) for r in wal_rects(10)]
-        engine.detach()
-        manager.detach()
-        wal.abort()
-        disk.abort()
+        store.crash()
 
-        disk2 = FileDisk(path)
-        tree2, _ = recover_tree(disk2)
-        wal2 = WriteAheadLog(wal_directory_for(path))
-        manager2 = StorageManager(tree2, disk=disk2, wal=wal2)
-        engine2 = ConcurrentIndex(tree2, storage=manager2)
-        more = [(engine2.insert(r), r) for r in wal_rects(10, seed=99)]
-        engine2.detach()
-        manager2.detach()
-        wal2.abort()
-        disk2.abort()
+        reopened = reopen(path)
+        more = [(reopened.engine.insert(r), r) for r in wal_rects(10, seed=99)]
+        reopened.crash()
 
         recovered, _ = verify_prefix_consistent(path, acked + more)
         assert len(recovered) == 20
@@ -455,14 +444,13 @@ class TestEngineDurability:
             ConcurrentIndex(tree, storage=pool_only, mvcc=True)
         pool_only.detach()
 
+        with pytest.raises(ConfigError, match=r"flush\(\)"):
+            open_store(disk, wal, tree=tree)
+
         tree.flush()
-        manager = StorageManager(tree, buffer_bytes=64 * 1024, disk=disk, wal=wal)
-        engine = ConcurrentIndex(tree, storage=manager)
-        acked = [(engine.insert(r), r) for r in wal_rects(10)]
-        engine.detach()
-        manager.detach()
-        wal.abort()
-        disk.abort()
+        store = open_store(disk, wal, tree=tree, buffer_bytes=64 * 1024)
+        acked = [(store.engine.insert(r), r) for r in wal_rects(10)]
+        store.crash()
         recovered, _ = verify_prefix_consistent(path, acked)
         assert len(recovered) == len(acked)
 
@@ -608,13 +596,11 @@ def test_property_crash_during_replay_rerecovers(tmp_path_factory, data_seed, cr
     idempotent (absolute assignments only) and never writes the WAL."""
     base = tmp_path_factory.mktemp("replay")
     path = base / "index.db"
-    tree, disk, wal, manager, engine = build_wal_stack(path, seed=data_seed)
+    store = build_wal_stack(path, seed=data_seed)
+    tree, engine = store.engine.tree, store.engine
     rects = random_segments(16, seed=data_seed, long_fraction=0.25)
     acked = [(engine.insert(r), r) for r in rects]
-    engine.detach()
-    manager.detach()
-    wal.abort()
-    disk.abort()
+    store.crash()
 
     wal_dir = wal_directory_for(path)
     wal_bytes_before = {p.name: p.read_bytes() for p in wal_dir.iterdir()}
@@ -653,24 +639,30 @@ def test_property_crash_during_replay_rerecovers(tmp_path_factory, data_seed, cr
 class TestTornAppend:
     def test_torn_prefix_lands_on_disk_and_replay_stops(self, tmp_path):
         path = tmp_path / "index.db"
-        tree, disk, wal, manager, engine = build_wal_stack(
+        store = build_wal_stack(
             path, faults=[Fault("torn_write", op="wal_append", at=5)]
         )
         acked = []
         with pytest.raises((TornWalAppend, StorageError)):
             for rect in wal_rects(30):
-                acked.append((engine.insert(rect), rect))
-        assert disk.crashed
+                acked.append((store.engine.insert(rect), rect))
+        assert store.manager.disk.crashed
         # The log refuses further work after the tear.
         with pytest.raises(StorageError):
-            wal.log_commit({1: b"x" * 32}, root_page=1)
+            store.manager.wal.log_commit({1: b"x" * 32}, root_page=1)
 
         info = scan_wal(wal_directory_for(path))
+        if info.torn_tail:
+            # Scan and replay agree on the tear (before anything reopens
+            # the log, which trims it).
+            probe = FileDisk(path)
+            try:
+                assert recover_tree(probe)[1].torn_tail
+            finally:
+                probe.close(sync=False)
         recovered, replay = verify_prefix_consistent(path, acked)
         assert replay.commits_applied == len(acked)
         assert len(recovered) == len(acked)
-        if info.torn_tail:
-            assert replay.torn_tail  # scan and replay agree on the tear
 
 
 # ---------------------------------------------------------------------------
@@ -681,13 +673,11 @@ class TestWalCli:
         from repro.cli import main
 
         path = tmp_path / "index.db"
-        _, disk, wal, manager, engine = build_wal_stack(path)
+        store = build_wal_stack(path)
+        engine = store.engine
         for rect in wal_rects(6):
             engine.insert(rect)
-        engine.detach()
-        manager.detach()
-        wal.abort()
-        disk.abort()
+        store.crash()
 
         assert main(["fsck", str(path)]) == 0
         out = capsys.readouterr().out
@@ -699,12 +689,10 @@ class TestWalCli:
         from repro.cli import main
 
         path = tmp_path / "index.db"
-        _, disk, wal, manager, engine = build_wal_stack(path)
+        store = build_wal_stack(path)
+        engine = store.engine
         engine.insert(wal_rects(1)[0])
-        engine.detach()
-        manager.detach()
-        wal.abort()
-        disk.abort()
+        store.crash()
         segment = next(iter(wal_directory_for(path).iterdir()))
         segment.write_bytes(segment.read_bytes()[:-7])  # tear the tail
 

@@ -23,7 +23,6 @@ import random
 import pytest
 
 from repro import (
-    ConcurrentIndex,
     IndexConfig,
     Rect,
     RStarTree,
@@ -34,15 +33,15 @@ from repro import (
     SRTree,
     batch_insert,
     check_index,
+    open_store,
 )
 from repro.cli import main as cli_main
 from repro.core.node import Node
 from repro.exceptions import TransientDiskError
 from repro.storage import (
     FileDisk,
-    StorageManager,
+    SimulatedDisk,
     WriteAheadLog,
-    recover_tree,
     serializer,
     wal_directory_for,
 )
@@ -273,24 +272,17 @@ class Stack:
         self.tree = tree
         self.disk = FileDisk(path)
         self.wal = WriteAheadLog(wal_directory_for(path))
-        self.manager = StorageManager(tree, buffer_bytes=1 << 20, disk=self.disk, wal=self.wal)
-        self.engine = ConcurrentIndex(
-            tree, storage=self.manager, mvcc=mvcc, optimistic=optimistic
-        )
+        self.store = open_store(self.disk, self.wal, tree=tree, buffer_bytes=1 << 20, mvcc=mvcc)
+        self.manager, self.engine = self.store.manager, self.store.engine
+        self.engine.optimistic = optimistic
 
     def crash(self) -> None:
         """Stop without a checkpoint: only the log's commits survive."""
-        self.engine.detach()
-        self.manager.detach()
-        self.wal.abort()
-        self.disk.abort()
+        self.store.crash()
 
     def recovered_items(self) -> list:
-        disk = FileDisk(self.path)
-        try:
-            return fragments(recover_tree(disk)[0])
-        finally:
-            disk.close(sync=False)
+        with open_store(FileDisk(self.path), WriteAheadLog(wal_directory_for(self.path))) as store:
+            return fragments(store.engine.tree)
 
 
 def fragments(view) -> list:
@@ -482,8 +474,8 @@ def test_live_version_chains_are_the_linked_nodes(variant: str) -> None:
         rect = shaped_rect(rng)
         live[tree.insert(rect, f"base{i}" if i % 2 else None)] = rect
     assert tree.height >= 3
-    manager = StorageManager(tree, buffer_bytes=1 << 20)
-    engine = ConcurrentIndex(tree, storage=manager, mvcc=True)
+    store = open_store(SimulatedDisk(), tree=tree, buffer_bytes=1 << 20, mvcc=True)
+    engine, manager = store.engine, store.manager
     cache = manager.versions
     held: list = []
 
