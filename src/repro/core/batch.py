@@ -392,8 +392,10 @@ def _route(
     pending: list[DataEntry],
     touched: list[Node],
     grown: dict[int, Node],
+    via: BranchEntry | None = None,
 ) -> Rect | None:
-    """Recursively route ``group`` below ``node``.
+    """Recursively route ``group`` below ``node``, reached through branch
+    ``via`` (``None`` at the root).
 
     Returns the union of the rectangles that landed in leaves of this
     subtree (``None`` when every record was placed as a spanning record),
@@ -410,7 +412,11 @@ def _route(
     descend: list[DataEntry] = []
     for entry in group:
         allow = tree._demote_counts.get(entry.record_id, 0) < 2
-        if allow and tree._try_place_spanning(node, entry, pending):
+        region = None if via is None else via.rect
+        if allow and tree._try_place_spanning(node, entry, pending, region):
+            if via is None and node.parent is not None:
+                # The placement split the root: ``node`` now has a region.
+                via = node.parent.branch_for_child(node)
             continue
         descend.append(entry)
     if not descend:
@@ -431,7 +437,7 @@ def _route(
 
     contribution: Rect | None = None
     for branch, sub in by_branch.values():
-        child_rect = _route(tree, branch.child, sub, pending, touched, grown)
+        child_rect = _route(tree, branch.child, sub, pending, touched, grown, branch)
         if child_rect is None:
             continue
         if not branch.rect.contains(child_rect):

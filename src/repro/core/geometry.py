@@ -26,12 +26,34 @@ from ..exceptions import GeometryError
 __all__ = [
     "Rect",
     "GeometryError",
+    "spans",
     "union_all",
     "pieces_cover",
     "point",
     "interval",
     "segment",
 ]
+
+
+def spans(
+    alo: Sequence[float], ahi: Sequence[float], blo: Sequence[float], bhi: Sequence[float]
+) -> bool:
+    """True when box ``a`` spans box ``b`` in at least one dimension *and*
+    overlaps it in every other dimension, on flat bounds.
+
+    This is the SR-Tree spanning-record criterion: a record spanning a
+    branch region "in either or both dimensions" (Section 3.1.1); the
+    overlap requirement in the remaining dimensions keeps the predicate
+    meaningful for records far away from the branch.  The write path calls
+    it on the ``lows`` / ``highs`` entries already carry (DESIGN §3.2).
+    """
+    spanned = False
+    for lo, hi, olo, ohi in zip(alo, ahi, blo, bhi):
+        if lo > ohi or hi < olo:
+            return False
+        if lo <= olo and hi >= ohi:
+            spanned = True
+    return spanned
 
 
 class Rect:
@@ -145,19 +167,8 @@ class Rect:
 
     def spans(self, other: "Rect") -> bool:
         """True when this box spans ``other`` in at least one dimension
-        *and* overlaps it in every other dimension.
-
-        This is the SR-Tree spanning-record criterion: a record spanning a
-        branch region "in either or both dimensions" (Section 3.1.1); the
-        overlap requirement in the remaining dimensions keeps the predicate
-        meaningful for records far away from the branch.
-        """
-        if not self.intersects(other):
-            return False
-        for d in range(len(self.lows)):
-            if self.lows[d] <= other.lows[d] and self.highs[d] >= other.highs[d]:
-                return True
-        return False
+        *and* overlaps it in every other dimension (:func:`spans`)."""
+        return spans(self.lows, self.highs, other.lows, other.highs)
 
     # ------------------------------------------------------------------
     # Constructive operations

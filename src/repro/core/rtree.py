@@ -274,13 +274,15 @@ class RTree(query.QuerySurface):
         allow_spanning: bool = True,
     ) -> None:
         node = self.root
+        region: Rect | None = None  # the root has no enclosing region
         path: list[tuple[Node, BranchEntry]] = []
         while not node.is_leaf:
-            if allow_spanning and self._try_place_spanning(node, entry, pending):
+            if allow_spanning and self._try_place_spanning(node, entry, pending, region):
                 return
             branch = self._choose_branch(node, entry.rect)
             path.append((node, branch))
             node = branch.child
+            region = branch.rect
 
         node.data_entries.append(entry)
         self._touch(node)
@@ -328,9 +330,11 @@ class RTree(query.QuerySurface):
 
     # --- SR-Tree hooks (no-ops in the plain R-Tree) -------------------
     def _try_place_spanning(
-        self, node: Node, entry: DataEntry, pending: list[DataEntry]
+        self, node: Node, entry: DataEntry, pending: list[DataEntry], region: Rect | None
     ) -> bool:
-        """Attempt to store ``entry`` as a spanning record on ``node``.
+        """Attempt to store ``entry`` as a spanning record on ``node``,
+        whose covering region — the rectangle of the branch the descent
+        came through, ``None`` at the root — is ``region``.
 
         The plain R-Tree stores data only in leaves, so this always fails.
         """

@@ -11,7 +11,7 @@ from collections import defaultdict
 
 from ..exceptions import IndexStructureError
 from .floatcmp import exact_zero
-from .geometry import Rect
+from .geometry import Rect, spans
 from .node import Node
 from .rtree import RTree
 
@@ -171,7 +171,7 @@ def _check_node(
                 raise IndexStructureError(
                     f"plain R-Tree node {node.node_id} holds spanning records"
                 )
-            if not record.rect.spans(branch.rect):
+            if not spans(record.lows, record.highs, branch.lows, branch.highs):
                 raise IndexStructureError(
                     f"spanning record {record!r} does not span its branch "
                     f"{branch.rect!r} on node {node.node_id}"
