@@ -58,17 +58,14 @@ class AdmissionController:
             self._admitted[shard_id] = self._admitted.get(shard_id, 0) + 1
             return True
 
-    def acquire(self, shard_id: int) -> int:
-        """Acquire a slot, backing off between attempts; returns the
-        number of retries it took.  Raises
-        :class:`~repro.exceptions.ShardOverloadError` once the retry
+    def backoff(self, shard_id: int, retries: int) -> float:
+        """The pause before retry ``retries + 1``: the one back-off schedule,
+        which a thread sleeps (:meth:`acquire`) and an event loop awaits.
+        Raises :class:`~repro.exceptions.ShardOverloadError` once the retry
         budget is spent — the caller translates that into load-shedding,
         not into a partial result."""
-        for attempt in range(self.max_retries + 1):
-            if self.try_acquire(shard_id):
-                return attempt
-            if attempt < self.max_retries and self.backoff_s:
-                time.sleep(self.backoff_s * (1 << attempt))
+        if retries < self.max_retries:
+            return self.backoff_s * (1 << retries)
         with self._gate:
             self._retried[shard_id] = (
                 self._retried.get(shard_id, 0) + self.max_retries
@@ -78,6 +75,16 @@ class AdmissionController:
             f"{self.max_retries} retries",
             shard_id,
         )
+
+    def acquire(self, shard_id: int) -> int:
+        """Acquire a slot, sleeping the back-off between attempts; returns
+        the number of retries it took.  Blocks: never call it on an event
+        loop."""
+        retries = 0
+        while not self.try_acquire(shard_id):
+            time.sleep(self.backoff(shard_id, retries))
+            retries += 1
+        return retries
 
     def release(self, shard_id: int) -> None:
         with self._gate:

@@ -29,19 +29,27 @@ The topology latch (``router``, rank 0 of the canonical lock hierarchy
 — see ``repro.analysis.lockspec``) is held shared by every operation
 and exclusively by rebalances only, so scatter-gather traffic proceeds
 fully in parallel between splits.
+
+Each routed op is declared once, as a :data:`Plan` — a generator that
+prepares, yields the wire calls it needs, and is sent their values (or
+thrown the ``ShardError`` they ended in) to finish or undo — and driven
+two ways: :meth:`ShardRouter.run` sends every call from the calling
+thread and waits, :meth:`ShardRouter.run_async` awaits the same futures
+on an event loop.  Neither needs a thread of its own.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from concurrent import futures
+from typing import Any, Callable, Generator, Mapping, Sequence
 
 from ..concurrency.latch import RWLatch
 from ..core.geometry import Rect
 from ..core.query import QuerySurface
-from ..exceptions import ConfigError, ShardError, ShardTimeoutError
+from ..exceptions import ConfigError, ReproError, ShardError, ShardTimeoutError
 from ..obs.latency import LatencySeries
 from ..obs.tracer import NULL_TRACER, Tracer
 from . import wire
@@ -55,7 +63,14 @@ from .transport import (
 )
 from .worker import ShardSpec
 
-__all__ = ["ShardRouter", "build_router", "TRANSPORTS"]
+__all__ = ["ShardRouter", "build_router", "TRANSPORTS", "Call", "Plan"]
+
+#: One wire call of a plan: (shard id, op, args).
+Call = tuple[int, str, tuple[Any, ...]]
+#: A routed op: yields the calls it needs, is sent their values in order.
+Plan = Generator[Sequence[Call], Sequence[Any], Any]
+#: A call on the wire: the client it went to, and the future of its reply.
+_Sent = tuple[ShardClient, "futures.Future[Any]"]
 
 #: Transport name -> client class, for :func:`build_router`.
 TRANSPORTS: Mapping[str, Callable[[ShardSpec], ShardClient]] = {
@@ -114,59 +129,73 @@ class ShardRouter(QuerySurface):
         self._rid_gate = threading.Lock()
         self._next_rid = 0
         self._rid_to_shard: dict[int, int] = {}
+        #: Records owned per shard, moved under ``_rid_gate`` wherever
+        #: ownership changes, so ``stats`` iterates nothing shared.
+        self._owned: dict[int, int] = {sid: 0 for sid in clients}
         #: Conservative per-shard MBR: union of every rectangle ever
         #: inserted (grown under ``_bounds_gate``, never shrunk on
         #: delete) — the pruning predicate for scatter fan-out.
         self._bounds_gate = threading.Lock()
         self._shard_bounds: dict[int, Rect | None] = {sid: None for sid in clients}
-        #: Per-(op, shard) wire-call latency, merged into bench reports.
+        #: Per-(op, shard) wire-call latency, merged into bench reports;
+        #: each pair's ``record`` is resolved once.
         self._latencies = LatencySeries()
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(4, 4 * len(clients)), thread_name_prefix="gather"
-        )
+        self._records: dict[tuple[str, int], Callable[[int], None]] = {}
+        self._loop: asyncio.AbstractEventLoop | None = None  # see ``attach``
         self.rebalances = 0
 
     # ------------------------------------------------------------------
     # Write path (single-shard by curve key)
     # ------------------------------------------------------------------
+    def plan_insert(self, rect: Rect, payload: Any = None) -> Plan:
+        """:meth:`insert` as a plan (for :meth:`run` / :meth:`run_async`)."""
+        sid = self._partitioner.shard_for_rect(rect)
+        # Ownership and bounds go in before the call: both are
+        # conservative should the worker never get the record, and a
+        # call that timed out may be applied all the same.
+        with self._rid_gate:
+            # Pre-increment: ids are 1-based in insertion order, the
+            # same sequence a single RTree fed these ops would assign.
+            self._next_rid += 1
+            rid = self._next_rid
+            self._rid_to_shard[rid] = sid
+            self._owned[sid] += 1
+        with self._bounds_gate:
+            bounds = self._shard_bounds.get(sid)
+            self._shard_bounds[sid] = rect if bounds is None else bounds.union(rect)
+        try:
+            yield [(sid, wire.OP_INSERT, (rid, *_coords(rect), payload))]
+        except ShardTimeoutError:
+            raise
+        except ShardError:
+            # Shed by admission or refused by the worker: not applied.
+            self._disown(rid)
+            raise
+        return rid
+
+    def plan_delete(self, record_id: int) -> Plan:
+        """:meth:`delete` as a plan."""
+        sid = self._rid_to_shard.get(record_id)
+        if sid is None:
+            return 0
+        (removed,) = yield [(sid, wire.OP_DELETE, (record_id,))]
+        self._disown(record_id)
+        return int(removed)
+
+    def _disown(self, rid: int) -> None:
+        with self._rid_gate:
+            sid = self._rid_to_shard.pop(rid, None)
+            if sid is not None:
+                self._owned[sid] -= 1
+
     def insert(self, rect: Rect, payload: Any = None) -> int:
         """Insert one record; returns its (insertion-ordered) global id."""
-        with self._topology_latch.read():
-            sid = self._partitioner.shard_for_rect(rect)
-            with self._rid_gate:
-                # Pre-increment: ids are 1-based in insertion order, the
-                # same sequence a single RTree fed these ops would assign.
-                self._next_rid += 1
-                rid = self._next_rid
-            # Ownership and bounds go in before the call: both are
-            # conservative should the worker never get the record, and a
-            # call that timed out may be applied all the same.
-            self._rid_to_shard[rid] = sid
-            with self._bounds_gate:
-                bounds = self._shard_bounds.get(sid)
-                self._shard_bounds[sid] = (
-                    rect if bounds is None else bounds.union(rect)
-                )
-            try:
-                self._shard_call(sid, wire.OP_INSERT, (rid, *_coords(rect), payload))
-            except ShardTimeoutError:
-                raise
-            except ShardError:
-                # Shed by admission or refused by the worker: not applied.
-                del self._rid_to_shard[rid]
-                raise
-            return rid
+        return self.run(self.plan_insert(rect, payload))
 
     def delete(self, record_id: int) -> int:
         """Delete a record by global id; returns fragments removed (0 when
         the id is unknown, matching the single-index contract)."""
-        with self._topology_latch.read():
-            sid = self._rid_to_shard.get(record_id)
-            if sid is None:
-                return 0
-            removed = int(self._shard_call(sid, wire.OP_DELETE, (record_id,)))
-            self._rid_to_shard.pop(record_id, None)
-            return removed
+        return self.run(self.plan_delete(record_id))
 
     # ------------------------------------------------------------------
     # Read path (scatter-gather with bounds pruning)
@@ -175,55 +204,193 @@ class ShardRouter(QuerySurface):
     def dims(self) -> int:
         return self._partitioner.bounds.dims
 
-    def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
+    def plan_query(self, kind: str, rect: Rect) -> Plan:
         """Scatter one query to every non-prunable shard; merge rid-sorted."""
         prune = _PRUNE.get(kind)
         if prune is None:
             raise ConfigError(f"unknown query kind {kind!r}")
+        self._check_rect(rect)
         args = (rect.lows,) if kind == wire.OP_STAB else _coords(rect)
-        with self._topology_latch.read():
-            bounds = self._bounds_snapshot()
-            plan = {
-                sid: args
-                for sid, box in bounds.items()
-                if box is not None and prune(box, rect)
-            }
-            self._trace_dispatch(kind, len(plan), len(bounds) - len(plan))
-            if not plan:
-                return []
-            merged = [hit for hits in self._scatter(kind, plan).values() for hit in hits]
-            merged.sort(key=lambda item: item[0])
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "shard_gather", op=kind, shards=len(plan), results=len(merged)
-                )
-            return merged
+        bounds = self._bounds_snapshot()
+        calls = [
+            (sid, kind, args)
+            for sid, box in bounds.items()
+            if box is not None and prune(box, rect)
+        ]
+        self._trace_dispatch(kind, len(calls), len(bounds) - len(calls))
+        if not calls:
+            return []
+        merged = [hit for hits in (yield calls) for hit in hits]
+        merged.sort(key=lambda item: item[0])
+        if self.tracer.enabled:
+            self.tracer.event(
+                "shard_gather", op=kind, shards=len(calls), results=len(merged)
+            )
+        return merged
 
-    def _query_batch(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
+    def _plan_batch(self, rects: Sequence[Rect]) -> Plan:
         """Answer a whole batch, scattering each shard only the queries
         its bounds can intersect."""
         results: list[list[tuple[int, Any]]] = [[] for _ in rects]
-        with self._topology_latch.read():
-            bounds = self._bounds_snapshot()
-            wanted = {
-                sid: [i for i, r in enumerate(rects) if box.intersects(r)]
-                for sid, box in bounds.items()
-                if box is not None
-            }
-            plan = {
-                sid: ([_coords(rects[i]) for i in indices],)
-                for sid, indices in wanted.items()
-                if indices
-            }
-            self._trace_dispatch(
-                wire.OP_BATCH_SEARCH, len(plan), len(bounds) - len(plan)
-            )
-            for sid, shard_lists in self._scatter(wire.OP_BATCH_SEARCH, plan).items():
-                for i, hits in zip(wanted[sid], shard_lists):
-                    results[i].extend(hits)
+        bounds = self._bounds_snapshot()
+        wanted = {
+            sid: [i for i, r in enumerate(rects) if box.intersects(r)]
+            for sid, box in bounds.items()
+            if box is not None
+        }
+        calls = [
+            (sid, wire.OP_BATCH_SEARCH, ([_coords(rects[i]) for i in indices],))
+            for sid, indices in wanted.items()
+            if indices
+        ]
+        self._trace_dispatch(wire.OP_BATCH_SEARCH, len(calls), len(bounds) - len(calls))
+        for (sid, _op, _args), shard_lists in zip(calls, (yield calls)):
+            for i, hits in zip(wanted[sid], shard_lists):
+                results[i].extend(hits)
         for hits in results:
             hits.sort(key=lambda item: item[0])
         return results
+
+    def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
+        return self.run(self.plan_query(kind, rect))
+
+    def _query_batch(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
+        return self.run(self._plan_batch(rects))
+
+    # ------------------------------------------------------------------
+    # The two drivers
+    # ------------------------------------------------------------------
+    def run(self, plan: Plan) -> Any:
+        """Drive ``plan`` from this thread: every call it yields is sent
+        from here, then waited for — no pool, one shard or many."""
+        with self._topology_latch.read():
+            try:
+                calls = next(plan)
+                while True:
+                    got = self._gather(calls)
+                    calls = plan.throw(got) if isinstance(got, ShardError) else plan.send(got)
+            except StopIteration as done:
+                return done.value
+
+    async def run_async(self, plan: Plan) -> Any:
+        """Drive ``plan`` on the running event loop: the same calls, the
+        same futures, awaited.  The loop must never *wait* for the latch
+        (DESIGN 3.1): whoever rebalances a served router first drains
+        the loop's plans and holds new ones out, as ``ShardedService`` does."""
+        with self._topology_latch.read():
+            try:
+                calls = next(plan)
+                while True:
+                    got = await self._gather_async(calls)
+                    calls = plan.throw(got) if isinstance(got, ShardError) else plan.send(got)
+            except StopIteration as done:
+                return done.value
+
+    def _gather(self, calls: Sequence[Call]) -> "list[Any] | ShardError":
+        try:
+            sent = [self._submit(*call, self.admission.acquire(call[0])) for call in calls]
+            return self._values(calls, sent, self.timeout_s)
+        except ShardError as exc:
+            return exc
+
+    async def _gather_async(self, calls: Sequence[Call]) -> "list[Any] | ShardError":
+        timer = None
+        try:
+            sent = []
+            for call in calls:
+                retries = 0  # ``admission.acquire``, its back-off awaited
+                while not self.admission.try_acquire(call[0]):
+                    await asyncio.sleep(self.admission.backoff(call[0], retries))
+                    retries += 1
+                sent.append(self._submit(*call, retries))
+            if self.timeout_s is not None:  # the deadline resolves whatever is still out
+                timer = asyncio.get_running_loop().call_later(self.timeout_s, self._expire, sent)
+            for _, future in sent:
+                try:
+                    await asyncio.wrap_future(future)
+                except ReproError:
+                    pass  # ``_values`` re-raises it, after the timeouts
+            return self._values(calls, sent, 0.0)
+        except ShardError as exc:
+            return exc
+        finally:
+            if timer is not None:
+                timer.cancel()
+
+    def _submit(self, sid: int, op: str, args: tuple[Any, ...], retries: int) -> _Sent:
+        """Send one admitted call; its slot is given back, and its latency
+        recorded, by whichever thread resolves it."""
+        if retries and self.tracer.enabled:
+            self.tracer.event("shard_shed", shard=sid, retries=retries)
+        record = self._records.get((op, sid))
+        if record is None:
+            record = self._latencies.recorder(op, f"shard-{sid}").record
+            self._records[op, sid] = record
+        start = time.perf_counter_ns()
+
+        def settled(future: "futures.Future[Any]") -> None:
+            self.admission.release(sid)
+            if future.exception() is None:
+                record(time.perf_counter_ns() - start)
+
+        client = self._clients[sid]
+        future = client.submit(op, args)
+        future.add_done_callback(settled)
+        return client, future
+
+    def _expire(self, sent: Sequence[_Sent]) -> None:
+        """A loop's deadline: whatever is still out has timed out."""
+        for client, future in sent:
+            if not future.done():
+                client.expire(future, self.timeout_s)
+
+    def _values(
+        self, calls: Sequence[Call], sent: Sequence[_Sent], wait: float | None
+    ) -> list[Any]:
+        """Every value of a gather, in call order, after at most ``wait``
+        more seconds — all or nothing.  A call still out then has timed
+        out (the worker is still doing the work; its late reply will be
+        dropped), any timeout poisons the gather, and timeouts are
+        reported collectively before any other failure is re-raised."""
+        deadline = None if wait is None else time.monotonic() + wait
+        values: list[Any] = []
+        timeouts: list[int] = []
+        failure: BaseException | None = None
+        for client, future in sent:
+            try:
+                left = None if deadline is None else max(0.0, deadline - time.monotonic())
+                error = future.exception(left)
+            except futures.TimeoutError:
+                client.expire(future, self.timeout_s)
+                error = future.exception()
+            if error is None:
+                values.append(future.result())
+            elif isinstance(error, ShardTimeoutError):
+                timeouts.append(client.shard_id)
+            elif failure is None:
+                failure = error
+        if timeouts:
+            op = calls[0][1]
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "shard_gather", op=op, shards=len(sent), timeouts=len(timeouts)
+                )
+            raise ShardTimeoutError(
+                f"gather({op}): shard(s) {sorted(timeouts)} missed the {self.timeout_s}s "
+                "deadline; refusing to return a partial result",
+                tuple(sorted(timeouts)),
+            )
+        if failure is not None:
+            raise failure  # lint: ignore[R3] — the exception a reply carried
+        return values
+
+    def _shard_call(self, sid: int, op: str, args: tuple[Any, ...]) -> Any:
+        """One admitted, latency-recorded, blocking wire call to one shard
+        (for the paths that already hold the topology latch)."""
+        outcome = self._gather([(sid, op, args)])
+        if isinstance(outcome, ShardError):
+            raise outcome  # lint: ignore[R3] — a ShardError the gather captured
+        return outcome[0]
 
     # ------------------------------------------------------------------
     # Rebalance
@@ -236,7 +403,8 @@ class ShardRouter(QuerySurface):
         and installs the new range + rid ownership atomically with
         respect to every other operation.  Returns the new shard id, or
         ``None`` when the shard is too small (or too key-degenerate) to
-        split.
+        split.  Blocks: a served router calls it off the loop, with the
+        loop's plans drained (see :meth:`run_async`).
         """
         if self._spawn is None:
             raise ConfigError("router built without a shard factory; cannot split")
@@ -249,6 +417,8 @@ class ShardRouter(QuerySurface):
             moved = self._shard_call(shard_id, wire.OP_EXTRACT, (split_key,))
             new_sid = max(self._clients) + 1
             client = self._spawn(new_sid)
+            if self._loop is not None:
+                client.attach(self._loop)  # before its first call picks a pump
             try:
                 client.call(wire.OP_INGEST, (moved,), timeout=self.timeout_s)
             except ShardError:
@@ -260,18 +430,20 @@ class ShardRouter(QuerySurface):
             self._partitioner.split(shard_id, split_key, new_sid)
             self._clients[new_sid] = client
             moved_bounds: Rect | None = None
-            for rid, lows, highs, _payload in moved:
-                self._rid_to_shard[rid] = new_sid
-                box = Rect(tuple(lows), tuple(highs))
-                moved_bounds = box if moved_bounds is None else moved_bounds.union(box)
+            with self._rid_gate:
+                self._owned[new_sid] = 0
+                for rid, lows, highs, _payload in moved:
+                    was = self._rid_to_shard.get(rid)
+                    if was is not None:
+                        self._owned[was] -= 1
+                    self._rid_to_shard[rid] = new_sid
+                    self._owned[new_sid] += 1
+                    box = Rect(tuple(lows), tuple(highs))
+                    moved_bounds = box if moved_bounds is None else moved_bounds.union(box)
             with self._bounds_gate:
                 self._shard_bounds[new_sid] = moved_bounds
                 # The donor keeps its (now looser) bounds: still a
                 # superset of everything resident, so still conservative.
-            self._pool.shutdown(wait=True)
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(4, 4 * len(self._clients)), thread_name_prefix="gather"
-            )
             self.rebalances += 1
             if self.tracer.enabled:
                 self.tracer.event(
@@ -297,9 +469,7 @@ class ShardRouter(QuerySurface):
         """Per-shard worker stats (record counts, buffer hit rates)."""
         with self._topology_latch.read():
             return {
-                sid: self._clients[sid].call(
-                    wire.OP_STATS, (), timeout=self.timeout_s
-                )
+                sid: self._shard_call(sid, wire.OP_STATS, ())
                 for sid in sorted(self._clients)
             }
 
@@ -312,10 +482,8 @@ class ShardRouter(QuerySurface):
                 self._shard_call(sid, wire.OP_CONFIGURE, (delay_s, read_delay))
 
     def stats(self) -> dict:
-        """Router-side counters, JSON-ready."""
-        owned: dict[int, int] = {}
-        for sid in self._rid_to_shard.values():
-            owned[sid] = owned.get(sid, 0) + 1
+        """Router-side counters, JSON-ready.  O(shards): safe beside writers."""
+        owned = dict(self._owned)
         return {
             "shards": len(self._clients),
             "records": len(self._rid_to_shard),
@@ -328,8 +496,20 @@ class ShardRouter(QuerySurface):
         """Per-(op, shard) wire latencies for the v2 report schema."""
         return self._latencies.snapshot(prefix=prefix)
 
+    def attach(self, loop: asyncio.AbstractEventLoop) -> bool:
+        """Hand every shard pipe without a pump — and those of shards yet
+        to be split off — to ``loop``, so plans can be awaited on it.
+        ``False``, and nothing attached, when a shard's worker runs on the
+        thread that calls it (``local``): that thread must not be a loop."""
+        clients = list(self._clients.values())
+        if any(isinstance(client, LocalShardClient) for client in clients):
+            return False
+        self._loop = loop
+        for client in clients:
+            client.attach(loop)
+        return True
+
     def close(self) -> None:
-        self._pool.shutdown(wait=True)
         for client in self._clients.values():
             client.close()
         self._clients.clear()
@@ -351,71 +531,6 @@ class ShardRouter(QuerySurface):
         if self.tracer.enabled:
             self.tracer.event("shard_dispatch", op=op, shards=shards, pruned=pruned)
 
-    def _shard_call(self, sid: int, op: str, args: tuple[Any, ...]) -> Any:
-        """One admitted, latency-recorded wire call to one shard."""
-        retries = self.admission.acquire(sid)
-        if retries and self.tracer.enabled:
-            self.tracer.event("shard_shed", shard=sid, retries=retries)
-        try:
-            start = time.perf_counter_ns()
-            value = self._clients[sid].call(op, args, timeout=self.timeout_s)
-            self._latencies.recorder(op, f"shard-{sid}").record(
-                time.perf_counter_ns() - start
-            )
-            return value
-        finally:
-            self.admission.release(sid)
-
-    def _scatter(self, op: str, plan: Mapping[int, tuple[Any, ...]]) -> dict[int, Any]:
-        """Call ``op`` on every planned shard with its arguments — inline
-        when there is only one, in parallel otherwise — all or nothing."""
-        if len(plan) == 1:
-            ((sid, args),) = plan.items()
-            return {sid: self._shard_call(sid, op, args)}
-        return self._collect(
-            op,
-            {
-                sid: self._pool.submit(self._shard_call, sid, op, args)
-                for sid, args in plan.items()
-            },
-        )
-
-    def _collect(self, op: str, futures: Mapping[int, "Future[Any]"]) -> dict[int, Any]:
-        """Wait for every scattered call; any timeout poisons the gather.
-
-        All futures are always awaited (the workers are still doing the
-        work; abandoning them would leak admission slots), then timeouts
-        are reported collectively and other failures re-raised.
-        """
-        values: dict[int, Any] = {}
-        timeouts: list[int] = []
-        failure: Exception | None = None
-        for sid, future in futures.items():
-            try:
-                values[sid] = future.result()
-            except ShardTimeoutError:
-                timeouts.append(sid)
-            except ShardError as exc:
-                if failure is None:
-                    failure = exc
-        if timeouts:
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "shard_gather",
-                    op=op,
-                    shards=len(futures),
-                    timeouts=len(timeouts),
-                )
-            raise ShardTimeoutError(
-                f"gather({op}): shard(s) {sorted(timeouts)} missed the "
-                f"{self.timeout_s}s deadline; refusing to return a partial "
-                "result",
-                tuple(sorted(timeouts)),
-            )
-        if failure is not None:
-            raise failure  # lint: ignore[R3] — a ShardError captured above
-        return values
-
 
 def build_router(
     shards: int,
@@ -429,7 +544,6 @@ def build_router(
     tracer: Tracer | None = None,
     timeout_s: float | None = 5.0,
     admission: AdmissionController | None = None,
-    worker_threads: int = 8,
 ) -> ShardRouter:
     """Construct a router plus ``shards`` fresh workers in one call.
 
@@ -453,7 +567,6 @@ def build_router(
             buffer_bytes=buffer_bytes,
             read_delay=read_delay,
             write_delay=write_delay,
-            worker_threads=worker_threads,
         )
 
     def spawn(shard_id: int) -> ShardClient:

@@ -14,25 +14,29 @@ Three interchangeable transports, all speaking the same
   simulated disk.  This is the serving configuration
   (``repro bench shard`` / ``repro serve``).
 
-The local and thread transports serialize their requests; the process
-transport **pipelines** — any number of calls in flight at once, served
-by the worker's thread pool — so concurrency comes both from the router
-fanning out over shards and from overlapping calls into one shard.
-Replies are matched to requests by sequence number, so a reply that
-arrives after its caller timed out is discarded instead of being
-returned to a later caller.
+One primitive: ``submit(op, args)`` sends a request from the calling
+thread and returns a future of the reply's value (or of the exception it
+carried); ``call`` is ``submit`` plus a bounded wait.  The process
+transport **pipelines** — any number of calls in flight at once, which
+the worker overlaps whenever a request can stall
+(:attr:`ShardWorker.may_block`).  Replies are matched to futures by
+sequence number, so a reply that arrives after its caller gave up finds
+no future and is discarded instead of being returned to a later caller.
 """
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import queue
 import threading
-from typing import Any, Protocol
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
+from typing import Any
 
 from ..exceptions import ShardError, ShardTimeoutError
 from . import wire
-from .wire import Reply, Request, raise_reply_error
+from .wire import Reply, Request
 from .worker import ShardSpec, ShardWorker, worker_main
 
 __all__ = [
@@ -43,100 +47,136 @@ __all__ = [
 ]
 
 
-class ShardClient(Protocol):
-    """What the router needs from a transport."""
-
-    shard_id: int
-
-    def call(
-        self, op: str, args: tuple[Any, ...] = (), timeout: float | None = None
-    ) -> Any: ...
-
-    def close(self) -> None: ...
-
-
-def _unwrap(reply: Reply, shard_id: int) -> Any:
-    if reply.ok:
-        return reply.value
-    raise_reply_error(reply, shard_id)
-    raise ShardError("unreachable")  # raise_reply_error always raises
-
-
-class LocalShardClient:
-    """Inline transport: the worker lives in the caller's thread."""
+class ShardClient:
+    """What the router needs from a transport: the calls in flight, and
+    the one way a reply reaches its caller.  A transport says how a
+    request travels (``_send``) and feeds the replies to ``_deliver``."""
 
     def __init__(self, spec: ShardSpec) -> None:
         self.shard_id = spec.shard_id
-        self.worker = ShardWorker(spec)
         self._seq = 0
+        self._calls_gate = threading.Lock()
+        #: seq -> (op, future) of every call still owed a reply.  Whoever
+        #: pops an entry — its reply, a timeout, a lost worker — is the
+        #: one that resolves the future.
+        self._calls: dict[int, tuple[str, "Future[Any]"]] = {}
+
+    def _send(self, request: Request) -> None:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        raise NotImplementedError
+
+    def submit(self, op: str, args: tuple[Any, ...] = ()) -> "Future[Any]":
+        """Send one request from this thread.  Never raises: a worker that
+        is gone is a future that has already failed."""
+        future: "Future[Any]" = Future()
+        future.set_running_or_notify_cancel()  # an awaiter's cancel stops here
+        with self._calls_gate:
+            self._seq += 1
+            seq = self._seq
+            self._calls[seq] = (op, future)
+        try:
+            self._send(Request(op, args, seq))
+        except (EOFError, OSError) as exc:
+            if self._take(seq) is not None:
+                future.set_exception(
+                    ShardError(f"shard {self.shard_id}: worker gone ({exc})")
+                )
+        return future
+
+    def _take(self, seq: int) -> "tuple[str, Future[Any]] | None":
+        with self._calls_gate:
+            return self._calls.pop(seq, None)
+
+    def _deliver(self, reply: Reply) -> None:
+        """Every reply comes through here, on whichever thread pumps."""
+        call = self._take(reply.seq)
+        if call is None:
+            return  # its caller timed out: stale, drop
+        if reply.ok:
+            call[1].set_result(reply.value)
+        else:
+            call[1].set_exception(wire.reply_error(reply, self.shard_id))
+
+    def _lost(self) -> None:
+        """Worker gone: fail every caller still waiting (a later caller's
+        send fails by itself)."""
+        with self._calls_gate:
+            pending = list(self._calls.values())
+            self._calls.clear()
+        for _op, future in pending:
+            future.set_exception(ShardError(f"shard {self.shard_id}: worker gone"))
+
+    def expire(self, future: "Future[Any]", timeout: float | None) -> None:
+        """Give up on a call: it fails with ``ShardTimeoutError`` and its
+        slot goes, so the late reply is stale.  A no-op once resolved."""
+        with self._calls_gate:
+            seq = next((s for s, c in self._calls.items() if c[1] is future), None)
+            call = None if seq is None else self._calls.pop(seq)
+        if call is not None:
+            future.set_exception(
+                ShardTimeoutError(
+                    f"shard {self.shard_id}: no reply to {call[0]!r} within {timeout}s",
+                    (self.shard_id,),
+                )
+            )
 
     def call(
         self, op: str, args: tuple[Any, ...] = (), timeout: float | None = None
     ) -> Any:
-        self._seq += 1
-        return _unwrap(self.worker.handle(Request(op, args, self._seq)), self.shard_id)
+        future = self.submit(op, args)
+        try:
+            return future.result(timeout)
+        except FutureTimeout:
+            self.expire(future, timeout)
+            return future.result()  # the timeout just set, or a reply that raced it
+
+    def attach(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Only a pipe needs a pump; the in-process workers answer on a
+        thread of their own (or the caller's)."""
+
+
+class LocalShardClient(ShardClient):
+    """Inline transport: the worker lives in the caller's thread."""
+
+    def __init__(self, spec: ShardSpec) -> None:
+        super().__init__(spec)
+        self.worker = ShardWorker(spec)
+
+    def _send(self, request: Request) -> None:
+        self._deliver(self.worker.handle(request))
 
     def close(self) -> None:
         self.worker.close()
 
 
-class _Slot:
-    """One in-flight call's reply mailbox (slot-per-call: no stale reads)."""
-
-    __slots__ = ("event", "reply")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.reply: Reply | None = None
-
-
-class ThreadShardClient:
+class ThreadShardClient(ShardClient):
     """Worker on a dedicated thread behind a request queue.
 
     In-process, so it shares the GIL with the router — useful for tests
     and the racecheck workload (lock acquisitions stay observable), not
-    for scaling.  Timeouts abandon the slot; the worker thread still
-    completes the operation and sets the event, but nobody is waiting.
+    for scaling.  A timeout abandons the call; the worker thread still
+    completes the operation, and its reply finds nobody waiting.
     """
 
     def __init__(self, spec: ShardSpec) -> None:
-        self.shard_id = spec.shard_id
+        super().__init__(spec)
         self.worker = ShardWorker(spec)
-        self._requests: queue.Queue[tuple[Request, _Slot] | None] = queue.Queue()
-        self._seq = 0
-        self._seq_gate = threading.Lock()
+        self._requests: queue.Queue[Request | None] = queue.Queue()
         self._thread = threading.Thread(
             target=self._serve, name=f"shard-{spec.shard_id}", daemon=True
         )
         self._thread.start()
 
-    def _serve(self) -> None:
-        while True:
-            item = self._requests.get()
-            if item is None:
-                break
-            request, slot = item
-            slot.reply = self.worker.handle(request)
-            slot.event.set()
-        self.worker.close()
+    def _send(self, request: Request) -> None:
+        self._requests.put(request)
 
-    def call(
-        self, op: str, args: tuple[Any, ...] = (), timeout: float | None = None
-    ) -> Any:
-        with self._seq_gate:
-            self._seq += 1
-            seq = self._seq
-        slot = _Slot()
-        self._requests.put((Request(op, args, seq), slot))
-        if not slot.event.wait(timeout):
-            raise ShardTimeoutError(
-                f"shard {self.shard_id}: no reply to {op!r} within {timeout}s",
-                (self.shard_id,),
-            )
-        reply = slot.reply
-        if reply is None:
-            raise ShardError(f"shard {self.shard_id}: worker thread died")
-        return _unwrap(reply, self.shard_id)
+    def _serve(self) -> None:
+        for request in iter(self._requests.get, None):
+            self._deliver(self.worker.handle(request))
+        self.worker.close()
+        self._lost()
 
     def close(self) -> None:
         self._requests.put(None)
@@ -158,25 +198,22 @@ def _process_worker(conn: Any, spec: ShardSpec) -> None:
     worker_main(conn, spec)
 
 
-class ProcessShardClient:
+class ProcessShardClient(ShardClient):
     """Worker in a subprocess on a :class:`multiprocessing` pipe.
 
-    Calls are **pipelined**: any number may be in flight at once (the
-    worker handles them on its own thread pool), so concurrent router
-    threads hitting the same shard overlap their stalls instead of
-    queueing behind one another.  Sends serialize under ``_send_gate``;
-    a dedicated receiver thread matches replies to waiting callers by
-    sequence number, and a reply whose caller already timed out finds no
-    mailbox and is discarded.
+    Calls are **pipelined**: any number may be in flight at once, so
+    concurrent callers hitting the same shard overlap their stalls
+    instead of queueing behind one another.  Sends serialize under
+    ``_send_gate``, on the caller's thread.  Exactly one thing pumps the
+    pipe, chosen once: the event loop the client was attached to (a
+    reader callback, no thread), else the ``shard-N-recv`` thread the
+    first call starts.  Never both: a thread parked in ``recv()`` would
+    steal the replies the loop was woken for.
     """
 
     def __init__(self, spec: ShardSpec, *, start_method: str | None = None) -> None:
-        self.shard_id = spec.shard_id
-        ctx = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else multiprocessing.get_context()
-        )
+        super().__init__(spec)
+        ctx = multiprocessing.get_context(start_method)  # None: the default
         self._conn, child = ctx.Pipe()
         _ROUTER_ENDS.add(self._conn)
         self._proc = ctx.Process(
@@ -187,78 +224,48 @@ class ProcessShardClient:
         )
         self._proc.start()
         child.close()
-        self._seq = 0
         self._send_gate = threading.Lock()
-        self._slots_gate = threading.Lock()
-        self._slots: dict[int, _Slot] = {}
-        self._dead = False
-        self._receiver = threading.Thread(
-            target=self._receive, name=f"shard-{spec.shard_id}-recv", daemon=True
-        )
-        self._receiver.start()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._receiver: threading.Thread | None = None
 
-    def _receive(self) -> None:
-        """Pump the pipe, waking whichever caller each reply belongs to."""
-        while True:
-            try:
-                reply: Reply = self._conn.recv()
-            except (EOFError, OSError):
-                break
-            with self._slots_gate:
-                slot = self._slots.pop(reply.seq, None)
-            if slot is not None:  # None: the caller timed out — stale, drop
-                slot.reply = reply
-                slot.event.set()
-        # Worker gone: fail every caller still waiting.
-        with self._slots_gate:
-            self._dead = True
-            pending = list(self._slots.values())
-            self._slots.clear()
-        for slot in pending:
-            slot.event.set()
+    def attach(self, loop: asyncio.AbstractEventLoop) -> None:
+        with self._send_gate:  # from any thread: the loop registers the reader itself
+            if self._loop is None and self._receiver is None:
+                self._loop = loop
+                loop.call_soon_threadsafe(loop.add_reader, self._conn.fileno(), self._pump, False)
 
-    def call(
-        self, op: str, args: tuple[Any, ...] = (), timeout: float | None = None
-    ) -> Any:
-        slot = _Slot()
-        with self._slots_gate:
-            if self._dead:
-                raise ShardError(f"shard {self.shard_id}: worker process gone")
-            self._seq += 1
-            seq = self._seq
-            self._slots[seq] = slot
+    def _pump(self, forever: bool = True) -> None:
+        """Deliver replies: every one until EOF on the receiver thread, one
+        per wake-up on a loop (a second, already in the pipe, wakes it again)."""
         try:
-            with self._send_gate:
-                self._conn.send(Request(op, args, seq))
-        except (EOFError, OSError) as exc:
-            with self._slots_gate:
-                self._slots.pop(seq, None)
-            raise ShardError(
-                f"shard {self.shard_id}: worker process gone ({exc})"
-            ) from exc
-        if not slot.event.wait(timeout):
-            with self._slots_gate:
-                self._slots.pop(seq, None)  # late reply becomes stale
-            raise ShardTimeoutError(
-                f"shard {self.shard_id}: no reply to {op!r} within {timeout}s",
-                (self.shard_id,),
-            )
-        if slot.reply is None:
-            raise ShardError(f"shard {self.shard_id}: worker process gone")
-        return _unwrap(slot.reply, self.shard_id)
+            self._deliver(self._conn.recv())
+            while forever:
+                self._deliver(self._conn.recv())
+        except (EOFError, OSError):
+            if self._loop is not None:
+                self._loop.remove_reader(self._conn.fileno())
+            self._lost()
+
+    def _send(self, request: Request) -> None:
+        with self._send_gate:
+            if self._loop is None and self._receiver is None:
+                self._receiver = threading.Thread(
+                    target=self._pump, name=f"shard-{self.shard_id}-recv", daemon=True
+                )
+                self._receiver.start()
+            self._conn.send(request)
 
     def close(self) -> None:
-        try:
-            self.call(wire.OP_SHUTDOWN, (), timeout=5.0)
-        except ShardError:
-            pass  # already dead/stuck is an acceptable way to be shut down
-        _ROUTER_ENDS.discard(self._conn)
-        try:
-            self._conn.close()
-        except OSError:
-            pass  # receiver may have observed EOF and closed first
+        # The worker drains its in-flight work, answers and exits; nobody
+        # needs that answer (and a stopped loop would never read it).
+        self.submit(wire.OP_SHUTDOWN)
         self._proc.join(timeout=5.0)
         if self._proc.is_alive():
             self._proc.terminate()
             self._proc.join(timeout=5.0)
-        self._receiver.join(timeout=5.0)
+        if self._receiver is not None:
+            self._receiver.join(timeout=5.0)  # saw EOF when the worker went
+        elif self._loop is not None and not self._loop.is_closed():
+            self._loop.remove_reader(self._conn.fileno())
+        _ROUTER_ENDS.discard(self._conn)
+        self._conn.close()

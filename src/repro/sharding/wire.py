@@ -13,7 +13,7 @@ reply must discard it when it eventually arrives, or the stale value
 would be returned for the *next* request on the same pipe.
 
 Worker-side failures cross the wire as ``(error_type, error)`` string
-pairs; :func:`raise_reply_error` rebuilds the original exception when
+pairs; :func:`reply_error` rebuilds the original exception when
 the type names a class in the :mod:`repro.exceptions` hierarchy and
 wraps anything else in :class:`~repro.exceptions.ShardError`.
 """
@@ -45,6 +45,7 @@ __all__ = [
     "OP_SHUTDOWN",
     "Request",
     "Reply",
+    "reply_error",
     "raise_reply_error",
 ]
 
@@ -86,8 +87,8 @@ class Reply:
     error: str = ""
 
 
-def raise_reply_error(reply: Reply, shard_id: int) -> None:
-    """Re-raise a failed :class:`Reply` client-side.
+def reply_error(reply: Reply, shard_id: int) -> ReproError:
+    """The exception a failed :class:`Reply` stands for, client-side.
 
     Errors from the repro hierarchy come back as their original class
     (so e.g. a worker-side ``GeometryError`` stays catchable as one);
@@ -101,7 +102,10 @@ def raise_reply_error(reply: Reply, shard_id: int) -> None:
         except TypeError:
             rebuilt = None
         if isinstance(rebuilt, ReproError):
-            raise rebuilt  # lint: ignore[R3] — rebuilt from the repro hierarchy by name
-    raise ShardError(
-        f"shard {shard_id}: {reply.error_type}: {reply.error}"
-    )
+            return rebuilt
+    return ShardError(f"shard {shard_id}: {reply.error_type}: {reply.error}")
+
+
+def raise_reply_error(reply: Reply, shard_id: int) -> None:
+    """Re-raise a failed :class:`Reply` client-side (see :func:`reply_error`)."""
+    raise reply_error(reply, shard_id)  # lint: ignore[R3] — rebuilt from the repro hierarchy by name

@@ -3,7 +3,7 @@
 A :class:`ShardWorker` owns everything a single-process serving engine
 owns — an :class:`~repro.core.rtree.RTree`, a
 :class:`~repro.storage.pager.StorageManager` buffer pool over a
-(latency-modelled) disk, and optionally a write-ahead log — and speaks
+(latency-modelled) disk, with no log yet (ROADMAP item 4) — and speaks
 only :class:`~repro.sharding.wire.Request`/:class:`~repro.sharding.wire.Reply`.
 Record ids are assigned globally by the router; the worker keeps the
 global<->local translation maps plus each record's rectangle, which is
@@ -39,6 +39,12 @@ from .wire import Reply, Request
 
 __all__ = ["ShardSpec", "ShardWorker", "worker_main"]
 
+#: Threads of a subprocess worker whose requests can stall: concurrent
+#: reads share the engine's index latch and overlap their disk stalls,
+#: like the single-process baseline's client threads (so a 1-shard fleet
+#: is not capped below the client concurrency).
+WORKER_THREADS = 8
+
 #: One migrated record on the wire: (rid, lows, highs, payload).
 MovedRecord = tuple[int, tuple[float, ...], tuple[float, ...], Any]
 
@@ -60,11 +66,6 @@ class ShardSpec:
     buffer_bytes: int = 64 * 1024
     read_delay: float = 0.0
     write_delay: float = 0.0
-    #: Request-handling threads in the subprocess loop: concurrent reads
-    #: share the worker engine's index latch and overlap their disk
-    #: stalls, exactly like the single-process baseline's client threads
-    #: (so a 1-shard fleet is not capped below the client concurrency).
-    worker_threads: int = 8
 
     def bounds(self) -> Rect:
         return Rect(self.bounds_lows, self.bounds_highs)
@@ -137,6 +138,17 @@ class ShardWorker:
             return Reply(request.seq, True, handler(*request.args))
         except Exception as exc:  # serialized into the Reply, re-raised client-side
             return Reply(request.seq, False, None, type(exc).__name__, str(exc))
+
+    @property
+    def may_block(self) -> bool:
+        """Whether a request can stall the thread that runs it: a request
+        delay or a simulated disk latency (and, once a shard is durable,
+        its log's fsync).  Observed per request, not set: ``configure``
+        changes it at run time.  When false a request is pure CPU under
+        one GIL, and a second thread could only add a hand-off."""
+        disk = self.storage.disk if self.storage is not None else None
+        stalls = isinstance(disk, LatencyDisk) and (disk.read_delay or disk.write_delay)
+        return bool(self._delay_s or stalls)
 
     def close(self) -> None:
         if self.storage is not None:
@@ -289,8 +301,9 @@ class ShardWorker:
 def worker_main(conn: Any, spec: ShardSpec) -> None:
     """Subprocess entry point: serve one pipe until shutdown or EOF.
 
-    Requests are handled on a small thread pool (``spec.worker_threads``)
-    so concurrent reads overlap their buffer-miss stalls under the
+    A request that cannot stall is answered on the thread that read it.
+    One that can (:attr:`ShardWorker.may_block`) goes to a small thread
+    pool so concurrent reads overlap their buffer-miss stalls under the
     engine's shared index latch — the pipe stays ordered-by-completion,
     and the client matches replies to requests by sequence number.
     """
@@ -305,9 +318,8 @@ def worker_main(conn: Any, spec: ShardSpec) -> None:
             except (EOFError, OSError):
                 pass  # client hung up mid-flight; nobody to reply to
 
-    pool = ThreadPoolExecutor(
-        max_workers=max(1, spec.worker_threads), thread_name_prefix="shard-op"
-    )
+    # Threads start with the first submit: a worker that never stalls has one.
+    pool = ThreadPoolExecutor(max_workers=WORKER_THREADS, thread_name_prefix="shard-op")
     try:
         while True:
             try:
@@ -319,7 +331,10 @@ def worker_main(conn: Any, spec: ShardSpec) -> None:
                 with send_gate:
                     conn.send(Reply(request.seq, True, None))
                 break
-            pool.submit(run, request)
+            if worker.may_block:
+                pool.submit(run, request)
+            else:
+                run(request)
     finally:
         pool.shutdown(wait=True)
         worker.close()

@@ -11,8 +11,10 @@ checks them all:
 
 plus a 2-shard local ``ShardRouter`` and ``ShardedService.handle_frame``
 (their workers always run a plain R-Tree, so the variant axis does not
-apply; the service is asked the four query frames its protocol has), and
-the R+-Tree for the three kinds it exposes.  The drift this module pins —
+apply; the service is asked the four query frames its protocol has — over
+the local transport, which keeps to the executor, and over two process
+shards whose pipes the loop reads, where every frame is an awaited plan),
+and the R+-Tree for the three kinds it exposes.  The drift this module pins —
 each case failed on the commit before ``core/query.py`` existed — sits
 below the matrix: prediction-phase skeletons, dimension-mismatched
 queries, and the structural assertion that no layer re-declares a method
@@ -217,6 +219,40 @@ def test_service_frames_match_brute_force(kind):
         reply = asyncio.run(service.handle_frame(frame))
         assert reply["ok"], reply
         assert _ids(reply["value"]) == want
+
+
+@pytest.mark.parametrize("kind", query.KINDS)
+def test_served_process_shards_match_brute_force(kind):
+    """The same frames where a frame is an awaited plan: data and queries
+    both go through ``handle_frame`` on one loop that owns the shard pipes."""
+    data = _rects()
+    model = dict(enumerate(data, start=1))
+    router = build_router(
+        2, bounds=Rect((0.0, 0.0), (SIDE, SIDE)), transport="process", buffer_bytes=0
+    )
+    service = ShardedService(router)
+
+    async def drive():
+        for rid, rect in model.items():
+            frame = {"op": "insert", "lows": list(rect.lows), "highs": list(rect.highs)}
+            assert await service.handle_frame(frame) == {"ok": True, "value": rid}
+        assert service._on_loop and all(c._receiver is None for c in router._clients.values())
+        for q in _queries(data):
+            if kind == "stab":
+                point = q.center
+                want = _expected("search", model, Rect(point, point))
+                frame = {"op": "stab", "coords": list(point)}
+            else:
+                want = _expected(kind, model, q)
+                frame = {"op": kind, "lows": list(q.lows), "highs": list(q.highs)}
+            reply = await service.handle_frame(frame)
+            assert reply["ok"], reply
+            assert _ids(reply["value"]) == want
+
+    try:
+        asyncio.run(drive())
+    finally:
+        router.close()
 
 
 @pytest.mark.parametrize("cls", [RPlusTree, SRPlusTree])

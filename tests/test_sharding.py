@@ -15,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -577,50 +578,302 @@ class TestService:
     def test_tcp_server_serves_json_lines(self):
         router = build_router(2, bounds=BOUNDS, transport="local", buffer_bytes=0)
 
-        async def drive():
+        async def drive(port):
             import json
 
-            from repro.sharding import serve
-
-            ready = asyncio.Event()
-            bound: dict = {}
-
-            orig_start = asyncio.start_server
-
-            async def capture(*args, **kw):
-                server = await orig_start(*args, **kw)
-                bound["port"] = server.sockets[0].getsockname()[1]
-                return server
-
-            asyncio.start_server = capture
-            try:
-                task = asyncio.create_task(serve(router, port=0, ready=ready))
-                await asyncio.wait_for(ready.wait(), timeout=10)
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", bound["port"]
-                )
-                writer.write(
-                    json.dumps(
-                        {"op": "insert", "lows": [1, 1], "highs": [2, 2]}
-                    ).encode()
-                    + b"\n"
-                )
-                await writer.drain()
-                reply = json.loads(await reader.readline())
-                assert reply == {"ok": True, "value": 1}
-                writer.write(json.dumps({"op": "ping"}).encode() + b"\n")
-                await writer.drain()
-                assert json.loads(await reader.readline())["value"] == "pong"
-                writer.close()
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-            finally:
-                asyncio.start_server = orig_start
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                json.dumps({"op": "insert", "lows": [1, 1], "highs": [2, 2]}).encode()
+                + b"\n"
+            )
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            assert reply == {"ok": True, "value": 1}
+            writer.write(json.dumps({"op": "ping"}).encode() + b"\n")
+            await writer.drain()
+            assert json.loads(await reader.readline())["value"] == "pong"
+            writer.close()
 
         try:
-            asyncio.run(drive())
+            asyncio.run(_tcp_service(router, drive))
         finally:
             router.close()
+
+
+# ---------------------------------------------------------------------------
+# The served request path: loop-owned pipes, awaited plans, inline workers
+# ---------------------------------------------------------------------------
+def _frame(op: str, rect: Rect, **extra) -> dict:
+    return {"op": op, "lows": list(rect.lows), "highs": list(rect.highs), **extra}
+
+
+def _spread(n: int) -> list[Rect]:
+    """``n`` small boxes walking the diagonal: both shards get some."""
+    return [
+        Rect((x, x), (x + 1.0, x + 1.0))
+        for x in (1.0 + 97.0 * i / max(n - 1, 1) for i in range(n))
+    ]
+
+
+class TestServedPath:
+    """``ShardedService`` over process shards whose pipes the loop reads."""
+
+    def _serve(self, drive, **kw):
+        """Run ``drive(service, router)`` on one loop, then close the router."""
+        kw.setdefault("buffer_bytes", 0)
+        router = build_router(2, bounds=BOUNDS, transport="process", **kw)
+        try:
+            return asyncio.run(drive(ShardedService(router), router))
+        finally:
+            router.close()
+
+    def test_timeout_frame_then_the_next_frame_gets_its_own_answer(self):
+        async def drive(service, router):
+            for rect in _spread(8):
+                assert (await service.handle_frame(_frame("insert", rect)))["ok"]
+            slow = router._clients[router.shard_ids[0]]
+            await asyncio.wrap_future(slow.submit(wire.OP_CONFIGURE, (0.4, None)))
+            late = await service.handle_frame(_frame("search", BOUNDS))
+            assert (late["ok"], late["error_type"]) == (False, "ShardTimeoutError")
+            # Turning the delay off is itself delayed; by the time it is
+            # answered the stale search reply has come and been dropped.
+            await asyncio.wrap_future(slow.submit(wire.OP_CONFIGURE, (0.0, None)))
+            one = await service.handle_frame(_frame("search", _spread(8)[0]))
+            assert one == {"ok": True, "value": [(1, None)]}
+            everything = await service.handle_frame(_frame("search", BOUNDS))
+            assert [rid for rid, _ in everything["value"]] == list(range(1, 9))
+
+        self._serve(drive, timeout_s=0.1)
+
+    def test_killed_worker_fails_every_read_in_flight_then_fails_fast(self):
+        async def drive(service, router):
+            for rect in _spread(8):
+                assert (await service.handle_frame(_frame("insert", rect)))["ok"]
+            victim = router._clients[router.shard_ids[1]]
+            await asyncio.wrap_future(victim.submit(wire.OP_CONFIGURE, (0.5, None)))
+            reads = [
+                asyncio.ensure_future(service.handle_frame(_frame("search", BOUNDS)))
+                for _ in range(6)
+            ]
+            await asyncio.sleep(0.1)  # all six are out, the victim asleep on them
+            os.kill(victim._proc.pid, signal.SIGKILL)
+            replies = await asyncio.wait_for(asyncio.gather(*reads), timeout=5.0)
+            assert [(r["ok"], r["error_type"]) for r in replies] == [(False, "ShardError")] * 6
+            started = time.monotonic()
+            after = await service.handle_frame(_frame("search", BOUNDS))
+            assert (after["ok"], after["error_type"]) == (False, "ShardError")
+            assert time.monotonic() - started < 1.0
+            # The shard that is still there still answers for itself.
+            mine = await service.handle_frame(_frame("search", _spread(8)[0]))
+            assert mine == {"ok": True, "value": [(1, None)]}
+
+        self._serve(drive, timeout_s=5.0)
+
+    def test_split_beside_two_readers_and_a_writer_loses_nothing(self):
+        from repro.core.rtree import RTree
+
+        reference = RTree()
+        acked: dict[int, Rect] = {}
+
+        async def drive(service, router):
+            for rect in _spread(60):
+                rid = (await service.handle_frame(_frame("insert", rect)))["value"]
+                acked[rid] = rect
+            done = asyncio.Event()
+
+            async def reader():
+                reads = 0
+                while not done.is_set() or reads < 20:
+                    before = set(acked)
+                    reply = await service.handle_frame(_frame("search", BOUNDS))
+                    assert reply["ok"], reply
+                    ids = [rid for rid, _ in reply["value"]]
+                    assert ids == sorted(set(ids)), "a record was reported twice"
+                    assert before <= set(ids), "an acknowledged record went missing"
+                    reads += 1
+                return reads
+
+            async def writer():
+                for i in range(120):
+                    x = 2.0 + 95.0 * ((i * 37) % 120) / 120.0
+                    rect = Rect((x, 99.0 - x), (x + 0.5, 99.5 - x))
+                    rid = (await service.handle_frame(_frame("insert", rect)))["value"]
+                    acked[rid] = rect
+                done.set()
+
+            async def splitter():
+                await asyncio.sleep(0.01)
+                stats = (await service.handle_frame({"op": "stats"}))["value"]
+                per_shard = stats["records_per_shard"]
+                reply = await service.handle_frame(
+                    {"op": "split", "shard_id": max(per_shard, key=per_shard.get)}
+                )
+                assert reply["ok"] and reply["value"] is not None, reply
+
+            await asyncio.gather(reader(), reader(), writer(), splitter())
+            stats = (await service.handle_frame({"op": "stats"}))["value"]
+            assert stats["shards"] == 3 and stats["rebalances"] == 1
+            # The shard split off is pumped by the loop too: no receiver thread.
+            assert all(client._receiver is None for client in router._clients.values())
+            assert stats["records"] == sum(stats["records_per_shard"].values()) == len(acked)
+            for rid in sorted(acked):  # the router's ids are a single tree's
+                assert reference.insert(acked[rid]) == rid
+            for q in [BOUNDS, *_spread(9)]:
+                reply = await service.handle_frame(_frame("search", q))
+                assert [rid for rid, _ in reply["value"]] == sorted(reference.search_ids(q))
+
+        self._serve(drive)
+
+    def test_stats_beside_a_writer(self):
+        """``stats`` iterates nothing a writer grows (it used to walk the
+        rid map: ``dictionary changed size during iteration``)."""
+        router = build_router(2, bounds=BOUNDS, transport="local", buffer_bytes=0)
+        rects = _spread(20_000)
+        stop = threading.Event()
+
+        def write():
+            while not stop.is_set():
+                for rect in rects[:2_000]:
+                    router.insert(rect)
+
+        try:
+            for rect in rects:
+                router.insert(rect)
+            writer = threading.Thread(target=write, daemon=True)
+            writer.start()
+            try:
+                for _ in range(60):
+                    stats = router.stats()
+                    assert stats["records"] >= 20_000
+            finally:
+                stop.set()
+                writer.join()
+            stats = router.stats()
+            assert sum(stats["records_per_shard"].values()) == stats["records"] == len(router)
+        finally:
+            router.close()
+
+
+async def _tcp_service(router, drive):
+    """``serve(router)`` on a free port; ``drive(port)`` beside it."""
+    from repro.sharding import service as service_module
+
+    bound: dict = {}
+    orig_start = asyncio.start_server
+
+    async def capture(*args, **kw):
+        server = await orig_start(*args, **kw)
+        bound["port"] = server.sockets[0].getsockname()[1]
+        return server
+
+    ready = asyncio.Event()
+    asyncio.start_server = capture
+    try:
+        task = asyncio.create_task(service_module.serve(router, port=0, ready=ready))
+        await asyncio.wait_for(ready.wait(), timeout=10)
+    finally:
+        asyncio.start_server = orig_start
+    try:
+        return await drive(bound["port"])
+    finally:
+        task.cancel()
+        try:
+            await task
+        except asyncio.CancelledError:
+            pass
+
+
+class TestMalformedFrames:
+    """A peer that is not speaking the protocol is hung up on — told why
+    when it nearly was — and never a traceback."""
+
+    def _drive(self, payload: bytes, caplog):
+        import json
+        import logging
+
+        router = build_router(2, bounds=BOUNDS, transport="local", buffer_bytes=0)
+
+        async def drive(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(payload)
+            await writer.drain()
+            lines = []
+            while True:
+                line = await asyncio.wait_for(reader.readline(), timeout=10)
+                if not line:
+                    break
+                lines.append(json.loads(line))
+            writer.close()
+            # A well-behaved peer is still served afterwards.
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "ping"}\n')
+            await writer.drain()
+            assert json.loads(await reader.readline()) == {"ok": True, "value": "pong"}
+            writer.close()
+            return lines
+
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                lines = asyncio.run(_tcp_service(router, drive))
+            assert not caplog.records, [r.getMessage() for r in caplog.records]
+            return lines
+        finally:
+            router.close()
+
+    def test_undecodable_bytes_are_hung_up_on_quietly(self, caplog):
+        assert self._drive(b"\xff\xfe\n", caplog) == []
+
+    def test_an_over_long_line_is_told_the_limit(self, caplog):
+        import json
+
+        frame = _frame("insert", Rect((1.0, 1.0), (2.0, 2.0)), payload="x" * 70_000)
+        (reply,) = self._drive(json.dumps(frame).encode() + b"\n", caplog)
+        assert (reply["ok"], reply["error_type"]) == (False, "ConfigError")
+        assert "65536" in reply["error"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="needs /proc")
+def test_a_served_read_needs_one_thread_a_process():
+    """The census that says why a served read got cheaper: after 1,000
+    reads over TCP the server is one thread — no ``gather`` pool, no
+    ``shard-N-recv`` thread, no default executor — and so is each worker
+    that cannot block."""
+    import json
+    import socket
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    server = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--shards", "2", "--port", "0"],
+        stdout=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+        text=True,
+    )
+    try:
+        port = int(server.stdout.readline().rsplit(":", 1)[1])
+        workers = _children(server.pid)
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            lines = sock.makefile("rwb")
+
+            def ask(frame):
+                lines.write(json.dumps(frame).encode() + b"\n")
+                lines.flush()
+                reply = json.loads(lines.readline())
+                assert reply["ok"], reply
+                return reply["value"]
+
+            domain = Rect((0.0, 0.0), (100_000.0, 100_000.0))
+            for i in range(50):
+                x = 1_000.0 + 1_900.0 * i
+                ask(_frame("insert", Rect((x, x), (x + 500.0, x + 500.0))))
+            for i in range(1_000):
+                assert len(ask(_frame("search", domain))) == 50
+        threads = {pid: len(os.listdir(f"/proc/{pid}/task")) for pid in (server.pid, *workers)}
+        assert len(workers) == 2 and set(threads.values()) == {1}, threads
+    finally:
+        server.send_signal(signal.SIGINT)
+        try:
+            server.wait(10)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.wait()
+        server.stdout.close()
