@@ -21,7 +21,7 @@ from repro.bench import build_index, default_scale, format_table, run_experiment
 from repro.workloads import qar_sweep
 
 # Every benchmark run leaves a machine-readable BENCH_<name>.json behind
-# (schema repro.bench-report/v1) unless the caller points REPRO_REPORT_DIR
+# (schema repro.bench-report/v2) unless the caller points REPRO_REPORT_DIR
 # elsewhere or sets it to "" to suppress.
 os.environ.setdefault(
     "REPRO_REPORT_DIR", str(Path(__file__).resolve().parent.parent / "results" / "reports")

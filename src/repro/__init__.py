@@ -19,7 +19,6 @@ Quickstart::
 
 from .core import (
     AccessStats,
-    BatchInsertStats,
     BatchSearchStats,
     IndexConfig,
     IndexMetrics,
@@ -33,7 +32,6 @@ from .core import (
     SRPlusTree,
     SRStarTree,
     SRTree,
-    batch_insert,
     batch_search,
     check_index,
     check_rplus,
@@ -71,9 +69,7 @@ __version__ = "1.1.0"
 
 __all__ = [
     "AccessStats",
-    "BatchInsertStats",
     "BatchSearchStats",
-    "batch_insert",
     "batch_search",
     "IndexConfig",
     "IndexMetrics",

@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Sequence
 
-from ..core.batch import batch_insert
 from ..core.geometry import Rect
 from ..core.packed import pack_tree
 from ..core.rtree import RTree
@@ -37,7 +36,7 @@ from ..obs.latency import LatencyRecorder
 from ..obs.report import build_report, write_report
 from ..workloads.generators import DOMAIN, dataset_R1
 from ..workloads.queries import uniform_queries
-from .experiment import INDEX_TYPES, fresh_index
+from .experiment import INDEX_TYPES, build_index
 
 __all__ = [
     "BATCH_INDEX_TYPES",
@@ -143,16 +142,11 @@ def workload(
 
 def build_tree(kind: str, dataset: Sequence[Rect]) -> RTree:
     """One index of ``kind`` (see :data:`BATCH_INDEX_TYPES`) holding
-    ``dataset``, payload = position (batched build — the scenarios only
-    need the finished tree)."""
-    items = [(rect, i) for i, rect in enumerate(dataset)]
+    ``dataset``, payload = position: packed by STR, or built by
+    :func:`~repro.bench.experiment.build_index` one insert at a time."""
     if kind == "Packed SR-Tree":
-        return pack_tree(items, None, SRTree)
-    tree = fresh_index(kind, len(dataset))
-    batch_insert(tree, items)
-    if hasattr(tree, "flush"):
-        tree.flush()
-    return tree
+        return pack_tree([(rect, i) for i, rect in enumerate(dataset)], None, SRTree)
+    return build_index(kind, dataset)
 
 
 def drive(

@@ -8,7 +8,7 @@ its ``@scenario`` header, and it returns ``(metrics, latencies)`` for the
 v2 report.
 
 * ``batch`` — cold-pool buffer faults of one-at-a-time searches vs. one
-  shared-traversal batch, and one-at-a-time vs. grouped inserts;
+  shared-traversal batch;
 * ``concurrent`` — latched read throughput at 1/2/4 reader threads over
   a stalling pool, against an unlatched sequential reference;
 * ``mvcc`` — snapshot reads vs. latched reads beside a churn writer,
@@ -34,11 +34,8 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..concurrency.engine import ConcurrentIndex
-from ..core.batch import batch_insert
 from ..core.geometry import Rect
-from ..core.packed import pack_tree
 from ..core.rtree import RTree
-from ..core.srtree import SRTree
 from ..exceptions import ConcurrencyError, StorageError
 from ..obs.latency import LatencyRecorder, format_ns, span_breakdown
 from ..obs.sinks import RingBufferSink
@@ -52,7 +49,6 @@ from ..store import open_store
 from ..workloads.generators import DOMAIN, dataset_R1
 from ..workloads.queries import uniform_queries
 from ..workloads.traffic import TrafficConfig, generate_schedule, run_traffic
-from .experiment import fresh_index
 from .harness import (
     BATCH_INDEX_TYPES,
     CORRECTNESS,
@@ -83,12 +79,6 @@ def _times(value: float) -> str:
 # ----------------------------------------------------------------------
 # batch
 # ----------------------------------------------------------------------
-#: Fraction of the dataset bulk-loaded up front for the packed variant's
-#: insert comparison (the rest arrives dynamically, like any packed index
-#: that keeps serving writes after its initial load).
-_PACKED_PRELOAD = 0.5
-
-
 def _cold_pool_search(
     tree: RTree,
     answer: Callable[[ConcurrentIndex], list[list[tuple[int, Any]]]],
@@ -104,53 +94,6 @@ def _cold_pool_search(
         "faults": store.manager.pool.stats.misses,
         "wall_seconds": wall,
         "node_accesses": tree.stats.search_node_accesses - before,
-    }
-
-
-def _insert_comparison(kind: str, dataset: list[Rect], batch_size: int) -> dict[str, Any]:
-    """One-at-a-time inserts vs. ``batch_size`` groups vs. one bulk batch."""
-    if kind == "Packed SR-Tree":
-        preload = max(1, int(len(dataset) * _PACKED_PRELOAD))
-        head = [(r, i) for i, r in enumerate(dataset[:preload])]
-        tail = dataset[preload:]
-
-        def empty() -> RTree:
-            return pack_tree(head, index_cls=SRTree)
-    else:
-        tail = dataset
-
-        def empty() -> RTree:
-            return fresh_index(kind, len(dataset))
-
-    def timed(load: Callable[[RTree], None]) -> tuple[RTree, float]:
-        tree = empty()
-        start = time.perf_counter()
-        load(tree)
-        return tree, time.perf_counter() - start
-
-    def one_at_a_time(tree: RTree) -> None:
-        for rect in tail:
-            tree.insert(rect)
-
-    def grouped(tree: RTree) -> None:
-        for i in range(0, len(tail), batch_size):
-            batch_insert(tree, [(r, None) for r in tail[i : i + batch_size]])
-
-    sequential_tree, sequential_wall = timed(one_at_a_time)
-    batched_tree, batched_wall = timed(grouped)
-    # The whole tail as one batch exercises the STR bulk-split path — the
-    # regime where deferred propagation pays most.
-    _, bulk_wall = timed(lambda tree: batch_insert(tree, [(r, None) for r in tail]))
-    return {
-        "sequential_wall_seconds": sequential_wall,
-        "batched_wall_seconds": batched_wall,
-        "bulk_wall_seconds": bulk_wall,
-        "speedup": _ratio(sequential_wall, batched_wall),
-        "bulk_speedup": _ratio(sequential_wall, bulk_wall),
-        "sequential_splits": sequential_tree.stats.splits,
-        "batched_splits": batched_tree.stats.splits,
-        "sequential_size": len(sequential_tree),
-        "batched_size": len(batched_tree),
     }
 
 
@@ -171,11 +114,6 @@ def _insert_comparison(kind: str, dataset: list[Rect], batch_size: int) -> dict[
                 ("reduction", "fault_reduction", _times),
             ),
         ),
-        Table(
-            "insert",
-            _INDEX,
-            (("ins speedup", "speedup", _times), ("bulk speedup", "bulk_speedup", _times)),
-        ),
     ),
 )
 def batch(
@@ -186,18 +124,17 @@ def batch(
     area_fraction: float = 0.05,
     index_types: Sequence[str] = BATCH_INDEX_TYPES,
 ) -> tuple[dict, dict]:
-    """Batched vs. one-at-a-time execution.
+    """Batched vs. one-at-a-time search.
 
     The same ``batch_size`` queries are answered twice through a
     deliberately small pool, each time from cold so the miss counts
     compare traversal shapes, not warm-up luck: one descent per query
     (every descent re-faults the upper levels) against one shared
     traversal (each node faulted at most once for the batch).
-    ``fault_reduction`` is the ratio; the insert comparison rides along.
+    ``fault_reduction`` is the ratio.
     """
     dataset, queries = workload(records, batch_size, area_fraction, seed)
     search: dict[str, dict] = {}
-    insert: dict[str, dict] = {}
     for kind in index_types:
         tree = build_tree(kind, dataset)
         sequential, one = _cold_pool_search(
@@ -214,10 +151,8 @@ def batch(
             ),
             "result_divergences": divergences(batched, sequential),
         }
-        insert[kind] = _insert_comparison(kind, dataset, batch_size)
     metrics = {
         "search": search,
-        "insert": insert,
         "min_fault_reduction": min(m["fault_reduction"] for m in search.values()),
         "result_divergences": sum(m["result_divergences"] for m in search.values()),
     }

@@ -2,10 +2,7 @@
 variant structures (R*, R+, packed)."""
 
 from .batch import (
-    BatchInsertStats,
     BatchSearchStats,
-    batch_insert,
-    batch_insert_with_stats,
     batch_order,
     batch_search,
     batch_search_with_stats,
@@ -36,10 +33,7 @@ INDEX_CLASSES: dict[str, type[RTree]] = {
 
 __all__ = [
     "INDEX_CLASSES",
-    "BatchInsertStats",
     "BatchSearchStats",
-    "batch_insert",
-    "batch_insert_with_stats",
     "batch_order",
     "batch_search",
     "batch_search_with_stats",

@@ -1,31 +1,20 @@
-"""Batched execution engine: shared-traversal search and grouped insert.
+"""Batched search: one shared traversal answers a whole batch of queries.
 
-Every index in this repo answers queries one at a time: each search or
-insert descends from the root independently, re-faulting the same
-upper-level pages through the buffer pool once per operation.  This module
-amortizes that I/O across a *batch*:
+Every index in this repo answers queries one at a time: each search
+descends from the root independently, re-faulting the same upper-level
+pages through the buffer pool once per query.  :func:`batch_search`
+amortizes that I/O across a *batch*: it orders the query rectangles along
+a Hilbert curve so spatially close queries sit together, and runs one
+shared depth-first traversal per cluster.  Each node is visited **at most
+once per cluster** and the set of still-active queries is fanned down
+with the traversal, so a page that serves twenty queries is faulted once
+instead of twenty times.  Results are set-identical to calling
+``tree.search`` per rectangle, on every member of the R-Tree family.
 
-* :func:`batch_search` — takes a list of query rectangles, orders them
-  along a Hilbert curve so spatially close queries sit together, and runs
-  one shared depth-first traversal per cluster.  Each node is visited **at
-  most once per cluster** and the set of still-active queries is fanned
-  down with the traversal, so a page that serves twenty queries is faulted
-  once instead of twenty times.
-* :func:`batch_insert` — takes a list of (rect, payload) records, groups
-  them by their ChooseLeaf target at every level, appends whole groups to
-  their destination leaves, and **defers** split handling and MBR
-  adjustment to one pass per touched node instead of one pass per record.
-  Oversized overflow (a whole batch landing in one leaf) is resolved with
-  a Sort-Tile-Recursive bulk split rather than repeated binary splits.
-
-Both functions work uniformly across the R-Tree family — :class:`RTree`,
-:class:`SRTree`, the skeleton variants and packed trees — including
-spanning-record placement, cutting, demotion and promotion in the SR
-variants: the engine drives the exact same hooks
-(``_try_place_spanning`` / ``_check_spanning_node`` / ``_split_node``) the
-sequential path uses, so every structural invariant checked by
-:func:`repro.core.validation.check_index` is preserved.  Results are
-set-identical to issuing the operations one at a time.
+There is no batched insert: a multi-record insert is the tree's own
+``insert`` in a loop, and bulk loading is :func:`repro.core.packed.pack_tree`
+(DESIGN §3, "Batched search").  The curve keys live here because the
+sharded serving tier partitions by them.
 """
 
 from __future__ import annotations
@@ -33,19 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..exceptions import IndexStructureError
-from .entry import BranchEntry, DataEntry
+from ..exceptions import ConfigError
 from .geometry import Rect, union_all
-from .node import Node
-from .packed import str_partition
 from .query import Fetch, SpanningHit
 from .rtree import RTree
 
 __all__ = [
     "batch_search",
     "batch_search_with_stats",
-    "batch_insert",
-    "batch_insert_with_stats",
     "hilbert_index",
     "curve_key",
     "curve_keyspace",
@@ -53,7 +37,6 @@ __all__ = [
     "batch_order",
     "cluster_batch",
     "BatchSearchStats",
-    "BatchInsertStats",
 ]
 
 #: Bits per dimension for the space-filling-curve keys.  The sharded
@@ -62,15 +45,6 @@ __all__ = [
 CURVE_ORDER = 16
 
 _CURVE_ORDER = CURVE_ORDER
-
-#: A node more than this many times over capacity is split with one
-#: Sort-Tile-Recursive pass instead of repeated quadratic splits (which
-#: are O(n^2) per pass and would make bulk-sized batches quadratic).
-_BULK_SPLIT_FACTOR = 3
-
-#: Fill factor for nodes produced by a bulk split: full enough to keep the
-#: tree compact, loose enough that the next insert does not re-split.
-_BULK_SPLIT_FILL = 0.7
 
 
 # ----------------------------------------------------------------------
@@ -156,11 +130,11 @@ def cluster_batch(
     traversal); smaller clusters trade traversal sharing for tighter
     active-query sets at each node.
     """
+    if max_cluster is not None and max_cluster < 1:
+        raise ConfigError(f"max_cluster must be positive, got {max_cluster}")
     order = batch_order(rects)
     if max_cluster is None or max_cluster >= len(order):
         return [order] if order else []
-    if max_cluster < 1:
-        raise IndexStructureError("max_cluster must be positive")
     return [order[i : i + max_cluster] for i in range(0, len(order), max_cluster)]
 
 
@@ -266,296 +240,3 @@ def _shared_search(
             if sub:
                 stack.append((b.child, sub))
     return accessed
-
-
-# ----------------------------------------------------------------------
-# Batched insert
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BatchInsertStats:
-    """Structural statistics for one :func:`batch_insert` call."""
-
-    records: int
-    leaves_touched: int
-    splits: int
-    reinserted: int
-
-
-def batch_insert(
-    tree: RTree, items: Sequence[tuple[Rect, Any]], *, reorder: bool = True
-) -> list[int]:
-    """Insert every (rect, payload) in ``items``; returns their record ids.
-
-    Records are routed down the tree in ChooseLeaf groups, appended to
-    their destination leaves in bulk, and split/MBR maintenance is paid
-    once per touched node.  SR-variants place spanning records (with
-    cutting) during the routing descent exactly as the sequential path
-    does; remnants and demoted records drain through the standard
-    insertion queue at the end of the batch.
-    """
-    ids, _ = batch_insert_with_stats(tree, items, reorder=reorder)
-    return ids
-
-
-def batch_insert_with_stats(
-    tree: RTree, items: Sequence[tuple[Rect, Any]], *, reorder: bool = True
-) -> tuple[list[int], BatchInsertStats]:
-    """Like :func:`batch_insert` but also reports structural statistics."""
-    pending_items = list(items)
-    ids: list[int] = []
-    consumed = 0
-    # A skeleton index still buffering for distribution prediction owns
-    # record-id assignment and may materialize mid-batch; feed it through
-    # its own insert until the prediction phase ends.
-    while consumed < len(pending_items) and getattr(tree, "predicting", False):
-        rect, payload = pending_items[consumed]
-        ids.append(tree.insert(rect, payload))
-        consumed += 1
-    rest = pending_items[consumed:]
-    if not rest:
-        return ids, BatchInsertStats(len(ids), 0, 0, 0)
-
-    for rect, _ in rest:
-        tree._check_rect(rect)
-    entries: list[DataEntry] = []
-    for rect, payload in rest:
-        record_id = tree._next_record_id
-        tree._next_record_id += 1
-        tree._fragment_counts[record_id] = 1
-        entries.append(DataEntry(rect, record_id, payload))
-        ids.append(record_id)
-    tree._size += len(entries)
-    tree.stats.inserts += len(entries)
-
-    splits_before = tree.stats.splits
-    with tree.tracer.span("batch_insert", records=len(entries)) as sp:
-        leaves_touched, reinserted = _grouped_insert(tree, entries, reorder)
-        splits = tree.stats.splits - splits_before
-        sp.set(leaves_touched=leaves_touched, splits=splits, reinserted=reinserted)
-    tree._after_batch_insert(len(entries))
-    return ids, BatchInsertStats(
-        records=len(ids),
-        leaves_touched=leaves_touched,
-        splits=tree.stats.splits - splits_before,
-        reinserted=reinserted,
-    )
-
-
-def _grouped_insert(
-    tree: RTree, entries: list[DataEntry], reorder: bool
-) -> tuple[int, int]:
-    """Route ``entries`` down in groups; returns (leaves touched, reinserts).
-
-    The routing pass appends records to leaves (or places them as spanning
-    records) without splitting leaves or re-checking spanning links; those
-    two maintenance passes run once afterwards, over the touched/grown
-    node sets, and any queued work (remnants from cuts, demoted records)
-    drains through the standard insertion loop.
-    """
-    if reorder and len(entries) > 1:
-        order = batch_order([e.rect for e in entries])
-        entries = [entries[i] for i in order]
-
-    tree._demote_counts = {}
-    pending: list[DataEntry] = []
-    touched: list[Node] = []
-    grown: dict[int, Node] = {}
-    start_root = tree.root
-    _route(tree, start_root, entries, pending, touched, grown)
-
-    # Deferred split propagation: one pass per touched leaf.
-    for leaf in touched:
-        if tree._node_overflowing(leaf):
-            _bulk_split(tree, leaf, pending)
-
-    # Deferred demotion checks: once per node whose parent branch grew
-    # (the sequential path checks after every single record).
-    for child in grown.values():
-        owner = child.parent
-        if owner is not None:
-            tree._check_spanning_node(owner, pending)
-
-    # Splits during routing may have pushed the root above the subtree the
-    # batch descended into; re-tighten the branch rectangles on that path.
-    _tighten_upward(tree, start_root)
-
-    reinserted = len(pending)
-    if pending:
-        tree._drain_insertion(pending)
-    return len(touched), reinserted
-
-
-def _route(
-    tree: RTree,
-    node: Node,
-    group: list[DataEntry],
-    pending: list[DataEntry],
-    touched: list[Node],
-    grown: dict[int, Node],
-    via: BranchEntry | None = None,
-) -> Rect | None:
-    """Recursively route ``group`` below ``node``, reached through branch
-    ``via`` (``None`` at the root).
-
-    Returns the union of the rectangles that landed in leaves of this
-    subtree (``None`` when every record was placed as a spanning record),
-    which is exactly the contribution the parent's branch rectangle must
-    grow by — spanning placements are already inside their node's region
-    and contribute nothing, matching the sequential insertion's semantics.
-    """
-    if node.is_leaf:
-        node.data_entries.extend(group)
-        tree._touch(node)
-        touched.append(node)
-        return union_all([e.rect for e in group])
-
-    descend: list[DataEntry] = []
-    for entry in group:
-        allow = tree._demote_counts.get(entry.record_id, 0) < 2
-        region = None if via is None else via.rect
-        if allow and tree._try_place_spanning(node, entry, pending, region):
-            if via is None and node.parent is not None:
-                # The placement split the root: ``node`` now has a region.
-                via = node.parent.branch_for_child(node)
-            continue
-        descend.append(entry)
-    if not descend:
-        return None
-
-    # Group the remaining records by their ChooseLeaf branch.  Placement
-    # above may have split ``node``; grouping over its current branches
-    # keeps every record inside this subtree, which is all correctness
-    # needs (search never relies on ChooseLeaf being optimal).
-    by_branch: dict[int, tuple[BranchEntry, list[DataEntry]]] = {}
-    for entry in descend:
-        branch = tree._choose_branch(node, entry.rect)
-        slot = by_branch.get(id(branch))
-        if slot is None:
-            by_branch[id(branch)] = (branch, [entry])
-        else:
-            slot[1].append(entry)
-
-    contribution: Rect | None = None
-    for branch, sub in by_branch.values():
-        child_rect = _route(tree, branch.child, sub, pending, touched, grown, branch)
-        if child_rect is None:
-            continue
-        if not branch.rect.contains(child_rect):
-            branch.rect = branch.rect.union(child_rect)
-            tree._touch(node)
-            grown[id(branch.child)] = branch.child
-        contribution = (
-            child_rect if contribution is None else contribution.union(child_rect)
-        )
-    return contribution
-
-
-def _tighten_upward(tree: RTree, node: Node) -> None:
-    """Grow stale branch rectangles on the path from ``node`` to the root.
-
-    Needed when a split during routing created new ancestors above the
-    node the batch started from: their branch rectangles were computed
-    before the batch finished growing the subtree.
-    """
-    child = node
-    while child.parent is not None:
-        parent = child.parent
-        branch = parent.branch_for_child(child)
-        rect = tree._node_rect(child)
-        if not branch.rect.contains(rect):
-            branch.rect = branch.rect.union(rect)
-            tree._touch(parent)
-        child = parent
-
-
-def _bulk_split(tree: RTree, node: Node, pending: list[DataEntry]) -> None:
-    """Split an overfull node, once, however far over capacity it is.
-
-    Mildly overfull nodes use the tree's configured split algorithm (so
-    batched trees stay structurally comparable to sequential ones).  A
-    node holding several nodes' worth of entries — a whole batch routed to
-    one leaf — is instead tiled into ``k`` siblings with one
-    Sort-Tile-Recursive pass: the quadratic splitter is O(n^2) *per
-    split* and would be re-run O(n / capacity) times.
-    """
-    capacity = tree.config.capacity(node.level)
-    if node.slots_used <= capacity:
-        return
-    if node.slots_used <= _BULK_SPLIT_FACTOR * capacity:
-        tree._split_node(node, pending)
-        return
-
-    config = tree.config
-    siblings: list[Node] = []
-    if node.is_leaf:
-        entries = node.data_entries
-        group_size = max(
-            config.min_entries(0) * 2, int(config.capacity(0) * _BULK_SPLIT_FILL)
-        )
-        groups = str_partition([e.rect for e in entries], group_size, config.dims)
-        node.data_entries = [entries[i] for i in groups[0]]
-        for group in groups[1:]:
-            sibling = Node(level=0)
-            sibling.data_entries = [entries[i] for i in group]
-            tree._touch(sibling)
-            siblings.append(sibling)
-    else:
-        branches = node.branches
-        group_size = max(
-            2,
-            int(config.branch_capacity(node.level, tree.segment_index) * _BULK_SPLIT_FILL),
-        )
-        groups = str_partition([b.rect for b in branches], group_size, config.dims)
-        node.branches = [branches[i] for i in groups[0]]
-        for group in groups[1:]:
-            sibling = Node(level=node.level)
-            sibling.branches = [branches[i] for i in group]
-            for b in sibling.branches:
-                b.child.parent = sibling
-            tree._touch(sibling)
-            siblings.append(sibling)
-    if not siblings:
-        # str_partition kept everything in one group (cannot happen while
-        # the node is over capacity, but guard the invariant explicitly).
-        raise IndexStructureError("bulk split produced no siblings")
-
-    # A split node stops being a skeleton cell (same rule as _split_node).
-    node.assigned_region = None
-    tree._touch(node)
-    tree.stats.splits += len(siblings)
-    if tree.tracer.enabled:
-        for sibling in siblings:
-            tree.tracer.event(
-                "split",
-                node_id=node.node_id,
-                sibling_id=sibling.node_id,
-                level=node.level,
-                page_bytes=config.node_bytes(node.level),
-            )
-
-    parent = node.parent
-    if parent is None:
-        parent = Node(level=node.level + 1)
-        parent.branches.append(BranchEntry(tree._node_rect(node), node))
-        node.parent = parent
-        tree.root = parent
-        tree._height += 1
-        tree._mark(parent)
-    else:
-        parent.branch_for_child(node).rect = tree._node_rect(node)
-        tree._touch(parent)
-    for sibling in siblings:
-        sibling.parent = parent
-        parent.branches.append(BranchEntry(tree._node_rect(sibling), sibling))
-
-    # Spanning records rode along with their branches; a tiled half can
-    # exceed its spanning quota, and the shrunken regions can invalidate
-    # links on the parent — same post-split obligations as _split_node
-    # (promotion is skipped: records stay exactly as placed, which is
-    # always legal; the next split or demotion pass may promote them).
-    tree._check_spanning_node(parent, pending)
-    for half in (node, *siblings):
-        if tree._node_overflowing(half):
-            tree._split_node(half, pending)
-    if tree._node_overflowing(parent):
-        _bulk_split(tree, parent, pending)

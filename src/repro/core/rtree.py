@@ -253,11 +253,6 @@ class RTree(query.QuerySurface):
         extra work).
         """
         self._demote_counts = {}
-        self._drain_insertion(pending)
-
-    def _drain_insertion(self, pending: list[DataEntry]) -> None:
-        """Drain ``pending`` without resetting the per-operation demotion
-        counts (the batch engine accumulates them across a whole batch)."""
         guard = 0
         while pending:
             guard += 1
@@ -532,10 +527,6 @@ class RTree(query.QuerySurface):
 
     def _after_insert(self) -> None:
         """Post-insert hook (skeleton indexes run coalescing here)."""
-
-    def _after_batch_insert(self, count: int) -> None:
-        """Post-batch hook: deferred maintenance paid once per batch
-        (skeleton indexes run at most one coalescing pass here)."""
 
     def _reinsert_entries(self, entries: list[DataEntry]) -> None:
         """Reinsert fragments that lost their home (demotion, coalescing)."""

@@ -281,16 +281,6 @@ class SkeletonMixin:
             self._inserts_since_coalesce = 0
             self._coalesce_pass()
 
-    def _after_batch_insert(self, count: int) -> None:
-        """Batched inserts pay coalescing once per batch, not per record."""
-        interval = self.config.coalesce_interval
-        if interval == 0:
-            return
-        self._inserts_since_coalesce += count
-        if self._inserts_since_coalesce >= interval:
-            self._inserts_since_coalesce = 0
-            self._coalesce_pass()
-
     def _coalesce_pass(self) -> None:
         """Merge sparse adjacent sibling leaves among the least frequently
         modified nodes."""

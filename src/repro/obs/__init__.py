@@ -47,13 +47,11 @@ from .registry import (
 )
 from .report import (
     SCHEMA,
-    SCHEMA_V1,
     build_report,
     format_latency_line,
     format_report,
     load_report,
     report_filename,
-    upgrade_report,
     validate_report,
     write_report,
 )
@@ -105,12 +103,10 @@ __all__ = [
     "format_ns",
     "span_breakdown",
     "SCHEMA",
-    "SCHEMA_V1",
     "build_report",
     "report_filename",
     "write_report",
     "load_report",
-    "upgrade_report",
     "validate_report",
     "format_report",
     "format_latency_line",

@@ -338,12 +338,6 @@ _SPAN_SPECS: tuple[SpanSpec, ...] = (
         doc="One shared traversal answering a whole batch of queries.",
     ),
     _s(
-        "batch_insert",
-        begin=("records",),
-        end=("leaves_touched", "splits", "reinserted"),
-        doc="One grouped insertion with deferred split propagation.",
-    ),
-    _s(
         "serve",
         begin=("tenant", "query_class"),
         end=("cpu_ns",),

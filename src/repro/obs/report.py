@@ -24,9 +24,8 @@ Schema (``repro.bench-report/v2``)::
 
 v2 adds the ``latencies`` section: log-bucketed latency summaries with
 p50/p90/p99/p999 quantiles, keyed by series name (the SLO benches use
-``<index>/<query_class>/<tenant>``).  v1 documents (no ``latencies``)
-are still accepted by :func:`load_report` / :func:`validate_report` and
-are upgraded in memory via :func:`upgrade_report`.
+``<index>/<query_class>/<tenant>``).  Any other schema, v1 included, is
+rejected.
 """
 
 from __future__ import annotations
@@ -41,22 +40,16 @@ from .latency import QUANTILE_LABELS, format_ns
 
 __all__ = [
     "SCHEMA",
-    "SCHEMA_V1",
     "build_report",
     "report_filename",
     "write_report",
     "load_report",
-    "upgrade_report",
     "validate_report",
     "format_report",
     "format_latency_line",
 ]
 
 SCHEMA = "repro.bench-report/v2"
-SCHEMA_V1 = "repro.bench-report/v1"
-
-#: Schemas ``validate_report`` accepts (newest first).
-_KNOWN_SCHEMAS = (SCHEMA, SCHEMA_V1)
 
 _REQUIRED = ("schema", "name", "config", "wall_seconds", "metrics", "histograms")
 
@@ -106,44 +99,24 @@ def write_report(doc: dict, out_dir: str | Path) -> Path:
 
 
 def load_report(path: str | Path) -> dict:
-    """Read, validate, and (for v1 files) upgrade a report document.
-
-    Whatever schema version is on disk, the returned in-memory document
-    is always current (v2): callers never need version branches.
-    """
+    """Read and validate a report document."""
     with Path(path).open() as fh:
         doc = json.load(fh)
     validate_report(doc)
-    return upgrade_report(doc)
-
-
-def upgrade_report(doc: dict) -> dict:
-    """Return ``doc`` at the current schema version (copying if upgraded).
-
-    v1 -> v2 adds the empty ``latencies`` section.  Already-current
-    documents are returned unchanged (not copied).
-    """
-    if doc.get("schema") == SCHEMA:
-        return doc
-    upgraded = dict(doc)
-    upgraded["schema"] = SCHEMA
-    upgraded.setdefault("latencies", {})
-    return upgraded
+    return doc
 
 
 def validate_report(doc: object) -> None:
     """Raise :class:`~repro.exceptions.InputFormatError` listing every
-    schema problem found.  Accepts current (v2) and v1 documents."""
+    schema problem found.  Only the current schema (v2) is accepted."""
     problems: list[str] = []
     if not isinstance(doc, dict):
         raise InputFormatError(f"report must be a JSON object, got {type(doc).__name__}")
     for key in _REQUIRED:
         if key not in doc:
             problems.append(f"missing required key {key!r}")
-    if "schema" in doc and doc.get("schema") not in _KNOWN_SCHEMAS:
-        problems.append(
-            f"schema is {doc['schema']!r}, expected one of {list(_KNOWN_SCHEMAS)}"
-        )
+    if "schema" in doc and doc.get("schema") != SCHEMA:
+        problems.append(f"schema is {doc['schema']!r}, expected {SCHEMA!r}")
     if "name" in doc and (not isinstance(doc["name"], str) or not doc["name"]):
         problems.append("name must be a non-empty string")
     for key in ("config", "metrics", "histograms", "latencies"):
@@ -225,7 +198,6 @@ def _flatten(prefix: str, value: object, out: list[tuple[str, object]]) -> None:
 
 def format_report(doc: dict, bar_width: int = 40) -> str:
     """Human-readable rendering of a report (the ``repro stats`` view)."""
-    doc = upgrade_report(doc)
     lines = [f"{doc['name']}  ({doc['schema']})"]
     lines.append(f"  wall time: {doc['wall_seconds']:.3f}s")
     lines.append("  config:")

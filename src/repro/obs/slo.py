@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 from ..exceptions import InputFormatError
 from .latency import QUANTILE_LABELS, format_ns
-from .report import upgrade_report, validate_report
+from .report import validate_report
 
 __all__ = [
     "DEFAULT_SLO_SPEC",
@@ -198,12 +198,10 @@ def evaluate_slo(
 ) -> list[SloResult]:
     """Apply ``rules`` (default: :data:`DEFAULT_SLO_SPEC`) to a report.
 
-    The report may be any accepted schema version; it is upgraded in
-    memory first.  Returns one result per (rule, matching series), plus
-    a failing no-match result for rules that matched nothing.
+    Returns one result per (rule, matching series), plus a failing
+    no-match result for rules that matched nothing.
     """
     validate_report(report)
-    report = upgrade_report(report)
     if rules is None:
         rules = parse_slo_spec(DEFAULT_SLO_SPEC)
     latencies: Mapping[str, dict] = report.get("latencies", {})

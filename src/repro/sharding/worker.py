@@ -279,20 +279,23 @@ class ShardWorker:
         self, delay_s: float, read_delay: float | None = None
     ) -> None:
         """Runtime fault/latency knobs: a per-request handling delay (the
-        timeout tests' hook) and, when a storage layer is attached, the
-        simulated disk's read latency (the bench raises it after the
-        zero-delay load phase so both sides measure warm-pool steady
-        state)."""
+        timeout tests' hook) and the simulated disk's read latency (the
+        bench raises it after the zero-delay load phase so both sides
+        measure warm-pool steady state).  A worker with no simulated disk
+        (``buffer_bytes=0``) refuses a read latency rather than ignore it."""
         if delay_s < 0:
             raise ConfigError("delay_s must be non-negative")
-        self._delay_s = delay_s
+        disk = self.storage.disk if self.storage is not None else None
         if read_delay is not None:
             if read_delay < 0:
                 raise ConfigError("read_delay must be non-negative")
-            if self.storage is not None:
-                disk = self.storage.disk
-                if isinstance(disk, LatencyDisk):
-                    disk.read_delay = read_delay
+            if not isinstance(disk, LatencyDisk):
+                raise ConfigError(
+                    f"shard {self.spec.shard_id}: read_delay needs a simulated disk, "
+                    "and this worker has none (buffer_bytes=0)"
+                )
+            disk.read_delay = read_delay
+        self._delay_s = delay_s
 
     def _op_ping(self) -> str:
         return "pong"

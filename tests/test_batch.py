@@ -1,4 +1,4 @@
-"""Unit tests for the batched execution engine (repro.core.batch)."""
+"""Unit tests for batched search and the curve ordering (repro.core.batch)."""
 
 from __future__ import annotations
 
@@ -8,14 +8,13 @@ from repro import IndexConfig, Rect, RTree, SRTree, check_index, pack_tree
 from repro.core import (
     SkeletonRTree,
     SkeletonSRTree,
-    batch_insert,
-    batch_insert_with_stats,
     batch_order,
     batch_search,
     batch_search_with_stats,
     cluster_batch,
     hilbert_index,
 )
+from repro.exceptions import ConfigError
 from repro.obs import RingBufferSink, Tracer
 from repro.storage import StorageManager
 
@@ -109,9 +108,21 @@ class TestOrdering:
         order = batch_order(rects)
         assert sorted(order) == list(range(20))
         tree = RTree(cfg)
-        ids = batch_insert(tree, [(r, None) for r in rects])
+        for rect in rects:
+            tree.insert(rect)
         check_index(tree)
-        assert len(ids) == 20
+        batched = batch_search(tree, rects)  # Z-order clusters in 3-d
+        assert [{rid for rid, _ in hits} for hits in batched] == [
+            tree.search_ids(r) for r in rects
+        ]
+
+    def test_cluster_batch_rejects_a_non_positive_cluster_size(self):
+        # A bad parameter, not a broken tree: callers catching ValueError see it.
+        for rects in ([], random_boxes(5, seed=2)):
+            with pytest.raises(ConfigError, match="max_cluster"):
+                cluster_batch(rects, max_cluster=0)
+        with pytest.raises(ValueError):
+            batch_search(RTree(), random_boxes(5, seed=2), max_cluster=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +179,6 @@ class TestBatchSearch:
         assert batch_search(tree, []) == []
 
     def test_rejects_wrong_dims(self):
-        from repro.exceptions import ConfigError
-
         tree = RTree()
         with pytest.raises(ConfigError):
             batch_search(tree, [Rect((0.0,), (1.0,))])
@@ -195,14 +204,18 @@ class TestBatchSearch:
         sink = RingBufferSink()
         tree.tracer = Tracer(sink, strict=True)
         batch_search(tree, random_boxes(8, seed=11))
-        batch_insert(tree, [(r, None) for r in random_boxes(8, seed=12)])
         ops = {e.op for e in sink.events if e.etype == "span_begin"}
-        assert "batch_search" in ops and "batch_insert" in ops
+        assert "batch_search" in ops
 
 
 # ---------------------------------------------------------------------------
-# Batched insert
+# A batch of inserts: the tree's own insert, record by record
 # ---------------------------------------------------------------------------
+def insert_all(tree, items) -> list[int]:
+    """A multi-record insert, the one way there is to do it."""
+    return [tree.insert(rect, payload) for rect, payload in items]
+
+
 class TestBatchInsert:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_brute_force_and_invariants(self, kind, small_config):
@@ -211,7 +224,7 @@ class TestBatchInsert:
         items = [
             (r, i) for i, r in enumerate(random_segments(300, seed=13, long_fraction=0.25))
         ]
-        ids = batch_insert(tree, items)
+        ids = insert_all(tree, items)
         assert len(ids) == len(items) == len(set(ids))
         for rid, (rect, _) in zip(ids, items):
             data[rid] = rect
@@ -228,7 +241,7 @@ class TestBatchInsert:
         boxes = random_segments(240, seed=15, long_fraction=0.2)
         for chunk_start in range(0, 240, 80):
             chunk = boxes[chunk_start : chunk_start + 80]
-            ids = batch_insert(tree, [(r, None) for r in chunk])
+            ids = insert_all(tree, [(r, None) for r in chunk])
             for rid, r in zip(ids, chunk):
                 data[rid] = r
             # A few sequential inserts and deletes between batches.
@@ -244,26 +257,19 @@ class TestBatchInsert:
             assert tree.search_ids(q) == brute_force_ids(data, q)
 
     def test_bulk_insert_into_empty_tree_uses_str_split(self, paper_config):
-        tree = RTree(paper_config)
+        # Loading a whole batch into an empty tree is bulk loading: one
+        # Sort-Tile-Recursive pass, no splits at all.
         items = [(r, None) for r in random_boxes(5000, seed=17)]
-        batch_insert(tree, items)
+        tree = pack_tree(items, paper_config, RTree)
         check_index(tree)
         assert len(tree) == 5000
         assert tree.height >= 2
-        # One STR pass tiles the batch instead of O(n/cap) quadratic splits.
-        assert tree.stats.splits < 5000
-
-    def test_empty_batch_is_a_noop(self):
-        tree = RTree()
-        assert batch_insert(tree, []) == []
-        assert len(tree) == 0
+        assert tree.stats.splits == 0
 
     def test_stats_and_size_bookkeeping(self, small_config):
         tree = SRTree(small_config)
         items = [(r, None) for r in random_segments(150, seed=18, long_fraction=0.3)]
-        ids, stats = batch_insert_with_stats(tree, items)
-        assert stats.records == 150
-        assert stats.leaves_touched >= 1
+        ids = insert_all(tree, items)
         assert tree.stats.inserts == 150
         assert len(tree) == 150
         assert sorted(ids) == ids  # ids assigned in argument order
@@ -271,11 +277,6 @@ class TestBatchInsert:
             assert tree.fragment_count(rid) >= 1
 
     def test_spanning_records_are_placed(self, small_config):
-        # Pre-populate with a mix that includes long segments so branch
-        # rects already span the x-extent: batch routing defers rect
-        # growth, so spanning placement triggers only against regions
-        # that span *before* the batch (sequential insertion can create
-        # such regions mid-stream; a batch sees the pre-batch tree).
         tree = SRTree(small_config)
         for rect in random_segments(200, seed=19, long_fraction=0.3):
             tree.insert(rect)
@@ -284,7 +285,7 @@ class TestBatchInsert:
             (Rect((0.0, float(y * 1000)), (100_000.0, float(y * 1000))), None)
             for y in range(10)
         ]
-        batch_insert(tree, long_items)
+        insert_all(tree, long_items)
         check_index(tree)
         assert tree.stats.spanning_placements > placements_before
 
@@ -296,7 +297,7 @@ class TestBatchInsert:
             prediction_fraction=0.25,
         )
         items = [(r, None) for r in random_segments(200, seed=20, long_fraction=0.2)]
-        ids = batch_insert(tree, items)
+        ids = insert_all(tree, items)
         assert len(ids) == 200
         assert not tree.predicting  # buffer filled and materialized mid-batch
         check_index(tree)
@@ -304,26 +305,17 @@ class TestBatchInsert:
         for q in random_boxes(20, seed=21):
             assert tree.search_ids(q) == brute_force_ids(data, q)
 
-    def test_skeleton_batches_coalesce_once(self):
+    def test_skeleton_coalesces_every_interval_inserts(self, monkeypatch):
+        """The paper's cadence (§4): one coalescing pass per
+        ``coalesce_interval`` insertions, however the inserts arrive."""
         config = IndexConfig(leaf_node_bytes=200, coalesce_interval=100)
         tree = SkeletonRTree(config, expected_tuples=300, domain=DOMAIN_2D)
-        batch_insert(tree, [(r, None) for r in random_boxes(250, seed=22)])
-        # 250 inserts over interval 100 -> at most one deferred pass ran,
-        # and the counter kept the remainder.
-        assert tree._inserts_since_coalesce in (0, 150)
+        passes = []
+        real_pass = tree._coalesce_pass
+        monkeypatch.setattr(tree, "_coalesce_pass", lambda: passes.append(real_pass()))
+        insert_all(tree, [(r, None) for r in random_boxes(250, seed=22)])
+        assert len(passes) == 2 and tree._inserts_since_coalesce == 50
         check_index(tree)
-
-    def test_reorder_flag_changes_order_not_results(self, small_config):
-        items = [(r, None) for r in random_boxes(120, seed=23)]
-        plain = SRTree(small_config)
-        ordered = SRTree(small_config)
-        ids_a = batch_insert(plain, items, reorder=False)
-        ids_b = batch_insert(ordered, items, reorder=True)
-        assert ids_a == ids_b
-        for q in random_boxes(15, seed=24):
-            assert plain.search_ids(q) == ordered.search_ids(q)
-        check_index(plain)
-        check_index(ordered)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Crash safety for batched inserts over the fault-injecting disk.
+"""Crash safety for a batch of inserts over the fault-injecting disk.
 
-The batch engine mutates the in-memory tree; durability comes from the
+The inserts mutate the in-memory tree; durability comes from the
 checkpoint that follows.  The sweep here checkpoints a pre-batch
-baseline (generation 1), runs :func:`repro.core.batch.batch_insert`,
-then crashes the *post-batch* checkpoint at every single disk-operation
+baseline (generation 1), inserts a batch of records one by one, then
+crashes the *post-batch* checkpoint at every single disk-operation
 boundary in turn.  Whatever the crash point, reopening the store must
 recover a structurally valid tree answering queries exactly like the
 pre-batch snapshot — or, when the crash lands after the commit record,
@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro import IndexConfig, Rect, SRTree, check_index
-from repro.core import batch_insert
 from repro.exceptions import SimulatedCrashError
 from repro.storage import (
     Fault,
@@ -59,7 +58,8 @@ class TestBatchInsertCrashSweep:
         mgr.checkpoint()  # generation 1: the committed pre-batch baseline
         queries = sample_queries()
         pre = [tree.search_ids(q) for q in queries]
-        batch_insert(tree, _batch_items(48, seed=32))
+        for rect, payload in _batch_items(48, seed=32):
+            tree.insert(rect, payload)
         check_index(tree)
         post = [tree.search_ids(q) for q in queries]
         return path, mgr, disk, queries, pre, post

@@ -1,8 +1,8 @@
-"""Differential test oracle for the batched execution engine.
+"""Differential test oracle for batched search.
 
-Hypothesis drives random *interleavings* of batched and sequential
-inserts, deletes, and searches against every index variant the batch
-engine supports, and cross-checks each variant against a brute-force
+Hypothesis drives random *interleavings* of inserts, deletes, and
+sequential and batched searches against every index variant batched
+search supports, and cross-checks each variant against a brute-force
 oracle (a plain dict of live record -> rectangle).  Any divergence —
 a search result that differs from the linear scan, a delete that
 removes the wrong thing, a structural invariant broken mid-interleaving
@@ -27,7 +27,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import IndexConfig, Rect, RTree, SRTree, check_index, pack_tree
-from repro.core import SkeletonRTree, SkeletonSRTree, batch_insert, batch_search
+from repro.core import SkeletonRTree, SkeletonSRTree, batch_search
 
 ALL_KINDS = ("rtree", "srtree", "skeleton-rtree", "skeleton-srtree", "packed")
 
@@ -78,18 +78,12 @@ def _boxes(draw):
 
 @st.composite
 def _ops(draw):
-    """A short interleaving of batched/sequential mutations and probes."""
+    """A short interleaving of mutations and sequential/batched probes."""
     n = draw(st.integers(min_value=2, max_value=8))
     ops = []
     for _ in range(n):
-        kind = draw(
-            st.sampled_from(
-                ["insert_seq", "insert_batch", "delete", "search", "batch_search"]
-            )
-        )
-        if kind == "insert_seq":
-            ops.append((kind, draw(st.lists(_boxes(), min_size=1, max_size=4))))
-        elif kind == "insert_batch":
+        kind = draw(st.sampled_from(["insert", "delete", "search", "batch_search"]))
+        if kind == "insert":
             ops.append((kind, draw(st.lists(_boxes(), min_size=1, max_size=8))))
         elif kind == "delete":
             # (victim selector, use the true rect as a hint?)
@@ -148,15 +142,10 @@ def _assert_search_agrees(tree, live, query):
 
 
 def _apply(tree, live: dict[int, Rect], op) -> None:
-    if op[0] == "insert_seq":
+    if op[0] == "insert":
         for rect in op[1]:
-            live[tree.insert(rect)] = rect
-    elif op[0] == "insert_batch":
-        ids = batch_insert(tree, [(rect, None) for rect in op[1]])
-        assert len(ids) == len(op[1])
-        assert len(set(ids)) == len(ids), "batch assigned duplicate record ids"
-        for rid, rect in zip(ids, op[1]):
-            assert rid not in live, "batch reused a live record id"
+            rid = tree.insert(rect)
+            assert rid not in live, "insert reused a live record id"
             live[rid] = rect
     elif op[0] == "delete":
         _, selector, with_hint = op

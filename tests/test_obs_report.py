@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.bench import run_experiment, write_experiment_report
+from repro.exceptions import InputFormatError
 from repro.obs.report import (
     SCHEMA,
     build_report,
@@ -138,7 +139,7 @@ class TestExperimentReport:
 
 
 class TestSchemaV2:
-    """v2 latencies section + v1 back-compat upgrade."""
+    """v2 latencies section; v1 is no longer read."""
 
     def _latencies(self):
         from repro.obs.latency import LatencyRecorder
@@ -148,36 +149,14 @@ class TestSchemaV2:
             rec.record(v)
         return {"R-Tree/stab/tenant-a": rec.summary()}
 
-    def test_v1_document_accepted_and_upgraded(self):
-        from repro.obs.report import SCHEMA_V1, upgrade_report
-
-        v1 = {
-            "schema": SCHEMA_V1,
-            "name": "old",
-            "config": {},
-            "wall_seconds": 0.1,
-            "metrics": {},
-            "histograms": {},
-        }
-        validate_report(v1)  # accepted as-is
-        upgraded = upgrade_report(v1)
-        assert upgraded["schema"] == SCHEMA
-        assert upgraded["latencies"] == {}
-        assert v1["schema"] == SCHEMA_V1  # original untouched
-        # current documents pass through without copying
-        doc = build_report("x", config={}, wall_seconds=0.0, metrics={})
-        assert upgrade_report(doc) is doc
-
-    def test_v1_file_loads_as_v2(self, tmp_path):
-        from repro.obs.report import SCHEMA_V1
-
+    def test_v1_document_is_rejected_like_any_unknown_schema(self, tmp_path):
         path = tmp_path / "BENCH_old.json"
         path.write_text(json.dumps({
-            "schema": SCHEMA_V1, "name": "old", "config": {},
+            "schema": "repro.bench-report/v1", "name": "old", "config": {},
             "wall_seconds": 0.1, "metrics": {}, "histograms": {},
         }))
-        doc = load_report(path)
-        assert doc["schema"] == SCHEMA and doc["latencies"] == {}
+        with pytest.raises(InputFormatError, match="repro.bench-report/v1"):
+            load_report(path)
 
     def test_latencies_round_trip(self, tmp_path):
         doc = build_report(

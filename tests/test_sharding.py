@@ -336,6 +336,24 @@ class TestRouter:
         finally:
             router.close()
 
+    def test_configure_refuses_a_read_delay_it_cannot_apply(self):
+        """A worker with no simulated disk cannot stall its reads; saying
+        so is the only way a stall bench learns it measured nothing."""
+        router = self._router()
+        try:
+            with pytest.raises(ConfigError, match="shard 0: read_delay"):
+                router.configure_workers(read_delay=0.001)
+            router.configure_workers(delay_s=0.0)  # no read latency asked for
+        finally:
+            router.close()
+        router = self._router(buffer_bytes=16 * 1024)
+        try:
+            router.configure_workers(read_delay=0.001)
+            worker = router._clients[router.shard_ids[0]].worker
+            assert worker.storage.disk.read_delay == 0.001 and worker.may_block
+        finally:
+            router.close()
+
     def test_shed_insert_is_withdrawn(self):
         router = self._router(
             admission=AdmissionController(max_in_flight=1, max_retries=0, backoff_s=0.0)

@@ -19,7 +19,6 @@ from repro import (
     IndexConfig,
     Rect,
     SRTree,
-    batch_insert,
     check_index,
     segment,
     workloads,
@@ -173,43 +172,31 @@ def test_linear_split_builds_identically(kind, request):
     _assert_same(kernel, replaced)
 
 
-@pytest.mark.parametrize("policy", ["descend", "split"])
-def test_batch_insert_builds_identically(policy, request):
-    rects = workloads.dataset_I3(PREFIX, 7)
-
-    def build():
-        tree = SRTree(small_pages(policy))
-        for start in range(0, PREFIX, 250):
-            batch_insert(tree, [(r, i) for i, r in enumerate(rects[start:start + 250], start)])
-        return tree
-
-    kernel, replaced = _both_ways(build, request)
-    _assert_same(kernel, replaced)
-    assert kernel.stats.spanning_placements and kernel.stats.cuts
-
-
-def test_batch_placement_that_splits_the_root_builds_identically(request):
-    """Full-width bands span a root branch; under "split" the third one
-    splits the root in the middle of routing its group, so the start node
-    gains a region the rest of the group must be clipped to."""
+def test_full_width_bands_that_split_the_root_build_a_valid_tree(request):
+    """Full-width bands span a root branch; under "split" placing them
+    splits the root again and again, and every level's branch rectangle
+    must still enclose its child's.  (Routed as one group, the same bands
+    left a branch poking out of its enclosing rectangle.)"""
     rng = random.Random(3)
     short = [segment(x, x + 500.0, rng.uniform(0, 1e5)) for x in
              (rng.uniform(0, 99_000) for _ in range(300))]
-    bands = [(Rect((-10.0, y), (100_010.0, y + 60_000.0)), None) for y in
-             (rng.uniform(2e4, 4e4) for _ in range(8))]
+    bands = [Rect((-10.0, y), (100_010.0, y + 60_000.0)) for y in
+             (rng.uniform(2e4, 4e4) for _ in range(30))]
 
     def build():
         tree = SRTree(small_pages("split"))
         for rect in short:
             tree.insert(rect)
         height = tree.height
-        batch_insert(tree, bands)
+        for rect in bands:
+            tree.insert(rect)
         assert tree.height > height
         return tree
 
     kernel, replaced = _both_ways(build, request)
-    _assert_same(kernel, replaced)
-    assert kernel.stats.cuts
+    _assert_same(kernel, replaced)  # check_index on both builds
+    stats = kernel.stats
+    assert stats.spanning_placements == len(bands) and stats.promotions
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from repro import (
     SkeletonSRTree,
     SRStarTree,
     SRTree,
-    batch_insert,
     check_index,
     open_store,
 )
@@ -142,10 +141,9 @@ def test_every_changed_image_is_reported(variant: str, run: int) -> None:
         if roll < 0.45 or not live:
             rect = shaped_rect(rng)
             live[tree.insert(rect)] = rect
-        elif roll < 0.6:
-            rects = [shaped_rect(rng) for _ in range(rng.randint(2, 40))]
-            for rid, rect in zip(batch_insert(tree, [(r, None) for r in rects]), rects):
-                live[rid] = rect
+        elif roll < 0.6:  # several inserts, one report
+            for rect in [shaped_rect(rng) for _ in range(rng.randint(2, 40))]:
+                live[tree.insert(rect)] = rect
         else:
             rid = rng.choice(sorted(live))
             rect = live.pop(rid)
@@ -517,13 +515,10 @@ def test_live_version_chains_are_the_linked_nodes(variant: str) -> None:
         roll = rng.random()
         if roll < 0.4 or not live:
             insert(step)
-        elif roll < 0.5 and variant != "R*":
-            # (R*: a batch can leave a leaf over capacity, which no page
-            # holds -- forced reinsertion sheds 30 % however full the leaf.)
-            rects = [shaped_rect(rng) for _ in range(rng.randint(2, 30))]
-            ids = batch_insert(tree, [(r, f"b{step}") for r in rects])
+        elif roll < 0.5:  # several inserts, one commit
+            for rect in [shaped_rect(rng) for _ in range(rng.randint(2, 30))]:
+                live[tree.insert(rect, f"b{step}")] = rect
             manager.commit_write()
-            live.update(zip(ids, rects))
         elif roll < 0.85:
             delete()
         elif roll < 0.95 and len(held) < 4:
