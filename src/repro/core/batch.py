@@ -187,8 +187,10 @@ def batch_search_with_stats(
         for qi, rect in enumerate(rects):
             if e.rect.intersects(rect):
                 hits[qi].append(e)
-    tree.stats.searches += len(rects)
-    tree.stats.search_node_accesses += accessed
+    stats = tree.stats
+    stats.searches += len(rects)
+    stats.node_accesses += accessed
+    stats.search_node_accesses += accessed
     return [[(e.record_id, e.payload) for e in h] for h in hits], BatchSearchStats(
         queries=len(rects),
         clusters=len(clusters),

@@ -60,7 +60,9 @@ class Rect:
     """An immutable closed axis-aligned box in K dimensions.
 
     Bounds are stored as two tuples, ``lows`` and ``highs``, with
-    ``lows[d] <= highs[d]`` for every dimension ``d``.
+    ``lows[d] <= highs[d]`` for every dimension ``d``; a NaN bound is
+    rejected (it compares false both ways, so no test could place it),
+    infinite ones are legal.
 
     >>> r = Rect((0.0, 0.0), (10.0, 5.0))
     >>> r.area
@@ -81,8 +83,10 @@ class Rect:
         if not lows:
             raise GeometryError("a Rect needs at least one dimension")
         for lo, hi in zip(lows, highs):
-            if lo > hi:
-                raise GeometryError(f"inverted bounds: low {lo} > high {hi}")
+            if not lo <= hi:  # also true when either bound is NaN
+                if lo > hi:
+                    raise GeometryError(f"inverted bounds: low {lo} > high {hi}")
+                raise GeometryError(f"NaN bound: [{lo}, {hi}]")
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
 

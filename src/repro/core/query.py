@@ -17,7 +17,8 @@ loop body serves both with no per-entry adapter:
   ``fetch`` accepts (a live node, a page id);
 * record — ``record_id``, ``lows`` / ``highs`` / ``rect``, ``payload``.
 
-**Kernel.**  :func:`intersecting` (the only hot loop), :func:`fragments`
+**Kernel.**  :func:`intersecting` (the only hot loop, compiled per
+dimensionality from one template: :mod:`repro.core.kernel`), :func:`fragments`
 with the :func:`within` / :func:`containing` post-filters, and
 :func:`walk` reach nodes only through a ``fetch(handle) -> node``
 callback, where each layer hangs its per-node work: statistics, page
@@ -38,6 +39,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..exceptions import ConfigError
 from .geometry import Rect, pieces_cover
+from .kernel import unrolled
 
 __all__ = ["KINDS", "Fetch", "SpanningHit", "QuerySurface", "answer", "intersecting", "walk"]
 
@@ -51,52 +53,62 @@ Fetch = Callable[[Any], Any]
 SpanningHit = Callable[[Any, Any], None]
 
 
+#: The paper's search loop (Section 3.1.2), compiled per K by
+#: :func:`repro.core.kernel.unrolled`.  The overlap test keeps its
+#: rejection form — disjoint when some ``lo[d] > rhi_d or hi[d] < rlo_d`` —
+#: the form of ``Rect.intersects``, so infinite bounds compare as there.
+_INTERSECTING = """
+def intersecting(fetch, root, rect, on_spanning_hit):
+    <<|rlo{d}, >>= rect.lows
+    <<|rhi{d}, >>= rect.highs
+    hits = []
+    seen = set()
+    accessed = 0
+    stack = [root] if root else []
+    while stack:
+        node = fetch(stack.pop())
+        accessed += 1
+        for e in node.data_entries:
+            lo = e.lows
+            hi = e.highs
+            if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                continue
+            if e.record_id not in seen:
+                seen.add(e.record_id)
+                hits.append(e)
+        for b in node.branches:
+            for e in b.spanning:
+                lo = e.lows
+                hi = e.highs
+                if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                    continue
+                if e.record_id not in seen:
+                    seen.add(e.record_id)
+                    hits.append(e)
+                    if on_spanning_hit is not None:
+                        on_spanning_hit(node, e)
+            lo = b.lows
+            hi = b.highs
+            if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                continue
+            stack.append(b.child)
+    return hits, accessed
+"""
+
+
 def intersecting(
     fetch: Fetch, root: Any, rect: Rect, on_spanning_hit: SpanningHit | None = None
 ) -> tuple[list[Any], int]:
     """Records intersecting ``rect``, one entry per record id, plus the
     number of nodes fetched.  A falsy ``root`` is an empty index.
 
-    The hot loop of the whole repo: the per-dimension comparison is
-    inlined and nothing is called per entry or per hit.
+    The hot loop of the whole repo, run as the instance of its template
+    for the query's dimensionality: each entry is tested by one chain of
+    comparisons against bounds unpacked once per query, and nothing is
+    called per entry or per hit.
     """
-    hits: list[Any] = []
-    seen: set[int] = set()
-    accessed = 0
-    rlo, rhi = rect.lows, rect.highs
-    dims = range(len(rlo))
-    stack = [root] if root else []
-    while stack:
-        node = fetch(stack.pop())
-        accessed += 1
-        for e in node.data_entries:
-            lo, hi = e.lows, e.highs
-            for d in dims:
-                if lo[d] > rhi[d] or hi[d] < rlo[d]:
-                    break
-            else:
-                if e.record_id not in seen:
-                    seen.add(e.record_id)
-                    hits.append(e)
-        for b in node.branches:
-            for e in b.spanning:
-                lo, hi = e.lows, e.highs
-                for d in dims:
-                    if lo[d] > rhi[d] or hi[d] < rlo[d]:
-                        break
-                else:
-                    if e.record_id not in seen:
-                        seen.add(e.record_id)
-                        hits.append(e)
-                        if on_spanning_hit is not None:
-                            on_spanning_hit(node, e)
-            lo, hi = b.lows, b.highs
-            for d in dims:
-                if lo[d] > rhi[d] or hi[d] < rlo[d]:
-                    break
-            else:
-                stack.append(b.child)
-    return hits, accessed
+    kernel = unrolled(_INTERSECTING, "intersecting", len(rect.lows))
+    return kernel(fetch, root, rect, on_spanning_hit)
 
 
 def fragments(

@@ -91,11 +91,14 @@ class RPlusTree:
     def __len__(self) -> int:
         return self._size
 
-    def insert(self, rect: Rect, payload: Any = None) -> int:
+    def _check_rect(self, rect: Rect) -> None:
         if rect.dims != self.config.dims:
             raise ConfigError(
                 f"rect has {rect.dims} dimensions, index expects {self.config.dims}"
             )
+
+    def insert(self, rect: Rect, payload: Any = None) -> int:
+        self._check_rect(rect)
         if not self.domain.contains(rect):
             raise WorkloadError(f"{rect!r} lies outside the indexed domain")
         record_id = self._next_record_id
@@ -109,13 +112,16 @@ class RPlusTree:
     def search(self, rect: Rect) -> list[tuple[int, Any]]:
         """All records intersecting ``rect``, replicas reported once (the
         shared read kernel de-duplicates on record id)."""
+        self._check_rect(rect)
         hits, accessed = query.intersecting(self._access, self.root, rect)
-        self.stats.searches += 1
-        self.stats.search_node_accesses += accessed
+        stats = self.stats
+        stats.searches += 1
+        stats.node_accesses += accessed
+        stats.search_node_accesses += accessed
         return [(e.record_id, e.payload) for e in hits]
 
     def _access(self, node: Node) -> Node:
-        self.stats.record_access(node.level)
+        self.stats.accesses_by_level[node.level] += 1
         return node
 
     def search_ids(self, rect: Rect) -> set[int]:

@@ -14,8 +14,9 @@ Guttman's.
 
 Reads go through :mod:`repro.core.query`: the public query methods are
 inherited from its ``QuerySurface`` and every traversal reaches nodes
-through :meth:`RTree._access`, which feeds both the paper's node-access
-metric and (when attached) the simulated storage layer's buffer pool.
+through :meth:`RTree._access`, which feeds (when attached) the simulated
+storage layer's buffer pool; the kernel returns how many nodes it
+fetched, which is the paper's node-access metric.
 
 Writes report what they change: every content modification goes through
 :meth:`RTree._touch` and every other change to a node's page image through
@@ -34,11 +35,36 @@ from . import query
 from .config import IndexConfig
 from .entry import BranchEntry, DataEntry
 from .geometry import Rect, union_all
+from .kernel import unrolled
 from .node import Node
 from .split import split_rects
 from .stats import AccessStats, SearchStats
 
 __all__ = ["RTree"]
+
+#: ChooseLeaf over one node's branches, compiled per K by
+#: :func:`repro.core.kernel.unrolled`.  The floats are ``Rect.area`` and
+#: ``Rect.enlargement``'s: products in dimension order starting from 1.0,
+#: the branch's bound surviving a tie of ``max`` / ``min``; the first of
+#: equal enlargements and areas wins.
+_CHOOSE_BRANCH = """
+def choose_branch(branches, rect):
+    <<|ql{d}, >>= rect.lows
+    <<|qh{d}, >>= rect.highs
+    best = None
+    best_enl = best_area = float("inf")
+    for b in branches:
+        <<|l{d}, >>= b.lows
+        <<|h{d}, >>= b.highs
+        area = 1.0<<| * (h{d} - l{d})>>
+        grown = 1.0<<| * ((h{d} if h{d} >= qh{d} else qh{d}) - (l{d} if l{d} <= ql{d} else ql{d}))>>
+        enl = grown - area
+        if enl < best_enl or (enl == best_enl and area < best_area):
+            best = b
+            best_enl = enl
+            best_area = area
+    return best
+"""
 
 
 class RTree(query.QuerySurface):
@@ -122,8 +148,9 @@ class RTree(query.QuerySurface):
 
     def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
         """Answer one query through the read kernel; ``_access`` is the
-        fetch callback, so statistics, page faults and the
-        ``node_access`` trace all happen there, once per node."""
+        fetch callback, so page faults, the per-level count and the
+        ``node_access`` trace happen there, once per node, and the node
+        count the kernel returns is added here, once per query."""
         tracer = self.tracer
         if kind in (query.WITHIN, query.CONTAINING):
             span = tracer.span("search", mode="fragments")
@@ -139,8 +166,10 @@ class RTree(query.QuerySurface):
                 self._trace_spanning_hit if tracer.enabled else None,
             )
             sp.set(nodes_accessed=accessed, records_found=len(hits))
-        self.stats.searches += 1
-        self.stats.search_node_accesses += accessed
+        stats = self.stats
+        stats.searches += 1
+        stats.node_accesses += accessed
+        stats.search_node_accesses += accessed
         return [(e.record_id, e.payload) for e in hits]
 
     def _query_batch(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
@@ -218,8 +247,10 @@ class RTree(query.QuerySurface):
     # ------------------------------------------------------------------
     def _access(self, node: Node) -> Node:
         """Visit ``node``: the read kernel's fetch callback, and the one
-        place a node visit is counted, faulted in and traced."""
-        self.stats.record_access(node.level)
+        place a node visit is faulted in and traced.  Its caller adds the
+        visits to ``stats.node_accesses`` once per operation (the kernel
+        returns the count); only the per-level split is counted here."""
+        self.stats.accesses_by_level[node.level] += 1
         hook = self._storage_hook
         if hook is not None:
             hook(node)
@@ -300,25 +331,8 @@ class RTree(query.QuerySurface):
 
     def _choose_branch(self, node: Node, rect: Rect) -> BranchEntry:
         """Guttman's ChooseLeaf step: least enlargement, ties by area."""
-        rlo, rhi = rect.lows, rect.highs
-        dims = range(len(rlo))
-        best: BranchEntry | None = None
-        best_enl = float("inf")
-        best_area = float("inf")
-        for b in node.branches:
-            blo, bhi = b.lows, b.highs
-            area = 1.0
-            grown = 1.0
-            for d in dims:
-                lo, hi = blo[d], bhi[d]
-                area *= hi - lo
-                l, h = rlo[d], rhi[d]
-                grown *= (hi if hi >= h else h) - (lo if lo <= l else l)
-            enl = grown - area
-            if enl < best_enl or (enl == best_enl and area < best_area):
-                best = b
-                best_enl = enl
-                best_area = area
+        choose = unrolled(_CHOOSE_BRANCH, "choose_branch", len(rect.lows))
+        best: BranchEntry | None = choose(node.branches, rect)
         if best is None:
             raise IndexStructureError("non-leaf node with no branches")
         return best
@@ -440,6 +454,7 @@ class RTree(query.QuerySurface):
         ``changed``, child-first."""
         removed = 0
         self._access(node)
+        self.stats.node_accesses += 1
         if node.is_leaf:
             before = len(node.data_entries)
             node.data_entries = [e for e in node.data_entries if e.record_id != record_id]

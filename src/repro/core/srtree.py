@@ -29,6 +29,7 @@ from typing import Sequence
 from .entry import BranchEntry, DataEntry
 from .floatcmp import exact_zero
 from .geometry import Rect, spans
+from .kernel import unrolled
 from .node import Node
 from .rtree import RTree
 
@@ -38,6 +39,24 @@ __all__ = ["SRTree"]
 #: to make room for spanning records; below it the record descends
 #: normally.  Two is the minimum that still halves the branch set.
 _MIN_BRANCHES_FOR_SPANNING_SPLIT = 2
+
+#: The first branch the spanning portion ``[plo, phi]`` spans, compiled per
+#: K by :func:`repro.core.kernel.unrolled`: :func:`~repro.core.geometry.spans`
+#: with its overlap half tested first, because most branches do not even
+#: meet the portion (a third of an SR-Tree build at 50 K records).
+_FIRST_SPANNED = """
+def first_spanned(branches, plo, phi):
+    <<|lo{d}, >>= plo
+    <<|hi{d}, >>= phi
+    for b in branches:
+        blo = b.lows
+        bhi = b.highs
+        if << or |lo{d} > bhi[{d}] or hi{d} < blo[{d}]>>:
+            continue
+        if << or |lo{d} <= blo[{d}] and hi{d} >= bhi[{d}]>>:
+            return b
+    return None
+"""
 
 
 class SRTree(RTree):
@@ -80,20 +99,8 @@ class SRTree(RTree):
                 if exact_zero(hi - lo) and e_hi - e_lo > 0.0:
                     return False
 
-        # Most branches do not even meet the portion; telling those apart in
-        # place leaves ``spans`` a call or two per node instead of one per
-        # branch (a third of an SR-Tree build at 50 K records).
-        target: BranchEntry | None = None
-        dims = range(len(plo))
-        for branch in node.branches:
-            blo, bhi = branch.lows, branch.highs
-            for d in dims:
-                if plo[d] > bhi[d] or phi[d] < blo[d]:
-                    break
-            else:
-                if spans(plo, phi, blo, bhi):
-                    target = branch
-                    break
+        first_spanned = unrolled(_FIRST_SPANNED, "first_spanned", len(plo))
+        target: BranchEntry | None = first_spanned(node.branches, plo, phi)
         if target is None:
             return False
 

@@ -37,6 +37,18 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Rect((5,), (4,))
 
+    @pytest.mark.parametrize("lows, highs", [
+        ((math.nan,), (1,)), ((0,), (math.nan,)), ((math.nan, 10), (20, 10)),
+        ((0, 0), (1, math.nan)),
+    ])
+    def test_nan_bounds_rejected(self, lows, highs):
+        with pytest.raises(GeometryError, match="NaN"):
+            Rect(lows, highs)
+
+    def test_infinite_bounds_accepted(self):
+        r = Rect((-math.inf, 0), (math.inf, math.inf))
+        assert r.contains(Rect((0, 5), (1, 6)))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(GeometryError):
             Rect((0, 0), (1,))

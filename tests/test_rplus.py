@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import IndexConfig, Rect, RPlusTree, SRPlusTree, check_rplus, segment
-from repro.exceptions import WorkloadError
+from repro.exceptions import ConfigError, WorkloadError
 
 from .conftest import brute_force_ids, random_boxes, random_segments
 
@@ -37,6 +37,16 @@ class TestBasics:
         tree = RPlusTree(domain=DOMAIN)
         with pytest.raises(ValueError):
             tree.insert(Rect((0,), (1,)))
+
+    def test_query_dimension_mismatch_rejected(self):
+        """A 1-D query on a 2-D index used to match every record, and a
+        3-D one raised a bare IndexError."""
+        tree, _ = _build(RPlusTree, random_segments(50, seed=4))
+        for rect in (Rect((0,), (100,)), Rect((0, 0, 0), (100, 100, 100))):
+            with pytest.raises(ConfigError):
+                tree.search(rect)
+        with pytest.raises(ConfigError):
+            tree.stab(5.0)
 
     def test_bad_domain_rejected(self):
         with pytest.raises(WorkloadError):

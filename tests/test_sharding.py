@@ -569,6 +569,8 @@ class TestWorkersDieWithTheirRouter:
 # ---------------------------------------------------------------------------
 class TestService:
     def test_frames_round_trip(self):
+        import json
+
         router = build_router(2, bounds=BOUNDS, transport="local", buffer_bytes=0)
         service = ShardedService(router)
 
@@ -587,6 +589,16 @@ class TestService:
             assert not bad["ok"] and bad["error_type"] == "ConfigError"
             missing = await service.handle_frame({"op": "search", "lows": [0, 0]})
             assert not missing["ok"] and missing["error_type"] == "KeyError"
+            # json.loads, as the server reads a line, accepts NaN
+            for line in (
+                '{"op": "insert", "lows": [NaN, 10], "highs": [20, 10]}',
+                '{"op": "search", "lows": [0, 0], "highs": [5, NaN]}',
+                '{"op": "stab", "coords": [NaN, 1]}',
+            ):
+                nan = await service.handle_frame(json.loads(line))
+                assert not nan["ok"] and nan["error_type"] == "GeometryError", line
+            stats = await service.handle_frame({"op": "stats"})
+            assert stats["value"]["records"] == 1
 
         try:
             asyncio.run(drive())

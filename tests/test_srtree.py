@@ -1,10 +1,12 @@
 """Tests for the SR-Tree's Segment Index machinery."""
 
+import math
 import random
 
 import pytest
 
 from repro import IndexConfig, Rect, SRTree, check_index, segment
+from repro.core.geometry import GeometryError
 
 from .conftest import brute_force_ids, random_boxes, random_segments
 
@@ -156,6 +158,23 @@ class TestEquivalenceWithRTree:
             cx, cy = rng.uniform(0, 100_000), rng.uniform(0, 100_000)
             q = Rect((cx, cy), (cx + 3000, cy + 3000))
             assert sr.search_ids(q) == rt.search_ids(q)
+
+
+class TestNaNRecords:
+    """A NaN bound compares false both ways, so no overlap, span or
+    enlargement test can place such a record.  Into a 300-record tree one
+    used to raise "non-leaf node with no branches" halfway through the
+    insert, leaving ``len(tree)`` one ahead of the records stored; into a
+    leaf root it was stored and gave the tree a NaN bounding rectangle."""
+
+    @pytest.mark.parametrize("records", [300, 3])
+    def test_nan_record_is_refused_before_the_tree_changes(self, small_config, records):
+        tree, _ = _build(small_config, random_segments(records, seed=5, long_fraction=0.0))
+        bounds = tree.bounding_rect()
+        with pytest.raises(GeometryError, match="NaN"):
+            tree.insert(Rect((math.nan, 10.0), (20.0, 10.0)))
+        assert len(tree) == records and tree.bounding_rect() == bounds
+        check_index(tree)
 
 
 class TestDeleteWithFragments:

@@ -4,9 +4,10 @@ DESIGN §3.2 "The write-side kernel": splits and spanning placement work on
 flat ``lows`` / ``highs`` and the descent hands ``_try_place_spanning`` the
 region it already holds.  Nothing about the *decisions* may change, so every
 build here is made twice — once by the code in ``src/`` and once with the
-code it replaced (the ``Rect``-based splits of ``tests/_reference_split.py``
-and the placement below, which looks its region up and cuts first) — and
-compared node for node.
+code it replaced (the ``Rect``-based splits of ``tests/_reference_split.py``,
+the per-dimension ChooseLeaf loop of ``tests/_reference_kernel.py`` and the
+placement below, which looks its region up and cuts first) — and compared
+node for node.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from repro import (
     IndexConfig,
     Rect,
+    RTree,
     SRTree,
     check_index,
     segment,
@@ -28,6 +30,7 @@ from repro.core.entry import BranchEntry, DataEntry
 from repro.core.floatcmp import exact_zero
 from repro.core.node import Node
 
+from . import _reference_kernel as reference_kernel
 from . import _reference_split as reference
 
 PREFIX = 2000
@@ -87,6 +90,7 @@ def replaced_code(monkeypatch):
     """Run the write path on the code the kernel replaced."""
     monkeypatch.setattr("repro.core.rtree.split_rects", reference.split_rects)
     monkeypatch.setattr(SRTree, "_try_place_spanning", _placement_by_lookup)
+    monkeypatch.setattr(RTree, "_choose_branch", reference_kernel.choose_branch)
 
 
 def _entry(e):
@@ -197,6 +201,22 @@ def test_full_width_bands_that_split_the_root_build_a_valid_tree(request):
     _assert_same(kernel, replaced)  # check_index on both builds
     stats = kernel.stats
     assert stats.spanning_placements == len(bands) and stats.promotions
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1991])
+@pytest.mark.parametrize("dist", ["I1", "R1"])
+@pytest.mark.parametrize("plain, segment_index", [
+    ("R-Tree", "SR-Tree"), ("Skeleton R-Tree", "Skeleton SR-Tree"),
+])
+def test_an_sr_tree_with_nothing_to_place_is_the_r_tree(plain, segment_index, dist, seed):
+    """``IndexConfig.branch_capacity``: a node whose spanning area is unused
+    fills every slot with branches, so an SR-Tree that places no spanning
+    record builds the R-Tree — node for node, through the same ChooseLeaf
+    and splits.  On I1 and R1 nothing is long enough to span a branch."""
+    rects = getattr(workloads, f"dataset_{dist}")(5000, seed)
+    r_tree, sr_tree = build_index(plain, rects), build_index(segment_index, rects)
+    assert sr_tree.stats.spanning_placements == 0
+    assert structure(sr_tree) == structure(r_tree)
 
 
 # ---------------------------------------------------------------------------
