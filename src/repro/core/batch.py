@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 from ..exceptions import ConfigError
 from .geometry import Rect, union_all
-from .query import Fetch, SpanningHit
+from .query import SpanningHit
 from .rtree import RTree
 
 __all__ = [
@@ -178,9 +178,9 @@ def batch_search_with_stats(
     accessed = 0
     with tracer.span("batch_search", queries=len(rects)) as sp:
         for cluster in clusters:
-            accessed += _shared_search(
-                tree._access, tree.root, rects, cluster, hits, seen, on_spanning_hit
-            )
+            visited = _shared_search(tree.root, rects, cluster, hits, seen, on_spanning_hit)
+            tree._settle(visited)
+            accessed += len(visited)
         found = sum(len(h) for h in hits)
         sp.set(nodes_accessed=accessed, records_found=found, clusters=len(clusters))
     for e in tree._loose_entries():
@@ -200,17 +200,17 @@ def batch_search_with_stats(
 
 
 def _shared_search(
-    fetch: Fetch,
     root: Any,
     rects: Sequence[Rect],
     cluster: list[int],
     hits: list[list[Any]],
     seen: list[set[int]],
     on_spanning_hit: SpanningHit | None,
-) -> int:
+) -> list[Any]:
     """One shared depth-first traversal for the queries in ``cluster``,
-    over the same node view and ``fetch`` callback as the single-query
-    kernel (:mod:`repro.core.query`).
+    over the same live node view as the single-query kernel
+    (:mod:`repro.core.query`); returns the nodes visited, in visit order,
+    for the tree to settle once per cluster.
 
     It is a second function, not a mode of that kernel, because it is a
     different algorithm: each stack frame carries the node plus the
@@ -219,12 +219,11 @@ def _shared_search(
     faulted — at most once per cluster.  The bookkeeping costs about 3x
     per query on resident nodes and pays only when pages fault.
     """
-    accessed = 0
+    visited: list[Any] = []
     stack: list[tuple[Any, list[int]]] = [(root, list(cluster))]
     while stack:
-        handle, active = stack.pop()
-        node = fetch(handle)
-        accessed += 1
+        node, active = stack.pop()
+        visited.append(node)
         for e in node.data_entries:
             for qi in active:
                 if e.rect.intersects(rects[qi]) and e.record_id not in seen[qi]:
@@ -241,4 +240,4 @@ def _shared_search(
             sub = [qi for qi in active if b.rect.intersects(rects[qi])]
             if sub:
                 stack.append((b.child, sub))
-    return accessed
+    return visited

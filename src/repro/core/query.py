@@ -20,10 +20,10 @@ loop body serves both with no per-entry adapter:
 **Kernel.**  :func:`intersecting` (the only hot loop, compiled per
 dimensionality from one template: :mod:`repro.core.kernel`), :func:`fragments`
 with the :func:`within` / :func:`containing` post-filters, and
-:func:`walk` reach nodes only through a ``fetch(handle) -> node``
-callback, where each layer hangs its per-node work: statistics, page
-fault and ``node_access`` trace on a live tree; version lookup and decode
-on a snapshot.
+:func:`walk` reach nodes through ``fetch(handle) -> node`` (a snapshot's
+version lookup and decode), or ``None`` when the handles are live nodes;
+the query kernels return the handles visited, which a live tree settles
+once per query: statistics, page touches, ``node_access`` trace.
 
 **Surface.**  :class:`QuerySurface` declares the public read methods once
 over two hooks, ``_query(kind, rect)`` and ``_query_batch(rects)``.
@@ -63,11 +63,13 @@ def intersecting(fetch, root, rect, on_spanning_hit):
     <<|rhi{d}, >>= rect.highs
     hits = []
     seen = set()
-    accessed = 0
+    visited = []
     stack = [root] if root else []
     while stack:
-        node = fetch(stack.pop())
-        accessed += 1
+        node = stack.pop()
+        visited.append(node)
+        if fetch is not None:
+            node = fetch(node)
         for e in node.data_entries:
             lo = e.lows
             hi = e.highs
@@ -92,15 +94,15 @@ def intersecting(fetch, root, rect, on_spanning_hit):
             if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
                 continue
             stack.append(b.child)
-    return hits, accessed
+    return hits, visited
 """
 
 
 def intersecting(
-    fetch: Fetch, root: Any, rect: Rect, on_spanning_hit: SpanningHit | None = None
-) -> tuple[list[Any], int]:
+    fetch: Fetch | None, root: Any, rect: Rect, on_spanning_hit: SpanningHit | None = None
+) -> tuple[list[Any], list[Any]]:
     """Records intersecting ``rect``, one entry per record id, plus the
-    number of nodes fetched.  A falsy ``root`` is an empty index.
+    handles visited, in visit order.  A falsy ``root`` is an empty index.
 
     The hot loop of the whole repo, run as the instance of its template
     for the query's dimensionality: each entry is tested by one chain of
@@ -112,12 +114,13 @@ def intersecting(
 
 
 def fragments(
-    fetch: Fetch, root: Any, rect: Rect, extra: Iterable[Any] = ()
-) -> tuple[dict[int, list[Any]], int]:
+    fetch: Fetch | None, root: Any, rect: Rect, extra: Iterable[Any] = ()
+) -> tuple[dict[int, list[Any]], list[Any]]:
     """Every stored fragment intersecting ``rect``, grouped by record id
-    (``extra``: records held outside the nodes), plus nodes fetched."""
+    (``extra``: records held outside the nodes), plus the handles
+    visited."""
     found: dict[int, list[Any]] = {}
-    accessed = 0
+    visited: list[Any] = []
 
     def collect(records: Iterable[Any]) -> None:
         for e in records:
@@ -126,15 +129,17 @@ def fragments(
 
     stack = [root] if root else []
     while stack:
-        node = fetch(stack.pop())
-        accessed += 1
+        node = stack.pop()
+        visited.append(node)
+        if fetch is not None:
+            node = fetch(node)
         collect(node.data_entries)
         for b in node.branches:
             collect(b.spanning)
             if b.rect.intersects(rect):
                 stack.append(b.child)
     collect(extra)
-    return found, accessed
+    return found, visited
 
 
 def within(rect: Rect, found: Mapping[int, list[Any]]) -> list[Any]:
@@ -164,11 +169,13 @@ def containing(rect: Rect, found: Mapping[int, list[Any]]) -> list[Any]:
     ]
 
 
-def walk(fetch: Fetch, root: Any) -> Iterator[Any]:
+def walk(fetch: Fetch | None, root: Any) -> Iterator[Any]:
     """Every stored fragment, each once."""
     stack = [root] if root else []
     while stack:
-        node = fetch(stack.pop())
+        node = stack.pop()
+        if fetch is not None:
+            node = fetch(node)
         yield from node.data_entries
         for b in node.branches:
             yield from b.spanning
@@ -177,25 +184,25 @@ def walk(fetch: Fetch, root: Any) -> Iterator[Any]:
 
 def answer(
     kind: str,
-    fetch: Fetch,
+    fetch: Fetch | None,
     root: Any,
     rect: Rect,
     extra: Sequence[Any] = (),
     on_spanning_hit: SpanningHit | None = None,
-) -> tuple[list[Any], int]:
-    """One query of ``kind``: (one entry per matching record, nodes
-    fetched)."""
+) -> tuple[list[Any], list[Any]]:
+    """One query of ``kind``: (one entry per matching record, handles
+    visited)."""
     if kind == SEARCH or kind == STAB:
-        hits, accessed = intersecting(fetch, root, rect, on_spanning_hit)
+        hits, visited = intersecting(fetch, root, rect, on_spanning_hit)
         if extra:
             hits.extend(e for e in extra if e.rect.intersects(rect))
-        return hits, accessed
+        return hits, visited
     if kind != WITHIN and kind != CONTAINING:
         raise ConfigError(f"unknown query kind {kind!r}; known: {KINDS}")
-    found, accessed = fragments(fetch, root, rect, extra)
+    found, visited = fragments(fetch, root, rect, extra)
     if kind == WITHIN:
-        return within(rect, found), accessed
-    return containing(rect, found), accessed
+        return within(rect, found), visited
+    return containing(rect, found), visited
 
 
 class QuerySurface:

@@ -25,6 +25,7 @@ insertion and search (Section 3.1.1).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Iterator, Sequence
 
 from ..exceptions import ConfigError, IndexStructureError, WorkloadError
@@ -41,6 +42,8 @@ __all__ = ["RPlusTree", "SRPlusTree", "check_rplus"]
 
 #: Default indexed domain when none is given.
 _DEFAULT_DOMAIN = (-1.0e9, 1.0e9)
+
+_LEVEL = attrgetter("level")
 
 
 class RPlusTree:
@@ -113,16 +116,13 @@ class RPlusTree:
         """All records intersecting ``rect``, replicas reported once (the
         shared read kernel de-duplicates on record id)."""
         self._check_rect(rect)
-        hits, accessed = query.intersecting(self._access, self.root, rect)
+        hits, visited = query.intersecting(None, self.root, rect)
         stats = self.stats
+        stats.accesses_by_level.update(map(_LEVEL, visited))
         stats.searches += 1
-        stats.node_accesses += accessed
-        stats.search_node_accesses += accessed
+        stats.node_accesses += len(visited)
+        stats.search_node_accesses += len(visited)
         return [(e.record_id, e.payload) for e in hits]
-
-    def _access(self, node: Node) -> Node:
-        self.stats.accesses_by_level[node.level] += 1
-        return node
 
     def search_ids(self, rect: Rect) -> set[int]:
         return {rid for rid, _ in self.search(rect)}

@@ -13,10 +13,11 @@ recursion unwind; the resulting trees are structurally identical to
 Guttman's.
 
 Reads go through :mod:`repro.core.query`: the public query methods are
-inherited from its ``QuerySurface`` and every traversal reaches nodes
-through :meth:`RTree._access`, which feeds (when attached) the simulated
-storage layer's buffer pool; the kernel returns how many nodes it
-fetched, which is the paper's node-access metric.
+inherited from its ``QuerySurface``, and the kernel returns the nodes a
+query visited, in visit order.  :meth:`RTree._settle` takes that list
+once per query: the per-level count, the (when attached) simulated
+storage layer's page touches, and the trace.  Its length is the paper's
+node-access metric.
 
 Writes report what they change: every content modification goes through
 :meth:`RTree._touch` and every other change to a node's page image through
@@ -27,6 +28,7 @@ Writes report what they change: every content modification goes through
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..exceptions import IndexStructureError, NotFoundError
@@ -41,6 +43,8 @@ from .split import split_rects
 from .stats import AccessStats, SearchStats
 
 __all__ = ["RTree"]
+
+_LEVEL = attrgetter("level")
 
 #: ChooseLeaf over one node's branches, compiled per K by
 #: :func:`repro.core.kernel.unrolled`.  The floats are ``Rect.area`` and
@@ -95,8 +99,8 @@ class RTree(query.QuerySurface):
         #: containment queries need it to know when they have seen a whole
         #: record.
         self._fragment_counts: dict[int, int] = {}
-        #: Optional storage hook: called with each accessed node.
-        self._storage_hook: Optional[Callable[[Node], None]] = None
+        #: Optional storage hook: called with each read's visited nodes.
+        self._storage_hook: Optional[Callable[[list[Node]], None]] = None
         #: The write path's report to storage (DESIGN §3.2): every node whose
         #: page image a mutation changed, created or unlinked since the last
         #: commit.  ``None`` — nothing is recorded — until a storage manager
@@ -147,29 +151,29 @@ class RTree(query.QuerySurface):
         return record_id
 
     def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
-        """Answer one query through the read kernel; ``_access`` is the
-        fetch callback, so page faults, the per-level count and the
-        ``node_access`` trace happen there, once per node, and the node
-        count the kernel returns is added here, once per query."""
+        """Answer one query through the read kernel over the live nodes,
+        then settle the nodes it visited: page touches, the per-level
+        count and the ``node_access`` trace, once per query."""
         tracer = self.tracer
         if kind in (query.WITHIN, query.CONTAINING):
             span = tracer.span("search", mode="fragments")
         else:
             span = tracer.span("search")
         with span as sp:
-            hits, accessed = query.answer(
+            hits, visited = query.answer(
                 kind,
-                self._access,
+                None,
                 self.root,
                 rect,
                 self._loose_entries(),
                 self._trace_spanning_hit if tracer.enabled else None,
             )
-            sp.set(nodes_accessed=accessed, records_found=len(hits))
+            self._settle(visited)
+            sp.set(nodes_accessed=len(visited), records_found=len(hits))
         stats = self.stats
         stats.searches += 1
-        stats.node_accesses += accessed
-        stats.search_node_accesses += accessed
+        stats.node_accesses += len(visited)
+        stats.search_node_accesses += len(visited)
         return [(e.record_id, e.payload) for e in hits]
 
     def _query_batch(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
@@ -220,7 +224,7 @@ class RTree(query.QuerySurface):
         """Yield (record_id, fragment_rect, payload) for every fragment
         (an uncounted walk: no statistics or page faults)."""
         for e in itertools.chain(
-            query.walk(lambda node: node, self.root), self._loose_entries()
+            query.walk(None, self.root), self._loose_entries()
         ):
             yield e.record_id, e.rect, e.payload
 
@@ -245,19 +249,19 @@ class RTree(query.QuerySurface):
     # ------------------------------------------------------------------
     # Search internals
     # ------------------------------------------------------------------
-    def _access(self, node: Node) -> Node:
-        """Visit ``node``: the read kernel's fetch callback, and the one
-        place a node visit is faulted in and traced.  Its caller adds the
-        visits to ``stats.node_accesses`` once per operation (the kernel
-        returns the count); only the per-level split is counted here."""
-        self.stats.accesses_by_level[node.level] += 1
+    def _settle(self, nodes: list[Node]) -> None:
+        """Account for the nodes one read visited, in visit order: the one
+        place visits are faulted in, counted per level and traced.  The
+        caller adds ``len(nodes)`` to ``stats.node_accesses``; a read the
+        hook fails counts nothing in either."""
         hook = self._storage_hook
         if hook is not None:
-            hook(node)
+            hook(nodes)
+        self.stats.accesses_by_level.update(map(_LEVEL, nodes))
         tracer = self.tracer
         if tracer.enabled:
-            tracer.event("node_access", node_id=node.node_id, level=node.level)
-        return node
+            for node in nodes:
+                tracer.event("node_access", node_id=node.node_id, level=node.level)
 
     def _trace_spanning_hit(self, node: Node, record: DataEntry) -> None:
         self.tracer.event(
@@ -453,7 +457,7 @@ class RTree(query.QuerySurface):
         lost one (or has a descendant that did) is touched and appended to
         ``changed``, child-first."""
         removed = 0
-        self._access(node)
+        self._settle([node])  # one at a time: a page fault stops the descent here
         self.stats.node_accesses += 1
         if node.is_leaf:
             before = len(node.data_entries)

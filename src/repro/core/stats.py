@@ -41,10 +41,6 @@ class AccessStats:
     forced_reinserts: int = 0
     accesses_by_level: Counter = field(default_factory=Counter)
 
-    def record_access(self, level: int) -> None:
-        self.node_accesses += 1
-        self.accesses_by_level[level] += 1
-
     @property
     def avg_nodes_per_search(self) -> float:
         """The paper's headline metric (0.0 when no searches ran)."""

@@ -21,9 +21,10 @@ a condition variable on the same mutex coordinates two kinds of waiting:
   in-flight table; a second fetcher of the same page waits for the first
   read to land rather than issuing a duplicate read.
 
-:meth:`touch` — the storage hook's one call per node visit — is an access
-that hands out no frame: it goes through the same two waits but takes no
-pin, so a hit is a single critical section (see its docstring).
+:meth:`touch` is an access that hands out no frame: it goes through the
+same two waits but takes no pin, so a hit is a single critical section
+(see its docstring).  :meth:`touch_all` is the storage hook's call per
+read: the same touches, a run of resident pages in one section.
 
 Disk reads happen *outside* the mutex (real buffer managers never hold a
 latch across I/O); that is what lets concurrent readers overlap their
@@ -40,9 +41,9 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..exceptions import StorageError
+from ..exceptions import StorageError, TransientDiskError
 from ..obs.lockgraph import TrackedCondition
 from ..obs.tracer import NULL_TRACER, Tracer
 from .disk import SimulatedDisk
@@ -183,6 +184,24 @@ class BufferPool:
     # ------------------------------------------------------------------
     # The two halves of an access
     # ------------------------------------------------------------------
+    def _hits(self, page_ids: Sequence[PageId], start: int) -> int:
+        """Under the mutex: count ``page_ids[start:]`` as hits, trace them and
+        move each to the MRU end, in order, while they are resident; returns
+        the index of the first that is not, or ``len(page_ids)``."""
+        frames = self._frames
+        tracer = self.tracer if self.tracer.enabled else None
+        end = start
+        for page_id in itertools.islice(page_ids, start, None):
+            frame = frames.get(page_id)
+            if frame is None:
+                break
+            if tracer is not None:
+                tracer.event("page_fetch", page_id=page_id, hit=True, page_bytes=frame.size)
+            frames.move_to_end(page_id)
+            end += 1
+        self.stats.hits += end - start
+        return end
+
     def _probe(self, page_id: PageId) -> "Page | None":
         """Under the mutex: the resident frame, counted as a hit and moved
         to the MRU end — or ``None`` once the access is counted as a miss
@@ -292,6 +311,34 @@ class BufferPool:
                     frame.dirty = True
                 return
         self._read_in(page_id, pin=False, dirty=dirty)
+
+    def touch_all(
+        self,
+        page_ids: Sequence[PageId],
+        retry: Callable[[PageId, TransientDiskError], None],
+    ) -> None:
+        """:meth:`touch` each page in order: each run of resident pages in
+        one critical section, each miss probed in the section that ends
+        the run and read in as :meth:`touch` reads it.  A miss whose read
+        raises :class:`TransientDiskError` — attempt 1 — is handed to
+        ``retry`` outside the handler; the touches resume after it."""
+        start = 0
+        while True:
+            with self._cond:
+                end = self._hits(page_ids, start)
+                if end == len(page_ids):
+                    return
+                page_id = page_ids[end]
+                frame = self._probe(page_id)
+            start = end + 1
+            if frame is not None:
+                continue  # another thread's read of it landed meanwhile
+            try:
+                self._read_in(page_id, pin=False)
+                continue
+            except TransientDiskError as exc:
+                error = exc
+            retry(page_id, error)
 
     def flush(self) -> None:
         """Write back every dirty resident page."""

@@ -25,7 +25,7 @@ import itertools
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterator, Type
+from typing import Any, Callable, Iterator, Sequence, Type
 
 from ..core.config import IndexConfig
 from ..core.entry import BranchEntry, DataEntry
@@ -348,21 +348,33 @@ class StorageManager:
     # ------------------------------------------------------------------
     # Access path
     # ------------------------------------------------------------------
-    def _on_access(self, node: Node) -> None:
-        # One unlocked probe: a dict read is atomic, and _ensure_page
-        # publishes an id only once its page exists on the disk.
-        page_id = self._page_of.get(node.node_id)
-        if page_id is None:
-            page_id = self._ensure_page(node)
-        try:
-            self.pool.touch(page_id)
-            return
-        except TransientDiskError:
-            # Only a miss does I/O, so a hit never pays for the retry
-            # plumbing; the failed touch was attempt 1.
-            what = f"touch page {page_id}"
-            if not self._reader._backoff(what, 1):
-                raise
+    def _on_access(self, nodes: Sequence[Node]) -> None:
+        """Touch the pages of one read's visit, in visit order (see
+        :meth:`BufferPool.touch_all`)."""
+        # Unlocked probes: a dict read is atomic, and _ensure_page publishes
+        # an id only once its page exists on the disk.
+        page_of = self._page_of
+        root = self.tree.root
+        page_ids = []
+        for node in nodes:
+            page_id = page_of.get(node.node_id)
+            if page_id is None:
+                if node.parent is None and node is not root:
+                    # Unlinked by a racing writer: the optimistic read that
+                    # reached it is discarded (the version moved), and a
+                    # page allocated now would never be freed.
+                    continue
+                page_id = self._ensure_page(node)
+            page_ids.append(page_id)
+        self.pool.touch_all(page_ids, self._retry_touch)
+
+    def _retry_touch(self, page_id: int, error: TransientDiskError) -> None:
+        """Retry the touch of a page whose read failed transiently (attempt
+        1): only a miss does I/O, so a hit never pays for the retry
+        plumbing."""
+        what = f"touch page {page_id}"
+        if not self._reader._backoff(what, 1):
+            raise error  # lint: ignore[R3] — the pool's TransientDiskError, re-raised
         self._reader._retrying(what, lambda: self.pool.touch(page_id), attempt=1)
 
     def _ensure_page(self, node: Node) -> int:

@@ -24,18 +24,20 @@ __all__ = ["intersecting", "choose_branch", "first_spanned"]
 
 
 def intersecting(
-    fetch: Fetch, root: Any, rect: Rect, on_spanning_hit: SpanningHit | None = None
-) -> tuple[list[Any], int]:
+    fetch: Fetch | None, root: Any, rect: Rect, on_spanning_hit: SpanningHit | None = None
+) -> tuple[list[Any], list[Any]]:
     """``repro.core.query.intersecting``."""
     hits: list[Any] = []
     seen: set[int] = set()
-    accessed = 0
+    visited: list[Any] = []
     rlo, rhi = rect.lows, rect.highs
     dims = range(len(rlo))
     stack = [root] if root else []
     while stack:
-        node = fetch(stack.pop())
-        accessed += 1
+        node = stack.pop()
+        visited.append(node)
+        if fetch is not None:
+            node = fetch(node)
         for e in node.data_entries:
             lo, hi = e.lows, e.highs
             for d in dims:
@@ -63,7 +65,7 @@ def intersecting(
                     break
             else:
                 stack.append(b.child)
-    return hits, accessed
+    return hits, visited
 
 
 def choose_branch(self: Any, node: Node, rect: Rect) -> BranchEntry:

@@ -9,6 +9,8 @@ stats consistency after every step.
 ``touch`` is differential throughout: a twin pool takes the same steps
 with every ``touch`` spelled as the ``fetch`` + ``release`` it replaced,
 and the two must never differ in anything a caller or the disk can see.
+The storage hook's batched form — a whole read's visit, hits touched in
+runs — is held the same way against one touch per visited page.
 """
 
 import random
@@ -19,10 +21,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Tracer
+from repro import Rect, SRTree, Tracer, segment
+from repro.core import query
 from repro.exceptions import StorageError
 from repro.obs import RingBufferSink
-from repro.storage import BufferPool, SimulatedDisk
+from repro.storage import (
+    BufferPool,
+    Fault,
+    FaultInjectingDisk,
+    RetryPolicy,
+    SimulatedDisk,
+    StorageManager,
+)
 
 #: Six allocatable pages of two sizes; the pool fits ~3 small pages, so
 #: sequences regularly trigger eviction, pinned-full, and drop paths.
@@ -212,3 +222,98 @@ def test_touch_is_fetch_release_on_a_seeded_trace():
     assert stats.hits > 1_000 and stats.misses > 1_000 and stats.dirty_writebacks > 50
     assert stats.evictions > 1_000
     pool.verify_accounting()
+
+
+# ---------------------------------------------------------------------------
+# A read's visit, touched in runs (StorageManager._on_access)
+# ---------------------------------------------------------------------------
+def _spilling_tree_and_queries():
+    rng = random.Random(1991)
+    tree = SRTree()
+    for i in range(2_000):
+        x = rng.uniform(0.0, 100.0)
+        tree.insert(segment(x, x + rng.expovariate(0.5), rng.uniform(0.0, 1_000.0)))
+    queries = []
+    for _ in range(300):
+        x, y = rng.uniform(0.0, 100.0), rng.uniform(0.0, 1_000.0)
+        queries.append(Rect((x, y), (x + rng.uniform(0.0, 8.0), y + rng.uniform(0.0, 80.0))))
+    return tree, queries
+
+
+def test_a_visit_touched_in_runs_is_the_visit_touched_page_by_page():
+    """Every read settles its visit with one ``_on_access`` call: hits in
+    runs, one pool section each, misses one by one.  A twin manager over
+    a twin disk takes the same visits one ``pool.touch`` per node — the
+    page-by-page touches they replaced — and the two pools must agree on
+    counters, LRU order, disk traffic and events, on a pool ≈ 1/6 of the
+    pages."""
+    tree, queries = _spilling_tree_and_queries()
+    page_bytes = sum(tree.config.node_bytes(n.level) for n in tree.iter_nodes())
+    budget = page_bytes // 6
+    tracers = Tracer(RingBufferSink(capacity=200_000)), Tracer(RingBufferSink(capacity=200_000))
+    twin = StorageManager(tree, buffer_bytes=budget, disk=SimulatedDisk(), tracer=tracers[1])
+    mgr = StorageManager(tree, buffer_bytes=budget, disk=SimulatedDisk(), tracer=tracers[0])
+    assert mgr._page_of == twin._page_of
+    visits: list[list] = []
+
+    def recording(nodes):
+        visits.append(list(nodes))
+        mgr._on_access(nodes)
+
+    tree._storage_hook = recording
+    for i, rect in enumerate(queries):
+        kind = query.KINDS[i % len(query.KINDS)]
+        tree.query(kind, rect if kind != query.STAB else Rect(rect.lows, rect.lows))
+    tree.batch_search(queries[:64])  # one visit per cluster
+    tree._storage_hook = mgr._on_access
+    for nodes in visits:
+        for node in nodes:
+            twin.pool.touch(twin._page_of[node.node_id])
+
+    assert sum(map(len, visits)) == mgr.pool.stats.accesses
+    assert max(map(len, visits)) > 50  # the batch's one long visit
+    assert asdict(mgr.pool.stats) == asdict(twin.pool.stats)
+    assert mgr.disk.stats.snapshot() == twin.disk.stats.snapshot()
+    assert list(mgr.pool._frames) == list(twin.pool._frames)
+    assert _events(tracers[0]) == _events(tracers[1])
+    stats = mgr.pool.stats
+    assert stats.hits > 500 and stats.misses > 500 and stats.evictions > 500
+    mgr.pool.verify_accounting(expect_unpinned=True)
+
+
+@pytest.mark.parametrize("failures", [1, 2])
+def test_a_miss_that_fails_mid_visit_is_retried_and_the_visit_resumes(failures):
+    """A transient read error on a miss in the middle of a visit goes
+    through the hook's retry loop as a lone access's did — same attempts,
+    ``retries`` and ``disk_retry`` fields — and the hits after it are
+    counted once."""
+    tree, _ = _spilling_tree_and_queries()
+    root = tree.root
+    a, b, c, d = (br.child for br in root.branches[:4])
+    delays: list[float] = []
+    tracer = Tracer(RingBufferSink())
+    # Reads 1-4 warm the pool; the next one(s) fail.
+    faulty = FaultInjectingDisk(
+        SimulatedDisk(), [Fault("transient", op="read", at=5 + n) for n in range(failures)]
+    )
+    policy = RetryPolicy(max_attempts=4, backoff_base=0.01, sleep=delays.append)
+    mgr = StorageManager(tree, 1 << 20, disk=faulty, tracer=tracer, retry_policy=policy)
+    page = {n: mgr._page_of[n.node_id] for n in (root, a, b, c, d)}
+    mgr._on_access([root, a, c, d])
+    mgr._on_access([root, a, b, c, d])
+
+    stats = mgr.pool.stats
+    assert (stats.hits, stats.misses) == (4, 4 + failures + 1)  # each attempt misses
+    assert faulty.stats.retries == failures and faulty.stats.failed_ops == 0
+    assert delays == [policy.delay(n + 1) for n in range(failures)]
+    assert [e.fields for e in tracer.events if e.etype == "disk_retry"] == [
+        {"op": f"touch page {page[b]}", "attempt": n + 1, "delay": policy.delay(n + 1)}
+        for n in range(failures)
+    ]
+    assert list(mgr.pool._frames) == [page[n] for n in (root, a, b, c, d)]
+    fetches = [e.fields for e in tracer.events if e.etype == "page_fetch"][4:]
+    assert [(f["page_id"], f["hit"]) for f in fetches] == [
+        (page[root], True), (page[a], True), (page[b], False), (page[c], True), (page[d], True)
+    ]
+    assert not mgr.pool._loading
+    mgr.pool.verify_accounting(expect_unpinned=True)

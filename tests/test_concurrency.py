@@ -708,7 +708,7 @@ class TestBufferPoolRaces:
 
         def reader():
             try:
-                mgr._on_access(node)
+                mgr._on_access([node])
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -727,6 +727,36 @@ class TestBufferPoolRaces:
         assert allocated == [mgr._page_of[node.node_id]]  # one page, not two
         assert (mgr.pool.stats.accesses, mgr.pool.stats.misses) == (2, 1)
         mgr.pool.verify_accounting(expect_unpinned=True)
+
+    def test_a_late_read_of_an_unlinked_node_allocates_no_page(self, tmp_path):
+        # An optimistic reader settles its visits after its traversal; a
+        # writer may have unlinked one of those nodes, and committed its
+        # page free, in between.  That read is discarded (the version
+        # moved), so the hook must not give the dead node a fresh page:
+        # nothing would ever free it.
+        from repro import open_store
+        from repro.storage import WriteAheadLog, wal_directory_for
+
+        path = tmp_path / "index.db"
+        store = open_store(FileDisk(path), WriteAheadLog(wal_directory_for(path)))
+        engine, mgr = store.engine, store.manager
+        try:
+            ids = [engine.insert(Rect((float(i), 0.0), (i + 1.0, 1.0))) for i in range(400)]
+            before = list(engine.tree.iter_nodes())
+            for rid in ids[:390]:
+                engine.delete(rid)
+            tree = engine.tree
+            dead = [n for n in before if n.parent is None and n is not tree.root]
+            assert dead and all(n.node_id not in mgr._page_of for n in dead)
+            accesses = mgr.pool.stats.accesses
+            mgr._on_access([tree.root, *dead])  # the late reader's visit
+            assert all(n.node_id not in mgr._page_of for n in dead)
+            assert mgr.pool.stats.accesses == accesses + 1  # the root's page only
+            engine.delete(ids[390])  # the next commit logs no allocation
+            live = tree.node_count()
+            assert len(mgr._page_of) == mgr.disk.allocated_pages == live
+        finally:
+            store.close()
 
 
 @pytest.mark.stress

@@ -295,10 +295,10 @@ class TestRetries:
 
     @pytest.mark.parametrize("faults, recovers", [(2, True), (4, False)])
     def test_access_hook_retries_a_miss_and_nothing_else(self, faults, recovers):
-        """The storage hook enters the retry loop only once a touch has
-        failed, and what it then does — attempts, ``retries``,
-        ``failed_ops``, the ``disk_retry`` fields, the backoff — is what
-        wrapping every access in the loop did."""
+        """The storage hook enters the retry loop only for a miss (a run of
+        hits is touched outside it), and what it then does — attempts,
+        ``retries``, ``failed_ops``, the ``disk_retry`` fields, the
+        backoff — is what wrapping every access in the loop did."""
         tree = build_tree(60)
         tracer = Tracer()
         delays = []
@@ -314,14 +314,17 @@ class TestRetries:
         )
         page_id = mgr._page_of[tree.root.node_id]
         if recovers:
-            mgr._on_access(tree.root)
+            mgr._on_access([tree.root])
             attempts, retries = faults + 1, faults
             assert page_id in mgr.pool._frames
         else:
+            before = tree.stats.snapshot()
             with pytest.raises(TransientDiskError) as raised:
-                mgr._on_access(tree.root)
+                tree.search(tree.root.mbr())  # faults on its first visit, the root
             # The last attempt's error, not one chained onto the first's.
             assert raised.value.__context__ is None
+            # A failed read counts nothing: no search, no access, no level.
+            assert tree.stats.snapshot() == before
             attempts, retries = policy.max_attempts, policy.max_attempts - 1
             assert page_id not in mgr.pool._frames
         # Every attempt is a fresh touch, so each counts its own miss.
@@ -338,7 +341,7 @@ class TestRetries:
         assert not mgr.pool._loading
         mgr.pool.verify_accounting(expect_unpinned=True)
         if recovers:
-            mgr._on_access(tree.root)  # a hit: the retry plumbing stays cold
+            mgr._on_access([tree.root])  # a hit: the retry plumbing stays cold
             assert (mgr.pool.stats.hits, faulty.stats.retries) == (1, retries)
             assert len(delays) == retries
 

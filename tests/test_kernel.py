@@ -108,18 +108,21 @@ def _inner_nodes(tree) -> list[Node]:
     return [node for node in tree.iter_nodes() if node.branches]
 
 
-def _run(kernel, tree, rect):
-    visits: list[int] = []
+def _run(kernel, tree, rect, fetched: bool):
+    """Hits, the visit list the kernel returns, the nodes its ``fetch``
+    saw (with one) and the spanning-hit callbacks, all by identity."""
+    fetches: list[int] = []
     spanning_hits: list[tuple[int, int]] = []
 
     def fetch(node):
-        visits.append(id(node))
+        fetches.append(id(node))
         return node
 
-    hits, accessed = kernel(
-        fetch, tree.root, rect, lambda node, e: spanning_hits.append((id(node), id(e)))
+    hits, visited = kernel(
+        fetch if fetched else None, tree.root, rect,
+        lambda node, e: spanning_hits.append((id(node), id(e))),
     )
-    return [id(e) for e in hits], accessed, visits, spanning_hits
+    return [id(e) for e in hits], [id(n) for n in visited], fetches, spanning_hits
 
 
 def test_intersecting_matches_the_loop(built):
@@ -127,8 +130,11 @@ def test_intersecting_matches_the_loop(built):
     spanning_hits = 0
     for tree in trees:
         for rect in queries:
-            got = _run(query.intersecting, tree, rect)
-            assert got == _run(reference.intersecting, tree, rect), (type(tree), rect)
+            got = _run(query.intersecting, tree, rect, fetched=True)
+            assert got == _run(reference.intersecting, tree, rect, fetched=True), (type(tree), rect)
+            assert got[1] == got[2]  # one fetch per visit, in visit order
+            live = _run(query.intersecting, tree, rect, fetched=False)
+            assert live == (got[0], got[1], [], got[3])  # no fetch: handles are nodes
             spanning_hits += len(got[3])
     assert spanning_hits  # the spanning-record arm ran
 

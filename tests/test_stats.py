@@ -1,18 +1,31 @@
 """Tests for the statistics counters."""
 
-from repro import AccessStats
+from collections import Counter
+
+from repro import AccessStats, Rect, SRTree, segment
 from repro.core.stats import SearchStats
 
 
 class TestAccessStats:
-    def test_record_access_by_level(self):
-        stats = AccessStats()
-        stats.record_access(0)
-        stats.record_access(0)
-        stats.record_access(2)
-        assert stats.node_accesses == 3
-        assert stats.accesses_by_level[0] == 2
-        assert stats.accesses_by_level[2] == 1
+    def test_search_counts_accesses_by_level(self):
+        """A read settles its visits once per query: every node it visited
+        is counted once, at its level, and once in ``node_accesses``."""
+        tree = SRTree()
+        for i in range(800):
+            tree.insert(segment(i % 43, i % 43 + 1.0, float(i)))
+        stats = tree.stats
+        stats.accesses_by_level.clear()
+        before = stats.node_accesses
+        rect = Rect((3.0, 100.0), (20.0, 400.0))
+        want = Counter()
+        stack = [tree.root]
+        while stack:  # the nodes an intersection search must visit
+            node = stack.pop()
+            want[node.level] += 1
+            stack.extend(b.child for b in node.branches if b.rect.intersects(rect))
+        tree.search(rect)
+        assert stats.accesses_by_level == want and len(want) == tree.height
+        assert stats.node_accesses - before == sum(want.values())
 
     def test_avg_nodes_per_search(self):
         stats = AccessStats()
@@ -44,9 +57,7 @@ class TestAccessStats:
 
     def test_snapshot_includes_accesses_by_level(self):
         stats = AccessStats()
-        stats.record_access(0)
-        stats.record_access(0)
-        stats.record_access(2)
+        stats.accesses_by_level.update([0, 0, 2])
         snap = stats.snapshot()
         assert snap["accesses_by_level"] == {0: 2, 2: 1}
         # detached from the live counter

@@ -400,11 +400,13 @@ def test_failed_delete_still_reaches_the_log(tmp_path) -> None:
     hook = tree._storage_hook
     seen = []
 
-    def failing_hook(node: Node) -> None:
+    def failing_hook(nodes: list[Node]) -> None:
+        # The delete descent settles one node at a time.
+        assert len(nodes) == 1
         if len(seen) == fail_at:
             raise TransientDiskError("injected: retries exhausted")
-        seen.append(node)
-        hook(node)
+        seen.extend(nodes)
+        hook(nodes)
 
     tree._storage_hook = failing_hook
     with pytest.raises(TransientDiskError):
