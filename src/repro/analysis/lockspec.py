@@ -100,8 +100,8 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
         rank=1,
         description=(
             "Engine-wide reader-writer latch: writers exclusive, "
-            "pessimistic readers shared, optimistic readers version-"
-            "validated and latch-free.  MVCC snapshot readers bypass "
+            "readers shared for their whole traversal.  MVCC snapshot "
+            "readers bypass "
             "every level: they pin a commit epoch in the version cache "
             "and never latch; the cache's mutators (publish/GC) run "
             "under this latch held exclusively."

@@ -7,8 +7,8 @@ mutex) exists to avoid exactly this.  The rule flags calls to the
 simulated-disk API (``read_page``/``write_page``/``sync``), ``os.fsync``,
 ``os.replace``, and ``time.sleep`` that sit lexically inside a region
 holding an *exclusive* lock — a plain mutex, or a latch acquired in
-write mode.  Shared (read-mode) latches are fine: pessimistic readers
-fault pages under the shared index latch by design.
+write mode.  Shared (read-mode) latches are fine: readers fault pages
+under the shared index latch by design.
 
 Documented exceptions live in
 :data:`repro.analysis.lockspec.IO_UNDER_LOCK_ALLOWLIST`, keyed by

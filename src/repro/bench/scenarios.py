@@ -342,12 +342,12 @@ def mvcc(
 ) -> tuple[dict, dict]:
     """MVCC snapshot reads vs. latched reads under write churn.
 
-    Each index is served twice — by the latched three-tier read protocol
-    and by snapshots — with ``threads`` readers making ``rounds`` passes
+    Each index is served twice — under the shared index latch and by
+    snapshots — with ``threads`` readers making ``rounds`` passes
     over the query set while one writer inserts and deletes, pausing
     ``churn_think`` seconds between writes.  The workload parameters
     mirror ``concurrent`` so the two reports compare directly.  Snapshots
-    never fault, retry or latch, so they should win throughput and tail;
+    never fault or latch, so they should win throughput and tail;
     every ``sample_every``-th snapshot read is replayed against the
     version cache's commit log and must match it exactly, and MVCC mode
     must acquire no read latch.
@@ -408,8 +408,6 @@ def mvcc(
             "churn_deletes": churn["deletes"],
             "read_latch_acquires": stats.read_acquires,
             "read_latch_waits": stats.read_waits,
-            "pessimistic_reads": engine.pessimistic_reads,
-            "optimistic_retries": engine.optimistic_retries_used,
         }
         if snapshots:
             assert manager.versions is not None

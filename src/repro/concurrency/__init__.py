@@ -1,11 +1,11 @@
 """Concurrent serving engine: latches and thread-safe wrappers.
 
-See DESIGN.md ("Concurrent serving") for the protocol: optimistic
-version-validated reads, then reads under the shared index latch, and
-writes under the same latch held exclusively (writer-preferring).
-MVCC mode (``ConcurrentIndex(..., mvcc=True)``) replaces the read tiers
-with latch-free epoch-pinned snapshots over copy-on-write page versions
-(see ``concurrency/mvcc.py`` and DESIGN.md "Snapshot reads").
+See DESIGN.md ("Concurrent serving") for the protocol: reads under the
+shared index latch, and writes under the same latch held exclusively
+(writer-preferring).  MVCC mode (``ConcurrentIndex(..., mvcc=True)``)
+reads instead from latch-free epoch-pinned snapshots over copy-on-write
+page versions (see ``concurrency/mvcc.py`` and DESIGN.md "Snapshot
+reads").
 
 The seeded stress harness (:mod:`repro.concurrency.stress`) and
 ``repro racecheck`` (:mod:`repro.concurrency.racecheck`) are imported on

@@ -7,48 +7,30 @@ the same for the POSTGRES-style :class:`~repro.rules.locks.RuleLockIndex`
 (the paper's Section 2.2 use case presumes many concurrent transactions
 probing the lock index).
 
-Protocol (two read tiers, cheapest first, and one write path):
+Protocol (one read path, one write path):
 
-1. **Optimistic reads** — a seqlock-style version counter is incremented
-   to *odd* before a writer mutates and back to *even* after.  A reader
-   snapshots the counter; if it is even, the reader traverses with *no*
-   latch at all and accepts the result only when the counter is
-   unchanged afterwards.  A concurrent write (version moved, or the torn
-   traversal raised) discards the result and retries.
-2. **Pessimistic reads** — after the optimistic budget is spent (or when
-   ``optimistic=False``), the reader holds the index latch in *shared*
-   mode for the whole traversal: one acquisition, whatever the tree
-   height.
-3. **Writes** — ``insert``/``delete`` take the index latch in *exclusive*
-   mode (writer-preferring, so readers cannot starve writers) and bump
-   the version counter around the mutation.
+1. **Reads** hold the index latch in *shared* mode for the whole
+   traversal: one acquisition and one release, whatever the tree height.
+2. **Writes** — ``insert``/``delete`` take the index latch in *exclusive*
+   mode (writer-preferring, so readers cannot starve writers).
 
 Nothing finer than the index latch exists: a writer holds it exclusively
-for the whole mutation, so no pessimistic reader overlaps any part of a
-cut, demotion, promotion, split or condense; an optimistic result is
-accepted only if the version is even and unchanged; and reader/reader
-concurrency on the buffer pool is the pool's own mutex, in-flight table
-and per-thread pin ledger.
+for the whole mutation, so no reader overlaps any part of a cut,
+demotion, promotion, split or condense, and every node a read reaches is
+linked into the tree.  Reader/reader concurrency on the buffer pool is
+the pool's own mutex, in-flight table and per-thread pin ledger.  Each
+answered read runs once, so it counts once: in the tree's
+``AccessStats``, in the pool's accesses and in the latch's
+``read_acquires``.
 
-**MVCC mode** (``mvcc=True``, requires a :class:`StorageManager`)
-replaces tiers 1–2 entirely: writers publish copy-on-write page versions
-at commit (epoch = WAL commit LSN when a log is attached), and every
-read opens a :class:`~repro.concurrency.mvcc.Snapshot` that pins the
-latest committed epoch and traverses the version chains with *no*
-latch, no optimistic retry and no latched fallback — zero ``latch_wait``
-events on the read path under arbitrary write churn.  Writers keep the
-exclusive index latch (single-writer), which is also what serializes
-version publication and GC.
-
-Seqlock memory-model note (non-MVCC optimistic reads): ``_version`` is a
-plain int mutated only under the exclusive index latch.  CPython's GIL
-makes each read/write of it atomic and sequentially consistent across
-threads, so the classic seqlock argument holds without explicit fences:
-the reader's *first* load happening-before the traversal and the
-*second* load happening-after it means an unchanged even value proves no
-writer ran in between.  The retry budget is
-:attr:`ConcurrentEngine.OPTIMISTIC_RETRIES`; exhausting it emits a
-``read_retry_exhausted`` trace event and falls back to tier 2.
+**MVCC mode** (``mvcc=True``, requires a :class:`StorageManager`) is the
+other read path: writers publish copy-on-write page versions at commit
+(epoch = WAL commit LSN when a log is attached), and every read opens a
+:class:`~repro.concurrency.mvcc.Snapshot` that pins the latest committed
+epoch and traverses the version chains with *no* latch — zero
+``latch_wait`` events on the read path under arbitrary write churn.
+Writers keep the exclusive index latch (single-writer), which is also
+what serializes version publication and GC.
 
 Thread-safety contract per class: ``ConcurrentIndex`` /
 ``ConcurrentRuleLockIndex`` — every public method, any thread; the
@@ -69,7 +51,7 @@ from ..core.rtree import RTree
 from ..exceptions import StorageError
 from ..obs.tracer import Tracer
 from ..rules.locks import RuleLock, RuleLockIndex
-from .latch import LatchStats, RWLatch
+from .latch import RWLatch
 from .mvcc import Snapshot
 
 __all__ = ["ConcurrentEngine", "ConcurrentIndex", "ConcurrentRuleLockIndex"]
@@ -84,21 +66,16 @@ class ConcurrentEngine:
     :meth:`_read` / :meth:`_write`.
     """
 
-    #: Optimistic attempts before a read falls back to the shared latch.
-    OPTIMISTIC_RETRIES = 2
-
     def __init__(
         self,
         tree: RTree,
         tracer: Tracer | None = None,
         *,
-        optimistic: bool = True,
         storage: Any | None = None,
         mvcc: bool = False,
     ) -> None:
         self._tree = tree
         self.tracer: Tracer = tracer if tracer is not None else tree.tracer
-        self.optimistic = optimistic
         #: Optional StorageManager with an attached write-ahead log: every
         #: write is then logged under the exclusive latch and acknowledged
         #: only once its LSN is durable (after the latch is released, so
@@ -113,14 +90,9 @@ class ConcurrentEngine:
             if storage is None:
                 raise StorageError("MVCC mode needs a StorageManager")
             storage.enable_mvcc()
-        self.latch_stats = LatchStats()
-        self._index_latch = RWLatch("index", stats=self.latch_stats, tracer=self.tracer)
-        #: Seqlock version: even = quiescent, odd = writer mutating.
-        self._version = 0
+        self._index_latch = RWLatch("index", tracer=self.tracer)
+        self.latch_stats = self._index_latch.stats
         self._op_lock = threading.Lock()
-        self.optimistic_reads = 0
-        self.optimistic_retries_used = 0
-        self.pessimistic_reads = 0
         self.snapshot_reads = 0
         self.writes = 0
         self._local = threading.local()
@@ -189,37 +161,12 @@ class ConcurrentEngine:
     # Read / write funnels
     # ------------------------------------------------------------------
     def _read(self, fn: Callable[[], T]) -> T:
-        if self.optimistic:
-            attempts = 0
-            for attempt in range(self.OPTIMISTIC_RETRIES):
-                v1 = self._version
-                if v1 & 1:
-                    break  # writer mid-mutation; go straight to latching
-                attempts = attempt + 1
-                try:
-                    result = fn()
-                except Exception:
-                    # A torn traversal under a racing writer may raise
-                    # arbitrarily; only swallow it when a write really
-                    # intervened — otherwise it is a genuine error.
-                    if self._version == v1:
-                        raise
-                else:
-                    if self._version == v1:
-                        with self._op_lock:
-                            self.optimistic_reads += 1
-                        return result
-                with self._op_lock:
-                    self.optimistic_retries_used += 1
-            # Bounded-retry fallback: the optimistic budget is spent (or
-            # a writer was mid-mutation); record it and take the latch.
-            if self.tracer.enabled:
-                self.tracer.event("read_retry_exhausted", attempts=attempts)
-        with self._index_latch.read():
-            result = fn()
-        with self._op_lock:
-            self.pessimistic_reads += 1
-        return result
+        latch = self._index_latch
+        latch.acquire_read()
+        try:
+            return fn()
+        finally:
+            latch.release_read()
 
     def _write(
         self, fn: Callable[[], T], note_fn: "Callable[[T], Any] | None" = None
@@ -228,30 +175,25 @@ class ConcurrentEngine:
         lsn: int | None = None
         self._index_latch.acquire_write()
         try:
-            self._version += 1  # odd: mutation in progress
-            try:
-                result = fn()
-                if storage is not None:
-                    # Still under the exclusive latch: the serialized
-                    # images see exactly this mutation's tree state, and
-                    # (in MVCC mode) the commit's page versions become
-                    # visible to snapshots before any later write runs.
-                    # Had ``fn`` raised, the nodes it changed stay in the
-                    # tree's dirty set and the next commit carries them.
-                    versions = getattr(storage, "versions", None)
-                    note = None
-                    if note_fn is not None and getattr(versions, "commit_log", None) is not None:
-                        # Only an armed commit log (one that has a reader)
-                        # is fed: an unread one would grow forever.
-                        note = note_fn(result)
-                    lsn = storage.commit_write(note)
-                    if versions is not None and versions.latest is not None:
-                        self._local.last_epoch = versions.latest.epoch
-            finally:
-                self._version += 1  # even: quiescent again
-                with self._op_lock:
-                    self.writes += 1
+            result = fn()
+            if storage is not None:
+                # Still under the exclusive latch: the serialized
+                # images see exactly this mutation's tree state, and
+                # (in MVCC mode) the commit's page versions become
+                # visible to snapshots before any later write runs.
+                # Had ``fn`` raised, the nodes it changed stay in the
+                # tree's dirty set and the next commit carries them.
+                versions = getattr(storage, "versions", None)
+                note = None
+                if note_fn is not None and getattr(versions, "commit_log", None) is not None:
+                    # Only an armed commit log (one that has a reader)
+                    # is fed: an unread one would grow forever.
+                    note = note_fn(result)
+                lsn = storage.commit_write(note)
+                if versions is not None and versions.latest is not None:
+                    self._local.last_epoch = versions.latest.epoch
         finally:
+            self.writes += 1  # under the exclusive latch
             self._index_latch.release_write()
         if storage is not None:
             # Acknowledge only once durable — but wait *outside* the latch,
@@ -265,15 +207,13 @@ class ConcurrentEngine:
     # ------------------------------------------------------------------
     def contention_snapshot(self) -> dict:
         """Latch + execution-path counters for the metrics registry."""
-        doc = self.latch_stats.snapshot()
-        with self._op_lock:
-            doc.update(
-                optimistic_reads=self.optimistic_reads,
-                optimistic_retries=self.optimistic_retries_used,
-                pessimistic_reads=self.pessimistic_reads,
-                snapshot_reads=self.snapshot_reads,
-                writes=self.writes,
-            )
+        doc = self._index_latch.stats.snapshot()
+        doc.update(
+            optimistic_retries=0,  # read by perf/layers.py, frozen (ROADMAP item 2)
+            pessimistic_reads=doc["read_acquires"],  # the same (ROADMAP item 2)
+            snapshot_reads=self.snapshot_reads,
+            writes=self.writes,
+        )
         storage = self.storage
         if storage is not None and getattr(storage, "versions", None) is not None:
             doc["versions"] = storage.versions.stats.snapshot()
@@ -328,18 +268,14 @@ class ConcurrentRuleLockIndex(ConcurrentEngine):
     """Thread-safe facade over a :class:`RuleLockIndex`.
 
     Lock installation/removal are writes; value/range probes ride the
-    same optimistic-then-latched read path as index searches.
+    same latched read path as index searches.
     """
 
     def __init__(
-        self,
-        locks: RuleLockIndex | None = None,
-        tracer: Tracer | None = None,
-        *,
-        optimistic: bool = True,
+        self, locks: RuleLockIndex | None = None, tracer: Tracer | None = None
     ) -> None:
         self._locks = locks if locks is not None else RuleLockIndex()
-        super().__init__(self._locks.index, tracer, optimistic=optimistic)
+        super().__init__(self._locks.index, tracer)
 
     def __len__(self) -> int:
         return len(self._locks)

@@ -3,17 +3,21 @@
 The serving engine's latching protocol (see DESIGN.md):
 
 * one **index-level** :class:`RWLatch` serializes writers against each
-  other and against pessimistic readers, which hold it shared for their
-  whole traversal;
-* optimistic readers validate against the index version counter instead
-  of latching;
+  other and against readers, which hold it shared for their whole
+  traversal;
 * the shard router's topology latch is a second instance of the same
   class, one level above.
 
-Every latch funnels its acquisition/wait counts into a shared
-:class:`LatchStats` (one per engine), which the metrics registry exposes
-as the ``latch`` source; waits and grants are also emitted as
+Each latch keeps its acquisition/wait counts in its own
+:class:`LatchStats` (the engine exposes its index latch's as the metrics
+registry's ``latch`` source); waits and grants are also emitted as
 ``latch_wait`` / ``latch_acquire`` trace events when tracing is on.
+
+An uncontended shared acquisition is one section on the latch's mutex,
+and so is its release: the writer-preference check and the counters sit
+inside it, and a release wakes anyone only when a writer waits.  With a
+tracer enabled or a lock-order recorder installed, every acquisition
+takes the full path, which reports to both.
 """
 
 from __future__ import annotations
@@ -30,15 +34,15 @@ __all__ = ["LatchStats", "RWLatch"]
 
 
 class LatchStats:
-    """Contention counters shared by one engine's latches.
+    """Contention counters of one latch.
 
-    Increments arrive from many latches (each holding its own internal
-    mutex), so this class carries its own lock; ``snapshot`` is what the
-    metrics registry pulls.
+    The latch updates them under its own mutex, acquires before waits,
+    so they need no lock of their own.  ``snapshot`` reads waits before
+    acquires: a snapshot taken mid-traffic never shows more waits than
+    acquires.
     """
 
     __slots__ = (
-        "_lock",
         "read_acquires",
         "write_acquires",
         "read_waits",
@@ -47,7 +51,6 @@ class LatchStats:
     )
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.read_acquires = 0
         self.write_acquires = 0
         self.read_waits = 0
@@ -55,17 +58,17 @@ class LatchStats:
         self.wait_seconds = 0.0
 
     def record_acquire(self, mode: str, waited: float | None) -> None:
-        with self._lock:
-            if mode == "read":
-                self.read_acquires += 1
-                if waited is not None:
-                    self.read_waits += 1
-            else:
-                self.write_acquires += 1
-                if waited is not None:
-                    self.write_waits += 1
+        """Count one grant; the caller holds the latch's mutex."""
+        if mode == "read":
+            self.read_acquires += 1
             if waited is not None:
-                self.wait_seconds += waited
+                self.read_waits += 1
+        else:
+            self.write_acquires += 1
+            if waited is not None:
+                self.write_waits += 1
+        if waited is not None:
+            self.wait_seconds += waited
 
     @property
     def contended_acquires(self) -> int:
@@ -73,15 +76,15 @@ class LatchStats:
 
     def snapshot(self) -> dict:
         """A plain-dict copy for reports and the metrics registry."""
-        with self._lock:
-            return {
-                "read_acquires": self.read_acquires,
-                "write_acquires": self.write_acquires,
-                "read_waits": self.read_waits,
-                "write_waits": self.write_waits,
-                "contended_acquires": self.read_waits + self.write_waits,
-                "wait_seconds": self.wait_seconds,
-            }
+        read_waits, write_waits = self.read_waits, self.write_waits
+        return {
+            "read_acquires": self.read_acquires,
+            "write_acquires": self.write_acquires,
+            "read_waits": read_waits,
+            "write_waits": write_waits,
+            "contended_acquires": read_waits + write_waits,
+            "wait_seconds": self.wait_seconds,
+        }
 
 
 class RWLatch:
@@ -93,19 +96,17 @@ class RWLatch:
     engine latch).
     """
 
-    __slots__ = ("name", "stats", "tracer", "_cond", "_readers", "_writer",
-                 "_waiting_writers")
+    __slots__ = ("name", "stats", "tracer", "_mutex", "_cond", "_readers",
+                 "_writer", "_waiting_writers")
 
-    def __init__(
-        self,
-        name: str = "latch",
-        stats: LatchStats | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, name: str = "latch", tracer: Tracer | None = None) -> None:
         self.name = name
-        self.stats = stats if stats is not None else LatchStats()
+        self.stats = LatchStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._cond = threading.Condition(threading.Lock())
+        #: Sections take the raw mutex (a ``with`` on the condition adds a
+        #: Python-level call each way); the condition shares it to wait.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._readers = 0
         self._writer: Optional[int] = None
         self._waiting_writers = 0
@@ -140,12 +141,23 @@ class RWLatch:
     # Read side
     # ------------------------------------------------------------------
     def acquire_read(self, timeout: float | None = None) -> None:
+        if lockgraph._ACTIVE is None and not self.tracer.enabled:
+            with self._mutex:
+                if self._writer is None and not self._waiting_writers:
+                    self._readers += 1
+                    self.stats.read_acquires += 1
+                    return
+        self._acquire_read(timeout)
+
+    def _acquire_read(self, timeout: float | None) -> None:
+        """The full path: it waits, and reports to the recorder and the
+        tracer."""
         recorder = lockgraph.active_recorder()
         if recorder is not None:
             recorder.record_attempt(self.name, "read", self)
         started: float | None = None
         deadline: float | None = None
-        with self._cond:
+        with self._mutex:
             while self._writer is not None or self._waiting_writers:
                 if started is None:
                     started = time.perf_counter()
@@ -165,22 +177,24 @@ class RWLatch:
                         )
                     self._cond.wait(timeout=remaining)
             self._readers += 1
+            waited = None if started is None else time.perf_counter() - started
+            self.stats.record_acquire("read", waited)
         if recorder is not None:
             recorder.record_acquired(self.name, "read", self)
-        waited = None if started is None else time.perf_counter() - started
-        self.stats.record_acquire("read", waited)
         self._trace_acquire("read", waited)
 
     def release_read(self) -> None:
-        with self._cond:
-            if self._readers <= 0:
+        with self._mutex:
+            readers = self._readers
+            if readers <= 0:
                 raise ConcurrencyError(
                     f"read latch {self.name!r} released more than acquired"
                 )
-            self._readers -= 1
-            if self._readers == 0:
+            self._readers = readers - 1
+            # Only a writer waits for the readers to drain.
+            if readers == 1 and self._waiting_writers:
                 self._cond.notify_all()
-        recorder = lockgraph.active_recorder()
+        recorder = lockgraph._ACTIVE
         if recorder is not None:
             recorder.record_release(self.name, self)
 
@@ -194,7 +208,7 @@ class RWLatch:
         me = threading.get_ident()
         started: float | None = None
         deadline: float | None = None
-        with self._cond:
+        with self._mutex:
             if self._writer == me:
                 raise ConcurrencyError(
                     f"write latch {self.name!r} is not reentrant"
@@ -222,14 +236,14 @@ class RWLatch:
             finally:
                 self._waiting_writers -= 1
             self._writer = me
+            waited = None if started is None else time.perf_counter() - started
+            self.stats.record_acquire("write", waited)
         if recorder is not None:
             recorder.record_acquired(self.name, "write", self)
-        waited = None if started is None else time.perf_counter() - started
-        self.stats.record_acquire("write", waited)
         self._trace_acquire("write", waited)
 
     def release_write(self) -> None:
-        with self._cond:
+        with self._mutex:
             if self._writer != threading.get_ident():
                 raise ConcurrencyError(
                     f"write latch {self.name!r} released by a non-holder"

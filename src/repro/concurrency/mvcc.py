@@ -5,9 +5,9 @@ A :class:`Snapshot` pins one committed epoch in a
 query surface (:class:`repro.core.query.QuerySurface`, plus ``items``)
 against exactly that commit's page images — entirely latch-free.  It runs
 the same read kernel as a live tree; all it supplies is the fetch
-callback (:meth:`Snapshot._image`).  The read path acquires
-no latch, runs no optimistic retry, and can therefore never emit a
-``latch_wait`` event, no matter how hard writers churn (``repro
+callback (:meth:`Snapshot._image`).  It is the engine's second read
+path, beside the one under the shared index latch: it acquires no latch
+and can therefore never emit a ``latch_wait`` event, no matter how hard writers churn (``repro
 racecheck``'s MVCC workload asserts zero read-latch acquisitions).
 
 Why this is safe without latches (the memory-model argument, spelled out

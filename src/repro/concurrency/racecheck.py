@@ -6,12 +6,12 @@ Three parts, all in one report:
   thread, BA in another).  The recorder *must* flag it — a detector that
   cannot see a planted inversion proves nothing about a clean run.
 * **workloads** — the PR 5 stress harness (readers + writers + buffer
-  pool) on the optimistic and on the latched read path, the MVCC
-  snapshot variant, the WAL group-commit stress, and the sharded serving
-  tier (local-transport scatter-gather with a mid-run rebalance), all
-  executed with a :class:`~repro.obs.lockgraph.LockOrderRecorder`
-  installed.  The run passes when the recorded acquisition graph has no
-  hierarchy ascents, no cycles and no lock of an undeclared level.
+  pool) on the latched read path and on the MVCC snapshot path, the WAL
+  group-commit stress, and the sharded serving tier (local-transport
+  scatter-gather with a mid-run rebalance), all executed with a
+  :class:`~repro.obs.lockgraph.LockOrderRecorder` installed.  The run
+  passes when the recorded acquisition graph has no hierarchy ascents,
+  no cycles and no lock of an undeclared level.
 * **overhead probe** — a latch acquire/release microbenchmark with the
   recorder off vs. installed, so the JSON documents what the detector
   costs (the *uninstalled* hot path is one global load + ``None`` check,
@@ -207,29 +207,26 @@ def run_racecheck(
     recorder = LockOrderRecorder()
     workloads: list[Mapping[str, Any]] = []
     with recording(recorder):
-        # ``optimistic=False`` puts every read behind the shared index
-        # latch, so the latched path is in the graph on every run rather
-        # than when an optimistic fallback happens to occur.
-        for label, optimistic in (("stress", True), ("stress-latched", False)):
-            for kind in kinds:
-                stress = run_stress(
-                    kind,
-                    seed,
-                    readers=readers,
-                    writers=writers,
-                    ops_per_thread=ops_per_thread,
-                    buffer_bytes=buffer_bytes,
-                    optimistic=optimistic,
-                )
-                workloads.append(
-                    {
-                        "workload": f"{label}/{kind}",
-                        "searches": stress.searches,
-                        "inserts": stress.inserts,
-                        "deletes": stress.deletes,
-                        "pessimistic_reads": stress.contention["pessimistic_reads"],
-                    }
-                )
+        # Every read holds the shared index latch, so each one is in the
+        # graph.
+        for kind in kinds:
+            stress = run_stress(
+                kind,
+                seed,
+                readers=readers,
+                writers=writers,
+                ops_per_thread=ops_per_thread,
+                buffer_bytes=buffer_bytes,
+            )
+            workloads.append(
+                {
+                    "workload": f"stress/{kind}",
+                    "searches": stress.searches,
+                    "inserts": stress.inserts,
+                    "deletes": stress.deletes,
+                    "read_acquires": stress.contention["read_acquires"],
+                }
+            )
         # MVCC snapshots: latch-free readers over COW page versions while
         # writers publish/GC under the exclusive latch — the recorder must
         # see a clean (and notably reader-free) acquisition graph.

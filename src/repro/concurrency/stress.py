@@ -149,7 +149,6 @@ def run_stress(
     config: IndexConfig | None = None,
     buffer_bytes: int | None = None,
     domain: float = 1000.0,
-    optimistic: bool = True,
     mvcc: bool = False,
 ) -> StressResult:
     """Run one seeded reader/writer interleaving and validate everything.
@@ -179,9 +178,8 @@ def run_stress(
             mvcc=mvcc,
         )
         engine, manager = store.engine, store.manager
-        engine.optimistic = optimistic
     else:
-        engine = ConcurrentIndex(tree, optimistic=optimistic)
+        engine = ConcurrentIndex(tree)
 
     # Registry of records the writers believe are alive: id -> rect.
     # items() yields fragments; collapsing to one rect per id is fine — any
@@ -280,12 +278,11 @@ def run_stress(
     if mvcc:
         assert manager is not None and manager.versions is not None
         stats = engine.latch_stats
-        if stats.read_acquires or stats.read_waits or engine.pessimistic_reads:
+        if stats.read_acquires or stats.read_waits:
             raise ConcurrencyError(
                 "MVCC read path touched latches: "
                 f"read_acquires={stats.read_acquires} "
-                f"read_waits={stats.read_waits} "
-                f"pessimistic_reads={engine.pessimistic_reads}"
+                f"read_waits={stats.read_waits}"
             )
         cache = manager.versions
         cache.verify_accounting()

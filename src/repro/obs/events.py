@@ -224,12 +224,6 @@ _EVENT_SPECS: tuple[EventSpec, ...] = (
             "at or above the horizon can reach: superseded versions and "
             "the whole chains of pages whose node a commit unlinked.",
     ),
-    _e(
-        "read_retry_exhausted",
-        required=("attempts",),
-        doc="An optimistic (seqlock) reader spent its bounded retry "
-            "budget under write churn and fell back to latched reading.",
-    ),
     # -- concurrency events (concurrency/) ------------------------------
     _e(
         "latch_acquire",

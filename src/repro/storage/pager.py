@@ -305,8 +305,9 @@ class StorageManager:
         # not collide with them.
         self._next_page = max(self.disk.page_ids(), default=0) + 1
         #: Guards the node->page table and page-id allocation: concurrent
-        #: readers racing an optimistic traversal against a writer that is
-        #: creating nodes must never double-allocate a page id.
+        #: readers that reach the same page-less node (a split's nodes get
+        #: pages on their first read when no WAL is attached) must never
+        #: double-allocate a page id.
         self._page_lock = threading.Lock()
         #: Page allocations made since the last checkpoint/logged commit;
         #: drained into the next WAL transaction so replay can re-create
@@ -354,16 +355,10 @@ class StorageManager:
         # Unlocked probes: a dict read is atomic, and _ensure_page publishes
         # an id only once its page exists on the disk.
         page_of = self._page_of
-        root = self.tree.root
         page_ids = []
         for node in nodes:
             page_id = page_of.get(node.node_id)
             if page_id is None:
-                if node.parent is None and node is not root:
-                    # Unlinked by a racing writer: the optimistic read that
-                    # reached it is discarded (the version moved), and a
-                    # page allocated now would never be freed.
-                    continue
                 page_id = self._ensure_page(node)
             page_ids.append(page_id)
         self.pool.touch_all(page_ids, self._retry_touch)
@@ -554,8 +549,8 @@ class StorageManager:
 
     def _free_page(self, page_id: int) -> None:
         """Release the page of an unlinked node (its DEALLOC is logged).
-        Page ids are never reused, so versions a snapshot still pins and
-        a stale optimistic reader's view of the id stay unambiguous."""
+        Page ids are never reused, so the versions a snapshot still pins
+        stay unambiguous."""
         try:
             self.pool.drop(page_id)
         except StorageError:

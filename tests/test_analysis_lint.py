@@ -372,7 +372,7 @@ def test_r6_silent_on_io_outside_lock():
 
 
 def test_r6_silent_under_shared_read_latch():
-    # Pessimistic readers fault pages under the shared latch by design.
+    # Readers fault pages under the shared latch by design.
     src = (
         "class W:\n"
         "    def g(self):\n"

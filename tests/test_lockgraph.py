@@ -311,7 +311,6 @@ def test_racecheck_clean_on_real_workloads():
     names = [w["workload"] for w in report["workloads"]]
     assert names == [
         "stress/SR-Tree",
-        "stress-latched/SR-Tree",
         "stress-mvcc/SR-Tree",
         "wal-group-commit",
         "stress-shard",
@@ -319,8 +318,8 @@ def test_racecheck_clean_on_real_workloads():
     by_name = {w["workload"]: w for w in report["workloads"]}
     # The latched read path is in the graph by construction, and every
     # recorded lock belongs to a level the hierarchy declares.
-    latched = by_name["stress-latched/SR-Tree"]
-    assert latched["pessimistic_reads"] >= latched["searches"] > 0
+    latched = by_name["stress/SR-Tree"]
+    assert latched["read_acquires"] >= latched["searches"] > 0
     assert graph["undeclared_levels"] == []
     assert set(graph["locks"].values()) <= {"router", "index", "buffer", "wal"}
     # MVCC snapshot reads recorded no read-side latch acquisitions.

@@ -11,9 +11,6 @@ Covers the copy-on-write machinery bottom-up:
   acquire **zero** read latches and emit **zero** read-side
   ``latch_wait`` events, and version GC stays live (one version per
   page once all snapshots close).
-* The bounded-retry fallback of the *latched* optimistic read path:
-  exhausting the budget emits ``read_retry_exhausted`` and lands on
-  exactly one pessimistic (correct) read.
 """
 
 import threading
@@ -310,8 +307,6 @@ class TestLatchFreeReads:
             assert stats["snapshot_reads"] == 0  # open_snapshot is direct
             assert stats["read_acquires"] == 0
             assert stats["read_waits"] == 0
-            assert stats["pessimistic_reads"] == 0
-            assert stats["optimistic_reads"] == 0
             read_waits = [
                 e
                 for e in ring
@@ -381,61 +376,6 @@ class TestMvccStressSmoke:
         # already raises on violation): a latch-free read path.
         assert result.contention["read_acquires"] == 0
         assert result.contention["read_waits"] == 0
-        assert result.contention["pessimistic_reads"] == 0
         versions = result.contention["versions"]
         assert versions["versions_published"] > 0
         assert versions["snapshots_opened"] == versions["snapshots_closed"]
-
-
-# ---------------------------------------------------------------------------
-# Bounded-retry fallback on the latched optimistic path
-# ---------------------------------------------------------------------------
-class TestReadRetryExhausted:
-    def test_exhausted_budget_emits_event_and_falls_back_once(self):
-        """Deterministic two-thread interleaving: a writer commits inside
-        every optimistic attempt, so the version check fails exactly
-        ``OPTIMISTIC_RETRIES`` times, the engine emits one
-        ``read_retry_exhausted`` event, and the read completes correctly
-        under latches on the single pessimistic pass."""
-        ring = RingBufferSink()
-        tree = SRTree(SMALL)
-        target = tree.insert(Rect((5.0, 5.0), (6.0, 6.0)), payload="hit")
-        engine = ConcurrentIndex(tree, tracer=Tracer(ring), optimistic=True)
-        try:
-            calls = []
-
-            def interfered_read():
-                calls.append(len(calls))
-                if len(calls) <= engine.OPTIMISTIC_RETRIES:
-                    # Run a full write between the version check and the
-                    # validation — joined, so the interleaving is exact.
-                    writer = threading.Thread(
-                        target=lambda: engine.insert(Rect((0.0, 0.0), (1.0, 1.0)))
-                    )
-                    writer.start()
-                    writer.join()
-                return {r for r, _ in tree.search(Rect((5.0, 5.0), (6.0, 6.0)))}
-
-            result = engine._read(interfered_read)
-            assert result == {target}
-            assert len(calls) == 3  # 2 failed optimistic attempts + 1 latched
-            assert engine.optimistic_retries_used == 2
-            assert engine.pessimistic_reads == 1
-            assert engine.optimistic_reads == 0
-            events = [e for e in ring if e.etype == "read_retry_exhausted"]
-            assert len(events) == 1
-            assert events[0].fields["attempts"] == 2
-        finally:
-            engine.detach()
-
-    def test_clean_optimistic_read_emits_no_event(self):
-        ring = RingBufferSink()
-        tree = SRTree(SMALL)
-        tree.insert(Rect((5.0, 5.0), (6.0, 6.0)))
-        engine = ConcurrentIndex(tree, tracer=Tracer(ring), optimistic=True)
-        try:
-            engine.search(Rect((0.0, 0.0), (10.0, 10.0)))
-            assert engine.optimistic_reads == 1
-            assert not [e for e in ring if e.etype == "read_retry_exhausted"]
-        finally:
-            engine.detach()

@@ -118,7 +118,7 @@ class TestIndexRegistry:
         snap = reg.snapshot()
         assert snap["latch"]["writes"] == 1
         assert snap["latch"]["write_acquires"] == 1
-        assert snap["latch"]["optimistic_reads"] == 1
+        assert snap["latch"]["read_acquires"] == 1
         json.dumps(snap)
         index.detach()
 
