@@ -189,11 +189,6 @@ def _make_context(source: str, path: str) -> FileContext:
     )
 
 
-def _suppressed(ctx: FileContext, diag: Diagnostic) -> bool:
-    ids = ctx.suppressions.get(diag.line)
-    return ids is not None and (diag.rule in ids or "*" in ids)
-
-
 def _stale_ignores(
     ctx: FileContext,
     used: set[tuple[int, str]],

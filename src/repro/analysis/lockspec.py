@@ -115,7 +115,7 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
         rank=2,
         description=(
             "Buffer-pool mutex (one lock + condition variable guarding "
-            "frames, LRU order, pin accounting).  Disk reads happen "
+            "frames, LRU order, the in-flight table).  Disk reads happen "
             "outside it; dirty-victim writebacks are the documented "
             "exception."
         ),
@@ -218,10 +218,6 @@ IO_UNDER_LOCK_ALLOWLIST: Mapping[tuple[str, str], str] = {
 #: seeds these so lexical analysis sees through the convention.
 HELD_BY_CONVENTION: Mapping[tuple[str, str], tuple[str, ...]] = {
     ("storage/buffer.py", "_make_room"): ("buffer",),
-    ("storage/buffer.py", "_pick_victim"): ("buffer",),
-    ("storage/buffer.py", "_pin"): ("buffer",),
-    ("storage/buffer.py", "_unpin"): ("buffer",),
-    ("storage/buffer.py", "_only_own_pins"): ("buffer",),
     ("storage/wal.py", "_maybe_roll_locked"): ("wal",),
     ("storage/wal.py", "_encode_page_locked"): ("wal",),
     # PageVersionCache single-mutator contract: publish and the GC

@@ -18,7 +18,7 @@ Nothing finer than the index latch exists: a writer holds it exclusively
 for the whole mutation, so no reader overlaps any part of a cut,
 demotion, promotion, split or condense, and every node a read reaches is
 linked into the tree.  Reader/reader concurrency on the buffer pool is
-the pool's own mutex, in-flight table and per-thread pin ledger.  Each
+the pool's own mutex and in-flight table.  Each
 answered read runs once, so it counts once: in the tree's
 ``AccessStats``, in the pool's accesses and in the latch's
 ``read_acquires``.

@@ -28,7 +28,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Iterator, Sequence
 
-from ..exceptions import ConfigError, IndexStructureError, WorkloadError
+from ..exceptions import IndexStructureError, WorkloadError
 from ..obs.tracer import NULL_TRACER, Tracer
 from . import query
 from .config import IndexConfig
@@ -46,7 +46,7 @@ _DEFAULT_DOMAIN = (-1.0e9, 1.0e9)
 _LEVEL = attrgetter("level")
 
 
-class RPlusTree:
+class RPlusTree(query.QuerySurface):
     """A partitioned (zero-overlap) R+-Tree over a fixed domain.
 
     >>> from repro.core.geometry import segment, Rect
@@ -91,14 +91,12 @@ class RPlusTree:
     def height(self) -> int:
         return self._height
 
+    @property
+    def dims(self) -> int:
+        return self.config.dims
+
     def __len__(self) -> int:
         return self._size
-
-    def _check_rect(self, rect: Rect) -> None:
-        if rect.dims != self.config.dims:
-            raise ConfigError(
-                f"rect has {rect.dims} dimensions, index expects {self.config.dims}"
-            )
 
     def insert(self, rect: Rect, payload: Any = None) -> int:
         self._check_rect(rect)
@@ -112,20 +110,16 @@ class RPlusTree:
         self._insert_into(self.root, rect, entry)
         return record_id
 
-    def search(self, rect: Rect) -> list[tuple[int, Any]]:
-        """All records intersecting ``rect``, replicas reported once (the
-        shared read kernel de-duplicates on record id)."""
-        self._check_rect(rect)
-        hits, visited = query.intersecting(None, self.root, rect)
+    def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
+        """Answer one query through the shared read kernel, which reports
+        a replicated record once (it de-duplicates on record id)."""
+        hits, visited = query.answer(kind, None, self.root, rect)
         stats = self.stats
         stats.accesses_by_level.update(map(_LEVEL, visited))
         stats.searches += 1
         stats.node_accesses += len(visited)
         stats.search_node_accesses += len(visited)
         return [(e.record_id, e.payload) for e in hits]
-
-    def search_ids(self, rect: Rect) -> set[int]:
-        return {rid for rid, _ in self.search(rect)}
 
     def search_with_stats(self, rect: Rect) -> tuple[list[tuple[int, Any]], SearchStats]:
         before = self.stats.search_node_accesses
@@ -134,9 +128,6 @@ class RPlusTree:
             nodes_accessed=self.stats.search_node_accesses - before,
             records_found=len(results),
         )
-
-    def stab(self, *coords: float) -> list[tuple[int, Any]]:
-        return self.search(Rect(coords, coords))
 
     def delete(self, record_id: int) -> int:
         """Remove every replica/fragment of ``record_id``."""

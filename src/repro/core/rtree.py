@@ -547,11 +547,6 @@ class RTree(query.QuerySurface):
     def _after_insert(self) -> None:
         """Post-insert hook (skeleton indexes run coalescing here)."""
 
-    def _reinsert_entries(self, entries: list[DataEntry]) -> None:
-        """Reinsert fragments that lost their home (demotion, coalescing)."""
-        if entries:
-            self._run_insertion(list(entries))
-
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} size={self._size} height={self._height} "

@@ -42,10 +42,6 @@ class QueryTrace:
     def accesses_by_level(self) -> Counter:
         return Counter(level for _, level in self.path)
 
-    @property
-    def leaf_accesses(self) -> int:
-        return self.accesses_by_level.get(0, 0)
-
     def to_dict(self) -> dict:
         """JSON-ready form (query as low/high coordinate lists)."""
         return {

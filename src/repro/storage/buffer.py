@@ -3,28 +3,25 @@
 Models the "only a small portion of the index may reside in main memory at
 a given time" premise of the paper's introduction.  The pool is sized in
 bytes (pages have level-dependent sizes, so a page count would be
-misleading) and evicts least-recently-used unpinned pages, writing dirty
-pages back to the simulated disk.
+misleading) and evicts least-recently-used pages, writing dirty pages back
+to the simulated disk.
 
 Thread-safety contract
 ----------------------
 Every public method may be called from any thread.  One internal mutex
-guards the frame table, the LRU order, pin accounting, and the statistics;
-a condition variable on the same mutex coordinates two kinds of waiting:
+guards the frame table, the LRU order and the statistics.  The pool lends
+no frames: :meth:`read` copies a page's bytes out and :meth:`write`
+copies them in, each inside the pool's own critical sections, so no
+caller ever holds a frame and any resident page may be evicted.  A
+condition variable on the same mutex coordinates the one kind of
+waiting — a page being read from disk by another thread is in the
+in-flight table, and a second accessor of the same page waits for the
+first read to land rather than issuing a duplicate read.
 
-* **pin waits** — when every resident page is pinned, :meth:`fetch` waits
-  for some other thread to :meth:`release` a pin instead of raising.  If
-  every outstanding pin belongs to the *calling* thread, no other thread
-  can ever unpin, so the pool raises :class:`StorageError` immediately
-  (the single-threaded behaviour, and a self-deadlock guard);
-* **load waits** — a page being read from disk by another thread is in the
-  in-flight table; a second fetcher of the same page waits for the first
-  read to land rather than issuing a duplicate read.
-
-:meth:`touch` is an access that hands out no frame: it goes through the
-same two waits but takes no pin, so a hit is a single critical section
-(see its docstring).  :meth:`touch_all` is the storage hook's call per
-read: the same touches, a run of resident pages in one section.
+:meth:`touch` is an access that moves no bytes: a hit is a single
+critical section (see its docstring).  :meth:`touch_all` is the storage
+hook's call per read: the same touches, a run of resident pages in one
+section.
 
 Disk reads happen *outside* the mutex (real buffer managers never hold a
 latch across I/O); that is what lets concurrent readers overlap their
@@ -66,9 +63,7 @@ class BufferStats:
     misses: int = 0
     evictions: int = 0
     dirty_writebacks: int = 0
-    #: Times a fetch had to wait for another thread to release a pin.
-    pin_waits: int = 0
-    #: Times a fetch waited for another thread's in-flight read of the
+    #: Times an access waited for another thread's in-flight read of the
     #: same page instead of issuing a duplicate disk read.
     load_waits: int = 0
 
@@ -90,7 +85,6 @@ class BufferStats:
             "hit_ratio": self.hit_ratio,
             "evictions": self.evictions,
             "dirty_writebacks": self.dirty_writebacks,
-            "pin_waits": self.pin_waits,
             "load_waits": self.load_waits,
         }
 
@@ -101,8 +95,9 @@ class BufferPool:
     >>> disk = SimulatedDisk()
     >>> disk.allocate(1, 1024)
     >>> pool = BufferPool(disk, capacity_bytes=4096)
-    >>> page = pool.fetch(1)
-    >>> pool.release(1)
+    >>> pool.write(1, b"x" * 1024)
+    >>> pool.read(1)[:2]
+    b'xx'
     """
 
     def __init__(
@@ -110,7 +105,6 @@ class BufferPool:
         disk: SimulatedDisk,
         capacity_bytes: int,
         tracer: Tracer | None = None,
-        pin_wait_timeout: float = 10.0,
     ) -> None:
         if capacity_bytes <= 0:
             raise StorageError("buffer pool capacity must be positive")
@@ -119,9 +113,6 @@ class BufferPool:
         self.stats = BufferStats()
         #: Observability: ``page_fetch``/``eviction`` events flow here.
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-        #: Upper bound on one fetch's total wait for a pin to be released
-        #: when the pool is saturated with other threads' pins.
-        self.pin_wait_timeout = pin_wait_timeout
         self._frames: "OrderedDict[PageId, Page]" = OrderedDict()
         self._resident_bytes = 0
         # One re-entrant mutex doubling as the condition variable; the
@@ -135,9 +126,6 @@ class BufferPool:
         #: loading thread discards its frame instead of resurrecting the
         #: deallocated page in the pool.
         self._dropped_while_loading: set[PageId] = set()
-        #: Outstanding pins per thread id; lets a saturated fetch tell a
-        #: recoverable wait from a self-deadlock.
-        self._pins_by_thread: dict[int, int] = {}
 
     @property
     def resident_bytes(self) -> int:
@@ -148,38 +136,26 @@ class BufferPool:
         return len(self._frames)
 
     # ------------------------------------------------------------------
-    # Pin bookkeeping (callers hold self._lock)
+    # Whole-page read / write
     # ------------------------------------------------------------------
-    def _pin(self, frame: Page) -> None:
-        frame.pin()
-        tid = threading.get_ident()
-        self._pins_by_thread[tid] = self._pins_by_thread.get(tid, 0) + 1
-
-    def _unpin(self, frame: Page) -> None:
-        frame.unpin()
-        tid = threading.get_ident()
-        remaining = self._pins_by_thread.get(tid, 0) - 1
-        if remaining > 0:
-            self._pins_by_thread[tid] = remaining
-        else:
-            self._pins_by_thread.pop(tid, None)
-
-    def _only_own_pins(self) -> bool:
-        """True when every outstanding pin belongs to the calling thread."""
-        tid = threading.get_ident()
-        return all(owner == tid for owner in self._pins_by_thread)
-
-    # ------------------------------------------------------------------
-    # Fetch / release
-    # ------------------------------------------------------------------
-    def fetch(self, page_id: PageId) -> Page:
-        """Pin the page in memory, reading from disk on a miss."""
+    def read(self, page_id: PageId) -> bytes:
+        """One access that returns the page's bytes, reading it in on a miss."""
         with self._cond:
             frame = self._probe(page_id)
             if frame is not None:
-                self._pin(frame)
-                return frame
-        return self._read_in(page_id, pin=True)
+                return frame.read()
+        return self._read_in(page_id)
+
+    def write(self, page_id: PageId, image: bytes) -> None:
+        """One access that overwrites the page with ``image`` and marks it
+        dirty.  A miss reads the page in first, as any access does, and
+        installs the frame already written."""
+        with self._cond:
+            frame = self._probe(page_id)
+            if frame is not None:
+                frame.write(image)
+                return
+        self._read_in(page_id, image)
 
     # ------------------------------------------------------------------
     # The two halves of an access
@@ -226,9 +202,10 @@ class BufferPool:
             self.stats.load_waits += 1
             self._cond.wait()
 
-    def _read_in(self, page_id: PageId, *, pin: bool, dirty: bool = False) -> Page:
+    def _read_in(self, page_id: PageId, image: "bytes | None" = None) -> bytes:
         """Read an in-flight page outside the mutex, then make room for it
-        and install it in one critical section."""
+        and install it — overwritten with ``image`` and dirty, when given —
+        in one critical section; returns the bytes read."""
         # read_ns = time *blocked* on the unlatched I/O: wall time minus
         # the thread CPU charged inside the window (syscall / timer
         # accounting), so a latency decomposition can add read_ns to a
@@ -236,34 +213,31 @@ class BufferPool:
         tracing = self.tracer.enabled
         read_start = time.monotonic_ns() if tracing else 0
         cpu_start = time.thread_time_ns() if tracing else 0
+        read_ns = 0
         try:
             data = self.disk.read_page(page_id)  # unlatched I/O
+            if tracing:
+                read_ns = max(
+                    0,
+                    (time.monotonic_ns() - read_start)
+                    - (time.thread_time_ns() - cpu_start),
+                )
+            frame = Page(page_id, len(data), bytearray(data))
+            if image is not None:
+                frame.write(image)
         except BaseException:
             with self._cond:
                 self._loading.discard(page_id)
                 self._dropped_while_loading.discard(page_id)
                 self._cond.notify_all()
             raise
-        read_ns = 0
-        if tracing:
-            read_ns = max(
-                0,
-                (time.monotonic_ns() - read_start)
-                - (time.thread_time_ns() - cpu_start),
-            )
-        frame = Page(page_id, len(data), bytearray(data), dirty)
         with self._cond:
-            # page_id stays in the in-flight table until the frame is
-            # actually inserted: _make_room can release the mutex while
-            # waiting for a pin, and a concurrent fetch of the same page
-            # must keep waiting rather than issue a duplicate read and
-            # insert a second frame over this one.
+            # page_id leaves the in-flight table only once its frame is in
+            # (or the install failed), all in this one section.
             try:
                 if page_id in self._dropped_while_loading:
                     raise StorageError(f"page {page_id} was dropped during fetch")
                 self._make_room(frame.size)
-                if page_id in self._dropped_while_loading:
-                    raise StorageError(f"page {page_id} was dropped during fetch")
                 if self.tracer.enabled:
                     self.tracer.event(
                         "page_fetch",
@@ -274,43 +248,23 @@ class BufferPool:
                     )
                 self._frames[page_id] = frame
                 self._resident_bytes += frame.size
-                if pin:
-                    self._pin(frame)
             finally:
                 self._loading.discard(page_id)
                 self._dropped_while_loading.discard(page_id)
                 self._cond.notify_all()
-        return frame
+        return data
 
-    def release(self, page_id: PageId, dirty: bool = False) -> None:
-        """Unpin a fetched page, optionally marking it dirty."""
-        with self._cond:
-            frame = self._frames.get(page_id)
-            if frame is None:
-                raise StorageError(f"page {page_id} is not resident")
-            if dirty:
-                frame.dirty = True
-            self._unpin(frame)
-            self._cond.notify_all()
-
-    def touch(self, page_id: PageId, dirty: bool = False) -> None:
-        """One logical access that hands out no frame, so it takes no pin.
+    def touch(self, page_id: PageId) -> None:
+        """One logical access that moves no bytes.
 
         A hit is one critical section: count it, trace it, move the page
-        to the MRU end.  A pin taken and dropped inside that section
-        could be seen by no other thread — eviction, ``drop`` and the pin
-        ledger all run under the same mutex — so none is taken, and with
-        no pin released there is no waiter to notify.  A miss is two
-        sections around the unlatched disk read, as in :meth:`fetch`; its
-        frame goes in unpinned.
+        to the MRU end.  A miss is two sections around the unlatched disk
+        read, as in :meth:`read`.
         """
         with self._cond:
-            frame = self._probe(page_id)
-            if frame is not None:
-                if dirty:
-                    frame.dirty = True
+            if self._probe(page_id) is not None:
                 return
-        self._read_in(page_id, pin=False, dirty=dirty)
+        self._read_in(page_id)
 
     def touch_all(
         self,
@@ -334,7 +288,7 @@ class BufferPool:
             if frame is not None:
                 continue  # another thread's read of it landed meanwhile
             try:
-                self._read_in(page_id, pin=False)
+                self._read_in(page_id)
                 continue
             except TransientDiskError as exc:
                 error = exc
@@ -353,45 +307,30 @@ class BufferPool:
         """Remove a page from the pool without writing it back (the caller
         deallocated it).
 
-        Dropping a pinned page is an error: some caller still holds the
-        frame, and silently unframing it would corrupt pin accounting the
-        moment that caller releases.  Dropping a page whose disk read is
-        still in flight invalidates the load — that fetch raises
-        :class:`StorageError` instead of resurrecting the dropped page.
+        Dropping a page whose disk read is still in flight invalidates the
+        load — that access raises :class:`StorageError` instead of
+        resurrecting the dropped page.
         """
         with self._cond:
             if page_id in self._loading:
-                # An unlatched disk read of this page is in flight; mark it
-                # so the loader discards its frame instead of resurrecting
-                # the deallocated page in the pool.
                 self._dropped_while_loading.add(page_id)
                 return
-            frame = self._frames.get(page_id)
+            frame = self._frames.pop(page_id, None)
             if frame is None:
                 return
-            if frame.pin_count:
-                raise StorageError(
-                    f"cannot drop page {page_id}: {frame.pin_count} pin(s) held"
-                )
-            del self._frames[page_id]
             self._resident_bytes -= frame.size
             # A dropped page id may be re-allocated later; the stale frame
             # must not leak its dirty flag into that new life.
             frame.dirty = False
-            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Accounting invariants (the stress harness and the hypothesis
     # oracle both call this after every run)
     # ------------------------------------------------------------------
-    def verify_accounting(self, expect_unpinned: bool = False) -> None:
-        """Raise :class:`StorageError` on any internal inconsistency.
-
-        Checks ``resident_bytes`` == sum of frame sizes, resident page
-        count, pin balance (frame pin counts vs. per-thread ledger), and
-        basic stats sanity.  With ``expect_unpinned`` (a quiescent pool)
-        every pin count must be zero.
-        """
+    def verify_accounting(self) -> None:
+        """Raise :class:`StorageError` on any internal inconsistency:
+        ``resident_bytes`` against the frame sizes and the capacity, and
+        basic stats sanity."""
         with self._lock:
             actual_bytes = sum(f.size for f in self._frames.values())
             if actual_bytes != self._resident_bytes:
@@ -404,17 +343,6 @@ class BufferPool:
                     f"resident_bytes {self._resident_bytes} exceeds capacity "
                     f"{self.capacity_bytes}"
                 )
-            total_pins = sum(f.pin_count for f in self._frames.values())
-            ledger = sum(self._pins_by_thread.values())
-            if total_pins != ledger:
-                raise StorageError(
-                    f"pin counts unbalanced: frames hold {total_pins}, "
-                    f"thread ledger holds {ledger}"
-                )
-            if expect_unpinned and total_pins:
-                raise StorageError(f"{total_pins} pin(s) outstanding on a quiescent pool")
-            if any(f.pin_count < 0 for f in self._frames.values()):
-                raise StorageError("negative pin count")
             if self.stats.hits + self.stats.misses != self.stats.accesses:
                 raise StorageError("hit/miss accounting inconsistent")
 
@@ -427,38 +355,13 @@ class BufferPool:
                 f"page of {needed} bytes exceeds pool capacity "
                 f"{self.capacity_bytes}"
             )
-        deadline: float | None = None
         while self._resident_bytes + needed > self.capacity_bytes:
-            victim_id = self._pick_victim()
-            if victim_id is None:
-                # Every resident page is pinned.  If any pin belongs to
-                # another thread, wait for a release; if they are all ours
-                # nobody can ever unpin and waiting would self-deadlock.
-                if self._only_own_pins():
-                    raise StorageError(
-                        "buffer pool exhausted: every resident page is pinned"
-                    )
-                # Wall-clock deadline: cond waits wake early on every
-                # notify (releases, load completions, drops), so counting
-                # nominal steps would exhaust the timeout after far less
-                # real waiting.
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + self.pin_wait_timeout
-                if now >= deadline:
-                    raise StorageError(
-                        "buffer pool exhausted: every resident page is pinned "
-                        f"(waited {self.pin_wait_timeout:.1f}s for a release)"
-                    )
-                self.stats.pin_waits += 1
-                self._cond.wait(timeout=min(0.5, deadline - now))
-                continue
-            victim = self._frames[victim_id]
+            victim = next(iter(self._frames.values()))  # the LRU head
             was_dirty = victim.dirty
             if victim.dirty:
                 # Write back while the frame is still resident: if the
                 # write raises (e.g. an injected transient fault) the
-                # dirty page survives in the pool and a retried fetch
+                # dirty page survives in the pool and a retried access
                 # re-attempts the writeback instead of losing the data.
                 self.disk.write_page(victim.page_id, bytes(victim.data))
                 victim.dirty = False
@@ -470,15 +373,9 @@ class BufferPool:
                     dirty=was_dirty,
                     page_bytes=victim.size,
                 )
-            del self._frames[victim_id]
+            del self._frames[victim.page_id]
             self._resident_bytes -= victim.size
             self.stats.evictions += 1
-
-    def _pick_victim(self) -> PageId | None:
-        for page_id, frame in self._frames.items():  # LRU order
-            if frame.pin_count == 0:
-                return page_id
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,12 @@ class Page:
         size: Capacity in bytes; writes beyond it raise StorageError.
         data: Current contents (always exactly ``size`` bytes).
         dirty: Set when the buffer content diverges from disk.
-        pin_count: Number of active pins (the buffer pool may not evict a
-            pinned page).
     """
 
     page_id: PageId
     size: int
     data: bytearray = field(default_factory=bytearray)
     dirty: bool = False
-    pin_count: int = 0
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -68,11 +65,3 @@ class Page:
                 f"size {self.size}"
             )
         return bytes(self.data[offset : offset + length])
-
-    def pin(self) -> None:
-        self.pin_count += 1
-
-    def unpin(self) -> None:
-        if self.pin_count == 0:
-            raise StorageError(f"page {self.page_id} unpinned more than pinned")
-        self.pin_count -= 1

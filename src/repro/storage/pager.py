@@ -119,9 +119,7 @@ class _PageReader:
         return True
 
     def read_image(self, page_id: int) -> NodeImage:
-        frame = self._retrying(f"fetch page {page_id}", lambda: self.pool.fetch(page_id))
-        data = frame.read()
-        self.pool.release(page_id)
+        data = self._retrying(f"read page {page_id}", lambda: self.pool.read(page_id))
         try:
             return deserialize_node(data, page_id)
         except PageCorruptionError:
@@ -551,14 +549,7 @@ class StorageManager:
         """Release the page of an unlinked node (its DEALLOC is logged).
         Page ids are never reused, so the versions a snapshot still pins
         stay unambiguous."""
-        try:
-            self.pool.drop(page_id)
-        except StorageError:
-            # A frame reader (``load_tree``) holds a pin for the length of
-            # one ``read_image``; node accesses take none.  The frame is
-            # clean (only checkpoints dirty frames) and its id is dead:
-            # LRU eviction discards it.
-            pass
+        self.pool.drop(page_id)
         self._retrying(
             f"deallocate page {page_id}", lambda: self.disk.deallocate(page_id)
         )
@@ -616,11 +607,10 @@ class StorageManager:
             image = serialize_node(
                 node, self.disk.page_size(page_id), page_of, generation
             )
-            frame = self._retrying(
-                f"fetch page {page_id}", lambda pid=page_id: self.pool.fetch(pid)
+            self._retrying(
+                f"write page {page_id}",
+                lambda pid=page_id, image=image: self.pool.write(pid, image),
             )
-            frame.write(image)
-            self.pool.release(page_id, dirty=True)
         self._retrying("flush buffer pool", self.pool.flush)
         root_page = page_of.get(root.node_id, 0)
         self.root_page = root_page

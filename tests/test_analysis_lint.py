@@ -388,10 +388,11 @@ def test_r6_allowlist_covers_documented_writeback():
     src = (
         "class BufferPool:\n"
         "    def _make_room(self):\n"
-        "        self.disk.write_page(1, b'x')\n"
+        "        with self._cond:\n"
+        "            self.disk.write_page(1, b'x')\n"
     )
     assert rules_fired(src, path="src/repro/storage/buffer.py", select=["R6"]) == []
-    src_unlisted = src.replace("_make_room", "_pick_victim")
+    src_unlisted = src.replace("_make_room", "_evict")
     assert rules_fired(
         src_unlisted, path="src/repro/storage/buffer.py", select=["R6"]
     ) == ["R6"]

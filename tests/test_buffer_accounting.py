@@ -1,20 +1,21 @@
-"""Property test: buffer-pool accounting survives arbitrary op sequences.
+"""Property test: the buffer pool is the LRU pool it claims to be.
 
-Drives randomized ``fetch``/``release``/``touch``/``drop``/``flush``
-sequences against a small pool with a single-threaded oracle tracking the
-expected pin state, and asserts :meth:`BufferPool.verify_accounting`
-(the same invariant battery the multi-threaded stress harness runs) plus
-stats consistency after every step.
+Drives randomized ``touch``/``touch_all``/``read``/``write``/``drop``/
+``flush`` sequences against a small pool and, step for step, against
+:class:`LruModel` — an independent single-threaded model of a
+byte-budgeted LRU pool that predicts hits, misses, evictions,
+write-backs, resident bytes, the LRU order with each frame's bytes and
+dirty bit, the disk's traffic and contents, and the traced events.  The
+pool must never differ from it, and :meth:`BufferPool.verify_accounting`
+(the invariant battery the multi-threaded stress harness runs) must hold
+after every step.
 
-``touch`` is differential throughout: a twin pool takes the same steps
-with every ``touch`` spelled as the ``fetch`` + ``release`` it replaced,
-and the two must never differ in anything a caller or the disk can see.
 The storage hook's batched form — a whole read's visit, hits touched in
 runs — is held the same way against one touch per visited page.
 """
 
 import random
-from collections import Counter
+from collections import OrderedDict
 from dataclasses import asdict
 
 import pytest
@@ -34,138 +35,112 @@ from repro.storage import (
     StorageManager,
 )
 
-#: Six allocatable pages of two sizes; the pool fits ~3 small pages, so
-#: sequences regularly trigger eviction, pinned-full, and drop paths.
-PAGE_SIZES = {1: 1024, 2: 1024, 3: 1024, 4: 512, 5: 512, 6: 2048}
+#: Seven allocatable pages of four sizes; the pool fits ~3 small pages, so
+#: sequences regularly evict, and page 7 never fits at all.
+PAGE_SIZES = {1: 1024, 2: 1024, 3: 1024, 4: 512, 5: 512, 6: 2048, 7: 4096}
 CAPACITY = 3 * 1024
 
-_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["fetch", "release", "touch", "drop", "flush"]),
-        st.sampled_from(sorted(PAGE_SIZES)),
-        st.booleans(),  # dirty flag for release/touch
-    ),
-    max_size=60,
-)
 
+class LruModel:
+    """What a byte-budgeted LRU pool over a disk must do, one access at a
+    time: a hit moves the page to the MRU end; a miss reads the disk,
+    evicts from the LRU end — writing a dirty victim back — until the page
+    fits, and installs it at the MRU end."""
 
-def _fresh_pool() -> BufferPool:
-    disk = SimulatedDisk()
-    for page_id, size in PAGE_SIZES.items():
-        disk.allocate(page_id, size)
-    return BufferPool(disk, capacity_bytes=CAPACITY)
+    def __init__(self, sizes: dict, capacity: int) -> None:
+        self.sizes = dict(sizes)
+        self.capacity = capacity
+        self.disk = {page_id: bytes(size) for page_id, size in sizes.items()}
+        self.frames: "OrderedDict[int, list]" = OrderedDict()  # id -> [bytes, dirty]
+        self.hits = self.misses = self.evictions = self.writebacks = 0
+        self.disk_reads = self.disk_writes = 0
+        self.events: list = []
 
+    @property
+    def resident_bytes(self) -> int:
+        return sum(self.sizes[page_id] for page_id in self.frames)
 
-def _fetch_release(pool: BufferPool, page_id: int, dirty: bool = False) -> None:
-    """What ``touch`` was composed from: the reference it must equal."""
-    pool.fetch(page_id)
-    pool.release(page_id, dirty)
+    def _write_back(self, page_id: int, frame: list) -> None:
+        self.disk[page_id] = frame[0]
+        self.disk_writes += 1
+        self.writebacks += 1
+        frame[1] = False
 
+    def _access(self, page_id: int) -> list:
+        size = self.sizes[page_id]
+        frame = self.frames.get(page_id)
+        if frame is not None:
+            self.hits += 1
+            self.frames.move_to_end(page_id)
+            self.events.append(("page_fetch", {"page_id": page_id, "hit": True, "page_bytes": size}))
+            return frame
+        self.misses += 1
+        self.disk_reads += 1
+        if size > self.capacity:
+            raise StorageError(f"page {page_id} never fits")
+        while self.resident_bytes + size > self.capacity:
+            victim_id, victim = next(iter(self.frames.items()))
+            dirty = victim[1]
+            if dirty:
+                self._write_back(victim_id, victim)
+            self.events.append(
+                ("eviction", {"page_id": victim_id, "dirty": dirty, "page_bytes": self.sizes[victim_id]})
+            )
+            del self.frames[victim_id]
+            self.evictions += 1
+        frame = self.frames[page_id] = [self.disk[page_id], False]
+        self.events.append(("page_fetch", {"page_id": page_id, "hit": False, "page_bytes": size}))
+        return frame
 
-def _step_reference(twin: BufferPool, op: str, page_id: int, dirty: bool) -> None:
-    try:
-        if op == "fetch":
-            twin.fetch(page_id)
-        elif op == "release":
-            twin.release(page_id, dirty=dirty)
-        elif op == "touch":
-            _fetch_release(twin, page_id, dirty)
-        elif op == "drop":
-            twin.drop(page_id)
-        else:
-            twin.flush()
-    except StorageError:
-        pass  # a refusal leaves its own trace in what _observable compares
+    def touch(self, page_id: int) -> None:
+        self._access(page_id)
+
+    def touch_all(self, page_ids: list) -> None:
+        for page_id in page_ids:
+            self._access(page_id)
+
+    def read(self, page_id: int) -> bytes:
+        return self._access(page_id)[0]
+
+    def write(self, page_id: int, image: bytes) -> None:
+        frame = self._access(page_id)
+        frame[0] = image + frame[0][len(image):]
+        frame[1] = True
+
+    def drop(self, page_id: int) -> None:
+        self.frames.pop(page_id, None)
+
+    def flush(self) -> None:
+        for page_id, frame in self.frames.items():
+            if frame[1]:
+                self._write_back(page_id, frame)
+
+    def observable(self) -> dict:
+        return {
+            "stats": {
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "dirty_writebacks": self.writebacks,
+                "load_waits": 0,
+            },
+            "lru": [(page_id, data, dirty) for page_id, (data, dirty) in self.frames.items()],
+            "resident_bytes": self.resident_bytes,
+            "disk_io": (self.disk_reads, self.disk_writes),
+            "disk": dict(self.disk),
+        }
 
 
 def _observable(pool: BufferPool) -> dict:
-    """Everything about a pool that a later access, an eviction or the
-    disk could tell apart: counters, LRU order with each frame's dirty
-    bit and pins, the pin ledger, and the disk's own counters."""
+    """The pool's side of :meth:`LruModel.observable`."""
+    disk = pool.disk
     return {
         "stats": asdict(pool.stats),
-        "lru": [(pid, f.dirty, f.pin_count) for pid, f in pool._frames.items()],
+        "lru": [(pid, bytes(f.data), f.dirty) for pid, f in pool._frames.items()],
         "resident_bytes": pool.resident_bytes,
-        "ledger": dict(pool._pins_by_thread),
-        "disk": pool.disk.stats.snapshot(),
+        "disk_io": (disk.stats.reads, disk.stats.writes),
+        "disk": dict(disk._pages),
     }
-
-
-@settings(
-    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-@given(ops=_ops)
-def test_accounting_invariants_hold(ops):
-    pool = _fresh_pool()
-    twin = _fresh_pool()  # same steps, touch spelled fetch + release
-    pins: Counter = Counter()  # oracle: page -> pins we hold
-
-    for op, page_id, dirty in ops:
-        _step_reference(twin, op, page_id, dirty)
-        if op == "fetch":
-            try:
-                pool.fetch(page_id)
-            except StorageError:
-                # Only legal when the pool genuinely cannot make room:
-                # every resident page is pinned (all pins are ours — the
-                # self-deadlock guard) and the page is not yet resident.
-                assert page_id not in pins or pins[page_id] == 0
-                assert sum(pins.values()) > 0
-            else:
-                pins[page_id] += 1
-        elif op == "release":
-            if pins[page_id] > 0:
-                pool.release(page_id, dirty=dirty)
-                pins[page_id] -= 1
-            else:
-                with pytest.raises(StorageError):
-                    pool.release(page_id, dirty=dirty)
-        elif op == "touch":
-            try:
-                pool.touch(page_id, dirty=dirty)
-            except StorageError:
-                assert pins[page_id] == 0 and sum(pins.values()) > 0
-        elif op == "drop":
-            if pins[page_id] > 0:
-                with pytest.raises(StorageError):
-                    pool.drop(page_id)
-            else:
-                pool.drop(page_id)  # silent no-op when not resident
-        elif op == "flush":
-            pool.flush()
-
-        pool.verify_accounting()
-        assert _observable(pool) == _observable(twin)
-        stats = pool.stats
-        assert stats.accesses == stats.hits + stats.misses
-        assert pool.resident_bytes <= CAPACITY
-        assert pool.resident_pages == len(pool._frames)
-        # Every page the oracle believes pinned must be resident with at
-        # least that many pins (the pool never evicts or drops it).
-        for pid, count in pins.items():
-            if count > 0:
-                frame = pool._frames[pid]
-                assert frame.pin_count == count
-
-    # Teardown: release every outstanding pin, then the pool must be
-    # fully quiescent (this is what the stress harness asserts post-run).
-    for pid, count in pins.items():
-        for _ in range(count):
-            pool.release(pid)
-    pool.verify_accounting(expect_unpinned=True)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    ops=st.lists(st.sampled_from(sorted(PAGE_SIZES)), min_size=1, max_size=40)
-)
-def test_touch_sequences_never_leak_pins(ops):
-    """touch() (the StorageManager access path) must always pin-balance."""
-    pool = _fresh_pool()
-    for page_id in ops:
-        pool.touch(page_id, dirty=(page_id % 2 == 0))
-        pool.verify_accounting(expect_unpinned=True)
-    assert pool.stats.accesses == len(ops)
 
 
 def _events(tracer: Tracer) -> list:
@@ -176,48 +151,110 @@ def _events(tracer: Tracer) -> list:
     ]
 
 
+def _no_retry(page_id, error):
+    raise AssertionError(f"a simulated disk raised {error!r} on page {page_id}")
+
+
+def _pool_and_model(sizes: dict, capacity: int) -> tuple[BufferPool, Tracer, LruModel]:
+    disk = SimulatedDisk()
+    for page_id, size in sizes.items():
+        disk.allocate(page_id, size)
+    tracer = Tracer(RingBufferSink(capacity=100_000))
+    return BufferPool(disk, capacity, tracer=tracer), tracer, LruModel(sizes, capacity)
+
+
+def _step(pool: BufferPool, model: LruModel, op: str, page_ids: list, fill: int) -> None:
+    """Apply one operation to both; they must raise, or return, alike."""
+    page_id = page_ids[0]
+    image = bytes([fill]) * (1 + fill * 7)  # a prefix of every page size here
+    calls = {
+        "touch": (lambda: pool.touch(page_id), lambda: model.touch(page_id)),
+        "touch_all": (
+            lambda: pool.touch_all(page_ids, _no_retry), lambda: model.touch_all(page_ids)
+        ),
+        "read": (lambda: pool.read(page_id), lambda: model.read(page_id)),
+        "write": (lambda: pool.write(page_id, image), lambda: model.write(page_id, image)),
+        "drop": (lambda: pool.drop(page_id), lambda: model.drop(page_id)),
+        "flush": (pool.flush, model.flush),
+    }
+    on_pool, on_model = calls[op]
+    outcomes = []
+    for call in (on_pool, on_model):
+        try:
+            outcomes.append(("ok", call()))
+        except StorageError:
+            outcomes.append(("refused", None))
+    assert outcomes[0] == outcomes[1]
+
+
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["touch", "touch_all", "read", "write", "drop", "flush"]),
+        st.lists(st.sampled_from(sorted(PAGE_SIZES)), min_size=1, max_size=5),
+        st.integers(min_value=1, max_value=60),  # what a write writes
+    ),
+    max_size=60,
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(ops=_ops)
+def test_accounting_invariants_hold(ops):
+    pool, tracer, model = _pool_and_model(PAGE_SIZES, CAPACITY)
+    for op, page_ids, fill in ops:
+        _step(pool, model, op, page_ids, fill)
+        pool.verify_accounting()
+        assert _observable(pool) == model.observable()
+        assert pool.resident_bytes <= CAPACITY
+        assert pool.resident_pages == len(model.frames)
+    assert _events(tracer) == model.events
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(st.sampled_from(sorted(PAGE_SIZES)[:-1]), min_size=1, max_size=40)
+)
+def test_touch_sequences_never_leak_pins(ops):
+    """touch() — the StorageManager access path — holds nothing once it
+    returns: the pool balances and is the model after every touch."""
+    pool, _, model = _pool_and_model(PAGE_SIZES, CAPACITY)
+    for page_id in ops:
+        pool.touch(page_id)
+        model.touch(page_id)
+        pool.verify_accounting()
+        assert _observable(pool) == model.observable()
+    assert pool.stats.accesses == len(ops)
+
+
 def test_touch_is_fetch_release_on_a_seeded_trace():
-    """5,000 mixed accesses over a pool a sixth of the page set: same
-    accesses, fewer instructions.  Hits, misses, evictions, write-backs,
-    LRU order, disk traffic and the traced event sequence are those of
-    the ``fetch`` + ``release`` composition, access by access."""
+    """5,000 mixed accesses over a pool a sixth of the page set: hits,
+    misses, evictions, write-backs, LRU order, disk traffic and contents
+    and the traced event sequence are the model's, access by access."""
     page_bytes = 512
     pages = list(range(1, 49))
-
-    def build() -> tuple[BufferPool, Tracer]:
-        disk = SimulatedDisk()
-        for page_id in pages:
-            disk.allocate(page_id, page_bytes)
-        tracer = Tracer(RingBufferSink(capacity=50_000))
-        return BufferPool(disk, len(pages) // 6 * page_bytes, tracer=tracer), tracer
-
-    (pool, tracer), (twin, twin_tracer) = build(), build()
+    sizes = dict.fromkeys(pages, page_bytes)
+    pool, tracer, model = _pool_and_model(sizes, len(pages) // 6 * page_bytes)
     rng = random.Random(1991)
-    held: list[int] = []
     for step in range(5_000):
         # Skewed like a tree descent: a few hot pages, a long cold tail.
-        page_id = pages[min(int(rng.expovariate(0.12)), len(pages) - 1)]
+        run = [pages[min(int(rng.expovariate(0.12)), len(pages) - 1)] for _ in range(4)]
         roll = rng.random()
-        if roll < 0.90:
-            dirty = rng.random() < 0.1
-            pool.touch(page_id, dirty)
-            _fetch_release(twin, page_id, dirty)
-        elif roll < 0.95 and len(held) < 4:
-            pool.fetch(page_id)
-            twin.fetch(page_id)
-            held.append(page_id)
-        elif held:
-            page_id = held.pop(rng.randrange(len(held)))
-            pool.release(page_id)
-            twin.release(page_id)
-        elif page_id in pool._frames:
-            pool.drop(page_id)
-            twin.drop(page_id)
+        op = (
+            "touch" if roll < 0.70 else
+            "touch_all" if roll < 0.78 else
+            "read" if roll < 0.86 else
+            "write" if roll < 0.96 else
+            "drop" if roll < 0.995 else
+            "flush"
+        )
+        _step(pool, model, op, run, rng.randrange(1, 60))
         if step % 250 == 0:
-            assert _observable(pool) == _observable(twin)
-    assert _observable(pool) == _observable(twin)
-    assert _events(tracer) == _events(twin_tracer)
-    # The trace exercised what it claims to: both paths, under pressure.
+            assert _observable(pool) == model.observable()
+    assert _observable(pool) == model.observable()
+    assert _events(tracer) == model.events
+    # The trace exercised what it claims to: every path, under pressure.
     stats = pool.stats
     assert stats.hits > 1_000 and stats.misses > 1_000 and stats.dirty_writebacks > 50
     assert stats.evictions > 1_000
@@ -278,7 +315,7 @@ def test_a_visit_touched_in_runs_is_the_visit_touched_page_by_page():
     assert _events(tracers[0]) == _events(tracers[1])
     stats = mgr.pool.stats
     assert stats.hits > 500 and stats.misses > 500 and stats.evictions > 500
-    mgr.pool.verify_accounting(expect_unpinned=True)
+    mgr.pool.verify_accounting()
 
 
 @pytest.mark.parametrize("failures", [1, 2])
@@ -316,4 +353,4 @@ def test_a_miss_that_fails_mid_visit_is_retried_and_the_visit_resumes(failures):
         (page[root], True), (page[a], True), (page[b], False), (page[c], True), (page[d], True)
     ]
     assert not mgr.pool._loading
-    mgr.pool.verify_accounting(expect_unpinned=True)
+    mgr.pool.verify_accounting()

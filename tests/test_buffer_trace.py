@@ -20,8 +20,10 @@ class TestBufferPoolEvictionEvents:
         # evictions; mark every third access dirty to force writebacks.
         for round_no in range(2):
             for page_id in range(1, 21):
-                pool.fetch(page_id)
-                pool.release(page_id, dirty=(page_id % 3 == 0))
+                if page_id % 3 == 0:
+                    pool.write(page_id, bytes([round_no + 1]))
+                else:
+                    pool.read(page_id)
 
         events = tracer.events
         evictions = [e for e in events if e.etype == "eviction"]
@@ -41,8 +43,7 @@ class TestBufferPoolEvictionEvents:
         disk.allocate(1, 512)
         tracer = Tracer(RingBufferSink())
         pool = BufferPool(disk, capacity_bytes=2048, tracer=tracer)
-        pool.fetch(1)
-        pool.release(1, dirty=True)
+        pool.write(1, b"d")
         pool.flush()
         assert pool.stats.dirty_writebacks == 1
         assert pool.stats.evictions == 0

@@ -659,8 +659,8 @@ class TestLatchStatsConsistency:
 
 
 class TestBufferPoolRaces:
-    """Deterministic regressions for the fetch/drop races, the pin-wait
-    timeout accounting and the access hook's unlocked page-table probe."""
+    """Deterministic regressions for the in-flight read and drop races and
+    the access hook's unlocked page-table probe."""
 
     @staticmethod
     def _disk(pages=2, size=64):
@@ -670,88 +670,52 @@ class TestBufferPoolRaces:
         return disk
 
     def test_no_duplicate_read_while_pin_waiting(self):
-        # Thread A faults page 2 into a pool saturated by main's pin and
-        # blocks in the pin wait; thread B fetches page 2 concurrently.
-        # B must wait on A's in-flight read — not issue a second disk read
-        # and insert a frame A's insert would then clobber.
+        # Thread A misses page 2 and blocks inside its unlatched disk read;
+        # thread B reads page 2 meanwhile.  B must wait on A's in-flight
+        # read — not issue a second disk read and insert a frame over A's.
         disk = self._disk(pages=2, size=64)
+        disk.write_page(2, b"p" * 64)
         reads: dict[int, int] = {}
+        started = threading.Event()
+        unblock = threading.Event()
         orig_read = disk.read_page
 
-        def counting_read(page_id):
+        def gated_read(page_id):
             reads[page_id] = reads.get(page_id, 0) + 1
+            if page_id == 2:
+                started.set()
+                assert unblock.wait(timeout=10.0)
             return orig_read(page_id)
 
-        disk.read_page = counting_read
-        pool = BufferPool(disk, capacity_bytes=64, pin_wait_timeout=10.0)
-        pool.fetch(1)  # pool is now full and pinned by this thread
+        disk.read_page = gated_read
+        pool = BufferPool(disk, capacity_bytes=64)
+        pool.touch(1)  # the pool is full: A's install must evict page 1
 
-        frames: dict[str, object] = {}
+        images: dict[str, bytes] = {}
         errors: list[BaseException] = []
 
-        def fetcher(name):
+        def reader(name):
             try:
-                frames[name] = pool.fetch(2)
-                pool.release(2)
+                images[name] = pool.read(2)
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        a = threading.Thread(target=fetcher, args=("a",))
+        a = threading.Thread(target=reader, args=("a",))
         a.start()
-        _wait_until(lambda: pool.stats.pin_waits >= 1)
-        b = threading.Thread(target=fetcher, args=("b",))
+        assert started.wait(timeout=10.0)
+        b = threading.Thread(target=reader, args=("b",))
         b.start()
         _wait_until(lambda: pool.stats.load_waits >= 1)
-        pool.release(1)  # unblocks A's eviction
+        unblock.set()
         a.join(timeout=15.0)
         b.join(timeout=15.0)
         assert not a.is_alive() and not b.is_alive()
         assert errors == []
-        assert frames["a"] is frames["b"]  # one frame, not a clobbered pair
+        assert images == {"a": b"p" * 64, "b": b"p" * 64}
         assert reads.get(2) == 1  # no duplicate disk read
-        pool.verify_accounting(expect_unpinned=True)
-
-    def test_pin_wait_timeout_is_wall_clock(self):
-        # Frequent releases notify the pool's condition variable; each
-        # early wakeup must not burn a full nominal step of the timeout.
-        disk = self._disk(pages=2, size=64)
-        pool = BufferPool(disk, capacity_bytes=64, pin_wait_timeout=5.0)
-        pool.fetch(1)
-
-        stop = threading.Event()
-
-        def notifier():
-            # Public-API notifications: every release() notifies waiters
-            # (a touch takes no pin, so it would wake nobody).
-            while not stop.is_set():
-                pool.fetch(1)
-                pool.release(1)
-                time.sleep(0.005)
-
-        n = threading.Thread(target=notifier)
-        n.start()
-
-        result: list[object] = []
-        errors: list[BaseException] = []
-
-        def fetcher():
-            try:
-                result.append(pool.fetch(2))
-                pool.release(2)
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        f = threading.Thread(target=fetcher)
-        f.start()
-        _wait_until(lambda: pool.stats.pin_waits >= 3)
-        pool.release(1)
-        f.join(timeout=15.0)
-        stop.set()
-        n.join(timeout=15.0)
-        assert not f.is_alive() and not n.is_alive()
-        assert errors == []  # old accounting raised "exhausted" spuriously
-        assert result
-        pool.verify_accounting(expect_unpinned=True)
+        assert list(pool._frames) == [2]  # one frame, page 1 evicted once
+        assert (pool.stats.misses, pool.stats.hits, pool.stats.evictions) == (2, 1, 1)
+        pool.verify_accounting()
 
     def test_drop_invalidates_inflight_load(self):
         # drop() of a page whose unlatched disk read is in flight must not
@@ -774,7 +738,7 @@ class TestBufferPoolRaces:
 
         def fetcher():
             try:
-                pool.fetch(2)
+                pool.read(2)
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -787,12 +751,11 @@ class TestBufferPoolRaces:
         assert not f.is_alive()
         assert len(errors) == 1 and isinstance(errors[0], StorageError)
         assert pool.resident_pages == 0  # dropped page was not resurrected
-        pool.verify_accounting(expect_unpinned=True)
-        # The invalidation is one-shot: a later fetch works normally.
-        frame = pool.fetch(2)
-        assert frame.size == 64
-        pool.release(2)
-        pool.verify_accounting(expect_unpinned=True)
+        pool.verify_accounting()
+        # The invalidation is one-shot: a later read works normally.
+        assert pool.read(2) == b"\x00" * 64
+        assert pool.resident_pages == 1
+        pool.verify_accounting()
 
     def test_page_id_is_published_only_once_allocated(self):
         # The access hook probes the node->page table without the lock.
@@ -840,7 +803,7 @@ class TestBufferPoolRaces:
         assert errors == []
         assert allocated == [mgr._page_of[node.node_id]]  # one page, not two
         assert (mgr.pool.stats.accesses, mgr.pool.stats.misses) == (2, 1)
-        mgr.pool.verify_accounting(expect_unpinned=True)
+        mgr.pool.verify_accounting()
 
 
 @pytest.mark.stress
@@ -914,9 +877,9 @@ class TestHeavyStress:
             engine.detach()
             manager.detach()
             disk.close()
-        # Balanced: nothing pinned, nothing in flight, and one disk read
+        # Balanced: nothing in flight, and one disk read
         # per counted miss (a waiter on another thread's load reads none).
-        pool.verify_accounting(expect_unpinned=True)
+        pool.verify_accounting()
         assert not pool._loading and not pool._dropped_while_loading
         misses = pool.stats.misses - before[1]
         assert misses == disk.stats.reads - before[2]

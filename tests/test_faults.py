@@ -235,21 +235,20 @@ class TestRetries:
         faulty.allocate(1, 512)
         faulty.allocate(2, 512)
         pool = BufferPool(faulty, capacity_bytes=512)
-        page = pool.fetch(1)
-        page.write(b"dirty!")
-        pool.release(1, dirty=True)
+        pool.write(1, b"dirty!")
         with pytest.raises(TransientDiskError):
-            pool.fetch(2)  # evicting page 1 hits the injected write fault
+            pool.write(2, b"next")  # evicting page 1 hits the injected write fault
         # The dirty victim must survive the failed writeback, and the
         # byte accounting must still match what is actually resident.
         assert pool.resident_pages == 1
         assert pool.resident_bytes == 512
         assert pool._frames[1].dirty
-        pool.fetch(2)  # retry: writeback succeeds, eviction completes
-        pool.release(2)
+        pool.write(2, b"next")  # retry: writeback succeeds, eviction completes
         assert faulty.read_page(1)[:6] == b"dirty!"
         assert 1 not in pool._frames
         assert pool.resident_bytes == 512
+        assert pool._frames[2].dirty and pool.read(2)[:4] == b"next"
+        pool.verify_accounting()
 
     def test_checkpoint_survives_transient_write_faults_under_eviction(self, tmp_path):
         # End-to-end regression for the same bug: with a buffer small
@@ -339,7 +338,7 @@ class TestRetries:
         ]
         # No load left in flight, no pin leaked, by either way out.
         assert not mgr.pool._loading
-        mgr.pool.verify_accounting(expect_unpinned=True)
+        mgr.pool.verify_accounting()
         if recovers:
             mgr._on_access([tree.root])  # a hit: the retry plumbing stays cold
             assert (mgr.pool.stats.hits, faulty.stats.retries) == (1, retries)

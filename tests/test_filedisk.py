@@ -151,9 +151,7 @@ class TestFileDisk:
         for i in range(1, 6):
             disk.allocate(i, 64)
         pool = BufferPool(disk, capacity_bytes=128)
-        frame = pool.fetch(1)
-        frame.write(b"q" * 64)
-        pool.release(1, dirty=True)
+        pool.write(1, b"q" * 64)
         pool.touch(2)
         pool.touch(3)  # evicts the dirty page 1
         assert disk.read_page(1) == b"q" * 64

@@ -256,8 +256,10 @@ def test_served_process_shards_match_brute_force(kind):
 
 
 @pytest.mark.parametrize("cls", [RPlusTree, SRPlusTree])
-@pytest.mark.parametrize("kind", ["search", "stab", "search_ids"])
+@pytest.mark.parametrize("kind", SURFACE)
 def test_rplus_matches_brute_force(cls, kind):
+    """The partitioned trees answer through the same surface and kernel:
+    a replica is a fragment like a cut's remnant, so every kind holds."""
     data = _rects()
     tree = cls(CONFIG, domain=DOMAIN)
     model = {tree.insert(rect): rect for rect in data}

@@ -30,16 +30,6 @@ class TestPage:
         with pytest.raises(StorageError):
             p.read(17)
 
-    def test_pin_unpin(self):
-        p = Page(1, 16)
-        p.pin()
-        p.pin()
-        p.unpin()
-        assert p.pin_count == 1
-        p.unpin()
-        with pytest.raises(StorageError):
-            p.unpin()
-
     def test_bad_size_rejected(self):
         with pytest.raises(StorageError):
             Page(1, 0)
@@ -125,25 +115,15 @@ class TestBufferPool:
     def test_dirty_writeback_on_eviction(self):
         disk = self._disk()
         pool = BufferPool(disk, capacity_bytes=64)
-        frame = pool.fetch(1)
-        frame.write(b"x" * 64)
-        pool.release(1, dirty=True)
+        pool.write(1, b"x" * 64)
         pool.touch(2)  # evicts dirty page 1
         assert pool.stats.dirty_writebacks == 1
         assert disk.read_page(1) == b"x" * 64
 
-    def test_pinned_pages_not_evicted(self):
-        pool = BufferPool(self._disk(), capacity_bytes=64)
-        pool.fetch(1)  # pinned
-        with pytest.raises(StorageError):
-            pool.fetch(2)  # no room, page 1 pinned
-
     def test_flush_writes_dirty(self):
         disk = self._disk()
         pool = BufferPool(disk, capacity_bytes=256)
-        frame = pool.fetch(1)
-        frame.write(b"y" * 64)
-        pool.release(1, dirty=True)
+        pool.write(1, b"y" * 64)
         pool.flush()
         assert disk.read_page(1) == b"y" * 64
 
@@ -152,12 +132,7 @@ class TestBufferPool:
         disk.allocate(1, 1024)
         pool = BufferPool(disk, capacity_bytes=512)
         with pytest.raises(StorageError):
-            pool.fetch(1)
-
-    def test_release_nonresident_rejected(self):
-        pool = BufferPool(self._disk(), capacity_bytes=256)
-        with pytest.raises(StorageError):
-            pool.release(1)
+            pool.read(1)
 
     def test_variable_size_accounting(self):
         disk = SimulatedDisk()
@@ -173,24 +148,11 @@ class TestBufferPool:
         with pytest.raises(StorageError):
             BufferPool(SimulatedDisk(), capacity_bytes=0)
 
-    def test_drop_pinned_rejected(self):
-        pool = BufferPool(self._disk(), capacity_bytes=256)
-        pool.fetch(1)  # pinned
-        with pytest.raises(StorageError):
-            pool.drop(1)
-        # The refused drop must leave the frame fully intact.
-        assert pool.resident_pages == 1
-        pool.release(1)
-        pool.drop(1)
-        assert pool.resident_pages == 0
-        pool.verify_accounting(expect_unpinned=True)
-
     def test_drop_clears_dirty_flag(self):
         disk = self._disk()
         pool = BufferPool(disk, capacity_bytes=256)
-        frame = pool.fetch(1)
-        frame.write(b"z" * 64)
-        pool.release(1, dirty=True)
+        pool.write(1, b"z" * 64)
+        frame = pool._frames[1]
         pool.drop(1)
         # Dropped means discarded: no writeback, and the stale frame
         # object cannot leak its dirty flag into a re-allocated page id.
@@ -201,4 +163,4 @@ class TestBufferPool:
     def test_drop_nonresident_is_noop(self):
         pool = BufferPool(self._disk(), capacity_bytes=256)
         pool.drop(99)  # never resident, never allocated: silently ignored
-        pool.verify_accounting(expect_unpinned=True)
+        pool.verify_accounting()
