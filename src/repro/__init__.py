@@ -42,7 +42,7 @@ from .core import (
     segment,
     union_all,
 )
-from .concurrency import ConcurrentIndex, ConcurrentRuleLockIndex, RWLatch
+from .concurrency import ConcurrentIndex, RWLatch
 from .exceptions import (
     CapacityError,
     ConcurrencyError,
@@ -56,11 +56,9 @@ from .obs import (
     NULL_TRACER,
     Histogram,
     JsonlSink,
-    MetricsRegistry,
     QueryTrace,
     RingBufferSink,
     Tracer,
-    index_registry,
     trace_search,
 )
 from .store import Store, open_store
@@ -94,7 +92,6 @@ __all__ = [
     "CapacityError",
     "ConcurrencyError",
     "ConcurrentIndex",
-    "ConcurrentRuleLockIndex",
     "RWLatch",
     "IndexStructureError",
     "ReproError",
@@ -106,11 +103,9 @@ __all__ = [
     "NULL_TRACER",
     "Histogram",
     "JsonlSink",
-    "MetricsRegistry",
     "QueryTrace",
     "RingBufferSink",
     "Tracer",
-    "index_registry",
     "trace_search",
     "Store",
     "open_store",

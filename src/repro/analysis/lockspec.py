@@ -106,7 +106,7 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
             "and never latch; the cache's mutators (publish/GC) run "
             "under this latch held exclusively."
         ),
-        where="concurrency/engine.py (`ConcurrentEngine._index_latch`)",
+        where="concurrency/engine.py (`ConcurrentIndex._index_latch`)",
         attrs=("_index_latch",),
         exclusive=False,  # shared in read mode; R6 keys off the acquire mode
     ),

@@ -7,13 +7,11 @@ correctness oracles in the test suite.
 """
 
 from .interval_tree import IntervalTree
-from .persistent_search_tree import PersistentSearchTree
 from .priority_search_tree import PrioritySearchTree
 from .segment_tree import SegmentTree
 
 __all__ = [
     "IntervalTree",
-    "PersistentSearchTree",
     "PrioritySearchTree",
     "SegmentTree",
 ]

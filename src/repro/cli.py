@@ -638,7 +638,7 @@ def _parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--transport",
         default="process",
-        choices=("local", "thread", "process"),
+        choices=("local", "process"),
     )
     srv.add_argument("--buffer-bytes", type=int, default=128 * 1024)
     srv.add_argument(

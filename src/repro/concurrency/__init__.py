@@ -1,4 +1,4 @@
-"""Concurrent serving engine: latches and thread-safe wrappers.
+"""Concurrent serving engine: latches and the thread-safe index wrapper.
 
 See DESIGN.md ("Concurrent serving") for the protocol: reads under the
 shared index latch, and writes under the same latch held exclusively
@@ -13,14 +13,12 @@ use, not here: they pull in the experiment laboratory, which a serving
 process has no use for.
 """
 
-from .engine import ConcurrentEngine, ConcurrentIndex, ConcurrentRuleLockIndex
+from .engine import ConcurrentIndex
 from .latch import LatchStats, RWLatch
 from .mvcc import Snapshot
 
 __all__ = [
-    "ConcurrentEngine",
     "ConcurrentIndex",
-    "ConcurrentRuleLockIndex",
     "LatchStats",
     "RWLatch",
     "Snapshot",

@@ -1,11 +1,8 @@
-"""Concurrent serving engine: latched wrappers around the index family.
+"""Concurrent serving engine: a latched wrapper around the index family.
 
 :class:`ConcurrentIndex` makes any index in the R-Tree family —
 ``RTree``/``SRTree``, both skeleton variants, and packed trees — safe to
-call from a ``ThreadPoolExecutor``; :class:`ConcurrentRuleLockIndex` does
-the same for the POSTGRES-style :class:`~repro.rules.locks.RuleLockIndex`
-(the paper's Section 2.2 use case presumes many concurrent transactions
-probing the lock index).
+call from a ``ThreadPoolExecutor``.
 
 Protocol (one read path, one write path):
 
@@ -32,12 +29,11 @@ epoch and traverses the version chains with *no* latch — zero
 Writers keep the exclusive index latch (single-writer), which is also
 what serializes version publication and GC.
 
-Thread-safety contract per class: ``ConcurrentIndex`` /
-``ConcurrentRuleLockIndex`` — every public method, any thread; the
-wrapped tree must not be mutated behind the wrapper's back; ``AccessStats``
-counters on the tree are maintained with unsynchronized increments and may
-under-count slightly under heavy read concurrency (they are metrics, not
-invariants).
+Thread-safety contract: every public method of ``ConcurrentIndex``, any
+thread; the wrapped tree must not be mutated behind the wrapper's back;
+``AccessStats`` counters on the tree are maintained with unsynchronized
+increments and may under-count slightly under heavy read concurrency
+(they are metrics, not invariants).
 """
 
 from __future__ import annotations
@@ -50,20 +46,27 @@ from ..core.query import QuerySurface
 from ..core.rtree import RTree
 from ..exceptions import StorageError
 from ..obs.tracer import Tracer
-from ..rules.locks import RuleLock, RuleLockIndex
 from .latch import RWLatch
 from .mvcc import Snapshot
 
-__all__ = ["ConcurrentEngine", "ConcurrentIndex", "ConcurrentRuleLockIndex"]
+__all__ = ["ConcurrentIndex"]
 
 T = TypeVar("T")
 
 
-class ConcurrentEngine:
-    """Latching core shared by the concurrent wrappers.
+class ConcurrentIndex(QuerySurface):
+    """Thread-safe facade over one index instance.
 
-    Subclasses expose domain operations and funnel them through
-    :meth:`_read` / :meth:`_write`.
+    The read methods are :class:`~repro.core.query.QuerySurface`'s; each
+    query (or batch) runs once through the read funnel, against the tree
+    under the latch protocol or against a fresh snapshot in MVCC mode.
+
+    >>> from repro import SRTree, Rect
+    >>> from repro.concurrency import ConcurrentIndex
+    >>> index = ConcurrentIndex(SRTree())
+    >>> rid = index.insert(Rect((0.0, 0.0), (2.0, 2.0)), payload="a")
+    >>> [p for _, p in index.search(Rect((1.0, 1.0), (1.5, 1.5)))]
+    ['a']
     """
 
     def __init__(
@@ -206,7 +209,7 @@ class ConcurrentEngine:
     # Reporting
     # ------------------------------------------------------------------
     def contention_snapshot(self) -> dict:
-        """Latch + execution-path counters for the metrics registry."""
+        """Latch + execution-path counters."""
         doc = self._index_latch.stats.snapshot()
         doc.update(
             optimistic_retries=0,  # read by perf/layers.py, frozen (ROADMAP item 2)
@@ -219,23 +222,9 @@ class ConcurrentEngine:
             doc["versions"] = storage.versions.stats.snapshot()
         return doc
 
-
-class ConcurrentIndex(ConcurrentEngine, QuerySurface):
-    """Thread-safe facade over one index instance.
-
-    The read methods are :class:`~repro.core.query.QuerySurface`'s; each
-    query (or batch) runs once through the read funnel, against the tree
-    under the latch protocol or against a fresh snapshot in MVCC mode.
-
-    >>> from repro import SRTree, Rect
-    >>> from repro.concurrency import ConcurrentIndex
-    >>> index = ConcurrentIndex(SRTree())
-    >>> rid = index.insert(Rect((0.0, 0.0), (2.0, 2.0)), payload="a")
-    >>> [p for _, p in index.search(Rect((1.0, 1.0), (1.5, 1.5)))]
-    ['a']
-    """
-
-    # -- reads ----------------------------------------------------------
+    # ------------------------------------------------------------------
+    # Reads
+    # ------------------------------------------------------------------
     @property
     def dims(self) -> int:
         return self._tree.config.dims
@@ -250,7 +239,9 @@ class ConcurrentIndex(ConcurrentEngine, QuerySurface):
             return self._read_mvcc(lambda snap: snap._query_batch(rects))
         return self._read(lambda: self._tree._query_batch(rects))
 
-    # -- writes ---------------------------------------------------------
+    # ------------------------------------------------------------------
+    # Writes
+    # ------------------------------------------------------------------
     def insert(self, rect: Rect, payload: Any = None) -> int:
         return self._write(
             lambda: self._tree.insert(rect, payload),
@@ -262,52 +253,3 @@ class ConcurrentIndex(ConcurrentEngine, QuerySurface):
             lambda: self._tree.delete(record_id, hint),
             note_fn=lambda removed: ("delete", record_id),
         )
-
-
-class ConcurrentRuleLockIndex(ConcurrentEngine):
-    """Thread-safe facade over a :class:`RuleLockIndex`.
-
-    Lock installation/removal are writes; value/range probes ride the
-    same latched read path as index searches.
-    """
-
-    def __init__(
-        self, locks: RuleLockIndex | None = None, tracer: Tracer | None = None
-    ) -> None:
-        self._locks = locks if locks is not None else RuleLockIndex()
-        super().__init__(self._locks.index, tracer)
-
-    def __len__(self) -> int:
-        return len(self._locks)
-
-    # -- writes ---------------------------------------------------------
-    def lock_range(
-        self, rule_id: Any, low: float, high: float, mode: str = "shared"
-    ) -> int:
-        return self._write(lambda: self._locks.lock_range(rule_id, low, high, mode))
-
-    def lock_point(self, rule_id: Any, value: float, mode: str = "shared") -> int:
-        return self._write(lambda: self._locks.lock_point(rule_id, value, mode))
-
-    def unlock(self, handle: int) -> bool:
-        return self._write(lambda: self._locks.unlock(handle))
-
-    # -- reads ----------------------------------------------------------
-    def locks_for_value(self, value: float) -> list[RuleLock]:
-        return self._read(lambda: self._locks.locks_for_value(value))
-
-    def locks_for_range(self, low: float, high: float) -> list[RuleLock]:
-        return self._read(lambda: self._locks.locks_for_range(low, high))
-
-    def conflicting(
-        self, low: float, high: float, mode: str = "exclusive"
-    ) -> list[RuleLock]:
-        return self._read(lambda: self._locks.conflicting(low, high, mode))
-
-    def escalation_ratio(self) -> float:
-        return self._read(self._locks.escalation_ratio)
-
-    @property
-    def locks(self) -> RuleLockIndex:
-        """The wrapped lock index (single-threaded access only)."""
-        return self._locks

@@ -9,8 +9,8 @@ The serving engine's latching protocol (see DESIGN.md):
   class, one level above.
 
 Each latch keeps its acquisition/wait counts in its own
-:class:`LatchStats` (the engine exposes its index latch's as the metrics
-registry's ``latch`` source); waits and grants are also emitted as
+:class:`LatchStats` (the engine reports its index latch's through
+``contention_snapshot()``); waits and grants are also emitted as
 ``latch_wait`` / ``latch_acquire`` trace events when tracing is on.
 
 An uncontended shared acquisition is one section on the latch's mutex,
@@ -75,7 +75,7 @@ class LatchStats:
         return self.read_waits + self.write_waits
 
     def snapshot(self) -> dict:
-        """A plain-dict copy for reports and the metrics registry."""
+        """A plain-dict copy for reports."""
         read_waits, write_waits = self.read_waits, self.write_waits
         return {
             "read_acquires": self.read_acquires,

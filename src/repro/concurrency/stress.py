@@ -1,8 +1,7 @@
 """Seeded multi-threaded stress harness (the race detector).
 
-Interleaves reader and writer threads over one :class:`ConcurrentIndex`
-(or :class:`ConcurrentRuleLockIndex`), then asserts the full invariant
-battery:
+Interleaves reader and writer threads over one :class:`ConcurrentIndex`,
+then asserts the full invariant battery:
 
 * no worker raised;
 * :func:`repro.core.check_index` structural validation passes;
@@ -37,13 +36,12 @@ from ..exceptions import ConcurrencyError
 from ..storage.disk import SimulatedDisk
 from ..storage.pager import StorageManager
 from ..store import open_store
-from .engine import ConcurrentIndex, ConcurrentRuleLockIndex
+from .engine import ConcurrentIndex
 
 __all__ = [
     "STRESS_INDEX_TYPES",
     "StressResult",
     "run_stress",
-    "run_rule_lock_stress",
     "run_wal_commit_stress",
 ]
 
@@ -305,105 +303,6 @@ def run_stress(
                 f"{cache.chains} version chains for {expected} reachable nodes"
             )
     result.live_records = len(registry)
-    result.contention = engine.contention_snapshot()
-    return result
-
-
-def run_rule_lock_stress(
-    seed: int = 0,
-    *,
-    readers: int = 3,
-    writers: int = 2,
-    ops_per_thread: int = 120,
-    initial_locks: int = 100,
-    domain: float = 100_000.0,
-) -> StressResult:
-    """Reader/writer stress over the POSTGRES-style rule-lock index."""
-    engine = ConcurrentRuleLockIndex()
-    rng = random.Random(seed)
-    registry: dict[int, tuple[float, float]] = {}
-    registry_lock = threading.Lock()
-    for i in range(initial_locks):
-        lo = rng.uniform(0, domain)
-        hi = min(domain, lo + rng.uniform(0, domain * 0.05))
-        handle = engine.lock_range(f"rule{i}", lo, hi)
-        registry[handle] = (lo, hi)
-
-    result = StressResult(kind="RuleLockIndex", seed=seed, elapsed_seconds=0.0)
-    tally_lock = threading.Lock()
-
-    def reader_body(thread_seed: int) -> None:
-        trng = random.Random(thread_seed)
-        probes = 0
-        for _ in range(ops_per_thread):
-            roll = trng.random()
-            if roll < 0.5:
-                engine.locks_for_value(trng.uniform(0, domain))
-            elif roll < 0.8:
-                lo = trng.uniform(0, domain)
-                engine.locks_for_range(lo, min(domain, lo + trng.uniform(0, 500)))
-            else:
-                lo = trng.uniform(0, domain)
-                engine.conflicting(lo, min(domain, lo + 100.0), mode="exclusive")
-            probes += 1
-        with tally_lock:
-            result.searches += probes
-
-    def writer_body(thread_seed: int) -> None:
-        trng = random.Random(thread_seed)
-        installed = removed = 0
-        for n in range(ops_per_thread):
-            if trng.random() < 0.55 or not registry:
-                lo = trng.uniform(0, domain)
-                if trng.random() < 0.2:
-                    handle = engine.lock_point(f"w{thread_seed}.{n}", lo)
-                    span = (lo, lo)
-                else:
-                    hi = min(domain, lo + trng.uniform(0, domain * 0.05))
-                    handle = engine.lock_range(f"w{thread_seed}.{n}", lo, hi)
-                    span = (lo, hi)
-                with registry_lock:
-                    registry[handle] = span
-                installed += 1
-            else:
-                with registry_lock:
-                    if not registry:
-                        continue
-                    handle = trng.choice(sorted(registry))
-                    registry.pop(handle)
-                if not engine.unlock(handle):
-                    raise ConcurrencyError(f"unlock of live handle {handle} failed")
-                if engine.unlock(handle):
-                    raise ConcurrencyError(
-                        f"double unlock of handle {handle} reported success"
-                    )
-                removed += 1
-        with tally_lock:
-            result.inserts += installed
-            result.deletes += removed
-
-    result.elapsed_seconds = _run_threads(
-        [partial(reader_body, seed * 1000 + i) for i in range(readers)]
-        + [partial(writer_body, seed * 1000 + 500 + i) for i in range(writers)],
-        what="rule-lock stress",
-    )
-
-    check_index(engine.locks.index)
-    if len(engine) != len(registry):
-        raise ConcurrencyError(
-            f"{len(engine)} locks installed != survivor registry {len(registry)}"
-        )
-    for handle, (lo, hi) in sorted(registry.items()):
-        # Spans are stored verbatim, so exact float comparison is correct.
-        mid = (lo + hi) / 2.0
-        probe = engine.locks.locks_for_value(mid)
-        if not any(lk.low == lo and lk.high == hi for lk in probe):
-            raise ConcurrencyError(f"lock {handle} not probe-visible at {mid}")
-        if not engine.unlock(handle):
-            raise ConcurrencyError(f"surviving lock {handle} failed to unlock")
-    if len(engine) != 0:
-        raise ConcurrencyError(f"{len(engine)} locks left after full teardown")
-    result.live_records = 0
     result.contention = engine.contention_snapshot()
     return result
 

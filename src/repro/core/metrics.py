@@ -89,7 +89,7 @@ class IndexMetrics:
         raise NotFoundError(f"no level {level} in this index")
 
     def to_dict(self) -> dict:
-        """JSON-ready whole-index summary (feeds the metrics registry)."""
+        """JSON-ready whole-index summary."""
         return {
             "height": self.height,
             "node_count": self.node_count,

@@ -45,15 +45,10 @@ def check_index(tree: RTree) -> None:
     if len(leaf_depths) > 1:
         raise IndexStructureError(f"leaves at multiple depths: {sorted(leaf_depths)}")
 
-    fragments = collect_fragments(tree)
-    buffered = 0
-    predictor = getattr(tree, "_predictor", None)
-    if predictor is not None:
-        buffered = len(predictor.buffered)
-    if len(fragments) + buffered != len(tree):
+    fragments = collect_fragments(tree)  # a skeleton's prediction buffer included
+    if len(fragments) != len(tree):
         raise IndexStructureError(
-            f"{len(fragments)} distinct record ids in tree + {buffered} buffered "
-            f"!= logical size {len(tree)}"
+            f"{len(fragments)} distinct record ids in tree != logical size {len(tree)}"
         )
     for record_id, rects in fragments.items():
         tracked = tree._fragment_counts.get(record_id)

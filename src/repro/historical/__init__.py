@@ -1,6 +1,5 @@
 """Historical (temporal) data management over Segment Indexes (Figure 1)."""
 
 from .store import HistoricalStore, Version
-from .timetravel import TimeTravelDict
 
-__all__ = ["HistoricalStore", "TimeTravelDict", "Version"]
+__all__ = ["HistoricalStore", "Version"]

@@ -1,4 +1,4 @@
-"""Unified observability layer: tracing, metrics registry, run reports.
+"""Observability layer: tracing, latency histograms, run reports.
 
 Three cooperating pieces, all optional and near-zero-cost when off:
 
@@ -6,9 +6,8 @@ Three cooperating pieces, all optional and near-zero-cost when off:
   and typed events (node accesses, splits, cuts, demotions, promotions,
   coalesces, page fetches, evictions) flowing to a ring buffer, a JSONL
   file, or nothing;
-* :mod:`~repro.obs.registry` — counters/gauges/histograms plus pull
-  sources that unify ``AccessStats``, ``BufferStats``, ``DiskStats`` and
-  ``IndexMetrics`` behind one ``snapshot()`` / ``to_json()``;
+* :mod:`~repro.obs.latency` + :mod:`~repro.obs.registry` —
+  log-bucketed latency recorders and fixed-bucket count histograms;
 * :mod:`~repro.obs.report` — versioned ``BENCH_<name>.json`` run
   reports written by the experiment harness and the CLI.
 
@@ -36,15 +35,7 @@ from .latency import (
     format_ns,
     span_breakdown,
 )
-from .registry import (
-    BYTES_READ_BUCKETS,
-    NODES_PER_SEARCH_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    index_registry,
-)
+from .registry import NODES_PER_SEARCH_BUCKETS, Histogram
 from .report import (
     SCHEMA,
     build_report,
@@ -87,13 +78,8 @@ __all__ = [
     "RingBufferSink",
     "TeeSink",
     "read_jsonl",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
-    "index_registry",
     "NODES_PER_SEARCH_BUCKETS",
-    "BYTES_READ_BUCKETS",
     "QueryTrace",
     "trace_search",
     "DEFAULT_SUB_BUCKET_BITS",

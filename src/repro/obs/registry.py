@@ -1,86 +1,27 @@
-"""Metrics registry: counters, gauges, histograms, and pull sources.
+"""Fixed-bucket histograms for per-query counts.
 
-One registry unifies the per-index :class:`~repro.core.stats.AccessStats`,
-the storage layer's :class:`~repro.storage.buffer.BufferStats` /
-:class:`~repro.storage.disk.DiskStats`, and the structural
-:class:`~repro.core.metrics.IndexMetrics` behind a single
-:meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.to_json`
-surface, which is what the BENCH report emitter and the CLI consume.
-
-Histograms use fixed bucket boundaries so snapshots from different runs
-are directly comparable; the presets cover the paper's two axes of
-interest (nodes accessed per search, bytes read).
+:class:`Histogram` summarizes one observed quantity per query; the
+experiment harness fills one with node accesses per search
+(:data:`NODES_PER_SEARCH_BUCKETS`), the paper's headline metric.  The
+bounds are fixed so summaries from different runs are directly
+comparable.  The per-layer counters live with their producers:
+``AccessStats``, ``BufferStats``, ``DiskStats``, ``LatchStats`` and
+``IndexMetrics`` each have their own ``snapshot()`` / ``to_dict()``.
 """
 
 from __future__ import annotations
 
-import json
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
 from ..exceptions import ConfigError
-from .latency import DEFAULT_SUB_BUCKET_BITS, LatencyRecorder
 
-if TYPE_CHECKING:
-    from ..concurrency.engine import ConcurrentEngine
-    from ..core.rtree import RTree
-    from ..storage.pager import StorageManager
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NODES_PER_SEARCH_BUCKETS",
-    "BYTES_READ_BUCKETS",
-    "index_registry",
-]
+__all__ = ["Histogram", "NODES_PER_SEARCH_BUCKETS"]
 
 #: Power-of-two buckets for the paper's headline metric (average index
 #: nodes accessed per search is O(tens) at 20K scale, O(hundreds) at 200K).
 NODES_PER_SEARCH_BUCKETS: tuple[float, ...] = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
 )
-
-#: Byte-volume buckets from one leaf page (1 KB) up to 16 MB.
-BYTES_READ_BUCKETS: tuple[float, ...] = (
-    1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24,
-)
-
-
-class Counter:
-    """Monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ConfigError("counters only go up; use a gauge")
-        self.value += n
-
-
-class Gauge:
-    """Point-in-time value: either set directly or pulled from a callable."""
-
-    __slots__ = ("name", "_value", "_fn")
-
-    def __init__(self, name: str, fn: Callable[[], float] | None = None) -> None:
-        self.name = name
-        self._value: float = 0.0
-        self._fn = fn
-
-    def set(self, value: float) -> None:
-        self._fn = None
-        self._value = value
-
-    @property
-    def value(self) -> float:
-        if self._fn is not None:
-            return self._fn()
-        return self._value
 
 
 class Histogram:
@@ -141,125 +82,3 @@ class Histogram:
             "le": list(self.buckets) + [None],  # None = +inf overflow bin
             "counts": list(self.counts),
         }
-
-
-class MetricsRegistry:
-    """Named metrics plus pull-based sources, snapshotted as one dict.
-
-    Sources are zero-argument callables returning a dict (e.g.
-    ``AccessStats.snapshot``); they are evaluated lazily at snapshot
-    time, so a registry can be built once and sampled repeatedly.
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._latencies: dict[str, LatencyRecorder] = {}
-        self._sources: dict[str, Callable[[], dict]] = {}
-
-    # -- registration (get-or-create) ----------------------------------
-    def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def gauge(self, name: str, fn: Callable[[], float] | None = None) -> Gauge:
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name, fn)
-        elif fn is not None:
-            self._gauges[name]._fn = fn
-        return self._gauges[name]
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] = NODES_PER_SEARCH_BUCKETS
-    ) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name, buckets)
-        return self._histograms[name]
-
-    def latency(
-        self, name: str, sub_bucket_bits: int = DEFAULT_SUB_BUCKET_BITS
-    ) -> LatencyRecorder:
-        """Get-or-create a log-bucketed latency recorder (nanoseconds).
-
-        Unlike :meth:`histogram`'s fixed linear buckets, a latency
-        recorder keeps bounded *relative* error across the whole ns..s
-        range and snapshots with p50/p90/p99/p999 quantiles — the shape
-        the v2 bench-report ``latencies`` section carries.
-        """
-        if name not in self._latencies:
-            self._latencies[name] = LatencyRecorder(sub_bucket_bits)
-        return self._latencies[name]
-
-    def register_latency(self, name: str, recorder: LatencyRecorder) -> LatencyRecorder:
-        """Adopt an externally-owned latency recorder under ``name``.
-
-        Subsystems that record on their own hot path (e.g. the WAL's
-        commit-latency recorder) keep ownership; the registry just
-        snapshots it alongside everything else.  Registering a second
-        recorder under the same name replaces the first.
-        """
-        self._latencies[name] = recorder
-        return recorder
-
-    def source(self, name: str, fn: Callable[[], dict]) -> None:
-        """Register a pull source whose dict appears under ``name``."""
-        self._sources[name] = fn
-
-    # -- export --------------------------------------------------------
-    def snapshot(self) -> dict:
-        doc: dict = {}
-        if self._counters:
-            doc["counters"] = {n: c.value for n, c in sorted(self._counters.items())}
-        if self._gauges:
-            doc["gauges"] = {n: g.value for n, g in sorted(self._gauges.items())}
-        if self._histograms:
-            doc["histograms"] = {
-                n: h.summary() for n, h in sorted(self._histograms.items())
-            }
-        if self._latencies:
-            doc["latencies"] = {
-                n: r.summary() for n, r in sorted(self._latencies.items())
-            }
-        for name, fn in self._sources.items():
-            doc[name] = fn()
-        return doc
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-
-def index_registry(
-    tree: RTree,
-    storage: StorageManager | None = None,
-    structure: bool = False,
-    concurrency: "ConcurrentEngine | None" = None,
-) -> MetricsRegistry:
-    """A registry covering one index (and optionally its storage stack).
-
-    Registers the tree's access stats, basic shape gauges, the storage
-    manager's buffer/disk stats when given, the concurrency engine's
-    latch-contention counters when given, and — when ``structure`` is
-    true — a full :func:`~repro.core.metrics.measure_index` pass (which
-    walks the whole tree, so leave it off for frequent sampling).
-    """
-    reg = MetricsRegistry()
-    reg.source("access", tree.stats.snapshot)
-    reg.gauge("index.size", lambda: float(len(tree)))
-    reg.gauge("index.height", lambda: float(tree.height))
-    reg.gauge("index.nodes", lambda: float(tree.node_count()))
-    if storage is not None:
-        reg.source("buffer", storage.pool.stats.snapshot)
-        reg.source("disk", storage.disk.stats.snapshot)
-        wal = getattr(storage, "wal", None)
-        if wal is not None:
-            reg.source("wal", wal.stats.snapshot)
-            reg.register_latency("wal.commit", wal.commit_latency)
-    if concurrency is not None:
-        reg.source("latch", concurrency.contention_snapshot)
-    if structure:
-        from ..core.metrics import measure_index
-
-        reg.source("structure", lambda: measure_index(tree).to_dict())
-    return reg

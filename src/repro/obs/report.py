@@ -14,7 +14,7 @@ Schema (``repro.bench-report/v2``)::
       "name": "<run name>",
       "config": { ... run parameters ... },
       "wall_seconds": 1.23,
-      "metrics": { ... registry / stats snapshot ... },
+      "metrics": { ... stats snapshots ... },
       "histograms": { "<name>": {count, sum, mean, min, max, le, counts} },
       "latencies": { "<series>": {unit, count, sum, mean, min, max,
                                   quantiles: {p50, p90, p99, p999},

@@ -1,12 +1,5 @@
-"""Rule locks and predicate locking on a 1-D Segment Index (Section 2.2)."""
+"""Rule locks on a 1-D Segment Index (Section 2.2)."""
 
 from .locks import RuleLock, RuleLockIndex
-from .predicate_locks import HeldLock, LockConflict, PredicateLockManager
 
-__all__ = [
-    "RuleLock",
-    "RuleLockIndex",
-    "HeldLock",
-    "LockConflict",
-    "PredicateLockManager",
-]
+__all__ = ["RuleLock", "RuleLockIndex"]

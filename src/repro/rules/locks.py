@@ -31,6 +31,14 @@ from ..exceptions import WorkloadError
 
 __all__ = ["RuleLock", "RuleLockIndex"]
 
+#: The lock modes; shared locks conflict only with exclusive acquisition.
+LOCK_MODES = ("shared", "exclusive")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in LOCK_MODES:
+        raise WorkloadError(f"unknown lock mode {mode!r}; known: {LOCK_MODES}")
+
 
 @dataclass(frozen=True)
 class RuleLock:
@@ -76,6 +84,7 @@ class RuleLockIndex:
         self, rule_id: Any, low: float, high: float, mode: str = "shared"
     ) -> int:
         """Install an interval lock; returns a lock handle."""
+        _check_mode(mode)
         if low > high:
             raise WorkloadError(f"inverted lock range [{low}, {high}]")
         lock = RuleLock(rule_id, float(low), float(high), mode)
@@ -121,6 +130,7 @@ class RuleLockIndex:
     def conflicting(self, low: float, high: float, mode: str = "exclusive") -> list[RuleLock]:
         """Locks that conflict with acquiring ``mode`` over [low, high]
         (shared locks conflict only with exclusive acquisition)."""
+        _check_mode(mode)
         hits = self.locks_for_range(low, high)
         if mode == "exclusive":
             return hits

@@ -13,12 +13,7 @@ from .admission import AdmissionController
 from .partition import CurveRangePartitioner, ShardRange
 from .router import TRANSPORTS, ShardRouter, build_router
 from .service import ShardedService, serve
-from .transport import (
-    LocalShardClient,
-    ProcessShardClient,
-    ShardClient,
-    ThreadShardClient,
-)
+from .transport import LocalShardClient, ProcessShardClient, ShardClient
 from .worker import ShardSpec, ShardWorker
 
 __all__ = [
@@ -30,7 +25,6 @@ __all__ = [
     "ShardWorker",
     "ShardClient",
     "LocalShardClient",
-    "ThreadShardClient",
     "ProcessShardClient",
     "ShardedService",
     "TRANSPORTS",

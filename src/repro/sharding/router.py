@@ -55,12 +55,7 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from . import wire
 from .admission import AdmissionController
 from .partition import CurveRangePartitioner
-from .transport import (
-    LocalShardClient,
-    ProcessShardClient,
-    ShardClient,
-    ThreadShardClient,
-)
+from .transport import LocalShardClient, ProcessShardClient, ShardClient
 from .worker import ShardSpec
 
 __all__ = ["ShardRouter", "build_router", "TRANSPORTS", "Call", "Plan"]
@@ -75,7 +70,6 @@ _Sent = tuple[ShardClient, "futures.Future[Any]"]
 #: Transport name -> client class, for :func:`build_router`.
 TRANSPORTS: Mapping[str, Callable[[ShardSpec], ShardClient]] = {
     "local": LocalShardClient,
-    "thread": ThreadShardClient,
     "process": ProcessShardClient,
 }
 
@@ -547,8 +541,8 @@ def build_router(
 ) -> ShardRouter:
     """Construct a router plus ``shards`` fresh workers in one call.
 
-    ``transport`` is one of :data:`TRANSPORTS` (``local`` / ``thread`` /
-    ``process``); the returned router can rebalance, because the same
+    ``transport`` is one of :data:`TRANSPORTS` (``local`` / ``process``);
+    the returned router can rebalance, because the same
     factory that built the initial workers is installed as its spawn
     hook.
     """

@@ -1,14 +1,11 @@
 """Shard client transports: how the router reaches a worker.
 
-Three interchangeable transports, all speaking the same
+Two interchangeable transports, both speaking the same
 :mod:`~repro.sharding.wire` protocol:
 
 * :class:`LocalShardClient` — calls :meth:`ShardWorker.handle` inline.
   No concurrency, no timeouts; the differential-oracle tests use it so
   hypothesis can interleave thousands of ops per second.
-* :class:`ThreadShardClient` — the worker runs on its own thread behind
-  a request queue, so calls can genuinely time out (the timeout unit
-  tests inject a worker delay and assert ``ShardTimeoutError``).
 * :class:`ProcessShardClient` — the worker is a separate OS process on
   a :class:`multiprocessing` pipe: its own GIL, tree, buffer pool and
   simulated disk.  This is the serving configuration
@@ -28,7 +25,6 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import queue
 import threading
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -42,7 +38,6 @@ from .worker import ShardSpec, ShardWorker, worker_main
 __all__ = [
     "ShardClient",
     "LocalShardClient",
-    "ThreadShardClient",
     "ProcessShardClient",
 ]
 
@@ -133,8 +128,8 @@ class ShardClient:
             return future.result()  # the timeout just set, or a reply that raced it
 
     def attach(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Only a pipe needs a pump; the in-process workers answer on a
-        thread of their own (or the caller's)."""
+        """Only a pipe needs a pump; the inline worker answers on the
+        caller's thread."""
 
 
 class LocalShardClient(ShardClient):
@@ -149,38 +144,6 @@ class LocalShardClient(ShardClient):
 
     def close(self) -> None:
         self.worker.close()
-
-
-class ThreadShardClient(ShardClient):
-    """Worker on a dedicated thread behind a request queue.
-
-    In-process, so it shares the GIL with the router — useful for tests
-    and the racecheck workload (lock acquisitions stay observable), not
-    for scaling.  A timeout abandons the call; the worker thread still
-    completes the operation, and its reply finds nobody waiting.
-    """
-
-    def __init__(self, spec: ShardSpec) -> None:
-        super().__init__(spec)
-        self.worker = ShardWorker(spec)
-        self._requests: queue.Queue[Request | None] = queue.Queue()
-        self._thread = threading.Thread(
-            target=self._serve, name=f"shard-{spec.shard_id}", daemon=True
-        )
-        self._thread.start()
-
-    def _send(self, request: Request) -> None:
-        self._requests.put(request)
-
-    def _serve(self) -> None:
-        for request in iter(self._requests.get, None):
-            self._deliver(self.worker.handle(request))
-        self.worker.close()
-        self._lost()
-
-    def close(self) -> None:
-        self._requests.put(None)
-        self._thread.join(timeout=5.0)
 
 
 #: The router-side end of every live process shard's pipe.  A forked

@@ -37,7 +37,6 @@ __all__ = [
     "OP_EXTRACT",
     "OP_INGEST",
     "OP_SUGGEST_SPLIT",
-    "OP_BOUNDS",
     "OP_COUNT",
     "OP_STATS",
     "OP_CONFIGURE",
@@ -59,7 +58,6 @@ OP_BATCH_SEARCH = "batch_search"
 OP_EXTRACT = "extract"
 OP_INGEST = "ingest"
 OP_SUGGEST_SPLIT = "suggest_split"
-OP_BOUNDS = "bounds"
 OP_COUNT = "count"
 OP_STATS = "stats"
 OP_CONFIGURE = "configure"

@@ -28,7 +28,7 @@ from typing import Any, Sequence
 from ..concurrency.engine import ConcurrentIndex
 from ..core import query
 from ..core.batch import CURVE_ORDER, curve_key
-from ..core.geometry import Rect, union_all
+from ..core.geometry import Rect
 from ..core.rtree import RTree
 from ..exceptions import ConfigError
 from ..storage.disk import LatencyDisk
@@ -111,7 +111,6 @@ class ShardWorker:
             wire.OP_EXTRACT: self._op_extract,
             wire.OP_INGEST: self._op_ingest,
             wire.OP_SUGGEST_SPLIT: self._op_suggest_split,
-            wire.OP_BOUNDS: self._op_bounds,
             wire.OP_COUNT: self._op_count,
             wire.OP_STATS: self._op_stats,
             wire.OP_CONFIGURE: self._op_configure,
@@ -255,12 +254,6 @@ class ShardWorker:
     # ------------------------------------------------------------------
     # Introspection ops
     # ------------------------------------------------------------------
-    def _op_bounds(self) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
-        if not self._records:
-            return None
-        box = union_all([rect for rect, _ in self._records.values()])
-        return (box.lows, box.highs)
-
     def _op_count(self) -> int:
         return len(self._records)
 

@@ -77,7 +77,7 @@ class BufferStats:
         return self.hits / total if total else 0.0
 
     def snapshot(self) -> dict:
-        """A plain-dict copy for reports and the metrics registry."""
+        """A plain-dict copy for reports."""
         return {
             "hits": self.hits,
             "misses": self.misses,

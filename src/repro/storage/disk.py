@@ -40,7 +40,7 @@ class DiskStats:
     fsyncs: int = 0
 
     def snapshot(self) -> dict:
-        """A plain-dict copy for reports and the metrics registry."""
+        """A plain-dict copy for reports."""
         return {
             "reads": self.reads,
             "writes": self.writes,

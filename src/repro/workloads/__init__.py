@@ -26,7 +26,6 @@ from .queries import (
     query_rectangles,
     uniform_queries,
 )
-from .trace import Operation, ReplayReport, TraceConfig, generate_trace, replay
 from .traffic import (
     DEFAULT_TENANTS,
     QUERY_CLASSES,
@@ -59,11 +58,6 @@ __all__ = [
     "qar_sweep",
     "query_rectangles",
     "uniform_queries",
-    "Operation",
-    "ReplayReport",
-    "TraceConfig",
-    "generate_trace",
-    "replay",
     "QUERY_CLASSES",
     "DEFAULT_TENANTS",
     "TenantSpec",

@@ -1,12 +1,10 @@
-"""Tests for the Priority Search Tree and Persistent Search Tree."""
+"""Tests for the Priority Search Tree."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.cg import PersistentSearchTree, PrioritySearchTree
+from repro.cg import PrioritySearchTree
 from repro.exceptions import WorkloadError
 
 
@@ -63,112 +61,3 @@ class TestPrioritySearchTree:
         pst = PrioritySearchTree(_random_intervals(500, seed=3))
         assert pst.size == 500
         assert pst.depth() < 60  # median split keeps it shallow
-
-
-class TestPersistentSearchTree:
-    def test_versioned_reads(self):
-        pst = PersistentSearchTree()
-        v1 = pst.insert(10, "ten")
-        v2 = pst.insert(20, "twenty")
-        v3 = pst.delete(10)
-        assert pst.get(10, version=v1) == "ten"
-        assert pst.get(10, version=v2) == "ten"
-        assert pst.get(10, version=v3) is None
-        assert pst.get(20) == "twenty"
-        assert pst.size(0) == 0
-        assert pst.size(v2) == 2
-        assert pst.size(v3) == 1
-
-    def test_overwrite_creates_version(self):
-        pst = PersistentSearchTree()
-        v1 = pst.insert("k", 1)
-        v2 = pst.insert("k", 2)
-        assert pst.get("k", v1) == 1
-        assert pst.get("k", v2) == 2
-        assert pst.size(v2) == 1
-
-    def test_old_versions_immutable(self):
-        pst = PersistentSearchTree()
-        versions = [pst.insert(i, i * i) for i in range(50)]
-        snapshot = dict(pst.items(version=versions[9]))
-        for i in range(50):
-            pst.delete(i)
-        assert dict(pst.items(version=versions[9])) == snapshot
-        assert pst.size() == 0
-
-    def test_range_query_per_version(self):
-        pst = PersistentSearchTree()
-        for i in range(20):
-            pst.insert(i, str(i))
-        v_full = pst.latest_version
-        pst.delete(5)
-        assert [k for k, _ in pst.range(3, 7, version=v_full)] == [3, 4, 5, 6, 7]
-        assert [k for k, _ in pst.range(3, 7)] == [3, 4, 6, 7]
-
-    def test_predecessor_successor(self):
-        pst = PersistentSearchTree()
-        for k in (10, 20, 30):
-            pst.insert(k)
-        assert pst.predecessor(20) == 10
-        assert pst.successor(20) == 30
-        assert pst.predecessor(10) is None
-        assert pst.successor(30) is None
-
-    def test_items_sorted(self):
-        pst = PersistentSearchTree()
-        keys = [7, 1, 9, 3, 5, 2, 8]
-        for k in keys:
-            pst.insert(k)
-        assert [k for k, _ in pst.items()] == sorted(keys)
-
-    def test_bad_version_rejected(self):
-        pst = PersistentSearchTree()
-        with pytest.raises(WorkloadError):
-            pst.get(1, version=5)
-
-    def test_inverted_range_rejected(self):
-        pst = PersistentSearchTree()
-        pst.insert(1)
-        with pytest.raises(WorkloadError):
-            pst.range(5, 1)
-
-    def test_delete_missing_is_noop_version(self):
-        pst = PersistentSearchTree()
-        v1 = pst.insert(1, "one")
-        v2 = pst.delete(99)
-        assert v2 == v1 + 1
-        assert pst.get(1, v2) == "one"
-
-    def test_historical_as_of_pattern(self):
-        """The Sarnak-Tarjan use the paper alludes to: key -> value history
-        queried as of an update timestamp."""
-        pst = PersistentSearchTree()
-        time_to_version = {}
-        salaries = {"alice": 30_000, "bob": 20_000}
-        t = 0
-        for year in range(1980, 1990):
-            for emp in sorted(salaries):
-                salaries[emp] = int(salaries[emp] * 1.05)
-                time_to_version[(year, emp)] = pst.insert(emp, salaries[emp])
-        v_1985_alice = time_to_version[(1985, "alice")]
-        assert pst.get("alice", v_1985_alice) < pst.get("alice")
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 50), st.booleans()), min_size=1, max_size=80)
-)
-def test_property_persistent_tree_matches_dict_history(ops):
-    pst = PersistentSearchTree()
-    model: dict[int, int] = {}
-    history = [dict(model)]
-    for i, (key, is_insert) in enumerate(ops):
-        if is_insert:
-            model[key] = i
-            pst.insert(key, i)
-        else:
-            model.pop(key, None)
-            pst.delete(key)
-        history.append(dict(model))
-    for version, snapshot in enumerate(history):
-        assert dict(pst.items(version=version)) == snapshot

@@ -9,12 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import IndexConfig, Rect, SRTree
-from repro.concurrency import (
-    ConcurrentIndex,
-    ConcurrentRuleLockIndex,
-    RWLatch,
-)
-from repro.concurrency.stress import STRESS_INDEX_TYPES, run_rule_lock_stress, run_stress
+from repro.concurrency import ConcurrentIndex, RWLatch
+from repro.concurrency.stress import STRESS_INDEX_TYPES, run_stress
 from repro.exceptions import ConcurrencyError, StorageError
 from repro.storage import BufferPool, FileDisk, SimulatedDisk, StorageManager
 from repro.workloads import dataset_I3, query_rectangles
@@ -349,26 +345,6 @@ class TestLatchTraceEvents:
         assert waits[0].fields["mode"] == "read"
 
 
-class TestConcurrentRuleLockIndex:
-    def test_lock_probe_unlock_threaded(self):
-        index = ConcurrentRuleLockIndex()
-
-        def install(base):
-            return [
-                index.lock_range(f"r{base + i}", base + i, base + i + 0.5)
-                for i in range(20)
-            ]
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            handles = [h for block in pool.map(install, range(0, 400, 100)) for h in block]
-        assert len(index) == 80
-        assert [l.rule_id for l in index.locks_for_value(0.25)] == ["r0"]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            outcomes = list(pool.map(index.unlock, handles))
-        assert all(outcomes)
-        assert len(index) == 0
-
-
 class TestStressHarness:
     @pytest.mark.parametrize("kind", STRESS_INDEX_TYPES)
     def test_all_variants_survive(self, kind):
@@ -402,16 +378,10 @@ class TestStressHarness:
             == result.contention["pessimistic_reads"]
         )
 
-    def test_rule_lock_stress(self):
-        result = run_rule_lock_stress(
-            seed=9, readers=2, writers=2, ops_per_thread=30, initial_locks=40
-        )
-        assert result.inserts > 0 and result.searches > 0
-
 
 class TestThreadHarness:
     """``_run_threads``: the one start/join/re-raise scaffold under all
-    four stress workloads."""
+    three stress workloads."""
 
     def test_first_worker_exception_is_reraised(self):
         from repro.concurrency.stress import _run_threads
@@ -823,12 +793,6 @@ class TestHeavyStress:
         run_stress(
             "SR-Tree", seed=self.SEED, readers=4, writers=2,
             ops_per_thread=120, initial_records=300, buffer_bytes=32 * 1024,
-        )
-
-    def test_heavy_rule_locks(self):
-        run_rule_lock_stress(
-            seed=self.SEED, readers=4, writers=2, ops_per_thread=150,
-            initial_locks=200,
         )
 
     def test_concurrent_misses_on_a_spilling_file_pool(self, tmp_path):

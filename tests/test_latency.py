@@ -15,7 +15,6 @@ from repro.obs.latency import (
     format_ns,
     span_breakdown,
 )
-from repro.obs.registry import MetricsRegistry
 
 
 def oracle_quantile(values, q):
@@ -163,19 +162,6 @@ class TestSeries:
         a.merge(b)
         assert a.recorder("stab", "t").count == 2
         assert a.recorder("insert", "t").count == 1
-
-
-class TestRegistryIntegration:
-    def test_registry_latency_get_or_create_and_snapshot(self):
-        registry = MetricsRegistry()
-        rec = registry.latency("serve_ns")
-        assert registry.latency("serve_ns") is rec
-        rec.record(1500)
-        snap = registry.snapshot()
-        assert snap["latencies"]["serve_ns"]["count"] == 1
-
-    def test_no_latencies_key_when_unused(self):
-        assert "latencies" not in MetricsRegistry().snapshot()
 
 
 class TestFormatNs:

@@ -1,37 +1,12 @@
-"""Tests for the metrics registry (counters, gauges, histograms, sources)."""
+"""Tests for the count histogram and the per-layer stats snapshots."""
 
 import json
 
 import pytest
 
-from repro import SRTree, segment
-from repro.obs import Histogram, MetricsRegistry, index_registry
+from repro import SRTree, measure_index, segment
+from repro.obs import Histogram
 from repro.storage import StorageManager
-
-
-class TestCounterGauge:
-    def test_counter_monotonic(self):
-        reg = MetricsRegistry()
-        c = reg.counter("ops")
-        c.inc()
-        c.inc(4)
-        assert reg.snapshot()["counters"]["ops"] == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_counter_get_or_create(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
-
-    def test_gauge_set_and_pull(self):
-        reg = MetricsRegistry()
-        reg.gauge("depth").set(3.0)
-        backing = {"v": 7.0}
-        reg.gauge("pulled", fn=lambda: backing["v"])
-        snap = reg.snapshot()["gauges"]
-        assert snap == {"depth": 3.0, "pulled": 7.0}
-        backing["v"] = 9.0
-        assert reg.snapshot()["gauges"]["pulled"] == 9.0
 
 
 class TestHistogram:
@@ -60,25 +35,10 @@ class TestHistogram:
             Histogram("x", (1, 1, 2))
 
 
-class TestRegistrySnapshot:
-    def test_sources_appear_under_their_name(self):
-        reg = MetricsRegistry()
-        reg.source("access", lambda: {"searches": 2})
-        snap = reg.snapshot()
-        assert snap["access"] == {"searches": 2}
-
-    def test_to_json_parses(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc()
-        reg.histogram("h", (1, 2)).observe(1)
-        doc = json.loads(reg.to_json())
-        assert doc["counters"]["a"] == 1
-        assert doc["histograms"]["h"]["count"] == 1
-
-
 class TestIndexRegistry:
-    """The unification surface: one snapshot covering AccessStats,
-    BufferStats, DiskStats, and structural IndexMetrics."""
+    """What an index reports about itself, layer by layer: AccessStats,
+    BufferStats, DiskStats, the engine's latch counters and the
+    structural IndexMetrics, each from its own producer."""
 
     @pytest.fixture()
     def tree(self):
@@ -88,22 +48,19 @@ class TestIndexRegistry:
         return tree
 
     def test_access_and_shape(self, tree):
-        reg = index_registry(tree)
         tree.search(segment(5.0, 6.0, 10.0))
-        snap = reg.snapshot()
-        assert snap["access"]["searches"] == 1
-        assert snap["access"]["inserts"] == 300
-        assert "accesses_by_level" in snap["access"]
-        assert snap["gauges"]["index.size"] == 300.0
-        assert snap["gauges"]["index.height"] == float(tree.height)
+        access = tree.stats.snapshot()
+        assert access["searches"] == 1
+        assert access["inserts"] == 300
+        assert "accesses_by_level" in access
+        json.dumps(access)
 
     def test_storage_sources(self, tree):
         manager = StorageManager(tree, buffer_bytes=64 * 1024)
-        reg = index_registry(tree, storage=manager)
         tree.search(segment(5.0, 6.0, 10.0))
-        snap = reg.snapshot()
-        assert snap["buffer"]["accesses"] == snap["access"]["search_node_accesses"]
-        assert set(snap["disk"]) == {
+        buffer = manager.pool.stats.snapshot()
+        assert buffer["accesses"] == tree.stats.snapshot()["search_node_accesses"]
+        assert set(manager.disk.stats.snapshot()) == {
             "reads", "writes", "bytes_read", "bytes_written",
             "transient_errors", "retries", "failed_ops", "fsyncs",
         }
@@ -112,21 +69,17 @@ class TestIndexRegistry:
         from repro import ConcurrentIndex
 
         index = ConcurrentIndex(tree)
-        reg = index_registry(tree, concurrency=index)
         index.search(segment(5.0, 6.0, 10.0))
         index.insert(segment(40.0, 41.0, 1.0))
-        snap = reg.snapshot()
-        assert snap["latch"]["writes"] == 1
-        assert snap["latch"]["write_acquires"] == 1
-        assert snap["latch"]["read_acquires"] == 1
-        json.dumps(snap)
-        index.detach()
+        latch = index.contention_snapshot()
+        assert latch["writes"] == 1
+        assert latch["write_acquires"] == 1
+        assert latch["read_acquires"] == 1
+        json.dumps(latch)
 
     def test_structure_source_and_json(self, tree):
-        reg = index_registry(tree, structure=True)
-        snap = reg.snapshot()
-        structure = snap["structure"]
+        structure = measure_index(tree).to_dict()
         assert structure["height"] == tree.height
         assert structure["node_count"] == tree.node_count()
         assert len(structure["levels"]) == tree.height
-        json.dumps(snap)  # whole unified snapshot must be JSON-serializable
+        json.dumps(structure)  # must be JSON-serializable

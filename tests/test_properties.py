@@ -53,7 +53,7 @@ def test_index_matches_model_under_inserts_and_queries(cls, data):
         assert tree.search_ids(q) == want
 
 
-@pytest.mark.parametrize("cls", [RTree, SRTree])
+@pytest.mark.parametrize("cls", [RTree, SRTree, SkeletonRTree, SkeletonSRTree])
 @settings(
     max_examples=30,
     deadline=None,

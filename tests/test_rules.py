@@ -95,6 +95,18 @@ class TestLockManagement:
         # Shared acquisition only conflicts with exclusive locks.
         assert {l.rule_id for l in locks.conflicting(0, 20, "shared")} == {"excl1"}
 
+    def test_unknown_mode_rejected(self):
+        # A mistyped mode must not be silently treated as shared.
+        locks = RuleLockIndex()
+        with pytest.raises(WorkloadError):
+            locks.lock_range("w", 10, 20, mode="Exclusive")
+        with pytest.raises(WorkloadError):
+            locks.lock_point("w", 10, mode="excl")
+        assert len(locks) == 0
+        locks.lock_range("w", 10, 20, mode="exclusive")
+        with pytest.raises(WorkloadError):
+            locks.conflicting(12, 13, mode="Shared")
+
 
 class TestEscalation:
     def test_broad_locks_escalate(self):

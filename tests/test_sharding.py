@@ -42,7 +42,6 @@ from repro.sharding import (
     ShardRouter,
     ShardSpec,
     ShardWorker,
-    ThreadShardClient,
     build_router,
 )
 from repro.sharding import wire
@@ -251,23 +250,14 @@ class TestWorkerRebalance:
 # Transports: timeouts and stale replies
 # ---------------------------------------------------------------------------
 class TestTransportTimeouts:
-    def test_thread_client_times_out_typed(self):
-        client = ThreadShardClient(_spec())
-        try:
-            client.call(wire.OP_CONFIGURE, (0.3,))
-            with pytest.raises(ShardTimeoutError) as exc_info:
-                client.call(wire.OP_PING, (), timeout=0.05)
-            assert exc_info.value.shard_ids == (client.shard_id,)
-        finally:
-            client.close()
-
     def test_process_client_discards_stale_reply_after_timeout(self):
         client = ProcessShardClient(_spec())
         try:
             assert client.call(wire.OP_PING, (), timeout=10.0) == "pong"
             client.call(wire.OP_CONFIGURE, (0.4,), timeout=10.0)
-            with pytest.raises(ShardTimeoutError):
+            with pytest.raises(ShardTimeoutError) as exc_info:
                 client.call(wire.OP_PING, (), timeout=0.05)
+            assert exc_info.value.shard_ids == (client.shard_id,)
             client.call(wire.OP_CONFIGURE, (0.0,), timeout=10.0)
             # The next call must see its own reply, not the stale pong.
             assert client.call(wire.OP_COUNT, (), timeout=10.0) == 0
@@ -293,7 +283,7 @@ class TestRouter:
 
     def test_gather_timeout_is_typed_never_partial(self):
         router = build_router(
-            2, bounds=BOUNDS, transport="thread", buffer_bytes=0, timeout_s=0.05
+            2, bounds=BOUNDS, transport="process", buffer_bytes=0, timeout_s=0.05
         )
         try:
             # Spread records so both shards hold data.
@@ -315,7 +305,7 @@ class TestRouter:
         """The worker applies an insert whose reply came too late: every
         search, ``len`` and ``delete`` must agree that the record exists."""
         router = build_router(
-            2, bounds=BOUNDS, transport="thread", buffer_bytes=0, timeout_s=10.0
+            2, bounds=BOUNDS, transport="process", buffer_bytes=0, timeout_s=10.0
         )
         try:
             rect = Rect((10.0, 10.0), (11.0, 11.0))

@@ -1,72 +1,9 @@
-"""Tests for temporal analytics and the time-travel dictionary."""
+"""Tests for temporal analytics over the historical store."""
 
 import pytest
 
 from repro.exceptions import WorkloadError
-from repro.historical import HistoricalStore, TimeTravelDict
-
-
-class TestTimeTravelDict:
-    def test_as_of_reads(self):
-        ttd = TimeTravelDict()
-        ttd.put("a", 1, at=10.0)
-        ttd.put("a", 2, at=20.0)
-        ttd.remove("a", at=30.0)
-        assert ttd.as_of("a", 5.0) is None
-        assert ttd.as_of("a", 10.0) == 1
-        assert ttd.as_of("a", 19.99) == 1
-        assert ttd.as_of("a", 20.0) == 2
-        assert ttd.as_of("a", 35.0) is None
-
-    def test_snapshot(self):
-        ttd = TimeTravelDict()
-        ttd.put("x", 1, at=1.0)
-        ttd.put("y", 2, at=2.0)
-        ttd.remove("x", at=3.0)
-        assert ttd.snapshot(2.5) == {"x": 1, "y": 2}
-        assert ttd.snapshot(3.0) == {"y": 2}
-        assert ttd.snapshot(0.0) == {}
-
-    def test_range_as_of(self):
-        ttd = TimeTravelDict()
-        for i in range(10):
-            ttd.put(i, i * 10, at=float(i))
-        assert [k for k, _ in ttd.range_as_of(2, 5, t=3.5)] == [2, 3]
-        assert [k for k, _ in ttd.range_as_of(2, 5, t=100.0)] == [2, 3, 4, 5]
-
-    def test_size_as_of(self):
-        ttd = TimeTravelDict()
-        ttd.put("a", 1, at=1.0)
-        ttd.put("b", 2, at=2.0)
-        assert ttd.size_as_of(1.5) == 1
-        assert ttd.size_as_of(2.0) == 2
-
-    def test_non_monotone_timestamps_rejected(self):
-        ttd = TimeTravelDict()
-        ttd.put("a", 1, at=10.0)
-        with pytest.raises(WorkloadError):
-            ttd.put("b", 2, at=5.0)
-
-    def test_equal_timestamps_allowed(self):
-        ttd = TimeTravelDict()
-        ttd.put("a", 1, at=10.0)
-        ttd.put("b", 2, at=10.0)
-        assert ttd.snapshot(10.0) == {"a": 1, "b": 2}
-
-    def test_key_history(self):
-        ttd = TimeTravelDict()
-        ttd.put("a", 1, at=1.0)
-        ttd.put("b", 9, at=2.0)  # unrelated key: no event for "a"
-        ttd.put("a", 2, at=3.0)
-        ttd.remove("a", at=4.0)
-        assert list(ttd.key_history("a")) == [(1.0, 1), (3.0, 2), (4.0, None)]
-
-    def test_contains_as_of(self):
-        ttd = TimeTravelDict()
-        ttd.put("k", 0, at=1.0)
-        ttd.remove("k", at=2.0)
-        assert ttd.contains_as_of("k", 1.5)
-        assert not ttd.contains_as_of("k", 2.5)
+from repro.historical import HistoricalStore
 
 
 class TestTemporalAnalytics:
@@ -124,19 +61,20 @@ class TestTemporalAnalytics:
         assert store.count_valid_at(1970.0) == 0
 
     def test_store_and_timetravel_agree(self):
-        """The disk-oriented store and the persistent-tree dictionary give
-        the same as-of answers on the same update stream."""
+        """The disk-oriented store answers as-of reads like a replay of
+        the same update stream into a plain dict."""
         import random
 
         rng = random.Random(5)
         store = HistoricalStore()
-        ttd = TimeTravelDict()
+        updates = []
         t = 0.0
         for _ in range(300):
             t += rng.uniform(0.01, 1.0)
             key = f"k{rng.randrange(12)}"
             value = round(rng.uniform(0, 100_000), 2)
             store.record(key, value, t)
-            ttd.put(key, value, at=t)
+            updates.append((t, key, value))
         for probe in [t * f for f in (0.1, 0.3, 0.5, 0.8, 1.0)]:
-            assert store.as_of_map(probe) == ttd.snapshot(probe)
+            want = {key: value for at, key, value in updates if at <= probe}
+            assert store.as_of_map(probe) == want

@@ -1,96 +1,14 @@
-"""Tests for trace generation/replay and the analytical cost model."""
+"""Tests for the analytical cost model."""
 
 import math
 
 import pytest
 
-from repro import Rect, RTree, SkeletonSRTree, SRTree, point
+from repro import RTree, point
 from repro.bench import expected_node_accesses, predict_qar_series
 from repro.bench.experiment import build_index
 from repro.exceptions import WorkloadError
-from repro.workloads import (
-    Operation,
-    TraceConfig,
-    dataset_I1,
-    generate_trace,
-    qar_sweep,
-    replay,
-)
-
-
-class TestTraceGeneration:
-    def test_deterministic(self):
-        cfg = TraceConfig(operations=200)
-        assert generate_trace(cfg, seed=1) == generate_trace(cfg, seed=1)
-        assert generate_trace(cfg, seed=1) != generate_trace(cfg, seed=2)
-
-    def test_mix_roughly_matches_weights(self):
-        cfg = TraceConfig(operations=2000, insert_weight=0.5, search_weight=0.4, delete_weight=0.1)
-        trace = generate_trace(cfg, seed=3)
-        counts = {"insert": 0, "search": 0, "delete": 0}
-        for op in trace:
-            counts[op.kind] += 1
-        assert counts["insert"] > counts["search"] > counts["delete"]
-
-    def test_deletes_reference_live_inserts(self):
-        cfg = TraceConfig(operations=500, delete_weight=0.4)
-        trace = generate_trace(cfg, seed=4)
-        inserted = 0
-        deleted = set()
-        for op in trace:
-            if op.kind == "insert":
-                inserted += 1
-            elif op.kind == "delete":
-                assert op.target is not None
-                assert 0 <= op.target < inserted
-                assert op.target not in deleted  # never delete twice
-                deleted.add(op.target)
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(WorkloadError):
-            TraceConfig(operations=0)
-        with pytest.raises(WorkloadError):
-            TraceConfig(insert_weight=0, search_weight=0, delete_weight=0)
-
-
-class TestReplay:
-    @pytest.mark.parametrize("kind", ["R-Tree", "SR-Tree"])
-    def test_validated_replay_passes(self, kind, small_config):
-        trace = generate_trace(TraceConfig(operations=600), seed=5)
-        index = RTree(small_config) if kind == "R-Tree" else SRTree(small_config)
-        report = replay(index, trace)
-        assert report.ok, report.mismatches[:3]
-        assert report.inserts > 0 and report.searches > 0
-
-    def test_replay_on_skeleton(self, small_config):
-        trace = generate_trace(TraceConfig(operations=500, delete_weight=0.15), seed=6)
-        index = SkeletonSRTree(
-            small_config,
-            expected_tuples=400,
-            domain=[(0.0, 100_000.0)] * 2,
-            prediction_fraction=0.05,
-        )
-        report = replay(index, trace)
-        assert report.ok, report.mismatches[:3]
-        assert report.deletes > 0
-
-    def test_replay_detects_broken_index(self):
-        """Sanity: the validator actually catches wrong answers."""
-
-        class LyingIndex(RTree):
-            def search_ids(self, rect):
-                return set()  # always claims nothing matches
-
-        trace = [
-            Operation("insert", rect=point(5, 5)),
-            Operation("search", rect=Rect((0, 0), (10, 10))),
-        ]
-        report = replay(LyingIndex(), trace)
-        assert not report.ok
-
-    def test_unknown_operation_rejected(self):
-        with pytest.raises(WorkloadError):
-            replay(RTree(), [Operation("truncate")])
+from repro.workloads import dataset_I1, qar_sweep
 
 
 class TestCostModel:
