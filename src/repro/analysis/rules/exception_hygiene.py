@@ -15,13 +15,12 @@ Two checks:
   paths an ``except Exception`` / ``except BaseException`` / bare
   ``except`` handler must re-raise somewhere in its body.  Durability
   code that silently eats a failure turns a detectable crash into silent
-  data loss; a traffic driver that eats one corrupts its own error
-  accounting (the bug this rule's scope extension caught); an RPC worker
-  that eats one hides a failed shard op from its router.  The audited
-  exceptions — places whose *job* is converting exceptions into data,
-  like the traffic driver's error recorder or the shard worker's
-  reply serializer — live in :data:`NO_SWALLOW_ALLOWLIST`, keyed by
-  (file, enclosing function) so the exemption cannot silently widen.
+  data loss; a workload driver that eats one corrupts its own error
+  accounting; an RPC worker that eats one hides a failed shard op from
+  its router.  The audited exceptions — places whose *job* is converting
+  exceptions into data, like the shard worker's reply serializer — live
+  in :data:`NO_SWALLOW_ALLOWLIST`, keyed by (file, enclosing function) so
+  the exemption cannot silently widen.
 
 The allowed-name set is derived from :mod:`repro.exceptions` itself at
 lint time, so adding an exception class there automatically legalises it.
@@ -70,10 +69,6 @@ NO_SWALLOW_SCOPES = ("storage/", "workloads/", "sharding/")
 #: re-raise or catch something specific.
 NO_SWALLOW_ALLOWLIST = frozenset(
     {
-        # The traffic driver's worker loop converts per-op failures into
-        # the separate error series + op_error events (run_traffic's
-        # documented error-accounting contract).
-        ("workloads/traffic.py", "worker"),
         # The shard worker's dispatch boundary serializes failures into
         # error Replies; raise_reply_error re-raises them client-side.
         ("sharding/worker.py", "handle"),

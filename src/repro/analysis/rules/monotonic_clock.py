@@ -8,8 +8,8 @@ concurrency, storage, and workload layers must use ``time.monotonic()``
 is only legitimate for *timestamps* shown to humans, which these layers
 delegate to :mod:`repro.obs`.
 
-The PR 5 latch timeouts and PR 6 open-loop traffic driver already use
-monotonic clocks throughout; this rule keeps it that way.
+The latch timeouts and the shard router's deadlines use monotonic
+clocks throughout; this rule keeps it that way.
 """
 
 from __future__ import annotations

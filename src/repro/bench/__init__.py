@@ -1,9 +1,4 @@
-"""Experiment harness: Section 5's protocol, figures, and reports.
-
-The serving-tier benchmarks (``repro bench <scenario>``) are
-:mod:`repro.bench.harness` and :mod:`repro.bench.scenarios`; they are
-imported on use, not here, so that ``import repro.cli`` stays light.
-"""
+"""Experiment harness: Section 5's protocol, figures, and reports."""
 
 from .cost_model import expected_node_accesses, predict_qar_series
 from .experiment import (

@@ -9,18 +9,10 @@ Commands:
 * ``graphs``    — reproduce one or more of the paper's Graphs 1-6;
 * ``trace``     — run a search workload with tracing on and dump the
   JSONL event stream;
-* ``bench``     — run one serving-tier benchmark scenario (``batch``,
-  ``concurrent``, ``mvcc``, ``slo``, ``wal``, ``shard``; see
-  :mod:`repro.bench.scenarios`), print its table and one ``ok``/``FAIL``
-  line per acceptance bar, and emit ``BENCH_<scenario>.json``; exit 1
-  when a correctness bar fails.  ``repro bench <scenario> --help`` lists
-  the scenario's parameters;
 * ``serve``     — run the sharded serving tier behind a line-delimited
   JSON TCP front-end until interrupted;
-* ``slo``       — evaluate tail-latency objectives (a JSON spec of
-  quantile bounds over latency series) against a bench report; exit 1
-  when any objective fails;
-* ``stats``     — pretty-print a machine-readable ``BENCH_*.json`` report;
+* ``stats``     — pretty-print a machine-readable ``BENCH_*.json`` report
+  (``experiment`` and ``graphs`` write them);
 * ``fsck``      — verify a checkpointed page store: recover the page
   table, CRC-check every page, rebuild the tree, run the structural
   invariant checker, and scan the write-ahead log (if any) for valid
@@ -447,47 +439,6 @@ def _cmd_lint(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Run one bench scenario; exit 1 when a correctness bar fails."""
-    import inspect
-
-    from .bench.harness import failed_bars, format_bench, get_scenario, run_bench
-    from .obs.report import report_filename
-
-    spec = get_scenario(args.scenario)
-    # One flag per keyword default of the scenario function: the default's
-    # type parses the value, and a sequence default takes one or more.
-    flags = argparse.ArgumentParser(
-        prog=f"repro bench {spec.name}",
-        description=inspect.getdoc(spec.run),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    for name, default in spec.defaults.items():
-        many = isinstance(default, tuple)
-        sample = default[0] if many else default
-        flags.add_argument(
-            "--" + name.replace("_", "-"),
-            type=str if sample is None else type(sample),
-            nargs="+" if many else None,
-            default=default,
-            help="(default: %(default)s)",
-        )
-    flags.add_argument("--report-dir", default=None)
-    flags.add_argument("--no-report", action="store_true")
-    given = flags.parse_args(args.flags)
-    report_dir = _report_dir(given)
-    doc = run_bench(
-        spec.name, report_dir=report_dir, **{k: getattr(given, k) for k in spec.defaults}
-    )
-    print(format_bench(doc))
-    if report_dir:
-        print(f"report written to {Path(report_dir) / report_filename(spec.name)}")
-    failed = failed_bars(doc)
-    if failed:
-        print(f"bench {spec.name}: FAILED correctness bar(s): {', '.join(failed)}")
-    return 1 if failed else 0
-
-
 def _cmd_serve(args) -> int:
     """Serve the sharded tier over line-delimited JSON TCP until ^C."""
     import asyncio
@@ -503,7 +454,6 @@ def _cmd_serve(args) -> int:
         bounds=bounds,
         transport=args.transport,
         buffer_bytes=args.buffer_bytes,
-        read_delay=args.read_delay,
     )
     try:
         asyncio.run(serve(router, host=args.host, port=args.port))
@@ -512,23 +462,6 @@ def _cmd_serve(args) -> int:
     finally:
         router.close()
     return 0
-
-
-def _cmd_slo(args) -> int:
-    """Evaluate SLO objectives against a bench report; exit 1 on failure."""
-    from .obs.slo import (
-        DEFAULT_SLO_SPEC,
-        evaluate_slo,
-        format_slo_results,
-        load_slo_spec,
-        parse_slo_spec,
-        slo_passed,
-    )
-
-    rules = load_slo_spec(args.spec) if args.spec else parse_slo_spec(DEFAULT_SLO_SPEC)
-    results = evaluate_slo(load_report(Path(args.report)), rules)
-    print(format_slo_results(results))
-    return 0 if slo_passed(results) else 1
 
 
 def _cmd_stats(args) -> int:
@@ -619,18 +552,6 @@ def _parser() -> argparse.ArgumentParser:
     tra.add_argument("-o", "--output", required=True, help="JSONL output file")
     tra.set_defaults(func=_cmd_trace)
 
-    # The scenario's own flags are generated from its keyword defaults in
-    # _cmd_bench (so the scenarios load only when one runs), --help included.
-    ben = sub.add_parser(
-        "bench",
-        add_help=False,
-        help="run a serving-tier benchmark scenario: batch, concurrent, mvcc, "
-        "slo, wal or shard (`repro bench <scenario> --help` lists its parameters)",
-    )
-    ben.add_argument("scenario")
-    ben.add_argument("flags", nargs=argparse.REMAINDER)
-    ben.set_defaults(func=_cmd_bench)
-
     srv = sub.add_parser(
         "serve", help="run the sharded serving tier over JSON TCP until ^C"
     )
@@ -641,25 +562,9 @@ def _parser() -> argparse.ArgumentParser:
         choices=("local", "process"),
     )
     srv.add_argument("--buffer-bytes", type=int, default=128 * 1024)
-    srv.add_argument(
-        "--read-delay",
-        type=float,
-        default=0.0,
-        help="simulated seconds of I/O stall per page fault",
-    )
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=0, help="0 picks a free port")
     srv.set_defaults(func=_cmd_serve)
-
-    slo = sub.add_parser(
-        "slo", help="evaluate tail-latency objectives against a bench report"
-    )
-    slo.add_argument("report", help="BENCH_*.json report file (e.g. BENCH_slo.json)")
-    slo.add_argument(
-        "--spec",
-        help="JSON SLO spec file (default: the built-in sanity objectives)",
-    )
-    slo.set_defaults(func=_cmd_slo)
 
     sta = sub.add_parser("stats", help="pretty-print BENCH_*.json run reports")
     sta.add_argument("report", nargs="+", help="report file(s) to print")

@@ -119,8 +119,8 @@ class RWLatch:
             self.tracer.event("latch_wait", latch=self.name, mode=mode)
 
     def _trace_acquire(self, mode: str, waited: float | None) -> None:
-        # Contended grants carry the measured wait so span joins can
-        # attribute latency to latch time (repro.obs.latency.span_breakdown).
+        # Contended grants carry the measured wait so a trace reader can
+        # attribute a span's latency to latch time.
         # R1 requires explicit keywords at call sites, hence the branches.
         if not self.tracer.enabled:
             return

@@ -120,8 +120,11 @@ class TornWalAppend(SimulatedCrashError):
         self.prefix = prefix
 
 
-class WorkloadError(ReproError):
-    """A workload generator received inconsistent parameters."""
+class WorkloadError(ReproError, ValueError):
+    """A workload generator received inconsistent parameters.
+
+    Also a ``ValueError``, like :class:`ConfigError`: the CLI turns either
+    into a one-line exit message."""
 
 
 class ConcurrencyError(ReproError):

@@ -253,21 +253,6 @@ _EVENT_SPECS: tuple[EventSpec, ...] = (
         doc="The recorder's lock-acquisition graph contains a cycle — a "
             "potential deadlock between the named levels.",
     ),
-    # -- traffic driver events (workloads/traffic.py) --------------------
-    _e(
-        "op_dispatch",
-        required=("tenant", "query_class"),
-        optional=("lag_ns",),
-        doc="The open-loop traffic driver started one scheduled operation "
-            "(lag_ns = actual start minus scheduled start).",
-    ),
-    _e(
-        "op_error",
-        required=("tenant", "query_class", "error_type"),
-        doc="A driven operation failed; its latency goes to the error "
-            "series, never the success histograms (error_type is the "
-            "exception class name).",
-    ),
     # -- sharded serving events (sharding/) ------------------------------
     _e(
         "shard_dispatch",
@@ -330,14 +315,6 @@ _SPAN_SPECS: tuple[SpanSpec, ...] = (
         begin=("queries",),
         end=("nodes_accessed", "records_found", "clusters"),
         doc="One shared traversal answering a whole batch of queries.",
-    ),
-    _s(
-        "serve",
-        begin=("tenant", "query_class"),
-        end=("cpu_ns",),
-        doc="One traffic-driver operation end to end (latching, paging "
-            "and index work); cpu_ns is the driver-measured thread CPU "
-            "time, joined with latch/page events for the breakdown.",
     ),
 )
 

@@ -23,9 +23,8 @@ Schema (``repro.bench-report/v2``)::
     }
 
 v2 adds the ``latencies`` section: log-bucketed latency summaries with
-p50/p90/p99/p999 quantiles, keyed by series name (the SLO benches use
-``<index>/<query_class>/<tenant>``).  Any other schema, v1 included, is
-rejected.
+p50/p90/p99/p999 quantiles, keyed by series name.  Any other schema, v1
+included, is rejected.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from numbers import Number
 from pathlib import Path
 
 from ..exceptions import InputFormatError
-from .latency import QUANTILE_LABELS, format_ns
 
 __all__ = [
     "SCHEMA",
@@ -47,13 +45,15 @@ __all__ = [
     "validate_report",
     "format_report",
     "format_latency_line",
+    "format_ns",
 ]
 
 SCHEMA = "repro.bench-report/v2"
 
 _REQUIRED = ("schema", "name", "config", "wall_seconds", "metrics", "histograms")
 
-_QUANTILE_KEYS = tuple(label for label, _ in QUANTILE_LABELS)
+#: The quantiles every ``latencies`` series carries.
+_QUANTILE_KEYS = ("p50", "p90", "p99", "p999")
 
 
 def build_report(
@@ -247,3 +247,19 @@ def format_latency_line(lat: dict) -> str:
     if lat.get("max") is not None:
         parts.append(f"max={format_ns(lat['max'])}")
     return "  ".join(parts)
+
+
+def format_ns(ns: float) -> str:
+    """Human-readable duration: ``412ns`` / ``3.1us`` / ``12.4ms`` / ``2.1s``.
+
+    Unit boundaries sit at 999.5 so the 3-significant-digit rendering
+    never shows ``1e+03ms`` instead of ``1s``.
+    """
+    magnitude = abs(ns)
+    if magnitude < 999.5:
+        return f"{ns:.0f}ns"
+    if magnitude < 999.5e3:
+        return f"{ns / 1e3:.3g}us"
+    if magnitude < 999.5e6:
+        return f"{ns / 1e6:.3g}ms"
+    return f"{ns / 1e9:.3g}s"

@@ -50,7 +50,6 @@ from ..concurrency.latch import RWLatch
 from ..core.geometry import Rect
 from ..core.query import QuerySurface
 from ..exceptions import ConfigError, ReproError, ShardError, ShardTimeoutError
-from ..obs.latency import LatencySeries
 from ..obs.tracer import NULL_TRACER, Tracer
 from . import wire
 from .admission import AdmissionController
@@ -131,10 +130,6 @@ class ShardRouter(QuerySurface):
         #: delete) — the pruning predicate for scatter fan-out.
         self._bounds_gate = threading.Lock()
         self._shard_bounds: dict[int, Rect | None] = {sid: None for sid in clients}
-        #: Per-(op, shard) wire-call latency, merged into bench reports;
-        #: each pair's ``record`` is resolved once.
-        self._latencies = LatencySeries()
-        self._records: dict[tuple[str, int], Callable[[int], None]] = {}
         self._loop: asyncio.AbstractEventLoop | None = None  # see ``attach``
         self.rebalances = 0
 
@@ -312,24 +307,13 @@ class ShardRouter(QuerySurface):
                 timer.cancel()
 
     def _submit(self, sid: int, op: str, args: tuple[Any, ...], retries: int) -> _Sent:
-        """Send one admitted call; its slot is given back, and its latency
-        recorded, by whichever thread resolves it."""
+        """Send one admitted call; its slot is given back by whichever
+        thread resolves it."""
         if retries and self.tracer.enabled:
             self.tracer.event("shard_shed", shard=sid, retries=retries)
-        record = self._records.get((op, sid))
-        if record is None:
-            record = self._latencies.recorder(op, f"shard-{sid}").record
-            self._records[op, sid] = record
-        start = time.perf_counter_ns()
-
-        def settled(future: "futures.Future[Any]") -> None:
-            self.admission.release(sid)
-            if future.exception() is None:
-                record(time.perf_counter_ns() - start)
-
         client = self._clients[sid]
         future = client.submit(op, args)
-        future.add_done_callback(settled)
+        future.add_done_callback(lambda _: self.admission.release(sid))
         return client, future
 
     def _expire(self, sent: Sequence[_Sent]) -> None:
@@ -379,7 +363,7 @@ class ShardRouter(QuerySurface):
         return values
 
     def _shard_call(self, sid: int, op: str, args: tuple[Any, ...]) -> Any:
-        """One admitted, latency-recorded, blocking wire call to one shard
+        """One admitted, blocking wire call to one shard
         (for the paths that already hold the topology latch)."""
         outcome = self._gather([(sid, op, args)])
         if isinstance(outcome, ShardError):
@@ -467,13 +451,12 @@ class ShardRouter(QuerySurface):
                 for sid in sorted(self._clients)
             }
 
-    def configure_workers(
-        self, delay_s: float = 0.0, read_delay: float | None = None
-    ) -> None:
-        """Broadcast runtime latency knobs to every worker (bench/tests)."""
+    def configure_workers(self, delay_s: float = 0.0) -> None:
+        """Broadcast a per-request handling delay to every worker (the
+        timeout tests' fault hook)."""
         with self._topology_latch.read():
             for sid in sorted(self._clients):
-                self._shard_call(sid, wire.OP_CONFIGURE, (delay_s, read_delay))
+                self._shard_call(sid, wire.OP_CONFIGURE, (delay_s,))
 
     def stats(self) -> dict:
         """Router-side counters, JSON-ready.  O(shards): safe beside writers."""
@@ -485,10 +468,6 @@ class ShardRouter(QuerySurface):
             "rebalances": self.rebalances,
             "admission": self.admission.snapshot(),
         }
-
-    def latency_snapshot(self, prefix: str = "") -> dict[str, dict]:
-        """Per-(op, shard) wire latencies for the v2 report schema."""
-        return self._latencies.snapshot(prefix=prefix)
 
     def attach(self, loop: asyncio.AbstractEventLoop) -> bool:
         """Hand every shard pipe without a pump — and those of shards yet
@@ -532,8 +511,6 @@ def build_router(
     bounds: Rect,
     transport: str = "process",
     buffer_bytes: int = 64 * 1024,
-    read_delay: float = 0.0,
-    write_delay: float = 0.0,
     order: int | None = None,
     tracer: Tracer | None = None,
     timeout_s: float | None = 5.0,
@@ -559,8 +536,6 @@ def build_router(
             bounds_highs=bounds.highs,
             **({"order": order} if order is not None else {}),
             buffer_bytes=buffer_bytes,
-            read_delay=read_delay,
-            write_delay=write_delay,
         )
 
     def spawn(shard_id: int) -> ShardClient:

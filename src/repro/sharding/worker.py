@@ -2,8 +2,8 @@
 
 A :class:`ShardWorker` owns everything a single-process serving engine
 owns — an :class:`~repro.core.rtree.RTree`, a
-:class:`~repro.storage.pager.StorageManager` buffer pool over a
-(latency-modelled) disk, with no log yet (ROADMAP item 4) — and speaks
+:class:`~repro.storage.pager.StorageManager` buffer pool over an
+in-memory disk, with no log yet (ROADMAP item 4) — and speaks
 only :class:`~repro.sharding.wire.Request`/:class:`~repro.sharding.wire.Reply`.
 Record ids are assigned globally by the router; the worker keeps the
 global<->local translation maps plus each record's rectangle, which is
@@ -31,7 +31,7 @@ from ..core.batch import CURVE_ORDER, curve_key
 from ..core.geometry import Rect
 from ..core.rtree import RTree
 from ..exceptions import ConfigError
-from ..storage.disk import LatencyDisk
+from ..storage.disk import SimulatedDisk
 from ..storage.pager import StorageManager
 from ..store import open_store
 from . import wire
@@ -40,9 +40,8 @@ from .wire import Reply, Request
 __all__ = ["ShardSpec", "ShardWorker", "worker_main"]
 
 #: Threads of a subprocess worker whose requests can stall: concurrent
-#: reads share the engine's index latch and overlap their disk stalls,
-#: like the single-process baseline's client threads (so a 1-shard fleet
-#: is not capped below the client concurrency).
+#: requests share the engine's index latch and overlap their stalls (a
+#: configured request delay today; a durable shard's log fsync later).
 WORKER_THREADS = 8
 
 #: One migrated record on the wire: (rid, lows, highs, payload).
@@ -64,8 +63,6 @@ class ShardSpec:
     order: int = CURVE_ORDER
     #: Buffer-pool bytes; 0 disables the storage layer entirely.
     buffer_bytes: int = 64 * 1024
-    read_delay: float = 0.0
-    write_delay: float = 0.0
 
     def bounds(self) -> Rect:
         return Rect(self.bounds_lows, self.bounds_highs)
@@ -80,16 +77,12 @@ class ShardWorker:
         self.tree = RTree()
         #: The worker serves requests through the concurrency engine, so
         #: a multi-threaded transport loop gets real reader-reader
-        #: overlap (shared index latch, concurrent buffer-miss stalls).
+        #: overlap under the shared index latch.
         self.engine: ConcurrentIndex
         self.storage: StorageManager | None = None
         if spec.buffer_bytes:
             # In memory, no log: a durable shard is ROADMAP item 4(b)-(d).
-            store = open_store(
-                LatencyDisk(read_delay=spec.read_delay, write_delay=spec.write_delay),
-                tree=self.tree,
-                buffer_bytes=spec.buffer_bytes,
-            )
+            store = open_store(SimulatedDisk(), tree=self.tree, buffer_bytes=spec.buffer_bytes)
             self.engine, self.storage = store.engine, store.manager
         else:
             self.engine = ConcurrentIndex(self.tree)
@@ -141,13 +134,11 @@ class ShardWorker:
     @property
     def may_block(self) -> bool:
         """Whether a request can stall the thread that runs it: a request
-        delay or a simulated disk latency (and, once a shard is durable,
-        its log's fsync).  Observed per request, not set: ``configure``
-        changes it at run time.  When false a request is pure CPU under
-        one GIL, and a second thread could only add a hand-off."""
-        disk = self.storage.disk if self.storage is not None else None
-        stalls = isinstance(disk, LatencyDisk) and (disk.read_delay or disk.write_delay)
-        return bool(self._delay_s or stalls)
+        delay (and, once a shard is durable, its log's fsync).  Observed
+        per request, not set: ``configure`` changes it at run time.  When
+        false a request is pure CPU under one GIL, and a second thread
+        could only add a hand-off."""
+        return bool(self._delay_s)
 
     def close(self) -> None:
         if self.storage is not None:
@@ -268,26 +259,10 @@ class ShardWorker:
             stats["buffer_misses"] = self.storage.pool.stats.misses
         return stats
 
-    def _op_configure(
-        self, delay_s: float, read_delay: float | None = None
-    ) -> None:
-        """Runtime fault/latency knobs: a per-request handling delay (the
-        timeout tests' hook) and the simulated disk's read latency (the
-        bench raises it after the zero-delay load phase so both sides
-        measure warm-pool steady state).  A worker with no simulated disk
-        (``buffer_bytes=0``) refuses a read latency rather than ignore it."""
+    def _op_configure(self, delay_s: float) -> None:
+        """A per-request handling delay: the timeout tests' fault hook."""
         if delay_s < 0:
             raise ConfigError("delay_s must be non-negative")
-        disk = self.storage.disk if self.storage is not None else None
-        if read_delay is not None:
-            if read_delay < 0:
-                raise ConfigError("read_delay must be non-negative")
-            if not isinstance(disk, LatencyDisk):
-                raise ConfigError(
-                    f"shard {self.spec.shard_id}: read_delay needs a simulated disk, "
-                    "and this worker has none (buffer_bytes=0)"
-                )
-            disk.read_delay = read_delay
         self._delay_s = delay_s
 
     def _op_ping(self) -> str:

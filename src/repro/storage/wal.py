@@ -55,7 +55,6 @@ from pathlib import Path
 from typing import Any, Callable, IO, Mapping, Sequence
 
 from ..exceptions import SimulatedCrashError, StorageError, TornWalAppend
-from ..obs.latency import LatencyRecorder
 from ..obs.lockgraph import TrackedCondition
 from ..obs.tracer import NULL_TRACER, Tracer
 from .page import PageId
@@ -330,8 +329,6 @@ class WriteAheadLog:
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self.delta_cache_pages = delta_cache_pages
         self.stats = WalStats()
-        #: Durable-acknowledgment latency per commit (nanoseconds).
-        self.commit_latency = LatencyRecorder()
         # Commit mutex + group-commit CV; reports to `repro racecheck`'s
         # lock-order recorder when one is installed (level "wal", rank 3).
         self._cv = TrackedCondition("wal")
@@ -536,7 +533,6 @@ class WriteAheadLog:
         acknowledged by the next batch — one fsync per batch, however
         many commits joined it.
         """
-        start = time.perf_counter_ns()
         while True:
             do_flush = False
             target = 0
@@ -571,7 +567,6 @@ class WriteAheadLog:
                     if self.tracer.enabled:
                         self.tracer.event("wal_fsync", lsn=self._durable_lsn)
                     self._cv.notify_all()
-        self.commit_latency.record(time.perf_counter_ns() - start)
 
     # ------------------------------------------------------------------
     # Truncation (checkpoint handshake)

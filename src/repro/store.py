@@ -1,6 +1,6 @@
 """Opening a store: the one composition of disk, log, pool and engine
-(DESIGN §3.2, "Opening a store").  The CLI, the bench scenarios, the stress
-harness and the shard workers all go through :func:`open_store`.
+(DESIGN §3.2, "Opening a store").  The CLI, the stress harness and the
+shard workers all go through :func:`open_store`.
 """
 
 from __future__ import annotations

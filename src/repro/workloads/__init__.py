@@ -24,17 +24,6 @@ from .queries import (
     QUERY_AREA,
     qar_sweep,
     query_rectangles,
-    uniform_queries,
-)
-from .traffic import (
-    DEFAULT_TENANTS,
-    QUERY_CLASSES,
-    ScheduledOp,
-    TenantSpec,
-    TrafficConfig,
-    TrafficResult,
-    generate_schedule,
-    run_traffic,
 )
 
 __all__ = [
@@ -57,13 +46,4 @@ __all__ = [
     "QUERY_AREA",
     "qar_sweep",
     "query_rectangles",
-    "uniform_queries",
-    "QUERY_CLASSES",
-    "DEFAULT_TENANTS",
-    "TenantSpec",
-    "TrafficConfig",
-    "ScheduledOp",
-    "TrafficResult",
-    "generate_schedule",
-    "run_traffic",
 ]

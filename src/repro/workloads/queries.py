@@ -10,8 +10,6 @@ randomly centered over the domain."
 from __future__ import annotations
 
 import math
-import random
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +22,6 @@ __all__ = [
     "QUERY_AREA",
     "query_rectangles",
     "qar_sweep",
-    "uniform_queries",
 ]
 
 #: The paper's 13 query aspect ratios.
@@ -85,21 +82,3 @@ def qar_sweep(
         for i, qar in enumerate(qars)
     }
 
-
-def uniform_queries(
-    n: int, area_fraction: float, seed: int, domain: Sequence[tuple[float, float]]
-) -> list[Rect]:
-    """Square queries with uniform centers covering ``area_fraction`` of
-    the domain each (clamped to the domain)."""
-    rng = random.Random(seed)
-    sides = [math.sqrt(area_fraction) * (hi - lo) for lo, hi in domain]
-    queries = []
-    for _ in range(n):
-        lows = []
-        highs = []
-        for (lo, hi), side in zip(domain, sides):
-            c = rng.uniform(lo, hi)
-            lows.append(max(lo, c - side / 2.0))
-            highs.append(min(hi, c + side / 2.0))
-        queries.append(Rect(tuple(lows), tuple(highs)))
-    return queries

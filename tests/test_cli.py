@@ -284,58 +284,33 @@ class TestStats:
             main(["stats", str(tmp_path / "BENCH_none.json")])
 
 
-class TestSloCommands:
-    def _bench(self, tmp_path):
-        return main([
-            "bench", "slo", "--records", "400", "--ops", "60", "--rate", "6000",
-            "--threads", "2", "--breakdown-ops", "20", "--index-types", "R-Tree",
-            "--report-dir", str(tmp_path),
-        ])
+class TestBadSizes:
+    """A size the workload generators refuse ends the run with a one-line
+    message, not a traceback."""
 
-    def test_bench_slo_writes_v2_report(self, tmp_path, capsys):
-        from repro.obs.report import SCHEMA, load_report
-
-        assert self._bench(tmp_path) == 0
-        out = capsys.readouterr().out
-        assert "slo bench" in out and "recorder overhead" in out
-        doc = load_report(tmp_path / "BENCH_slo.json")
-        assert doc["schema"] == SCHEMA
-        assert any(name.startswith("R-Tree/") for name in doc["latencies"])
-
-    def test_slo_default_spec_pass_and_stats_render(self, tmp_path, capsys):
-        self._bench(tmp_path)
-        capsys.readouterr()
-        report = str(tmp_path / "BENCH_slo.json")
-        assert main(["slo", report]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "objectives met" in out
-        assert main(["stats", report]) == 0
-        assert "latency R-Tree/" in capsys.readouterr().out
-
-    def test_slo_failing_spec_exits_nonzero(self, tmp_path, capsys):
-        import json as _json
-
-        self._bench(tmp_path)
-        spec = tmp_path / "spec.json"
-        spec.write_text(_json.dumps({"slo": [
-            {"name": "impossible", "series": "R-Tree/*", "quantile": "p50",
-             "threshold_ns": 1},
-        ]}))
-        capsys.readouterr()
-        assert main(["slo", str(tmp_path / "BENCH_slo.json"),
-                     "--spec", str(spec)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_slo_bad_spec_clean_exit(self, tmp_path):
-        self._bench(tmp_path)
-        spec = tmp_path / "spec.json"
-        spec.write_text('{"slo": []}')
-        with pytest.raises(SystemExit):
-            main(["slo", str(tmp_path / "BENCH_slo.json"), "--spec", str(spec)])
-
-    def test_slo_missing_report_clean_exit(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["slo", str(tmp_path / "BENCH_none.json")])
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["experiment", "--dist", "I1", "-n", "0", "--no-report"], "dataset size"),
+            (
+                ["experiment", "--dist", "I1", "-n", "100", "--queries", "0", "--no-report"],
+                "query count",
+            ),
+            (["inspect", "--dist", "I1", "-n", "0"], "dataset size"),
+            (["graphs", "graph1", "-n", "0", "--no-report"], "dataset size"),
+            (["generate", "--dist", "I1", "-n", "-3", "-o", "{tmp}/x.csv"], "dataset size"),
+            (
+                ["trace", "--dist", "I1", "-n", "100", "--queries", "0", "-o", "{tmp}/t.jsonl"],
+                "query count",
+            ),
+        ],
+        ids=["experiment-n", "experiment-queries", "inspect-n", "graphs-n", "generate-n",
+             "trace-queries"],
+    )
+    def test_clean_exit(self, argv, message, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert exc.value.code == f"{message} must be positive"
 
 
 class TestModuleEntryPoint:

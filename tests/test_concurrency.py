@@ -8,12 +8,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro import IndexConfig, Rect, SRTree
+from repro import IndexConfig, Rect, SRTree, open_store
 from repro.concurrency import ConcurrentIndex, RWLatch
-from repro.concurrency.stress import STRESS_INDEX_TYPES, run_stress
+from repro.concurrency.stress import STRESS_INDEX_TYPES, _make_index, run_stress
 from repro.exceptions import ConcurrencyError, StorageError
-from repro.storage import BufferPool, FileDisk, SimulatedDisk, StorageManager
-from repro.workloads import dataset_I3, query_rectangles
+from repro.storage import BufferPool, FileDisk, LatencyDisk, SimulatedDisk, StorageManager
+from repro.workloads import DOMAIN_HIGH, dataset_I3, dataset_R1, query_rectangles
 
 _TINY = IndexConfig(leaf_node_bytes=200, entry_bytes=40, coalesce_interval=25)
 
@@ -626,6 +626,23 @@ class TestLatchStatsConsistency:
                         "write_waits", "contended_acquires"):
                 assert cur[key] >= prev[key]
             assert cur["wait_seconds"] >= prev["wait_seconds"]
+
+
+class TestStallingPoolReads:
+    """Latched readers over a cold pool whose misses sleep: a stall
+    releases the interpreter lock, so reads overlap inside the miss path."""
+
+    @pytest.mark.parametrize("kind", STRESS_INDEX_TYPES)
+    def test_four_readers_answer_like_the_unpaged_tree(self, kind):
+        tree = _make_index(kind, IndexConfig(), dataset_R1(2_000, seed=1991), DOMAIN_HIGH)
+        queries = query_rectangles(1.0, 48, area=0.02 * DOMAIN_HIGH**2, seed=1992)
+        expected = [tree.search_ids(q) for q in queries]
+        disk = LatencyDisk(read_delay=0.0002)
+        with open_store(disk, tree=tree, buffer_bytes=32 * 1024) as store:
+            with ThreadPoolExecutor(max_workers=4) as readers:
+                got = list(readers.map(store.engine.search_ids, queries))
+        assert got == expected
+        assert store.manager.pool.stats.misses > 0
 
 
 class TestBufferPoolRaces:

@@ -9,6 +9,7 @@ from repro.exceptions import InputFormatError
 from repro.obs.report import (
     SCHEMA,
     build_report,
+    format_ns,
     format_report,
     load_report,
     report_filename,
@@ -142,12 +143,14 @@ class TestSchemaV2:
     """v2 latencies section; v1 is no longer read."""
 
     def _latencies(self):
-        from repro.obs.latency import LatencyRecorder
-
-        rec = LatencyRecorder()
-        for v in (1_000, 2_000, 3_000):
-            rec.record(v)
-        return {"R-Tree/stab/tenant-a": rec.summary()}
+        return {
+            "R-Tree/stab/tenant-a": {
+                "unit": "ns", "count": 3, "sum": 6_000, "mean": 2_000.0,
+                "min": 1_000, "max": 3_000,
+                "quantiles": {"p50": 2_000, "p90": 3_000, "p99": 3_000, "p999": 3_000},
+                "bins": [[1_000, 1], [2_000, 1], [3_000, 1]],
+            }
+        }
 
     def test_v1_document_is_rejected_like_any_unknown_schema(self, tmp_path):
         path = tmp_path / "BENCH_old.json"
@@ -211,3 +214,15 @@ class TestSchemaV2:
         assert line == (
             "n=5  p50=900ns  p90=1.5us  p99=3ms  p999=2s  max=2.1s"
         )
+
+
+class TestFormatNs:
+    def test_units(self):
+        assert format_ns(412) == "412ns"
+        assert format_ns(3_100) == "3.1us"
+        assert format_ns(12_400_000) == "12.4ms"
+        assert format_ns(2_100_000_000) == "2.1s"
+
+    def test_no_scientific_notation_at_boundaries(self):
+        assert "e+" not in format_ns(999_820_550)
+        assert format_ns(999_820_550).endswith("s")

@@ -326,24 +326,6 @@ class TestRouter:
         finally:
             router.close()
 
-    def test_configure_refuses_a_read_delay_it_cannot_apply(self):
-        """A worker with no simulated disk cannot stall its reads; saying
-        so is the only way a stall bench learns it measured nothing."""
-        router = self._router()
-        try:
-            with pytest.raises(ConfigError, match="shard 0: read_delay"):
-                router.configure_workers(read_delay=0.001)
-            router.configure_workers(delay_s=0.0)  # no read latency asked for
-        finally:
-            router.close()
-        router = self._router(buffer_bytes=16 * 1024)
-        try:
-            router.configure_workers(read_delay=0.001)
-            worker = router._clients[router.shard_ids[0]].worker
-            assert worker.storage.disk.read_delay == 0.001 and worker.may_block
-        finally:
-            router.close()
-
     def test_shed_insert_is_withdrawn(self):
         router = self._router(
             admission=AdmissionController(max_in_flight=1, max_retries=0, backoff_s=0.0)
@@ -457,7 +439,7 @@ class TestRouter:
         with pytest.raises(ConfigError):
             build_router(2, bounds=BOUNDS, transport="carrier-pigeon")
 
-    def test_stats_and_latency_snapshot(self):
+    def test_stats(self):
         router = self._router()
         try:
             router.insert(Rect((1.0, 1.0), (2.0, 2.0)))
@@ -466,9 +448,6 @@ class TestRouter:
             assert stats["records"] == 1
             assert stats["shards"] == 4
             assert stats["admission"]["admitted"] >= 2
-            snap = router.latency_snapshot(prefix="shard/")
-            assert any(name.startswith("shard/insert/") for name in snap)
-            assert all(s["count"] >= 1 for s in snap.values())
         finally:
             router.close()
 
@@ -652,12 +631,12 @@ class TestServedPath:
             for rect in _spread(8):
                 assert (await service.handle_frame(_frame("insert", rect)))["ok"]
             slow = router._clients[router.shard_ids[0]]
-            await asyncio.wrap_future(slow.submit(wire.OP_CONFIGURE, (0.4, None)))
+            await asyncio.wrap_future(slow.submit(wire.OP_CONFIGURE, (0.4,)))
             late = await service.handle_frame(_frame("search", BOUNDS))
             assert (late["ok"], late["error_type"]) == (False, "ShardTimeoutError")
             # Turning the delay off is itself delayed; by the time it is
             # answered the stale search reply has come and been dropped.
-            await asyncio.wrap_future(slow.submit(wire.OP_CONFIGURE, (0.0, None)))
+            await asyncio.wrap_future(slow.submit(wire.OP_CONFIGURE, (0.0,)))
             one = await service.handle_frame(_frame("search", _spread(8)[0]))
             assert one == {"ok": True, "value": [(1, None)]}
             everything = await service.handle_frame(_frame("search", BOUNDS))
@@ -670,7 +649,7 @@ class TestServedPath:
             for rect in _spread(8):
                 assert (await service.handle_frame(_frame("insert", rect)))["ok"]
             victim = router._clients[router.shard_ids[1]]
-            await asyncio.wrap_future(victim.submit(wire.OP_CONFIGURE, (0.5, None)))
+            await asyncio.wrap_future(victim.submit(wire.OP_CONFIGURE, (0.5,)))
             reads = [
                 asyncio.ensure_future(service.handle_frame(_frame("search", BOUNDS)))
                 for _ in range(6)

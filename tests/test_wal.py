@@ -214,7 +214,6 @@ class TestGroupCommit:
         # at least one fsync acknowledged multiple concurrent commits.
         assert wal.stats.fsyncs < total
         assert wal.stats.commits_per_fsync > 1.0
-        assert wal.commit_latency.count == total
         info = scan_wal(tmp_path / "w")
         assert info.commits == total and not info.torn_tail
 
@@ -700,27 +699,3 @@ class TestWalCli:
         out = capsys.readouterr().out
         assert "torn tail" in out
         assert "fsck: clean" in out
-
-    def test_bench_wal_smoke(self, tmp_path):
-        from repro.bench.harness import format_bench, run_bench
-        from repro.obs.report import validate_report
-
-        doc = run_bench(
-            "wal",
-            commits=12,
-            records=16,
-            writer_counts=(1, 2),
-            fsync_delay=0.001,
-            sweep_points=1,
-            checkpoint_every=8,
-            replay_lengths=(8,),
-            seed=BASE_SEED + 7,
-            report_dir=str(tmp_path),
-        )
-        validate_report(doc)
-        assert doc["metrics"]["durability"]["acked_missing"] == 0
-        assert doc["metrics"]["durability"]["crashes"] > 0
-        assert (tmp_path / "BENCH_wal.json").exists()
-        text = format_bench(doc)
-        assert "commits/fsync" in text
-        assert "missing after recovery" in text
