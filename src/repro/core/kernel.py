@@ -1,21 +1,23 @@
 """The hot geometric loops, written once and compiled once per dimensionality.
 
-Three loops compare one box against many, dimension by dimension: the
+The hot loops compare one box against many, dimension by dimension: the
 read kernel's overlap test (:func:`repro.core.query.intersecting`),
-Guttman's ChooseLeaf (``RTree._choose_branch``) and the SR-Tree's search
-for a spanned branch (``SRTree._try_place_spanning``).  Written as
-``for d in range(K)``, the inner loop costs more than the comparisons in
-it: an iterator per entry tested.  Each of those loops is therefore one
-*template* beside the code that calls it, and :func:`unrolled` compiles
-it for a given K with the per-dimension work spelled out as a straight
-chain of comparisons.  K is a property of the input (``len(rect.lows)``),
-so every dimensionality — 1 in ``rules/``, 2 in the paper's workloads, 3
-and 4 in the tests — runs code generated from the same template, and no
-per-K variant is written by hand.
+Guttman's ChooseLeaf (``RTree._choose_branch``), the SR-Tree's search for
+a spanned branch (``SRTree._try_place_spanning``) and Guttman's quadratic
+and linear splits (:mod:`repro.core.split`: PickSeeds' pair loop, PickNext
+and the growth of the two group covers).  Written as ``for d in range(K)``,
+the inner loop costs more than the comparisons in it: an iterator per
+entry tested.  Each of those loops is therefore one *template* beside the
+code that calls it, and :func:`unrolled` compiles it for a given K with
+the per-dimension work spelled out as a straight chain of comparisons.
+K is a property of the input (``len(rect.lows)``), so every
+dimensionality — 1 in ``rules/``, 2 in the paper's workloads, 3 and 4 in
+the tests — runs code generated from the same template, and no per-K
+variant is written by hand.
 
-A template is the source of one function.  ``<<sep|text>>`` stands for
-``text`` once per dimension, with ``{d}`` replaced by the dimension's
-index, joined by ``sep``::
+A template is the source of one function (after any import it needs).
+``<<sep|text>>`` stands for ``text`` once per dimension, with ``{d}``
+replaced by the dimension's index, joined by ``sep``::
 
     << or |lo[{d}] > rhi{d}>>   ->   lo[0] > rhi0 or lo[1] > rhi1   (K = 2)
     <<|rlo{d}, >>= rect.lows    ->   rlo0, rlo1, = rect.lows

@@ -379,14 +379,12 @@ class RTree(query.QuerySurface):
         sibling = Node(level=node.level, parent=node.parent)
         if node.is_leaf:
             entries = node.data_entries
-            rects = [e.rect for e in entries]
-            group_a, group_b = split_rects(rects, min_entries, self.config.split_algorithm)
+            group_a, group_b = split_rects(entries, min_entries, self.config.split_algorithm)
             node.data_entries = [entries[i] for i in group_a]
             sibling.data_entries = [entries[i] for i in group_b]
         else:
             branches = node.branches
-            rects = [b.rect for b in branches]
-            group_a, group_b = split_rects(rects, min_entries, self.config.split_algorithm)
+            group_a, group_b = split_rects(branches, min_entries, self.config.split_algorithm)
             node.branches = [branches[i] for i in group_a]
             sibling.branches = [branches[i] for i in group_b]
             for b in sibling.branches:

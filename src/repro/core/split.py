@@ -1,132 +1,114 @@
-"""Guttman node-splitting algorithms (quadratic and linear).
+"""Node-splitting algorithms: Guttman's quadratic and linear splits, and R*'s.
 
-Both algorithms partition a list of rectangles into two groups subject to a
-minimum fill ``m``.  They are written against bare rectangles so that leaf
-splits (data entries) and non-leaf splits (branches) share one
-implementation; the SR-Tree then carries spanning records over with their
-branches (Section 3.1.2, Figure 4).
+Each partitions a list of boxes into two groups subject to a minimum fill
+``m``.  A box is anything with ``lows`` / ``highs``: a ``Rect``, or the
+entries of the overflowing node themselves — data entries on a leaf,
+branches above — whose flat mirrors the splits read (``RTree._split_node``).
+The SR-Tree then carries spanning records over with their branches
+(Section 3.1.2, Figure 4).
 
 The two Guttman splits are the write side's geometry kernel (DESIGN §3.2):
-they read each rectangle's ``lows`` / ``highs`` once and decide on those
-coordinates — two running covers and their areas — without constructing a
-``Rect``.  Every float is the one the ``Rect`` methods would have produced,
-in the same order, so the groups are those of the ``Rect``-based version
-kept as the test oracle (``tests/_reference_split.py``).
+templates compiled per dimensionality K by :func:`repro.core.kernel.unrolled`,
+like ChooseLeaf.  The per-dimension work of PickSeeds' pair loop, PickNext
+and the growth of the two group covers is spelled out once per dimension,
+and each cover is a set of unrolled locals plus its area.  Every float is
+the one the ``Rect`` methods would have produced, in the same order, so the
+groups are those of the ``Rect``-based version kept as the test oracle
+(``tests/_reference_split.py``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Protocol, Sequence
 
 from ..exceptions import ConfigError
-from .floatcmp import fne
 from .geometry import Rect
+from .kernel import unrolled
 
 __all__ = ["split_rects", "quadratic_split", "linear_split", "rstar_split"]
 
 
-def split_rects(rects: list[Rect], min_entries: int, algorithm: str) -> tuple[list[int], list[int]]:
-    """Partition ``rects`` (by index) into two groups using ``algorithm``.
+class Box(Protocol):
+    """What a split reads of each entry: its bounds."""
+
+    @property
+    def lows(self) -> Sequence[float]: ...
+
+    @property
+    def highs(self) -> Sequence[float]: ...
+
+
+def split_rects(
+    boxes: Sequence[Box], min_entries: int, algorithm: str
+) -> tuple[list[int], list[int]]:
+    """Partition ``boxes`` (by index) into two groups using ``algorithm``.
 
     Args:
-        rects: The rectangles of the overflowing node's entries.
+        boxes: The overflowing node's entries, or their rectangles.
         min_entries: Guttman's m - each group receives at least this many.
         algorithm: "quadratic", "linear", or "rstar".
 
     Returns:
-        Two disjoint index lists covering ``range(len(rects))``.
+        Two disjoint index lists covering ``range(len(boxes))``.
     """
-    if len(rects) < 2:
+    if len(boxes) < 2:
         raise ConfigError("cannot split fewer than two entries")
-    min_entries = min(min_entries, len(rects) // 2)
+    min_entries = min(min_entries, len(boxes) // 2)
     if algorithm == "linear":
-        return linear_split(rects, min_entries)
+        return linear_split(boxes, min_entries)
     if algorithm == "rstar":
-        return rstar_split(rects, min_entries)
+        return rstar_split(boxes, min_entries)
     if algorithm == "quadratic":
-        return quadratic_split(rects, min_entries)
+        return quadratic_split(boxes, min_entries)
     raise ConfigError(f"unknown split algorithm {algorithm!r}")
 
 
-#: One bound (all the lows, or all the highs) of every rectangle of a split.
-_Bounds = list[tuple[float, ...]]
+# The floats of both templates are the ``Rect`` methods' (DESIGN §3.2 "Float
+# identity"): an area is 1.0 times each extent in dimension order; a grown
+# extent is ``max(cover_hi, hi) - min(cover_lo, lo)``, spelled so that the
+# cover's bound (the first argument) survives a tie; an enlargement is
+# ``grown - area``; ``<`` and ``>`` are strict, so the first index wins a tie.
 
+#: Guttman's quadratic split, compiled per K.  PickSeeds: the pair wasting
+#: the most area together, ``union - area_i - area_j``.  PickNext keeps every
+#: remaining entry's enlargement of each cover in ``enl_a`` / ``enl_b``; an
+#: assignment grows one cover only, so only that group's list is recomputed
+#: (``None`` until the next PickNext) — the other holds the same floats it
+#: would be recomputed to.  The argmax starts at position -1: a NaN
+#: preference (an infinite bound) never wins, and when every one is NaN the
+#: last remaining entry is taken; its enlargements then compare false both
+#: ways, so the area tie-break decides.
+_QUADRATIC = """
+from repro.core.floatcmp import fne
 
-def _flat(rects: list[Rect]) -> tuple[_Bounds, _Bounds, list[float]]:
-    """The rectangles as the kernel reads them: their ``lows`` and ``highs``
-    tuples and their areas, each taken once."""
-    return [r.lows for r in rects], [r.highs for r in rects], [r.area for r in rects]
-
-
-def _area(lows: Sequence[float], highs: Sequence[float]) -> float:
-    """``Rect.area`` for a cover's flat bounds: ``1.0``, then ``*= hi - lo``
-    per dimension."""
-    area = 1.0
-    for lo, hi in zip(lows, highs):
-        area *= hi - lo
-    return area
-
-
-def _grown_area(
-    clo: Sequence[float], chi: Sequence[float], lo: Sequence[float], hi: Sequence[float]
-) -> float:
-    """Area of the union of cover ``(clo, chi)`` and box ``(lo, hi)`` — the
-    product ``Rect.enlargement`` and ``Rect.union(...).area`` both take, in
-    the same order, with ``max`` / ``min`` keeping the cover's float on a tie."""
-    grown = 1.0
-    for d in range(len(clo)):
-        a, b, c, e = chi[d], hi[d], clo[d], lo[d]
-        grown *= (b if b > a else a) - (e if e < c else c)
-    return grown
-
-
-def _grow(clo: list[float], chi: list[float], lo: Sequence[float], hi: Sequence[float]) -> float:
-    """Grow the cover in place to enclose the box; returns its new area,
-    recomputed from the grown bounds (never accumulated)."""
-    for d in range(len(clo)):
-        if lo[d] < clo[d]:
-            clo[d] = lo[d]
-        if hi[d] > chi[d]:
-            chi[d] = hi[d]
-    return _area(clo, chi)
-
-
-def _pick_seeds_quadratic(lows: _Bounds, highs: _Bounds, areas: list[float]) -> tuple[int, int]:
-    """PickSeeds: the pair wasting the most area when grouped together
-    (strict ``>``: the first such pair wins a tie).
-
-    The pair loop here and PickNext's probe loop are the split's two O(n²)
-    loops; both spell :func:`_grown_area` out in place, because a call per
-    pair nearly doubles the time of the whole split."""
-    n = len(lows)
-    dims = range(len(lows[0]))
-    worst_pair = (0, 1)
-    worst_waste = float("-inf")
-    for i in range(n):
-        ilo, ihi, area_i = lows[i], highs[i], areas[i]
+def quadratic(boxes, min_entries):
+    flat = []
+    for box in boxes:
+        <<|l{d}, >>= box.lows
+        <<|h{d}, >>= box.highs
+        flat.append((<<|l{d}, >><<|h{d}, >>1.0<<| * (h{d} - l{d})>>))
+    n = len(flat)
+    seed_a = 0
+    seed_b = 1
+    worst = float("-inf")
+    for i in range(n - 1):
+        <<|l{d}, >><<|h{d}, >>area_i = flat[i]
         for j in range(i + 1, n):
-            jlo, jhi = lows[j], highs[j]
-            union = 1.0
-            for d in dims:
-                a, b, c, e = ihi[d], jhi[d], ilo[d], jlo[d]
-                union *= (b if b > a else a) - (e if e < c else c)
-            waste = union - area_i - areas[j]
-            if waste > worst_waste:
-                worst_waste = waste
-                worst_pair = (i, j)
-    return worst_pair
+            <<|x{d}, >><<|y{d}, >>area_j = flat[j]
+            w = 1.0<<| * ((y{d} if y{d} > h{d} else h{d}) - (x{d} if x{d} < l{d} else l{d}))>>
+            w = w - area_i - area_j
+            if w > worst:
+                worst = w
+                seed_a = i
+                seed_b = j
 
-
-def quadratic_split(rects: list[Rect], min_entries: int) -> tuple[list[int], list[int]]:
-    """Guttman's quadratic-cost split."""
-    lows, highs, areas = _flat(rects)
-    seed_a, seed_b = _pick_seeds_quadratic(lows, highs, areas)
-    group_a, group_b = [seed_a], [seed_b]
-    alo, ahi, area_a = list(lows[seed_a]), list(highs[seed_a]), areas[seed_a]
-    blo, bhi, area_b = list(lows[seed_b]), list(highs[seed_b]), areas[seed_b]
-    remaining = [i for i in range(len(rects)) if i not in (seed_a, seed_b)]
-    dims = range(len(alo))
-
+    group_a = [seed_a]
+    group_b = [seed_b]
+    <<|al{d}, >><<|ah{d}, >>area_a = flat[seed_a]
+    <<|bl{d}, >><<|bh{d}, >>area_b = flat[seed_b]
+    remaining = [i for i in range(n) if i != seed_a and i != seed_b]
+    rest = [flat[i] for i in remaining]
+    enl_a = enl_b = None
     while remaining:
         # If one group needs every remaining entry to reach min fill,
         # assign them all to it.
@@ -137,56 +119,118 @@ def quadratic_split(rects: list[Rect], min_entries: int) -> tuple[list[int], lis
             group_b.extend(remaining)
             break
 
-        # PickNext: entry with the greatest preference for one group.
-        best_idx = -1
+        if enl_a is None:
+            enl_a = [
+                1.0<<| * ((y{d} if y{d} > ah{d} else ah{d}) - (x{d} if x{d} < al{d} else al{d}))>>
+                - area_a
+                for <<|x{d}, >><<|y{d}, >>_ in rest
+            ]
+        if enl_b is None:
+            enl_b = [
+                1.0<<| * ((y{d} if y{d} > bh{d} else bh{d}) - (x{d} if x{d} < bl{d} else bl{d}))>>
+                - area_b
+                for <<|x{d}, >><<|y{d}, >>_ in rest
+            ]
+        best = -1
         best_diff = -1.0
-        enl_a = enl_b = 0.0
-        for pos, i in enumerate(remaining):
-            lo, hi = lows[i], highs[i]
-            to_a = to_b = 1.0
-            for d in dims:
-                l, h = lo[d], hi[d]
-                c, a = alo[d], ahi[d]
-                to_a *= (h if h > a else a) - (l if l < c else c)
-                c, a = blo[d], bhi[d]
-                to_b *= (h if h > a else a) - (l if l < c else c)
-            to_a -= area_a
-            to_b -= area_b
-            diff = abs(to_a - to_b)
+        pos = 0
+        for p, q in zip(enl_a, enl_b):
+            diff = abs(p - q)
             if diff > best_diff:
                 best_diff = diff
-                best_idx = pos
-                enl_a, enl_b = to_a, to_b
-        i = remaining.pop(best_idx)
+                best = pos
+            pos += 1
+        i = remaining.pop(best)
+        <<|x{d}, >><<|y{d}, >>_ = rest.pop(best)
+        p = enl_a.pop(best)
+        q = enl_b.pop(best)
 
-        if enl_a < enl_b:
-            choose_a = True
-        elif enl_b < enl_a:
-            choose_a = False
+        if p < q:
+            to_a = True
+        elif q < p:
+            to_a = False
         elif fne(area_a, area_b):
-            choose_a = area_a < area_b
+            to_a = area_a < area_b
         else:
-            choose_a = len(group_a) <= len(group_b)
+            to_a = len(group_a) <= len(group_b)
 
-        if choose_a:
+        if to_a:
             group_a.append(i)
-            area_a = _grow(alo, ahi, lows[i], highs[i])
+            <<; |al{d} = x{d} if x{d} < al{d} else al{d}>>
+            <<; |ah{d} = y{d} if y{d} > ah{d} else ah{d}>>
+            area_a = 1.0<<| * (ah{d} - al{d})>>
+            enl_a = None
         else:
             group_b.append(i)
-            area_b = _grow(blo, bhi, lows[i], highs[i])
+            <<; |bl{d} = x{d} if x{d} < bl{d} else bl{d}>>
+            <<; |bh{d} = y{d} if y{d} > bh{d} else bh{d}>>
+            area_b = 1.0<<| * (bh{d} - bl{d})>>
+            enl_b = None
 
     return group_a, group_b
+"""
+
+#: Guttman's linear split after its PickSeeds, compiled per K: each entry in
+#: turn joins the group whose cover it enlarges less; on a tie, the smaller
+#: group.
+_LINEAR = """
+def linear(boxes, min_entries, seed_a, seed_b):
+    group_a = [seed_a]
+    group_b = [seed_b]
+    <<|al{d}, >>= boxes[seed_a].lows
+    <<|ah{d}, >>= boxes[seed_a].highs
+    <<|bl{d}, >>= boxes[seed_b].lows
+    <<|bh{d}, >>= boxes[seed_b].highs
+    area_a = 1.0<<| * (ah{d} - al{d})>>
+    area_b = 1.0<<| * (bh{d} - bl{d})>>
+    remaining = [i for i in range(len(boxes)) if i != seed_a and i != seed_b]
+
+    for pos, i in enumerate(remaining):
+        rest = len(remaining) - pos
+        if len(group_a) + rest == min_entries:
+            group_a.extend(remaining[pos:])
+            return group_a, group_b
+        if len(group_b) + rest == min_entries:
+            group_b.extend(remaining[pos:])
+            return group_a, group_b
+        <<|x{d}, >>= boxes[i].lows
+        <<|y{d}, >>= boxes[i].highs
+        p = 1.0<<| * ((y{d} if y{d} > ah{d} else ah{d}) - (x{d} if x{d} < al{d} else al{d}))>>
+        p -= area_a
+        q = 1.0<<| * ((y{d} if y{d} > bh{d} else bh{d}) - (x{d} if x{d} < bl{d} else bl{d}))>>
+        q -= area_b
+        if p < q or (p == q and len(group_a) <= len(group_b)):
+            group_a.append(i)
+            <<; |al{d} = x{d} if x{d} < al{d} else al{d}>>
+            <<; |ah{d} = y{d} if y{d} > ah{d} else ah{d}>>
+            area_a = 1.0<<| * (ah{d} - al{d})>>
+        else:
+            group_b.append(i)
+            <<; |bl{d} = x{d} if x{d} < bl{d} else bl{d}>>
+            <<; |bh{d} = y{d} if y{d} > bh{d} else bh{d}>>
+            area_b = 1.0<<| * (bh{d} - bl{d})>>
+    return group_a, group_b
+"""
 
 
-def rstar_split(rects: list[Rect], min_entries: int) -> tuple[list[int], list[int]]:
+def quadratic_split(boxes: Sequence[Box], min_entries: int) -> tuple[list[int], list[int]]:
+    """Guttman's quadratic-cost split."""
+    split = unrolled(_QUADRATIC, "quadratic", len(boxes[0].lows))
+    groups: tuple[list[int], list[int]] = split(boxes, min_entries)
+    return groups
+
+
+def rstar_split(boxes: Sequence[Box], min_entries: int) -> tuple[list[int], list[int]]:
     """The R*-Tree split (Beckmann et al. 1990).
 
     ChooseSplitAxis: for every axis, sort by low then by high bound and sum
     the margins of all legal two-group distributions; pick the axis with
     the smallest sum.  ChooseSplitIndex: on that axis, pick the
     distribution with the least overlap between the two covering
-    rectangles, ties broken by least combined area.
+    rectangles, ties broken by least combined area.  It works on ``Rect``
+    objects throughout (DESIGN §3.2 "What was left alone").
     """
+    rects = [Rect(b.lows, b.highs) for b in boxes]
     min_entries = max(1, min_entries)
     n = len(rects)
     dims = rects[0].dims
@@ -240,13 +284,14 @@ def _running_covers(rects: list[Rect], order: list[int]) -> tuple[list[Rect], li
     return prefix, suffix
 
 
-def _pick_seeds_linear(lows: _Bounds, highs: _Bounds) -> tuple[int, int]:
-    """Linear PickSeeds: the pair with the greatest normalised separation."""
+def _pick_seeds_linear(boxes: Sequence[Box]) -> tuple[int, int]:
+    """Linear PickSeeds: the pair with the greatest normalised separation,
+    one dimension (a column of lows and one of highs) at a time."""
     best_pair = (0, 1)
     best_separation = float("-inf")
-    for d in range(len(lows[0])):
-        low_col = [lo[d] for lo in lows]
-        high_col = [hi[d] for hi in highs]
+    low_cols = zip(*(b.lows for b in boxes))
+    high_cols = zip(*(b.highs for b in boxes))
+    for low_col, high_col in zip(low_cols, high_cols):
         # Highest low side and lowest high side (the first entry with each).
         highest_low = max(low_col)
         lowest_high = min(high_col)
@@ -264,30 +309,8 @@ def _pick_seeds_linear(lows: _Bounds, highs: _Bounds) -> tuple[int, int]:
     return best_pair
 
 
-def linear_split(rects: list[Rect], min_entries: int) -> tuple[list[int], list[int]]:
+def linear_split(boxes: Sequence[Box], min_entries: int) -> tuple[list[int], list[int]]:
     """Guttman's linear-cost split."""
-    lows, highs, areas = _flat(rects)
-    seed_a, seed_b = _pick_seeds_linear(lows, highs)
-    group_a, group_b = [seed_a], [seed_b]
-    alo, ahi, area_a = list(lows[seed_a]), list(highs[seed_a]), areas[seed_a]
-    blo, bhi, area_b = list(lows[seed_b]), list(highs[seed_b]), areas[seed_b]
-    remaining = [i for i in range(len(rects)) if i not in (seed_a, seed_b)]
-
-    for pos, i in enumerate(remaining):
-        rest = len(remaining) - pos
-        if len(group_a) + rest == min_entries:
-            group_a.extend(remaining[pos:])
-            return group_a, group_b
-        if len(group_b) + rest == min_entries:
-            group_b.extend(remaining[pos:])
-            return group_a, group_b
-        lo, hi = lows[i], highs[i]
-        enl_a = _grown_area(alo, ahi, lo, hi) - area_a
-        enl_b = _grown_area(blo, bhi, lo, hi) - area_b
-        if enl_a < enl_b or (enl_a == enl_b and len(group_a) <= len(group_b)):
-            group_a.append(i)
-            area_a = _grow(alo, ahi, lo, hi)
-        else:
-            group_b.append(i)
-            area_b = _grow(blo, bhi, lo, hi)
-    return group_a, group_b
+    split = unrolled(_LINEAR, "linear", len(boxes[0].lows))
+    groups: tuple[list[int], list[int]] = split(boxes, min_entries, *_pick_seeds_linear(boxes))
+    return groups

@@ -5,6 +5,8 @@ This is ``repro.core.split`` as it stood before the write-side kernel
 PickNext probe two ``Rect.enlargement`` calls.  It is kept, verbatim, as the
 oracle the flat implementation must agree with *group for group, in order*
 (``tests/test_split.py``) and build for build (``tests/test_write_kernel.py``).
+Only :func:`split_rects` changed: ``RTree._split_node`` now passes the
+node's entries, and the oracle splits their ``rect``s.
 Test-only: nothing under ``src/`` imports it.
 """
 
@@ -17,12 +19,14 @@ from repro.core.geometry import Rect
 __all__ = ["split_rects", "quadratic_split", "linear_split"]
 
 
-def split_rects(rects: list[Rect], min_entries: int, algorithm: str) -> tuple[list[int], list[int]]:
+def split_rects(boxes: list, min_entries: int, algorithm: str) -> tuple[list[int], list[int]]:
     """``repro.core.split.split_rects`` with the ``Rect``-based Guttman
     splits behind it; everything else (``rstar``, the error cases) is the
-    kernel's own."""
-    if len(rects) < 2 or algorithm not in ("quadratic", "linear"):
-        return kernel.split_rects(rects, min_entries, algorithm)
+    kernel's own.  ``boxes`` are ``Rect`` objects or a node's entries,
+    whose ``rect`` is split."""
+    if len(boxes) < 2 or algorithm not in ("quadratic", "linear"):
+        return kernel.split_rects(boxes, min_entries, algorithm)
+    rects = [box if isinstance(box, Rect) else box.rect for box in boxes]
     split = quadratic_split if algorithm == "quadratic" else linear_split
     return split(rects, min(min_entries, len(rects) // 2))
 

@@ -1,26 +1,32 @@
 """Each compiled kernel decides what the loop it replaced decided.
 
-``repro.core.kernel`` compiles the read kernel's overlap test, ChooseLeaf
-and the SR-Tree's spanned-branch scan once per dimensionality, each from
-one template.  Here every instance for K = 1 to 4 runs beside the loop it
-replaced (``tests/_reference_kernel.py``) over seeded random trees of the
-kinds that store records differently: an SR-Tree whose six-entry pages
-hold spanning records at every level, a skeleton SR-Tree, and an R+-Tree
-that replicates.  The queries touch record boundaries on an integer grid,
-are degenerate, or reach to +-inf.  Hits must come back in the same order
-from the same node visits, and ChooseLeaf must pick the same branch.
+``repro.core.kernel`` compiles the read kernel's overlap test, ChooseLeaf,
+the SR-Tree's spanned-branch scan and Guttman's quadratic and linear splits
+once per dimensionality, each from one template.  Here every instance for
+K = 1 to 4 runs beside the loop it replaced (``tests/_reference_kernel.py``)
+over seeded random trees of the kinds that store records differently: an
+SR-Tree whose six-entry pages hold spanning records at every level, a
+skeleton SR-Tree, and an R+-Tree that replicates.  The queries touch record
+boundaries on an integer grid, are degenerate, or reach to +-inf.  Hits
+must come back in the same order from the same node visits, and ChooseLeaf
+must pick the same branch.  The splits run against their ``Rect``-based
+oracle in ``tests/test_split.py``; here they get the case where every
+preference is NaN, and every template's instances must be named for
+profiles and tracebacks.
 """
 
 from __future__ import annotations
 
+import cProfile
 import linecache
 import math
+import pstats
 import random
 
 import pytest
 
 from repro import IndexConfig, Rect, RPlusTree, SkeletonSRTree, SRTree, check_index
-from repro.core import query
+from repro.core import query, split
 from repro.core.entry import BranchEntry, DataEntry
 from repro.core.kernel import unrolled
 from repro.core.node import Node
@@ -29,6 +35,7 @@ from repro.core.srtree import _FIRST_SPANNED
 from repro.exceptions import IndexStructureError
 
 from . import _reference_kernel as reference
+from . import _reference_split as reference_split
 
 DIMS = (1, 2, 3, 4)
 SIDE = 64  # an integer grid, so record and query boundaries often coincide
@@ -223,6 +230,17 @@ def test_choose_branch_with_only_nan_enlargements_raises_both_ways(k):
             choose(tree, node, rect)
 
 
+@pytest.mark.parametrize("k", DIMS)
+def test_split_with_only_nan_preferences_takes_the_last_entry_both_ways(k):
+    """Every box reaches -inf, so every waste and enlargement is
+    ``inf - inf`` = NaN.  PickSeeds keeps its first pair; PickNext's argmax
+    starts at position -1, so it takes the last remaining entry each time,
+    and with both areas inf the smaller group gets it."""
+    boxes = [Rect(*_pad(k, (-INF,), (float(x),))) for x in (3, 9, 1, 7, 5, 2)]
+    for quadratic_split in (split.quadratic_split, reference_split.quadratic_split):
+        assert quadratic_split(boxes, 1) == ([0, 5, 3], [1, 4, 2])
+
+
 def test_instances_are_named_for_profiles_and_tracebacks():
     kernel = unrolled(query._INTERSECTING, "intersecting", 3)
     code = kernel.__code__
@@ -232,3 +250,10 @@ def test_instances_are_named_for_profiles_and_tracebacks():
         code.co_filename, code.co_firstlineno + 1
     )
     assert unrolled(query._INTERSECTING, "intersecting", 3) is kernel  # compiled once
+
+    boxes = [Rect((x, 0.0), (x + 1.0, 1.0)) for x in (0.0, 5.0, 1.0, 6.0)]
+    for algorithm in ("quadratic", "linear"):
+        profile = cProfile.Profile()
+        profile.runcall(split.split_rects, boxes, 1, algorithm)
+        files = {filename for filename, _, _ in pstats.Stats(profile).stats}
+        assert f"<repro.core.kernel {algorithm} K=2>" in files

@@ -1,5 +1,6 @@
 """Tests for the Guttman node-split algorithms."""
 
+import math
 import random
 
 import pytest
@@ -106,11 +107,16 @@ def test_property_split_partitions(boxes, algorithm):
 # ---------------------------------------------------------------------------
 ALGORITHMS = ("quadratic", "linear")
 FILLS = (0.0, 0.3, 0.4, 0.5)  # min_entries as a share of n (0.0 -> m = 1)
+DIMS = (1, 2, 3, 4)
+INF = math.inf
 
 
 def _random_rects(rng, n, dims, *, grid):
     """``n`` boxes, each dimension degenerate half the time; on an integer
-    grid (``grid``) areas, wastes and enlargements tie constantly."""
+    grid (``grid``) areas, wastes and enlargements tie constantly.  One
+    bound in twenty is infinite, which makes areas and enlargements inf or
+    NaN (``inf - inf``, ``0 * inf``): a NaN preference must never win
+    PickNext."""
     out = []
     for _ in range(n):
         lows, highs = [], []
@@ -120,8 +126,13 @@ def _random_rects(rng, n, dims, *, grid):
                 extent = 0.0
             else:
                 extent = float(rng.randrange(1, 6)) if grid else rng.expovariate(1 / 40.0)
+            hi = lo + extent
+            if rng.random() < 0.05:
+                lo = -INF
+            if rng.random() < 0.05:
+                hi = INF
             lows.append(lo)
-            highs.append(lo + extent)
+            highs.append(hi)
         out.append(Rect(lows, highs))
     return out
 
@@ -135,7 +146,7 @@ def _assert_same_split(boxes):
             ), (algorithm, m, boxes)
 
 
-@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("dims", DIMS)
 @pytest.mark.parametrize("n", [2, 3, 5, 26, 51, 101])
 @pytest.mark.parametrize("grid", [False, True], ids=["floats", "grid"])
 def test_kernel_matches_reference_on_seeded_sets(dims, n, grid):
@@ -144,12 +155,15 @@ def test_kernel_matches_reference_on_seeded_sets(dims, n, grid):
         _assert_same_split(_random_rects(rng, n, dims, grid=grid))
 
 
-@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("dims", DIMS)
 def test_kernel_matches_reference_on_degenerate_and_identical_sets(dims):
     rng = random.Random(dims)
     unit = Rect([0.0] * dims, [1.0] * dims)
     dot = Rect([3.0] * dims, [3.0] * dims)
     far = Rect([500.0] * dims, [501.0] * dims)
+    everything = Rect([-INF] * dims, [INF] * dims)
+    left = Rect([-INF] * dims, [2.0] * dims)
+    right = Rect([4.0] * dims, [INF] * dims)
     for boxes in (
         [unit] * 9,
         [dot] * 9,
@@ -158,6 +172,11 @@ def test_kernel_matches_reference_on_degenerate_and_identical_sets(dims):
         [dot, far],
         # one shared low corner, growing extents: every cover is nested
         [Rect([0.0] * dims, [float(k)] * dims) for k in range(1, 12)],
+        # infinite bounds: areas are inf, enlargements inf - inf = NaN
+        [everything] * 6,
+        [left, right, unit, dot, far, everything, unit, far],
+        [unit] * 5 + [left] * 5 + [right] * 2,
+        [dot] * 4 + [right] * 4,
     ):
         _assert_same_split(boxes)
         shuffled = list(boxes)
@@ -167,11 +186,13 @@ def test_kernel_matches_reference_on_degenerate_and_identical_sets(dims):
 
 @st.composite
 def _rect_sets(draw):
-    dims = draw(st.integers(min_value=1, max_value=3))
+    dims = draw(st.integers(min_value=1, max_value=4))
     if draw(st.booleans()):
         coord = st.integers(min_value=0, max_value=8).map(float)  # ties
     else:
         coord = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
+    if draw(st.booleans()):
+        coord = coord | st.sampled_from([-INF, INF])
     corners = st.tuples(
         st.lists(coord, min_size=dims, max_size=dims),
         st.lists(coord, min_size=dims, max_size=dims),
