@@ -1,7 +1,9 @@
 """The hot geometric loops, written once and compiled once per dimensionality.
 
 The hot loops compare one box against many, dimension by dimension: the
-read kernel's overlap test (:func:`repro.core.query.intersecting`),
+read kernel's overlap test (:func:`repro.core.query.intersecting`) and
+fragment collection (:func:`repro.core.query.fragments`), the delete's
+search for a record's fragments (:func:`repro.core.query.locate`),
 Guttman's ChooseLeaf (``RTree._choose_branch``), the SR-Tree's search for
 a spanned branch (``SRTree._try_place_spanning``) and Guttman's quadratic
 and linear splits (:mod:`repro.core.split`: PickSeeds' pair loop, PickNext

@@ -17,13 +17,15 @@ loop body serves both with no per-entry adapter:
   ``fetch`` accepts (a live node, a page id);
 * record — ``record_id``, ``lows`` / ``highs`` / ``rect``, ``payload``.
 
-**Kernel.**  :func:`intersecting` (the only hot loop, compiled per
-dimensionality from one template: :mod:`repro.core.kernel`), :func:`fragments`
-with the :func:`within` / :func:`containing` post-filters, and
+**Kernel.**  :func:`intersecting` (the hot loop) and :func:`fragments`
+(for the :func:`within` / :func:`containing` post-filters), each compiled
+per dimensionality from one template (:mod:`repro.core.kernel`), and
 :func:`walk` reach nodes through ``fetch(handle) -> node`` (a snapshot's
 version lookup and decode), or ``None`` when the handles are live nodes;
 the query kernels return the handles visited, which a live tree settles
 once per query: statistics, page touches, ``node_access`` trace.
+:func:`locate`, compiled the same way, is the delete's search over live
+nodes.
 
 **Surface.**  :class:`QuerySurface` declares the public read methods once
 over two hooks, ``_query(kind, rect)`` and ``_query_batch(rects)``.
@@ -41,7 +43,9 @@ from ..exceptions import ConfigError
 from .geometry import Rect, pieces_cover
 from .kernel import unrolled
 
-__all__ = ["KINDS", "Fetch", "SpanningHit", "QuerySurface", "answer", "intersecting", "walk"]
+__all__ = [
+    "KINDS", "Fetch", "SpanningHit", "QuerySurface", "answer", "intersecting", "locate", "walk"
+]
 
 SEARCH = "search"
 STAB = "stab"  # ``search`` on a degenerate rectangle; a kind because the wire names it
@@ -113,33 +117,101 @@ def intersecting(
     return kernel(fetch, root, rect, on_spanning_hit)
 
 
-def fragments(
-    fetch: Fetch | None, root: Any, rect: Rect, extra: Iterable[Any] = ()
-) -> tuple[dict[int, list[Any]], list[Any]]:
-    """Every stored fragment intersecting ``rect``, grouped by record id
-    (``extra``: records held outside the nodes), plus the handles
-    visited."""
-    found: dict[int, list[Any]] = {}
-    visited: list[Any] = []
-
-    def collect(records: Iterable[Any]) -> None:
-        for e in records:
-            if e.rect.intersects(rect):
-                found.setdefault(e.record_id, []).append(e)
-
+#: :func:`fragments`'s traversal: :data:`_INTERSECTING`'s loop and overlap
+#: test, every intersecting fragment kept and grouped by record id.
+_FRAGMENTS = """
+def fragments(fetch, root, rect, extra):
+    <<|rlo{d}, >>= rect.lows
+    <<|rhi{d}, >>= rect.highs
+    found = {}
+    visited = []
     stack = [root] if root else []
     while stack:
         node = stack.pop()
         visited.append(node)
         if fetch is not None:
             node = fetch(node)
-        collect(node.data_entries)
+        for e in node.data_entries:
+            lo = e.lows
+            hi = e.highs
+            if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                continue
+            found.setdefault(e.record_id, []).append(e)
         for b in node.branches:
-            collect(b.spanning)
-            if b.rect.intersects(rect):
-                stack.append(b.child)
-    collect(extra)
+            for e in b.spanning:
+                lo = e.lows
+                hi = e.highs
+                if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                    continue
+                found.setdefault(e.record_id, []).append(e)
+            lo = b.lows
+            hi = b.highs
+            if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                continue
+            stack.append(b.child)
+    for e in extra:
+        lo = e.lows
+        hi = e.highs
+        if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+            continue
+        found.setdefault(e.record_id, []).append(e)
     return found, visited
+"""
+
+
+def fragments(
+    fetch: Fetch | None, root: Any, rect: Rect, extra: Iterable[Any] = ()
+) -> tuple[dict[int, list[Any]], list[Any]]:
+    """Every stored fragment intersecting ``rect``, grouped by record id
+    (``extra``: records held outside the nodes), plus the handles
+    visited."""
+    kernel = unrolled(_FRAGMENTS, "fragments", len(rect.lows))
+    return kernel(fetch, root, rect, extra)
+
+
+#: The paper's deletion search (Section 3.1.1) over live nodes, compiled
+#: per K: every node reached through branches overlapping ``hint`` (the
+#: test of :data:`_INTERSECTING`), in a recursion's pre-order — a node's
+#: branches are read last to first, so its children pop first to last.
+#: A holder is ``(leaf, None)`` for a leaf with a fragment of
+#: ``record_id`` and ``(node, branch)`` for a branch with a spanning one;
+#: an empty spanning list is not scanned.  Nothing is changed.
+_LOCATE = """
+def locate(root, record_id, hint):
+    <<|rlo{d}, >>= hint.lows
+    <<|rhi{d}, >>= hint.highs
+    holders = []
+    visited = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        visited.append(node)
+        for e in node.data_entries:
+            if e.record_id == record_id:
+                holders.append((node, None))
+                break
+        for b in reversed(node.branches):
+            if b.spanning:
+                for e in b.spanning:
+                    if e.record_id == record_id:
+                        holders.append((node, b))
+                        break
+            lo = b.lows
+            hi = b.highs
+            if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                continue
+            stack.append(b.child)
+    return holders, visited
+"""
+
+
+def locate(root: Any, record_id: int, hint: Rect) -> tuple[list[tuple[Any, Any]], list[Any]]:
+    """The holders of ``record_id``'s fragments under ``root`` — ``(leaf,
+    None)`` or ``(node, branch)`` — reached through branches overlapping
+    ``hint``, plus the nodes visited, in visit order.  An all-infinite
+    ``hint`` reaches every node: the paper's hint-less full scan."""
+    kernel = unrolled(_LOCATE, "locate", len(hint.lows))
+    return kernel(root, record_id, hint)
 
 
 def within(rect: Rect, found: Mapping[int, list[Any]]) -> list[Any]:

@@ -27,7 +27,9 @@ Writes report what they change: every content modification goes through
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -45,6 +47,13 @@ from .stats import AccessStats, SearchStats
 __all__ = ["RTree"]
 
 _LEVEL = attrgetter("level")
+
+
+@functools.cache
+def _everywhere(k: int) -> Rect:
+    """The hint of a hint-less delete: every branch overlaps it."""
+    return Rect((-math.inf,) * k, (math.inf,) * k)
+
 
 #: ChooseLeaf over one node's branches, compiled per K by
 #: :func:`repro.core.kernel.unrolled`.  The floats are ``Rect.area`` and
@@ -202,21 +211,43 @@ class RTree(query.QuerySurface):
         ``hint`` (the record's original rectangle) bounds the traversal; the
         paper notes that without it the *entire* index must be searched for
         related spanning/remnant fragments (Section 3.1.1), which is what we
-        do when no hint is given.
+        do when no hint is given.  The fragments are located and every node
+        visited is settled before anything changes, so a page fault leaves
+        the tree untouched.
         """
+        if hint is not None:
+            self._check_rect(hint)
         with self.tracer.span("delete", record_id=record_id) as sp:
-            changed: list[Node] = []
-            removed = self._remove_fragments(self.root, record_id, hint, changed)
-            if not removed and hint is not None and record_id in self._fragment_counts:
+            everywhere = _everywhere(self.dims)
+            holders, visited = query.locate(self.root, record_id, hint or everywhere)
+            if not holders and hint is not None and record_id in self._fragment_counts:
                 # A bad hint (one that misses the record's actual fragments)
                 # must degrade to the full-index scan the paper describes,
                 # not silently delete nothing.
-                removed = self._remove_fragments(self.root, record_id, None, changed)
+                holders, rescan = query.locate(self.root, record_id, everywhere)
+                visited += rescan
+            self._settle(visited)
+            self.stats.node_accesses += len(visited)
+            removed = 0
+            changed: dict[Node, None] = {}  # holders and their ancestors, touched once
+            for holder, branch in holders:
+                if branch is None:
+                    kept = [e for e in holder.data_entries if e.record_id != record_id]
+                    removed += len(holder.data_entries) - len(kept)
+                    holder.data_entries = kept
+                else:
+                    kept = [r for r in branch.spanning if r.record_id != record_id]
+                    removed += len(branch.spanning) - len(kept)
+                    branch.spanning = kept
+                while holder is not None and holder not in changed:
+                    changed[holder] = None
+                    self._touch(holder)
+                    holder = holder.parent
             if removed:
                 self._size -= 1
                 self.stats.deletes += 1
                 self._fragment_counts.pop(record_id, None)
-                self._condense(changed)
+                self._condense(sorted(changed, key=_LEVEL))
             sp.set(fragments_removed=removed)
         return removed
 
@@ -448,36 +479,6 @@ class RTree(query.QuerySurface):
     # ------------------------------------------------------------------
     # Deletion internals
     # ------------------------------------------------------------------
-    def _remove_fragments(
-        self, node: Node, record_id: int, hint: Rect | None, changed: list[Node]
-    ) -> int:
-        """Remove ``record_id``'s fragments below ``node``; every node that
-        lost one (or has a descendant that did) is touched and appended to
-        ``changed``, child-first."""
-        removed = 0
-        self._settle([node])  # one at a time: a page fault stops the descent here
-        self.stats.node_accesses += 1
-        if node.is_leaf:
-            before = len(node.data_entries)
-            node.data_entries = [e for e in node.data_entries if e.record_id != record_id]
-            removed = before - len(node.data_entries)
-        else:
-            for b in node.branches:
-                before = len(b.spanning)
-                b.spanning = [r for r in b.spanning if r.record_id != record_id]
-                removed += before - len(b.spanning)
-            if removed:
-                # Reported before descending: a child's page fault may raise,
-                # and the records dropped here must still reach the log.
-                self._mark(node)
-            for b in node.branches:
-                if hint is None or b.rect.intersects(hint):
-                    removed += self._remove_fragments(b.child, record_id, hint, changed)
-        if removed:
-            self._touch(node)
-            changed.append(node)
-        return removed
-
     def _condense(self, changed: Sequence[Node]) -> None:
         """Unlink the children a delete emptied and shrink a trivial root.
 
@@ -485,30 +486,25 @@ class RTree(query.QuerySurface):
         are unlinked; underfull-but-nonempty nodes are left in place (legal
         for R-Trees, which never require rebalancing for correctness).
 
-        ``changed`` is what :meth:`_remove_fragments` touched, child-first.
-        A child becomes removable only under one of those nodes — it lost
-        its last entry or last child, or its branch lost its last spanning
-        record — so only their branches are examined, and a parent is
-        reached after the children that may have emptied it.  An unlinked
-        node's ``parent`` is cleared: that is how storage tells a freed
-        page from a live one.
+        ``changed`` is what :meth:`delete` touched, child-first: the holders
+        of the record's fragments and their ancestors.  A child becomes
+        removable only under one of those nodes — it lost its last entry or
+        last child, or its branch lost its last spanning record — so only
+        their branches are examined, and a parent is reached after the
+        children that may have emptied it.  An unlinked node's ``parent`` is
+        cleared: that is how storage tells a freed page from a live one.
         """
         for node in changed:
-            keep = []
-            for b in node.branches:
-                child = b.child
-                if (
-                    b.spanning
-                    or child.branches
-                    or child.data_entries
-                    or (child.is_leaf and child.assigned_region is not None)
-                ):
-                    keep.append(b)
-                else:
-                    child.parent = None
-                    self._mark(child)
-            if len(keep) != len(node.branches):
-                node.branches = keep
+            emptied = [
+                b for b in node.branches
+                if not (b.spanning or b.child.branches or b.child.data_entries
+                        or (b.child.is_leaf and b.child.assigned_region is not None))
+            ]
+            if emptied:
+                for b in emptied:
+                    b.child.parent = None
+                    self._mark(b.child)
+                node.branches = [b for b in node.branches if b not in emptied]
                 self._mark(node)
         while (
             not self.root.is_leaf

@@ -249,6 +249,8 @@ class SkeletonMixin:
         return [DataEntry(*buffered) for buffered in predictor.buffered]
 
     def delete(self, record_id: int, hint: Rect | None = None) -> int:
+        if hint is not None:
+            self._check_rect(hint)
         predictor = self._predictor
         if predictor is not None:
             for i, (_, rid, _) in enumerate(predictor.buffered):

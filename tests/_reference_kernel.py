@@ -1,18 +1,19 @@
 """The hot geometric loops as they stood before they were compiled per K.
 
-``repro.core.kernel`` instantiates the read kernel's overlap test,
-ChooseLeaf and the SR-Tree's spanned-branch scan once per dimensionality
-from one template each.  The loops they replaced are kept here verbatim,
-``for d in range(K)`` and all, as the oracle those instances must agree
-with: the same hits in the same order, the same node count, the same
-branch chosen (``tests/test_kernel.py``, and the builds of
+``repro.core.kernel`` instantiates the read kernel's overlap test and
+fragment collection, ChooseLeaf and the SR-Tree's spanned-branch scan
+once per dimensionality from one template each.  The loops they
+replaced are kept here verbatim, ``for d in range(K)``, ``Rect.intersects``
+and all, as the oracle those instances must agree with: the same hits in
+the same order, the same node count, the same branch chosen
+(``tests/test_kernel.py``, and the builds of
 ``tests/test_write_kernel.py``).  Test-only: nothing under ``src/``
 imports it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.entry import BranchEntry
 from repro.core.geometry import Rect, spans
@@ -20,7 +21,7 @@ from repro.core.node import Node
 from repro.core.query import Fetch, SpanningHit
 from repro.exceptions import IndexStructureError
 
-__all__ = ["intersecting", "choose_branch", "first_spanned"]
+__all__ = ["intersecting", "fragments", "choose_branch", "first_spanned"]
 
 
 def intersecting(
@@ -66,6 +67,33 @@ def intersecting(
             else:
                 stack.append(b.child)
     return hits, visited
+
+
+def fragments(
+    fetch: Fetch | None, root: Any, rect: Rect, extra: Iterable[Any] = ()
+) -> tuple[dict[int, list[Any]], list[Any]]:
+    """``repro.core.query.fragments``."""
+    found: dict[int, list[Any]] = {}
+    visited: list[Any] = []
+
+    def collect(records: Iterable[Any]) -> None:
+        for e in records:
+            if e.rect.intersects(rect):
+                found.setdefault(e.record_id, []).append(e)
+
+    stack = [root] if root else []
+    while stack:
+        node = stack.pop()
+        visited.append(node)
+        if fetch is not None:
+            node = fetch(node)
+        collect(node.data_entries)
+        for b in node.branches:
+            collect(b.spanning)
+            if b.rect.intersects(rect):
+                stack.append(b.child)
+    collect(extra)
+    return found, visited
 
 
 def choose_branch(self: Any, node: Node, rect: Rect) -> BranchEntry:

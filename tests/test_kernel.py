@@ -1,18 +1,21 @@
 """Each compiled kernel decides what the loop it replaced decided.
 
-``repro.core.kernel`` compiles the read kernel's overlap test, ChooseLeaf,
-the SR-Tree's spanned-branch scan and Guttman's quadratic and linear splits
-once per dimensionality, each from one template.  Here every instance for
-K = 1 to 4 runs beside the loop it replaced (``tests/_reference_kernel.py``)
-over seeded random trees of the kinds that store records differently: an
-SR-Tree whose six-entry pages hold spanning records at every level, a
-skeleton SR-Tree, and an R+-Tree that replicates.  The queries touch record
+``repro.core.kernel`` compiles the read kernel's overlap test and fragment
+collection, the delete's locate, ChooseLeaf, the SR-Tree's spanned-branch
+scan and Guttman's quadratic and linear splits once per dimensionality,
+each from one template.  Here every instance for K = 1 to 4 runs beside
+the loop it replaced (``tests/_reference_kernel.py``) over seeded random
+trees of the kinds that store records differently: an SR-Tree whose
+six-entry pages hold spanning records at every level, a skeleton
+SR-Tree, and an R+-Tree that replicates.  The queries touch record
 boundaries on an integer grid, are degenerate, or reach to +-inf.  Hits
-must come back in the same order from the same node visits, and ChooseLeaf
-must pick the same branch.  The splits run against their ``Rect``-based
-oracle in ``tests/test_split.py``; here they get the case where every
-preference is NaN, and every template's instances must be named for
-profiles and tracebacks.
+must come back in the same order from the same node visits, fragments
+grouped per record as before, and ChooseLeaf must pick the same branch.
+The locate runs against the recursive descent it replaced in
+``tests/test_delete_oracle.py``, the splits against their ``Rect``-based
+oracle in ``tests/test_split.py``; here the splits get the case where
+every preference is NaN, and every template's instances must be named
+for profiles and tracebacks.
 """
 
 from __future__ import annotations
@@ -146,6 +149,36 @@ def test_intersecting_matches_the_loop(built):
     assert spanning_hits  # the spanning-record arm ran
 
 
+def test_fragments_matches_the_loop(built):
+    """The same fragments, grouped per record in the same order, from the
+    same visits; records held outside the nodes (a skeleton's prediction
+    buffer) included."""
+    k, trees, queries = built
+    rng = random.Random(k)
+    loose = [DataEntry(_box(rng, k), -i, None) for i in range(1, 40)]
+
+    def run(kernel, tree, rect, fetched: bool):
+        fetches: list[int] = []
+
+        def fetch(node):
+            fetches.append(id(node))
+            return node
+
+        found, visited = kernel(fetch if fetched else None, tree.root, rect, loose)
+        grouped = [(rid, [id(e) for e in pieces]) for rid, pieces in found.items()]
+        return grouped, [id(n) for n in visited], fetches
+
+    several = 0
+    for tree in trees:
+        for rect in queries:
+            got = run(query.fragments, tree, rect, fetched=True)
+            assert got == run(reference.fragments, tree, rect, fetched=True), (type(tree), rect)
+            assert got[1] == got[2]
+            assert run(query.fragments, tree, rect, fetched=False) == (got[0], got[1], [])
+            several += any(len(ids) > 1 for _, ids in got[0])
+    assert several  # some record was found as more than one fragment
+
+
 def test_choose_branch_matches_the_loop(built):
     k, trees, queries = built
     for tree in trees[:2]:
@@ -250,6 +283,17 @@ def test_instances_are_named_for_profiles_and_tracebacks():
         code.co_filename, code.co_firstlineno + 1
     )
     assert unrolled(query._INTERSECTING, "intersecting", 3) is kernel  # compiled once
+
+    tree = SRTree(_config(2))
+    rid = tree.insert(Rect((0.0, 0.0), (1.0, 1.0)))
+    for name, call in (
+        ("fragments", lambda: tree.search_within(Rect((0.0, 0.0), (2.0, 2.0)))),
+        ("locate", lambda: tree.delete(rid)),
+    ):
+        profile = cProfile.Profile()
+        profile.runcall(call)
+        files = {filename for filename, _, _ in pstats.Stats(profile).stats}
+        assert f"<repro.core.kernel {name} K=2>" in files
 
     boxes = [Rect((x, 0.0), (x + 1.0, 1.0)) for x in (0.0, 5.0, 1.0, 6.0)]
     for algorithm in ("quadratic", "linear"):

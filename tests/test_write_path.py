@@ -8,8 +8,8 @@
 * after every commit the version cache's live chains are exactly the pages
   of the linked nodes, under held snapshots, through empty and back;
 * arming the set changes nothing the paper measures;
-* a mutation that raises cannot leave memory and log diverged, and the
-  pages of unlinked nodes are freed, logged and recovered as DEALLOCs.
+* a delete whose page fault raises changes nothing, and the pages of
+  unlinked nodes are freed, logged and recovered as DEALLOCs.
 
 ``REPRO_DIFF_SEED`` re-seeds every generated sequence (the CI ``faults``
 matrix sweeps it); unset, the runs repeat exactly.
@@ -359,30 +359,23 @@ def test_arming_the_set_changes_nothing_the_paper_measures(variant: str) -> None
 
 
 # ---------------------------------------------------------------------------
-# A mutation that raises must not leave memory and log diverged
+# A delete that raises changes nothing
 # ---------------------------------------------------------------------------
-def test_failed_delete_still_reaches_the_log(tmp_path) -> None:
+def test_failed_delete_changes_nothing(tmp_path) -> None:
     rng = random.Random(f"{SEED}/cut")
     tree = SRTree(SMALL)
     for _ in range(600):
         tree.insert(shaped_rect(rng))
     stack = Stack(tmp_path / "index.db", tree)
 
-    # A hint-less delete visits every node, parents first.  Take a record
-    # cut into two fragments held by different nodes, and let the page
-    # fault after the first holder's visit fail for good (what the storage
-    # hook raises once its retries are exhausted).
-    visits: list[Node] = []
-    todo = [tree.root]
-    while todo:
-        node = todo.pop()
-        visits.append(node)
-        todo.extend(reversed([b.child for b in node.branches]))
-
-    def holders(rid: int) -> list[int]:
+    # A record cut into two fragments held by different nodes.  A delete
+    # locates both, then settles its whole visit at once; let that page
+    # fault fail for good (what the storage hook raises once its retries
+    # are exhausted).
+    def holders(rid: int) -> list[Node]:
         return [
-            at
-            for at, node in enumerate(visits)
+            node
+            for node in tree.iter_nodes()
             if any(e.record_id == rid for e in node.data_entries)
             or any(r.record_id == rid for _, r in node.iter_spanning())
         ]
@@ -392,24 +385,28 @@ def test_failed_delete_still_reaches_the_log(tmp_path) -> None:
         for rid, count in sorted(tree._fragment_counts.items())
         if count == 2 and len(holders(rid)) == 2
     )
-    fail_at = holders(rid)[0] + 1
     hook = tree._storage_hook
-    seen = []
+    settles = []
 
     def failing_hook(nodes: list[Node]) -> None:
-        # The delete descent settles one node at a time.
-        assert len(nodes) == 1
-        if len(seen) == fail_at:
-            raise TransientDiskError("injected: retries exhausted")
-        seen.extend(nodes)
-        hook(nodes)
+        settles.append(len(nodes))
+        raise TransientDiskError("injected: retries exhausted")
 
+    def state() -> tuple:
+        assert tree._dirty is not None
+        return shape(tree), dict(tree._fragment_counts), len(tree), set(tree._dirty)
+
+    before = state()
     tree._storage_hook = failing_hook
     with pytest.raises(TransientDiskError):
         stack.engine.delete(rid)
     tree._storage_hook = hook
-    assert sum(1 for r, _, _ in tree.items() if r == rid) == 1  # half deleted
+    assert settles == [tree.node_count()]  # one settle: a hint-less delete visits every node
+    assert state() == before
+    assert sum(1 for r, _, _ in tree.items() if r == rid) == 2
 
+    assert stack.engine.delete(rid) == 2  # the retry removes both
+    assert not any(r == rid for r, _, _ in tree.items())
     stack.engine.insert(Rect((10.0, 10.0), (20.0, 10.0)))  # acknowledged
     stack.crash()
     assert stack.recovered_items() == fragments(tree)
