@@ -1,16 +1,17 @@
-"""Canonical lock hierarchy: the machine-readable latch discipline.
+"""Canonical lock hierarchy: the one declared table of the latch discipline.
 
-PRs 5 and 7 made the repo concurrent; the discipline they rely on — a
-fixed latch order, blocking I/O outside mutexes, log-before-dirty-page —
-used to live only in docstrings.  This module is the single source of
-truth for that discipline.  Three consumers read it:
+Two consumers read it:
 
-* lint rules **R5-R7** (:mod:`repro.analysis.rules`) — static checks over
-  ``with``-blocks and acquire/release call sites;
-* the runtime lock-graph recorder (:mod:`repro.obs.lockgraph`) — ranks
-  recorded acquisition edges and classifies ascents;
-* ``DESIGN.md`` — :func:`render_markdown` produces the human-readable
-  hierarchy table verbatim (a test keeps the two in sync).
+* the runtime lock-order recorder (:mod:`repro.obs.lockgraph`), which
+  ranks every recorded acquisition edge, fails on ascents and on locks
+  of a level this table does not declare, and which ``repro racecheck``
+  and the stress tests run under;
+* ``DESIGN.md`` §6.1 — :func:`render_markdown` produces the table
+  verbatim (a test keeps the two in sync).
+
+Lint rule R6 (:mod:`repro.analysis.rules.io_under_lock`) resolves lock
+attribute names to levels through :func:`level_for_attr`; its I/O names
+and allowlist live in that module.
 
 The canonical hierarchy, outermost (acquired first) to innermost::
 
@@ -20,69 +21,52 @@ The canonical hierarchy, outermost (acquired first) to innermost::
 Acquiring a level while holding a level *below* it (a larger rank)
 **ascends** the hierarchy and is the classic lock-order inversion: two
 threads ascending/descending between the same pair of levels can
-deadlock.  ``disk`` is a pseudo-level — blocking I/O is "acquired" last,
-i.e. never while an exclusive lock is held (rule R6), with the
-documented exceptions listed in :data:`IO_UNDER_LOCK_ALLOWLIST`.
+deadlock.  ``disk`` is a pseudo-level — blocking I/O is "acquired" last.
 
-The MVCC structures (PR 9) sit deliberately *outside* the hierarchy:
-snapshot readers over :class:`~repro.storage.buffer.PageVersionCache`
-acquire no level at all (immutable version chains + GIL-atomic dict
-reads), and the cache's single-mutator methods (``publish`` / ``trim``)
-take no locks of their own — they run under the engine's exclusive
-``index`` latch, which :data:`HELD_BY_CONVENTION` records so the static
-walker checks anything they might acquire against the ``index`` rank.
+The MVCC structures sit deliberately *outside* the hierarchy: snapshot
+readers over :class:`~repro.storage.buffer.PageVersionCache` acquire no
+level at all (immutable version chains + GIL-atomic dict reads), and the
+cache's single-mutator methods take no locks of their own — they run
+under the engine's exclusive ``index`` latch.
 
-The shard router (PR 10) adds one level *above* everything: its
-topology latch is held (shared) for the duration of every routed
-operation, and the workers it dispatches to acquire their own engine
-and storage locks in fresh threads or processes — so ``router`` is
-rank 0 and nothing a worker does can ascend back into it.
+The shard router adds one level *above* everything: its topology latch
+is held (shared) for the duration of every routed operation, and the
+workers it dispatches to acquire their own engine and storage locks in
+fresh threads or processes — so ``router`` is rank 0 and nothing a
+worker does can ascend back into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 __all__ = [
     "LockLevel",
     "LOCK_HIERARCHY",
-    "LEVELS_BY_NAME",
     "rank_of",
     "level_for_attr",
-    "IMPLEMENTATION_FILES",
-    "IO_CALL_NAMES",
-    "IO_MODULE_CALLS",
-    "IO_UNDER_LOCK_ALLOWLIST",
-    "HELD_BY_CONVENTION",
     "render_markdown",
 ]
 
 
 @dataclass(frozen=True)
 class LockLevel:
-    """One level of the canonical hierarchy.
-
-    ``rank`` orders acquisition: a thread may only acquire levels whose
-    rank is **greater** than everything it already holds.  ``attrs`` are
-    the attribute names whose acquisition (``with self.<attr>:`` or
-    ``self.<attr>.acquire*``) the static rules resolve to this level.
+    """One level of the canonical hierarchy; its rank is its position in
+    :data:`LOCK_HIERARCHY`.  A thread may only acquire levels whose rank
+    is **greater** than everything it already holds.  ``attrs`` are the
+    attribute names whose acquisition (``with self.<attr>:`` or
+    ``self.<attr>.acquire*``) rule R6 resolves to this level.
     """
 
     name: str
-    rank: int
     description: str
     where: str
-    #: Lock-object attribute names resolving to this level (static rules).
     attrs: tuple[str, ...] = ()
-    #: An exclusive lock: blocking I/O while holding it violates R6.
-    exclusive: bool = True
 
 
 LOCK_HIERARCHY: tuple[LockLevel, ...] = (
     LockLevel(
         name="router",
-        rank=0,
         description=(
             "Shard-router topology latch: every routed operation holds "
             "it shared; rebalances (split_shard) hold it exclusively to "
@@ -93,11 +77,9 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
         ),
         where="sharding/router.py (`ShardRouter._topology_latch`)",
         attrs=("_topology_latch",),
-        exclusive=False,  # shared on the serving paths; exclusive only to rebalance
     ),
     LockLevel(
         name="index",
-        rank=1,
         description=(
             "Engine-wide reader-writer latch: writers exclusive, "
             "readers shared for their whole traversal.  MVCC snapshot "
@@ -108,11 +90,9 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
         ),
         where="concurrency/engine.py (`ConcurrentIndex._index_latch`)",
         attrs=("_index_latch",),
-        exclusive=False,  # shared in read mode; R6 keys off the acquire mode
     ),
     LockLevel(
         name="buffer",
-        rank=2,
         description=(
             "Buffer-pool mutex (one lock + condition variable guarding "
             "frames, LRU order, the in-flight table).  Disk reads happen "
@@ -125,7 +105,6 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
     ),
     LockLevel(
         name="wal",
-        rank=3,
         description=(
             "Write-ahead-log commit mutex (group-commit condition "
             "variable).  Appends serialize under it; the group-commit "
@@ -136,7 +115,6 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
     ),
     LockLevel(
         name="disk",
-        rank=4,
         description=(
             "Blocking I/O pseudo-level: page reads/writes, fsync, "
             "simulated latency sleeps.  Always last — never under an "
@@ -148,13 +126,12 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
         where="storage/disk.py, storage/filedisk.py (`FileDisk._io_lock`), "
         "os.fsync, time.sleep",
         attrs=("_io_lock",),
-        exclusive=False,
     ),
 )
 
-LEVELS_BY_NAME: Mapping[str, LockLevel] = {lv.name: lv for lv in LOCK_HIERARCHY}
+_RANKS: dict[str, int] = {lv.name: rank for rank, lv in enumerate(LOCK_HIERARCHY)}
 
-_ATTR_TO_LEVEL: Mapping[str, str] = {
+_ATTR_TO_LEVEL: dict[str, str] = {
     attr: lv.name for lv in LOCK_HIERARCHY for attr in lv.attrs
 }
 
@@ -162,73 +139,12 @@ _ATTR_TO_LEVEL: Mapping[str, str] = {
 def rank_of(level: str) -> int:
     """The hierarchy rank of a level name (unknown names rank last, so
     they never produce spurious ascent findings)."""
-    spec = LEVELS_BY_NAME.get(level)
-    return spec.rank if spec is not None else len(LOCK_HIERARCHY)
+    return _RANKS.get(level, len(LOCK_HIERARCHY))
 
 
 def level_for_attr(attr: str) -> "str | None":
     """Resolve a lock-object attribute name to its hierarchy level."""
     return _ATTR_TO_LEVEL.get(attr)
-
-
-#: Files that *implement* the locking primitives; the lock rules skip
-#: them the way R2 skips ``core/floatcmp.py`` — an RWLatch's internal
-#: condition variable is the latch, not a buffer-pool mutex.
-IMPLEMENTATION_FILES: frozenset[str] = frozenset({"concurrency/latch.py"})
-
-
-#: Method names whose call is blocking I/O (rule R6): the simulated-disk
-#: API plus the repo's fsync wrapper.  Deliberately narrow — generic
-#: ``.write()``/``.flush()`` on a buffered file is not *blocking* I/O.
-IO_CALL_NAMES: frozenset[str] = frozenset(
-    {"read_page", "write_page", "sync", "_fsync_file"}
-)
-
-#: ``module.function`` call pairs that are blocking I/O.
-IO_MODULE_CALLS: frozenset[tuple[str, str]] = frozenset(
-    {("os", "fsync"), ("os", "replace"), ("time", "sleep")}
-)
-
-#: Documented exceptions to R6 (*no blocking I/O under a mutex*), keyed
-#: by ``(package-relative path, function name)``.  Each entry must carry
-#: its justification — the allowlist is audited, not a dumping ground.
-IO_UNDER_LOCK_ALLOWLIST: Mapping[tuple[str, str], str] = {
-    ("storage/buffer.py", "_make_room"): (
-        "dirty-victim writeback under the pool mutex keeps the 'page is "
-        "on disk or resident-dirty' invariant trivially crash-safe "
-        "(PR 2); evictions are rare on the read paths the pool serves"
-    ),
-    ("storage/buffer.py", "flush"): (
-        "checkpoint-time writeback of every dirty page; runs quiesced "
-        "(checkpoints exclude concurrent writers by contract)"
-    ),
-    ("storage/wal.py", "_maybe_roll_locked"): (
-        "segment-roll fsync under the WAL mutex; rolls are rare (soft "
-        "segment bound) and deferred while a group-commit flusher is "
-        "active, so no committer ever waits behind one"
-    ),
-    ("storage/wal.py", "close"): (
-        "final fsync at shutdown; close() runs quiesced by contract "
-        "(no concurrent appenders or committers)"
-    ),
-}
-
-#: Functions documented to run with a level already held by their caller
-#: (``callers hold self._lock`` docstrings).  The held-region walker
-#: seeds these so lexical analysis sees through the convention.
-HELD_BY_CONVENTION: Mapping[tuple[str, str], tuple[str, ...]] = {
-    ("storage/buffer.py", "_make_room"): ("buffer",),
-    ("storage/wal.py", "_maybe_roll_locked"): ("wal",),
-    ("storage/wal.py", "_encode_page_locked"): ("wal",),
-    # PageVersionCache single-mutator contract: publish and the GC
-    # run under the engine's exclusive index latch, so any lock they
-    # ever grow must descend from the top of the hierarchy.  The
-    # latch-free read side (pin/unpin/read) is deliberately absent:
-    # it holds nothing.
-    ("storage/buffer.py", "publish"): ("index",),
-    ("storage/buffer.py", "trim"): ("index",),
-    ("storage/buffer.py", "_begin_gc"): ("index",),
-}
 
 
 def render_markdown() -> str:
@@ -238,8 +154,6 @@ def render_markdown() -> str:
         "| rank | level | lives in | discipline |",
         "|------|-------|----------|------------|",
     ]
-    for lv in LOCK_HIERARCHY:
-        lines.append(
-            f"| {lv.rank} | `{lv.name}` | {lv.where} | {lv.description} |"
-        )
+    for rank, lv in enumerate(LOCK_HIERARCHY):
+        lines.append(f"| {rank} | `{lv.name}` | {lv.where} | {lv.description} |")
     return "\n".join(lines)

@@ -5,25 +5,21 @@
 * R3 ``exception-hygiene`` — raise only repro.exceptions; storage/ never
   swallows broad exceptions.
 * R4 ``frozen-rect`` — no mutation of Rect's frozen attributes.
-* R5 ``lock-order`` — acquisitions descend the canonical latch hierarchy
-  (index -> node -> buffer -> wal -> disk) from lockspec.py.
 * R6 ``io-under-lock`` — no blocking I/O under an exclusive lock outside
   the documented allowlist.
-* R7 ``latch-release`` — bare acquires pair with a structural release
-  (with-block, try/finally, guard ``__enter__``).
 * R8 ``monotonic-clock`` — no ``time.time()`` in timeout/deadline code.
 
 To add a rule: subclass :class:`repro.analysis.engine.Rule`, decorate it
-with :func:`repro.analysis.engine.register`, give it the next free id,
-and import its module here.
+with :func:`repro.analysis.engine.register`, give it the next id after
+R8, and import its module here.  R5 (lock order) and R7 (latch release)
+are retired ids: the runtime lock-order recorder (``repro.obs.lockgraph``)
+holds both classes.
 """
 
 from .exception_hygiene import ExceptionHygieneRule
 from .float_equality import FloatEqualityRule
 from .frozen_rect import FrozenRectRule
 from .io_under_lock import IoUnderLockRule
-from .latch_release import LatchReleaseRule
-from .lock_order import LockOrderRule
 from .monotonic_clock import MonotonicClockRule
 from .trace_schema import TraceSchemaRule
 
@@ -32,8 +28,6 @@ __all__ = [
     "FloatEqualityRule",
     "ExceptionHygieneRule",
     "FrozenRectRule",
-    "LockOrderRule",
     "IoUnderLockRule",
-    "LatchReleaseRule",
     "MonotonicClockRule",
 ]

@@ -17,12 +17,13 @@ Commands:
   table, CRC-check every page, rebuild the tree, run the structural
   invariant checker, and scan the write-ahead log (if any) for valid
   records and torn tails;
-* ``lint``      — run the repository's AST lint rules (R1-R8, see
+* ``lint``      — run the repository's AST lint rules (R1-R4, R6, R8; see
   ``repro.analysis``) over Python sources; exit 0 clean, 1 findings,
   2 usage error; ``--strict-ignores`` fails on stale suppressions;
 * ``racecheck`` — run the concurrency stress harness and WAL group-
   commit workload under the runtime lock-order recorder; exit 1 when
-  any hierarchy ascent or lock-graph cycle is observed.
+  any hierarchy ascent, lock-graph cycle, undeclared level or
+  unreleased lock is observed.
 """
 
 from __future__ import annotations
@@ -369,7 +370,8 @@ def _cmd_racecheck(args) -> int:
             f"{len(graph['edges'])} edges, "
             f"{len(graph['ascending_edges'])} ascending, "
             f"{len(graph['cycles'])} cycle(s), "
-            f"{len(graph['risky_waits'])} risky wait(s)"
+            f"{len(graph['risky_waits'])} risky wait(s), "
+            f"{len(graph['unreleased'])} unreleased"
         )
         for edge in graph["ascending_edges"]:
             print(
@@ -380,6 +382,8 @@ def _cmd_racecheck(args) -> int:
             print(f"    CYCLE {' -> '.join(cycle)}")
         for level in graph["undeclared_levels"]:
             print(f"    UNDECLARED lock level {level!r} (not in lockspec)")
+        for held in graph["unreleased"]:
+            print(f"    UNRELEASED {held['lock']} ({held['mode']}) by {held['thread']}")
         probe = report["overhead_probe"]
         print(
             f"  overhead probe: x{probe['overhead_ratio']:.2f} per latch "
@@ -392,7 +396,7 @@ def _cmd_racecheck(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    """Run the repository's AST lint rules (R1-R8) over Python sources."""
+    """Run the repository's AST lint rules (R1-R4, R6, R8) over Python sources."""
     import json
 
     from .analysis import all_rules, lint_paths
@@ -577,7 +581,7 @@ def _parser() -> argparse.ArgumentParser:
     fsck.set_defaults(func=_cmd_fsck)
 
     lint = sub.add_parser(
-        "lint", help="run the repository's AST lint rules (R1-R8)"
+        "lint", help="run the repository's AST lint rules (R1-R4, R6, R8)"
     )
     lint.add_argument(
         "paths",
@@ -604,7 +608,8 @@ def _parser() -> argparse.ArgumentParser:
     racecheck = sub.add_parser(
         "racecheck",
         help="run the stress harness + WAL workload under the runtime "
-        "lock-order recorder; exit 1 on any hierarchy ascent or cycle",
+        "lock-order recorder; exit 1 on any hierarchy ascent, cycle, "
+        "undeclared level or unreleased lock",
     )
     racecheck.add_argument("--seed", type=int, default=0)
     racecheck.add_argument(

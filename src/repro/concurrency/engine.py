@@ -95,6 +95,8 @@ class ConcurrentIndex(QuerySurface):
             storage.enable_mvcc()
         self._index_latch = RWLatch("index", tracer=self.tracer)
         self.latch_stats = self._index_latch.stats
+        # Guards snapshot_reads; takes no other lock, so no ordering edge
+        # can start from it.
         self._op_lock = threading.Lock()
         self.snapshot_reads = 0
         self.writes = 0

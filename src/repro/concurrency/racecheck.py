@@ -11,11 +11,11 @@ Three parts, all in one report:
   scatter-gather with a mid-run rebalance), all executed with a
   :class:`~repro.obs.lockgraph.LockOrderRecorder` installed.  The run
   passes when the recorded acquisition graph has no hierarchy ascents,
-  no cycles and no lock of an undeclared level.
+  no cycles and no lock of an undeclared level, and no thread still
+  holds a lock when the workloads are done.
 * **overhead probe** — a latch acquire/release microbenchmark with the
   recorder off vs. installed, so the JSON documents what the detector
-  costs (the *uninstalled* hot path is one global load + ``None`` check,
-  which is what `repro bench concurrent` runs under).
+  costs (the *uninstalled* hot path is one global load + ``None`` check).
 
 The final report is JSON-ready; ``ok`` is True only when the selftest
 detected its inversion **and** the workloads recorded a clean graph.
@@ -194,14 +194,8 @@ def run_racecheck(
     wal_writers: int = 4,
     wal_records: int = 160,
     probe_iterations: int = 20000,
-    tracer: Any = None,
 ) -> dict:
-    """The full racecheck run; see the module docstring for the parts.
-
-    When ``tracer`` is an enabled :class:`repro.obs.tracer.Tracer`, the
-    recorded graph is also emitted as ``lock_order_edge`` /
-    ``lock_cycle`` trace events.
-    """
+    """The full racecheck run; see the module docstring for the parts."""
     selftest = run_inversion_selftest()
 
     recorder = LockOrderRecorder()
@@ -265,8 +259,6 @@ def run_racecheck(
             seed, readers=readers, writers=writers, ops_per_thread=ops_per_thread
         )
         workloads.append({"workload": "stress-shard", **shard})
-    if tracer is not None:
-        recorder.emit_events(tracer)
     graph = recorder.report()
     probe = run_overhead_probe(probe_iterations)
     return {

@@ -55,6 +55,21 @@ def _everywhere(k: int) -> Rect:
     return Rect((-math.inf,) * k, (math.inf,) * k)
 
 
+def _kept_lists(
+    holders: list[tuple[Node, Optional[BranchEntry]]], record_id: int
+) -> tuple[list[list[DataEntry]], int]:
+    """Each located holder's entries without ``record_id``'s fragments, and
+    how many fragments that drops; nothing is assigned."""
+    kept = []
+    removed = 0
+    for holder, branch in holders:
+        entries = holder.data_entries if branch is None else branch.spanning
+        rest = [e for e in entries if e.record_id != record_id]
+        removed += len(entries) - len(rest)
+        kept.append(rest)
+    return kept, removed
+
+
 #: ChooseLeaf over one node's branches, compiled per K by
 #: :func:`repro.core.kernel.unrolled`.  The floats are ``Rect.area`` and
 #: ``Rect.enlargement``'s: products in dimension order starting from 1.0,
@@ -211,7 +226,8 @@ class RTree(query.QuerySurface):
         ``hint`` (the record's original rectangle) bounds the traversal; the
         paper notes that without it the *entire* index must be searched for
         related spanning/remnant fragments (Section 3.1.1), which is what we
-        do when no hint is given.  The fragments are located and every node
+        do when no hint is given, or when the hint meets fewer fragments
+        than the record has.  The fragments are located and every node
         visited is settled before anything changes, so a page fault leaves
         the tree untouched.
         """
@@ -220,25 +236,22 @@ class RTree(query.QuerySurface):
         with self.tracer.span("delete", record_id=record_id) as sp:
             everywhere = _everywhere(self.dims)
             holders, visited = query.locate(self.root, record_id, hint or everywhere)
-            if not holders and hint is not None and record_id in self._fragment_counts:
-                # A bad hint (one that misses the record's actual fragments)
-                # must degrade to the full-index scan the paper describes,
-                # not silently delete nothing.
+            kept, removed = _kept_lists(holders, record_id)
+            if hint is not None and removed < self._fragment_counts.get(record_id, 0):
+                # A hint that misses some of the record's fragments must
+                # degrade to the full-index scan the paper describes, not
+                # delete part of the record.
                 holders, rescan = query.locate(self.root, record_id, everywhere)
                 visited += rescan
+                kept, removed = _kept_lists(holders, record_id)
             self._settle(visited)
             self.stats.node_accesses += len(visited)
-            removed = 0
             changed: dict[Node, None] = {}  # holders and their ancestors, touched once
-            for holder, branch in holders:
+            for (holder, branch), entries in zip(holders, kept):
                 if branch is None:
-                    kept = [e for e in holder.data_entries if e.record_id != record_id]
-                    removed += len(holder.data_entries) - len(kept)
-                    holder.data_entries = kept
+                    holder.data_entries = entries
                 else:
-                    kept = [r for r in branch.spanning if r.record_id != record_id]
-                    removed += len(branch.spanning) - len(kept)
-                    branch.spanning = kept
+                    branch.spanning = entries
                 while holder is not None and holder not in changed:
                     changed[holder] = None
                     self._touch(holder)

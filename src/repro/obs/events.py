@@ -238,21 +238,6 @@ _EVENT_SPECS: tuple[EventSpec, ...] = (
         optional=("wait_seconds",),
         doc="A latch acquisition blocked on a conflicting holder.",
     ),
-    _e(
-        "lock_order_edge",
-        required=("src", "dst", "src_mode", "dst_mode"),
-        optional=("ascending",),
-        doc="First observation of a held->requested lock-level pair by the "
-            "runtime lock-order recorder (repro racecheck); ascending "
-            "edges violate the canonical hierarchy in lockspec.py.",
-    ),
-    _e(
-        "lock_cycle",
-        required=("cycle",),
-        optional=("length",),
-        doc="The recorder's lock-acquisition graph contains a cycle — a "
-            "potential deadlock between the named levels.",
-    ),
     # -- sharded serving events (sharding/) ------------------------------
     _e(
         "shard_dispatch",

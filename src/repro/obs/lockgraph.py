@@ -1,15 +1,15 @@
 """Runtime lock-order recorder: Eraser-style acquisition-graph capture.
 
-The static rules (R5-R7) prove what is *lexically* visible; this module
-watches what actually happens.  When a recorder is installed, the
-instrumented primitives — :class:`~repro.concurrency.latch.RWLatch`, the
-buffer-pool mutex, the WAL commit lock (both via
-:class:`TrackedCondition`) — report every acquisition attempt, grant,
-release, and condition-variable wait.  The recorder keeps a per-thread
-stack of held locks and, at each *attempt*, adds one edge per held lock
-to a global lock-acquisition graph (recording at attempt time rather
-than grant time means a real deadlock — which never gets granted — is
-still captured).
+This module is the gate of the latch discipline: it watches what
+actually happens.  When a recorder is installed, the instrumented
+primitives — :class:`~repro.concurrency.latch.RWLatch`, the buffer-pool
+mutex, the storage manager's page-table lock and the WAL commit lock
+(the last three via :class:`TrackedCondition`) — report every
+acquisition attempt, grant, release, and condition-variable wait.  The
+recorder keeps a per-thread stack of held locks and, at each *attempt*,
+adds one edge per held lock to a global lock-acquisition graph
+(recording at attempt time rather than grant time means a real
+deadlock — which never gets granted — is still captured).
 
 After a workload runs, :meth:`LockOrderRecorder.report` classifies:
 
@@ -21,7 +21,10 @@ After a workload runs, :meth:`LockOrderRecorder.report` classifies:
   locks are held; *risky* when a held lock ranks at or below the CV's
   level (the wakeup it needs may itself need that lock);
 * **undeclared levels** — a recorded lock whose level the hierarchy does
-  not declare fails the report: it ranks last, so it could never ascend.
+  not declare fails the report: it ranks last, so it could never ascend;
+* **unreleased holds** — a lock still on some thread's held stack when
+  the report is taken (a missing release, or a thread that exited
+  holding it) fails the report.
 
 Same-instance re-entry records nothing (re-entrant acquisition cannot
 deadlock); every other attempt under a held lock is an edge.
@@ -29,9 +32,8 @@ deadlock); every other attempt under a held lock is an edge.
 Overhead when **no** recorder is installed is one module-global load and
 a ``None`` check per lock operation — a ``with`` on a
 :class:`TrackedCondition` then costs what it does on a plain
-``threading.Condition`` — keeping `repro bench concurrent` numbers
-honest; ``repro racecheck`` measures the installed-path overhead
-explicitly.
+``threading.Condition``; ``repro racecheck`` measures the installed-path
+overhead explicitly.
 """
 
 from __future__ import annotations
@@ -107,6 +109,10 @@ class LockOrderRecorder:
     def __init__(self) -> None:
         self._mutex = threading.Lock()
         self._tls = threading.local()
+        #: (thread name, held stack) for every thread that took a lock: a
+        #: dead thread's ``threading.local`` is dropped, and what it still
+        #: held is exactly what the report must show.
+        self._stacks: list[tuple[str, list[_Held]]] = []
         #: id(obj) -> stable display key "level#N".
         self._keys: dict[int, str] = {}
         self._key_levels: dict[str, str] = {}
@@ -126,6 +132,8 @@ class LockOrderRecorder:
         if stack is None:
             stack = []
             self._tls.stack = stack
+            with self._mutex:
+                self._stacks.append((threading.current_thread().name, stack))
         return stack
 
     def _key_for(self, level: str, obj_id: int) -> str:
@@ -269,7 +277,8 @@ class LockOrderRecorder:
         return sccs
 
     def report(self) -> dict:
-        """A JSON-ready summary: edges, ascents, cycles, risky waits."""
+        """A JSON-ready summary: edges, ascents, cycles, risky waits and
+        holds not yet released."""
         with self._mutex:
             edges = [
                 {"src": src, "dst": dst, **info}
@@ -287,15 +296,22 @@ class LockOrderRecorder:
             acquisitions = self.acquisitions
             attempts = self.attempts_with_held
             locks = dict(sorted(self._key_levels.items()))
+            unreleased = [
+                {"thread": thread, "lock": held.key, "mode": held.mode}
+                for thread, stack in self._stacks
+                for held in list(stack)
+            ]
         ascending = [e for e in edges if e["ascending"]]
         risky_waits = [w for w in waits if w["risky"]]
         # An undeclared level ranks last and can never ascend, so it would
         # pass the hierarchy check by being invisible to it.
-        undeclared = sorted(set(locks.values()) - set(lockspec.LEVELS_BY_NAME))
+        declared = {level.name for level in lockspec.LOCK_HIERARCHY}
+        undeclared = sorted(set(locks.values()) - declared)
         return {
-            "ok": not ascending and not cycles and not undeclared,
+            "ok": not ascending and not cycles and not undeclared and not unreleased,
             "locks": locks,
             "undeclared_levels": undeclared,
+            "unreleased": unreleased,
             "acquisitions": acquisitions,
             "attempts_with_held": attempts,
             "edges": edges,
@@ -304,25 +320,6 @@ class LockOrderRecorder:
             "held_while_blocking": waits,
             "risky_waits": risky_waits,
         }
-
-    def emit_events(self, tracer: Any) -> None:
-        """Emit lock_order_edge / lock_cycle trace events for the run."""
-        if not getattr(tracer, "enabled", False):
-            return
-        report = self.report()
-        for edge in report["edges"]:
-            tracer.event(
-                "lock_order_edge",
-                src=edge["src"],
-                dst=edge["dst"],
-                src_mode=edge["src_mode"],
-                dst_mode=edge["dst_mode"],
-                ascending=edge["ascending"],
-            )
-        for cycle in report["cycles"]:
-            tracer.event(
-                "lock_cycle", cycle="->".join(cycle), length=len(cycle)
-            )
 
 
 class TrackedCondition(threading.Condition):

@@ -26,9 +26,10 @@ serving surface (the :class:`~repro.core.query.QuerySurface` reads plus
   section — no lost or duplicated records, ever observable.
 
 The topology latch (``router``, rank 0 of the canonical lock hierarchy
-— see ``repro.analysis.lockspec``) is held shared by every operation
-and exclusively by rebalances only, so scatter-gather traffic proceeds
-fully in parallel between splits.
+declared in ``repro.analysis.lockspec`` and checked at runtime by the
+lock-order recorder under ``repro racecheck``) is held shared by every
+operation and exclusively by rebalances only, so scatter-gather traffic
+proceeds fully in parallel between splits.
 
 Each routed op is declared once, as a :data:`Plan` — a generator that
 prepares, yields the wire calls it needs, and is sent their values (or

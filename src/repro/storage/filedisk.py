@@ -89,6 +89,7 @@ class FileDisk:
         #: The one buffered handle has one file position: each seek and
         #: the read or write it positions must not interleave with another
         #: thread's (the buffer pool reads pages outside its own mutex).
+        #: It takes no other lock, so no ordering edge can start from it.
         self._io_lock = threading.Lock()
         #: Last durably committed sidecar generation (0 = never synced).
         self.generation = 0

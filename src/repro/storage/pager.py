@@ -38,6 +38,7 @@ from ..exceptions import (
     StorageError,
     TransientDiskError,
 )
+from ..obs.lockgraph import TrackedCondition
 from ..obs.tracer import Tracer
 from .buffer import BufferPool, PageVersionCache
 from .disk import SimulatedDisk
@@ -305,8 +306,10 @@ class StorageManager:
         #: Guards the node->page table and page-id allocation: concurrent
         #: readers that reach the same page-less node (a split's nodes get
         #: pages on their first read when no WAL is attached) must never
-        #: double-allocate a page id.
-        self._page_lock = threading.Lock()
+        #: double-allocate a page id.  A buffer-level lock the lock-order
+        #: recorder sees: it is taken per commit and per first mapping of
+        #: a page, never per read.
+        self._page_lock = TrackedCondition("buffer", threading.Lock())
         #: Page allocations made since the last checkpoint/logged commit;
         #: drained into the next WAL transaction so replay can re-create
         #: pages the un-synced page table never recorded.

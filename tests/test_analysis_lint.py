@@ -230,86 +230,6 @@ def test_r4_silent_on_reads_and_other_attributes():
 
 
 # ----------------------------------------------------------------------
-# R5: lock-order discipline
-# ----------------------------------------------------------------------
-def test_r5_fires_on_ascending_with_blocks():
-    # wal (rank 3) held, then buffer (rank 2): ascends the hierarchy.
-    src = (
-        "class W:\n"
-        "    def f(self):\n"
-        "        with self._cv:\n"
-        "            with self._lock:\n"
-        "                pass\n"
-    )
-    assert rules_fired(src, path=STORAGE, select=["R5"]) == ["R5"]
-
-
-def test_r5_fires_on_latch_acquired_under_mutex():
-    src = (
-        "class W:\n"
-        "    def f(self):\n"
-        "        with self._lock:\n"
-        "            self._index_latch.acquire_write()\n"
-        "            try:\n"
-        "                pass\n"
-        "            finally:\n"
-        "                self._index_latch.release_write()\n"
-    )
-    assert rules_fired(src, path=STORAGE, select=["R5"]) == ["R5"]
-
-
-def test_r5_silent_on_descending_order():
-    src = (
-        "class W:\n"
-        "    def f(self):\n"
-        "        with self._index_latch.write():\n"
-        "            with self._lock:\n"
-        "                with self._cv:\n"
-        "                    pass\n"
-    )
-    assert rules_fired(src, path=STORAGE, select=["R5"]) == []
-
-
-def test_r5_fires_on_nested_same_level_mutex():
-    src = (
-        "class W:\n"
-        "    def f(self):\n"
-        "        with self._lock:\n"
-        "            with self._page_lock:\n"
-        "                pass\n"
-    )
-    assert rules_fired(src, path=STORAGE, select=["R5"]) == ["R5"]
-
-
-def test_r5_silent_outside_scoped_dirs_and_in_latch_impl():
-    src = (
-        "class W:\n"
-        "    def f(self):\n"
-        "        with self._cv:\n"
-        "            with self._lock:\n"
-        "                pass\n"
-    )
-    assert rules_fired(src, path="src/repro/core/fixture.py", select=["R5"]) == []
-    # The latch implementation's _cond is the latch itself, not a level.
-    assert (
-        rules_fired(src, path="src/repro/concurrency/latch.py", select=["R5"])
-        == []
-    )
-
-
-def test_r5_sees_through_held_by_convention():
-    # _make_room runs with the pool mutex held by convention; re-taking
-    # the index latch inside it ascends from rank 2 to rank 0.
-    src = (
-        "class BufferPool:\n"
-        "    def _make_room(self):\n"
-        "        with self._index_latch.read():\n"
-        "            pass\n"
-    )
-    assert rules_fired(src, path="src/repro/storage/buffer.py", select=["R5"]) == ["R5"]
-
-
-# ----------------------------------------------------------------------
 # R6: no blocking I/O under an exclusive lock
 # ----------------------------------------------------------------------
 def test_r6_fires_on_fsync_under_mutex():
@@ -342,6 +262,31 @@ def test_r6_fires_on_sleep_under_write_latch():
         "            time.sleep(0.1)\n"
     )
     assert rules_fired(src, path="src/repro/concurrency/fixture.py", select=["R6"]) == ["R6"]
+
+
+def test_r6_fires_on_sleep_between_bare_acquire_write_and_release():
+    src = (
+        "import time\n"
+        "class W:\n"
+        "    def g(self):\n"
+        "        self._index_latch.acquire_write()\n"
+        "        try:\n"
+        "            time.sleep(0.1)\n"
+        "        finally:\n"
+        "            self._index_latch.release_write()\n"
+    )
+    assert rules_fired(src, path="src/repro/concurrency/fixture.py", select=["R6"]) == ["R6"]
+
+
+def test_r6_sees_through_held_by_convention():
+    # _encode_page_locked runs with the WAL mutex held by its caller.
+    src = (
+        "class WriteAheadLog:\n"
+        "    def _encode_page_locked(self, page_id, image):\n"
+        "        self.disk.write_page(page_id, image)\n"
+    )
+    assert rules_fired(src, path="src/repro/storage/wal.py", select=["R6"]) == ["R6"]
+    assert rules_fired(src, path=STORAGE, select=["R6"]) == []
 
 
 def test_r6_silent_on_io_outside_lock():
@@ -381,80 +326,6 @@ def test_r6_allowlist_covers_documented_writeback():
     assert rules_fired(
         src_unlisted, path="src/repro/storage/buffer.py", select=["R6"]
     ) == ["R6"]
-
-
-# ----------------------------------------------------------------------
-# R7: latch release on all paths
-# ----------------------------------------------------------------------
-def test_r7_fires_on_unpaired_acquire():
-    src = (
-        "class W:\n"
-        "    def f(self):\n"
-        "        self._latch.acquire_read()\n"
-        "        do_stuff()\n"
-    )
-    assert rules_fired(src, path=STORAGE, select=["R7"]) == ["R7"]
-
-
-def test_r7_fires_on_mismatched_release_mode():
-    src = (
-        "class W:\n"
-        "    def f(self):\n"
-        "        self._latch.acquire_write()\n"
-        "        try:\n"
-        "            do_stuff()\n"
-        "        finally:\n"
-        "            self._latch.release_read()\n"
-    )
-    assert rules_fired(src, path=STORAGE, select=["R7"]) == ["R7"]
-
-
-def test_r7_silent_on_acquire_then_try_finally():
-    src = (
-        "class W:\n"
-        "    def f(self):\n"
-        "        self._latch.acquire_read()\n"
-        "        held = {}\n"
-        "        try:\n"
-        "            do_stuff()\n"
-        "        finally:\n"
-        "            self._latch.release_read()\n"
-    )
-    assert rules_fired(src, path=STORAGE, select=["R7"]) == []
-
-
-def test_r7_silent_inside_try_with_finally_release():
-    src = (
-        "class W:\n"
-        "    def f(self):\n"
-        "        try:\n"
-        "            self._latch.acquire_write()\n"
-        "            do_stuff()\n"
-        "        finally:\n"
-        "            self._latch.release_write()\n"
-    )
-    assert rules_fired(src, path=STORAGE, select=["R7"]) == []
-
-
-def test_r7_silent_in_guard_enter():
-    src = (
-        "class Guard:\n"
-        "    def __enter__(self):\n"
-        "        self._latch.acquire_read()\n"
-        "        return self\n"
-        "    def __exit__(self, *exc):\n"
-        "        self._latch.release_read()\n"
-    )
-    assert rules_fired(src, path=STORAGE, select=["R7"]) == []
-
-
-def test_r7_silent_on_non_lock_receiver():
-    src = (
-        "class W:\n"
-        "    def f(self):\n"
-        "        self._pool.acquire()\n"  # a connection pool, not a lock
-    )
-    assert rules_fired(src, path=STORAGE, select=["R7"]) == []
 
 
 # ----------------------------------------------------------------------
@@ -572,13 +443,13 @@ def test_design_lock_table_matches_lockspec():
 def test_lockspec_ranks_are_dense_and_ordered():
     from repro.analysis.lockspec import LOCK_HIERARCHY, level_for_attr, rank_of
 
-    assert [lv.rank for lv in LOCK_HIERARCHY] == list(range(len(LOCK_HIERARCHY)))
-    assert [lv.name for lv in LOCK_HIERARCHY] == [
-        "router", "index", "buffer", "wal", "disk"
-    ]
+    names = [lv.name for lv in LOCK_HIERARCHY]
+    assert names == ["router", "index", "buffer", "wal", "disk"]
+    assert [rank_of(name) for name in names] == list(range(len(LOCK_HIERARCHY)))
     assert rank_of("nonsense") == len(LOCK_HIERARCHY)  # unknown ranks last
     assert level_for_attr("_cv") == "wal"
     assert level_for_attr("_index_latch") == "index"
+    assert level_for_attr("_page_lock") == "buffer"
     assert level_for_attr("_not_a_lock") is None
 
 
@@ -586,7 +457,7 @@ def test_lockspec_ranks_are_dense_and_ordered():
 # Engine behaviour
 # ----------------------------------------------------------------------
 def test_registry_exposes_all_rules():
-    assert rule_ids() == ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"]
+    assert rule_ids() == ["R1", "R2", "R3", "R4", "R6", "R8"]
 
 
 def test_unknown_rule_id_rejected():
@@ -655,9 +526,7 @@ def test_cli_lint_json_shape(tmp_path, capsys):
     finding = doc["findings"][0]
     assert set(finding) == {"path", "line", "col", "rule", "name", "message"}
     assert finding["rule"] == "R2"
-    assert {r["id"] for r in doc["rules"]} == {
-        "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"
-    }
+    assert {r["id"] for r in doc["rules"]} == {"R1", "R2", "R3", "R4", "R6", "R8"}
 
 
 def test_cli_lint_select_filters_rules(tmp_path, capsys):

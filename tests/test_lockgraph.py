@@ -23,7 +23,6 @@ from repro.obs.lockgraph import (
     active_recorder,
     recording,
 )
-from repro.obs.tracer import RingBufferSink, Tracer
 
 
 # ----------------------------------------------------------------------
@@ -250,28 +249,63 @@ def test_pool_hit_reports_to_an_installed_recorder():
     assert (edge["src_level"], edge["dst_level"], edge["count"]) == ("index", "buffer", 1)
 
 
-def test_emit_events_produces_schema_valid_trace():
-    rec = LockOrderRecorder()
-    wal = TrackedCondition("wal")
-    buf = TrackedCondition("buffer")
+# ----------------------------------------------------------------------
+# Planted violations of the classes the retired lint rules R5 and R7
+# covered: the recorder has to fail each one
+# ----------------------------------------------------------------------
+def _storage_manager():
+    from repro import SRTree
+    from repro.storage import StorageManager
+
+    return StorageManager(SRTree(), buffer_bytes=4 * 1024)
+
+
+def test_latch_taken_under_the_page_lock_is_an_ascent():
+    page_lock = _storage_manager()._page_lock
+    with recording() as rec:
+        with page_lock:
+            with RWLatch("index").write():
+                pass
+    report = rec.report()
+    assert not report["ok"]
+    (edge,) = report["ascending_edges"]
+    assert (edge["src_level"], edge["dst_level"]) == ("buffer", "index")
+
+
+def test_page_lock_and_pool_mutex_in_opposite_orders_is_a_cycle():
+    manager = _storage_manager()
+    page_lock, pool_cond = manager._page_lock, manager.pool._cond
 
     def take(first, second):
         with first:
             with second:
                 pass
 
-    with recording(rec):
-        for pair in ((wal, buf), (buf, wal)):
+    with recording() as rec:
+        for pair in ((page_lock, pool_cond), (pool_cond, page_lock)):
             t = threading.Thread(target=take, args=pair)
             t.start()
-            t.join()
-    tracer = Tracer(RingBufferSink(), strict=True)  # raises on bad fields
-    rec.emit_events(tracer)
-    etypes = [e.etype for e in tracer.events]
-    assert etypes.count("lock_order_edge") == 2
-    assert etypes.count("lock_cycle") == 1
-    cycle_event = [e for e in tracer.events if e.etype == "lock_cycle"][0]
-    assert "->" in cycle_event.fields["cycle"]
+            t.join(timeout=10)
+            assert not t.is_alive()
+    report = rec.report()
+    assert not report["ok"]
+    assert report["ascending_edges"] == []  # both are buffer-level
+    (cycle,) = report["cycles"]
+    assert sorted(report["locks"][key] for key in cycle) == ["buffer", "buffer"]
+
+
+def test_thread_exiting_with_a_write_latch_held_is_unreleased():
+    latch = RWLatch("index")
+    with recording() as rec:
+        t = threading.Thread(target=latch.acquire_write, name="leaker")
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+    report = rec.report()
+    assert report["ok"] is False
+    (held,) = report["unreleased"]
+    assert report["locks"][held["lock"]] == "index"
+    assert (held["thread"], held["mode"]) == ("leaker", "write")
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +340,7 @@ def test_racecheck_clean_on_real_workloads():
     assert report["selftest"]["detected"] is True
     graph = report["lock_order"]
     assert graph["cycles"] == [] and graph["ascending_edges"] == []
+    assert graph["unreleased"] == []
     assert graph["acquisitions"] > 0
     # The workloads really ran.
     names = [w["workload"] for w in report["workloads"]]
@@ -330,24 +365,6 @@ def test_racecheck_clean_on_real_workloads():
     shard = by_name["stress-shard"]
     assert shard["searches"] > 0 and shard["inserts"] > 0
     assert shard["rebalances"] == 1 and shard["shards"] == 3
-
-
-def test_racecheck_emits_trace_events_when_tracer_enabled():
-    tracer = Tracer(RingBufferSink(), strict=True)
-    run_racecheck(
-        seed=0,
-        kinds=("SR-Tree",),
-        readers=2,
-        writers=1,
-        ops_per_thread=8,
-        wal_writers=2,
-        wal_records=8,
-        probe_iterations=50,
-        tracer=tracer,
-    )
-    edges = [e for e in tracer.events if e.etype == "lock_order_edge"]
-    assert edges  # the stress workload nests index -> buffer at least
-    assert all(e.fields["ascending"] is False for e in edges)
 
 
 def test_cli_racecheck_json_and_artifact(tmp_path, capsys):

@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import IndexConfig, Rect, SRTree, check_index, segment
+from repro import IndexConfig, Rect, SkeletonSRTree, SRTree, check_index, segment
+from repro.concurrency import ConcurrentIndex
 from repro.core.geometry import GeometryError
 
 from .conftest import brute_force_ids, random_boxes, random_segments
@@ -201,6 +204,62 @@ class TestDeleteWithFragments:
         assert tree.delete(rid) >= 1
         q = Rect((0, 0), (100_000, 100_000))
         assert tree.search_ids(q) == set(data)
+
+
+def _cut_tree(cls, n=400, seed=7):
+    """Short and long boxes on 200-byte leaves: dozens of records are
+    stored as 2-5 fragments."""
+    config = IndexConfig(leaf_node_bytes=200)
+    if cls is SRTree:
+        tree = cls(config)
+    else:
+        tree = cls(config, expected_tuples=n, domain=[(0.0, 1600.0)] * 2)
+    rng = random.Random(seed)
+    data = {}
+    for _ in range(n):
+        x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
+        w = rng.uniform(0, 5) if rng.random() < 0.7 else rng.uniform(100, 600)
+        h = rng.uniform(0, 5) if rng.random() < 0.7 else rng.uniform(100, 600)
+        rect = Rect((x, y), (x + w, y + h))
+        data[tree.insert(rect)] = rect
+    multi = [rid for rid in data if tree.fragment_count(rid) > 1]
+    assert multi
+    return tree, data, multi
+
+
+class TestDeleteWithPartialHint:
+    """A hint that meets only some of a record's fragments (here its low
+    corner point) still deletes the whole record."""
+
+    @pytest.mark.parametrize("cls", [SRTree, SkeletonSRTree])
+    @pytest.mark.parametrize("through", ["tree", "engine"])
+    def test_low_corner_hint_deletes_every_fragment(self, cls, through):
+        tree, data, multi = _cut_tree(cls)
+        index = tree if through == "tree" else ConcurrentIndex(tree)
+        for rid in multi:
+            rect = data.pop(rid)
+            fragments = tree.fragment_count(rid)
+            assert index.delete(rid, Rect(rect.lows, rect.lows)) == fragments
+            check_index(tree)
+            assert rid not in index.search_ids(rect)
+        assert index.search_ids(Rect((0, 0), (1600, 1600))) == set(data)
+
+    @pytest.mark.parametrize("cls", [SRTree, SkeletonSRTree])
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_any_sub_box_hint_deletes_the_record(self, cls, data):
+        tree, rects, multi = _cut_tree(cls)
+        rid = data.draw(st.sampled_from(multi))
+        rect = rects[rid]
+        unit = st.floats(min_value=0.0, max_value=1.0)
+        lows, highs = [], []
+        for lo, hi in zip(rect.lows, rect.highs):
+            a = lo + data.draw(unit) * (hi - lo)
+            lows.append(a)
+            highs.append(min(hi, a + data.draw(unit) * (hi - a)))
+        assert tree.delete(rid, Rect(tuple(lows), tuple(highs))) >= 1
+        check_index(tree)
+        assert rid not in tree.search_ids(rect)
 
 
 class TestOneDimensionalSRTree:
