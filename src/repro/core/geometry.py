@@ -93,6 +93,10 @@ class Rect:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Rect is immutable")
 
+    def __reduce__(self) -> tuple[type["Rect"], tuple[tuple[float, ...], tuple[float, ...]]]:
+        # pickle and copy rebuild through __init__, since __setattr__ refuses.
+        return (Rect, (self.lows, self.highs))
+
     # ------------------------------------------------------------------
     # Basic protocol
     # ------------------------------------------------------------------

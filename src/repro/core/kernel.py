@@ -7,7 +7,9 @@ search for a record's fragments (:func:`repro.core.query.locate`),
 Guttman's ChooseLeaf (``RTree._choose_branch``), the SR-Tree's search for
 a spanned branch (``SRTree._try_place_spanning``) and Guttman's quadratic
 and linear splits (:mod:`repro.core.split`: PickSeeds' pair loop, PickNext
-and the growth of the two group covers).  Written as ``for d in range(K)``,
+and the growth of the two group covers); the page serializer's slot loops
+(:mod:`repro.storage.serializer`) unroll a slot's K lows and K highs the
+same way.  Written as ``for d in range(K)``,
 the inner loop costs more than the comparisons in it: an iterator per
 entry tested.  Each of those loops is therefore one *template* beside the
 code that calls it, and :func:`unrolled` compiles it for a given K with

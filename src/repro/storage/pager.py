@@ -42,7 +42,7 @@ from ..obs.lockgraph import TrackedCondition
 from ..obs.tracer import Tracer
 from .buffer import BufferPool, PageVersionCache
 from .disk import SimulatedDisk
-from .serializer import NodeImage, deserialize_node, serialize_node
+from .serializer import NodeImage, deserialize_node, entry_physical_bytes, serialize_node
 from .wal import WalReplayResult, WriteAheadLog, replay_wal, wal_directory_for
 
 __all__ = [
@@ -267,6 +267,16 @@ class StorageManager:
         wal: WriteAheadLog | None = None,
     ) -> None:
         self.tree = tree
+        needed = entry_physical_bytes(tree.dims)
+        if needed > tree.config.entry_bytes:
+            # The capacity accounting would promise nodes their pages
+            # cannot hold: the first full one would fail to encode after
+            # its insert had already changed the tree.
+            raise ConfigError(
+                f"a {tree.dims}-D entry takes {needed} bytes on a page, more than "
+                f"entry_bytes={tree.config.entry_bytes}; storage needs "
+                f"IndexConfig(entry_bytes>={needed})"
+            )
         if wal is not None:
             self._refuse_predicting("be attached with a write-ahead log")
         #: Any page store with the SimulatedDisk interface works; pass a

@@ -84,6 +84,8 @@ WAL_MAGIC = b"WAL1"
 #: magic, crc32, lsn, page_id, rtype, payload length.
 _FRAME = struct.Struct("<4sIQQII")
 WAL_FRAME_BYTES = _FRAME.size
+#: The part of a frame header the CRC covers (everything after the CRC).
+_COVERED = struct.Struct("<QQII")
 
 #: Sanity bound on a single payload (a page image is at most a few KB).
 _MAX_PAYLOAD = 1 << 28
@@ -182,7 +184,7 @@ class WalRecord:
 
 def _frame(lsn: int, rtype: int, page_id: PageId, payload: bytes) -> bytes:
     """Encode one record with its CRC frame."""
-    covered = struct.pack("<QQII", lsn, page_id, rtype, len(payload))
+    covered = _COVERED.pack(lsn, page_id, rtype, len(payload))
     crc = zlib.crc32(payload, zlib.crc32(covered))
     return _FRAME.pack(WAL_MAGIC, crc, lsn, page_id, rtype, len(payload)) + payload
 

@@ -1,6 +1,8 @@
 """Unit and property tests for the geometry kernel."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,27 @@ class TestConstruction:
     def test_iter_yields_bounds_pairs(self):
         r = Rect((0, 1), (2, 3))
         assert list(r) == [(0.0, 2.0), (1.0, 3.0)]
+
+    def test_pickle_and_copy_rebuild_an_equal_rect(self):
+        r = Rect((0, -math.inf, 1), (2, 3, math.inf))
+        for clone in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert type(clone) is Rect
+            assert clone == r and hash(clone) == hash(r)
+            with pytest.raises(AttributeError):
+                clone.lows = (5,)
+
+    def test_deepcopy_of_an_index(self):
+        from repro import SRTree, check_index
+
+        tree = SRTree()
+        for i in range(600):
+            tree.insert(segment(i % 43, i % 43 + 2, float(i)))
+        clone = copy.deepcopy(tree)
+        check_index(clone)
+        q = Rect((10.0, 0.0), (20.0, 300.0))
+        assert clone.search_ids(q) == tree.search_ids(q)
+        clone.insert(segment(1, 2, 3))
+        assert len(clone) == len(tree) + 1
 
 
 class TestMeasures:

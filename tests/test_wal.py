@@ -96,6 +96,18 @@ class TestFraming:
         for cut in (0, 5, WAL_FRAME_BYTES - 1, WAL_FRAME_BYTES, len(data) - 1):
             assert _parse_frame(data[:cut], 0) is None
 
+    def test_frame_bytes_are_pinned(self):
+        # magic, CRC32 over (lsn, page, type, length) + payload, then those
+        # four fields and the payload: the log format on disk.
+        assert _frame(7, REC_PAGE_IMAGE, 3, b"payload").hex() == (
+            "57414c31c31ea669" "0700000000000000" "0300000000000000" "02000000" "07000000"
+            "7061796c6f6164"
+        )
+        assert _frame(2**40 + 5, REC_COMMIT, 0, (9).to_bytes(8, "little")).hex() == (
+            "57414c31afe1cc94" "0500000000010000" "0000000000000000" "05000000" "08000000"
+            "0900000000000000"
+        )
+
 
 # ---------------------------------------------------------------------------
 # Log basics: append, durability, reopen, torn tails
