@@ -120,8 +120,9 @@ LOCK_HIERARCHY: tuple[LockLevel, ...] = (
             "simulated latency sleeps.  Always last — never under an "
             "exclusive lock (rule R6) outside the documented allowlist.  "
             "Its one real lock is the file store's handle mutex, which "
-            "makes each seek + read/write pair atomic and is held for "
-            "nothing else."
+            "makes each seek + write pair atomic, and the flush a read "
+            "makes of bytes a write left buffered; reads are positional "
+            "and take it for nothing else."
         ),
         where="storage/disk.py, storage/filedisk.py (`FileDisk._io_lock`), "
         "os.fsync, time.sleep",

@@ -10,18 +10,19 @@ Thread-safety contract
 ----------------------
 Every public method may be called from any thread.  One internal mutex
 guards the frame table, the LRU order and the statistics.  The pool lends
-no frames: :meth:`read` copies a page's bytes out and :meth:`write`
-copies them in, each inside the pool's own critical sections, so no
-caller ever holds a frame and any resident page may be evicted.  A
-condition variable on the same mutex coordinates the one kind of
-waiting — a page being read from disk by another thread is in the
+no frames: a frame's bytes are immutable, so :meth:`read` hands them out
+and :meth:`write` swaps a whole new image in, each inside the pool's own
+critical sections; no caller ever holds a frame and any resident page may
+be evicted.  A condition variable on the same mutex coordinates the one
+kind of waiting — a page being read from disk by another thread is in the
 in-flight table, and a second accessor of the same page waits for the
 first read to land rather than issuing a duplicate read.
 
 :meth:`touch` is an access that moves no bytes: a hit is a single
-critical section (see its docstring).  :meth:`touch_all` is the storage
-hook's call per read: the same touches, a run of resident pages in one
-section.
+critical section, a miss one more after its disk read.  :meth:`touch_all`
+is the storage hook's call per read: the same touches, with a run of
+resident pages in one section and each miss installed in the section
+that counts the run after it — k + 1 sections for k misses.
 
 Disk reads happen *outside* the mutex (real buffer managers never hold a
 latch across I/O); that is what lets concurrent readers overlap their
@@ -126,6 +127,9 @@ class BufferPool:
         #: loading thread discards its frame instead of resurrecting the
         #: deallocated page in the pool.
         self._dropped_while_loading: set[PageId] = set()
+        #: Threads waiting in :meth:`_probe` for an in-flight read to land;
+        #: an install wakes them only when there are some.
+        self._load_waiters = 0
 
     @property
     def resident_bytes(self) -> int:
@@ -143,22 +147,79 @@ class BufferPool:
         with self._cond:
             frame = self._probe(page_id)
             if frame is not None:
-                return frame.read()
-        return self._read_in(page_id)
+                return frame.data
+        return self._miss(page_id).data
 
     def write(self, page_id: PageId, image: bytes) -> None:
         """One access that overwrites the page with ``image`` and marks it
         dirty.  A miss reads the page in first, as any access does, and
-        installs the frame already written."""
+        installs the frame already written.  An image that is not exactly
+        the page's size is refused before anything changes, as the disk
+        would refuse it."""
+        size = self.disk.page_size(page_id)
+        if len(image) != size:
+            raise StorageError(
+                f"page {page_id}: write of {len(image)} bytes != page size {size}"
+            )
+        image = bytes(image)
         with self._cond:
             frame = self._probe(page_id)
             if frame is not None:
-                frame.write(image)
+                frame.data = image
+                frame.dirty = True
                 return
-        self._read_in(page_id, image)
+        self._miss(page_id, image)
+
+    def touch(self, page_id: PageId) -> None:
+        """One logical access that moves no bytes.
+
+        A hit is one critical section: count it, trace it, move the page
+        to the MRU end.  A miss is one more, after the unlatched disk
+        read, to install the frame (:meth:`_miss`).
+        """
+        with self._cond:
+            if self._probe(page_id) is not None:
+                return
+        self._miss(page_id)
+
+    def touch_all(
+        self,
+        page_ids: Sequence[PageId],
+        retry: Callable[[PageId, TransientDiskError], None],
+    ) -> None:
+        """:meth:`touch` each page in order, in one critical section per
+        miss plus one: a section counts a run of resident pages and probes
+        the miss that ends it; that page is read outside the mutex, and the
+        next section installs it before it counts the run after it.  A
+        visit with k misses takes k + 1 sections, and its accesses, LRU
+        order, evictions and events are those of one :meth:`touch` per
+        page.  A miss whose read raises :class:`TransientDiskError` —
+        attempt 1 — is handed to ``retry`` outside the handler; the
+        touches resume after it."""
+        start = 0
+        loaded: "tuple[Page, int] | None" = None
+        while True:
+            with self._cond:
+                if loaded is not None:
+                    self._install(*loaded)
+                end = self._hits(page_ids, start)
+                if end == len(page_ids):
+                    return
+                page_id = page_ids[end]
+                frame = self._probe(page_id)
+            start = end + 1
+            loaded = None
+            if frame is not None:
+                continue  # another thread's read of it landed meanwhile
+            try:
+                loaded = self._load(page_id)
+                continue
+            except TransientDiskError as exc:
+                error = exc
+            retry(page_id, error)
 
     # ------------------------------------------------------------------
-    # The two halves of an access
+    # The parts of an access
     # ------------------------------------------------------------------
     def _hits(self, page_ids: Sequence[PageId], start: int) -> int:
         """Under the mutex: count ``page_ids[start:]`` as hits, trace them and
@@ -182,7 +243,7 @@ class BufferPool:
         """Under the mutex: the resident frame, counted as a hit and moved
         to the MRU end — or ``None`` once the access is counted as a miss
         and the page marked in flight, which obliges the caller to
-        :meth:`_read_in` it."""
+        :meth:`_load` it."""
         while True:
             frame = self._frames.get(page_id)
             if frame is not None:
@@ -200,106 +261,84 @@ class BufferPool:
             # Another thread is reading this page right now; wait for its
             # frame to land instead of re-reading.
             self.stats.load_waits += 1
-            self._cond.wait()
+            self._load_waiters += 1
+            try:
+                self._cond.wait()
+            finally:
+                self._load_waiters -= 1
 
-    def _read_in(self, page_id: PageId, image: "bytes | None" = None) -> bytes:
-        """Read an in-flight page outside the mutex, then make room for it
-        and install it — overwritten with ``image`` and dirty, when given —
-        in one critical section; returns the bytes read."""
+    def _miss(self, page_id: PageId, image: "bytes | None" = None) -> Page:
+        """Read in-flight ``page_id`` and install it in one section."""
+        loaded = self._load(page_id, image)
+        with self._cond:
+            self._install(*loaded)
+        return loaded[0]
+
+    def _load(self, page_id: PageId, image: "bytes | None" = None) -> "tuple[Page, int]":
+        """Outside the mutex: read in-flight ``page_id`` from disk into a
+        frame — holding ``image``, dirty, when given — and return it with
+        the ns the read blocked (0 untraced).  A read that raises takes the
+        page out of flight first."""
         # read_ns = time *blocked* on the unlatched I/O: wall time minus
         # the thread CPU charged inside the window (syscall / timer
         # accounting), so a latency decomposition can add read_ns to a
         # thread-CPU measurement without double counting.
         tracing = self.tracer.enabled
-        read_start = time.monotonic_ns() if tracing else 0
-        cpu_start = time.thread_time_ns() if tracing else 0
-        read_ns = 0
+        if tracing:
+            read_start = time.monotonic_ns()
+            cpu_start = time.thread_time_ns()
         try:
             data = self.disk.read_page(page_id)  # unlatched I/O
-            if tracing:
-                read_ns = max(
-                    0,
-                    (time.monotonic_ns() - read_start)
-                    - (time.thread_time_ns() - cpu_start),
-                )
-            frame = Page(page_id, len(data), bytearray(data))
-            if image is not None:
-                frame.write(image)
         except BaseException:
             with self._cond:
                 self._loading.discard(page_id)
                 self._dropped_while_loading.discard(page_id)
-                self._cond.notify_all()
+                if self._load_waiters:
+                    self._cond.notify_all()
             raise
-        with self._cond:
-            # page_id leaves the in-flight table only once its frame is in
-            # (or the install failed), all in this one section.
-            try:
-                if page_id in self._dropped_while_loading:
-                    raise StorageError(f"page {page_id} was dropped during fetch")
-                self._make_room(frame.size)
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "page_fetch",
-                        page_id=page_id,
-                        hit=False,
-                        page_bytes=frame.size,
-                        read_ns=read_ns,
-                    )
-                self._frames[page_id] = frame
-                self._resident_bytes += frame.size
-            finally:
-                self._loading.discard(page_id)
-                self._dropped_while_loading.discard(page_id)
+        read_ns = 0
+        if tracing:
+            read_ns = max(
+                0,
+                (time.monotonic_ns() - read_start) - (time.thread_time_ns() - cpu_start),
+            )
+        if image is None:
+            return Page.frame(page_id, data), read_ns
+        return Page.frame(page_id, image, dirty=True), read_ns
+
+    def _install(self, frame: Page, read_ns: int) -> None:
+        """Under the mutex: make room for a frame :meth:`_load` read and
+        install it at the MRU end; its page leaves the in-flight table
+        here, installed or not, and any load waiter is woken."""
+        page_id = frame.page_id
+        try:
+            if page_id in self._dropped_while_loading:
+                raise StorageError(f"page {page_id} was dropped during fetch")
+            size = frame.size
+            if self._resident_bytes + size > self.capacity_bytes:
+                self._make_room(size)
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "page_fetch",
+                    page_id=page_id,
+                    hit=False,
+                    page_bytes=size,
+                    read_ns=read_ns,
+                )
+            self._frames[page_id] = frame
+            self._resident_bytes += size
+        finally:
+            self._loading.discard(page_id)
+            self._dropped_while_loading.discard(page_id)
+            if self._load_waiters:
                 self._cond.notify_all()
-        return data
-
-    def touch(self, page_id: PageId) -> None:
-        """One logical access that moves no bytes.
-
-        A hit is one critical section: count it, trace it, move the page
-        to the MRU end.  A miss is two sections around the unlatched disk
-        read, as in :meth:`read`.
-        """
-        with self._cond:
-            if self._probe(page_id) is not None:
-                return
-        self._read_in(page_id)
-
-    def touch_all(
-        self,
-        page_ids: Sequence[PageId],
-        retry: Callable[[PageId, TransientDiskError], None],
-    ) -> None:
-        """:meth:`touch` each page in order: each run of resident pages in
-        one critical section, each miss probed in the section that ends
-        the run and read in as :meth:`touch` reads it.  A miss whose read
-        raises :class:`TransientDiskError` — attempt 1 — is handed to
-        ``retry`` outside the handler; the touches resume after it."""
-        start = 0
-        while True:
-            with self._cond:
-                end = self._hits(page_ids, start)
-                if end == len(page_ids):
-                    return
-                page_id = page_ids[end]
-                frame = self._probe(page_id)
-            start = end + 1
-            if frame is not None:
-                continue  # another thread's read of it landed meanwhile
-            try:
-                self._read_in(page_id)
-                continue
-            except TransientDiskError as exc:
-                error = exc
-            retry(page_id, error)
 
     def flush(self) -> None:
         """Write back every dirty resident page."""
         with self._lock:
             for frame in self._frames.values():
                 if frame.dirty:
-                    self.disk.write_page(frame.page_id, bytes(frame.data))
+                    self.disk.write_page(frame.page_id, frame.data)
                     frame.dirty = False
                     self.stats.dirty_writebacks += 1
 
@@ -363,7 +402,7 @@ class BufferPool:
                 # write raises (e.g. an injected transient fault) the
                 # dirty page survives in the pool and a retried access
                 # re-attempts the writeback instead of losing the data.
-                self.disk.write_page(victim.page_id, bytes(victim.data))
+                self.disk.write_page(victim.page_id, victim.data)
                 victim.dirty = False
                 self.stats.dirty_writebacks += 1
             if self.tracer.enabled:

@@ -86,11 +86,17 @@ class FileDisk:
         self._end = 0
         self._closed = False
         self._write_failed = False
-        #: The one buffered handle has one file position: each seek and
-        #: the read or write it positions must not interleave with another
-        #: thread's (the buffer pool reads pages outside its own mutex).
-        #: It takes no other lock, so no ordering edge can start from it.
+        #: Writes go through the one buffered handle, which has one file
+        #: position: each seek and the write it positions must not
+        #: interleave with another thread's, and neither may the flush a
+        #: read makes of the bytes a write left in the handle's buffer.
+        #: Reads are positional (``os.pread``) and take it only for that
+        #: flush, so concurrent readers share nothing.  It takes no other
+        #: lock, so no ordering edge can start from it.
         self._io_lock = threading.Lock()
+        #: Set by a write, cleared by the flush of the next read: whether
+        #: the handle's buffer may hold bytes a read must not miss.
+        self._unflushed = False
         #: Last durably committed sidecar generation (0 = never synced).
         self.generation = 0
         #: Which sidecar recovery used on open: "meta", "prev" or "fresh".
@@ -108,6 +114,7 @@ class FileDisk:
             self._file = open(self.path, "r+b")
         else:
             self._file = open(self.path, "w+b")
+        self._fd = self._file.fileno()
 
     # ------------------------------------------------------------------
     # Recovery
@@ -182,6 +189,7 @@ class FileDisk:
             with self._io_lock:
                 self._file.seek(offset)
                 self._file.write(bytes(size))
+                self._unflushed = True
         except Exception:
             self._write_failed = True
             raise
@@ -209,11 +217,12 @@ class FileDisk:
         return sorted(self._sizes)
 
     def read_page(self, page_id: PageId) -> bytes:
+        """The page's bytes, by one positional read at its offset."""
         self._check_open()
         size = self.page_size(page_id)
-        with self._io_lock:
-            self._file.seek(self._offsets[page_id])
-            data = self._file.read(size)
+        if self._unflushed:
+            self._flush_writes()
+        data = os.pread(self._fd, size, self._offsets[page_id])
         if len(data) != size:
             raise StorageError(f"short read on page {page_id}")
         self.stats.reads += 1
@@ -238,11 +247,24 @@ class FileDisk:
             with self._io_lock:
                 self._file.seek(self._offsets[page_id])
                 self._file.write(data)
+                self._unflushed = True
         except Exception:
             self._write_failed = True
             raise
         self.stats.writes += 1
         self.stats.bytes_written += size
+
+    def _flush_writes(self) -> None:
+        """Hand the bytes earlier writes left in the handle's buffer to the
+        OS, so a positional read sees them."""
+        try:
+            with self._io_lock:
+                if self._unflushed:
+                    self._file.flush()
+                    self._unflushed = False
+        except Exception:
+            self._write_failed = True
+            raise
 
     @property
     def allocated_pages(self) -> int:

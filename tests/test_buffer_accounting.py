@@ -103,8 +103,10 @@ class LruModel:
         return self._access(page_id)[0]
 
     def write(self, page_id: int, image: bytes) -> None:
+        if len(image) != self.sizes[page_id]:
+            raise StorageError(f"page {page_id}: image of {len(image)} bytes")
         frame = self._access(page_id)
-        frame[0] = image + frame[0][len(image):]
+        frame[0] = image
         frame[1] = True
 
     def drop(self, page_id: int) -> None:
@@ -166,7 +168,9 @@ def _pool_and_model(sizes: dict, capacity: int) -> tuple[BufferPool, Tracer, Lru
 def _step(pool: BufferPool, model: LruModel, op: str, page_ids: list, fill: int) -> None:
     """Apply one operation to both; they must raise, or return, alike."""
     page_id = page_ids[0]
-    image = bytes([fill]) * (1 + fill * 7)  # a prefix of every page size here
+    # A whole page, but one write in five is a byte short: refused before
+    # anything changes, neither spliced over the old image nor padded.
+    image = bytes([fill]) * (model.sizes[page_id] - (fill % 5 == 0))
     calls = {
         "touch": (lambda: pool.touch(page_id), lambda: model.touch(page_id)),
         "touch_all": (
@@ -264,6 +268,51 @@ def test_touch_is_fetch_release_on_a_seeded_trace():
 # ---------------------------------------------------------------------------
 # A read's visit, touched in runs (StorageManager._on_access)
 # ---------------------------------------------------------------------------
+class _CountingMutex:
+    """The pool's mutex, counting the critical sections entered on it."""
+
+    def __init__(self, cond):
+        self._cond = cond
+        self.sections = 0
+
+    def __enter__(self):
+        self.sections += 1
+        return self._cond.__enter__()
+
+    def __exit__(self, *exc):
+        return self._cond.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self._cond, name)
+
+
+@pytest.mark.parametrize(
+    "resident, visit, capacity_pages",
+    [
+        ([1, 2, 3], [1, 2, 3], 8),  # hits only
+        ([2, 4], [1, 2, 3, 4, 5], 8),  # misses first, between hits and last
+        ([], [1, 2, 3, 4], 8),  # a run of misses
+        ([1, 2, 3], [4, 1, 5, 6, 2, 7], 3),  # misses that evict
+    ],
+)
+def test_a_visit_with_k_misses_takes_k_plus_one_pool_sections(resident, visit, capacity_pages):
+    """Each miss's install shares the section that counts the hits after
+    it, so a visit enters the pool mutex once, plus once per miss."""
+    sizes = dict.fromkeys(range(1, 9), 512)
+    pool, tracer, model = _pool_and_model(sizes, capacity_pages * 512)
+    for page_id in resident:
+        pool.touch(page_id)
+        model.touch(page_id)
+    counting = pool._cond = _CountingMutex(pool._cond)
+    misses_before = pool.stats.misses
+    pool.touch_all(visit, _no_retry)
+    model.touch_all(visit)
+    k = pool.stats.misses - misses_before
+    assert counting.sections == k + 1
+    assert _observable(pool) == model.observable()
+    assert _events(tracer) == model.events
+
+
 def _spilling_tree_and_queries():
     rng = random.Random(1991)
     tree = SRTree()

@@ -21,7 +21,7 @@ class TestBufferPoolEvictionEvents:
         for round_no in range(2):
             for page_id in range(1, 21):
                 if page_id % 3 == 0:
-                    pool.write(page_id, bytes([round_no + 1]))
+                    pool.write(page_id, bytes([round_no + 1]) * page_bytes)
                 else:
                     pool.read(page_id)
 
@@ -43,7 +43,7 @@ class TestBufferPoolEvictionEvents:
         disk.allocate(1, 512)
         tracer = Tracer(RingBufferSink())
         pool = BufferPool(disk, capacity_bytes=2048, tracer=tracer)
-        pool.write(1, b"d")
+        pool.write(1, b"d" * 512)
         pool.flush()
         assert pool.stats.dirty_writebacks == 1
         assert pool.stats.evictions == 0

@@ -235,15 +235,16 @@ class TestRetries:
         faulty.allocate(1, 512)
         faulty.allocate(2, 512)
         pool = BufferPool(faulty, capacity_bytes=512)
-        pool.write(1, b"dirty!")
+        dirty, following = b"dirty!".ljust(512, b"\0"), b"next".ljust(512, b"\0")
+        pool.write(1, dirty)
         with pytest.raises(TransientDiskError):
-            pool.write(2, b"next")  # evicting page 1 hits the injected write fault
+            pool.write(2, following)  # evicting page 1 hits the injected write fault
         # The dirty victim must survive the failed writeback, and the
         # byte accounting must still match what is actually resident.
         assert pool.resident_pages == 1
         assert pool.resident_bytes == 512
         assert pool._frames[1].dirty
-        pool.write(2, b"next")  # retry: writeback succeeds, eviction completes
+        pool.write(2, following)  # retry: writeback succeeds, eviction completes
         assert faulty.read_page(1)[:6] == b"dirty!"
         assert 1 not in pool._frames
         assert pool.resident_bytes == 512

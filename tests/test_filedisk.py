@@ -1,13 +1,21 @@
 """Tests for the file-backed page store and end-to-end persistence."""
 
 import random
+import sys
 import threading
 
 import pytest
 
 from repro import Rect, SRTree, check_index
 from repro.exceptions import StorageError
-from repro.storage import BufferPool, FileDisk, StorageManager, recover_tree
+from repro.storage import (
+    BufferPool,
+    FileDisk,
+    StorageManager,
+    recover_tree,
+    serialize_node,
+    verify_page,
+)
 
 from .conftest import random_segments
 
@@ -94,56 +102,139 @@ class TestFileDisk:
         assert reopened.page_size(1) == 16
         reopened.close(sync=False)
 
-    def test_two_readers_never_share_a_file_position(self, tmp_path):
-        """Each seek + read pair is atomic: a second reader cannot move
-        the shared handle's position between them.  The handle proxy parks
-        the first seek until the second reader has seeked too (or, when
-        the pair is locked and it cannot, until a timeout)."""
-        from repro.storage import serialize_node, verify_page
+    @staticmethod
+    def _node_image(y):
+        tree = SRTree()
+        tree.insert(Rect((0.0, y), (5.0, y)))
+        return serialize_node(tree.root, 1024, {})
 
-        pages = {}
+    def test_two_readers_never_share_a_file_position(self, tmp_path):
+        """Reads never move the shared handle: a write parked between its
+        seek and its write while two readers read other pages still lands
+        at its own offset, and each reader gets its own page whole.  The
+        handle proxy parks the write until both reads are done (or, when
+        the reads wait for the write, until a timeout)."""
+        pages = {page_id: self._node_image(10.0 * page_id) for page_id in (1, 2, 3)}
         disk = FileDisk(tmp_path / "pages.db")
-        for page_id, y in ((1, 10.0), (2, 20.0)):
-            tree = SRTree()
-            tree.insert(Rect((0.0, y), (5.0, y)))
-            pages[page_id] = serialize_node(tree.root, 1024, {})
+        for page_id, image in pages.items():
             disk.allocate(page_id, 1024)
-            disk.write_page(page_id, pages[page_id])
+            disk.write_page(page_id, image)
+        disk.read_page(1)  # flushes the writes above; the reads below need nothing
+        rewrite = self._node_image(40.0)
 
         class ParkingHandle:
             def __init__(self, handle):
                 self._handle = handle
-                self._seeks = 0
-                self._gate = threading.Lock()
-                self._second_seeked = threading.Event()
+                self.parked = threading.Event()
+                self.reads_done = threading.Event()
 
-            def seek(self, offset):
-                with self._gate:
-                    self._seeks += 1
-                    first = self._seeks == 1
-                self._handle.seek(offset)
-                if first:
-                    self._second_seeked.wait(timeout=0.3)
-                else:
-                    self._second_seeked.set()
+            def write(self, data):
+                self.parked.set()
+                self.reads_done.wait(timeout=0.3)
+                return self._handle.write(data)
 
             def __getattr__(self, name):
                 return getattr(self._handle, name)
 
-        disk._file = ParkingHandle(disk._file)
+        handle = disk._file = ParkingHandle(disk._file)
+        writer = threading.Thread(target=disk.write_page, args=(1, rewrite))
+        writer.start()
+        assert handle.parked.wait(timeout=10)
         got = {}
         readers = [
             threading.Thread(target=lambda p=p: got.update({p: disk.read_page(p)}))
-            for p in pages
+            for p in (2, 3)
         ]
         for reader in readers:
             reader.start()
         for reader in readers:
             reader.join(timeout=10)
-        assert not any(reader.is_alive() for reader in readers)
-        for page_id, image in pages.items():
+        handle.reads_done.set()
+        writer.join(timeout=10)
+        assert not writer.is_alive() and not any(r.is_alive() for r in readers)
+        disk._file = handle._handle
+        for page_id in (2, 3):
             verify_page(got[page_id], page_id)
-            assert got[page_id] == image
+            assert got[page_id] == pages[page_id]
+        # Page 1 is at offset 0, where no read leaves the handle.
+        assert disk.read_page(1) == rewrite
+        assert [disk.read_page(p) for p in (2, 3)] == [pages[2], pages[3]]
+        disk.close()
+
+    def test_an_unsynced_write_reads_back(self, tmp_path):
+        """A read sees a write still held in the handle's buffer: a read
+        flushes what writes have left there, every time they have."""
+        disk = FileDisk(tmp_path / "pages.db")
+        disk.allocate(1, 64)
+        disk.allocate(2, 64)
+        disk.write_page(1, b"a" * 64)
+        assert disk.read_page(1) == b"a" * 64
+        disk.write_page(1, b"b" * 64)
+        disk.write_page(2, b"c" * 64)
+        assert disk.read_page(1) == b"b" * 64
+        assert disk.read_page(2) == b"c" * 64
+        assert disk.stats.fsyncs == 0
+        disk.close()
+
+    def test_reads_beside_writes_of_other_pages_are_whole(self, tmp_path):
+        """Two reader threads reading pages 1-4 while two writer threads
+        rewrite pages 5-8 always get whole, CRC-valid images of their own
+        pages; each writer reads back what it just wrote, which a write
+        left unflushed by a racing read's flush would break."""
+        disk = FileDisk(tmp_path / "pages.db")
+        versions = {
+            page_id: [self._node_image(10.0 * page_id + v) for v in (0.0, 0.5)]
+            for page_id in range(1, 9)
+        }
+        for page_id, (image, _) in versions.items():
+            disk.allocate(page_id, 1024)
+            disk.write_page(page_id, image)
+        errors = []
+        writers_left = [2]
+        count_lock = threading.Lock()
+
+        def write(own):
+            try:
+                for i in range(200):
+                    for page_id in own:
+                        disk.write_page(page_id, versions[page_id][i % 2])
+                        assert disk.read_page(page_id) == versions[page_id][i % 2]
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+            finally:
+                with count_lock:
+                    writers_left[0] -= 1
+
+        def read():
+            try:
+                while writers_left[0]:
+                    for page_id in range(1, 5):
+                        data = disk.read_page(page_id)
+                        verify_page(data, page_id)
+                        assert data == versions[page_id][0]
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=write, args=((5, 6),)),
+                threading.Thread(target=write, args=((7, 8),)),
+                threading.Thread(target=read),
+                threading.Thread(target=read),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for page_id in range(1, 9):
+            last = 199 % 2 if page_id >= 5 else 0
+            assert disk.read_page(page_id) == versions[page_id][last]
         disk.close()
 
     def test_works_under_buffer_pool(self, tmp_path):

@@ -160,6 +160,30 @@ class TestBufferPool:
         assert pool.stats.dirty_writebacks == 0
         assert disk.read_page(1) == b"\x00" * 64
 
+    def test_write_of_a_wrong_size_image_is_refused_on_a_hit(self):
+        disk = self._disk()
+        pool = BufferPool(disk, capacity_bytes=256)
+        pool.write(1, b"a" * 64)
+        stats = pool.stats.snapshot()
+        for image in (b"b" * 10, b"b" * 65):
+            with pytest.raises(StorageError, match=f"write of {len(image)} bytes != page size 64"):
+                pool.write(1, image)
+        assert pool.stats.snapshot() == stats
+        assert pool.read(1) == b"a" * 64  # no splice of the new prefix
+        pool.flush()
+        assert disk.read_page(1) == b"a" * 64
+
+    def test_write_of_a_wrong_size_image_is_refused_on_a_miss(self):
+        disk = self._disk()
+        pool = BufferPool(disk, capacity_bytes=256)
+        with pytest.raises(StorageError, match="write of 10 bytes != page size 64"):
+            pool.write(2, b"b" * 10)
+        assert pool.stats.accesses == 0 and pool.resident_pages == 0
+        assert disk.stats.reads == 0
+        assert pool.read(2) == bytes(64)  # nothing padded into a frame
+        pool.flush()
+        assert disk.stats.writes == 0
+
     def test_drop_nonresident_is_noop(self):
         pool = BufferPool(self._disk(), capacity_bytes=256)
         pool.drop(99)  # never resident, never allocated: silently ignored
