@@ -73,9 +73,10 @@ IO_UNDER_LOCK_ALLOWLIST: Mapping[tuple[str, str], str] = {
         "(checkpoints exclude concurrent writers by contract)"
     ),
     ("storage/wal.py", "_maybe_roll_locked"): (
-        "segment-roll fsync under the WAL mutex; rolls are rare (soft "
-        "segment bound) and deferred while a group-commit flusher is "
-        "active, so no committer ever waits behind one"
+        "segment-roll sync under the WAL mutex, then the new segment's "
+        "zero fill, its fsync and the directory fsync; rolls are rare "
+        "(one per segment_bytes of log) and deferred while a group-commit "
+        "flusher is active, so no committer ever waits behind one"
     ),
     ("storage/wal.py", "close"): (
         "final fsync at shutdown; close() runs quiesced by contract "

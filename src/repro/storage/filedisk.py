@@ -53,10 +53,25 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from .disk import DiskStats
 from .page import PageId
 
-__all__ = ["FileDisk", "META_MAGIC"]
+__all__ = ["FileDisk", "META_MAGIC", "fsync_directory"]
 
 #: Identifies (and versions) the sidecar layout.
 META_MAGIC = "repro.filedisk/v2"
+
+
+def fsync_directory(directory: "str | os.PathLike[str]") -> None:
+    """Make the entries of ``directory`` durable: a rename, a new file
+    (best effort where a directory cannot be opened or synced)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 def _meta_crc(doc: dict) -> int:
@@ -349,7 +364,7 @@ class FileDisk:
             if self.meta_path.exists():
                 os.replace(self.meta_path, self.prev_meta_path)
             os.replace(tmp, self.meta_path)
-            self._fsync_dir()
+            fsync_directory(self.path.parent)
         except Exception:
             self._write_failed = True
             # The .tmp is not a valid sidecar generation; leaving it behind
@@ -368,19 +383,6 @@ class FileDisk:
         for epoch in [e for e in self._retired if e <= new_gen - 1]:
             for offset, size in self._retired.pop(epoch):
                 self._free.setdefault(size, []).append(offset)
-
-    def _fsync_dir(self) -> None:
-        """Make the sidecar renames durable (best effort off Linux)."""
-        try:
-            fd = os.open(self.path.parent, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
 
     def close(self, sync: bool | None = None) -> None:
         """Close the store, syncing first unless a write already failed.
@@ -404,13 +406,15 @@ class FileDisk:
         """Simulate a crash: drop the handle without flushing or syncing.
 
         Nothing after the last :meth:`sync` is committed; reopening the
-        path runs recovery exactly as after a real crash.
+        path runs recovery exactly as after a real crash.  Closing the
+        raw descriptor under the buffered handle drops what the handle
+        still buffers (the last page write), as a power loss would.
         """
         if not self._closed:
             self._closed = True
             self._write_failed = True
             try:
-                self._file.close()
+                self._file.raw.close()
             except OSError:
                 pass
 

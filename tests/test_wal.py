@@ -7,6 +7,7 @@ The module carries the ``faults`` marker so CI runs it across the
 ``REPRO_FAULT_SEED`` matrix.
 """
 
+import errno
 import os
 import random
 import threading
@@ -28,6 +29,7 @@ from repro.storage import (
     Fault,
     FaultInjectingDisk,
     FileDisk,
+    SimulatedDisk,
     StorageManager,
     WriteAheadLog,
     recover_tree,
@@ -36,6 +38,7 @@ from repro.storage import (
     wal_directory_for,
 )
 from repro.storage.wal import (
+    REC_ALLOC,
     REC_COMMIT,
     REC_DEALLOC,
     REC_PAGE_IMAGE,
@@ -45,6 +48,8 @@ from repro.storage.wal import (
     _frame,
     _parse_frame,
     _scan_directory,
+    _segment_name,
+    list_wal_segments,
 )
 
 from .conftest import random_segments
@@ -69,6 +74,23 @@ def wal_rects(n, seed=17):
 
 def search_ids(tree, rect):
     return {rid for rid, _ in tree.search(rect)}
+
+
+def frames_end(data):
+    """Where a segment's valid frames end (its zero padding starts)."""
+    offset = 0
+    while (parsed := _parse_frame(data, offset)) is not None:
+        offset = parsed[1]
+    return offset
+
+
+def tear_last_frame(segment, cut):
+    """Zero the last ``cut`` bytes of the segment's last frame: what a
+    crash that wrote only a prefix of it leaves in a preallocated
+    segment."""
+    data = segment.read_bytes()
+    end = frames_end(data)
+    segment.write_bytes(data[: end - cut] + bytes(len(data) - end + cut))
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +167,7 @@ class TestWriteAheadLog:
         wal.abort()
         segments = list((tmp_path / "w").iterdir())
         assert len(segments) == 1
-        raw = segments[0].read_bytes()
-        segments[0].write_bytes(raw[:-11])  # tear the tail record
+        tear_last_frame(segments[0], 16)  # tear the tail record, type field on
 
         assert scan_wal(tmp_path / "w").torn_tail
         reopened = WriteAheadLog(tmp_path / "w")
@@ -156,7 +177,7 @@ class TestWriteAheadLog:
         lsn3 = reopened.log_commit({1: b"c" * 32}, root_page=1)
         reopened.commit(lsn3)
         reopened.close()
-        # The tear was trimmed in place, so post-tear appends are reachable.
+        # The tear was zeroed in place, so post-tear appends are reachable.
         info = scan_wal(tmp_path / "w")
         assert info.last_lsn == lsn3 and not info.torn_tail
 
@@ -174,6 +195,38 @@ class TestWriteAheadLog:
         assert lsn > 10
         wal.commit(lsn)
         wal.close()
+
+    def test_truncate_creates_the_fresh_segment_before_any_unlink(self, tmp_path):
+        # A crash between the last unlink and the fresh segment's creation
+        # used to leave no segment: the reopened log restarted at LSN 1,
+        # below the checkpoint's recovery LSN, and replay skipped every
+        # commit acknowledged after that reopen.
+        present = []
+
+        def gate(op, payload):
+            if op == "wal_truncate":
+                present.append(sorted(p.name for p in (tmp_path / "w").iterdir()))
+            return payload
+
+        wal = WriteAheadLog(tmp_path / "w", segment_bytes=512, fault_gate=gate)
+        for i in range(7):
+            wal.commit(wal.log_commit({1: bytes([i]) * (200 if i < 6 else 10)}, root_page=1))
+        fresh = _segment_name(wal.last_lsn + 1)
+        assert fresh not in {p.name for p in (tmp_path / "w").iterdir()}
+        assert wal.truncate(wal.last_lsn) == len(present) == 4
+        assert all(fresh in names for names in present)
+        assert [p.name for p in (tmp_path / "w").iterdir()] == [fresh]
+        wal.close()
+        assert WriteAheadLog(tmp_path / "w").last_lsn == 14
+
+    def test_truncate_of_an_empty_segment_keeps_its_name(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "w")
+        assert wal.truncate(0) == 1  # the bootstrap checkpoint's truncation
+        segment = tmp_path / "w" / _segment_name(1)
+        assert list((tmp_path / "w").iterdir()) == [segment]
+        wal.commit(wal.log_commit({1: b"a" * 32}, allocs={1: 32}, root_page=1))
+        wal.close()
+        assert scan_wal(tmp_path / "w").commits == 1
 
     def test_delta_encoding_smaller_than_images(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "w")
@@ -195,6 +248,136 @@ class TestWriteAheadLog:
         assert "wal_append" in etypes
         assert "wal_fsync" in etypes
         assert "wal_truncate" in etypes
+
+
+# ---------------------------------------------------------------------------
+# Preallocated segments: zero padding is a clean end, anything else is torn
+# ---------------------------------------------------------------------------
+def committed_log(directory, commits=2, **kwargs):
+    """A closed log holding ``commits`` committed one-page transactions;
+    returns the path of its one segment."""
+    wal = WriteAheadLog(directory, **kwargs)
+    for i in range(commits):
+        image = bytes([i + 1]) * 32
+        wal.commit(wal.log_commit({1: image}, allocs={1: 32} if i == 0 else None, root_page=1))
+    wal.close()
+    (segment,) = list_wal_segments(directory)
+    return segment
+
+
+class TestPreallocatedSegments:
+    def test_zero_tail_scans_clean(self, tmp_path):
+        segment = committed_log(tmp_path / "w", segment_bytes=4096)
+        data = segment.read_bytes()
+        end = frames_end(data)
+        assert len(data) == 4096 and 0 < end < len(data)
+        assert data[end:] == bytes(len(data) - end)
+        info = scan_wal(tmp_path / "w")
+        assert (info.records, info.commits, info.torn_tail) == (5, 2, False)
+        assert info.bytes_scanned == end  # frames only, not the padding
+
+    def test_torn_frame_followed_by_zeros_is_torn(self, tmp_path):
+        segment = committed_log(tmp_path / "w")
+        data = bytearray(segment.read_bytes())
+        end = frames_end(data)
+        torn = _frame(6, REC_PAGE_IMAGE, 1, b"t" * 32)
+        data[end : end + 20] = torn[:20]
+        segment.write_bytes(bytes(data))
+        info = scan_wal(tmp_path / "w")
+        assert info.torn_tail and info.last_lsn == 5 and info.bytes_scanned == end
+        replay = replay_wal(tmp_path / "w", SimulatedDisk())
+        assert replay.torn_tail and replay.stop_lsn == 5 and replay.commits_applied == 2
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_nonzero_byte_after_clean_end_is_torn(self, tmp_path, where):
+        segment = committed_log(tmp_path / "w")
+        data = bytearray(segment.read_bytes())
+        end = frames_end(data)
+        data[end if where == "first" else len(data) - 1] = 1
+        segment.write_bytes(bytes(data))
+        info = scan_wal(tmp_path / "w")
+        assert info.torn_tail and info.last_lsn == 5
+
+    def test_reopen_zeroes_uncommitted_tail_so_no_stale_frame_follows(self, tmp_path):
+        segment = committed_log(tmp_path / "w", commits=1)
+        data = bytearray(segment.read_bytes())
+        end = frames_end(data)
+        # An uncommitted three-frame transaction whose first two frames are
+        # exactly as long as the shorter transaction logged below: without
+        # the zeroing, its third frame would follow that COMMIT in order.
+        stale = (
+            _frame(4, REC_PAGE_IMAGE, 1, b"x" * 32)
+            + _frame(5, REC_PAGE_IMAGE, 2, b"y" * 8)
+            + _frame(6, REC_PAGE_IMAGE, 3, b"z" * 32)
+        )
+        data[end : end + len(stale)] = stale
+        segment.write_bytes(bytes(data))
+        assert scan_wal(tmp_path / "w").last_lsn == 6
+
+        reopened = WriteAheadLog(tmp_path / "w")
+        assert reopened.last_lsn == 3
+        assert segment.read_bytes()[end:] == bytes(len(data) - end)
+        lsn = reopened.log_commit({1: b"c" * 32}, root_page=1)
+        assert lsn == 5 and frames_end(segment.read_bytes()) == end + 64 + 40
+        reopened.commit(lsn)
+        reopened.abort()  # crash
+
+        info = scan_wal(tmp_path / "w")
+        assert (info.last_lsn, info.records, info.torn_tail) == (5, 5, False)
+        store = SimulatedDisk()
+        replay = replay_wal(tmp_path / "w", store)
+        assert (replay.stop_lsn, replay.commits_applied) == (5, 2)
+        assert store.read_page(1) == b"c" * 32
+        with pytest.raises(StorageError):
+            store.read_page(3)
+
+    def test_transaction_larger_than_a_segment_replays(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "w", segment_bytes=512)
+        big = {pid: bytes([pid]) * 700 for pid in (1, 2)}
+        lsn = wal.log_commit(big, allocs={1: 700, 2: 700}, root_page=1)
+        wal.commit(lsn)
+        # The batch extended its segment, and the log rolled after it.
+        first, fresh = list_wal_segments(tmp_path / "w")
+        assert first.stat().st_size > 512 and fresh.stat().st_size == 512
+        lsn2 = wal.log_commit({1: b"s" * 700}, root_page=1)
+        wal.commit(lsn2)
+        wal.abort()
+        store = SimulatedDisk()
+        replay = replay_wal(tmp_path / "w", store)
+        assert (replay.commits_applied, replay.torn_tail, replay.stop_lsn) == (2, False, lsn2)
+        assert store.read_page(1) == b"s" * 700 and store.read_page(2) == big[2]
+
+    def test_unpadded_log_replays_and_reopens(self, tmp_path):
+        # The layout written before segments were preallocated: a segment
+        # ends at its last frame.
+        segment = committed_log(tmp_path / "w")
+        data = segment.read_bytes()
+        segment.write_bytes(data[: frames_end(data)])
+        info = scan_wal(tmp_path / "w")
+        assert (info.records, info.commits, info.torn_tail) == (5, 2, False)
+        store = SimulatedDisk()
+        replay = replay_wal(tmp_path / "w", store)
+        assert replay.commits_applied == 2 and store.read_page(1) == bytes([2]) * 32
+
+        reopened = WriteAheadLog(tmp_path / "w")
+        assert reopened.last_lsn == 5
+        assert segment.stat().st_size == reopened.segment_bytes  # padded on reopen
+        reopened.commit(reopened.log_commit({1: b"n" * 32}, root_page=1))
+        reopened.close()
+        info = scan_wal(tmp_path / "w")
+        assert (info.last_lsn, info.commits, info.torn_tail) == (7, 3, False)
+
+    def test_frames_are_the_log_bytes_before_the_padding(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "w", segment_bytes=1024)
+        lsn = wal.log_commit({1: b"a" * 32}, allocs={1: 32}, root_page=1)
+        wal.commit(lsn)
+        wal.close()
+        (segment,) = list_wal_segments(tmp_path / "w")
+        assert segment.read_bytes() == (
+            _frame(1, REC_ALLOC, 1, (32).to_bytes(8, "little"))
+            + _frame(2, REC_PAGE_IMAGE, 1, b"a" * 32)
+            + _frame(3, REC_COMMIT, 0, (1).to_bytes(8, "little"))
+        ).ljust(1024, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +411,30 @@ class TestGroupCommit:
         assert wal.stats.commits_per_fsync > 1.0
         info = scan_wal(tmp_path / "w")
         assert info.commits == total and not info.torn_tail
+
+    def test_failed_sync_breaks_the_log_and_wakes_waiters(self, tmp_path, monkeypatch):
+        wal = WriteAheadLog(tmp_path / "w")
+        lsn = wal.log_commit({1: b"a" * 32}, allocs={1: 32}, root_page=1)
+
+        def device_error(fd):
+            raise OSError(errno.EIO, "device error")
+
+        monkeypatch.setattr("repro.storage.wal._datasync", device_error)
+        with pytest.raises(OSError):
+            wal.commit(lsn)
+        errors = []
+
+        def waiter():
+            try:
+                wal.commit(lsn)
+            except StorageError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and errors  # refused, not parked forever
+        wal.close()
 
     def test_single_writer_is_one_fsync_per_commit(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "w")
@@ -665,7 +872,7 @@ class TestTornAppend:
         info = scan_wal(wal_directory_for(path))
         if info.torn_tail:
             # Scan and replay agree on the tear (before anything reopens
-            # the log, which trims it).
+            # the log, which zeroes it).
             probe = FileDisk(path)
             try:
                 assert recover_tree(probe)[1].torn_tail
@@ -705,7 +912,7 @@ class TestWalCli:
         engine.insert(wal_rects(1)[0])
         store.crash()
         segment = next(iter(wal_directory_for(path).iterdir()))
-        segment.write_bytes(segment.read_bytes()[:-7])  # tear the tail
+        tear_last_frame(segment, 16)  # tear the tail, type field on
 
         assert main(["fsck", str(path)]) == 0  # torn tail is expected semantics
         out = capsys.readouterr().out
