@@ -246,16 +246,20 @@ class RTree(query.QuerySurface):
                 kept, removed = _kept_lists(holders, record_id)
             self._settle(visited)
             self.stats.node_accesses += len(visited)
-            changed: dict[Node, None] = {}  # holders and their ancestors, touched once
+            # Holders and their ancestors, each counted once; only a holder's
+            # own page image changed, so only the holders are marked.
+            changed: dict[Node, None] = {}
             for (holder, branch), entries in zip(holders, kept):
                 if branch is None:
                     holder.data_entries = entries
                 else:
                     branch.spanning = entries
-                while holder is not None and holder not in changed:
-                    changed[holder] = None
-                    self._touch(holder)
-                    holder = holder.parent
+                self._mark(holder)
+                node = holder
+                while node is not None and node not in changed:
+                    changed[node] = None
+                    node.touch()
+                    node = node.parent
             if removed:
                 self._size -= 1
                 self.stats.deletes += 1

@@ -302,6 +302,11 @@ class StorageManager:
             gate = getattr(self.disk, "wal_fault", None)
             if gate is not None:
                 wal.fault_gate = gate
+        if wal is not None:
+            # Replay skips what the checkpoint covers: the log's next
+            # commit must come after the LSN the checkpoint recorded.
+            info = getattr(self.disk, "checkpoint_info", None) or {}
+            wal.continue_after(int(info.get("wal_lsn") or 0))
         self.root_page: int | None = None
         #: node id -> page id.  A tree the loader read from this very disk,
         #: and not written since, keeps its pages; any other tree gets

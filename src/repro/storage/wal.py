@@ -139,8 +139,9 @@ _SCAN_CHUNK = 64
 
 def _changed_range(previous: bytes, image: bytes) -> tuple[int, int]:
     """The smallest ``[lo, hi)`` outside which two equal-length images
-    agree; ``(len, len)`` when they are identical (a delete re-logs
-    ancestors whose images did not change).
+    agree; ``(len, len)`` when they are identical (a page an insert
+    reported though its image did not change: a split, a coalesce or an
+    R* reinsertion may over-report).
 
     Whole chunks are compared as slices (one ``memcmp`` each) and only
     the chunk holding each boundary is walked byte by byte.
@@ -425,6 +426,34 @@ class WriteAheadLog:
         self._appended_lsn = end_lsn
         self._durable_lsn = end_lsn
         self._seg_bytes = end
+
+    def continue_after(self, lsn: int) -> None:
+        """Make the next append's LSN follow ``lsn``, a checkpoint's
+        recovery LSN, so replay does not skip it as already covered.
+
+        A log that reaches ``lsn`` is left as it is.  One that holds no
+        frames (its segments were removed beside a checkpointed store)
+        starts its next segment at ``lsn + 1``.  One whose frames end
+        below ``lsn`` is not the log that checkpoint was taken with:
+        :class:`StorageError`.
+        """
+        with self._cv:
+            self._check_usable()
+            if self._appended_lsn >= lsn:
+                return
+            if _scan_directory(self.directory)[0]:
+                raise StorageError(
+                    f"the write-ahead log in {self.directory} ends at LSN "
+                    f"{self._appended_lsn}, below the checkpoint's LSN {lsn}: "
+                    "it is not the log this store was checkpointed with"
+                )
+            os.close(self._fd)
+            empty = list_wal_segments(self.directory)
+            self._start_segment(lsn + 1)
+            for path in empty:
+                if path.name != _segment_name(lsn + 1):
+                    path.unlink()
+            self._appended_lsn = self._durable_lsn = lsn
 
     def _start_segment(self, first_lsn: int) -> None:
         """Create the segment for ``first_lsn``: ``segment_bytes`` of

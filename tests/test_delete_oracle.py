@@ -2,9 +2,12 @@
 
 ``RTree.delete`` locates a record's fragments with the compiled
 ``query.locate``, settles every node it visited at once, then removes the
-fragments and condenses.  The descent it replaced is kept below verbatim
+fragments and condenses.  The descent it replaced is kept below
 (``remove_fragments``, with the ``delete`` and ``_condense`` that drove
-it) as the oracle.  Both run on deep copies of one tree — node ids
+it) as the oracle, with one rule changed since: a node whose own lists
+lost a fragment is touched (counted and marked for storage), while a node
+that is only an ancestor of such a holder is counted and not marked — its
+page image did not change.  Both run on deep copies of one tree — node ids
 included — for every variant at K = 1 to 4, through hinted, hint-less
 and bad-hint deletes (the hint misses the record, so the delete falls
 back to the full scan), deletes of records already gone, and inserts in
@@ -76,25 +79,27 @@ def recursive_delete(self: RTree, record_id: int, hint: Rect | None = None) -> i
 def remove_fragments(
     self: RTree, node: Node, record_id: int, hint: Rect | None, changed: list[Node]
 ) -> int:
-    removed = 0
+    own = 0  # fragments removed from this node's own lists
     self._settle([node])
     self.stats.node_accesses += 1
     if node.is_leaf:
         before = len(node.data_entries)
         node.data_entries = [e for e in node.data_entries if e.record_id != record_id]
-        removed = before - len(node.data_entries)
+        own = removed = before - len(node.data_entries)
     else:
         for b in node.branches:
             before = len(b.spanning)
             b.spanning = [r for r in b.spanning if r.record_id != record_id]
-            removed += before - len(b.spanning)
-        if removed:
-            self._mark(node)
+            own += before - len(b.spanning)
+        removed = own
         for b in node.branches:
             if hint is None or b.rect.intersects(hint):
                 removed += remove_fragments(self, b.child, record_id, hint, changed)
-    if removed:
+    if own:  # its own lists lost a fragment: its page image changed
         self._touch(node)
+    elif removed:  # only an ancestor of a holder: counted, its image unchanged
+        node.touch()
+    if removed:
         changed.append(node)
     return removed
 

@@ -374,6 +374,52 @@ def test_reopened_log_drops_an_uncommitted_transaction(tmp_path):
         assert_no_leak(again)
 
 
+def checkpointed_store_without_its_log(path):
+    """50 inserts, checkpointed, then the log's segments deleted: the disk
+    records a recovery LSN the (empty) log never reached."""
+    with reopen(path, tree=SRTree(CONFIG)) as store:
+        live = {store.engine.insert(rect): rect for rect in rects(50, seed=61)}
+        store.manager.checkpoint()
+        lsn = store.manager.disk.checkpoint_info["wal_lsn"]
+        assert lsn == store.manager.wal.last_lsn > 50
+    for segment in wal_directory_for(path).iterdir():
+        segment.unlink()
+    return live, lsn
+
+
+def test_a_log_opened_below_the_checkpoint_continues_after_it(tmp_path):
+    """An empty log beside a checkpointed disk used to start at LSN 1, and
+    replay then skipped every commit at or below the checkpoint's LSN."""
+    path = tmp_path / "pages.dat"
+    live, lsn = checkpointed_store_without_its_log(path)
+    store = reopen(path)
+    assert store.manager.wal.last_lsn == lsn
+    for rect in rects(5, seed=62):
+        live[store.engine.insert(rect)] = rect
+    store.crash()
+    assert scan_wal(wal_directory_for(path)).first_lsn == lsn + 1
+    with reopen(path) as again:
+        assert len(again.engine.tree) == 55
+        assert {rid for rid, _ in again.engine.search(WHOLE)} == set(live)
+        check_index(again.engine.tree)
+
+
+def test_a_log_whose_frames_end_below_the_checkpoint_is_refused(tmp_path):
+    """Frames that stop short of the checkpoint's LSN are some other log:
+    appending after them would be skipped by replay just the same."""
+    path = tmp_path / "pages.dat"
+    live, lsn = checkpointed_store_without_its_log(path)
+    wal = WriteAheadLog(wal_directory_for(path))
+    wal.log_commit({}, root_page=0)  # one frame, at LSN 1
+    wal.close()
+    disk, wal = FileDisk(path), WriteAheadLog(wal_directory_for(path))
+    with pytest.raises(StorageError, match=f"below the checkpoint's LSN {lsn}"):
+        open_store(disk, wal)
+    wal.close()
+    disk.close(sync=False)
+    assert scan_wal(wal_directory_for(path)).last_lsn == 1  # left as it was
+
+
 # ---------------------------------------------------------------------------
 # `repro serve` starts without the laboratory
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The write path (DESIGN §3.2): the tree reports the nodes a write changed.
 
 * the report is complete — every node whose page image changed, appeared or
-  disappeared during a mutation is in the tree's dirty set;
+  disappeared during a mutation is in the tree's dirty set — and, for a
+  delete, exact: a store logs and publishes the pages a delete changed, not
+  their ancestors;
 * local condense builds the tree the old whole-tree sweep built (an in-test
   copy of that sweep is the reference);
 * an engine write walks no whole tree, of nodes or of page versions;
@@ -46,7 +48,14 @@ from repro.storage import (
 )
 from repro.storage.buffer import PageVersionCache
 from repro.storage.serializer import serialize_node
-from repro.storage.wal import REC_DEALLOC, _scan_directory
+from repro.storage.wal import (
+    _DELTA_PREFIX,
+    REC_COMMIT,
+    REC_DEALLOC,
+    REC_PAGE_DELTA,
+    REC_PAGE_IMAGE,
+    _scan_directory,
+)
 from repro.workloads import DOMAIN as PAPER_DOMAIN
 from repro.workloads import dataset_I3, query_rectangles
 
@@ -135,9 +144,10 @@ def test_every_changed_image_is_reported(variant: str, run: int) -> None:
     tree._dirty = set()
     live: dict[int, Rect] = {}
     before = page_images(tree)
-    reported_total = changed_total = 0
+    reported_total = changed_total = deletes = 0
     for step in range(300):
         roll = rng.random()
+        deleting = False
         if roll < 0.45 or not live:
             rect = shaped_rect(rng)
             live[tree.insert(rect)] = rect
@@ -148,6 +158,7 @@ def test_every_changed_image_is_reported(variant: str, run: int) -> None:
             rid = rng.choice(sorted(live))
             rect = live.pop(rid)
             tree.delete(rid, hint=rect if rng.random() < 0.5 else None)
+            deleting = True
         after = page_images(tree)
         reported = {node.node_id for node in tree._dirty}
         changed = {nid for nid, image in after.items() if before.get(nid) != image}
@@ -157,12 +168,20 @@ def test_every_changed_image_is_reported(variant: str, run: int) -> None:
         for node in tree._dirty:
             if node.node_id in gone:
                 assert node.parent is None and node is not tree.root
-        reported_total += len(reported)
-        changed_total += len(changed | gone)
+        if deleting:
+            # A delete reports the pages it changed or unlinked, nothing
+            # else: an ancestor of a holder keeps its image.
+            assert reported == changed | gone, f"step {step}: over-reported"
+            deletes += 1
+        else:
+            reported_total += len(reported)
+            changed_total += len(changed | gone)
         tree._dirty.clear()
         before = after
     check_index(tree)
-    # The report is a small over-approximation, not "every ancestor".
+    assert deletes
+    # An insert's report is a small over-approximation (a split, a
+    # coalesce, an R* reinsertion), not "every ancestor".
     assert reported_total < 2 * changed_total
 
 
@@ -327,6 +346,64 @@ def test_engine_write_walks_no_whole_tree(
     if held is not None:
         assert fragments(held) == pinned
         held.close()
+    stack.crash()
+    assert stack.recovered_items() == fragments(tree)
+
+
+# ---------------------------------------------------------------------------
+# A delete commits the page it changed, not its ancestors
+# ---------------------------------------------------------------------------
+def transactions(wal_directory) -> list[list]:
+    """The log's records, one list per transaction (its COMMIT last)."""
+    groups: list[list] = [[]]
+    for record in _scan_directory(wal_directory)[0]:
+        groups[-1].append(record)
+        if record.rtype == REC_COMMIT:
+            groups.append([])
+    return groups[:-1]
+
+
+@pytest.mark.parametrize("mvcc", [False, True], ids=["latched", "mvcc"])
+def test_store_deletes_log_and_publish_only_changed_pages(tmp_path, mvcc: bool) -> None:
+    rng = random.Random(f"{SEED}/store-deletes/{mvcc}")
+    rects = dataset_I3(4000, seed=3)
+    tree = SRTree()
+    ids = [tree.insert(rect) for rect in rects]
+    assert tree.height == 3
+    stack = Stack(tmp_path / "index.db", tree, mvcc=mvcc)
+    live = dict(zip(ids, rects))
+    queries = query_rectangles(1.0, 20, seed=SEED + 7)
+
+    def answers(view) -> list[set[int]]:
+        return [{rid for rid, _ in view.search(q)} for q in queries]
+
+    def expected() -> list[set[int]]:
+        return [{rid for rid, rect in live.items() if rect.intersects(q)} for q in queries]
+
+    # Every snapshot stays open to the end, so no version is reclaimed.
+    held = [(stack.engine.open_snapshot(), expected())] if mvcc else []
+    for i, rid in enumerate(rng.sample(ids, 100)):
+        assert stack.engine.delete(rid, hint=live.pop(rid)) == 1
+        if mvcc and i % 10 == 9:
+            held.append((stack.engine.open_snapshot(), expected()))
+    assert answers(stack.engine) == expected()
+
+    logged = transactions(stack.wal.directory)
+    assert len(logged) == 100  # the base is the checkpoint: the log holds the deletes
+    deltas = [r for records in logged for r in records if r.rtype == REC_PAGE_DELTA]
+    assert deltas and all(len(r.payload) > _DELTA_PREFIX.size for r in deltas)  # non-empty
+    for records in logged:
+        if not any(r.rtype == REC_DEALLOC for r in records):
+            assert sum(r.rtype in (REC_PAGE_IMAGE, REC_PAGE_DELTA) for r in records) == 1
+    for snap, seen in held:
+        assert answers(snap) == seen
+    if mvcc:
+        cache = stack.manager.versions
+        assert cache is not None
+        for version in versions_of(cache):
+            assert version.prev is None or version.data != version.prev.data
+        for snap, _ in held:
+            snap.close()
     stack.crash()
     assert stack.recovered_items() == fragments(tree)
 
