@@ -19,7 +19,6 @@ Quickstart::
 
 from .core import (
     AccessStats,
-    BatchSearchStats,
     IndexConfig,
     IndexMetrics,
     Rect,
@@ -67,7 +66,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "AccessStats",
-    "BatchSearchStats",
     "batch_search",
     "IndexConfig",
     "IndexMetrics",

@@ -4,12 +4,12 @@ The engine parses each Python file once, hands the AST to every selected
 rule, and collects :class:`~repro.analysis.diagnostics.Diagnostic`
 records.  Rules are repo-specific — they enforce invariants of *this*
 codebase (trace-event schema conformance, float-comparison discipline,
-exception hygiene, frozen-geometry immutability) that generic linters
+exception hygiene, blocking I/O under a lock) that generic linters
 cannot know about.
 
 Rules register themselves with the :func:`register` decorator; importing
 :mod:`repro.analysis.rules` populates the registry.  A finding on line N
-can be suppressed with a ``# lint: ignore[R2]`` (or ``ignore[R2,R4]``)
+can be suppressed with a ``# lint: ignore[R2]`` (or ``ignore[R2,R3]``)
 comment on that line — used sparingly; the rules are meant to be fixed,
 not silenced.
 

@@ -17,7 +17,7 @@ Commands:
   table, CRC-check every page, rebuild the tree, run the structural
   invariant checker, and scan the write-ahead log (if any) for valid
   records and torn tails;
-* ``lint``      — run the repository's AST lint rules (R1-R4, R6, R8; see
+* ``lint``      — run the repository's AST lint rules (R1-R3, R6, R8; see
   ``repro.analysis``) over Python sources; exit 0 clean, 1 findings,
   2 usage error; ``--strict-ignores`` fails on stale suppressions;
 * ``racecheck`` — run the concurrency stress harness and WAL group-
@@ -396,7 +396,7 @@ def _cmd_racecheck(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    """Run the repository's AST lint rules (R1-R4, R6, R8) over Python sources."""
+    """Run the repository's AST lint rules (R1-R3, R6, R8) over Python sources."""
     import json
 
     from .analysis import all_rules, lint_paths
@@ -581,7 +581,7 @@ def _parser() -> argparse.ArgumentParser:
     fsck.set_defaults(func=_cmd_fsck)
 
     lint = sub.add_parser(
-        "lint", help="run the repository's AST lint rules (R1-R4, R6, R8)"
+        "lint", help="run the repository's AST lint rules (R1-R3, R6, R8)"
     )
     lint.add_argument(
         "paths",

@@ -32,7 +32,7 @@ version that shows their record and are filled in when it is decoded.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from ..core import query
 from ..core.geometry import Rect
@@ -133,6 +133,12 @@ class Snapshot(query.QuerySurface):
         the fetch callback, the root page id the root handle."""
         hits, _ = query.answer(kind, self._image, self._pin.root_page, rect)
         return [(e.record_id, e.payload) for e in hits]
+
+    def _query_batch(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
+        """A whole batch in one traversal of this epoch's page images, so
+        each page version is fetched and decoded at most once per batch."""
+        hits, _ = query.intersecting_many(self._image, self._pin.root_page, rects)
+        return [[(e.record_id, e.payload) for e in found] for found in hits]
 
     def items(self) -> Iterator[tuple[int, Rect, Any]]:
         """Yield (record_id, fragment_rect, payload) for every fragment."""

@@ -1,20 +1,13 @@
 """Core index family: geometry, R-Tree, SR-Tree, skeleton, and the cited
 variant structures (R*, R+, packed)."""
 
-from .batch import (
-    BatchSearchStats,
-    batch_order,
-    batch_search,
-    batch_search_with_stats,
-    cluster_batch,
-    hilbert_index,
-)
 from .config import IndexConfig
 from .entry import BranchEntry, DataEntry
 from .geometry import GeometryError, Rect, interval, point, segment, union_all
 from .metrics import IndexMetrics, LevelMetrics, measure_index
 from .node import Node
 from .packed import pack_tree
+from .query import batch_search
 from .rplus import RPlusTree, SRPlusTree, check_rplus
 from .rstar import RStarTree, SRStarTree
 from .rtree import RTree
@@ -33,12 +26,7 @@ INDEX_CLASSES: dict[str, type[RTree]] = {
 
 __all__ = [
     "INDEX_CLASSES",
-    "BatchSearchStats",
-    "batch_order",
     "batch_search",
-    "batch_search_with_stats",
-    "cluster_batch",
-    "hilbert_index",
     "IndexConfig",
     "BranchEntry",
     "DataEntry",

@@ -40,8 +40,8 @@ class DataEntry:
         #: Never reassigned (other bounds = a new entry, :meth:`with_rect`),
         #: so the mirrored ``lows``/``highs`` cannot go stale.
         self.rect = rect
-        self.lows = rect.lows  # lint: ignore[R4] — this entry's own mirror
-        self.highs = rect.highs  # lint: ignore[R4] — this entry's own mirror
+        self.lows = rect.lows
+        self.highs = rect.highs
         self.record_id = record_id
         self.payload = payload
         self.is_remnant = is_remnant
@@ -76,8 +76,8 @@ class BranchEntry:
         # Covering rectangles are reassigned as nodes grow and shrink;
         # each assignment refreshes the flat bounds the kernel compares.
         self._rect = rect
-        self.lows = rect.lows  # lint: ignore[R4] — this branch's own mirror
-        self.highs = rect.highs  # lint: ignore[R4] — this branch's own mirror
+        self.lows = rect.lows
+        self.highs = rect.highs
 
     def __repr__(self) -> str:
         return (

@@ -1,8 +1,10 @@
 """The hot geometric loops, written once and compiled once per dimensionality.
 
 The hot loops compare one box against many, dimension by dimension: the
-read kernel's overlap test (:func:`repro.core.query.intersecting`) and
-fragment collection (:func:`repro.core.query.fragments`), the delete's
+read kernel's overlap test (:func:`repro.core.query.intersecting`), the
+same test for a whole batch in one traversal
+(:func:`repro.core.query.intersecting_many`) and fragment collection
+(:func:`repro.core.query.fragments`), the delete's
 search for a record's fragments (:func:`repro.core.query.locate`),
 Guttman's ChooseLeaf (``RTree._choose_branch``), the SR-Tree's search for
 a spanned branch (``SRTree._try_place_spanning``) and Guttman's quadratic

@@ -17,13 +17,14 @@ loop body serves both with no per-entry adapter:
   ``fetch`` accepts (a live node, a page id);
 * record — ``record_id``, ``lows`` / ``highs`` / ``rect``, ``payload``.
 
-**Kernel.**  :func:`intersecting` (the hot loop) and :func:`fragments`
+**Kernel.**  :func:`intersecting` (the hot loop), :func:`intersecting_many`
+(the same loop for a whole batch in one traversal) and :func:`fragments`
 (for the :func:`within` / :func:`containing` post-filters), each compiled
 per dimensionality from one template (:mod:`repro.core.kernel`), and
 :func:`walk` reach nodes through ``fetch(handle) -> node`` (a snapshot's
 version lookup and decode), or ``None`` when the handles are live nodes;
 the query kernels return the handles visited, which a live tree settles
-once per query: statistics, page touches, ``node_access`` trace.
+once per query or batch: statistics, page touches, ``node_access`` trace.
 :func:`locate`, compiled the same way, is the delete's search over live
 nodes.
 
@@ -44,7 +45,16 @@ from .geometry import Rect, pieces_cover
 from .kernel import unrolled
 
 __all__ = [
-    "KINDS", "Fetch", "SpanningHit", "QuerySurface", "answer", "intersecting", "locate", "walk"
+    "KINDS",
+    "Fetch",
+    "SpanningHit",
+    "QuerySurface",
+    "answer",
+    "batch_search",
+    "intersecting",
+    "intersecting_many",
+    "locate",
+    "walk",
 ]
 
 SEARCH = "search"
@@ -115,6 +125,83 @@ def intersecting(
     """
     kernel = unrolled(_INTERSECTING, "intersecting", len(rect.lows))
     return kernel(fetch, root, rect, on_spanning_hit)
+
+
+#: :data:`_INTERSECTING` for a whole batch of queries in one traversal.
+#: Each stack frame carries a node and the queries still *active* there
+#: (those whose rectangle intersects the node's region), each as its
+#: bounds, unpacked once per batch, then its hit list and ``seen`` set;
+#: a branch passes down the active queries it overlaps, so a node is
+#: visited at most once per batch.  A query's hits come in the order
+#: :data:`_INTERSECTING` finds them.
+_INTERSECTING_MANY = """
+def intersecting_many(fetch, root, rects, on_spanning_hit):
+    hits = []
+    queries = []
+    for rect in rects:
+        found = []
+        hits.append(found)
+        <<|rlo{d}, >>= rect.lows
+        <<|rhi{d}, >>= rect.highs
+        queries.append((<<|rlo{d}, rhi{d}, >>found, set()))
+    visited = []
+    stack = [(root, queries)] if root and queries else []
+    while stack:
+        node, active = stack.pop()
+        visited.append(node)
+        if fetch is not None:
+            node = fetch(node)
+        for e in node.data_entries:
+            lo = e.lows
+            hi = e.highs
+            for <<|rlo{d}, rhi{d}, >>found, seen in active:
+                if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                    continue
+                if e.record_id not in seen:
+                    seen.add(e.record_id)
+                    found.append(e)
+        for b in node.branches:
+            for e in b.spanning:
+                lo = e.lows
+                hi = e.highs
+                for <<|rlo{d}, rhi{d}, >>found, seen in active:
+                    if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                        continue
+                    if e.record_id not in seen:
+                        seen.add(e.record_id)
+                        found.append(e)
+                        if on_spanning_hit is not None:
+                            on_spanning_hit(node, e)
+            lo = b.lows
+            hi = b.highs
+            sub = []
+            for q in active:
+                <<|rlo{d}, rhi{d}, >>found, seen = q
+                if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                    continue
+                sub.append(q)
+            if sub:
+                stack.append((b.child, sub))
+    return hits, visited
+"""
+
+
+def intersecting_many(
+    fetch: Fetch | None,
+    root: Any,
+    rects: Sequence[Rect],
+    on_spanning_hit: SpanningHit | None = None,
+) -> tuple[list[list[Any]], list[Any]]:
+    """:func:`intersecting` for every rectangle of ``rects`` in one shared
+    traversal: one hit list per query, positionally aligned, plus the
+    handles visited, each at most once.  Each list holds what
+    :func:`intersecting` returns for its rectangle, in the same order;
+    only the visits are shared, so a page serving twenty queries is read
+    once instead of twenty times."""
+    if not rects:
+        return [], []
+    kernel = unrolled(_INTERSECTING_MANY, "intersecting_many", len(rects[0].lows))
+    return kernel(fetch, root, rects, on_spanning_hit)
 
 
 #: :func:`fragments`'s traversal: :data:`_INTERSECTING`'s loop and overlap
@@ -281,10 +368,10 @@ class QuerySurface:
     """The public read API, declared once.
 
     Implementors provide ``dims`` and ``_query``; a layer that can answer
-    a batch better than query by query (the live tree's shared traversal,
-    the engine's single read funnel, the router's per-shard scatter) also
-    overrides ``_query_batch``.  Rectangles are validated here, before
-    either hook runs.
+    a batch better than query by query (the tree's and the snapshot's
+    shared traversal, the engine's single read funnel, the router's
+    per-shard scatter) also overrides ``_query_batch``.  Rectangles are
+    validated here, before either hook runs.
     """
 
     @property
@@ -338,3 +425,9 @@ class QuerySurface:
         for rect in rects:
             self._check_rect(rect)
         return self._query_batch(rects)
+
+
+def batch_search(index: QuerySurface, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
+    """``index.batch_search(rects)``, for callers that hold the index as
+    an argument: one result list per query, positionally aligned."""
+    return index.batch_search(rects)

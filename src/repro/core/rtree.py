@@ -15,7 +15,7 @@ Guttman's.
 Reads go through :mod:`repro.core.query`: the public query methods are
 inherited from its ``QuerySurface``, and the kernel returns the nodes a
 query visited, in visit order.  :meth:`RTree._settle` takes that list
-once per query: the per-level count, the (when attached) simulated
+once per query or batch: the per-level count, the (when attached) simulated
 storage layer's page touches, and the trace.  Its length is the paper's
 node-access metric.
 
@@ -201,10 +201,25 @@ class RTree(query.QuerySurface):
         return [(e.record_id, e.payload) for e in hits]
 
     def _query_batch(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
-        """One shared traversal for the whole batch (``core/batch.py``)."""
-        from .batch import batch_search
-
-        return batch_search(self, rects)
+        """Answer a whole batch in one traversal of the live nodes
+        (:func:`repro.core.query.intersecting_many`), each node visited at
+        most once, then settle the visit once for the batch."""
+        tracer = self.tracer
+        with tracer.span("batch_search", queries=len(rects)) as sp:
+            hits, visited = query.intersecting_many(
+                None, self.root, rects, self._trace_spanning_hit if tracer.enabled else None
+            )
+            self._settle(visited)
+            sp.set(nodes_accessed=len(visited), records_found=sum(map(len, hits)))
+        for e in self._loose_entries():
+            for found, rect in zip(hits, rects):
+                if e.rect.intersects(rect):
+                    found.append(e)
+        stats = self.stats
+        stats.searches += len(rects)
+        stats.node_accesses += len(visited)
+        stats.search_node_accesses += len(visited)
+        return [[(e.record_id, e.payload) for e in found] for found in hits]
 
     def search_with_stats(self, rect: Rect) -> tuple[list[tuple[int, Any]], SearchStats]:
         """Like :meth:`search` but also reports per-query node accesses."""

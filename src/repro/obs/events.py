@@ -298,7 +298,7 @@ _SPAN_SPECS: tuple[SpanSpec, ...] = (
     _s(
         "batch_search",
         begin=("queries",),
-        end=("nodes_accessed", "records_found", "clusters"),
+        end=("nodes_accessed", "records_found"),
         doc="One shared traversal answering a whole batch of queries.",
     ),
 )

@@ -1,7 +1,7 @@
 """Sharded scatter-gather serving tier.
 
-Partitions the curve-key space (:mod:`repro.core.batch`'s Hilbert /
-Z-order machinery) into contiguous ranges, one per shard worker — each
+Partitions the curve-key space (:mod:`repro.sharding.partition`'s
+Hilbert / Z-order keys) into contiguous ranges, one per shard worker — each
 worker a private tree + buffer pool, optionally in its own OS process —
 behind a :class:`~repro.sharding.router.ShardRouter` that routes writes
 by curve key, scatter-gathers reads with bounds-based shard pruning, and

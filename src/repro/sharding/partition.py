@@ -1,9 +1,9 @@
 """Curve-range key-space partitioner for the sharded serving tier.
 
 Every record is mapped to a space-filling-curve key of its rectangle's
-center (:func:`repro.core.batch.curve_key` — Hilbert in 2-D, Z-order
-otherwise), and the key space ``[0, curve_keyspace(dims))`` is cut into
-contiguous half-open ranges, one per shard.  Contiguity is what makes
+center (:func:`curve_key` — Hilbert in 2-D, Z-order otherwise), and the
+key space ``[0, curve_keyspace(dims))`` is cut into contiguous half-open
+ranges, one per shard.  Contiguity is what makes
 rebalancing cheap: splitting a hot shard is splitting one interval at a
 chosen key, and the records that move are exactly those whose keys fall
 in the new half — no global reshuffle.
@@ -18,12 +18,81 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
-from ..core.batch import CURVE_ORDER, curve_key, curve_keyspace
 from ..core.geometry import Rect
 from ..exceptions import ConfigError, NotFoundError
 
-__all__ = ["ShardRange", "CurveRangePartitioner"]
+__all__ = [
+    "CURVE_ORDER",
+    "CurveRangePartitioner",
+    "ShardRange",
+    "curve_key",
+    "curve_keyspace",
+    "hilbert_index",
+]
+
+#: Bits per dimension of the space-filling-curve keys: the key space
+#: ``[0, curve_keyspace(dims))`` at this order is what shards partition.
+CURVE_ORDER = 16
+
+
+# ----------------------------------------------------------------------
+# Space-filling-curve keys
+# ----------------------------------------------------------------------
+def hilbert_index(x: int, y: int, order: int = CURVE_ORDER) -> int:
+    """Index of cell ``(x, y)`` along a 2-D Hilbert curve of ``2**order``
+    cells per side (the classic iterative xy-to-d conversion)."""
+    d = 0
+    s = 1 << (order - 1)
+    while s > 0:
+        rx = 1 if x & s else 0
+        ry = 1 if y & s else 0
+        d += s * s * ((3 * rx) ^ ry)
+        # Rotate the quadrant so the curve stays continuous.
+        if ry == 0:
+            if rx == 1:
+                x = s - 1 - x
+                y = s - 1 - y
+            x, y = y, x
+        s >>= 1
+    return d
+
+
+def _morton_index(coords: Sequence[int], order: int) -> int:
+    """Bit-interleaved (Z-order) key for dimensions other than 2."""
+    key = 0
+    for bit in range(order - 1, -1, -1):
+        for c in coords:
+            key = (key << 1) | ((c >> bit) & 1)
+    return key
+
+
+def curve_keyspace(dims: int, order: int = CURVE_ORDER) -> int:
+    """Size of the curve-key space for ``dims`` dimensions at ``order``:
+    :func:`curve_key` maps every rectangle into ``[0, curve_keyspace)``,
+    and shards own contiguous sub-ranges of it."""
+    return 1 << (order * dims)
+
+
+def curve_key(rect: Rect, bounds: Rect, order: int = CURVE_ORDER) -> int:
+    """Space-filling-curve key of a rectangle's center within ``bounds``:
+    Hilbert in two dimensions, Z-order (Morton) otherwise, so records
+    near each other in space get keys near each other and land on the
+    same shard.  Centers outside ``bounds`` clamp to its edge cells, so
+    every rectangle gets a key in ``[0, curve_keyspace)``."""
+    scale = (1 << order) - 1
+    cell: list[int] = []
+    center = rect.center
+    for d in range(rect.dims):
+        lo, hi = bounds.lows[d], bounds.highs[d]
+        extent = hi - lo
+        frac = (center[d] - lo) / extent if extent > 0.0 else 0.0
+        q = int(frac * scale)
+        cell.append(min(scale, max(0, q)))
+    if rect.dims == 2:
+        return hilbert_index(cell[0], cell[1], order)
+    return _morton_index(cell, order)
 
 
 @dataclass(frozen=True)

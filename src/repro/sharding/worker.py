@@ -27,7 +27,6 @@ from typing import Any, Sequence
 
 from ..concurrency.engine import ConcurrentIndex
 from ..core import query
-from ..core.batch import CURVE_ORDER, curve_key
 from ..core.geometry import Rect
 from ..core.rtree import RTree
 from ..exceptions import ConfigError
@@ -35,6 +34,7 @@ from ..storage.disk import SimulatedDisk
 from ..storage.pager import StorageManager
 from ..store import open_store
 from . import wire
+from .partition import CURVE_ORDER, curve_key
 from .wire import Reply, Request
 
 __all__ = ["ShardSpec", "ShardWorker", "worker_main"]

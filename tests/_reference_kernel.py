@@ -1,8 +1,9 @@
 """The hot geometric loops as they stood before they were compiled per K.
 
-``repro.core.kernel`` instantiates the read kernel's overlap test and
-fragment collection, ChooseLeaf and the SR-Tree's spanned-branch scan
-once per dimensionality from one template each.  The loops they
+``repro.core.kernel`` instantiates the read kernel's overlap test (for
+one query and for a batch) and fragment collection, ChooseLeaf and the
+SR-Tree's spanned-branch scan once per dimensionality from one template
+each.  The loops they
 replaced are kept here verbatim, ``for d in range(K)``, ``Rect.intersects``
 and all, as the oracle those instances must agree with: the same hits in
 the same order, the same node count, the same branch chosen
@@ -21,7 +22,7 @@ from repro.core.node import Node
 from repro.core.query import Fetch, SpanningHit
 from repro.exceptions import IndexStructureError
 
-__all__ = ["intersecting", "fragments", "choose_branch", "first_spanned"]
+__all__ = ["intersecting", "intersecting_many", "fragments", "choose_branch", "first_spanned"]
 
 
 def intersecting(
@@ -66,6 +67,43 @@ def intersecting(
                     break
             else:
                 stack.append(b.child)
+    return hits, visited
+
+
+def intersecting_many(
+    fetch: Fetch | None,
+    root: Any,
+    rects: Sequence[Rect],
+    on_spanning_hit: SpanningHit | None = None,
+) -> tuple[list[list[Any]], list[Any]]:
+    """``repro.core.query.intersecting_many``: the shared depth-first
+    search it replaced, which carried each node down with the indices of
+    the queries still active there."""
+    hits: list[list[Any]] = [[] for _ in rects]
+    seen: list[set[int]] = [set() for _ in rects]
+    visited: list[Any] = []
+    stack: list[tuple[Any, list[int]]] = [(root, list(range(len(rects))))] if rects else []
+    while stack:
+        node, active = stack.pop()
+        visited.append(node)
+        if fetch is not None:
+            node = fetch(node)
+        for e in node.data_entries:
+            for qi in active:
+                if e.rect.intersects(rects[qi]) and e.record_id not in seen[qi]:
+                    seen[qi].add(e.record_id)
+                    hits[qi].append(e)
+        for b in node.branches:
+            for e in b.spanning:
+                for qi in active:
+                    if e.rect.intersects(rects[qi]) and e.record_id not in seen[qi]:
+                        seen[qi].add(e.record_id)
+                        hits[qi].append(e)
+                        if on_spanning_hit is not None:
+                            on_spanning_hit(node, e)
+            sub = [qi for qi in active if b.rect.intersects(rects[qi])]
+            if sub:
+                stack.append((b.child, sub))
     return hits, visited
 
 

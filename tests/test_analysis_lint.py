@@ -197,39 +197,6 @@ def test_r3_attributeerror_only_in_setattr():
 
 
 # ----------------------------------------------------------------------
-# R4: frozen Rect
-# ----------------------------------------------------------------------
-def test_r4_fires_on_attribute_assignment():
-    src = "def f(rect, v):\n    rect.lows = v\n"
-    assert rules_fired(src, select=["R4"]) == ["R4"]
-
-
-def test_r4_fires_on_object_setattr_outside_init():
-    src = "def f(rect, v):\n    object.__setattr__(rect, 'highs', v)\n"
-    assert rules_fired(src, select=["R4"]) == ["R4"]
-
-
-def test_r4_fires_on_augmented_assignment():
-    src = "def f(rect):\n    rect.lows += (1.0,)\n"
-    assert rules_fired(src, select=["R4"]) == ["R4"]
-
-
-def test_r4_silent_inside_rect_init():
-    src = (
-        "class Rect:\n"
-        "    def __init__(self, lows, highs):\n"
-        "        object.__setattr__(self, 'lows', lows)\n"
-        "        object.__setattr__(self, 'highs', highs)\n"
-    )
-    assert rules_fired(src, select=["R4"]) == []
-
-
-def test_r4_silent_on_reads_and_other_attributes():
-    src = "def f(rect, node):\n    x = rect.lows[0]\n    node.level = 3\n"
-    assert rules_fired(src, select=["R4"]) == []
-
-
-# ----------------------------------------------------------------------
 # R6: no blocking I/O under an exclusive lock
 # ----------------------------------------------------------------------
 def test_r6_fires_on_fsync_under_mutex():
@@ -457,7 +424,7 @@ def test_lockspec_ranks_are_dense_and_ordered():
 # Engine behaviour
 # ----------------------------------------------------------------------
 def test_registry_exposes_all_rules():
-    assert rule_ids() == ["R1", "R2", "R3", "R4", "R6", "R8"]
+    assert rule_ids() == ["R1", "R2", "R3", "R6", "R8"]
 
 
 def test_unknown_rule_id_rejected():
@@ -526,7 +493,7 @@ def test_cli_lint_json_shape(tmp_path, capsys):
     finding = doc["findings"][0]
     assert set(finding) == {"path", "line", "col", "rule", "name", "message"}
     assert finding["rule"] == "R2"
-    assert {r["id"] for r in doc["rules"]} == {"R1", "R2", "R3", "R4", "R6", "R8"}
+    assert {r["id"] for r in doc["rules"]} == {"R1", "R2", "R3", "R6", "R8"}
 
 
 def test_cli_lint_select_filters_rules(tmp_path, capsys):

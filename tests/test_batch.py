@@ -1,4 +1,5 @@
-"""Unit tests for batched search and the curve ordering (repro.core.batch)."""
+"""Unit tests for batched search: one shared traversal per batch
+(``repro.core.query.intersecting_many``) on trees and snapshots."""
 
 from __future__ import annotations
 
@@ -6,18 +7,12 @@ import pytest
 
 from repro import IndexConfig, Rect, RTree, SRTree, check_index, open_store, pack_tree
 from repro.concurrency.stress import STRESS_INDEX_TYPES, _make_index
-from repro.core import (
-    SkeletonRTree,
-    SkeletonSRTree,
-    batch_order,
-    batch_search,
-    batch_search_with_stats,
-    cluster_batch,
-    hilbert_index,
-)
+from repro.core import SkeletonRTree, SkeletonSRTree, batch_search, union_all
 from repro.exceptions import ConfigError
 from repro.obs import RingBufferSink, Tracer
+from repro.sharding.partition import curve_key
 from repro.storage import SimulatedDisk, StorageManager
+from repro.storage.buffer import PageVersionCache
 from repro.workloads import DOMAIN_HIGH, dataset_R1, query_rectangles
 
 from .conftest import brute_force_ids, random_boxes, random_segments
@@ -51,83 +46,6 @@ ALL_KINDS = ("rtree", "srtree", "skeleton-rtree", "skeleton-srtree", "packed")
 
 
 # ---------------------------------------------------------------------------
-# Space-filling-curve ordering
-# ---------------------------------------------------------------------------
-class TestOrdering:
-    def test_hilbert_index_is_a_bijection_on_the_grid(self):
-        order = 4
-        side = 1 << order
-        keys = {hilbert_index(x, y, order) for x in range(side) for y in range(side)}
-        assert keys == set(range(side * side))
-
-    def test_hilbert_neighbors_are_adjacent_cells(self):
-        # Consecutive curve positions differ by exactly one grid step.
-        order = 4
-        side = 1 << order
-        by_key = {
-            hilbert_index(x, y, order): (x, y)
-            for x in range(side)
-            for y in range(side)
-        }
-        for k in range(side * side - 1):
-            x0, y0 = by_key[k]
-            x1, y1 = by_key[k + 1]
-            assert abs(x0 - x1) + abs(y0 - y1) == 1
-
-    def test_batch_order_is_a_permutation(self):
-        rects = random_boxes(50, seed=1)
-        order = batch_order(rects)
-        assert sorted(order) == list(range(50))
-
-    def test_batch_order_groups_nearby_rects(self):
-        # Two well-separated clumps must not interleave along the curve.
-        left = [Rect((i, i), (i + 1.0, i + 1.0)) for i in range(10)]
-        right = [Rect((90_000.0 + i, 90_000.0), (90_001.0 + i, 90_001.0)) for i in range(10)]
-        order = batch_order(left + right)
-        sides = ["L" if i < 10 else "R" for i in order]
-        flips = sum(1 for a, b in zip(sides, sides[1:]) if a != b)
-        assert flips == 1
-
-    def test_cluster_batch_chunks_in_curve_order(self):
-        rects = random_boxes(30, seed=2)
-        clusters = cluster_batch(rects, max_cluster=8)
-        assert [len(c) for c in clusters] == [8, 8, 8, 6]
-        assert sorted(i for c in clusters for i in c) == list(range(30))
-
-    def test_cluster_batch_empty_and_single(self):
-        assert cluster_batch([]) == []
-        assert cluster_batch([Rect((0, 0), (1, 1))]) == [[0]]
-
-    def test_morton_fallback_for_other_dims(self):
-        cfg = IndexConfig(dims=3)
-        rects = []
-        import random
-
-        rng = random.Random(5)
-        for _ in range(20):
-            lo = [rng.uniform(0, 100) for _ in range(3)]
-            rects.append(Rect(tuple(lo), tuple(v + 1.0 for v in lo)))
-        order = batch_order(rects)
-        assert sorted(order) == list(range(20))
-        tree = RTree(cfg)
-        for rect in rects:
-            tree.insert(rect)
-        check_index(tree)
-        batched = batch_search(tree, rects)  # Z-order clusters in 3-d
-        assert [{rid for rid, _ in hits} for hits in batched] == [
-            tree.search_ids(r) for r in rects
-        ]
-
-    def test_cluster_batch_rejects_a_non_positive_cluster_size(self):
-        # A bad parameter, not a broken tree: callers catching ValueError see it.
-        for rects in ([], random_boxes(5, seed=2)):
-            with pytest.raises(ConfigError, match="max_cluster"):
-                cluster_batch(rects, max_cluster=0)
-        with pytest.raises(ValueError):
-            batch_search(RTree(), random_boxes(5, seed=2), max_cluster=-1)
-
-
-# ---------------------------------------------------------------------------
 # Batched search
 # ---------------------------------------------------------------------------
 class TestBatchSearch:
@@ -149,32 +67,43 @@ class TestBatchSearch:
         # Queries that all cover everything: sequential cost is N * nodes.
         whole = Rect((0.0, 0.0), (100_000.0, 100_000.0))
         queries = [whole] * 16
-        _, stats = batch_search_with_stats(tree, queries)
-        assert stats.nodes_accessed == tree.node_count()
-        assert stats.clusters == 1
+        before = tree.stats.search_node_accesses
+        batch_search(tree, queries)
+        assert tree.stats.search_node_accesses - before == tree.node_count()
 
     def test_updates_search_counters(self, small_config):
         tree = RTree(small_config)
         for rect in random_boxes(100, seed=6):
             tree.insert(rect)
         queries = random_boxes(10, seed=7)
-        before_searches = tree.stats.searches
-        before_accesses = tree.stats.search_node_accesses
-        _, stats = batch_search_with_stats(tree, queries)
-        assert tree.stats.searches - before_searches == 10
-        assert tree.stats.search_node_accesses - before_accesses == stats.nodes_accessed
+        stats = tree.stats
+        before_searches = stats.searches
+        before_accesses = stats.search_node_accesses
+        before_total = stats.node_accesses
+        before_levels = sum(stats.accesses_by_level.values())
+        batch_search(tree, queries)
+        accessed = stats.search_node_accesses - before_accesses
+        assert stats.searches - before_searches == 10
+        assert 0 < accessed == stats.node_accesses - before_total
+        assert accessed == sum(stats.accesses_by_level.values()) - before_levels
 
-    def test_clustered_traversal_same_results(self, small_config):
+    def test_answers_do_not_depend_on_batch_order(self, small_config):
+        """A query's hits and the batch's visits are the same however the
+        batch is ordered, so nothing is gained by sorting it first."""
         tree = SRTree(small_config)
         data = {}
         for rect in random_segments(250, seed=8, long_fraction=0.3):
             data[tree.insert(rect)] = rect
         queries = random_boxes(20, seed=9)
+        order = sorted(range(20), key=lambda i: curve_key(queries[i], union_all(queries)))
+        before = tree.stats.search_node_accesses
         one = batch_search(tree, queries)
-        many = batch_search(tree, queries, max_cluster=4)
-        for qi in range(len(queries)):
-            assert {r for r, _ in one[qi]} == {r for r, _ in many[qi]}
-            assert {r for r, _ in one[qi]} == brute_force_ids(data, queries[qi])
+        visits = tree.stats.search_node_accesses - before
+        sorted_hits = batch_search(tree, [queries[i] for i in order])
+        assert tree.stats.search_node_accesses - before == 2 * visits
+        for qi, hits in zip(order, sorted_hits):
+            assert hits == one[qi] == tree.search(queries[qi])
+            assert {r for r, _ in hits} == brute_force_ids(data, queries[qi])
 
     def test_empty_batch(self):
         tree = RTree()
@@ -363,18 +292,51 @@ class TestBufferAmortization:
     @pytest.mark.parametrize("kind", STRESS_INDEX_TYPES)
     def test_batch_halves_cold_pool_faults(self, kind):
         """64 queries through a cold 32 KiB pool: the shared traversal
-        faults at most half as often as one descent per query (4.2-4.3x
-        here; miss counts repeat exactly), with the same answers."""
+        faults at most half as often as one descent per query in the
+        given order, and at most 2/3 as often as one descent per query
+        in curve order (1.5-1.6x measured; miss counts repeat exactly),
+        with the same answers."""
         tree = _make_index(kind, IndexConfig(), dataset_R1(2_000, seed=1991), DOMAIN_HIGH)
         queries = query_rectangles(1.0, 64, area=0.05 * DOMAIN_HIGH**2, seed=1992)
-        with open_store(SimulatedDisk(), tree=tree, buffer_bytes=32 * 1024) as store:
-            sequential = [store.engine.search_ids(q) for q in queries]
-        sequential_misses = store.manager.pool.stats.misses
-        with open_store(SimulatedDisk(), tree=tree, buffer_bytes=32 * 1024) as store:
-            batched = [{rid for rid, _ in hits} for hits in store.engine.batch_search(queries)]
-        batched_misses = store.manager.pool.stats.misses
+        bounds = union_all(queries)
+        in_curve_order = sorted(queries, key=lambda q: curve_key(q, bounds))
+
+        def cold_misses(read):
+            with open_store(SimulatedDisk(), tree=tree, buffer_bytes=32 * 1024) as store:
+                answers = read(store.engine)
+            return answers, store.manager.pool.stats.misses
+
+        sequential, sequential_misses = cold_misses(lambda e: [e.search_ids(q) for q in queries])
+        _, sorted_misses = cold_misses(lambda e: [e.search_ids(q) for q in in_curve_order])
+        batched, batched_misses = cold_misses(
+            lambda e: [{rid for rid, _ in hits} for hits in e.batch_search(queries)]
+        )
         assert batched == sequential
         assert 2 * batched_misses <= sequential_misses
+        assert 3 * batched_misses <= 2 * sorted_misses
+
+
+class TestSnapshotBatch:
+    @pytest.mark.parametrize("kind", STRESS_INDEX_TYPES)
+    def test_reads_each_page_version_once_per_batch(self, kind, monkeypatch):
+        """An MVCC engine answers a batch through one snapshot traversal:
+        each query exactly as ``search`` answers it, each page version
+        looked up (and decoded) at most once for the whole batch."""
+        tree = _make_index(kind, IndexConfig(), dataset_R1(2_000, seed=1991), DOMAIN_HIGH)
+        queries = query_rectangles(1.0, 64, area=0.05 * DOMAIN_HIGH**2, seed=1992)
+        with open_store(SimulatedDisk(), tree=tree, mvcc=True) as store:
+            engine = store.engine
+            expected = [engine.search(q) for q in queries]
+            reads: list[int] = []
+            read = PageVersionCache.read
+
+            def counted(cache, page_id, epoch):
+                reads.append(page_id)
+                return read(cache, page_id, epoch)
+
+            monkeypatch.setattr(PageVersionCache, "read", counted)
+            assert engine.batch_search(queries) == expected
+            assert 0 < len(reads) == len(set(reads)) <= tree.node_count()
 
 
 # ---------------------------------------------------------------------------

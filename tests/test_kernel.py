@@ -1,10 +1,11 @@
 """Each compiled kernel decides what the loop it replaced decided.
 
-``repro.core.kernel`` compiles the read kernel's overlap test and fragment
-collection, the delete's locate, ChooseLeaf, the SR-Tree's spanned-branch
-scan and Guttman's quadratic and linear splits once per dimensionality,
-each from one template.  Here every instance for K = 1 to 4 runs beside
-the loop it replaced (``tests/_reference_kernel.py``) over seeded random
+``repro.core.kernel`` compiles the read kernel's overlap test (for one
+query and for a batch) and fragment collection, the delete's locate,
+ChooseLeaf, the SR-Tree's spanned-branch scan and Guttman's quadratic and
+linear splits once per dimensionality, each from one template.  Here
+every instance for K = 1 to 4 runs beside the loop it replaced
+(``tests/_reference_kernel.py``) over seeded random
 trees of the kinds that store records differently: an SR-Tree whose
 six-entry pages hold spanning records at every level, a skeleton
 SR-Tree, and an R+-Tree that replicates.  The queries touch record
@@ -149,6 +150,36 @@ def test_intersecting_matches_the_loop(built):
     assert spanning_hits  # the spanning-record arm ran
 
 
+def test_intersecting_many_matches_the_shared_search(built):
+    """The batch kernel against the shared depth-first search it replaced:
+    per query the same hits in the same order, the same visits and
+    spanning-hit callbacks for the batch, each node visited once; and per
+    query the hits of one :func:`query.intersecting`."""
+    k, trees, queries = built
+    for tree in trees:
+        for batch in (queries, queries[:1], queries[5:25], []):
+            runs = []
+            for kernel in (query.intersecting_many, reference.intersecting_many):
+                fetches: list[int] = []
+                spanning_hits: list[tuple[int, int]] = []
+
+                def fetch(node):
+                    fetches.append(id(node))
+                    return node
+
+                hits, visited = kernel(
+                    fetch, tree.root, batch,
+                    lambda node, e: spanning_hits.append((id(node), id(e))),
+                )
+                runs.append(([[id(e) for e in h] for h in hits], [id(n) for n in visited],
+                             fetches, spanning_hits))
+            got, want = runs
+            assert got == want, (type(tree), k)
+            assert got[1] == got[2] and len(set(got[1])) == len(got[1])
+            for rect, hits in zip(batch, got[0]):
+                assert hits == _run(query.intersecting, tree, rect, fetched=False)[0]
+
+
 def test_fragments_matches_the_loop(built):
     """The same fragments, grouped per record in the same order, from the
     same visits; records held outside the nodes (a skeleton's prediction
@@ -287,6 +318,7 @@ def test_instances_are_named_for_profiles_and_tracebacks():
     tree = SRTree(_config(2))
     rid = tree.insert(Rect((0.0, 0.0), (1.0, 1.0)))
     for name, call in (
+        ("intersecting_many", lambda: tree.batch_search([Rect((0.0, 0.0), (2.0, 2.0))])),
         ("fragments", lambda: tree.search_within(Rect((0.0, 0.0), (2.0, 2.0)))),
         ("locate", lambda: tree.delete(rid)),
     ):

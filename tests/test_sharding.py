@@ -21,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.batch import CURVE_ORDER, curve_key, curve_keyspace
-from repro.core.geometry import Rect
+from repro import IndexConfig, RTree, batch_search, check_index
+from repro.core.geometry import Rect, union_all
 from repro.exceptions import (
     ConfigError,
     NotFoundError,
@@ -45,6 +45,7 @@ from repro.sharding import (
     build_router,
 )
 from repro.sharding import wire
+from repro.sharding.partition import CURVE_ORDER, curve_key, curve_keyspace, hilbert_index
 from repro.sharding.wire import Reply, Request, raise_reply_error
 
 BOUNDS = Rect((0.0, 0.0), (100.0, 100.0))
@@ -111,6 +112,63 @@ class TestPartitioner:
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigError):
             CurveRangePartitioner(0, bounds=BOUNDS)
+
+
+# ---------------------------------------------------------------------------
+# Space-filling-curve keys
+# ---------------------------------------------------------------------------
+class TestCurveKeys:
+    def test_hilbert_index_is_a_bijection_on_the_grid(self):
+        order = 4
+        side = 1 << order
+        keys = {hilbert_index(x, y, order) for x in range(side) for y in range(side)}
+        assert keys == set(range(side * side))
+
+    def test_hilbert_neighbors_are_adjacent_cells(self):
+        # Consecutive curve positions differ by exactly one grid step.
+        order = 4
+        side = 1 << order
+        by_key = {
+            hilbert_index(x, y, order): (x, y)
+            for x in range(side)
+            for y in range(side)
+        }
+        for k in range(side * side - 1):
+            x0, y0 = by_key[k]
+            x1, y1 = by_key[k + 1]
+            assert abs(x0 - x1) + abs(y0 - y1) == 1
+
+    def test_curve_key_groups_nearby_rects(self):
+        # Two well-separated clumps must not interleave along the curve.
+        left = [Rect((i, i), (i + 1.0, i + 1.0)) for i in range(10)]
+        right = [Rect((90_000.0 + i, 90_000.0), (90_001.0 + i, 90_001.0)) for i in range(10)]
+        rects = left + right
+        bounds = union_all(rects)
+        order = sorted(range(20), key=lambda i: curve_key(rects[i], bounds))
+        sides = ["L" if i < 10 else "R" for i in order]
+        flips = sum(1 for a, b in zip(sides, sides[1:]) if a != b)
+        assert flips == 1
+
+    def test_morton_fallback_for_other_dims(self):
+        cfg = IndexConfig(dims=3)
+        rects = []
+        import random
+
+        rng = random.Random(5)
+        for _ in range(20):
+            lo = [rng.uniform(0, 100) for _ in range(3)]
+            rects.append(Rect(tuple(lo), tuple(v + 1.0 for v in lo)))
+        bounds = union_all(rects)
+        keys = [curve_key(r, bounds) for r in rects]
+        assert all(0 <= key < curve_keyspace(3) for key in keys)
+        tree = RTree(cfg)
+        for rect in rects:
+            tree.insert(rect)
+        check_index(tree)
+        batched = batch_search(tree, rects)
+        assert [{rid for rid, _ in hits} for hits in batched] == [
+            tree.search_ids(r) for r in rects
+        ]
 
 
 # ---------------------------------------------------------------------------
