@@ -13,8 +13,9 @@ event name must be a **string literal**: a computed name cannot be
 checked statically and is itself a finding.
 
 Span-end fields attached via ``handle.set(...)`` are not tracked here
-(handle aliasing makes that unreliable statically); the strict tracer
-validates them at runtime, and the schema smoke test exercises that path.
+(handle aliasing makes that unreliable statically); the schema smoke
+test checks them on every ``span_end`` a real workload emits, with
+:func:`~repro.obs.events.check_span_fields`.
 """
 
 from __future__ import annotations

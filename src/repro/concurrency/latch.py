@@ -140,42 +140,28 @@ class RWLatch:
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
-    def acquire_read(self, timeout: float | None = None) -> None:
+    def acquire_read(self) -> None:
         if lockgraph._ACTIVE is None and not self.tracer.enabled:
             with self._mutex:
                 if self._writer is None and not self._waiting_writers:
                     self._readers += 1
                     self.stats.read_acquires += 1
                     return
-        self._acquire_read(timeout)
+        self._acquire_read()
 
-    def _acquire_read(self, timeout: float | None) -> None:
+    def _acquire_read(self) -> None:
         """The full path: it waits, and reports to the recorder and the
         tracer."""
         recorder = lockgraph.active_recorder()
         if recorder is not None:
             recorder.record_attempt(self.name, "read", self)
         started: float | None = None
-        deadline: float | None = None
         with self._mutex:
             while self._writer is not None or self._waiting_writers:
                 if started is None:
                     started = time.perf_counter()
-                    if timeout is not None:
-                        # One deadline for the whole acquisition: each
-                        # wakeup (e.g. readers draining one by one) must
-                        # not restart the clock.
-                        deadline = started + timeout
                     self._trace_wait("read")
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        raise ConcurrencyError(
-                            f"timed out acquiring read latch {self.name!r}"
-                        )
-                    self._cond.wait(timeout=remaining)
+                self._cond.wait()
             self._readers += 1
             waited = None if started is None else time.perf_counter() - started
             self.stats.record_acquire("read", waited)
@@ -201,13 +187,12 @@ class RWLatch:
     # ------------------------------------------------------------------
     # Write side
     # ------------------------------------------------------------------
-    def acquire_write(self, timeout: float | None = None) -> None:
+    def acquire_write(self) -> None:
         recorder = lockgraph.active_recorder()
         if recorder is not None:
             recorder.record_attempt(self.name, "write", self)
         me = threading.get_ident()
         started: float | None = None
-        deadline: float | None = None
         with self._mutex:
             if self._writer == me:
                 raise ConcurrencyError(
@@ -218,21 +203,8 @@ class RWLatch:
                 while self._readers or self._writer is not None:
                     if started is None:
                         started = time.perf_counter()
-                        if timeout is not None:
-                            deadline = started + timeout
                         self._trace_wait("write")
-                    if deadline is None:
-                        self._cond.wait()
-                    else:
-                        remaining = deadline - time.perf_counter()
-                        if remaining <= 0:
-                            # Readers that queued behind this waiter are
-                            # excluded by nothing once it gives up.
-                            self._cond.notify_all()
-                            raise ConcurrencyError(
-                                f"timed out acquiring write latch {self.name!r}"
-                            )
-                        self._cond.wait(timeout=remaining)
+                    self._cond.wait()
             finally:
                 self._waiting_writers -= 1
             self._writer = me

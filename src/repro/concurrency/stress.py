@@ -313,7 +313,6 @@ def run_wal_commit_stress(
     writers: int = 4,
     records: int = 200,
     directory: "str | None" = None,
-    fsync_delay: float = 0.0,
     domain: float = 1000.0,
 ) -> dict:
     """Concurrent group-commit workload: N writers inserting through a
@@ -340,7 +339,7 @@ def run_wal_commit_stress(
     base.mkdir(parents=True, exist_ok=True)
     cleanup = directory is None
     path = base / "pages.dat"
-    wal = WriteAheadLog(wal_directory_for(path), fsync_delay=fsync_delay)
+    wal = WriteAheadLog(wal_directory_for(path))
 
     def worker(engine: ConcurrentIndex, slice_rects: list[Rect]) -> None:
         for rect in slice_rects:

@@ -20,6 +20,9 @@ from .rtree import RTree
 
 __all__ = ["LevelMetrics", "IndexMetrics", "measure_index"]
 
+#: Nodes per level above which pairwise overlap is measured on a window.
+OVERLAP_SAMPLE_LIMIT = 2000
+
 
 @dataclass
 class LevelMetrics:
@@ -116,11 +119,11 @@ class IndexMetrics:
         return "\n".join(lines)
 
 
-def measure_index(tree: RTree, overlap_sample_limit: int = 2000) -> IndexMetrics:
+def measure_index(tree: RTree) -> IndexMetrics:
     """Compute structural metrics for ``tree``.
 
     Pairwise overlap is quadratic in the number of nodes per level; levels
-    with more than ``overlap_sample_limit`` nodes are measured on a
+    with more than :data:`OVERLAP_SAMPLE_LIMIT` nodes are measured on a
     deterministic sample and scaled, which is accurate enough for the
     comparative use these numbers get.
     """
@@ -147,7 +150,7 @@ def measure_index(tree: RTree, overlap_sample_limit: int = 2000) -> IndexMetrics
                 aspect_sum += _aspect_ratio(rect)
         metrics.mean_aspect_ratio = aspect_sum / len(nodes)
         metrics.mean_fill = fill_sum / len(nodes)
-        metrics.overlap_area = _pairwise_overlap(rects, overlap_sample_limit)
+        metrics.overlap_area = _pairwise_overlap(rects)
         levels.append(metrics)
 
     return IndexMetrics(
@@ -182,7 +185,7 @@ def _aspect_ratio(rect: Rect) -> float:
     return min(max(w, h) / min(w, h), ASPECT_RATIO_CAP)
 
 
-def _pairwise_overlap(rects: list[Rect], sample_limit: int) -> float:
+def _pairwise_overlap(rects: list[Rect], sample_limit: int = OVERLAP_SAMPLE_LIMIT) -> float:
     if len(rects) < 2:
         return 0.0
     # Node overlap is spatially local, so a contiguous window of the

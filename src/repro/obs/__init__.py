@@ -4,8 +4,8 @@ Three cooperating pieces, all optional and near-zero-cost when off:
 
 * :mod:`~repro.obs.tracer` + :mod:`~repro.obs.sinks` — nestable spans
   and typed events (node accesses, splits, cuts, demotions, promotions,
-  coalesces, page fetches, evictions) flowing to a ring buffer, a JSONL
-  file, or nothing;
+  coalesces, page fetches, evictions) flowing to a ring buffer or a
+  JSONL file;
 * :mod:`~repro.obs.registry` — fixed-bucket count histograms;
 * :mod:`~repro.obs.report` — versioned ``BENCH_<name>.json`` run
   reports written by the experiment harness and the CLI.
@@ -30,7 +30,6 @@ from .registry import NODES_PER_SEARCH_BUCKETS, Histogram
 from .report import (
     SCHEMA,
     build_report,
-    format_latency_line,
     format_ns,
     format_report,
     load_report,
@@ -38,7 +37,7 @@ from .report import (
     validate_report,
     write_report,
 )
-from .sinks import JsonlSink, NullSink, RingBufferSink, TeeSink, read_jsonl
+from .sinks import JsonlSink, RingBufferSink, TeeSink, read_jsonl
 from .tracer import EVENT_TYPES, NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "JsonlSink",
-    "NullSink",
     "RingBufferSink",
     "TeeSink",
     "read_jsonl",
@@ -72,5 +70,4 @@ __all__ = [
     "load_report",
     "validate_report",
     "format_report",
-    "format_latency_line",
 ]

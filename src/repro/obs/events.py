@@ -8,8 +8,9 @@ the fields allowed on their opening and closing records.
 The registry is enforced twice:
 
 * at **runtime** — :meth:`~repro.obs.tracer.Tracer.event` rejects unknown
-  event names, and strict tracers (``Tracer(strict=True)``) additionally
-  reject undeclared or missing fields;
+  event names, and :func:`check_event_fields` / :func:`check_span_fields`
+  list undeclared or missing fields of a recorded stream (the schema
+  tests run them on real workloads);
 * **statically** — lint rule R1 (``repro lint``) checks every
   ``tracer.event(...)``/``tracer.span(...)`` call site in the tree against
   these declarations, so a typo'd event name or field dies in CI instead
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping
-
-from ..exceptions import TraceSchemaError
 
 __all__ = [
     "EventSpec",
@@ -352,19 +351,3 @@ def check_span_fields(
             f"allowed: {sorted(allowed)}"
         ]
     return []
-
-
-def require_valid_event(etype: str, fields: Mapping[str, object]) -> None:
-    """Raise :class:`TraceSchemaError` when the emission violates the schema."""
-    problems = check_event_fields(etype, fields)
-    if problems:
-        raise TraceSchemaError("; ".join(problems))
-
-
-def require_valid_span(
-    op: str, fields: Mapping[str, object], *, closing: bool = False
-) -> None:
-    """Raise :class:`TraceSchemaError` when the span fields violate the schema."""
-    problems = check_span_fields(op, fields, closing=closing)
-    if problems:
-        raise TraceSchemaError("; ".join(problems))

@@ -16,15 +16,12 @@ Schema (``repro.bench-report/v2``)::
       "wall_seconds": 1.23,
       "metrics": { ... stats snapshots ... },
       "histograms": { "<name>": {count, sum, mean, min, max, le, counts} },
-      "latencies": { "<series>": {unit, count, sum, mean, min, max,
-                                  quantiles: {p50, p90, p99, p999},
-                                  bins: [[upper_bound_ns, count], ...]} },
       "extra": { ... optional free-form ... }
     }
 
-v2 adds the ``latencies`` section: log-bucketed latency summaries with
-p50/p90/p99/p999 quantiles, keyed by series name.  Any other schema, v1
-included, is rejected.
+Any other schema, v1 included, is rejected.  Keys the validator does not
+check are kept as they are, so a v2 file written with the since-dropped
+``latencies`` section still loads.
 """
 
 from __future__ import annotations
@@ -44,16 +41,12 @@ __all__ = [
     "load_report",
     "validate_report",
     "format_report",
-    "format_latency_line",
     "format_ns",
 ]
 
 SCHEMA = "repro.bench-report/v2"
 
 _REQUIRED = ("schema", "name", "config", "wall_seconds", "metrics", "histograms")
-
-#: The quantiles every ``latencies`` series carries.
-_QUANTILE_KEYS = ("p50", "p90", "p99", "p999")
 
 
 def build_report(
@@ -63,7 +56,6 @@ def build_report(
     wall_seconds: float,
     metrics: dict,
     histograms: dict | None = None,
-    latencies: dict | None = None,
     extra: dict | None = None,
 ) -> dict:
     """Assemble (and validate) a v2 report document."""
@@ -74,7 +66,6 @@ def build_report(
         "wall_seconds": wall_seconds,
         "metrics": metrics,
         "histograms": histograms or {},
-        "latencies": latencies or {},
     }
     if extra:
         doc["extra"] = extra
@@ -119,7 +110,7 @@ def validate_report(doc: object) -> None:
         problems.append(f"schema is {doc['schema']!r}, expected {SCHEMA!r}")
     if "name" in doc and (not isinstance(doc["name"], str) or not doc["name"]):
         problems.append("name must be a non-empty string")
-    for key in ("config", "metrics", "histograms", "latencies"):
+    for key in ("config", "metrics", "histograms"):
         if key in doc and not isinstance(doc[key], dict):
             problems.append(f"{key} must be an object")
     wall = doc.get("wall_seconds")
@@ -146,46 +137,8 @@ def validate_report(doc: object) -> None:
                     f"histogram {name!r}: bin counts sum to {sum(counts)}, "
                     f"count says {hist['count']}"
                 )
-    lats = doc.get("latencies")
-    for name, lat in (lats.items() if isinstance(lats, dict) else ()):
-        problems.extend(_latency_problems(name, lat))
     if problems:
         raise InputFormatError("invalid bench report: " + "; ".join(problems))
-
-
-def _latency_problems(name: str, lat: object) -> list[str]:
-    """Schema problems with one ``latencies`` series entry."""
-    if not isinstance(lat, dict):
-        return [f"latency series {name!r} must be an object"]
-    problems = []
-    for key in ("unit", "count", "sum", "quantiles", "bins"):
-        if key not in lat:
-            problems.append(f"latency series {name!r} missing {key!r}")
-    if "unit" in lat and lat["unit"] != "ns":
-        problems.append(f"latency series {name!r}: unit must be 'ns', got {lat['unit']!r}")
-    quantiles = lat.get("quantiles")
-    if isinstance(quantiles, dict):
-        missing = [q for q in _QUANTILE_KEYS if q not in quantiles]
-        if missing:
-            problems.append(f"latency series {name!r}: missing quantile(s) {missing}")
-    elif "quantiles" in lat:
-        problems.append(f"latency series {name!r}: quantiles must be an object")
-    bins = lat.get("bins")
-    if isinstance(bins, list):
-        if not all(isinstance(b, list) and len(b) == 2 for b in bins):
-            problems.append(
-                f"latency series {name!r}: bins must be [upper_bound, count] pairs"
-            )
-        elif isinstance(lat.get("count"), int):
-            total = sum(b[1] for b in bins)
-            if total != lat["count"]:
-                problems.append(
-                    f"latency series {name!r}: bin counts sum to {total}, "
-                    f"count says {lat['count']}"
-                )
-    elif "bins" in lat:
-        problems.append(f"latency series {name!r}: bins must be a list")
-    return problems
 
 
 def _flatten(prefix: str, value: object, out: list[tuple[str, object]]) -> None:
@@ -224,29 +177,7 @@ def format_report(doc: dict, bar_width: int = 40) -> str:
             label = "+inf" if bound is None else f"<={bound:g}"
             bar = "#" * max(1, round(count / peak * bar_width)) if peak else ""
             lines.append(f"    {label.rjust(10)}  {str(count).rjust(8)}  {bar}")
-    latencies = doc.get("latencies", {})
-    if latencies:
-        width = max(len(n) for n in latencies)
-        for name, lat in sorted(latencies.items()):
-            lines.append(f"  latency {name.ljust(width)}  {format_latency_line(lat)}")
     return "\n".join(lines)
-
-
-def format_latency_line(lat: dict) -> str:
-    """One quantile line for a latency series: unit-aware, bar-free.
-
-    >>> format_latency_line({"count": 2, "quantiles": {"p50": 1500, "p90": 1500,
-    ...     "p99": 2000, "p999": 2000}, "max": 2048})
-    'n=2  p50=1.5us  p90=1.5us  p99=2us  p999=2us  max=2.05us'
-    """
-    quantiles = lat.get("quantiles", {})
-    parts = [f"n={lat.get('count', 0)}"]
-    parts.extend(
-        f"{key}={format_ns(quantiles[key])}" for key in _QUANTILE_KEYS if key in quantiles
-    )
-    if lat.get("max") is not None:
-        parts.append(f"max={format_ns(lat['max'])}")
-    return "  ".join(parts)
 
 
 def format_ns(ns: float) -> str:

@@ -1,8 +1,7 @@
 """Trace sinks: where :class:`~repro.obs.tracer.Tracer` events go.
 
-Three sinks cover the observability use cases:
+Two sinks cover the observability use cases:
 
-* :class:`NullSink` — drops everything (the disabled default);
 * :class:`RingBufferSink` — keeps the last N events in memory, for
   per-query capture and tests;
 * :class:`JsonlSink` — streams one JSON object per line to a file, the
@@ -23,7 +22,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator, Protocol
 if TYPE_CHECKING:  # pragma: no cover
     from .tracer import TraceEvent
 
-__all__ = ["Sink", "NullSink", "RingBufferSink", "JsonlSink", "TeeSink"]
+__all__ = ["Sink", "RingBufferSink", "JsonlSink", "TeeSink"]
 
 
 class Sink(Protocol):
@@ -32,16 +31,6 @@ class Sink(Protocol):
     def write(self, event: "TraceEvent") -> None: ...
 
     def close(self) -> None: ...
-
-
-class NullSink:
-    """Swallows events; the sink behind the disabled tracer."""
-
-    def write(self, event: "TraceEvent") -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 class RingBufferSink:

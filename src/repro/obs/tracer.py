@@ -7,9 +7,9 @@ manager is attached, to the buffer pool).  Events carry the node id,
 level and page size where applicable, and are tagged with the operation
 span they happened inside, so a JSONL trace can be sliced per query.
 
-Event names (and, in strict mode, their field sets) are validated against
-the central schema in :mod:`repro.obs.events` — the same declarations the
-``repro lint`` R1 rule enforces statically at every call site.
+Event names are validated against the central schema in
+:mod:`repro.obs.events` — the same declarations the ``repro lint`` R1
+rule enforces statically, field by field, at every call site.
 
 The default tracer on every index is :data:`NULL_TRACER`, whose
 ``enabled`` flag is ``False``; hot paths guard their instrumentation on
@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..exceptions import ConfigError, TraceSchemaError
-from .events import (
-    EVENT_NAMES,
-    require_valid_event,
-    require_valid_span,
-)
+from .events import EVENT_NAMES
 from .sinks import RingBufferSink, Sink
 
 __all__ = ["EVENT_TYPES", "TraceEvent", "Tracer", "NullTracer", "NULL_TRACER"]
@@ -114,10 +110,10 @@ _NULL_SPAN = _NullSpan()
 class Tracer:
     """Emits :class:`TraceEvent` records to a sink.
 
-    A ``strict`` tracer additionally validates every emission's *fields*
-    against the declared schema (:mod:`repro.obs.events`) and raises
-    :class:`~repro.exceptions.TraceSchemaError` on drift; the default
-    tracer only rejects unknown event names, keeping hot paths cheap.
+    It rejects unknown event names; field sets are checked statically
+    (lint rule R1) and, on a recorded stream, by
+    :func:`~repro.obs.events.check_event_fields` /
+    :func:`~repro.obs.events.check_span_fields`, keeping hot paths cheap.
 
     >>> tracer = Tracer()
     >>> with tracer.span("search") as sp:
@@ -129,9 +125,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, sink: Sink | None = None, *, strict: bool = False) -> None:
+    def __init__(self, sink: Sink | None = None) -> None:
         self.sink: Sink = sink if sink is not None else RingBufferSink()
-        self.strict = strict
         self._seq = 0
         self._next_span = 1
         # Emission is serialized by one lock (seq allocation + sink write
@@ -152,9 +147,7 @@ class Tracer:
     # -- emission ------------------------------------------------------
     def event(self, etype: str, **fields: Any) -> None:
         """Emit one point event inside the current span (if any)."""
-        if self.strict:
-            require_valid_event(etype, fields)
-        elif etype not in EVENT_NAMES:
+        if etype not in EVENT_NAMES:
             raise TraceSchemaError(
                 f"unknown trace event type {etype!r}; known: {sorted(EVENT_NAMES)}"
             )
@@ -162,8 +155,6 @@ class Tracer:
 
     def span(self, op: str, **fields: Any) -> _SpanHandle:
         """Open an operation span; use as a context manager."""
-        if self.strict:
-            require_valid_span(op, fields)
         with self._emit_lock:
             span_id = self._next_span
             self._next_span += 1
@@ -183,8 +174,6 @@ class Tracer:
         handle.end_fields.setdefault(
             "duration_ns", time.monotonic_ns() - handle.start_ns
         )
-        if self.strict:
-            require_valid_span(handle.op, handle.end_fields, closing=True)
         self._emit("span_end", handle.end_fields, span=handle.span_id, op=handle.op)
 
     def _emit(

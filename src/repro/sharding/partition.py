@@ -117,14 +117,11 @@ class CurveRangePartitioner:
     search however many splits have happened.
     """
 
-    def __init__(
-        self, shards: int, *, bounds: Rect, order: int = CURVE_ORDER
-    ) -> None:
+    def __init__(self, shards: int, *, bounds: Rect) -> None:
         if shards < 1:
             raise ConfigError(f"shards must be positive, got {shards}")
         self.bounds = bounds
-        self.order = order
-        self.keyspace = curve_keyspace(bounds.dims, order)
+        self.keyspace = curve_keyspace(bounds.dims)
         if shards > self.keyspace:
             raise ConfigError(
                 f"{shards} shards exceed the {self.keyspace}-key curve space"
@@ -144,7 +141,7 @@ class CurveRangePartitioner:
     # ------------------------------------------------------------------
     def key(self, rect: Rect) -> int:
         """The curve key this partitioner routes ``rect`` by."""
-        return curve_key(rect, self.bounds, self.order)
+        return curve_key(rect, self.bounds)
 
     def shard_for_key(self, key: int) -> int:
         """Owning shard id for a curve key (clamped into the key space)."""

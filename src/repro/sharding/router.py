@@ -512,7 +512,6 @@ def build_router(
     bounds: Rect,
     transport: str = "process",
     buffer_bytes: int = 64 * 1024,
-    order: int | None = None,
     tracer: Tracer | None = None,
     timeout_s: float | None = 5.0,
     admission: AdmissionController | None = None,
@@ -522,7 +521,9 @@ def build_router(
     ``transport`` is one of :data:`TRANSPORTS` (``local`` / ``process``);
     the returned router can rebalance, because the same
     factory that built the initial workers is installed as its spawn
-    hook.
+    hook.  Each worker gets a buffer pool of ``buffer_bytes``; the router
+    and every worker key records on the same curve, at
+    :data:`~repro.sharding.partition.CURVE_ORDER`.
     """
     factory = TRANSPORTS.get(transport)
     if factory is None:
@@ -535,18 +536,13 @@ def build_router(
             shard_id=shard_id,
             bounds_lows=bounds.lows,
             bounds_highs=bounds.highs,
-            **({"order": order} if order is not None else {}),
             buffer_bytes=buffer_bytes,
         )
 
     def spawn(shard_id: int) -> ShardClient:
         return factory(spec_for(shard_id))
 
-    partitioner = (
-        CurveRangePartitioner(shards, bounds=bounds)
-        if order is None
-        else CurveRangePartitioner(shards, bounds=bounds, order=order)
-    )
+    partitioner = CurveRangePartitioner(shards, bounds=bounds)
     clients = {sid: spawn(sid) for sid in partitioner.shard_ids}
     return ShardRouter(
         clients,

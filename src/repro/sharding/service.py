@@ -169,11 +169,19 @@ async def serve(
     printed (and ``ready`` set, for tests) once listening.
     """
     service = ShardedService(router)
+    #: The task serving each open connection, and that connection's reader.
+    connections: dict[asyncio.Task, asyncio.StreamReader] = {}
 
     async def on_connect(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        await _handle_connection(service, reader, writer)
+        task = asyncio.current_task()
+        assert task is not None
+        connections[task] = reader
+        try:
+            await _handle_connection(service, reader, writer)
+        finally:
+            del connections[task]
 
     server = await asyncio.start_server(on_connect, host, port, limit=MAX_FRAME_BYTES)
     sockets = server.sockets or []
@@ -182,5 +190,16 @@ async def serve(
         print(f"serving {len(router.shard_ids)} shard(s) on {addr[0]}:{addr[1]}")
     if ready is not None:
         ready.set()
-    async with server:
-        await server.serve_forever()
+    try:
+        await asyncio.get_running_loop().create_future()  # until cancelled
+    finally:
+        server.close()
+        # End each open connection's input: its handler answers the frames
+        # it has read, then returns.  A handler cancelled mid-read instead
+        # makes asyncio's connection callback log a CancelledError traceback
+        # (Python 3.11), and a server with an open connection never closes
+        # (3.12).
+        for reader in connections.values():
+            reader.feed_eof()
+        await asyncio.gather(*connections, return_exceptions=True)
+        await server.wait_closed()

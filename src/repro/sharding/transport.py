@@ -174,12 +174,11 @@ class ProcessShardClient(ShardClient):
     steal the replies the loop was woken for.
     """
 
-    def __init__(self, spec: ShardSpec, *, start_method: str | None = None) -> None:
+    def __init__(self, spec: ShardSpec) -> None:
         super().__init__(spec)
-        ctx = multiprocessing.get_context(start_method)  # None: the default
-        self._conn, child = ctx.Pipe()
+        self._conn, child = multiprocessing.Pipe()
         _ROUTER_ENDS.add(self._conn)
-        self._proc = ctx.Process(
+        self._proc = multiprocessing.Process(
             target=_process_worker,
             args=(child, spec),
             name=f"shard-{spec.shard_id}",

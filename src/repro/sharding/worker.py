@@ -34,7 +34,7 @@ from ..storage.disk import SimulatedDisk
 from ..storage.pager import StorageManager
 from ..store import open_store
 from . import wire
-from .partition import CURVE_ORDER, curve_key
+from .partition import curve_key
 from .wire import Reply, Request
 
 __all__ = ["ShardSpec", "ShardWorker", "worker_main"]
@@ -54,15 +54,19 @@ class ShardSpec:
 
     ``bounds_lows``/``bounds_highs`` are the partitioner's domain bounds
     — every worker must quantize curve keys against the *same* bounds as
-    the router, or a record's key would change on migration.
+    the router (at :data:`~repro.sharding.partition.CURVE_ORDER`), or a
+    record's key would change on migration.  ``buffer_bytes`` sizes the
+    worker's buffer pool; every worker has one.
     """
 
     shard_id: int
     bounds_lows: tuple[float, ...]
     bounds_highs: tuple[float, ...]
-    order: int = CURVE_ORDER
-    #: Buffer-pool bytes; 0 disables the storage layer entirely.
     buffer_bytes: int = 64 * 1024
+
+    def __post_init__(self) -> None:
+        if self.buffer_bytes <= 0:
+            raise ConfigError("buffer bytes must be positive")
 
     def bounds(self) -> Rect:
         return Rect(self.bounds_lows, self.bounds_highs)
@@ -78,14 +82,10 @@ class ShardWorker:
         #: The worker serves requests through the concurrency engine, so
         #: a multi-threaded transport loop gets real reader-reader
         #: overlap under the shared index latch.
-        self.engine: ConcurrentIndex
-        self.storage: StorageManager | None = None
-        if spec.buffer_bytes:
-            # In memory, no log: a durable shard is ROADMAP item 4(b)-(d).
-            store = open_store(SimulatedDisk(), tree=self.tree, buffer_bytes=spec.buffer_bytes)
-            self.engine, self.storage = store.engine, store.manager
-        else:
-            self.engine = ConcurrentIndex(self.tree)
+        # In memory, no log: a durable shard is ROADMAP item 4(b)-(d).
+        store = open_store(SimulatedDisk(), tree=self.tree, buffer_bytes=spec.buffer_bytes)
+        self.engine: ConcurrentIndex = store.engine
+        self.storage: StorageManager = store.manager
         #: global rid -> local tree record id, and the reverse.
         self._to_local: dict[int, int] = {}
         self._to_global: dict[int, int] = {}
@@ -141,9 +141,7 @@ class ShardWorker:
         return bool(self._delay_s)
 
     def close(self) -> None:
-        if self.storage is not None:
-            self.storage.detach()
-            self.storage = None
+        self.storage.detach()
 
     # ------------------------------------------------------------------
     # Serving ops
@@ -202,7 +200,7 @@ class ShardWorker:
     # Rebalance ops
     # ------------------------------------------------------------------
     def _key(self, rect: Rect) -> int:
-        return curve_key(rect, self._bounds, self.spec.order)
+        return curve_key(rect, self._bounds)
 
     def _op_suggest_split(self) -> int | None:
         """Median resident curve key, or ``None`` when a split can't help.
@@ -249,15 +247,13 @@ class ShardWorker:
         return len(self._records)
 
     def _op_stats(self) -> dict[str, Any]:
-        stats: dict[str, Any] = {
+        return {
             "shard_id": self.spec.shard_id,
             "records": len(self._records),
             "tree_height": self.tree.height,
+            "buffer_hits": self.storage.pool.stats.hits,
+            "buffer_misses": self.storage.pool.stats.misses,
         }
-        if self.storage is not None:
-            stats["buffer_hits"] = self.storage.pool.stats.hits
-            stats["buffer_misses"] = self.storage.pool.stats.misses
-        return stats
 
     def _op_configure(self, delay_s: float) -> None:
         """A per-request handling delay: the timeout tests' fault hook."""

@@ -120,6 +120,9 @@ _REC_TYPES = frozenset(
 _ALLOC_PAYLOAD = struct.Struct("<Q")
 _COMMIT_PAYLOAD = struct.Struct("<Q")
 _DELTA_PREFIX = struct.Struct("<I")
+#: Last-logged page images kept for delta encoding; a page beyond the cap
+#: falls back to a full image.
+DELTA_CACHE_PAGES = 512
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".seg"
@@ -344,8 +347,6 @@ class WriteAheadLog:
             every append/fsync/segment-truncation.
         tracer: Optional tracer for ``wal_append``/``wal_fsync``/
             ``wal_truncate`` events.
-        delta_cache_pages: Last-logged images kept for delta encoding;
-            pages beyond the cap fall back to full images.
     """
 
     def __init__(
@@ -356,7 +357,6 @@ class WriteAheadLog:
         fsync_delay: float = 0.0,
         fault_gate: "FaultGate | None" = None,
         tracer: "Tracer | None" = None,
-        delta_cache_pages: int = 512,
     ) -> None:
         if segment_bytes <= 0:
             raise StorageError("segment_bytes must be positive")
@@ -368,7 +368,6 @@ class WriteAheadLog:
         self.fsync_delay = fsync_delay
         self.fault_gate = fault_gate
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-        self.delta_cache_pages = delta_cache_pages
         self.stats = WalStats()
         # Commit mutex + group-commit CV; reports to `repro racecheck`'s
         # lock-order recorder when one is installed (level "wal", rank 3).
@@ -529,7 +528,7 @@ class WriteAheadLog:
             candidate = _DELTA_PREFIX.pack(lo) + image[lo:hi]
             if len(candidate) < len(image):
                 delta_payload = candidate
-        if len(self._last_images) >= self.delta_cache_pages and (
+        if len(self._last_images) >= DELTA_CACHE_PAGES and (
             page_id not in self._last_images
         ):
             # Cache full: evict an arbitrary entry (its next write simply

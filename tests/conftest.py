@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro import IndexConfig, Rect
 from repro.core.geometry import union_all
+from repro.obs import check_event_fields, check_span_fields
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +127,18 @@ def fragment_aligned_queries(pieces: dict[int, list[Rect]], seed: int, count: in
             highs.append(axis[min(len(axis) - 1, i + rng.randint(1, 60))])
         out.append(Rect(tuple(lows), tuple(highs)))
     return out
+
+
+def assert_trace_conforms(events) -> None:
+    """Every record of a recorded trace carries the fields the schema
+    (``repro.obs.events``) declares for it, span begin and end included."""
+    for event in events:
+        if event.etype in ("span_begin", "span_end"):
+            closing = event.etype == "span_end"
+            problems = check_span_fields(event.op, event.fields, closing=closing)
+        else:
+            problems = check_event_fields(event.etype, event.fields)
+        assert problems == [], (event, problems)
 
 
 def brute_force_ids(data: dict[int, Rect], query: Rect) -> set[int]:

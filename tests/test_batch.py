@@ -15,7 +15,7 @@ from repro.storage import SimulatedDisk, StorageManager
 from repro.storage.buffer import PageVersionCache
 from repro.workloads import DOMAIN_HIGH, dataset_R1, query_rectangles
 
-from .conftest import brute_force_ids, random_boxes, random_segments
+from .conftest import assert_trace_conforms, brute_force_ids, random_boxes, random_segments
 
 DOMAIN_2D = [(0.0, 100_000.0), (0.0, 100_000.0)]
 
@@ -128,13 +128,14 @@ class TestBatchSearch:
         assert {r for r, _ in results[0]} == {rid}
         assert {r for r, _ in results[1]} == {rid}
 
-    def test_spans_validate_under_strict_tracer(self, small_config):
+    def test_batch_spans_conform_to_schema(self, small_config):
         tree = SRTree(small_config)
         for rect in random_segments(120, seed=10, long_fraction=0.3):
             tree.insert(rect)
         sink = RingBufferSink()
-        tree.tracer = Tracer(sink, strict=True)
+        tree.tracer = Tracer(sink)
         batch_search(tree, random_boxes(8, seed=11))
+        assert_trace_conforms(sink.events)
         ops = {e.op for e in sink.events if e.etype == "span_begin"}
         assert "batch_search" in ops
 
@@ -280,10 +281,11 @@ class TestBufferAmortization:
         for rect in random_segments(200, seed=27, long_fraction=0.2):
             tree.insert(rect)
         sink = RingBufferSink()
-        tracer = Tracer(sink, strict=True)
+        tracer = Tracer(sink)
         tree.tracer = tracer
         manager = StorageManager(tree, buffer_bytes=64 * 1024, tracer=tracer)
         batch_search(tree, random_boxes(12, seed=28))
+        assert_trace_conforms(sink.events)
         accesses = sum(1 for e in sink.events if e.etype == "node_access")
         fetches = sum(1 for e in sink.events if e.etype == "page_fetch")
         assert accesses == fetches > 0

@@ -303,9 +303,10 @@ class TestBadSizes:
                 ["trace", "--dist", "I1", "-n", "100", "--queries", "0", "-o", "{tmp}/t.jsonl"],
                 "query count",
             ),
+            (["serve", "--transport", "local", "--buffer-bytes", "0"], "buffer bytes"),
         ],
         ids=["experiment-n", "experiment-queries", "inspect-n", "graphs-n", "generate-n",
-             "trace-queries"],
+             "trace-queries", "serve-buffer-bytes"],
     )
     def test_clean_exit(self, argv, message, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -16,6 +16,8 @@ from repro.obs import (
     read_jsonl,
 )
 
+from .conftest import assert_trace_conforms
+
 
 class TestTracer:
     def test_event_flows_to_ring_buffer(self):
@@ -166,13 +168,14 @@ class TestSpanTiming:
             sp.set(duration_ns=12345)
         assert tracer.events[-1].fields["duration_ns"] == 12345
 
-    def test_strict_tracer_accepts_duration_on_every_span_op(self):
+    def test_duration_on_every_span_op_conforms(self):
         from repro.obs import SPAN_OPS
 
-        tracer = Tracer(strict=True)
+        tracer = Tracer()
         for op in sorted(SPAN_OPS):
             with tracer.span(op):
                 pass
+        assert_trace_conforms(tracer.events)
         ends = [e for e in tracer.events if e.etype == "span_end"]
         assert len(ends) == len(SPAN_OPS)
         assert all(e.fields["duration_ns"] >= 0 for e in ends)

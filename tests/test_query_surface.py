@@ -127,7 +127,7 @@ def _target(variant, layer, cut_heavy=False):
 def _router():
     data = _rects()
     router = build_router(
-        2, bounds=Rect((0.0, 0.0), (SIDE, SIDE)), transport="local", buffer_bytes=0
+        2, bounds=Rect((0.0, 0.0), (SIDE, SIDE)), transport="local"
     )
     for rect in data:
         router.insert(rect)
@@ -228,7 +228,7 @@ def test_served_process_shards_match_brute_force(kind):
     data = _rects()
     model = dict(enumerate(data, start=1))
     router = build_router(
-        2, bounds=Rect((0.0, 0.0), (SIDE, SIDE)), transport="process", buffer_bytes=0
+        2, bounds=Rect((0.0, 0.0), (SIDE, SIDE)), transport="process"
     )
     service = ShardedService(router)
 

@@ -150,7 +150,7 @@ def _apply_all(router, engine, ops, *, split_every: int | None = None):
 
 def _fresh_pair():
     router = build_router(
-        4, bounds=BOUNDS, transport="local", buffer_bytes=0, timeout_s=30.0
+        4, bounds=BOUNDS, transport="local", timeout_s=30.0
     )
     engine = ConcurrentIndex(RTree())
     return router, engine

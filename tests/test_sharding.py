@@ -51,14 +51,8 @@ from repro.sharding.wire import Reply, Request, raise_reply_error
 BOUNDS = Rect((0.0, 0.0), (100.0, 100.0))
 
 
-def _spec(shard_id: int = 0, **kw) -> ShardSpec:
-    kw.setdefault("buffer_bytes", 0)
-    return ShardSpec(
-        shard_id=shard_id,
-        bounds_lows=BOUNDS.lows,
-        bounds_highs=BOUNDS.highs,
-        **kw,
-    )
+def _spec(shard_id: int = 0) -> ShardSpec:
+    return ShardSpec(shard_id=shard_id, bounds_lows=BOUNDS.lows, bounds_highs=BOUNDS.highs)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +330,11 @@ class TestTransportTimeouts:
 class TestRouter:
     def _router(self, **kw):
         kw.setdefault("transport", "local")
-        kw.setdefault("buffer_bytes", 0)
         return build_router(4, bounds=BOUNDS, **kw)
 
     def test_gather_timeout_is_typed_never_partial(self):
         router = build_router(
-            2, bounds=BOUNDS, transport="process", buffer_bytes=0, timeout_s=0.05
+            2, bounds=BOUNDS, transport="process", timeout_s=0.05
         )
         try:
             # Spread records so both shards hold data.
@@ -363,7 +356,7 @@ class TestRouter:
         """The worker applies an insert whose reply came too late: every
         search, ``len`` and ``delete`` must agree that the record exists."""
         router = build_router(
-            2, bounds=BOUNDS, transport="process", buffer_bytes=0, timeout_s=10.0
+            2, bounds=BOUNDS, transport="process", timeout_s=10.0
         )
         try:
             rect = Rect((10.0, 10.0), (11.0, 11.0))
@@ -598,7 +591,7 @@ class TestService:
     def test_frames_round_trip(self):
         import json
 
-        router = build_router(2, bounds=BOUNDS, transport="local", buffer_bytes=0)
+        router = build_router(2, bounds=BOUNDS, transport="local")
         service = ShardedService(router)
 
         async def drive():
@@ -633,7 +626,7 @@ class TestService:
             router.close()
 
     def test_tcp_server_serves_json_lines(self):
-        router = build_router(2, bounds=BOUNDS, transport="local", buffer_bytes=0)
+        router = build_router(2, bounds=BOUNDS, transport="local")
 
         async def drive(port):
             import json
@@ -677,7 +670,6 @@ class TestServedPath:
 
     def _serve(self, drive, **kw):
         """Run ``drive(service, router)`` on one loop, then close the router."""
-        kw.setdefault("buffer_bytes", 0)
         router = build_router(2, bounds=BOUNDS, transport="process", **kw)
         try:
             return asyncio.run(drive(ShardedService(router), router))
@@ -784,7 +776,7 @@ class TestServedPath:
     def test_stats_beside_a_writer(self):
         """``stats`` iterates nothing a writer grows (it used to walk the
         rid map: ``dictionary changed size during iteration``)."""
-        router = build_router(2, bounds=BOUNDS, transport="local", buffer_bytes=0)
+        router = build_router(2, bounds=BOUNDS, transport="local")
         rects = _spread(20_000)
         stop = threading.Event()
 
@@ -848,7 +840,7 @@ class TestMalformedFrames:
         import json
         import logging
 
-        router = build_router(2, bounds=BOUNDS, transport="local", buffer_bytes=0)
+        router = build_router(2, bounds=BOUNDS, transport="local")
 
         async def drive(port):
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -934,3 +926,35 @@ def test_a_served_read_needs_one_thread_a_process():
             server.kill()
             server.wait()
         server.stdout.close()
+
+
+def test_sigint_with_an_idle_connection_exits_cleanly():
+    """^C while a client holds an idle connection: the server hangs up on
+    it and exits 0, with no asyncio traceback on stderr."""
+    import socket
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    server = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--shards", "1",
+         "--transport", "local", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+        text=True,
+    )
+    try:
+        port = int(server.stdout.readline().rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            lines = sock.makefile("rwb")
+            lines.write(b'{"op": "ping"}\n')
+            lines.flush()
+            assert lines.readline() == b'{"ok": true, "value": "pong"}\n'
+            server.send_signal(signal.SIGINT)
+            _, stderr = server.communicate(timeout=20)
+            assert lines.readline() == b""  # hung up on
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate()
+    assert server.returncode == 0, stderr
+    assert "Traceback" not in stderr, stderr

@@ -3,8 +3,8 @@ central trace-event schema (``repro.obs.events``).
 
 This is the dynamic counterpart of lint rule R1: the lint rule proves
 every *call site* names a declared event with declared fields; this test
-drives real insert/search/delete/checkpoint workloads with a strict
-tracer attached and cross-checks the *emitted* stream field-by-field.
+drives real insert/search/delete/checkpoint workloads with a tracer
+attached and cross-checks the *emitted* stream field-by-field.
 """
 
 import pytest
@@ -75,22 +75,14 @@ def test_emitted_events_conform_to_schema():
         assert expected in seen, f"workload never emitted {expected}"
 
 
-def test_strict_tracer_accepts_full_workload():
-    # Strict validation raises on any drift at emission time, so simply
-    # completing the workload is the assertion.
-    drive_workload(Tracer(RingBufferSink(capacity=200_000), strict=True))
+def test_check_event_fields_reports_undeclared_field():
+    problems = check_event_fields("node_access", {"node_id": 1, "level": 0, "colour": "red"})
+    assert len(problems) == 1 and "undeclared field" in problems[0]
 
 
-def test_strict_tracer_rejects_undeclared_field():
-    tracer = Tracer(RingBufferSink(), strict=True)
-    with pytest.raises(TraceSchemaError, match="undeclared field"):
-        tracer.event("node_access", node_id=1, level=0, colour="red")
-
-
-def test_strict_tracer_rejects_missing_required_field():
-    tracer = Tracer(RingBufferSink(), strict=True)
-    with pytest.raises(TraceSchemaError, match="missing required field"):
-        tracer.event("node_access", node_id=1)
+def test_check_event_fields_reports_missing_required_field():
+    problems = check_event_fields("node_access", {"node_id": 1})
+    assert len(problems) == 1 and "missing required field" in problems[0]
 
 
 def test_default_tracer_rejects_unknown_event_name():
