@@ -70,7 +70,7 @@ NO_SWALLOW_SCOPES = ("storage/", "workloads/", "sharding/")
 NO_SWALLOW_ALLOWLIST = frozenset(
     {
         # The shard worker's dispatch boundary serializes failures into
-        # error Replies; raise_reply_error re-raises them client-side.
+        # error Replies; reply_error rebuilds them client-side.
         ("sharding/worker.py", "handle"),
     }
 )

@@ -30,7 +30,6 @@ from .registry import NODES_PER_SEARCH_BUCKETS, Histogram
 from .report import (
     SCHEMA,
     build_report,
-    format_ns,
     format_report,
     load_report,
     report_filename,
@@ -62,7 +61,6 @@ __all__ = [
     "NODES_PER_SEARCH_BUCKETS",
     "QueryTrace",
     "trace_search",
-    "format_ns",
     "SCHEMA",
     "build_report",
     "report_filename",

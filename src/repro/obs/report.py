@@ -41,7 +41,6 @@ __all__ = [
     "load_report",
     "validate_report",
     "format_report",
-    "format_ns",
 ]
 
 SCHEMA = "repro.bench-report/v2"
@@ -179,18 +178,3 @@ def format_report(doc: dict, bar_width: int = 40) -> str:
             lines.append(f"    {label.rjust(10)}  {str(count).rjust(8)}  {bar}")
     return "\n".join(lines)
 
-
-def format_ns(ns: float) -> str:
-    """Human-readable duration: ``412ns`` / ``3.1us`` / ``12.4ms`` / ``2.1s``.
-
-    Unit boundaries sit at 999.5 so the 3-significant-digit rendering
-    never shows ``1e+03ms`` instead of ``1s``.
-    """
-    magnitude = abs(ns)
-    if magnitude < 999.5:
-        return f"{ns:.0f}ns"
-    if magnitude < 999.5e3:
-        return f"{ns / 1e3:.3g}us"
-    if magnitude < 999.5e6:
-        return f"{ns / 1e6:.3g}ms"
-    return f"{ns / 1e9:.3g}s"

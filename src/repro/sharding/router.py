@@ -50,7 +50,7 @@ from typing import Any, Callable, Generator, Mapping, Sequence
 from ..concurrency.latch import RWLatch
 from ..core.geometry import Rect
 from ..core.query import QuerySurface
-from ..exceptions import ConfigError, ReproError, ShardError, ShardTimeoutError
+from ..exceptions import ConfigError, ShardError, ShardTimeoutError
 from ..obs.tracer import NULL_TRACER, Tracer
 from . import wire
 from .admission import AdmissionController
@@ -76,6 +76,26 @@ TRANSPORTS: Mapping[str, Callable[[ShardSpec], ShardClient]] = {
 
 def _coords(rect: Rect) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return (rect.lows, rect.highs)
+
+
+def _resolved(
+    future: "futures.Future[Any]", loop: asyncio.AbstractEventLoop
+) -> "asyncio.Future[None]":
+    """A loop future done once ``future`` is: set on the loop's thread for
+    a loop-pumped call (reply, deadline, lost worker, failed send), else
+    through ``call_soon_threadsafe`` — a self-pipe write — from a pump thread."""
+    waiter = loop.create_future()
+    owner = threading.get_ident()
+
+    def wake(_: object) -> None:
+        if threading.get_ident() != owner:
+            if not loop.is_closed():
+                loop.call_soon_threadsafe(wake, _)
+        elif not waiter.done():  # its awaiter may have been cancelled
+            waiter.set_result(None)
+
+    future.add_done_callback(wake)
+    return waiter
 
 
 #: Which shards a query kind must visit, as a test of the shard's
@@ -284,6 +304,7 @@ class ShardRouter(QuerySurface):
             return exc
 
     async def _gather_async(self, calls: Sequence[Call]) -> "list[Any] | ShardError":
+        loop = asyncio.get_running_loop()
         timer = None
         try:
             sent = []
@@ -294,12 +315,9 @@ class ShardRouter(QuerySurface):
                     retries += 1
                 sent.append(self._submit(*call, retries))
             if self.timeout_s is not None:  # the deadline resolves whatever is still out
-                timer = asyncio.get_running_loop().call_later(self.timeout_s, self._expire, sent)
+                timer = loop.call_later(self.timeout_s, self._expire, sent)
             for _, future in sent:
-                try:
-                    await asyncio.wrap_future(future)
-                except ReproError:
-                    pass  # ``_values`` re-raises it, after the timeouts
+                await _resolved(future, loop)  # ``_values`` re-raises what it carried
             return self._values(calls, sent, 0.0)
         except ShardError as exc:
             return exc
@@ -531,16 +549,8 @@ def build_router(
             f"unknown transport {transport!r}; known: {sorted(TRANSPORTS)}"
         )
 
-    def spec_for(shard_id: int) -> ShardSpec:
-        return ShardSpec(
-            shard_id=shard_id,
-            bounds_lows=bounds.lows,
-            bounds_highs=bounds.highs,
-            buffer_bytes=buffer_bytes,
-        )
-
     def spawn(shard_id: int) -> ShardClient:
-        return factory(spec_for(shard_id))
+        return factory(ShardSpec(shard_id, bounds.lows, bounds.highs, buffer_bytes))
 
     partitioner = CurveRangePartitioner(shards, bounds=bounds)
     clients = {sid: spawn(sid) for sid in partitioner.shard_ids}

@@ -8,8 +8,7 @@ Two interchangeable transports, both speaking the same
   hypothesis can interleave thousands of ops per second.
 * :class:`ProcessShardClient` — the worker is a separate OS process on
   a :class:`multiprocessing` pipe: its own GIL, tree, buffer pool and
-  simulated disk.  This is the serving configuration
-  (``repro bench shard`` / ``repro serve``).
+  simulated disk.  This is the serving configuration (``repro serve``).
 
 One primitive: ``submit(op, args)`` sends a request from the calling
 thread and returns a future of the reply's value (or of the exception it
@@ -170,8 +169,8 @@ class ProcessShardClient(ShardClient):
     ``_send_gate``, on the caller's thread.  Exactly one thing pumps the
     pipe, chosen once: the event loop the client was attached to (a
     reader callback, no thread), else the ``shard-N-recv`` thread the
-    first call starts.  Never both: a thread parked in ``recv()`` would
-    steal the replies the loop was woken for.
+    first call starts.  Never both: a thread parked in ``recv_bytes()``
+    would steal the replies the loop was woken for.
     """
 
     def __init__(self, spec: ShardSpec) -> None:
@@ -200,22 +199,23 @@ class ProcessShardClient(ShardClient):
         """Deliver replies: every one until EOF on the receiver thread, one
         per wake-up on a loop (a second, already in the pipe, wakes it again)."""
         try:
-            self._deliver(self._conn.recv())
+            self._deliver(wire.decode(Reply, self._conn.recv_bytes()))
             while forever:
-                self._deliver(self._conn.recv())
+                self._deliver(wire.decode(Reply, self._conn.recv_bytes()))
         except (EOFError, OSError):
             if self._loop is not None:
                 self._loop.remove_reader(self._conn.fileno())
             self._lost()
 
     def _send(self, request: Request) -> None:
+        frame = wire.encode(request)
         with self._send_gate:
             if self._loop is None and self._receiver is None:
                 self._receiver = threading.Thread(
                     target=self._pump, name=f"shard-{self.shard_id}-recv", daemon=True
                 )
                 self._receiver.start()
-            self._conn.send(request)
+            self._conn.send_bytes(frame)
 
     def close(self) -> None:
         # The worker drains its in-flight work, answers and exits; nobody

@@ -4,9 +4,11 @@ Deliberately primitive: a :class:`Request` is an op name, a tuple of
 plain-data arguments, and a sequence number; a :class:`Reply` echoes the
 sequence number and carries either a value or a serialized error.
 Rectangles travel as ``(lows, highs)`` coordinate tuples, never as
-:class:`~repro.core.geometry.Rect` objects, so the protocol pickles
-cheaply over a :class:`multiprocessing` pipe and has no dependency on
-geometry internals staying pickle-stable.
+:class:`~repro.core.geometry.Rect` objects, so nothing on the wire
+depends on geometry internals staying pickle-stable.  On a process
+shard's pipe each message is one frame, its plain tuple pickled by
+:func:`encode` and named again by :func:`decode`: no ``ForkingPickler``
+per message and no class to pickle, as ``Connection.send`` would.
 
 Sequence numbers exist for the timeout path: a client that gave up on a
 reply must discard it when it eventually arrives, or the stale value
@@ -20,8 +22,8 @@ wraps anything else in :class:`~repro.exceptions.ShardError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+import pickle
+from typing import Any, NamedTuple, TypeVar
 
 from .. import exceptions as _exceptions
 from ..exceptions import ReproError, ShardError
@@ -44,8 +46,9 @@ __all__ = [
     "OP_SHUTDOWN",
     "Request",
     "Reply",
+    "encode",
+    "decode",
     "reply_error",
-    "raise_reply_error",
 ]
 
 OP_INSERT = "insert"
@@ -65,8 +68,7 @@ OP_PING = "ping"
 OP_SHUTDOWN = "shutdown"
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One operation sent router -> worker."""
 
     op: str
@@ -74,8 +76,7 @@ class Request:
     seq: int
 
 
-@dataclass(frozen=True)
-class Reply:
+class Reply(NamedTuple):
     """One worker -> router response, matched to its request by ``seq``."""
 
     seq: int
@@ -83,6 +84,18 @@ class Reply:
     value: Any = None
     error_type: str = ""
     error: str = ""
+
+
+_Message = TypeVar("_Message", Request, Reply)
+
+
+def encode(message: "Request | Reply") -> bytes:
+    """One pipe frame: the message's plain tuple, pickled."""
+    return pickle.dumps(tuple(message), pickle.HIGHEST_PROTOCOL)
+
+
+def decode(kind: type[_Message], frame: bytes) -> _Message:
+    return kind._make(pickle.loads(frame))
 
 
 def reply_error(reply: Reply, shard_id: int) -> ReproError:
@@ -103,7 +116,3 @@ def reply_error(reply: Reply, shard_id: int) -> ReproError:
             return rebuilt
     return ShardError(f"shard {shard_id}: {reply.error_type}: {reply.error}")
 
-
-def raise_reply_error(reply: Reply, shard_id: int) -> None:
-    """Re-raise a failed :class:`Reply` client-side (see :func:`reply_error`)."""
-    raise reply_error(reply, shard_id)  # lint: ignore[R3] — rebuilt from the repro hierarchy by name

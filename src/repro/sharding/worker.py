@@ -117,8 +117,8 @@ class ShardWorker:
         """Execute one request; failures become error replies.
 
         This is the RPC boundary: any exception must cross the wire as a
-        ``(error_type, error)`` pair and be re-raised client-side by
-        :func:`~repro.sharding.wire.raise_reply_error` — a worker that
+        ``(error_type, error)`` pair and be rebuilt client-side by
+        :func:`~repro.sharding.wire.reply_error` — a worker that
         died on a bad request would take its whole shard down instead.
         """
         if self._delay_s:
@@ -278,10 +278,10 @@ def worker_main(conn: Any, spec: ShardSpec) -> None:
     send_gate = threading.Lock()
 
     def run(request: Request) -> None:
-        reply = worker.handle(request)
+        frame = wire.encode(worker.handle(request))
         with send_gate:
             try:
-                conn.send(reply)
+                conn.send_bytes(frame)
             except (EOFError, OSError):
                 pass  # client hung up mid-flight; nobody to reply to
 
@@ -290,13 +290,13 @@ def worker_main(conn: Any, spec: ShardSpec) -> None:
     try:
         while True:
             try:
-                request = conn.recv()
+                request = wire.decode(Request, conn.recv_bytes())
             except (EOFError, OSError):
                 break  # router side closed; nothing left to reply to
             if request.op == wire.OP_SHUTDOWN:
                 pool.shutdown(wait=True)  # drain in-flight work first
                 with send_gate:
-                    conn.send(Reply(request.seq, True, None))
+                    conn.send_bytes(wire.encode(Reply(request.seq, True, None)))
                 break
             if worker.may_block:
                 pool.submit(run, request)

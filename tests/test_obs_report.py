@@ -9,7 +9,6 @@ from repro.exceptions import InputFormatError
 from repro.obs.report import (
     SCHEMA,
     build_report,
-    format_ns,
     format_report,
     load_report,
     report_filename,
@@ -160,14 +159,3 @@ class TestSchemaV2:
         assert load_report(path) == doc
         assert format_report(doc).startswith("lat  (repro.bench-report/v2)")
 
-
-class TestFormatNs:
-    def test_units(self):
-        assert format_ns(412) == "412ns"
-        assert format_ns(3_100) == "3.1us"
-        assert format_ns(12_400_000) == "12.4ms"
-        assert format_ns(2_100_000_000) == "2.1s"
-
-    def test_no_scientific_notation_at_boundaries(self):
-        assert "e+" not in format_ns(999_820_550)
-        assert format_ns(999_820_550).endswith("s")

@@ -11,7 +11,9 @@ rebalance edge cases, and the asyncio/JSON service facade.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -46,7 +48,7 @@ from repro.sharding import (
 )
 from repro.sharding import wire
 from repro.sharding.partition import CURVE_ORDER, curve_key, curve_keyspace, hilbert_index
-from repro.sharding.wire import Reply, Request, raise_reply_error
+from repro.sharding.wire import Reply, Request, reply_error
 
 BOUNDS = Rect((0.0, 0.0), (100.0, 100.0))
 
@@ -207,12 +209,12 @@ class TestWire:
     def test_hierarchy_errors_rebuild_as_themselves(self):
         reply = Reply(1, False, None, "ConfigError", "bad knob")
         with pytest.raises(ConfigError, match="bad knob"):
-            raise_reply_error(reply, shard_id=0)
+            raise reply_error(reply, shard_id=0)
 
     def test_unknown_errors_wrap_in_shard_error(self):
         reply = Reply(1, False, None, "KeyError", "'x'")
         with pytest.raises(ShardError, match="shard 3: KeyError"):
-            raise_reply_error(reply, shard_id=3)
+            raise reply_error(reply, shard_id=3)
 
     def test_worker_serializes_failures_into_replies(self):
         worker = ShardWorker(_spec())
@@ -221,6 +223,28 @@ class TestWire:
         assert reply.error_type == "ConfigError"
         reply = worker.handle(Request(wire.OP_CONFIGURE, (-1.0,), 2))
         assert not reply.ok and reply.error_type == "ConfigError"
+
+    def test_payloads_and_errors_cross_the_pipe(self):
+        """A process shard's frames are pickled plain tuples: payloads come
+        back unchanged, a repro error as its class, a builtin one wrapped."""
+        payloads = [None, "a string", {"k": [1, 2.5, {"deep": ["x", None]}], "t": (1, 2)}]
+        client = ProcessShardClient(_spec())
+        try:
+            for rid, payload in enumerate(payloads, 1):
+                x = 10.0 * rid
+                args = (rid, (x, x), (x + 1.0, x + 1.0), payload)
+                assert client.call(wire.OP_INSERT, args, timeout=10.0) == 1
+            hits = client.call(wire.OP_SEARCH, ((0.0, 0.0), (100.0, 100.0)), timeout=10.0)
+            assert sorted(hits, key=lambda hit: hit[0]) == list(enumerate(payloads, 1))
+            with pytest.raises(ConfigError, match="non-negative") as repro_error:
+                client.call(wire.OP_CONFIGURE, (-1.0,), timeout=10.0)
+            assert type(repro_error.value) is ConfigError
+            with pytest.raises(ShardError, match="shard 0: TypeError") as builtin_error:
+                client.call(wire.OP_INGEST, (5,), timeout=10.0)
+            assert type(builtin_error.value) is ShardError
+            assert client.call(wire.OP_PING, (), timeout=10.0) == "pong"
+        finally:
+            client.close()
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +613,6 @@ class TestWorkersDieWithTheirRouter:
 # ---------------------------------------------------------------------------
 class TestService:
     def test_frames_round_trip(self):
-        import json
-
         router = build_router(2, bounds=BOUNDS, transport="local")
         service = ShardedService(router)
 
@@ -629,8 +651,6 @@ class TestService:
         router = build_router(2, bounds=BOUNDS, transport="local")
 
         async def drive(port):
-            import json
-
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             writer.write(
                 json.dumps({"op": "insert", "lows": [1, 1], "highs": [2, 2]}).encode()
@@ -773,6 +793,89 @@ class TestServedPath:
 
         self._serve(drive)
 
+    def test_served_searches_never_wake_the_loop_through_its_self_pipe(self):
+        """Every reply of a loop-pumped shard is read on the loop's thread,
+        so the search awaiting it is woken with ``call_soon``: 200 searches
+        over TCP make no ``call_soon_threadsafe`` (no self-pipe write)."""
+        router = build_router(2, bounds=BOUNDS, transport="process")
+        reference = RTree()
+        rng = random.Random(48)
+        queries = []
+        for _ in range(200):
+            x, y, side = rng.uniform(0, 90), rng.uniform(0, 90), rng.uniform(1, 60)
+            queries.append(Rect((x, y), (min(x + side, 100.0), min(y + side, 100.0))))
+
+        async def drive(port):
+            loop = asyncio.get_running_loop()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def ask(frame):
+                writer.write(json.dumps(frame).encode() + b"\n")
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                assert reply["ok"], reply
+                return reply["value"]
+
+            for rect in _spread(60):
+                assert await ask(_frame("insert", rect)) == reference.insert(rect)
+            wakes = []
+            threadsafe = loop.call_soon_threadsafe
+
+            def counted(callback, *args, **kw):
+                wakes.append(callback)
+                return threadsafe(callback, *args, **kw)
+
+            loop.call_soon_threadsafe = counted
+            try:
+                for q in queries:
+                    hits = await ask(_frame("search", q))
+                    assert [rid for rid, _ in hits] == sorted(reference.search_ids(q)), q
+            finally:
+                del loop.call_soon_threadsafe
+            writer.close()
+            return wakes
+
+        try:
+            assert asyncio.run(_tcp_service(router, drive)) == []
+        finally:
+            router.close()
+
+    def test_thread_pumped_shards_still_wake_the_loop(self):
+        """A blocking call before serving starts each shard's
+        ``shard-N-recv`` pump, and ``attach`` leaves such a client alone:
+        its replies resolve off the loop's thread, and must still wake a
+        served frame at once — not at the deadline — and still time out."""
+        router = build_router(2, bounds=BOUNDS, transport="process", timeout_s=5.0)
+        reference = RTree()
+
+        async def drive(service, queries):
+            replies = []
+            for q in queries:
+                started = time.monotonic()
+                replies.append(await service.handle_frame(_frame("search", q)))
+                assert time.monotonic() - started < 2.0, "woken by the deadline, not the reply"
+            return replies
+
+        try:
+            for rect in _spread(20):
+                assert router.insert(rect) == reference.insert(rect)
+            # Replies come long after the loop has gone to sleep in its selector.
+            router.configure_workers(0.2)
+            queries = [BOUNDS, *_spread(3)]
+            replies = asyncio.run(drive(ShardedService(router), queries))
+            clients = list(router._clients.values())
+            assert all(c._receiver is not None and c._loop is None for c in clients)
+            for q, reply in zip(queries, replies):
+                assert reply["ok"], reply
+                assert [rid for rid, _ in reply["value"]] == sorted(reference.search_ids(q))
+            router.timeout_s = 0.1
+            (late,) = asyncio.run(drive(ShardedService(router), [BOUNDS]))
+            assert (late["ok"], late["error_type"]) == (False, "ShardTimeoutError")
+        finally:
+            router.timeout_s = 10.0
+            router.configure_workers(0.0)
+            router.close()
+
     def test_stats_beside_a_writer(self):
         """``stats`` iterates nothing a writer grows (it used to walk the
         rid map: ``dictionary changed size during iteration``)."""
@@ -837,7 +940,6 @@ class TestMalformedFrames:
     when it nearly was — and never a traceback."""
 
     def _drive(self, payload: bytes, caplog):
-        import json
         import logging
 
         router = build_router(2, bounds=BOUNDS, transport="local")
@@ -873,8 +975,6 @@ class TestMalformedFrames:
         assert self._drive(b"\xff\xfe\n", caplog) == []
 
     def test_an_over_long_line_is_told_the_limit(self, caplog):
-        import json
-
         frame = _frame("insert", Rect((1.0, 1.0), (2.0, 2.0)), payload="x" * 70_000)
         (reply,) = self._drive(json.dumps(frame).encode() + b"\n", caplog)
         assert (reply["ok"], reply["error_type"]) == (False, "ConfigError")
@@ -887,7 +987,6 @@ def test_a_served_read_needs_one_thread_a_process():
     reads over TCP the server is one thread — no ``gather`` pool, no
     ``shard-N-recv`` thread, no default executor — and so is each worker
     that cannot block."""
-    import json
     import socket
 
     src = str(Path(__file__).resolve().parents[1] / "src")
