@@ -165,14 +165,6 @@ class ConcurrentIndex(QuerySurface):
     # ------------------------------------------------------------------
     # Read / write funnels
     # ------------------------------------------------------------------
-    def _read(self, fn: Callable[[], T]) -> T:
-        latch = self._index_latch
-        latch.acquire_read()
-        try:
-            return fn()
-        finally:
-            latch.release_read()
-
     def _write(
         self, fn: Callable[[], T], note_fn: "Callable[[T], Any] | None" = None
     ) -> T:
@@ -231,15 +223,27 @@ class ConcurrentIndex(QuerySurface):
     def dims(self) -> int:
         return self._tree.config.dims
 
+    # A latched read takes the shared latch inline, with no closure and no
+    # funnel frame: a search costs the tree's own query plus two latch calls.
     def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
         if self.mvcc:
             return self._read_mvcc(lambda snap: snap._query(kind, rect))
-        return self._read(lambda: self._tree._query(kind, rect))
+        latch = self._index_latch
+        latch.acquire_read()
+        try:
+            return self._tree._query(kind, rect)
+        finally:
+            latch.release_read()
 
     def _query_batch(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
         if self.mvcc:
             return self._read_mvcc(lambda snap: snap._query_batch(rects))
-        return self._read(lambda: self._tree._query_batch(rects))
+        latch = self._index_latch
+        latch.acquire_read()
+        try:
+            return self._tree._query_batch(rects)
+        finally:
+            latch.release_read()
 
     # ------------------------------------------------------------------
     # Writes

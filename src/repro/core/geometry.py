@@ -74,8 +74,8 @@ class Rect:
     __slots__ = ("lows", "highs")
 
     def __init__(self, lows: Sequence[float], highs: Sequence[float]) -> None:
-        lows = tuple(float(v) for v in lows)
-        highs = tuple(float(v) for v in highs)
+        lows = tuple(map(float, lows))
+        highs = tuple(map(float, highs))
         if len(lows) != len(highs):
             raise GeometryError(
                 f"dimension mismatch: {len(lows)} lows vs {len(highs)} highs"

@@ -71,6 +71,8 @@ SpanningHit = Callable[[Any, Any], None]
 #: :func:`repro.core.kernel.unrolled`.  The overlap test keeps its
 #: rejection form — disjoint when some ``lo[d] > rhi_d or hi[d] < rlo_d`` —
 #: the form of ``Rect.intersects``, so infinite bounds compare as there.
+#: A branch's spanning list is scanned only when it is non-empty, here and
+#: in every kernel below: most branches carry none.
 _INTERSECTING = """
 def intersecting(fetch, root, rect, on_spanning_hit):
     <<|rlo{d}, >>= rect.lows
@@ -93,16 +95,17 @@ def intersecting(fetch, root, rect, on_spanning_hit):
                 seen.add(e.record_id)
                 hits.append(e)
         for b in node.branches:
-            for e in b.spanning:
-                lo = e.lows
-                hi = e.highs
-                if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
-                    continue
-                if e.record_id not in seen:
-                    seen.add(e.record_id)
-                    hits.append(e)
-                    if on_spanning_hit is not None:
-                        on_spanning_hit(node, e)
+            if b.spanning:
+                for e in b.spanning:
+                    lo = e.lows
+                    hi = e.highs
+                    if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                        continue
+                    if e.record_id not in seen:
+                        seen.add(e.record_id)
+                        hits.append(e)
+                        if on_spanning_hit is not None:
+                            on_spanning_hit(node, e)
             lo = b.lows
             hi = b.highs
             if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
@@ -161,17 +164,18 @@ def intersecting_many(fetch, root, rects, on_spanning_hit):
                     seen.add(e.record_id)
                     found.append(e)
         for b in node.branches:
-            for e in b.spanning:
-                lo = e.lows
-                hi = e.highs
-                for <<|rlo{d}, rhi{d}, >>found, seen in active:
-                    if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
-                        continue
-                    if e.record_id not in seen:
-                        seen.add(e.record_id)
-                        found.append(e)
-                        if on_spanning_hit is not None:
-                            on_spanning_hit(node, e)
+            if b.spanning:
+                for e in b.spanning:
+                    lo = e.lows
+                    hi = e.highs
+                    for <<|rlo{d}, rhi{d}, >>found, seen in active:
+                        if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                            continue
+                        if e.record_id not in seen:
+                            seen.add(e.record_id)
+                            found.append(e)
+                            if on_spanning_hit is not None:
+                                on_spanning_hit(node, e)
             lo = b.lows
             hi = b.highs
             sub = []
@@ -225,12 +229,13 @@ def fragments(fetch, root, rect, extra):
                 continue
             found.setdefault(e.record_id, []).append(e)
         for b in node.branches:
-            for e in b.spanning:
-                lo = e.lows
-                hi = e.highs
-                if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
-                    continue
-                found.setdefault(e.record_id, []).append(e)
+            if b.spanning:
+                for e in b.spanning:
+                    lo = e.lows
+                    hi = e.highs
+                    if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
+                        continue
+                    found.setdefault(e.record_id, []).append(e)
             lo = b.lows
             hi = b.highs
             if << or |lo[{d}] > rhi{d} or hi[{d}] < rlo{d}>>:
@@ -261,8 +266,8 @@ def fragments(
 #: test of :data:`_INTERSECTING`), in a recursion's pre-order — a node's
 #: branches are read last to first, so its children pop first to last.
 #: A holder is ``(leaf, None)`` for a leaf with a fragment of
-#: ``record_id`` and ``(node, branch)`` for a branch with a spanning one;
-#: an empty spanning list is not scanned.  Nothing is changed.
+#: ``record_id`` and ``(node, branch)`` for a branch with a spanning one.
+#: Nothing is changed.
 _LOCATE = """
 def locate(root, record_id, hint):
     <<|rlo{d}, >>= hint.lows

@@ -25,7 +25,6 @@ insertion and search (Section 3.1.1).
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Any, Iterator, Sequence
 
 from ..exceptions import IndexStructureError, WorkloadError
@@ -42,8 +41,6 @@ __all__ = ["RPlusTree", "SRPlusTree", "check_rplus"]
 
 #: Default indexed domain when none is given.
 _DEFAULT_DOMAIN = (-1.0e9, 1.0e9)
-
-_LEVEL = attrgetter("level")
 
 
 class RPlusTree(query.QuerySurface):
@@ -114,11 +111,7 @@ class RPlusTree(query.QuerySurface):
         """Answer one query through the shared read kernel, which reports
         a replicated record once (it de-duplicates on record id)."""
         hits, visited = query.answer(kind, None, self.root, rect)
-        stats = self.stats
-        stats.accesses_by_level.update(map(_LEVEL, visited))
-        stats.searches += 1
-        stats.node_accesses += len(visited)
-        stats.search_node_accesses += len(visited)
+        self.stats.count_visit(visited, 1)
         return [(e.record_id, e.payload) for e in hits]
 
     def search_with_stats(self, rect: Rect) -> tuple[list[tuple[int, Any]], SearchStats]:

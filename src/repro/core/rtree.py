@@ -15,9 +15,10 @@ Guttman's.
 Reads go through :mod:`repro.core.query`: the public query methods are
 inherited from its ``QuerySurface``, and the kernel returns the nodes a
 query visited, in visit order.  :meth:`RTree._settle` takes that list
-once per query or batch: the per-level count, the (when attached) simulated
-storage layer's page touches, and the trace.  Its length is the paper's
-node-access metric.
+once per query or batch: the (when attached) simulated storage layer's page
+touches and the per-level count; a traced read also emits its span and
+``node_access`` events, an untraced one builds neither.  Its length is the
+paper's node-access metric.
 
 Writes report what they change: every content modification goes through
 :meth:`RTree._touch` and every other change to a node's page image through
@@ -176,28 +177,26 @@ class RTree(query.QuerySurface):
 
     def _query(self, kind: str, rect: Rect) -> list[tuple[int, Any]]:
         """Answer one query through the read kernel over the live nodes,
-        then settle the nodes it visited: page touches, the per-level
-        count and the ``node_access`` trace, once per query."""
+        then settle the nodes it visited: page touches and the per-level
+        count, once per query.  A traced query also gets its span, the
+        ``node_access`` events and the ``spanning_hit`` callback; an
+        untraced one pays for none of them."""
         tracer = self.tracer
-        if kind in (query.WITHIN, query.CONTAINING):
-            span = tracer.span("search", mode="fragments")
+        if not tracer.enabled:
+            hits, visited = query.answer(kind, None, self.root, rect, self._loose_entries())
+            self._settle(visited, 1)
         else:
-            span = tracer.span("search")
-        with span as sp:
-            hits, visited = query.answer(
-                kind,
-                None,
-                self.root,
-                rect,
-                self._loose_entries(),
-                self._trace_spanning_hit if tracer.enabled else None,
-            )
-            self._settle(visited)
-            sp.set(nodes_accessed=len(visited), records_found=len(hits))
-        stats = self.stats
-        stats.searches += 1
-        stats.node_accesses += len(visited)
-        stats.search_node_accesses += len(visited)
+            if kind in (query.WITHIN, query.CONTAINING):
+                span = tracer.span("search", mode="fragments")
+            else:
+                span = tracer.span("search")
+            with span as sp:
+                hits, visited = query.answer(
+                    kind, None, self.root, rect, self._loose_entries(), self._trace_spanning_hit
+                )
+                self._settle(visited, 1)
+                self._trace_visit(visited)
+                sp.set(nodes_accessed=len(visited), records_found=len(hits))
         return [(e.record_id, e.payload) for e in hits]
 
     def _query_batch(self, rects: Sequence[Rect]) -> list[list[tuple[int, Any]]]:
@@ -205,20 +204,21 @@ class RTree(query.QuerySurface):
         (:func:`repro.core.query.intersecting_many`), each node visited at
         most once, then settle the visit once for the batch."""
         tracer = self.tracer
-        with tracer.span("batch_search", queries=len(rects)) as sp:
-            hits, visited = query.intersecting_many(
-                None, self.root, rects, self._trace_spanning_hit if tracer.enabled else None
-            )
-            self._settle(visited)
-            sp.set(nodes_accessed=len(visited), records_found=sum(map(len, hits)))
+        if not tracer.enabled:
+            hits, visited = query.intersecting_many(None, self.root, rects)
+            self._settle(visited, len(rects))
+        else:
+            with tracer.span("batch_search", queries=len(rects)) as sp:
+                hits, visited = query.intersecting_many(
+                    None, self.root, rects, self._trace_spanning_hit
+                )
+                self._settle(visited, len(rects))
+                self._trace_visit(visited)
+                sp.set(nodes_accessed=len(visited), records_found=sum(map(len, hits)))
         for e in self._loose_entries():
             for found, rect in zip(hits, rects):
                 if e.rect.intersects(rect):
                     found.append(e)
-        stats = self.stats
-        stats.searches += len(rects)
-        stats.node_accesses += len(visited)
-        stats.search_node_accesses += len(visited)
         return [[(e.record_id, e.payload) for e in found] for found in hits]
 
     def search_with_stats(self, rect: Rect) -> tuple[list[tuple[int, Any]], SearchStats]:
@@ -259,8 +259,9 @@ class RTree(query.QuerySurface):
                 holders, rescan = query.locate(self.root, record_id, everywhere)
                 visited += rescan
                 kept, removed = _kept_lists(holders, record_id)
-            self._settle(visited)
-            self.stats.node_accesses += len(visited)
+            self._settle(visited, 0)
+            if self.tracer.enabled:
+                self._trace_visit(visited)
             # Holders and their ancestors, each counted once; only a holder's
             # own page image changed, so only the holders are marked.
             changed: dict[Node, None] = {}
@@ -312,19 +313,21 @@ class RTree(query.QuerySurface):
     # ------------------------------------------------------------------
     # Search internals
     # ------------------------------------------------------------------
-    def _settle(self, nodes: list[Node]) -> None:
-        """Account for the nodes one read visited, in visit order: the one
-        place visits are faulted in, counted per level and traced.  The
-        caller adds ``len(nodes)`` to ``stats.node_accesses``; a read the
-        hook fails counts nothing in either."""
+    def _settle(self, nodes: list[Node], searches: int) -> None:
+        """Account for the nodes one read visited, in visit order, for
+        ``searches`` queries (0: a delete's search): the one place visits
+        are faulted in and counted (:meth:`AccessStats.count_visit`).  A
+        read the hook fails counts nothing."""
         hook = self._storage_hook
         if hook is not None:
             hook(nodes)
-        self.stats.accesses_by_level.update(map(_LEVEL, nodes))
+        self.stats.count_visit(nodes, searches)
+
+    def _trace_visit(self, nodes: list[Node]) -> None:
+        """A traced read's ``node_access`` events, after :meth:`_settle`."""
         tracer = self.tracer
-        if tracer.enabled:
-            for node in nodes:
-                tracer.event("node_access", node_id=node.node_id, level=node.level)
+        for node in nodes:
+            tracer.event("node_access", node_id=node.node_id, level=node.level)
 
     def _trace_spanning_hit(self, node: Node, record: DataEntry) -> None:
         self.tracer.event(

@@ -8,10 +8,14 @@ the ablation benchmarks report.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, _count_elements  # type: ignore[attr-defined]
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Any, Sequence
 
 __all__ = ["AccessStats", "SearchStats"]
+
+_LEVEL = attrgetter("level")
 
 
 @dataclass
@@ -40,6 +44,18 @@ class AccessStats:
     spanning_placements: int = 0
     forced_reinserts: int = 0
     accesses_by_level: Counter = field(default_factory=Counter)
+
+    def count_visit(self, nodes: Sequence[Any], searches: int) -> None:
+        """Count one read's visit: ``len(nodes)`` node accesses, each under
+        its node's level, for ``searches`` queries (0: a delete's search).
+        The per-level count is ``Counter.update``'s own C loop, called
+        directly: no Python frame and no ``Mapping`` check per read."""
+        _count_elements(self.accesses_by_level, map(_LEVEL, nodes))
+        accessed = len(nodes)
+        self.node_accesses += accessed
+        if searches:
+            self.searches += searches
+            self.search_node_accesses += accessed
 
     @property
     def avg_nodes_per_search(self) -> float:

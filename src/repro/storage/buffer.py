@@ -196,13 +196,30 @@ class BufferPool:
         page.  A miss whose read raises :class:`TransientDiskError` —
         attempt 1 — is handed to ``retry`` outside the handler; the
         touches resume after it."""
+        frames = self._frames
+        move = frames.move_to_end
+        tracer = self.tracer if self.tracer.enabled else None
+        stats = self.stats
         start = 0
         loaded: "tuple[Page, int] | None" = None
         while True:
             with self._cond:
                 if loaded is not None:
                     self._install(*loaded)
-                end = self._hits(page_ids, start)
+                # The run of resident pages from ``start``: each a hit,
+                # traced and moved to the MRU end, in order.
+                end = start
+                for page_id in itertools.islice(page_ids, start, None) if start else page_ids:
+                    try:
+                        move(page_id)
+                    except KeyError:
+                        break
+                    if tracer is not None:
+                        tracer.event(
+                            "page_fetch", page_id=page_id, hit=True, page_bytes=frames[page_id].size
+                        )
+                    end += 1
+                stats.hits += end - start
                 if end == len(page_ids):
                     return
                 page_id = page_ids[end]
@@ -221,24 +238,6 @@ class BufferPool:
     # ------------------------------------------------------------------
     # The parts of an access
     # ------------------------------------------------------------------
-    def _hits(self, page_ids: Sequence[PageId], start: int) -> int:
-        """Under the mutex: count ``page_ids[start:]`` as hits, trace them and
-        move each to the MRU end, in order, while they are resident; returns
-        the index of the first that is not, or ``len(page_ids)``."""
-        frames = self._frames
-        tracer = self.tracer if self.tracer.enabled else None
-        end = start
-        for page_id in itertools.islice(page_ids, start, None):
-            frame = frames.get(page_id)
-            if frame is None:
-                break
-            if tracer is not None:
-                tracer.event("page_fetch", page_id=page_id, hit=True, page_bytes=frame.size)
-            frames.move_to_end(page_id)
-            end += 1
-        self.stats.hits += end - start
-        return end
-
     def _probe(self, page_id: PageId) -> "Page | None":
         """Under the mutex: the resident frame, counted as a hit and moved
         to the MRU end — or ``None`` once the access is counted as a miss

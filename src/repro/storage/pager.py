@@ -371,12 +371,13 @@ class StorageManager:
         # Unlocked probes: a dict read is atomic, and _ensure_page publishes
         # an id only once its page exists on the disk.
         page_of = self._page_of
-        page_ids = []
-        for node in nodes:
-            page_id = page_of.get(node.node_id)
-            if page_id is None:
-                page_id = self._ensure_page(node)
-            page_ids.append(page_id)
+        try:
+            page_ids = [page_of[node.node_id] for node in nodes]
+        except KeyError:  # a node no page holds yet: allocate the missing ones
+            page_ids = [
+                page_of[node.node_id] if node.node_id in page_of else self._ensure_page(node)
+                for node in nodes
+            ]
         self.pool.touch_all(page_ids, self._retry_touch)
 
     def _retry_touch(self, page_id: int, error: TransientDiskError) -> None:

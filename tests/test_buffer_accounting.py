@@ -157,11 +157,16 @@ def _no_retry(page_id, error):
     raise AssertionError(f"a simulated disk raised {error!r} on page {page_id}")
 
 
-def _pool_and_model(sizes: dict, capacity: int) -> tuple[BufferPool, Tracer, LruModel]:
+def _pool_and_model(
+    sizes: dict, capacity: int, traced: bool = True
+) -> tuple[BufferPool, "Tracer | None", LruModel]:
+    """A pool over ``sizes``'s pages and its model; the pool records its
+    events unless ``traced`` is false, when it keeps the disabled tracer
+    every workload's pool runs with (and there is no stream to compare)."""
     disk = SimulatedDisk()
     for page_id, size in sizes.items():
         disk.allocate(page_id, size)
-    tracer = Tracer(RingBufferSink(capacity=100_000))
+    tracer = Tracer(RingBufferSink(capacity=100_000)) if traced else None
     return BufferPool(disk, capacity, tracer=tracer), tracer, LruModel(sizes, capacity)
 
 
@@ -202,18 +207,21 @@ _ops = st.lists(
 
 
 @settings(
-    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-@given(ops=_ops)
-def test_accounting_invariants_hold(ops):
-    pool, tracer, model = _pool_and_model(PAGE_SIZES, CAPACITY)
+@given(ops=_ops, traced=st.booleans())
+def test_accounting_invariants_hold(ops, traced):
+    """Traced and untraced pools alike (the untraced ``touch_all`` is the
+    one every workload runs); the events are compared when recorded."""
+    pool, tracer, model = _pool_and_model(PAGE_SIZES, CAPACITY, traced)
     for op, page_ids, fill in ops:
         _step(pool, model, op, page_ids, fill)
         pool.verify_accounting()
         assert _observable(pool) == model.observable()
         assert pool.resident_bytes <= CAPACITY
         assert pool.resident_pages == len(model.frames)
-    assert _events(tracer) == model.events
+    if traced:
+        assert _events(tracer) == model.events
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,6 +294,7 @@ class _CountingMutex:
         return getattr(self._cond, name)
 
 
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
 @pytest.mark.parametrize(
     "resident, visit, capacity_pages",
     [
@@ -295,11 +304,14 @@ class _CountingMutex:
         ([1, 2, 3], [4, 1, 5, 6, 2, 7], 3),  # misses that evict
     ],
 )
-def test_a_visit_with_k_misses_takes_k_plus_one_pool_sections(resident, visit, capacity_pages):
+def test_a_visit_with_k_misses_takes_k_plus_one_pool_sections(
+    resident, visit, capacity_pages, traced
+):
     """Each miss's install shares the section that counts the hits after
-    it, so a visit enters the pool mutex once, plus once per miss."""
+    it, so a visit enters the pool mutex once, plus once per miss — with
+    the tracer on or off."""
     sizes = dict.fromkeys(range(1, 9), 512)
-    pool, tracer, model = _pool_and_model(sizes, capacity_pages * 512)
+    pool, tracer, model = _pool_and_model(sizes, capacity_pages * 512, traced)
     for page_id in resident:
         pool.touch(page_id)
         model.touch(page_id)
@@ -310,7 +322,8 @@ def test_a_visit_with_k_misses_takes_k_plus_one_pool_sections(resident, visit, c
     k = pool.stats.misses - misses_before
     assert counting.sections == k + 1
     assert _observable(pool) == model.observable()
-    assert _events(tracer) == model.events
+    if traced:
+        assert _events(tracer) == model.events
 
 
 def _spilling_tree_and_queries():

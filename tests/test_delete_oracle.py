@@ -80,8 +80,7 @@ def remove_fragments(
     self: RTree, node: Node, record_id: int, hint: Rect | None, changed: list[Node]
 ) -> int:
     own = 0  # fragments removed from this node's own lists
-    self._settle([node])
-    self.stats.node_accesses += 1
+    self._settle([node], 0)
     if node.is_leaf:
         before = len(node.data_entries)
         node.data_entries = [e for e in node.data_entries if e.record_id != record_id]

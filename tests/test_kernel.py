@@ -22,11 +22,14 @@ for profiles and tracebacks.
 from __future__ import annotations
 
 import cProfile
+import itertools
 import linecache
 import math
 import pstats
 import random
+import types
 
+import numpy
 import pytest
 
 from repro import IndexConfig, Rect, RPlusTree, SkeletonSRTree, SRTree, check_index
@@ -36,7 +39,7 @@ from repro.core.kernel import unrolled
 from repro.core.node import Node
 from repro.core.rtree import RTree
 from repro.core.srtree import _FIRST_SPANNED
-from repro.exceptions import IndexStructureError
+from repro.exceptions import GeometryError, IndexStructureError
 
 from . import _reference_kernel as reference
 from . import _reference_split as reference_split
@@ -44,6 +47,7 @@ from . import _reference_split as reference_split
 DIMS = (1, 2, 3, 4)
 SIDE = 64  # an integer grid, so record and query boundaries often coincide
 INF = math.inf
+NAN = math.nan
 
 
 def _box(rng: random.Random, k: int) -> Rect:
@@ -333,3 +337,128 @@ def test_instances_are_named_for_profiles_and_tracebacks():
         profile.runcall(split.split_rects, boxes, 1, algorithm)
         files = {filename for filename, _, _ in pstats.Stats(profile).stats}
         assert f"<repro.core.kernel {algorithm} K=2>" in files
+
+
+# ---------------------------------------------------------------------------
+# A node whose branches carry spanning records unevenly
+# ---------------------------------------------------------------------------
+#: Branches (by position) that carry spanning records; the rest carry none.
+#: The first branch carries none, so a kernel that keys the spanning scan on
+#: the wrong branch, or skips the first non-empty list, misses hits.
+SPANNING_AT = (1, 3, 4)
+
+
+def _mixed_spanning_tree(k: int):
+    """A two-level tree: six leaves of three records each under one root,
+    whose branches :data:`SPANNING_AT` hold two spanning records each (one
+    of them a fragment of a record that also has a leaf fragment, so
+    de-duplication and grouping by record id are exercised)."""
+    root = Node(level=1)
+    record_id = itertools.count(1)
+    for i in range(6):
+        x = 10.0 * i
+        leaf = Node(level=0, parent=root)
+        for j in range(3):
+            lo = x + 3.0 * j
+            rect = Rect(*_pad(k, (lo,), (lo + 2.0,)))
+            leaf.data_entries.append(DataEntry(rect, next(record_id), ("leaf", i, j)))
+        branch = BranchEntry(Rect(*_pad(k, (x,), (x + 8.0,))), leaf)
+        if i in SPANNING_AT:
+            cut = leaf.data_entries[0].record_id  # its spanning fragment
+            branch.spanning = [
+                DataEntry(Rect(*_pad(k, (x - 1.0,), (x + 9.0,))), next(record_id), ("span", i)),
+                DataEntry(Rect(*_pad(k, (x - 2.0,), (x,))), cut, ("cut", i)),
+            ]
+        root.branches.append(branch)
+    return types.SimpleNamespace(root=root)
+
+
+def _mixed_queries(k: int) -> list[Rect]:
+    spans = [(-INF, INF), (0.0, 60.0), (9.0, 31.0), (55.0, 55.0), (100.0, 200.0), (-5.0, -3.0)]
+    for i in range(6):
+        x = 10.0 * i
+        # the branch alone, its spanning records' outer edges, a leaf
+        # record's corner and the gap between two leaf records
+        spans += [(x, x + 8.0), (x - 1.0, x - 1.0), (x + 9.0, x + 9.5), (x - 2.0, x - 2.0),
+                  (x + 2.0, x + 2.0), (x + 2.5, x + 2.5)]
+    return [Rect(*_pad(k, (lo,), (hi,))) for lo, hi in spans]
+
+
+@pytest.mark.parametrize("k", DIMS)
+def test_a_node_with_some_spanning_lists_empty_matches_the_loop(k):
+    """Only some branches carry spanning records: ``intersecting``,
+    ``intersecting_many`` and ``fragments`` find what the loops they
+    replaced find, in the same order, from the same visits, with the same
+    spanning-hit callbacks, fetched or not."""
+    tree = _mixed_spanning_tree(k)
+    queries = _mixed_queries(k)
+    spanning_hits = set()
+    for rect in queries:
+        for fetched in (True, False):
+            got = _run(query.intersecting, tree, rect, fetched)
+            assert got == _run(reference.intersecting, tree, rect, fetched), rect
+        spanning_hits.update(e for _, e in got[3])
+
+        def fragments(kernel):
+            found, visited = kernel(None, tree.root, rect)
+            return [(rid, [id(e) for e in pieces]) for rid, pieces in found.items()], visited
+
+        assert fragments(query.fragments) == fragments(reference.fragments), rect
+    every = {id(e) for b in tree.root.branches for e in b.spanning}
+    assert spanning_hits == every  # each spanning record was found by some query
+
+    for batch in (queries, queries[2:9], queries[::-1]):
+        runs = []
+        for kernel in (query.intersecting_many, reference.intersecting_many):
+            calls: list[tuple[int, int]] = []
+            hits, visited = kernel(
+                None, tree.root, batch, lambda node, e: calls.append((id(node), id(e)))
+            )
+            runs.append(([[id(e) for e in h] for h in hits], [id(n) for n in visited], calls))
+        assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# Rect construction: the conversion every query and stab pays for
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "lows, highs",
+    [
+        ((1, 2), (3, 4)),
+        ((1.5, -2.0), (3.25, INF)),
+        ([-INF, 0], [0, INF]),
+        ((True, 0), (True, 1)),
+    ],
+)
+def test_rect_converts_every_bound_to_a_float(lows, highs):
+    want = (tuple(float(v) for v in lows), tuple(float(v) for v in highs))
+    for make in (
+        lambda v: v,
+        lambda v: tuple(numpy.float64(x) for x in v),
+        lambda v: tuple(numpy.int64(x) if float(x).is_integer() else x for x in v),
+        lambda v: (x for x in v),
+        lambda v: numpy.array(v, dtype=float),
+    ):
+        rect = Rect(make(lows), make(highs))
+        assert (rect.lows, rect.highs) == want
+        assert all(type(v) is float for v in rect.lows + rect.highs)
+        assert type(rect.lows) is tuple and type(rect.highs) is tuple
+
+
+@pytest.mark.parametrize(
+    "lows, highs, message",
+    [
+        ((0.0, NAN), (1.0, 1.0), "NaN bound: [nan, 1.0]"),
+        ((0.0, 0.0), (1.0, NAN), "NaN bound: [0.0, nan]"),
+        ((5, 0), (4, 1), "inverted bounds: low 5.0 > high 4.0"),
+        ((0.0, 3.0), (1.0, -INF), "inverted bounds: low 3.0 > high -inf"),
+        ((0, 0), (1,), "dimension mismatch: 2 lows vs 1 highs"),
+        ((), (1.0,), "dimension mismatch: 0 lows vs 1 highs"),
+        ((), (), "a Rect needs at least one dimension"),
+    ],
+)
+def test_rect_refuses_bad_bounds_with_the_same_message(lows, highs, message):
+    for make in (tuple, lambda v: (x for x in v)):
+        with pytest.raises(GeometryError) as caught:
+            Rect(make(lows), make(highs))
+        assert str(caught.value) == message
